@@ -7,10 +7,11 @@ the service-state size and compares write RRT and shipped payload bytes
 under FULL, DELTA and REPRO transfer — showing exactly why the remedies
 matter.
 
-Payload bytes are measured on the wire (AcceptBatch traffic); the RRT
-model charges serialization at ~1 GB/s on top of the base per-message CPU
-cost, so FULL-mode writes slow down visibly once the state reaches
-hundreds of kilobytes.
+Payload bytes are the modelled wire size of each shipped ``StatePayload``
+(``repro.transport.codec.wire_size``, the simulator's byte accounting);
+the RRT model charges serialization at ~1 GB/s on top of the base
+per-message CPU cost, so FULL-mode writes slow down visibly once the state
+reaches hundreds of kilobytes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.messages import AcceptBatch
 from repro.net.profiles import sysnet
 from repro.services.noop import NoopService
 from repro.sim.cpu import CpuProfile
+from repro.transport.codec import wire_size
 from repro.types import RequestKind, StateTransferMode
 from repro.util.tables import format_table
 
@@ -68,7 +70,7 @@ def run(mode: StateTransferMode, state_size: int):
     # Average shipped payload size, from the leader's log.
     leader = cluster.leader()
     sizes = [
-        leader.log.chosen_value(i).payload.size_hint()
+        wire_size(leader.log.chosen_value(i).payload)
         for i in range(leader.log.compacted_to + 1, leader.log.frontier + 1)
     ]
     mean_payload = sum(sizes) / len(sizes) if sizes else 0.0

@@ -542,15 +542,18 @@ def profile_command(args: argparse.Namespace) -> int:
     cluster = Cluster(spec, steps)
     cluster.run()
 
+    # Sim CPU is booked on the send/recv/execute accounting frames, host
+    # self time on the handler frames: each metric ranks its own frames.
+    first, second = (3, 2) if args.metric == "host" else (2, 3)
     rows = sorted(
         (row for row in frame_rows(cluster.profiler) if row[1]),
-        key=lambda row: (-row[2], -row[3], row[0]),
+        key=lambda row: (-row[first], -row[second], row[0]),
     )
     table = [
         [";".join(path), calls, f"{sim_ns / 1e6:.3f}", f"{host_ns / 1e6:.3f}"]
         for path, calls, sim_ns, host_ns in rows[: args.top]
     ]
-    print(f"Hottest handlers (top {len(table)}, exclusive)")
+    print(f"Hottest handlers (top {len(table)} by {args.metric} time, exclusive)")
     print(format_table(["frame", "calls", "sim ms", "host ms"], table))
 
     # §3.4 attribution: M = client<->replica messaging, E = execution,
@@ -761,8 +764,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                                 help="write collapsed flamegraph stacks here "
                                      "(flamegraph.pl / speedscope input)")
     profile_parser.add_argument("--metric", default="sim", choices=("sim", "host"),
-                                help="collapsed-stack metric: simulated CPU ns "
-                                     "or host wall ns (default: sim)")
+                                help="metric the hottest-handlers table is "
+                                     "ranked by and --out is written in: "
+                                     "simulated CPU or host wall time "
+                                     "(default: sim)")
     profile_parser.add_argument("--chrome", metavar="PATH",
                                 help="write a Chrome trace-event JSON with "
                                      "counter tracks here")

@@ -116,8 +116,9 @@ class ClusterSpec:
     #: accounting for free; recording is passive and cannot perturb the
     #: schedule (see tests/integration/test_obs_determinism.py).
     metrics: bool = True
-    #: Also account encoded wire bytes per message type (one pickle per
-    #: send — the only instrumentation with measurable host-CPU cost).
+    #: Also account modelled wire bytes per message type
+    #: (``repro.transport.codec.wire_size``: a walk of the message, nothing
+    #: is serialized).
     measure_bytes: bool = True
     #: Sim-profiler (:mod:`repro.obs.prof`): folded-stack sim-CPU / host-time
     #: attribution per actor, handler, and message type. Passive like the

@@ -14,17 +14,19 @@ accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import ClassVar
 
 from repro.types import InstanceId, ProcessId
-from repro.util.fastpickle import fast_pickle
+from repro.util.fastpickle import KeepsWireSize, fast_pickle
 
 
-@total_ordering
+# ``order=True``: each of the four comparisons is one tuple comparison of the
+# fields in declaration order, which *is* the lexicographic order above. They
+# run on the accept path, so none is derived from another through an extra
+# Python frame (as ``functools.total_ordering`` would).
 @fast_pickle
-@dataclass(frozen=True, slots=True)
-class Ballot:
+@dataclass(frozen=True, slots=True, order=True)
+class Ballot(KeepsWireSize):
     """One leader term: ``(round, leader)``, totally ordered."""
 
     round: int
@@ -32,14 +34,6 @@ class Ballot:
 
     #: Smaller than every real ballot; what acceptors start out promised to.
     ZERO: ClassVar["Ballot"]
-
-    def _key(self) -> tuple[int, str]:
-        return (self.round, self.leader)
-
-    def __lt__(self, other: "Ballot") -> bool:
-        if not isinstance(other, Ballot):
-            return NotImplemented
-        return self._key() < other._key()
 
     def next_for(self, leader: ProcessId) -> "Ballot":
         """The smallest ballot for ``leader`` strictly greater than self."""
@@ -55,22 +49,13 @@ class Ballot:
 Ballot.ZERO = Ballot(-1, "")
 
 
-@total_ordering
 @fast_pickle
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ProposalNumber:
     """``(ballot, instance)``, ordered lexicographically (§3.3)."""
 
     ballot: Ballot
     instance: InstanceId
-
-    def _key(self) -> tuple[int, str, int]:
-        return (self.ballot.round, self.ballot.leader, self.instance)
-
-    def __lt__(self, other: "ProposalNumber") -> bool:
-        if not isinstance(other, ProposalNumber):
-            return NotImplemented
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         return f"pn({self.ballot.round},{self.ballot.leader},#{self.instance})"

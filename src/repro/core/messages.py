@@ -25,14 +25,14 @@ from typing import Any
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
-from repro.util.fastpickle import fast_pickle
+from repro.util.fastpickle import KeepsWireSize, fast_pickle
 from repro.types import GroupId, InstanceId, ProcessId, ReplyStatus
 
 
 # ------------------------------------------------------------------ proposals
 @fast_pickle
 @dataclass(frozen=True, slots=True)
-class Proposal:
+class Proposal(KeepsWireSize):
     """The value decided by one consensus instance: ``<req, state>`` (§3.3).
 
     ``requests`` has one element for an ordinary write and one element per

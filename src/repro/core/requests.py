@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.types import ProcessId, RequestKind
-from repro.util.fastpickle import fast_pickle
+from repro.util.fastpickle import KeepsWireSize, fast_pickle
 
 
 @fast_pickle
@@ -29,7 +29,7 @@ class RequestId:
 
 @fast_pickle
 @dataclass(frozen=True, slots=True)
-class ClientRequest:
+class ClientRequest(KeepsWireSize):
     """One client request as broadcast to all service replicas (§3.3).
 
     * ``rid`` — unique id for dedup and reply matching.

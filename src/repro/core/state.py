@@ -41,10 +41,6 @@ class StatePayload:
     mode: StateTransferMode
     data: Any
 
-    def size_hint(self) -> int:
-        """Rough payload size in bytes, for the state-transfer ablation."""
-        return _deep_size(self.data)
-
 
 def build_payload(
     mode: StateTransferMode,
@@ -111,16 +107,3 @@ def apply_payload(
             service.replay(op, repro)
         return
     raise ProtocolError(f"unknown state transfer mode {payload.mode!r}")
-
-
-def _deep_size(obj: Any) -> int:
-    """Crude recursive byte-size estimate (used only for reporting)."""
-    import sys
-
-    if isinstance(obj, (str, bytes, bytearray)):
-        return sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        return sys.getsizeof(obj) + sum(_deep_size(k) + _deep_size(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sys.getsizeof(obj) + sum(_deep_size(x) for x in obj)
-    return sys.getsizeof(obj)

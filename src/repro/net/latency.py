@@ -12,9 +12,10 @@ bound on delivery time, yet eventual delivery.
 from __future__ import annotations
 
 import abc
-import math
 import random
 from collections.abc import Sequence
+from math import exp, log
+from random import NV_MAGICCONST
 
 
 class LatencyModel(abc.ABC):
@@ -90,12 +91,24 @@ class LogNormalLatency(LatencyModel):
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self._median = median
         self._sigma = sigma
-        self._mu = math.log(median)
+        self._mu = log(median)
 
     def sample(self, rng: random.Random) -> float:
-        if self._sigma == 0.0:
+        sigma = self._sigma
+        if sigma == 0.0:
             return self._median
-        return rng.lognormvariate(self._mu, self._sigma)
+        # ``rng.lognormvariate(mu, sigma)`` without its two Python frames —
+        # one draw per simulated message. Same Kinderman-Monahan loop, same
+        # ``random()`` draws, same float operations in the same order
+        # (tests/property/test_latency_props.py holds it to that).
+        draw = rng.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        return exp(self._mu + z * sigma)
 
     @property
     def median(self) -> float:
@@ -107,7 +120,7 @@ class LogNormalLatency(LatencyModel):
 
     @property
     def mean(self) -> float:
-        return self._median * math.exp(self._sigma**2 / 2.0)
+        return self._median * exp(self._sigma**2 / 2.0)
 
     def __repr__(self) -> str:
         return f"LogNormalLatency(median={self._median!r}, sigma={self._sigma!r})"

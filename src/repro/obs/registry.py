@@ -179,26 +179,45 @@ class _NullHistogram(Histogram):
 class Scope:
     """A registry view that prefixes every instrument name with ``proc.<pid>``
     (or any other prefix) — protocol code records against its scope and
-    stays ignorant of which process it is."""
+    stays ignorant of which process it is.
 
-    __slots__ = ("_registry", "_prefix")
+    A scope remembers the instrument behind each short name, so a recording
+    site pays one dict hit, not an f-string plus the registry's lookup.
+    Registries never drop or replace an instrument, so the memo cannot go
+    stale."""
+
+    __slots__ = ("enabled", "_registry", "_prefix", "_counters", "_gauges", "_histograms")
 
     def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
+        #: Whether recording does anything (fixed per registry class).
+        self.enabled = registry.enabled
         self._registry = registry
         self._prefix = prefix
-
-    @property
-    def enabled(self) -> bool:
-        return self._registry.enabled
+        self._counters: dict[str, Counter] = {}
+        self._gauges: dict[str, Gauge] = {}
+        self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._registry.counter(f"{self._prefix}.{name}")
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self._registry.counter(
+                f"{self._prefix}.{name}"
+            )
+        return counter
 
     def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(f"{self._prefix}.{name}")
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            gauge = self._gauges[name] = self._registry.gauge(f"{self._prefix}.{name}")
+        return gauge
 
     def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
-        return self._registry.histogram(f"{self._prefix}.{name}", bounds)
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = self._registry.histogram(
+                f"{self._prefix}.{name}", bounds
+            )
+        return hist
 
 
 class MetricsRegistry:

@@ -33,7 +33,7 @@ def export_from_registry(registry: MetricsRegistry) -> RunExport:
 
 # ------------------------------------------------------------------- messages
 def message_table(export: RunExport) -> str:
-    """Per-message-type traffic: sends, delivers, drops, encoded bytes."""
+    """Per-message-type traffic: sends, delivers, drops, modelled bytes."""
     rows = []
     total_sent = total_bytes = 0
     for type_name in export.message_types():
@@ -52,9 +52,15 @@ def message_table(export: RunExport) -> str:
             ]
         )
     rows.append(["TOTAL", total_sent, "", "", total_bytes or "-", ""])
-    return "Per-message-type traffic\n" + format_table(
+    table = "Per-message-type traffic\n" + format_table(
         ["message", "sent", "delivered", "dropped", "bytes", "bytes/msg"], rows
     )
+    if total_bytes:
+        table += (
+            "\nbytes: modelled wire size (repro.transport.codec.wire_size), "
+            "not the TCP codec's pickled frames"
+        )
+    return table
 
 
 def per_replica_table(export: RunExport) -> str:

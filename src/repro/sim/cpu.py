@@ -62,11 +62,22 @@ class CpuModel:
     than ``now`` and no earlier than the end of previously booked work, and
     returns the completion time. Total busy time is accumulated so harnesses
     can report utilization.
+
+    The profile is fixed for the model's life: what one message books
+    (``send_booking`` / ``recv_booking``) is summed from it once.
     """
 
     profile: CpuProfile = field(default_factory=CpuProfile)
     busy_until: float = 0.0
     busy_time: float = 0.0
+    #: CPU seconds one outbound / inbound message books on this processor.
+    send_booking: float = field(init=False, repr=False, compare=False)
+    recv_booking: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        profile = self.profile
+        self.send_booking = profile.send_cost + profile.extra_per_message
+        self.recv_booking = profile.recv_cost + profile.extra_per_message
 
     def acquire(self, now: float, cost: float) -> float:
         """Book ``cost`` seconds of CPU; return the completion time."""
@@ -79,11 +90,11 @@ class CpuModel:
 
     def send_completion(self, now: float) -> float:
         """Completion time for emitting one message at/after ``now``."""
-        return self.acquire(now, self.profile.send_cost + self.profile.extra_per_message)
+        return self.acquire(now, self.send_booking)
 
     def recv_completion(self, now: float) -> float:
         """Completion time for receiving + handling one message at/after ``now``."""
-        return self.acquire(now, self.profile.recv_cost + self.profile.extra_per_message)
+        return self.acquire(now, self.recv_booking)
 
     def execute_completion(self, now: float) -> float:
         """Completion time for running the service operation at/after ``now``."""

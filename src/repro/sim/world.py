@@ -38,7 +38,7 @@ from repro.sim.cpu import CpuModel, CpuProfile
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.process import Env, Process, TimerHandle
 from repro.sim.trace import TraceRecorder
-from repro.transport.codec import encoded_size
+from repro.transport.codec import wire_size
 from repro.types import ProcessId
 
 
@@ -62,7 +62,7 @@ class ZeroLatencyNetwork:
 
 
 class _SimTimer(TimerHandle):
-    __slots__ = ("_event", "_valid")
+    __slots__ = ("_event",)
 
     def __init__(self, event: EventHandle) -> None:
         self._event = event
@@ -78,10 +78,11 @@ class _SimTimer(TimerHandle):
 class _SimEnv(Env):
     """Per-process facade over the world."""
 
-    __slots__ = ("_world", "_pid", "_rng")
+    __slots__ = ("_world", "_kernel", "_pid", "_rng")
 
     def __init__(self, world: "World", pid: ProcessId) -> None:
         self._world = world
+        self._kernel = world.kernel
         self._pid = pid
         self._rng = world.kernel.rng(f"proc/{pid}")
 
@@ -91,7 +92,7 @@ class _SimEnv(Env):
 
     @property
     def now(self) -> float:
-        return self._world.kernel.now
+        return self._kernel._now  # protocol code reads the clock ~14x a request
 
     @property
     def rng(self) -> random.Random:
@@ -156,9 +157,7 @@ class World:
         # per-message cost with metrics on is one dict hit instead of two
         # f-strings + registry lookups. Purely an access-path optimization —
         # the recorded counter values are identical with or without it.
-        self._send_instruments: dict[
-            tuple[ProcessId, type], tuple[Any, Any, Any] | None
-        ] = {}
+        self._send_instruments: dict[tuple[ProcessId, type], tuple[Any, Any, Any]] = {}
         self._recv_instruments: dict[tuple[ProcessId, type], tuple[Any, Any]] = {}
         self._drop_instruments: dict[type, Any] = {}
         # Profiler caches, same pattern: one dict hit per message when
@@ -226,24 +225,22 @@ class World:
             counter.inc()
 
     def _send_counters(self, src: ProcessId, msg_type: type) -> tuple[Any, Any, Any]:
-        """Cached (msg.send, proc.send, msg.send_bytes|None) counters."""
-        key = (src, msg_type)
-        entry = self._send_instruments.get(key)
-        if entry is None:
-            type_name = msg_type.__name__
-            entry = self._send_instruments[key] = (
-                self.metrics.counter(f"msg.send.{type_name}"),
-                self.metrics.counter(f"proc.{src}.send.{type_name}"),
-                self.metrics.counter(f"msg.send_bytes.{type_name}")
-                if self._measure_bytes
-                else None,
-            )
+        """Create the (msg.send, proc.send, msg.send_bytes|None) counters of
+        one (sender, message type); ``_send`` reads them from the cache."""
+        type_name = msg_type.__name__
+        entry = self._send_instruments[src, msg_type] = (
+            self.metrics.counter(f"msg.send.{type_name}"),
+            self.metrics.counter(f"proc.{src}.send.{type_name}"),
+            self.metrics.counter(f"msg.send_bytes.{type_name}")
+            if self._measure_bytes
+            else None,
+        )
         return entry
 
     def _send(
-        self, src: ProcessId, dst: ProcessId, msg: Any, size_hint: int | None = None
+        self, src: ProcessId, dst: ProcessId, msg: Any, size: int | None = None
     ) -> None:
-        """Route one message; ``size_hint`` lets broadcasts encode once."""
+        """Route one message; ``size`` lets broadcasts size it once."""
         sender = self._processes.get(src)
         if sender is None or not sender.alive:
             return  # a crashed process executes no steps
@@ -253,11 +250,13 @@ class World:
             self.trace.emit(self.kernel.now, "send", src, dst, msg)
         metrics = self.metrics
         if metrics.enabled:
-            sent, proc_sent, sent_bytes = self._send_counters(src, type(msg))
+            sent, proc_sent, sent_bytes = self._send_instruments.get(
+                (src, type(msg))
+            ) or self._send_counters(src, type(msg))
             sent.inc()
             proc_sent.inc()
             if sent_bytes is not None:
-                sent_bytes.inc(size_hint if size_hint is not None else encoded_size(msg))
+                sent_bytes.inc(size if size is not None else wire_size(msg))
         tracer = self.tracer
         span: Span | None = None
         if tracer.enabled:
@@ -272,13 +271,12 @@ class World:
             pkey = (src, dst, type(msg))
             pentry = self._prof_send.get(pkey)
             if pentry is None:
-                cpu = self._cpus[src].profile
                 pentry = self._prof_send[pkey] = (
                     profiler.stat(
                         (str(src),
                          f"send.{type(msg).__name__}.{profiler.actor_kind(dst)}")
                     ),
-                    cpu.send_cost + cpu.extra_per_message,
+                    self._cpus[src].send_booking,
                 )
             pentry[0].add_cpu(pentry[1])
         copies = self.network.delays(src, dst, depart)
@@ -308,17 +306,11 @@ class World:
     def _send_many(self, src: ProcessId, dsts: Iterable[ProcessId], msg: Any) -> None:
         """Broadcast fast path: identical per-destination behaviour to a
         ``_send`` loop (same CPU booking order, same event sequence), but the
-        wire size is encoded **once** per broadcast — the dominant hidden
-        cost of byte accounting, since leaders fan the same payload out to
-        every peer."""
-        size_hint: int | None = None
-        if self._measure_bytes:
-            sender = self._processes.get(src)
-            if sender is None or not sender.alive:
-                return
-            size_hint = encoded_size(msg)
+        wire size is worked out **once** per broadcast, since leaders fan
+        the same payload out to every peer."""
+        size = wire_size(msg) if self._measure_bytes else None
         for dst in dsts:
-            self._send(src, dst, msg, size_hint)
+            self._send(src, dst, msg, size)
 
     def _arrive(
         self, src: ProcessId, dst: ProcessId, msg: Any, span: Span | None
@@ -339,13 +331,12 @@ class World:
             pkey = (src, dst, type(msg))
             pentry = self._prof_recv.get(pkey)
             if pentry is None:
-                cpu = self._cpus[dst].profile
                 pentry = self._prof_recv[pkey] = (
                     profiler.stat(
                         (str(dst),
                          f"recv.{type(msg).__name__}.{profiler.actor_kind(src)}")
                     ),
-                    cpu.recv_cost + cpu.extra_per_message,
+                    self._cpus[dst].recv_booking,
                 )
             pentry[0].add_cpu(pentry[1])
         kernel.post_at(completion, self._handle, src, dst, msg, self._epochs[dst], span)

@@ -318,13 +318,15 @@ class StableStore:
         profiler = host.profiler
         if profiler.enabled:
             profiler.enter("append")
-        try:
-            self.pump.device.append(record)
-        finally:
-            if profiler.enabled:
+            try:
+                self.pump.device.append(record)
+            finally:
                 profiler.exit()
-        if host.metrics.enabled:
-            host.metrics.counter("storage.appends").inc()
+        else:
+            self.pump.device.append(record)
+        metrics = host.metrics
+        if metrics.enabled:
+            metrics.counter("storage.appends").inc()
         if not self.write_through:
             self.pump.ensure_drain()
 

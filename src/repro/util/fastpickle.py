@@ -31,6 +31,19 @@ from typing import TypeVar
 T = TypeVar("T")
 
 
+class KeepsWireSize:
+    """Base for immutable message parts that ride inside several messages
+    (a request inside its broadcast, then inside every proposal built from
+    it): one spare slot in which :func:`repro.transport.codec.wire_size`
+    leaves the instance's modelled size the first time it works it out.
+
+    The slot is not a dataclass field, so it takes no part in ``__init__``,
+    equality, ``repr`` or the pickled state, and a copy starts without it.
+    """
+
+    __slots__ = ("_wire_size",)
+
+
 def fast_pickle(cls: type[T]) -> type[T]:
     """Install precomputed ``__getstate__``/``__setstate__`` on ``cls``."""
     if not dataclasses.is_dataclass(cls):

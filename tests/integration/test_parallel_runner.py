@@ -150,6 +150,32 @@ class TestSeedHygiene:
             "txn_throughput": {5},
         }
 
+    def test_byte_totals_identical_for_any_worker_layout(self):
+        """``total_bytes`` is modelled per message, so it may not depend on
+        which messages a process happened to size first: one process running
+        every spec in turn and fresh workers each starting on a different
+        one must merge byte-identically."""
+        specs = [
+            RunSpec(
+                task=task,
+                key=f"bytes/{task}/{index}",
+                params={"seed": 3, "profile": "sysnet", **params},
+            )
+            for index, (task, params) in enumerate(
+                [
+                    ("throughput", {"kind": "write", "n_clients": 2, "total_requests": 40}),
+                    ("throughput", {"kind": "read", "n_clients": 2, "total_requests": 40}),
+                    ("txn_throughput", {"mode": "optimized", "requests_per_txn": 3,
+                                        "n_clients": 2, "total_txns": 10}),
+                    ("throughput", {"kind": "write", "n_clients": 3, "total_requests": 30}),
+                ]
+            )
+        ]
+        serial = run_sweep(specs, SweepOptions(workers=1))
+        sharded = run_sweep(list(reversed(specs)), SweepOptions(workers=4))
+        assert merged_bytes(serial) == merged_bytes(sharded)
+        assert all(record.result["total_bytes"] > 0 for record in serial.records)
+
     def test_calibration_grid_keys_unique_and_sorted_stable(self):
         specs = calibration_grid(samples=10, seeds=3)
         keys = [spec.key for spec in specs]

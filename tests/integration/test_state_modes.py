@@ -8,6 +8,7 @@ from repro.client.workload import paper_txn_steps, single_kind_steps
 from repro.core.messages import AcceptBatch
 from repro.services.kvstore import KVStoreService
 from repro.services.noop import NoopService
+from repro.transport.codec import wire_size
 from repro.types import RequestKind, StateTransferMode
 from tests.integration.util import build_cluster, converged_fingerprints
 
@@ -47,7 +48,7 @@ class TestPayloadSizes:
             trace=True,
         ).run()
         sizes = [
-            e.detail.entries[0][1].payload.size_hint()
+            wire_size(e.detail.entries[0][1].payload)
             for e in cluster.trace.of_kind("send")
             if isinstance(e.detail, AcceptBatch) and e.detail.entries
         ]

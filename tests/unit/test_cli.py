@@ -152,6 +152,26 @@ class TestProfileCommand:
 
         assert validate_chrome_trace(trace)["counter_events"] > 0
 
+    def test_profile_host_metric_ranks_by_host_time(self, capsys):
+        assert main(["profile", "--requests", "40", "--metric", "host"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("Sim-CPU attribution")[0].splitlines()
+        rows = [line.split() for line in table if ";" in line or "World." in line]
+        host_ms = [float(row[-1]) for row in rows]
+        assert host_ms and all(value > 0.0 for value in host_ms)
+        assert host_ms == sorted(host_ms, reverse=True)
+        # Host self time lives on handler frames, not on the sim-CPU
+        # accounting frames a sim-ranked table leads with.
+        assert any("on_message." in row[0] for row in rows)
+
+    def test_profile_sim_metric_still_ranks_by_sim_time(self, capsys):
+        assert main(["profile", "--requests", "40"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("Sim-CPU attribution")[0].splitlines()
+        sim_ms = [float(line.split()[-2]) for line in table if ";" in line]
+        assert sim_ms and sim_ms[0] > 0.0
+        assert sim_ms == sorted(sim_ms, reverse=True)
+
     def test_profile_host_metric_out(self, tmp_path, capsys):
         flame = tmp_path / "host.txt"
         assert main([

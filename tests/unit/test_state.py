@@ -9,6 +9,7 @@ from repro.errors import ProtocolError
 from repro.services.base import ExecutionContext, ExecutionResult
 from repro.services.counter import CounterService
 from repro.services.kvstore import KVStoreService
+from repro.transport.codec import wire_size
 from repro.types import StateTransferMode
 
 import random
@@ -117,11 +118,11 @@ class TestRoundTrip:
             apply_payload(payload, backup, (op,))
         assert backup.data == leader.data == {"b": 2}
 
-    def test_size_hint_positive(self):
+    def test_wire_size_covers_the_state(self):
         payload = StatePayload(StateTransferMode.FULL, {"key": "x" * 100})
-        assert payload.size_hint() > 100
+        assert wire_size(payload) > 100
 
-    def test_size_hint_grows_with_state(self):
+    def test_wire_size_grows_with_state(self):
         small = StatePayload(StateTransferMode.FULL, "x")
         big = StatePayload(StateTransferMode.FULL, "x" * 10_000)
-        assert big.size_hint() > small.size_hint()
+        assert wire_size(big) - wire_size(small) == 9_999
