@@ -72,7 +72,7 @@ def replicated_demo() -> None:
 
     orders = {
         pid: tuple(replica.service.dispatched)
-        for pid, replica in cluster.replicas.items()
+        for pid, replica in cluster.group_replicas().items()
     }
     assert len(set(orders.values())) == 1
     print(f"  all replicas agree on the schedule: {sorted(orders)}  [ok]")

@@ -57,7 +57,7 @@ def main() -> None:
 
     survivors = {
         pid: replica
-        for pid, replica in cluster.replicas.items()
+        for pid, replica in cluster.group_replicas().items()
         if replica.alive
     }
     leader = [pid for pid, r in survivors.items() if r.is_leading]

@@ -46,7 +46,7 @@ def run(mode: StateTransferMode) -> Cluster:
 
 
 def describe(cluster: Cluster) -> None:
-    for pid, replica in sorted(cluster.replicas.items()):
+    for pid, replica in sorted(cluster.group_replicas().items()):
         placements = replica.service.placements
         load = Counter(resource for resource, _demand in placements.values())
         row = "  ".join(f"{node}:{load.get(node, 0):2d}" for node in sorted(

@@ -1,10 +1,10 @@
 """Safety and liveness invariants checked after (and during) a chaos run.
 
 All checks are *observational*: they read replica snapshots
-(:meth:`repro.core.replica.Replica.invariant_snapshot`) and client request
-records, and never mutate protocol state. Each violated property yields a
-:class:`Violation` naming the invariant and carrying enough detail to
-reproduce and debug it.
+(:meth:`repro.core.group.ReplicationGroup.invariant_snapshot`) and client
+request records, and never mutate protocol state. Each violated property
+yields a :class:`Violation` naming the invariant and carrying enough detail
+to reproduce and debug it.
 
 Invariants (the paper's correctness claims under the crash-recovery model
 of §3.1, plus the X-/T-Paxos extensions of §3.4–3.6):
@@ -403,18 +403,14 @@ def check_cluster(
     ``liveness_deadline`` enables the liveness check (the caller decides
     when the post-heal grace period has expired).
 
-    Sharded clusters report one snapshot per (process, group) pair; the
-    per-log invariants run within each group and their violations carry a
-    ``[g<N>]`` tag. Single-group clusters take the exact legacy path.
+    Each (process, group) pair reports one snapshot; the per-log invariants
+    run within each group. With more than one group their violations carry
+    a ``[g<N>]`` tag.
     """
     by_group: dict[int, list[Mapping[str, Any]]] = {}
-    for replica in cluster.replicas.values():
-        if hasattr(replica, "invariant_snapshots"):
-            group_snaps = replica.invariant_snapshots()
-        else:
-            group_snaps = [replica.invariant_snapshot()]
-        for snap in group_snaps:
-            by_group.setdefault(snap.get("group", 0), []).append(snap)
+    for host in cluster.replicas.values():
+        for group_id, group in host.groups.items():
+            by_group.setdefault(group_id, []).append(group.invariant_snapshot())
     sharded = len(by_group) > 1
 
     violations: list[Violation] = []
@@ -452,7 +448,7 @@ def check_cluster(
         violations.extend(
             check_acked_durability(
                 cluster.clients,
-                _device_snapshots(by_group) if sharded else by_group[0],
+                _device_snapshots(by_group),
                 cluster.config.majority,
             )
         )

@@ -74,11 +74,9 @@ class ChaosOptions:
     #: boundary — with ``fsync="async"`` every write is instantly durable
     #: and the nemeses would be inert no-ops.
     storage_faults: bool = False
-    #: Replication groups per process (keyspace shards). ``1`` builds the
-    #: classic single-log cluster, byte-identical to pre-sharding trials;
-    #: ``>1`` builds :class:`~repro.shard.host.GroupHost` processes, adds
-    #: spread-key traffic so every shard sees writes, rotates leader
-    #: nemeses across groups, and checks the invariants per group.
+    #: Replication groups per process (keyspace shards). ``>1`` adds
+    #: spread-key traffic so every shard sees writes and rotates leader
+    #: nemeses across groups; the invariants are checked per group.
     groups: int = 1
 
     def __post_init__(self) -> None:
@@ -223,10 +221,9 @@ def _mutate_minority_accept(cluster: Cluster) -> None:
         for f in dataclasses.fields(ReplicaConfig)
     }
     broken = _MinorityAcceptConfig(**fields)
-    for replica in cluster.replicas.values():
-        replica.config = broken
-        # Sharded hosts do quorum math inside each ReplicationGroup.
-        for group in getattr(replica, "groups", {}).values():
+    for host in cluster.replicas.values():
+        # Quorum math happens inside each ReplicationGroup.
+        for group in host.groups.values():
             group.config = broken
 
 
@@ -238,15 +235,11 @@ def _mutate_skip_fsync(cluster: Cluster) -> None:
     cache. Any crash then strands acknowledged writes below a majority of
     durable copies — which is exactly what the ``acked_durability``
     invariant asserts cannot happen. Test-only."""
-    for replica in cluster.replicas.values():
-        # ``store`` is a StableStore (standalone replica) or the shared
-        # StoragePump (sharded host); either way the pump is what issues
-        # fsyncs, so neuter it there and short-circuit every barrier.
-        store = replica.store
-        pump = getattr(store, "pump", store)
-        store.flush = lambda callback: callback()  # type: ignore[method-assign]
-        pump.flush = lambda callback: callback()  # type: ignore[method-assign]
-        pump._start_fsync = lambda: None  # type: ignore[method-assign]
+    for host in cluster.replicas.values():
+        # The pump is what issues fsyncs (every group's store flushes
+        # through it): neuter it there and short-circuit every barrier.
+        host.pump.flush = lambda callback: callback()  # type: ignore[method-assign]
+        host.pump._start_fsync = lambda: None  # type: ignore[method-assign]
 
 
 #: name -> callable(cluster) applied after construction, before start.
@@ -354,11 +347,10 @@ def run_chaos(
 ) -> ChaosResult:
     """Generate the seed's nemesis schedule and run the trial.
 
-    Sharded trials (``options.groups > 1``) post-process the schedule with
-    :func:`~repro.chaos.schedule.assign_groups`, which rotates leader
-    switches across replication groups — the generated timeline itself is
-    untouched, so a sharded sweep stays event-for-event comparable to the
-    single-group sweep of the same seed.
+    :func:`~repro.chaos.schedule.assign_groups` then rotates leader
+    switches across the replication groups (a no-op with one group) — the
+    generated timeline itself is untouched, so a sharded sweep stays
+    event-for-event comparable to the single-group sweep of the same seed.
     """
     cluster_pids = tuple(f"r{i}" for i in range(options.n_replicas))
     schedule = generate_schedule(
@@ -369,6 +361,5 @@ def run_chaos(
         allow_majority_loss=options.allow_majority_loss,
         storage=options.storage_faults,
     )
-    if options.groups > 1:
-        schedule = assign_groups(schedule, options.groups)
+    schedule = assign_groups(schedule, options.groups)
     return run_with_schedule(schedule, options, keep_cluster=keep_cluster)

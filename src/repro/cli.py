@@ -15,6 +15,7 @@ from collections.abc import Sequence
 
 from repro import __version__
 from repro.analysis.report import percent_change
+from repro.errors import ConfigError
 from repro.lint.cli import add_lint_parser, lint_command
 from repro.net.profiles import PROFILES, get_profile
 from repro.parallel import pmap
@@ -921,34 +922,41 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_lint_parser(sub)
 
     args = parser.parse_args(argv)
-    if args.command == "experiments":
-        print(build_experiments_report(quick=args.quick, workers=args.workers))
-        return 0
-    if args.command == "profiles":
-        for name, factory in PROFILES.items():
-            profile = factory()
-            print(f"{name}: {profile.description}")
-            for kind, value in profile.paper_rrt.items():
-                print(f"    paper {kind} RRT: {value * 1e3:.3f} ms")
-        return 0
-    if args.command == "run":
-        return run_command(args)
-    if args.command == "trace":
-        return trace_command(args)
-    if args.command == "profile":
-        return profile_command(args)
-    if args.command == "perf":
-        return perf_command(args)
-    if args.command == "report":
-        if len(args.paths) > 2:
-            parser.error("report takes one export, or two to compare")
-        return report_command(args)
-    if args.command == "chaos":
-        return chaos_command(args)
-    if args.command == "sweep":
-        return sweep_command(args)
-    if args.command == "lint":
-        return lint_command(args)
+    if args.command in ("run", "trace", "profile", "chaos"):
+        for flag in ("clients", "requests"):
+            if getattr(args, flag) < 1:
+                parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    try:
+        if args.command == "experiments":
+            print(build_experiments_report(quick=args.quick, workers=args.workers))
+            return 0
+        if args.command == "profiles":
+            for name, factory in PROFILES.items():
+                profile = factory()
+                print(f"{name}: {profile.description}")
+                for kind, value in profile.paper_rrt.items():
+                    print(f"    paper {kind} RRT: {value * 1e3:.3f} ms")
+            return 0
+        if args.command == "run":
+            return run_command(args)
+        if args.command == "trace":
+            return trace_command(args)
+        if args.command == "profile":
+            return profile_command(args)
+        if args.command == "perf":
+            return perf_command(args)
+        if args.command == "report":
+            if len(args.paths) > 2:
+                parser.error("report takes one export, or two to compare")
+            return report_command(args)
+        if args.command == "chaos":
+            return chaos_command(args)
+        if args.command == "sweep":
+            return sweep_command(args)
+        if args.command == "lint":
+            return lint_command(args)
+    except ConfigError as exc:
+        parser.error(str(exc))  # bad input ends in "repro: error: ...", exit 2
     raise AssertionError("unreachable")
 
 

@@ -113,8 +113,6 @@ class FaultSchedule:
         if scope is not None:
             for pid in scope:
                 self._validate_pid(pid, "switch_leader scope")
-        if self.cluster.manual_electors is None:
-            raise ConfigError("switch_leader requires the 'manual' elector")
         electors = self.cluster.manual_electors_for(group)
         self.cluster.kernel.schedule_at(
             at, self._apply_switch, electors, new_leader, scope
@@ -170,7 +168,7 @@ class FaultSchedule:
 
     def _apply_torn_write(self, pid: ProcessId) -> None:
         self._count("torn_write")
-        self.cluster.replicas[pid].store.inject_torn_write()
+        self.cluster.replicas[pid].pump.inject_torn_write()
 
     def lost_fsync(self, pid: ProcessId, at: float, duration: float) -> "FaultSchedule":
         """During [at, at + duration), ``pid``'s fsyncs acknowledge without
@@ -187,7 +185,7 @@ class FaultSchedule:
 
     def _apply_lost_fsync(self, pid: ProcessId, duration: float) -> None:
         self._count("lost_fsync")
-        self.cluster.replicas[pid].store.inject_lost_fsync(duration)
+        self.cluster.replicas[pid].pump.inject_lost_fsync(duration)
 
     def disk_stall(
         self, pid: ProcessId, at: float, duration: float, extra: float
@@ -206,7 +204,7 @@ class FaultSchedule:
 
     def _apply_disk_stall(self, pid: ProcessId, duration: float, extra: float) -> None:
         self._count("disk_stall")
-        self.cluster.replicas[pid].store.inject_disk_stall(duration, extra)
+        self.cluster.replicas[pid].pump.inject_disk_stall(duration, extra)
 
     def corrupt_record(self, pid: ProcessId, at: float, fraction: float) -> "FaultSchedule":
         """Rot one already-durable WAL record at ``fraction`` of ``pid``'s
@@ -224,7 +222,7 @@ class FaultSchedule:
 
     def _apply_corrupt_record(self, pid: ProcessId, fraction: float) -> None:
         self._count("corrupt_record")
-        self.cluster.replicas[pid].store.inject_corruption(fraction)
+        self.cluster.replicas[pid].pump.inject_corruption(fraction)
 
     # ----------------------------------------------------- disturbance bursts
     def loss_burst(self, rate: float, at: float, duration: float) -> "FaultSchedule":

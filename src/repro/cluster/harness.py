@@ -17,7 +17,7 @@ from repro.client.client import Client
 from repro.client.workload import Step
 from repro.core.config import ReplicaConfig
 from repro.core.messages import StartSignal
-from repro.core.replica import Replica
+from repro.core.group import ReplicationGroup
 from repro.election.omega import OmegaElector
 from repro.election.static import ManualElectorGroup, StaticElector
 from repro.errors import ConfigError, SimulationError
@@ -74,12 +74,10 @@ class ClusterSpec:
     profile: NetworkProfile
     n_replicas: int = 3
     seed: int = 0
-    #: Replication groups (shards) per process. 1 builds the classic
-    #: standalone :class:`~repro.core.replica.Replica` processes —
-    #: byte-identical to the unsharded simulator. >1 builds
-    #: :class:`~repro.shard.host.GroupHost` processes, each hosting one
-    #: replica of every group on a shared storage pump, with group ``g``'s
-    #: initial leader at replica ``g % n_replicas``.
+    #: Replication groups (shards) per process. Every replica process is a
+    #: :class:`~repro.shard.host.GroupHost` hosting one replica of each
+    #: group on a shared storage pump, with group ``g``'s initial leader at
+    #: replica ``g % n_replicas``; 1 is the paper's unsharded service.
     groups: int = 1
     state_mode: StateTransferMode = StateTransferMode.FULL
     xpaxos_reads: bool = True
@@ -229,61 +227,41 @@ class Cluster:
         self.group_leader_pids = tuple(
             self.replica_pids[g % spec.n_replicas] for g in range(spec.groups)
         )
-        self.manual_electors: ManualElectorGroup | None = None
-        self.manual_electors_by_group: dict[int, ManualElectorGroup] = {}
+        self._manual_electors: list[ManualElectorGroup] = []
         if spec.elector == "manual":
-            for g in range(spec.groups):
-                self.manual_electors_by_group[g] = ManualElectorGroup(
-                    self.group_leader_pids[g]
-                )
-            self.manual_electors = self.manual_electors_by_group[0]
+            self._manual_electors = [
+                ManualElectorGroup(leader) for leader in self.group_leader_pids
+            ]
 
         replica_cpu = profile.replica_cpu
         if spec.connection_scaling:
             replica_cpu = profile.replica_cpu_for(n_clients)
 
-        self.replicas: dict[ProcessId, Replica | GroupHost] = {}
-        if spec.groups == 1:
-            for pid in self.replica_pids:
+        #: The replica processes. Protocol state lives one level down, in
+        #: each host's groups: see :meth:`group_replicas`.
+        self.replicas: dict[ProcessId, GroupHost] = {}
+        for pid in self.replica_pids:
+            electors: dict[int, object] = {}
+            for g in range(spec.groups):
                 if spec.elector == "static":
-                    elector = StaticElector(self.leader_pid)
+                    electors[g] = StaticElector(self.group_leader_pids[g])
                 elif spec.elector == "manual":
-                    assert self.manual_electors is not None
-                    elector = self.manual_electors.elector_for(pid)
+                    electors[g] = self._manual_electors[g].elector_for(pid)
                 else:
-                    elector = OmegaElector(
+                    electors[g] = OmegaElector(
                         heartbeat_interval=spec.omega_heartbeat,
                         suspect_timeout=spec.omega_timeout,
                     )
-                replica = Replica(pid, config, service_factory, elector)
-                replica.metrics = self.metrics.scope(pid)
-                replica.tracer = self.tracer
-                replica.profiler = self.profiler
-                self.world.add(replica, cpu=replica_cpu)
-                self.replicas[pid] = replica
-        else:
-            for pid in self.replica_pids:
-                electors: dict[int, object] = {}
-                for g in range(spec.groups):
-                    if spec.elector == "static":
-                        electors[g] = StaticElector(self.group_leader_pids[g])
-                    elif spec.elector == "manual":
-                        electors[g] = self.manual_electors_by_group[g].elector_for(pid)
-                    else:
-                        electors[g] = OmegaElector(
-                            heartbeat_interval=spec.omega_heartbeat,
-                            suspect_timeout=spec.omega_timeout,
-                        )
-                host = GroupHost(pid, config, service_factory, electors)
-                host.metrics = self.metrics.scope(pid)
-                host.tracer = self.tracer
-                host.profiler = self.profiler
-                for g, group in host.groups.items():
-                    group.metrics = self.metrics.scope(f"{pid}.g{g}")
-                    group.tracer = self.tracer
-                    group.profiler = self.profiler
-                self.world.add(host, cpu=replica_cpu)
-                self.replicas[pid] = host
+            host = GroupHost(pid, config, service_factory, electors)
+            host.metrics = self.metrics.scope(pid)
+            host.tracer = self.tracer
+            host.profiler = self.profiler
+            for g, group in host.groups.items():
+                group.metrics = self.metrics.scope(f"{pid}.g{g}")
+                group.tracer = self.tracer
+                group.profiler = self.profiler
+            self.world.add(host, cpu=replica_cpu)
+            self.replicas[pid] = host
 
         self.clients: list[Client] = []
         for pid, steps in zip(self.client_pids, client_steps, strict=True):
@@ -316,14 +294,20 @@ class Cluster:
         configuration, where the leader ran at UIUC)."""
         return self.replica_pids[0]
 
-    def leader(self) -> "Replica | GroupHost":
-        return self.replicas[self.leader_pid]
+    def group_replicas(self, group: int = 0) -> dict[ProcessId, ReplicationGroup]:
+        """Group ``group``'s replica on every process, by pid: where the
+        log, service copy, role and store of the paper's "replica" live."""
+        return {pid: host.groups[group] for pid, host in self.replicas.items()}
 
-    def manual_electors_for(self, group: int) -> ManualElectorGroup:
+    def leader(self, group: int = 0) -> ReplicationGroup:
+        """Group ``group``'s replica on its initial leader's process."""
+        return self.replicas[self.group_leader_pids[group]].groups[group]
+
+    def manual_electors_for(self, group: int = 0) -> ManualElectorGroup:
         """Group ``group``'s manual-elector group (manual elector only)."""
-        if not self.manual_electors_by_group:
-            raise ConfigError("manual_electors_for requires the 'manual' elector")
-        return self.manual_electors_by_group[group]
+        if not self._manual_electors:
+            raise ConfigError("switching leaders by hand requires the 'manual' elector")
+        return self._manual_electors[group]
 
     @property
     def all_done(self) -> bool:
@@ -358,21 +342,14 @@ class Cluster:
         Note: backups converge to the leader's state as of their applied
         frontier; immediately after a run every committed instance has been
         broadcast, so after the pipeline drains these should be equal.
-        Sharded clusters report one fingerprint per hosted group, keyed
-        ``pid/g<group>``.
+        One fingerprint per hosted group, keyed ``pid/g<group>``.
         """
-        out: dict[ProcessId, object] = {}
-        for pid, r in self.replicas.items():
-            if not r.alive:
-                continue
-            if isinstance(r, GroupHost):
-                for g in sorted(r.groups):
-                    group = r.groups[g]
-                    if group.alive:
-                        out[f"{pid}/g{g}"] = group.service.state_fingerprint()
-            else:
-                out[pid] = r.service.state_fingerprint()
-        return out
+        return {
+            f"{pid}/g{g}": group.service.state_fingerprint()
+            for pid, host in self.replicas.items()
+            for g, group in sorted(host.groups.items())
+            if group.alive  # a crashed process has no live group
+        }
 
     def drain(self, grace: float = 2.0) -> "Cluster":
         """Run a little longer so Chosen broadcasts reach every backup."""

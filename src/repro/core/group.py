@@ -4,11 +4,11 @@ reads (§3.4), T-Paxos transactions (§3.5) and new-leader recovery.
 
 A :class:`ReplicationGroup` is the unit the paper calls a replica —
 proposer, log, service copy, txn/read coordinators, and elector — keyed
-by a :class:`~repro.types.GroupId`. A classic unsharded process *is* one
-group standing alone (:class:`repro.core.replica.Replica`); a sharded
-process hosts several groups behind one
-:class:`repro.shard.host.GroupHost`, each electing its own leader and
-running its own log, all sharing the process's stable-storage pump.
+by a :class:`~repro.types.GroupId`. A replica process hosts one or more
+groups behind one :class:`repro.shard.host.GroupHost`, each electing its
+own leader and running its own log, all sharing the process's
+stable-storage pump; on a bare runtime one group can also stand alone as
+its own process (:class:`repro.core.replica.Replica`).
 
 Request routing (the §4 experiment semantics):
 
@@ -171,10 +171,10 @@ class ReplicationGroup(Process):
         #: Request counters by kind plus protocol events, for reports.
         self.stats: Counter[str] = Counter()
 
-        #: Observability scope (``proc.<pid>.*``; sharded hosts scope each
-        #: group as ``proc.<pid>.g<group>.*``); the harness swaps in the
-        #: run's registry. Phase-latency bookkeeping below is only populated
-        #: while metrics are enabled, so disabled runs allocate nothing.
+        #: Observability scope; the harness swaps in the run's registry,
+        #: scoped ``proc.<pid>.g<group>.*``. Phase-latency bookkeeping below
+        #: is only populated while metrics are enabled, so disabled runs
+        #: allocate nothing.
         self.metrics: Scope = NULL_REGISTRY.scope(pid)
         self._accepted_at: dict[InstanceId, float] = {}
         self._chosen_at: dict[InstanceId, float] = {}
@@ -879,7 +879,7 @@ class ReplicationGroup(Process):
             "checkpoint_instance": self.store.checkpoint[0],
             "chosen": self.log.chosen_items(),
             "fingerprint": self.service.state_fingerprint(),
-            "storage_intact": self.store.intact,
+            "storage_intact": self.store.pump.intact,
             "durable_rids": self.store.durable_rids(),
         }
 

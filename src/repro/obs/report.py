@@ -66,9 +66,9 @@ def message_table(export: RunExport) -> str:
 def per_replica_table(export: RunExport) -> str:
     """Messages sent per process per type (`proc.<pid>.send.<Type>`).
 
-    Sharded runs scope each replication group's counters under
-    ``proc.<pid>.g<N>.…``; those rows are labeled ``<pid>/g<N>`` so the
-    table breaks traffic down per group, not just per process."""
+    Each replication group also counts its peer traffic under
+    ``proc.<pid>.g<N>.send.<Type>``; those rows are labeled ``<pid>/g<N>``
+    and add up to the process row above them."""
     cells: dict[tuple[str, str], int] = {}
     pids: set[str] = set()
     types: set[str] = set()

@@ -1,22 +1,22 @@
-"""The sharded process: one replica of every replication group.
+"""The replica process: one replica of every replication group.
 
 A :class:`GroupHost` is the unit the world registers, crashes and
-recovers. Inside it live N :class:`repro.core.group.ReplicationGroup`
-instances — one replica of each shard — all sharing the process's
+recovers, and the only replica process :class:`repro.cluster.harness.Cluster`
+builds, for one group and for N alike. Inside it live N
+:class:`repro.core.group.ReplicationGroup` instances — one replica of each
+shard — all sharing the process's
 :class:`repro.storage.store.StoragePump` (one simulated platter, one
 fsync clock, one crash) and the process's network identity.
 
 Wire format: traffic *between replica processes* travels wrapped in
 :class:`repro.core.messages.GroupEnvelope` so the receiving host knows
-which of its groups the Prepare/Accept/heartbeat belongs to. Traffic to
-clients (Replies) goes bare — clients are group-oblivious and unchanged.
+which of its groups the Prepare/Accept/heartbeat belongs to; observers
+name such a message by its payload (:class:`repro.sim.process.Envelope`).
+Traffic to clients (Replies) goes bare — clients are group-oblivious.
 Bare :class:`~repro.core.requests.ClientRequest` broadcasts arriving from
 clients are routed host-side through the deterministic
 :class:`~repro.shard.router.ShardRouter`: every host hands the request to
-the same group, and that group's leader answers. Single-group clusters
-never construct a :class:`GroupHost` at all (the harness builds classic
-standalone :class:`~repro.core.replica.Replica` processes), which is what
-keeps ``groups=1`` byte-identical to the unsharded simulator.
+the same group, and that group's leader answers.
 """
 
 from __future__ import annotations
@@ -45,23 +45,19 @@ from repro.types import GroupId, ProcessId
 class GroupEnv(Env):
     """One group's view of its host process's environment.
 
-    Delegates everything to the host's real environment (bound by the
-    world at registration, hence the lazy lookups) and stamps outgoing
-    peer traffic with the group id. The group id travels *outside* the
-    protocol message — protocol code stays shard-oblivious.
+    Delegates everything to the host's real environment (``env``, set by
+    :meth:`GroupHost.bind` when the world registers the host) and stamps
+    outgoing peer traffic with the group id. The group id travels
+    *outside* the protocol message — protocol code stays shard-oblivious.
     """
 
-    __slots__ = ("host", "group", "_send_instruments")
+    __slots__ = ("host", "group", "env", "_send_counters")
 
-    def __init__(self, host: "GroupHost", group: GroupId) -> None:
+    def __init__(self, host: "GroupHost", group: ReplicationGroup) -> None:
         self.host = host
         self.group = group
-        self._send_instruments: dict[type, Any] = {}
-
-    def _env(self) -> Env:
-        env = self.host.env
-        assert env is not None, f"{self.host.pid} is not bound to an environment"
-        return env
+        self.env: Env | None = None
+        self._send_counters: dict[type, Any] = {}
 
     @property
     def pid(self) -> ProcessId:
@@ -69,29 +65,38 @@ class GroupEnv(Env):
 
     @property
     def now(self) -> float:
-        return self._env().now
+        return self.env.now
 
     @property
     def rng(self) -> random.Random:
-        return self._env().rng
+        return self.env.rng
+
+    def _wrap(self, msg: Any, copies: int) -> GroupEnvelope:
+        """Envelope ``msg`` and count it under the group's own scope
+        (``proc.<pid>.g<N>.send.<Type>``): the world counts per process
+        and per type, this row says which group sent it."""
+        counter = self._send_counters.get(type(msg))
+        if counter is None:
+            counter = self._send_counters[type(msg)] = self.group.metrics.counter(
+                f"send.{type(msg).__name__}"
+            )
+        counter.inc(copies)
+        return GroupEnvelope(self.group.group, msg)
 
     def send(self, dst: ProcessId, msg: Any) -> None:
         if dst in self.host.peer_set:
-            # The world's wire accounting only sees GroupEnvelope, so count
-            # the inner protocol message under the group's own scope
-            # (``proc.<pid>.g<N>.send.<Type>``) for per-group reporting.
-            counter = self._send_instruments.get(type(msg))
-            if counter is None:
-                counter = self._send_instruments[type(msg)] = self.host.groups[
-                    self.group
-                ].metrics.counter(f"send.{type(msg).__name__}")
-            counter.inc()
-            self._env().send(dst, GroupEnvelope(self.group, msg))
+            self.env.send(dst, self._wrap(msg, 1))
         else:
-            self._env().send(dst, msg)  # replies to clients go bare
+            self.env.send(dst, msg)  # replies to clients go bare
+
+    def broadcast(self, dsts: Iterable[ProcessId], msg: Any) -> None:
+        """Groups only ever broadcast to peers: one envelope for all of
+        them, so the world sizes the broadcast once."""
+        dsts = tuple(dsts)
+        self.env.broadcast(dsts, self._wrap(msg, len(dsts)))
 
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
-        return self._env().set_timer(delay, fn, *args)
+        return self.env.set_timer(delay, fn, *args)
 
 
 class GroupHost(Process):
@@ -136,16 +141,15 @@ class GroupHost(Process):
                 group=group_id,
                 pump=self.pump,
             )
-            group.bind(GroupEnv(self, group_id))
+            group.bind(GroupEnv(self, group))
             self.groups[group_id] = group
 
-    @property
-    def store(self) -> StoragePump:
-        """The process's storage substrate, under the name fault schedules
-        and chaos mutations already use (``replica.store.inject_*``)."""
-        return self.pump
-
     # ------------------------------------------------------------- lifecycle
+    def bind(self, env: Env) -> None:
+        super().bind(env)
+        for group in self.groups.values():
+            group.env.env = env
+
     def on_start(self) -> None:
         for group_id in sorted(self.groups):
             self.groups[group_id].on_start()
@@ -183,15 +187,6 @@ class GroupHost(Process):
                 group.on_message(src, msg)
             return
         self.stats["unknown_messages"] += 1
-
-    # --------------------------------------------------------------- queries
-    def invariant_snapshots(self) -> list[dict[str, Any]]:
-        """Per-group invariant snapshots, in group order (the chaos layer
-        checks each group as its own consensus instance)."""
-        return [
-            self.groups[group_id].invariant_snapshot()
-            for group_id in sorted(self.groups)
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "crashed"

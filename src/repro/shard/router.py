@@ -61,6 +61,8 @@ class ShardRouter:
         commit has no op to hash, and split transactions would need
         cross-group atomic commit); everything else routes by its op.
         """
+        if self.n_groups == 1:
+            return 0  # every process routes every request: nothing to hash
         if request.txn is not None or request.kind.is_transactional:
             return self.group_for_key(str(request.txn))
         return self.group_for_op(request.op)

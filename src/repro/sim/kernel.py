@@ -22,7 +22,7 @@ Hot-path notes (this module dominates large sweeps, so it is tuned):
   events) go through :meth:`post_at`, which recycles handles from a free
   list. After warm-up a steady-state simulation allocates no new handles
   (the perf tier pins this via :attr:`handles_created`).
-* :meth:`run` inlines the pop loop — no per-event ``step()`` call, and
+* :meth:`run` inlines the pop loop — no call per event, and
   heap/pool/counter lookups are bound once outside the loop.
 """
 
@@ -218,34 +218,6 @@ class Kernel:
         self._cancelled = 0
 
     # --------------------------------------------------------------- running
-    def step(self) -> bool:
-        """Run the next pending event. Returns False if the heap is empty."""
-        heap = self._heap
-        pool = self._pool
-        while heap:
-            event = heappop(heap)[2]
-            if event.cancelled:
-                self._cancelled -= 1
-                if event.pooled:
-                    event.args = ()
-                    pool.append(event)
-                continue
-            self._now = event.time
-            fn, args = event.fn, event.args
-            # Mark fired without touching the cancelled counter (the event is
-            # already out of the heap); held handles read as inactive.
-            event.cancelled = True
-            event.fn = None
-            event.args = ()
-            assert fn is not None
-            fn(*args)
-            if event.pooled:
-                event.cancelled = False  # reset for reuse
-                pool.append(event)
-            self.events_processed += 1
-            return True
-        return False
-
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run events until the heap drains, ``until`` is reached, or
         ``max_events`` have fired. Returns the number of events processed.

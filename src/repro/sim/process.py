@@ -30,6 +30,26 @@ class TimerHandle(abc.ABC):
         """True while the timer is still pending."""
 
 
+class Envelope:
+    """Base for wire wrappers that address ``msg`` to one part of the
+    destination process (a replication group of a replica process).
+
+    Every runtime names a message by what it carries: metrics, trace
+    events, message spans and profiler frames read :func:`payload_of`, so
+    an envelope never shows up as a message type of its own. Routing,
+    delivery and byte accounting see the envelope itself.
+    """
+
+    __slots__ = ()
+    msg: Any
+
+
+def payload_of(msg: Any) -> Any:
+    """The message an observer should name: ``msg`` itself, or what it
+    carries when it is an :class:`Envelope`."""
+    return msg.msg if isinstance(msg, Envelope) else msg
+
+
 class Env(abc.ABC):
     """Everything a process may do to the outside world.
 

@@ -36,7 +36,7 @@ from repro.obs.spans import Span
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.sim.cpu import CpuModel, CpuProfile
 from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.process import Env, Process, TimerHandle
+from repro.sim.process import Env, Envelope, Process, TimerHandle, payload_of
 from repro.sim.trace import TraceRecorder
 from repro.transport.codec import wire_size
 from repro.types import ProcessId
@@ -135,7 +135,10 @@ class World:
         self.network: NetworkLike = network if network is not None else ZeroLatencyNetwork()
         self.trace = trace
         #: Per-message-type send/deliver/drop (and optionally byte) counts
-        #: land here. Purely passive: metrics never touch RNGs or schedules.
+        #: land here, keyed by the type a message carries: an
+        #: :class:`~repro.sim.process.Envelope` counts as its payload's type
+        #: (its bytes include the envelope). Purely passive: metrics never
+        #: touch RNGs or schedules.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: Causal tracer: the world is the envelope layer, so it owns context
         #: propagation — a message span is captured at ``_send``, travels as
@@ -215,12 +218,15 @@ class World:
                 process.on_start()
 
     # ------------------------------------------------------------- messaging
-    def _count_drop(self, msg: Any) -> None:
+    def _drop(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
+        """Trace and count one lost message (named by its payload)."""
+        if self.trace is not None:
+            self.trace.emit(self.kernel.now, "drop", src, dst, payload)
         if self.metrics.enabled:
-            counter = self._drop_instruments.get(type(msg))
+            counter = self._drop_instruments.get(type(payload))
             if counter is None:
-                counter = self._drop_instruments[type(msg)] = self.metrics.counter(
-                    f"msg.drop.{type(msg).__name__}"
+                counter = self._drop_instruments[type(payload)] = self.metrics.counter(
+                    f"msg.drop.{type(payload).__name__}"
                 )
             counter.inc()
 
@@ -246,13 +252,17 @@ class World:
             return  # a crashed process executes no steps
         if dst not in self._processes:
             raise SimulationError(f"{src} sent to unknown process {dst!r}")
+        # Observers name a message by what it carries (payload_of, inlined
+        # here and in _handle: both run once per message).
+        payload = msg.msg if isinstance(msg, Envelope) else msg
+        kind = type(payload)
         if self.trace is not None:
-            self.trace.emit(self.kernel.now, "send", src, dst, msg)
+            self.trace.emit(self.kernel.now, "send", src, dst, payload)
         metrics = self.metrics
         if metrics.enabled:
             sent, proc_sent, sent_bytes = self._send_instruments.get(
-                (src, type(msg))
-            ) or self._send_counters(src, type(msg))
+                (src, kind)
+            ) or self._send_counters(src, kind)
             sent.inc()
             proc_sent.inc()
             if sent_bytes is not None:
@@ -261,29 +271,27 @@ class World:
         span: Span | None = None
         if tracer.enabled:
             span = tracer.start_span(
-                f"msg.{type(msg).__name__}", pid=dst, kind="message",
+                f"msg.{kind.__name__}", pid=dst, kind="message",
                 attrs={"src": src, "dst": dst},
             )
         kernel = self.kernel
         depart = self._cpus[src].send_completion(kernel._now)
         profiler = self.profiler
         if profiler.enabled:
-            pkey = (src, dst, type(msg))
+            pkey = (src, dst, kind)
             pentry = self._prof_send.get(pkey)
             if pentry is None:
                 pentry = self._prof_send[pkey] = (
                     profiler.stat(
                         (str(src),
-                         f"send.{type(msg).__name__}.{profiler.actor_kind(dst)}")
+                         f"send.{kind.__name__}.{profiler.actor_kind(dst)}")
                     ),
                     self._cpus[src].send_booking,
                 )
             pentry[0].add_cpu(pentry[1])
         copies = self.network.delays(src, dst, depart)
         if not copies:
-            if self.trace is not None:
-                self.trace.emit(kernel.now, "drop", src, dst, msg)
-            self._count_drop(msg)
+            self._drop(src, dst, payload)
             if span is not None:
                 cause = getattr(self.network, "last_drop_cause", None)
                 if cause:
@@ -293,9 +301,9 @@ class World:
             # Duplicated delivery: mirror the drop-cause plumbing so the
             # duplicate shows up in trace timelines and on the message span.
             if self.trace is not None:
-                self.trace.emit(kernel.now, "dup", src, dst, msg)
+                self.trace.emit(kernel.now, "dup", src, dst, payload)
             if metrics.enabled:
-                metrics.counter(f"msg.dup.{type(msg).__name__}").inc()
+                metrics.counter(f"msg.dup.{kind.__name__}").inc()
             if span is not None:
                 cause = getattr(self.network, "last_dup_cause", None)
                 span.attrs["dup"] = cause or "link"
@@ -317,9 +325,7 @@ class World:
     ) -> None:
         receiver = self._processes[dst]
         if not receiver.alive:
-            if self.trace is not None:
-                self.trace.emit(self.kernel.now, "drop", src, dst, msg)
-            self._count_drop(msg)
+            self._drop(src, dst, payload_of(msg))
             if span is not None:
                 span.attrs.setdefault("cause", "crashed")
                 self.tracer.end(span, status="dropped")
@@ -328,13 +334,14 @@ class World:
         completion = self._cpus[dst].recv_completion(kernel._now)
         profiler = self.profiler
         if profiler.enabled:
-            pkey = (src, dst, type(msg))
+            kind = type(payload_of(msg))
+            pkey = (src, dst, kind)
             pentry = self._prof_recv.get(pkey)
             if pentry is None:
                 pentry = self._prof_recv[pkey] = (
                     profiler.stat(
                         (str(dst),
-                         f"recv.{type(msg).__name__}.{profiler.actor_kind(src)}")
+                         f"recv.{kind.__name__}.{profiler.actor_kind(src)}")
                     ),
                     self._cpus[dst].recv_booking,
                 )
@@ -345,22 +352,22 @@ class World:
         self, src: ProcessId, dst: ProcessId, msg: Any, epoch: int, span: Span | None
     ) -> None:
         receiver = self._processes[dst]
+        payload = msg.msg if isinstance(msg, Envelope) else msg
         if not receiver.alive or self._epochs[dst] != epoch:
-            if self.trace is not None:
-                self.trace.emit(self.kernel.now, "drop", src, dst, msg)
-            self._count_drop(msg)
+            self._drop(src, dst, payload)
             if span is not None:
                 span.attrs.setdefault("cause", "stale_epoch")
                 self.tracer.end(span, status="dropped")
             return
         if self.trace is not None:
-            self.trace.emit(self.kernel.now, "deliver", src, dst, msg)
+            self.trace.emit(self.kernel.now, "deliver", src, dst, payload)
+        kind = type(payload)
         metrics = self.metrics
         if metrics.enabled:
-            key = (dst, type(msg))
+            key = (dst, kind)
             entry = self._recv_instruments.get(key)
             if entry is None:
-                type_name = type(msg).__name__
+                type_name = kind.__name__
                 entry = self._recv_instruments[key] = (
                     metrics.counter(f"msg.deliver.{type_name}"),
                     metrics.counter(f"proc.{dst}.recv.{type_name}"),
@@ -369,11 +376,11 @@ class World:
             entry[1].inc()
         profiler = self.profiler
         if profiler.enabled:
-            pkey = (dst, type(msg))
+            pkey = (dst, kind)
             frames = self._prof_handle.get(pkey)
             if frames is None:
                 frames = self._prof_handle[pkey] = (
-                    str(dst), "on_message." + type(msg).__name__,
+                    str(dst), "on_message." + kind.__name__,
                 )
             profiler.enter_handler(frames[0], frames[1])
         tracer = self.tracer

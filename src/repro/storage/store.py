@@ -7,10 +7,12 @@ round, checkpoints, and snapshot installs. It owns the volatile
 :class:`repro.core.log.ReplicaLog` (the working view) for one replication
 group, and writes through a :class:`StoragePump` — the per-*process*
 durability substrate: one :class:`repro.storage.device.SimDisk`, one
-fsync pump, one crash/replay cycle. A standalone replica creates its own
-pump; a sharded process (:class:`repro.shard.host.GroupHost`) hands every
-hosted group's store the same pump, so all groups share one WAL, one
-group-commit clock, and one crash.
+fsync pump, one crash/replay cycle. A replica process
+(:class:`repro.shard.host.GroupHost`) hands every hosted group's store the
+same pump, so all groups share one WAL, one group-commit clock, and one
+crash; fault injection (``inject_*``) and device health (``intact``,
+``halted``) are the pump's, not any one store's. A group standing alone
+(:class:`repro.core.replica.Replica`) creates its own pump.
 
 Three fsync modes (``ReplicaConfig.fsync_mode``):
 
@@ -75,10 +77,10 @@ class RecoveredState:
 class StoragePump:
     """Per-process durable substrate: one device, one fsync pump.
 
-    ``host`` is the world-registered process (the replica itself for a
-    standalone store, the :class:`~repro.shard.host.GroupHost` for a
-    sharded one): its timers die with the process epoch, its config sets
-    the fsync mode and latencies, and its tracer/profiler account the
+    ``host`` is the world-registered process (the
+    :class:`~repro.shard.host.GroupHost`, or the replica itself when a
+    group stands alone): its timers die with the process epoch, its config
+    sets the fsync mode and latencies, and its tracer/profiler account the
     modeled device time.
     """
 
@@ -290,10 +292,6 @@ class StableStore:
     def device(self) -> SimDisk:
         return self.pump.device
 
-    @property
-    def halted(self) -> bool:
-        return self.pump.halted
-
     def initialize(self, service_snap: Any) -> None:
         """Record the genesis checkpoint (instance 0, fresh service)."""
         self._checkpoint = (0, service_snap, {})
@@ -488,11 +486,6 @@ class StableStore:
         )
 
     # -------------------------------------------------------------- inspection
-    @property
-    def intact(self) -> bool:
-        """No lying fsync ever bit and no synced record rotted."""
-        return self.pump.intact
-
     def durable_rids(self) -> frozenset[str]:
         """Rids of this group's client requests provably on the platter
         *right now*.
@@ -522,19 +515,6 @@ class StableStore:
                 for request in record.payload[1].requests:
                     rids.add(str(request.rid))
         return frozenset(rids)
-
-    # --------------------------------------------------------- fault injection
-    def inject_torn_write(self) -> None:
-        self.pump.inject_torn_write()
-
-    def inject_lost_fsync(self, duration: float) -> None:
-        self.pump.inject_lost_fsync(duration)
-
-    def inject_disk_stall(self, duration: float, extra: float) -> None:
-        self.pump.inject_disk_stall(duration, extra)
-
-    def inject_corruption(self, fraction: float) -> bool:
-        return self.pump.inject_corruption(fraction)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

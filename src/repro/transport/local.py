@@ -24,7 +24,7 @@ from typing import Any
 from repro.errors import TransportError
 from repro.net.latency import LatencyModel
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
-from repro.sim.process import Env, Process, TimerHandle
+from repro.sim.process import Env, Process, TimerHandle, payload_of
 from repro.types import ProcessId
 
 
@@ -153,7 +153,7 @@ class LocalRuntime:
         span = None
         if tracer.enabled:
             span = tracer.start_span(
-                f"msg.{type(msg).__name__}", pid=dst, kind="message",
+                f"msg.{type(payload_of(msg)).__name__}", pid=dst, kind="message",
                 attrs={"src": src, "dst": dst},
             )
 

@@ -59,7 +59,7 @@ class TestWrites:
     def test_log_instances_are_gapless(self):
         cluster = build_cluster([single_kind_steps(RequestKind.WRITE, 25)]).run()
         cluster.drain()
-        for replica in cluster.replicas.values():
+        for replica in cluster.group_replicas().values():
             assert replica.log.gaps() == ()
             assert replica.applied == replica.log.frontier
 
@@ -69,7 +69,7 @@ class TestWrites:
         ).run()
         cluster.drain()
         sequences = []
-        for replica in cluster.replicas.values():
+        for replica in cluster.group_replicas().values():
             top = replica.log.frontier
             seq = [
                 replica.log.chosen_value(i).primary_rid
@@ -88,7 +88,7 @@ class TestWrites:
         assert record.status is ReplyStatus.ERROR
         cluster.drain()
         # Nothing was committed for the failed request.
-        assert all(r.log.frontier == 0 for r in cluster.replicas.values())
+        assert all(r.log.frontier == 0 for r in cluster.group_replicas().values())
 
 
 class TestRetransmitDedup:
@@ -166,6 +166,6 @@ class TestBackupBehaviour:
         ).run()
         cluster.drain()
         leader = cluster.leader()
-        backups = [r for pid, r in cluster.replicas.items() if pid != cluster.leader_pid]
+        backups = [r for pid, r in cluster.group_replicas().items() if pid != cluster.leader_pid]
         assert leader.service.version == 5
         assert all(b.service.version == 0 for b in backups)

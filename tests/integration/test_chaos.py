@@ -199,7 +199,7 @@ class TestScriptedScenarios:
         # converged on the same committed log: same frontier, same values.
         logs = {
             pid: replica.log.chosen_items()
-            for pid, replica in cluster.replicas.items()
+            for pid, replica in cluster.group_replicas().items()
         }
         reference = logs["r2"]
         assert len(reference) == result.completed_requests
@@ -221,7 +221,7 @@ class TestScriptedScenarios:
         # Belt and braces on top of the at_most_once invariant: each rid
         # appears exactly once across the chosen log.
         cluster = result.cluster
-        log = cluster.replicas["r0"].log.chosen_items()
+        log = cluster.group_replicas()["r0"].log.chosen_items()
         rids = [
             str(request.rid)
             for _instance, proposal in log

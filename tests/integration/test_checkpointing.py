@@ -23,7 +23,7 @@ class TestCheckpointing:
             checkpoint_interval=10,
         ).run()
         cluster.drain()
-        for replica in cluster.replicas.values():
+        for replica in cluster.group_replicas().values():
             assert replica.stats["checkpoints"] >= 4
             assert replica.log.compacted_to >= 40
             # The log holds only the tail above the last checkpoint.
@@ -53,7 +53,7 @@ class TestCheckpointing:
         schedule.recover("r2", at=0.1)
         cluster.run(max_time=60.0)
         cluster.drain(2.0)
-        assert cluster.replicas["r2"].service.value == 30
+        assert cluster.group_replicas()["r2"].service.value == 30
 
     def test_catch_up_over_compacted_prefix_uses_snapshot(self):
         # r2 is partitioned while the leader commits and *compacts* the
@@ -71,8 +71,8 @@ class TestCheckpointing:
         cluster.drain(3.0)
         leader = cluster.leader()
         assert leader.log.compacted_to >= 35  # prefix is gone
-        assert cluster.replicas["r2"].service.value == 40
-        assert cluster.replicas["r2"].applied == leader.applied
+        assert cluster.group_replicas()["r2"].service.value == 40
+        assert cluster.group_replicas()["r2"].applied == leader.applied
 
     def test_new_leader_recovers_after_compaction(self):
         cluster = build_cluster(
@@ -85,7 +85,7 @@ class TestCheckpointing:
         FaultSchedule(cluster).switch_leader("r1", at=0.08)
         cluster.run(max_time=60.0)
         cluster.drain(2.0)
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {40}
         assert cluster.clients[0].completed_requests == 40
 
@@ -103,5 +103,5 @@ class TestCheckpointing:
         cluster.run(max_time=60.0)
         cluster.drain(2.0)
         assert cluster.clients[0].completed_requests == 20
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {20}

@@ -28,7 +28,7 @@ class TestTwoFailures:
         cluster.run(max_time=30.0)
         assert cluster.clients[0].completed_requests == 20
         cluster.drain(2.0)
-        alive = {r.service.value for r in cluster.replicas.values() if r.alive}
+        alive = {r.service.value for r in cluster.group_replicas().values() if r.alive}
         assert alive == {20}
 
     def test_reads_survive_two_backup_crashes(self):
@@ -63,7 +63,7 @@ class TestTwoFailures:
         cluster.run(max_time=60.0)
         assert cluster.clients[0].completed_requests == 30
         cluster.drain(2.0)
-        alive = {r.service.value for r in cluster.replicas.values() if r.alive}
+        alive = {r.service.value for r in cluster.group_replicas().values() if r.alive}
         assert alive == {30}
 
 
@@ -96,5 +96,5 @@ class TestMixedWorkloadAtFive:
         cluster.run(max_time=120.0)
         assert cluster.clients[0].completed_requests == 30
         cluster.drain(2.0)
-        alive = {r.service.value for r in cluster.replicas.values() if r.alive}
+        alive = {r.service.value for r in cluster.group_replicas().values() if r.alive}
         assert alive == {30}

@@ -63,7 +63,7 @@ class TestLoss:
     def test_writes_complete_exactly_once_under_loss(self, loss):
         cluster = run_hostile(loss=loss, seed=3)
         assert cluster.clients[0].completed_requests == 20
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {20}
 
     def test_retransmissions_happened(self):
@@ -78,7 +78,7 @@ class TestDuplication:
     def test_duplicates_do_not_double_execute(self):
         cluster = run_hostile(duplicate=0.5, seed=4)
         assert cluster.clients[0].completed_requests == 20
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {20}
 
 
@@ -86,9 +86,9 @@ class TestReordering:
     def test_reordered_channels_preserve_instance_order(self):
         cluster = run_hostile(reorder=True, seed=5)
         assert cluster.clients[0].completed_requests == 20
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {20}
-        for replica in cluster.replicas.values():
+        for replica in cluster.group_replicas().values():
             assert replica.log.gaps() == ()
 
 
@@ -118,6 +118,6 @@ class TestEverythingAtOnce:
         aborted = sum(1 for c in cluster.clients for s in c.records if s.aborted)
         committed_txns = cluster.clients[1].completed_steps
         expected = 10 + committed_txns * 5
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {expected}
         assert committed_txns + aborted == 5

@@ -104,4 +104,4 @@ class TestTransactionComplexity:
         requests_per_txn = ops + 1
         assert counters.counter_value("msg.send.ClientRequest") == txns * requests_per_txn * n
         assert counters.counter_value("msg.send.Reply") == txns * requests_per_txn
-        assert counters.counter_value("proc.r0.tpaxos.commits") == txns
+        assert counters.counter_value("proc.r0.g0.tpaxos.commits") == txns

@@ -32,7 +32,7 @@ def chosen_log_bytes(cluster: Cluster) -> dict[str, bytes]:
     """A byte-exact digest of every replica's chosen sequence."""
     return {
         pid: pickle.dumps(replica.log.chosen_above(0))
-        for pid, replica in cluster.replicas.items()
+        for pid, replica in cluster.group_replicas().items()
     }
 
 
@@ -79,8 +79,8 @@ class TestMetricsCannotPerturbTheRun:
         assert instrumented.kernel.now == bare.kernel.now
         for pid in instrumented.replicas:
             assert (
-                instrumented.replicas[pid].service.state_fingerprint()
-                == bare.replicas[pid].service.state_fingerprint()
+                instrumented.group_replicas()[pid].service.state_fingerprint()
+                == bare.group_replicas()[pid].service.state_fingerprint()
             )
 
     def test_metrics_off_skips_registry(self):

@@ -26,7 +26,7 @@ class TestOmegaFailover:
         cluster = omega_cluster([single_kind_steps(RequestKind.WRITE, 10)])
         cluster.run(max_time=30.0)
         assert cluster.clients[0].completed_requests == 10
-        assert cluster.replicas["r0"].role is ReplicaRole.LEADING
+        assert cluster.group_replicas()["r0"].role is ReplicaRole.LEADING
 
     def test_leader_crash_fails_over_automatically(self):
         steps = single_kind_steps(RequestKind.WRITE, 30, op=("add", 1))
@@ -34,9 +34,9 @@ class TestOmegaFailover:
         FaultSchedule(cluster).crash_leader(at=0.06)
         cluster.run(max_time=60.0)
         assert cluster.clients[0].completed_requests == 30
-        assert cluster.replicas["r1"].role is ReplicaRole.LEADING
+        assert cluster.group_replicas()["r1"].role is ReplicaRole.LEADING
         cluster.drain(2.0)
-        alive = {p: r.service.value for p, r in cluster.replicas.items() if r.alive}
+        alive = {p: r.service.value for p, r in cluster.group_replicas().items() if r.alive}
         assert set(alive.values()) == {30}
 
     def test_recovered_old_leader_does_not_destabilize(self):
@@ -47,11 +47,11 @@ class TestOmegaFailover:
         schedule.crash_leader(at=0.05)
         schedule.recover("r0", at=0.5)
         cluster.run(max_time=60.0)
-        assert cluster.replicas["r1"].role is ReplicaRole.LEADING
-        assert cluster.replicas["r0"].role is ReplicaRole.FOLLOWER
+        assert cluster.group_replicas()["r1"].role is ReplicaRole.LEADING
+        assert cluster.group_replicas()["r0"].role is ReplicaRole.FOLLOWER
         assert cluster.clients[0].completed_requests == 40
         cluster.drain(2.0)
-        values = {r.service.value for r in cluster.replicas.values() if r.alive}
+        values = {r.service.value for r in cluster.group_replicas().values() if r.alive}
         assert values == {30 + 10}
 
     def test_double_failover(self):
@@ -64,5 +64,5 @@ class TestOmegaFailover:
         cluster.run(max_time=120.0)
         assert cluster.clients[0].completed_requests == 40
         cluster.drain(2.0)
-        values = {r.service.value for r in cluster.replicas.values() if r.alive}
+        values = {r.service.value for r in cluster.group_replicas().values() if r.alive}
         assert values == {40}

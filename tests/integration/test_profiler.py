@@ -36,7 +36,7 @@ def chosen_log_bytes(cluster: Cluster) -> dict[str, bytes]:
     """A byte-exact digest of every replica's chosen sequence."""
     return {
         pid: pickle.dumps(replica.log.chosen_above(0))
-        for pid, replica in cluster.replicas.items()
+        for pid, replica in cluster.group_replicas().items()
     }
 
 

@@ -28,7 +28,7 @@ class TestLeaderSwitch:
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
         # Every key landed exactly once.
-        assert cluster.replicas["r1"].service.data == {i: i for i in range(30)}
+        assert cluster.group_replicas()["r1"].service.data == {i: i for i in range(30)}
 
     def test_no_write_lost_or_duplicated_across_switch(self):
         # The counter's final value is exactly the number of acknowledged
@@ -54,9 +54,9 @@ class TestLeaderSwitch:
         )
         FaultSchedule(cluster).switch_leader("r2", at=0.01)
         cluster.run(max_time=30.0)
-        assert cluster.replicas["r2"].role is ReplicaRole.LEADING
-        assert cluster.replicas["r0"].role is ReplicaRole.FOLLOWER
-        assert cluster.replicas["r2"].stats["recovery_complete"] >= 1
+        assert cluster.group_replicas()["r2"].role is ReplicaRole.LEADING
+        assert cluster.group_replicas()["r0"].role is ReplicaRole.FOLLOWER
+        assert cluster.group_replicas()["r2"].stats["recovery_complete"] >= 1
 
     def test_reads_after_switch_reflect_committed_writes(self):
         from repro.client.workload import Step
@@ -85,7 +85,7 @@ class TestLeaderSwitch:
         schedule.switch_leader("r1", at=0.01)
         schedule.switch_leader("r0", at=0.05)
         cluster.run(max_time=30.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.group_replicas()["r0"]
         assert r0.role is ReplicaRole.LEADING
         assert r0.ballot is not None and r0.ballot.round >= 2
 
@@ -104,7 +104,7 @@ class TestLeaderCrash:
         assert cluster.clients[0].completed_requests == 25
         cluster.drain()
         alive = {
-            pid: r.service.value for pid, r in cluster.replicas.items() if r.alive
+            pid: r.service.value for pid, r in cluster.group_replicas().items() if r.alive
         }
         assert set(alive.values()) == {25}
 
@@ -120,7 +120,7 @@ class TestLeaderCrash:
         schedule.recover("r0", at=0.2)
         cluster.run(max_time=60.0)
         cluster.drain(2.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.group_replicas()["r0"]
         assert r0.alive and r0.role is ReplicaRole.FOLLOWER
         # r0 must have caught up with everything committed while it was down.
         assert r0.service.value == 30
@@ -177,4 +177,4 @@ class TestPartition:
         schedule.heal(at=0.5)
         cluster.run(max_time=30.0)
         cluster.drain(3.0)
-        assert cluster.replicas["r2"].service.value == 10
+        assert cluster.group_replicas()["r2"].service.value == 10

@@ -30,7 +30,7 @@ class TestMinorityLeader:
         schedule.partition([["r0"], ["r1", "r2"]], at=0.001)
         cluster.start()
         cluster.kernel.run(until=1.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.group_replicas()["r0"]
         assert r0.log.frontier == 0
         assert cluster.clients[0].completed_requests == 0
 
@@ -42,11 +42,11 @@ class TestMinorityLeader:
         # split-brain view).
         for pid in ("r1", "r2"):
             cluster.kernel.schedule_at(
-                0.01, cluster.manual_electors.electors[pid].set_leader, "r1"
+                0.01, cluster.manual_electors_for().electors[pid].set_leader, "r1"
             )
         cluster.run(max_time=60.0)
         assert cluster.clients[0].completed_requests == 20
-        assert cluster.replicas["r1"].role is ReplicaRole.LEADING
+        assert cluster.group_replicas()["r1"].role is ReplicaRole.LEADING
 
     def test_heal_deposes_old_leader_without_divergence(self):
         cluster = self.build()
@@ -54,17 +54,17 @@ class TestMinorityLeader:
         schedule.partition([["r0"], ["r1", "r2"]], at=0.001)
         for pid in ("r1", "r2"):
             cluster.kernel.schedule_at(
-                0.01, cluster.manual_electors.electors[pid].set_leader, "r1"
+                0.01, cluster.manual_electors_for().electors[pid].set_leader, "r1"
             )
         schedule.heal(at=0.5)
         # After healing, tell r0's elector the truth too (a real Ω would).
         cluster.kernel.schedule_at(
-            0.6, cluster.manual_electors.electors["r0"].set_leader, "r1"
+            0.6, cluster.manual_electors_for().electors["r0"].set_leader, "r1"
         )
         cluster.run(max_time=60.0)
         cluster.drain(3.0)
-        assert cluster.replicas["r0"].role is ReplicaRole.FOLLOWER
-        values = {r.service.value for r in cluster.replicas.values()}
+        assert cluster.group_replicas()["r0"].role is ReplicaRole.FOLLOWER
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {20}
 
     def test_old_leader_nacked_if_it_retries_after_heal(self):
@@ -75,16 +75,16 @@ class TestMinorityLeader:
         schedule.partition([["r0"], ["r1", "r2"]], at=0.001)
         for pid in ("r1", "r2"):
             cluster.kernel.schedule_at(
-                0.01, cluster.manual_electors.electors[pid].set_leader, "r1"
+                0.01, cluster.manual_electors_for().electors[pid].set_leader, "r1"
             )
         schedule.heal(at=0.3)
         cluster.run(max_time=60.0)
         cluster.drain(3.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.group_replicas()["r0"]
         # r0 retried leadership across the heal and got preempted at least
         # once (its elector never changed its mind), or is still harmlessly
         # recovering with stale ballots; either way nothing diverged.
-        values = {r.service.value for r in cluster.replicas.values()}
+        values = {r.service.value for r in cluster.group_replicas().values()}
         assert values == {20}
         assert r0.applied == 20  # it caught up as an acceptor
 
@@ -99,5 +99,5 @@ class TestMinorityLeader:
         cluster.start()
         cluster.kernel.run(until=1.0)
         # No confirms can reach r0: zero reads served.
-        assert cluster.replicas["r0"].reads.served == 0
+        assert cluster.group_replicas()["r0"].reads.served == 0
         assert cluster.clients[0].completed_requests == 0

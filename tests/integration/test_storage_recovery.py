@@ -97,8 +97,8 @@ class TestCrashRestartReplay:
         assert cluster.clients[0].completed_requests == 30
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
-        restarted = cluster.replicas["r1"]
-        peer = cluster.replicas["r2"]
+        restarted = cluster.group_replicas()["r1"]
+        peer = cluster.group_replicas()["r2"]
         assert restarted.alive
         assert restarted.stats["recovers"] >= 1
         peer_chosen = dict(peer.log.chosen_items())
@@ -149,10 +149,10 @@ class TestStorageNemeses:
         schedule.crash("r1", at=0.03).recover("r1", at=0.3)
         cluster.run(max_time=60.0)
         cluster.drain(1.0)
-        restarted = cluster.replicas["r1"]
+        restarted = cluster.group_replicas()["r1"]
         assert not restarted.alive  # rejoining would be Byzantine
         assert restarted.stats["storage_failstops"] == 1
-        assert not restarted.store.intact
+        assert not restarted.store.pump.intact
         assert storage_counter(cluster, "halts") >= 1
         # The cluster rides out the fail-stop on the remaining majority.
         assert cluster.clients[0].completed_requests == 25
@@ -168,7 +168,7 @@ class TestStorageNemeses:
         schedule.crash("r1", at=0.06).recover("r1", at=0.3)
         cluster.run(max_time=60.0)
         cluster.drain(1.0)
-        restarted = cluster.replicas["r1"]
+        restarted = cluster.group_replicas()["r1"]
         assert not restarted.alive
         assert restarted.stats["storage_failstops"] == 1
         assert cluster.clients[0].completed_requests == 25
@@ -216,6 +216,6 @@ class TestCrashMidCatchUp:
         cluster.run(max_time=60.0)  # a ProtocolError here fails the test
         cluster.drain(2.0)  # fire the restarts and let catch-up finish
         assert cluster.replicas["r1"].alive
-        assert cluster.replicas["r1"].stats["recovers"] >= 2
+        assert cluster.group_replicas()["r1"].stats["recovers"] >= 2
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1

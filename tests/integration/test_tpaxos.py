@@ -87,7 +87,7 @@ class TestAbort:
         cluster.drain()
         # Nothing replicated, leader rolled back.
         assert cluster.leader().service.accounts["alice"] == 100
-        assert all(r.log.frontier == 0 for r in cluster.replicas.values())
+        assert all(r.log.frontier == 0 for r in cluster.group_replicas().values())
 
     def test_lock_conflict_aborts_younger_txn(self):
         # Two clients transact on the same account: no-wait 2PL aborts one.

@@ -182,7 +182,7 @@ class TestTracingDeterminism:
     def chosen_log_bytes(cluster: Cluster) -> dict:
         return {
             pid: pickle.dumps(replica.log.chosen_above(0))
-            for pid, replica in cluster.replicas.items()
+            for pid, replica in cluster.group_replicas().items()
         }
 
     @pytest.mark.parametrize("steps_factory", WORKLOADS)
@@ -193,8 +193,8 @@ class TestTracingDeterminism:
         assert traced.kernel.now == bare.kernel.now
         for pid in traced.replicas:
             assert (
-                traced.replicas[pid].service.state_fingerprint()
-                == bare.replicas[pid].service.state_fingerprint()
+                traced.group_replicas()[pid].service.state_fingerprint()
+                == bare.group_replicas()[pid].service.state_fingerprint()
             )
         assert len(traced.tracer.store) > 0
         assert not bare.tracer.enabled

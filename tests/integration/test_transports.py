@@ -3,7 +3,11 @@ the threaded wall-clock runtime and the localhost TCP runtime."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+
+from repro.chaos.invariants import check_cluster
 
 from repro.client.client import Client
 from repro.client.workload import paper_txn_steps, single_kind_steps
@@ -59,12 +63,18 @@ class TestLocalRuntime:
 
     def test_replicas_converge(self):
         steps = single_kind_steps(RequestKind.WRITE, 10, op=lambda i: ("put", i, i))
-        replicas, _client = self.run_steps(steps, service_factory=KVStoreService)
+        replicas, client = self.run_steps(steps, service_factory=KVStoreService)
         import time
 
         time.sleep(0.1)  # let Chosen broadcasts land
         prints = {r.service.state_fingerprint() for r in replicas}
         assert len(prints) == 1
+        # The invariant layer reads a bare-runtime deployment (standalone
+        # Replicas, no Cluster) like a simulated one: benchmarks/suite does.
+        deployment = SimpleNamespace(
+            replicas={r.pid: r for r in replicas}, clients=[client], config=replicas[0].config
+        )
+        assert check_cluster(deployment) == []
 
     def test_transactions(self):
         _replicas, client = self.run_steps(paper_txn_steps("optimized", 3, 5))

@@ -57,7 +57,7 @@ class TestReadPath:
     def test_reads_do_not_advance_log(self):
         cluster = build_cluster([single_kind_steps(RequestKind.READ, 10)]).run()
         cluster.drain()
-        assert all(r.log.frontier == 0 for r in cluster.replicas.values())
+        assert all(r.log.frontier == 0 for r in cluster.group_replicas().values())
 
     def test_read_faster_than_write(self):
         reads = build_cluster([single_kind_steps(RequestKind.READ, 50)], seed=1).run()
@@ -112,10 +112,10 @@ class TestStaleLeaderSafety:
         cluster.start()
         cluster.kernel.run(until=0.0001)
         for pid in ("r1", "r2"):
-            cluster.manual_electors.electors[pid].set_leader("r1")
+            cluster.manual_electors_for().electors[pid].set_leader("r1")
         # r0 still thinks it leads; backups now confirm r1's ballot, not r0's.
         cluster.kernel.run(until=1.0)
-        r0 = cluster.replicas["r0"]
+        r0 = cluster.group_replicas()["r0"]
         # r0 received the read and is leading in its own view, yet must not
         # have replied: zero completed requests at the client... unless r1
         # answered it (r1 is leading with a majority). The client accepts

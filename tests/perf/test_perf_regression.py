@@ -169,7 +169,7 @@ class TestProfilerOverhead:
         assert cluster.world.profiler is NULL_PROFILER
         assert all(
             replica.profiler is NULL_PROFILER
-            for replica in cluster.replicas.values()
+            for replica in cluster.group_replicas().values()
         )
 
     def test_profiled_run_host_overhead_bounded(self):

@@ -36,6 +36,33 @@ class TestCommands:
             main([])
 
 
+#: Bad input ends in ``repro: error: ...`` and exit status 2, never a
+#: traceback: (argv, a fragment of the message).
+BAD_INPUT = [
+    (["run", "--groups", "0"], "at least one replication group"),
+    (["chaos", "--groups", "0", "--seeds", "1"], "at least one group"),
+    (["chaos", "--storage-faults", "--seeds", "1"], "storage_faults requires"),
+    (["run", "--clients", "0"], "--clients must be at least 1"),
+    (["run", "--requests", "-5"], "--requests must be at least 1"),
+    (["trace", "--clients", "0"], "--clients must be at least 1"),
+    (["trace", "--requests", "0"], "--requests must be at least 1"),
+    (["profile", "--clients", "-1"], "--clients must be at least 1"),
+    (["profile", "--requests", "0"], "--requests must be at least 1"),
+    (["chaos", "--clients", "0"], "--clients must be at least 1"),
+    (["chaos", "--requests", "0"], "--requests must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(("argv", "fragment"), BAD_INPUT)
+def test_bad_input_is_a_usage_error(argv, fragment, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro: error: " in err and fragment in err
+    assert "Traceback" not in err
+
+
 class TestRunAndReport:
     def test_run_prints_summary(self, capsys):
         assert main(["run", "--requests", "6", "--clients", "2", "--seed", "3"]) == 0

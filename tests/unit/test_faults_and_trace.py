@@ -150,7 +150,7 @@ class TestScopedLeaderSwitch:
         schedule.switch_leader("r1", at=0.01, pids=["r1", "r2"])
         cluster.start()
         cluster.kernel.run(until=0.05)
-        electors = cluster.manual_electors.electors
+        electors = cluster.manual_electors_for().electors
         # r0 was outside the scope: it still believes in the old view.
         assert electors["r0"].current_leader() == "r0"
         assert electors["r1"].current_leader() == "r1"
@@ -162,7 +162,7 @@ class TestScopedLeaderSwitch:
         FaultSchedule(cluster).switch_leader("r2", at=0.01)
         cluster.start()
         cluster.kernel.run(until=0.05)
-        electors = cluster.manual_electors.electors
+        electors = cluster.manual_electors_for().electors
         assert all(e.current_leader() == "r2" for e in electors.values())
 
 

@@ -38,7 +38,7 @@ class TestCluster:
     def test_leader_is_first_replica(self):
         cluster = small_cluster()
         assert cluster.leader_pid == "r0"
-        assert cluster.leader() is cluster.replicas["r0"]
+        assert cluster.leader() is cluster.group_replicas()["r0"]
 
     def test_run_completes_all_clients(self):
         cluster = small_cluster().run()

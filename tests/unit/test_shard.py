@@ -15,7 +15,9 @@ from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election import StaticElector
 from repro.errors import ConfigError
+from repro.obs.registry import MetricsRegistry
 from repro.shard.host import GroupHost
+from repro.sim.process import Env
 from repro.storage import StableStore, StoragePump
 from repro.types import RequestKind
 
@@ -166,7 +168,6 @@ class TestGroupHost:
         stores = [g.store for g in host.groups.values()]
         assert len({id(s.pump) for s in stores}) == 1
         assert stores[0].pump is host.pump
-        assert host.store is host.pump  # fault-schedule compatibility alias
 
     def test_envelope_for_dead_group_is_dropped(self):
         host = self._host()
@@ -180,6 +181,40 @@ class TestGroupHost:
         host = self._host()
         host.on_message("c0", object())
         assert host.stats["unknown_messages"] == 1
+
+    def test_group_broadcast_is_one_envelope_through_the_host_env(self):
+        host = self._host()
+        env = _RecordingEnv()
+        host.bind(env)
+        registry = MetricsRegistry()
+        host.groups[1].metrics = registry.scope("r0.g1")
+        prepare = Prepare(ballot=Ballot(1, "r0"), gaps=(), from_instance=0)
+        host.groups[1].broadcast(("r1", "r2"), prepare)
+        host.groups[1].send("r2", prepare)
+        host.groups[1].send("c0", prepare)  # not a peer: travels bare
+        # One envelope for the whole broadcast: the world sizes it once.
+        assert env.broadcasts == [(("r1", "r2"), GroupEnvelope(1, prepare))]
+        assert env.sends == [("r2", GroupEnvelope(1, prepare)), ("c0", prepare)]
+        assert registry.counter_value("proc.r0.g1.send.Prepare") == 3
+
+
+class _RecordingEnv(Env):
+    pid = "r0"
+    now = 0.0
+    rng = None
+
+    def __init__(self) -> None:
+        self.sends: list = []
+        self.broadcasts: list = []
+
+    def send(self, dst, msg):
+        self.sends.append((dst, msg))
+
+    def broadcast(self, dsts, msg):
+        self.broadcasts.append((tuple(dsts), msg))
+
+    def set_timer(self, delay, fn, *args):
+        raise AssertionError("no timers in this test")
 
 
 # ------------------------------------------- two groups, one shared platter

@@ -283,19 +283,19 @@ class TestStableStore:
     def test_lost_fsync_window_then_crash_halts_recovery(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
         store = StableStore(host)
-        store.inject_lost_fsync(duration=1.0)
+        store.pump.inject_lost_fsync(duration=1.0)
         store.record_round(1)
         store.flush(lambda: None)
         host.advance(0.01)  # the lying fsync acks without persisting
         store.crash()
         assert store.recover() is None
-        assert store.halted
-        assert not store.intact
+        assert store.pump.halted
+        assert not store.pump.intact
 
     def test_disk_stall_delays_fsync(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
         store = StableStore(host)
-        store.inject_disk_stall(duration=1.0, extra=5e-3)
+        store.pump.inject_disk_stall(duration=1.0, extra=5e-3)
         store.record_round(1)
         fired = []
         store.flush(lambda: fired.append(True))

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.registry import MetricsRegistry
 from repro.sim.cpu import CpuProfile
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process
+from repro.sim.process import Envelope, Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.world import World, ZeroLatencyNetwork
+from repro.transport.codec import wire_size
 
 
 class Recorder(Process):
@@ -33,6 +37,13 @@ class Recorder(Process):
 
     def on_recover(self):
         self.recovered += 1
+
+
+@dataclass(frozen=True)
+class Wrapped(Envelope):
+    """A substrate-level envelope: no repro.core involved."""
+
+    msg: object
 
 
 class FixedDelayNetwork:
@@ -244,6 +255,30 @@ class TestTrace:
         world.schedule_crash("b", 0.05)
         kernel.run()
         assert len(trace.of_kind("drop")) == 1
+
+    def test_envelope_is_named_by_its_payload_and_delivered_whole(self):
+        kernel = Kernel()
+        trace = TraceRecorder()
+        metrics = MetricsRegistry()
+        world = World(kernel, FixedDelayNetwork(0.1), trace=trace, metrics=metrics,
+                      measure_bytes=True)
+        a, b = world.add(Recorder("a")), world.add(Recorder("b"))
+        world.start()
+        envelope = Wrapped("x")
+        a.send("b", envelope)
+        kernel.run()
+        a.send("b", Wrapped("y"))
+        world.schedule_crash("b", kernel.now + 0.05)
+        kernel.run()
+        assert [msg for _t, _src, msg in b.inbox] == [envelope]  # receiver unwraps
+        assert [(e.kind, e.detail) for e in trace if e.dst == "b"] == [
+            ("send", "x"), ("deliver", "x"), ("send", "y"), ("drop", "y"),
+        ]
+        counters = metrics.counters()
+        assert not [name for name in counters if "Wrapped" in name]
+        assert counters["msg.send.str"] == counters["proc.a.send.str"] == 2
+        assert counters["msg.deliver.str"] == counters["msg.drop.str"] == 1
+        assert counters["msg.send_bytes.str"] == 2 * wire_size(envelope)
 
     def test_trace_predicate_filters(self):
         kernel = Kernel()
