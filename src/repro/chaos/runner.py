@@ -82,6 +82,8 @@ class ChaosOptions:
     def __post_init__(self) -> None:
         if self.groups < 1:
             raise ConfigError(f"need at least one group, got {self.groups}")
+        if self.intensity < 0:
+            raise ConfigError(f"intensity must be >= 0, got {self.intensity}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; known: {PROTOCOLS}"

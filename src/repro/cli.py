@@ -18,18 +18,8 @@ from repro.analysis.report import percent_change
 from repro.errors import ConfigError
 from repro.lint.cli import add_lint_parser, lint_command
 from repro.net.profiles import PROFILES, get_profile
-from repro.parallel import pmap
-
-KINDS = ("original", "read", "write")
-
-TABLE1_PAPER_MS = {
-    ("read_write", 3): 1.17,
-    ("read_write", 5): 1.79,
-    ("write_only", 3): 1.29,
-    ("write_only", 5): 2.01,
-    ("optimized", 3): 0.85,
-    ("optimized", 5): 1.23,
-}
+from repro.parallel import figures_grid, run_grid
+from repro.parallel.spec import KINDS, TABLE1_PAPER_MS
 
 #: Paper-reported T-Paxos throughput gains (%), Fig. 9 commentary, 3-req.
 FIG9_PAPER_GAINS_3REQ = {
@@ -46,21 +36,26 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _rrt_section(quick: bool, workers: int = 1) -> str:
-    samples = 60 if quick else 300
-    profiles = ("sysnet", "berkeley_princeton", "wan")
-    params = [
-        {"profile": name, "kind": kind, "samples": samples, "seed": 1}
-        for name in profiles
-        for kind in KINDS
-    ]
-    results = iter(pmap("rrt", params, workers=workers))
+def _tree(results: dict[str, dict]) -> dict:
+    """The figures grid's flat ``a/b/c`` keys as nested dicts. Grid order is
+    kept at every level, so a section renders by plain iteration."""
+    root: dict = {}
+    for key, result in results.items():
+        *path, leaf = key.split("/")
+        node = root
+        for part in path:
+            node = node.setdefault(part, {})
+        node[leaf] = result
+    return root
+
+
+def _rrt_section(by_profile: dict) -> str:
     sections = []
-    for name in profiles:
+    for name, by_kind in by_profile.items():
         profile = get_profile(name)
         rows = []
-        for kind in KINDS:
-            rrt = next(results)["rrt"]
+        for kind, result in by_kind.items():
+            rrt = result["rrt"]
             paper = profile.paper_rrt[kind]
             rows.append(
                 [
@@ -80,64 +75,44 @@ def _rrt_section(quick: bool, workers: int = 1) -> str:
     return "\n\n".join(sections)
 
 
-def _throughput_section(quick: bool, workers: int = 1) -> str:
-    total = 400 if quick else 1000
-    figures = (
-        ("sysnet", (1, 2, 4, 8, 16), "Fig. 5"),
-        ("sysnet", (8, 16, 32, 64, 128), "Fig. 6"),
-        ("berkeley_princeton", (1, 2, 4, 8, 16), "Fig. 7"),
-        ("wan", (1, 2, 4, 8, 16), "Fig. 8"),
-    )
-    params = [
-        {"profile": name, "kind": kind, "n_clients": c,
-         "total_requests": total, "seed": 3}
-        for name, clients, _ in figures
-        for c in clients
-        for kind in ("read", "write", "original")
-    ]
-    results = iter(pmap("throughput", params, workers=workers))
+def _throughput_section(by_figure: dict) -> str:
     sections = []
-    for name, clients, figure in figures:
-        rows = []
-        for c in clients:
-            row: list[object] = [c]
-            for _kind in ("read", "write", "original"):
-                row.append(f"{next(results)['throughput']:.0f}")
-            rows.append(row)
-        sections.append(
-            f"### {figure} — throughput on {name} (requests/s)\n\n"
-            + _md_table(["clients", "read", "write", "original"], rows)
-        )
+    for figure, by_profile in by_figure.items():
+        for name, by_clients in by_profile.items():
+            rows = [
+                [int(clients[2:]), *(f"{r['throughput']:.0f}" for r in by_kind.values())]
+                for clients, by_kind in by_clients.items()
+            ]
+            kinds = next(iter(by_clients.values()))
+            sections.append(
+                f"### Fig. {figure[3:]} — throughput on {name} (requests/s)\n\n"
+                + _md_table(["clients", *kinds], rows)
+            )
     return "\n\n".join(sections)
 
 
-def _table1_section(quick: bool, workers: int = 1) -> str:
-    samples = 60 if quick else 200
-    cells = list(TABLE1_PAPER_MS.items())
-    params = [
-        {"mode": mode, "requests_per_txn": k, "samples": samples, "seed": 2}
-        for (mode, k), _ in cells
-    ]
-    results = pmap("txn_rrt", params, workers=workers)
+def _table1_section(by_mode: dict) -> str:
     rows = []
-    measured = {}
-    for ((mode, k), paper_ms), result in zip(cells, results, strict=True):
-        trt = result["trt"]
-        measured[(mode, k)] = trt["mean"]
-        rows.append(
-            [
-                f"{mode} {k}-req",
-                f"{paper_ms:.2f}",
-                f"{trt['mean'] * 1e3:.2f}",
-                f"±{trt['ci99'] * 1e3:.3f}",
-                f"{percent_change(paper_ms * 1e-3, trt['mean']):+.1f}%",
-            ]
-        )
+    for mode, by_k in by_mode.items():
+        for k, result in by_k.items():
+            trt = result["trt"]
+            paper_ms = TABLE1_PAPER_MS[mode, int(k[2:])]
+            rows.append(
+                [
+                    f"{mode} {k[2:]}-req",
+                    f"{paper_ms:.2f}",
+                    f"{trt['mean'] * 1e3:.2f}",
+                    f"±{trt['ci99'] * 1e3:.3f}",
+                    f"{percent_change(paper_ms * 1e-3, trt['mean']):+.1f}%",
+                ]
+            )
     gains = []
-    for k in (3, 5):
+    for k in by_mode["optimized"]:
         for base in ("read_write", "write_only"):
-            reduction = 1 - measured[("optimized", k)] / measured[(base, k)]
-            gains.append(f"vs {base} {k}-req: -{reduction * 100:.0f}%")
+            reduction = 1 - (
+                by_mode["optimized"][k]["trt"]["mean"] / by_mode[base][k]["trt"]["mean"]
+            )
+            gains.append(f"vs {base} {k[2:]}-req: -{reduction * 100:.0f}%")
     return (
         "### Table 1 — transaction response time (§4.2)\n\n"
         + _md_table(
@@ -148,26 +123,16 @@ def _table1_section(quick: bool, workers: int = 1) -> str:
     )
 
 
-def _fig9_section(quick: bool, workers: int = 1) -> str:
-    total = 200 if quick else 400
-    modes = ("read_write", "write_only", "optimized")
-    params = [
-        {"mode": mode, "requests_per_txn": k, "n_clients": c,
-         "total_txns": total, "seed": 5}
-        for k in (3, 5)
-        for c in (1, 2, 4, 8, 16)
-        for mode in modes
-    ]
-    flat = iter(pmap("txn_throughput", params, workers=workers))
+def _fig9_section(by_k: dict) -> str:
     sections = []
-    for k in (3, 5):
+    for k, by_clients in by_k.items():
         rows = []
-        for c in (1, 2, 4, 8, 16):
-            results = {mode: next(flat)["step_throughput"] for mode in modes}
+        for clients, by_mode in by_clients.items():
+            results = {mode: r["step_throughput"] for mode, r in by_mode.items()}
             opt = results["optimized"]
             rows.append(
                 [
-                    c,
+                    int(clients[2:]),
                     f"{results['read_write']:.0f}",
                     f"{results['write_only']:.0f}",
                     f"{opt:.0f}",
@@ -176,7 +141,7 @@ def _fig9_section(quick: bool, workers: int = 1) -> str:
                 ]
             )
         sections.append(
-            f"### Fig. 9{'a' if k == 3 else 'b'} — {k}-request transaction "
+            f"### Fig. 9{'a' if k == 'k=3' else 'b'} — {k[2:]}-request transaction "
             "throughput (txn/s)\n\n"
             + _md_table(
                 ["clients", "read/write", "write-only", "T-Paxos",
@@ -189,6 +154,7 @@ def _fig9_section(quick: bool, workers: int = 1) -> str:
 
 def build_experiments_report(quick: bool = False, workers: int = 1) -> str:
     started = time.time()
+    grid = _tree(run_grid(figures_grid(quick), workers=workers))
     body = "\n\n".join(
         [
             "# EXPERIMENTS — paper vs. measured",
@@ -199,12 +165,12 @@ def build_experiments_report(quick: bool = False, workers: int = 1) -> str:
             " (orderings, crossovers, peaks) — absolute throughput depends on"
             " testbed constants the paper does not fully specify.",
             "## Request response time (§4.1)",
-            _rrt_section(quick, workers),
+            _rrt_section(grid["rrt"]),
             "## Throughput (Figs. 5-8)",
-            _throughput_section(quick, workers),
+            _throughput_section(grid["throughput"]),
             "## Transactions (§4.2)",
-            _table1_section(quick, workers),
-            _fig9_section(quick, workers),
+            _table1_section(grid["table1"]),
+            _fig9_section(grid["fig9"]),
             "## Ablations",
             "Ablation benches (not in the paper's tables, called out in its text)"
             " live in `benchmarks/`: leader-switch sensitivity (§3.6), t > 1"
@@ -453,7 +419,6 @@ def sweep_command(args: argparse.Namespace) -> int:
         calibration_grid,
         canonical_json,
         chaos_grid,
-        figures_grid,
         merge_sweep,
         run_sweep,
         selftest_grid,
@@ -922,10 +887,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_lint_parser(sub)
 
     args = parser.parse_args(argv)
-    if args.command in ("run", "trace", "profile", "chaos"):
-        for flag in ("clients", "requests"):
-            if getattr(args, flag) < 1:
-                parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    for flag in ("clients", "requests", "seeds"):
+        value = getattr(args, flag, None)  # None: this command has no such flag
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be at least 1, got {value}")
     try:
         if args.command == "experiments":
             print(build_experiments_report(quick=args.quick, workers=args.workers))

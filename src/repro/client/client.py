@@ -20,9 +20,8 @@ from typing import Any
 from repro.client.workload import Step
 from repro.core.messages import Reply, StartSignal
 from repro.core.requests import ClientRequest, RequestId
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.spans import Span
-from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.sim.process import Process
 from repro.types import ProcessId, ReplyStatus, RequestKind
 
@@ -79,6 +78,7 @@ class Client(Process):
         backoff: float = 2.0,
         timeout_cap: float | None = None,
         jitter: float = 0.1,
+        obs: Obs = NULL_OBS,
     ) -> None:
         super().__init__(pid)
         self.replicas = tuple(replicas)
@@ -116,12 +116,12 @@ class Client(Process):
         self._gap_taken = False
         self._timer = None
         self._timeout_current = timeout
-        #: Observability sink (set by the harness): retransmits are counted
-        #: under ``client.retransmit`` so fault runs expose retry pressure.
-        self.metrics: MetricsRegistry = NULL_REGISTRY
-        #: Causal tracing (set by the harness). Each request opens a root
-        #: trace span: submit -> matching Reply.
-        self.tracer: Tracer | NullTracer = NULL_TRACER
+        #: Observability sink: retransmits are counted under
+        #: ``client.retransmit`` so fault runs expose retry pressure.
+        self.metrics = obs.metrics
+        #: Causal tracing. Each request opens a root trace span: submit ->
+        #: matching Reply.
+        self.tracer = obs.tracer
         self._span: Span | None = None
 
     # ------------------------------------------------------------- lifecycle

@@ -18,11 +18,13 @@ from repro.client.workload import Step
 from repro.core.config import ReplicaConfig
 from repro.core.messages import StartSignal
 from repro.core.group import ReplicationGroup
+from repro.election.base import LeaderElector
 from repro.election.omega import OmegaElector
 from repro.election.static import ManualElectorGroup, StaticElector
 from repro.errors import ConfigError, SimulationError
 from repro.net.network import SimNetwork
 from repro.net.profiles import NetworkProfile
+from repro.obs.handle import Obs
 from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
@@ -171,12 +173,11 @@ class Cluster:
         # the start signal).
         topology.place(starter_pid, topology.site_of(self.replica_pids[0]))
 
-        self.network = SimNetwork(topology, seed=spec.seed)
-        self.kernel = Kernel(seed=spec.seed)
+        # The run's observers are built first and travel as one handle:
+        # every component below gets ``obs`` at construction and nothing
+        # is set on it afterwards. The clocks read ``self.kernel`` lazily.
         self.trace = TraceRecorder() if spec.trace else None
         self.metrics: MetricsRegistry = MetricsRegistry() if spec.metrics else NULL_REGISTRY
-        self.network.metrics = self.metrics
-        self.kernel.metrics = self.metrics
         self.tracer: Tracer | NullTracer = (
             Tracer(clock=lambda: self.kernel.now) if spec.tracing else NULL_TRACER
         )
@@ -194,15 +195,15 @@ class Cluster:
             for pid in self.client_pids:
                 self.profiler.register_actor(pid, "client")
             self.profiler.register_actor(starter_pid, "other")
-        self.kernel.profiler = self.profiler
+        obs = Obs(self.metrics, self.tracer, self.profiler)
+        self.network = SimNetwork(topology, seed=spec.seed, obs=obs)
+        self.kernel = Kernel(seed=spec.seed, obs=obs)
         self.world = World(
             self.kernel,
             self.network,
             trace=self.trace,
-            metrics=self.metrics,
+            obs=obs,
             measure_bytes=spec.measure_bytes,
-            tracer=self.tracer,
-            profiler=self.profiler,
         )
 
         config = ReplicaConfig(
@@ -240,26 +241,19 @@ class Cluster:
         #: The replica processes. Protocol state lives one level down, in
         #: each host's groups: see :meth:`group_replicas`.
         self.replicas: dict[ProcessId, GroupHost] = {}
+        def elector(pid: ProcessId, g: int) -> LeaderElector:
+            if spec.elector == "static":
+                return StaticElector(self.group_leader_pids[g])
+            if spec.elector == "manual":
+                return self._manual_electors[g].elector_for(pid)
+            return OmegaElector(
+                heartbeat_interval=spec.omega_heartbeat,
+                suspect_timeout=spec.omega_timeout,
+            )
+
         for pid in self.replica_pids:
-            electors: dict[int, object] = {}
-            for g in range(spec.groups):
-                if spec.elector == "static":
-                    electors[g] = StaticElector(self.group_leader_pids[g])
-                elif spec.elector == "manual":
-                    electors[g] = self._manual_electors[g].elector_for(pid)
-                else:
-                    electors[g] = OmegaElector(
-                        heartbeat_interval=spec.omega_heartbeat,
-                        suspect_timeout=spec.omega_timeout,
-                    )
-            host = GroupHost(pid, config, service_factory, electors)
-            host.metrics = self.metrics.scope(pid)
-            host.tracer = self.tracer
-            host.profiler = self.profiler
-            for g, group in host.groups.items():
-                group.metrics = self.metrics.scope(f"{pid}.g{g}")
-                group.tracer = self.tracer
-                group.profiler = self.profiler
+            electors = [elector(pid, g) for g in range(spec.groups)]
+            host = GroupHost(pid, config, service_factory, electors, obs=obs)
             self.world.add(host, cpu=replica_cpu)
             self.replicas[pid] = host
 
@@ -276,9 +270,8 @@ class Cluster:
                 backoff=spec.client_backoff,
                 timeout_cap=spec.client_timeout_cap,
                 jitter=spec.client_jitter,
+                obs=obs,
             )
-            client.tracer = self.tracer
-            client.metrics = self.metrics
             self.world.add(client, cpu=profile.client_cpu)
             self.clients.append(client)
 

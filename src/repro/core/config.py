@@ -70,6 +70,8 @@ class ReplicaConfig:
             raise ConfigError(f"duplicate peer ids: {self.peers}")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint_interval must be >= 1")
+        if self.execute_time < 0:
+            raise ConfigError(f"execute_time must be >= 0, got {self.execute_time}")
         if self.fsync_mode not in ("sync", "group", "async"):
             raise ConfigError(
                 f"fsync_mode must be sync, group or async, got {self.fsync_mode!r}"

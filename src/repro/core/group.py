@@ -72,10 +72,8 @@ from repro.core.tpaxos import TxnManager
 from repro.core.xpaxos import ReadCoordinator
 from repro.election.base import LeaderElector
 from repro.errors import ServiceError
-from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
-from repro.obs.registry import NULL_REGISTRY, Scope
+from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.spans import Span
-from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.services.base import ExecutionContext, Service
 from repro.sim.process import Process
 from repro.storage.store import StableStore, StoragePump
@@ -98,7 +96,13 @@ class ReplicaRole(enum.Enum):
 
 
 class ReplicationGroup(Process):
-    """One replica of one replication group (§3.1)."""
+    """One replica of one replication group (§3.1).
+
+    ``obs`` is the group's instrumentation, taken as given: its ``metrics``
+    is the scope every ``req.*`` / ``phase.*`` / ``storage.appends`` row of
+    this group lands in, so the builder picks the name (a
+    :class:`~repro.shard.host.GroupHost` passes ``proc.<pid>.g<group>``).
+    """
 
     #: Declarative handler registry: message type -> handler method name.
     #: Exact types only — wire messages are final frozen dataclasses. The
@@ -127,6 +131,7 @@ class ReplicationGroup(Process):
         elector: LeaderElector,
         group: GroupId = 0,
         pump: StoragePump | None = None,
+        obs: Obs = NULL_OBS,
     ) -> None:
         super().__init__(pid)
         if pid not in config.peers:
@@ -171,27 +176,27 @@ class ReplicationGroup(Process):
         #: Request counters by kind plus protocol events, for reports.
         self.stats: Counter[str] = Counter()
 
-        #: Observability scope; the harness swaps in the run's registry,
-        #: scoped ``proc.<pid>.g<group>.*``. Phase-latency bookkeeping below
-        #: is only populated while metrics are enabled, so disabled runs
-        #: allocate nothing.
-        self.metrics: Scope = NULL_REGISTRY.scope(pid)
+        #: Observability scope, used as given: whoever builds the group
+        #: names it (a host scopes ``proc.<pid>.g<group>.*``). Phase-latency
+        #: bookkeeping below is only populated while metrics are enabled, so
+        #: disabled runs allocate nothing.
+        self.metrics = obs.metrics
         self._accepted_at: dict[InstanceId, float] = {}
         self._chosen_at: dict[InstanceId, float] = {}
         self._takeover_started: float | None = None
 
-        #: Causal tracer (the harness swaps in the run's tracer). Protocol
-        #: code opens spans at semantic points (execute, accept rounds,
-        #: recovery); the world's envelope layer handles propagation.
-        self.tracer: Tracer | NullTracer = NULL_TRACER
+        #: Causal tracer. Protocol code opens spans at semantic points
+        #: (execute, accept rounds, recovery); the world's envelope layer
+        #: handles propagation.
+        self.tracer = obs.tracer
         #: Open leader-takeover span (its own trace; recovery nests under it).
         self.takeover_span: Span | None = None
 
-        #: Sim-profiler (the harness swaps in the run's profiler). Protocol
-        #: code opens literal-label scopes at semantic points (execute,
-        #: apply, propose, read, txn); the world's envelope layer owns the
-        #: per-message frames. Labels must be literals — OBS002.
-        self.profiler: SimProfiler | NullProfiler = NULL_PROFILER
+        #: Sim-profiler. Protocol code opens literal-label scopes at
+        #: semantic points (execute, apply, propose, read, txn); the world's
+        #: envelope layer owns the per-message frames. Labels must be
+        #: literals — OBS002.
+        self.profiler = obs.profiler
 
     # ======================================================== process events
     def on_start(self) -> None:

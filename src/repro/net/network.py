@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.net.link import Link
 from repro.net.partition import PartitionController
 from repro.net.topology import Topology
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.handle import NULL_OBS, Obs
 from repro.types import ProcessId
 
 
@@ -48,7 +48,7 @@ class Disturbance:
 class SimNetwork:
     """Implements the :class:`repro.sim.world.NetworkLike` protocol."""
 
-    def __init__(self, topology: Topology, seed: int = 0) -> None:
+    def __init__(self, topology: Topology, seed: int = 0, obs: Obs = NULL_OBS) -> None:
         self.topology = topology
         self.partitions = PartitionController()
         self._seed = seed
@@ -59,7 +59,7 @@ class SimNetwork:
         self.messages_duplicated = 0
         #: Observability sink: mirrors the site-pair counters into the run's
         #: registry (``net.site.<src>-><dst>``) plus drop-cause counters.
-        self.metrics: MetricsRegistry = NULL_REGISTRY
+        self.metrics = obs.metrics
         #: Why the most recent :meth:`delays` call dropped its message
         #: ("partition" | "loss" | "disturbance"), or ``None`` if it
         #: delivered. Read by the world to annotate dropped message spans.

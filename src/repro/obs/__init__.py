@@ -17,9 +17,13 @@ contract: :class:`Tracer` records :class:`repro.obs.spans.Span` trees per
 client request, :func:`critical_path` attributes wall time to the §3.4
 ``M``/``E``/``m`` components, and :mod:`repro.obs.chrome` exports
 Perfetto-loadable trace-event files.
+
+One run's registry, tracer and profiler travel together as an :class:`Obs`
+handle, passed to every component at construction (``obs=``).
 """
 
 from repro.obs.chrome import chrome_events, export_chrome, validate_chrome_trace
+from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.ledger import (
     LedgerRecord,
     Trend,
@@ -71,12 +75,14 @@ __all__ = [
     "Histogram",
     "LedgerRecord",
     "MetricsRegistry",
+    "NULL_OBS",
     "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_TRACER",
     "NullProfiler",
     "NullRegistry",
     "NullTracer",
+    "Obs",
     "RequestPath",
     "RunExport",
     "Scope",

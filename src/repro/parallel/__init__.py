@@ -25,7 +25,7 @@ from repro.parallel.merge import (
     merge_sweep,
     timing_summary,
 )
-from repro.parallel.runner import RunRecord, SweepOptions, pmap, run_sweep
+from repro.parallel.runner import RunRecord, SweepOptions, pmap, run_grid, run_sweep
 from repro.parallel.spec import (
     RunSpec,
     calibration_grid,
@@ -45,6 +45,7 @@ __all__ = [
     "merge_records",
     "merge_sweep",
     "pmap",
+    "run_grid",
     "run_sweep",
     "selftest_grid",
     "timing_summary",

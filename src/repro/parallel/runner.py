@@ -311,29 +311,37 @@ def _context(start_method: str) -> Any:
         return mp.get_context("spawn")
 
 
-# ---------------------------------------------------------------------- pmap
+# ------------------------------------------------------------ plain results
+def run_grid(
+    specs: Sequence[RunSpec], workers: int = 1, timeout: float | None = None
+) -> dict[str, dict[str, Any]]:
+    """Run ``specs`` and return ``{key: result}`` in spec order.
+
+    Thin convenience over :func:`run_sweep` for callers (benchmarks, the
+    experiments report) that want plain results back, not records. Raises
+    if any run failed — partial grids are worse than loud failures there.
+    """
+    sweep = run_sweep(specs, SweepOptions(workers=workers, timeout=timeout))
+    failed = sweep.failed()
+    if failed:
+        first = failed[0]
+        raise RuntimeError(
+            f"{len(failed)}/{len(sweep.records)} runs failed; first: "
+            f"{first.spec.key}: {first.error}"
+        )
+    return {record.spec.key: record.result for record in sweep.records}  # type: ignore[misc]
+
+
 def pmap(
     task: str,
     param_list: Sequence[dict[str, Any]],
     workers: int = 1,
     timeout: float | None = None,
 ) -> list[dict[str, Any]]:
-    """Map one task over parameter dicts, preserving order.
-
-    Thin convenience over :func:`run_sweep` for callers (benchmarks, the
-    experiments report) that want plain results back, not records. Raises
-    if any run failed — partial grids are worse than loud failures there.
-    """
+    """Map one task over parameter dicts, preserving order (:func:`run_grid`
+    over positional keys)."""
     specs = [
         RunSpec(task=task, key=f"{task}/{index:06d}", params=params)
         for index, params in enumerate(param_list)
     ]
-    sweep = run_sweep(specs, SweepOptions(workers=workers, timeout=timeout))
-    failed = sweep.failed()
-    if failed:
-        first = failed[0]
-        raise RuntimeError(
-            f"{len(failed)}/{len(specs)} runs failed; first: "
-            f"{first.spec.key}: {first.error}"
-        )
-    return [record.result for record in sweep.records]  # type: ignore[misc]
+    return list(run_grid(specs, workers, timeout).values())

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from repro.core.config import ReplicaConfig
@@ -31,10 +31,7 @@ from repro.core.group import ReplicationGroup
 from repro.core.messages import GroupEnvelope
 from repro.core.requests import ClientRequest
 from repro.election.base import LeaderElector
-from repro.errors import ConfigError
-from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
-from repro.obs.registry import NULL_REGISTRY, Scope
-from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
+from repro.obs.handle import NULL_OBS, Obs
 from repro.services.base import Service
 from repro.shard.router import ShardRouter
 from repro.sim.process import Env, Process, TimerHandle
@@ -100,46 +97,44 @@ class GroupEnv(Env):
 
 
 class GroupHost(Process):
-    """A process hosting one replica of each of ``n_groups`` shards."""
+    """A process hosting one replica of each shard: group ``g`` is led by
+    ``electors[g]``, so the sequence's length is the group count.
+
+    ``obs`` is the run's unscoped handle. The host names the scopes: its
+    own process-wide rows (``storage.fsyncs``, read by the pump through
+    ``host``) go under ``proc.<pid>``, group ``g``'s under
+    ``proc.<pid>.g<g>`` — the same scope :class:`GroupEnv` counts that
+    group's sends in.
+    """
 
     def __init__(
         self,
         pid: ProcessId,
         config: ReplicaConfig,
         service_factory: Callable[[], Service],
-        electors: Mapping[GroupId, LeaderElector] | Iterable[LeaderElector],
-        n_groups: int | None = None,
+        electors: Sequence[LeaderElector],
+        obs: Obs = NULL_OBS,
     ) -> None:
         super().__init__(pid)
-        if not isinstance(electors, Mapping):
-            electors = dict(enumerate(electors))
-        n_groups = len(electors) if n_groups is None else n_groups
-        if n_groups < 1:
-            raise ConfigError(f"need at least one group, got {n_groups}")
-        if sorted(electors) != list(range(n_groups)):
-            raise ConfigError(
-                f"electors must cover groups 0..{n_groups - 1}, got {sorted(electors)}"
-            )
         self.config = config
         self.peer_set = frozenset(config.peers)
-        self.router = ShardRouter(n_groups)
+        self.router = ShardRouter(len(electors))
         self.stats: Counter[str] = Counter()
-        #: Observability hooks; the harness swaps in the run's instances
-        #: (the pump and every group read them through ``host``).
-        self.metrics: Scope = NULL_REGISTRY.scope(pid)
-        self.tracer: Tracer | NullTracer = NULL_TRACER
-        self.profiler: SimProfiler | NullProfiler = NULL_PROFILER
+        self.metrics = obs.metrics.scope(pid)
+        self.tracer = obs.tracer
+        self.profiler = obs.profiler
         #: One durable substrate for the whole process.
         self.pump = StoragePump(self)
         self.groups: dict[GroupId, ReplicationGroup] = {}
-        for group_id in range(n_groups):
+        for group_id, elector in enumerate(electors):
             group = ReplicationGroup(
                 pid,
                 config,
                 service_factory,
-                electors[group_id],
+                elector,
                 group=group_id,
                 pump=self.pump,
+                obs=obs.scoped(f"{pid}.g{group_id}"),
             )
             group.bind(GroupEnv(self, group))
             self.groups[group_id] = group

@@ -28,15 +28,14 @@ Hot-path notes (this module dominates large sweeps, so it is tuned):
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.util.seq import SequenceGenerator
+from repro.obs.handle import NULL_OBS, Obs
 
 #: Compact the heap once this many cancelled events have accumulated *and*
 #: they outnumber the live ones (see :meth:`Kernel._maybe_compact`).
@@ -101,11 +100,11 @@ class Kernel:
     execution, which the protocol safety tests rely on.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0, obs: Obs = NULL_OBS) -> None:
         self._now: float = 0.0
         #: Heap of (time, seq, EventHandle) — tuple comparison stays in C.
         self._heap: list[tuple[float, int, EventHandle]] = []
-        self._seq = SequenceGenerator()
+        self._seq = itertools.count()
         self._seed = seed
         self._running = False
         self.events_processed = 0
@@ -118,12 +117,10 @@ class Kernel:
         self.handles_created = 0
         #: Observability sink (gauges updated at the end of each run());
         #: deliberately off the per-event hot path.
-        self.metrics: MetricsRegistry = NULL_REGISTRY
-        #: Sim-profiler (:mod:`repro.obs.prof`). When enabled, :meth:`run`
-        #: dispatches to :meth:`_run_profiled` — the bare loop below stays
-        #: byte-for-byte untouched, so disabled profiling costs exactly one
-        #: attribute check per run() call.
-        self.profiler: SimProfiler | NullProfiler = NULL_PROFILER
+        self.metrics = obs.metrics
+        #: Sim-profiler (:mod:`repro.obs.prof`): :meth:`run` reads its
+        #: ``enabled`` flag once per call and frames each event when set.
+        self.profiler = obs.profiler
 
     # ------------------------------------------------------------------ time
     @property
@@ -161,7 +158,7 @@ class Kernel:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        seq = self._seq.next()
+        seq = next(self._seq)
         handle = EventHandle(time, seq, fn, args, self)
         self.handles_created += 1
         heappush(self._heap, (time, seq, handle))
@@ -179,7 +176,7 @@ class Kernel:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        seq = self._seq.next()
+        seq = next(self._seq)
         pool = self._pool
         if pool:
             handle = pool.pop()
@@ -225,9 +222,13 @@ class Kernel:
         When ``until`` is given, the clock is advanced to exactly ``until``
         on return even if the heap drained earlier — so back-to-back ``run``
         calls behave like contiguous wall-clock intervals.
+
+        There is one loop. With the profiler on it additionally opens, per
+        event, one host-time frame labeled with the callback's qualname, and
+        takes a deterministic counter sample whenever virtual time crosses
+        ``profiler.next_sample``; pop order, cancellation handling, pool
+        recycling and the clock advance are the same statements either way.
         """
-        if self.profiler.enabled:
-            return self._run_profiled(until, max_events)
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
         self._running = True
@@ -237,76 +238,8 @@ class Kernel:
         heap = self._heap
         pool = self._pool
         unlimited = max_events is None
-        try:
-            while heap:
-                if not unlimited and processed >= max_events:
-                    break
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    if event.pooled:
-                        event.args = ()
-                        pool.append(event)
-                    continue
-                time = head[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                self._now = time
-                fn = event.fn
-                args = event.args
-                event.cancelled = True
-                event.fn = None
-                event.args = ()
-                assert fn is not None
-                fn(*args)
-                if event.pooled:
-                    event.cancelled = False
-                    pool.append(event)
-                processed += 1
-        finally:
-            self.events_processed += processed
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        if self.metrics.enabled:
-            self.metrics.gauge("kernel.events_processed").set(self.events_processed)
-            self.metrics.gauge("kernel.vtime").set(self._now)
-            self.metrics.gauge("kernel.heap_size").set(len(self._heap))
-        return processed
-
-    def _run_profiled(self, until: float | None, max_events: int | None) -> int:
-        """:meth:`run` with profiler hooks — an exact mirror of the bare
-        loop (same pop order, cancellation handling, pool recycling, clock
-        advance, end-of-run gauges) plus, per event: one host-time frame
-        labeled with the callback's qualname, and a deterministic counter
-        sample whenever virtual time crosses ``profiler.next_sample``.
-
-        Kept separate so the unprofiled hot path carries zero extra work;
-        the byte-identical-results invariant between the two loops is
-        pinned by tests/integration/test_profiler.py.
-        """
-        if self._running:
-            raise SimulationError("kernel.run() is not reentrant")
-        self._running = True
-        processed = 0
-        heap = self._heap
-        pool = self._pool
-        unlimited = max_events is None
         profiler = self.profiler
-        # The event frame is inlined rather than going through
-        # profiler.enter_event/exit_event: this loop is the profiled hot
-        # path and the perf tier bounds its overhead over the bare loop.
-        # run() is not reentrant and handler scopes are balanced (OBS002),
-        # so the scope stack is empty at every dispatch — the event frame's
-        # parent is always the root and no parent propagation is needed.
-        from repro.obs.prof.profiler import _Node
-
-        stack = profiler._stack
-        root_children = profiler._root.children
-        host_clock = profiler.host_clock
+        profiling = profiler.enabled
         try:
             while heap:
                 if not unlimited and processed >= max_events:
@@ -331,30 +264,21 @@ class Kernel:
                 event.fn = None
                 event.args = ()
                 assert fn is not None
-                label = fn.__qualname__
-                node = root_children.get(label)
-                if node is None:
-                    node = root_children[label] = _Node(label)
-                entry = [node, host_clock(), 0]
-                stack.append(entry)
-                try:
+                if profiling:
+                    profiler.enter_event(fn.__qualname__)
+                    try:
+                        fn(*args)
+                    finally:
+                        profiler.exit_event()
+                else:
                     fn(*args)
-                finally:
-                    elapsed = host_clock() - entry[1]
-                    stack.pop()
-                    stat = node.stat
-                    stat.calls += 1
-                    stat.host_ns += elapsed - entry[2]
                 if event.pooled:
                     event.cancelled = False
                     pool.append(event)
                 processed += 1
-                if self._now >= profiler.next_sample:
+                if profiling and time >= profiler.next_sample:
                     profiler.sample(
-                        self._now,
-                        self.events_processed + processed,
-                        len(heap),
-                        len(pool),
+                        time, self.events_processed + processed, len(heap), len(pool)
                     )
         finally:
             self.events_processed += processed

@@ -30,10 +30,9 @@ from collections.abc import Callable, Iterable
 from typing import Any, Protocol as TypingProtocol
 
 from repro.errors import SimulationError
-from repro.obs.prof.profiler import NULL_PROFILER, FrameStat, NullProfiler, SimProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.handle import NULL_OBS, Obs
+from repro.obs.prof.profiler import FrameStat
 from repro.obs.spans import Span
-from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.sim.cpu import CpuModel, CpuProfile
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.process import Env, Envelope, Process, TimerHandle, payload_of
@@ -119,6 +118,10 @@ class World:
         world.add(client)
         world.start()
         kernel.run(until=10.0)
+
+    To observe the run, build one :class:`~repro.obs.handle.Obs` and give
+    the same handle to the kernel, the network, the world and every
+    process (``obs=``); the world keeps whatever it was built with.
     """
 
     def __init__(
@@ -126,10 +129,8 @@ class World:
         kernel: Kernel,
         network: NetworkLike | None = None,
         trace: TraceRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
+        obs: Obs = NULL_OBS,
         measure_bytes: bool = False,
-        tracer: "Tracer | NullTracer | None" = None,
-        profiler: "SimProfiler | NullProfiler | None" = None,
     ) -> None:
         self.kernel = kernel
         self.network: NetworkLike = network if network is not None else ZeroLatencyNetwork()
@@ -139,18 +140,18 @@ class World:
         #: :class:`~repro.sim.process.Envelope` counts as its payload's type
         #: (its bytes include the envelope). Purely passive: metrics never
         #: touch RNGs or schedules.
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.metrics = obs.metrics
         #: Causal tracer: the world is the envelope layer, so it owns context
         #: propagation — a message span is captured at ``_send``, travels as
         #: an extra (always-present) argument through the kernel events, and
         #: is re-activated around the receiver's handler. Message dataclasses
         #: are never touched, and the event schedule is identical with
         #: tracing on or off.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = obs.tracer
         #: Sim-profiler (:mod:`repro.obs.prof`). Passive like the tracer:
         #: it reads the CPU-cost constants and the host clock but never an
         #: RNG or a schedule, so profiled runs are byte-identical.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
+        self.profiler = obs.profiler
         self._measure_bytes = measure_bytes and self.metrics.enabled
         self._processes: dict[ProcessId, Process] = {}
         self._cpus: dict[ProcessId, CpuModel] = {}

@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.errors import TransportError
 from repro.net.latency import LatencyModel
-from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
+from repro.obs.handle import NULL_OBS, Obs
 from repro.sim.process import Env, Process, TimerHandle, payload_of
 from repro.types import ProcessId
 
@@ -76,7 +76,7 @@ class LocalRuntime:
         self,
         latency: LatencyModel | None = None,
         seed: int = 0,
-        tracer: "Tracer | NullTracer | None" = None,
+        obs: Obs = NULL_OBS,
     ) -> None:
         self.latency = latency
         self.seed = seed
@@ -84,7 +84,7 @@ class LocalRuntime:
         #: scheduler thread, so the ambient-span discipline is safe here;
         #: context travels in the delivery/timer closures (envelope layer),
         #: exactly as in the simulated world.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = obs.tracer
         self._t0 = time.monotonic()
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()

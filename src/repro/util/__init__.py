@@ -1,11 +1,9 @@
-"""Small shared utilities: statistics, sequences, table rendering."""
+"""Small shared utilities: statistics, table rendering."""
 
-from repro.util.seq import SequenceGenerator
 from repro.util.stats import Summary, confidence_interval, summarize
 from repro.util.tables import format_series, format_table
 
 __all__ = [
-    "SequenceGenerator",
     "Summary",
     "confidence_interval",
     "summarize",

@@ -24,6 +24,7 @@ from repro.core.config import ReplicaConfig
 from repro.core.replica import Replica
 from repro.election.static import StaticElector
 from repro.net.network import SimNetwork
+from repro.obs.handle import Obs
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_report
 from repro.obs.timeline import load_export
@@ -48,24 +49,24 @@ def reference_run(
     profile = spec.profile
     topology = profile.build_topology(replica_pids, client_pids)
     topology.place("starter", topology.site_of(replica_pids[0]))
-    kernel = Kernel(seed=spec.seed)
-    registry = MetricsRegistry()
+    obs = Obs(metrics=MetricsRegistry())
+    kernel = Kernel(seed=spec.seed, obs=obs)
     world = World(
-        kernel, SimNetwork(topology, seed=spec.seed), metrics=registry, measure_bytes=True
+        kernel, SimNetwork(topology, seed=spec.seed, obs=obs), obs=obs, measure_bytes=True
     )
     replicas = {}
     for pid in replica_pids:
-        replica = Replica(pid, config, NoopService, StaticElector(replica_pids[0]))
-        replica.metrics = registry.scope(pid)
+        replica = Replica(
+            pid, config, NoopService, StaticElector(replica_pids[0]), obs=obs.scoped(pid)
+        )
         world.add(replica, cpu=profile.replica_cpu_for(len(client_steps)))
         replicas[pid] = replica
     clients = []
     for pid, steps in zip(client_pids, client_steps, strict=True):
         client = Client(
             pid, replicas=replica_pids, steps=steps, timeout=spec.client_timeout,
-            wait_for_start=True,
+            wait_for_start=True, obs=obs,
         )
-        client.metrics = registry
         world.add(client, cpu=profile.client_cpu)
         clients.append(client)
     world.add(Starter("starter", client_pids, at=spec.start_at), cpu=profile.client_cpu)

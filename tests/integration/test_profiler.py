@@ -64,6 +64,32 @@ class TestProfilerCannotPerturbTheRun:
         assert chosen_log_bytes(profiled) == chosen_log_bytes(bare)
         assert profiled.kernel.now == bare.kernel.now
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            lambda i: {"until": 0.002 * (i + 1)},
+            lambda i: {"max_events": 37},
+            lambda i: {"until": 0.002 * (i + 1), "max_events": 15},
+        ],
+        ids=["until", "max_events", "both"],
+    )
+    def test_partial_runs_stop_at_the_same_event(self, limits):
+        """``kernel.run(until=, max_events=)`` is one loop: with the
+        profiler on it fires the same events and parks the clock at the
+        same place, call after call."""
+
+        def drive(profiling: bool):
+            spec = ClusterSpec(profile=make_test_profile(), seed=7, profiling=profiling)
+            steps = [single_kind_steps(RequestKind.WRITE, 10) for _ in range(2)]
+            cluster = Cluster(spec, steps).start()
+            kernel = cluster.kernel
+            fired = [(kernel.run(**limits(i)), kernel.now) for i in range(4)]
+            return fired, kernel.events_processed, kernel.pending, chosen_log_bytes(cluster)
+
+        profiled, bare = drive(True), drive(False)
+        assert profiled == bare
+        assert all(n > 0 for n, _now in bare[0]) and bare[2] > 0  # stopped mid-run
+
     def test_profiling_composes_with_tracing(self):
         factory = lambda: single_kind_steps(RequestKind.WRITE, 8)  # noqa: E731
         both = run(profiling=True, tracing=True, steps_factory=factory)

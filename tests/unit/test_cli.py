@@ -50,6 +50,10 @@ BAD_INPUT = [
     (["profile", "--requests", "0"], "--requests must be at least 1"),
     (["chaos", "--clients", "0"], "--clients must be at least 1"),
     (["chaos", "--requests", "0"], "--requests must be at least 1"),
+    (["chaos", "--seeds", "0"], "--seeds must be at least 1"),
+    (["sweep", "--grid", "chaos", "--seeds", "0"], "--seeds must be at least 1"),
+    (["profile", "--execute-time", "-1"], "execute_time must be >= 0"),
+    (["chaos", "--intensity", "-1", "--seeds", "1"], "intensity must be >= 0"),
 ]
 
 

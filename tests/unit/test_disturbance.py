@@ -9,6 +9,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.link import LinkSpec
 from repro.net.network import Disturbance, SimNetwork
 from repro.net.topology import Topology
+from repro.obs.handle import Obs
 from repro.obs.registry import MetricsRegistry
 
 
@@ -17,9 +18,7 @@ def make_network(seed: int = 0, **spec_kw) -> SimNetwork:
     spec_kw.setdefault("jitter_reorder", False)
     topo = Topology(default=LinkSpec(**spec_kw))
     topo.place_all(["a", "b"], "site")
-    network = SimNetwork(topo, seed=seed)
-    network.metrics = MetricsRegistry()
-    return network
+    return SimNetwork(topo, seed=seed, obs=Obs(metrics=MetricsRegistry()))
 
 
 class TestDisturbanceConfig:

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.client.client import Client
 from repro.client.workload import single_kind_steps
 from repro.cluster.harness import Cluster, ClusterSpec
 from repro.cluster.metrics import collect
 from repro.cluster.scenarios import rrt_scenario, throughput_scenario
+from repro.core.config import ReplicaConfig
+from repro.core.group import ReplicationGroup
+from repro.election import StaticElector
 from repro.errors import ConfigError, SimulationError
+from repro.obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
+from repro.services.noop import NoopService
+from repro.sim.kernel import Kernel
 from repro.types import RequestKind
 from tests.conftest import make_test_profile
 
@@ -79,6 +86,41 @@ class TestCluster:
     def test_trace_enabled(self):
         cluster = small_cluster(trace=True).run()
         assert cluster.trace is not None and len(cluster.trace) > 0
+
+
+class TestObsWiring:
+    """The run's observers reach every component as one handle, at
+    construction; nothing is swapped in afterwards."""
+
+    def test_every_component_holds_the_clusters_observers(self):
+        cluster = small_cluster(tracing=True, profiling=True, groups=2)
+        registry, tracer, profiler = cluster.metrics, cluster.tracer, cluster.profiler
+        assert registry.enabled and tracer.enabled and profiler.enabled
+        assert cluster.kernel.metrics is registry
+        assert cluster.kernel.profiler is profiler
+        assert cluster.network.metrics is registry
+        world = cluster.world
+        assert (world.metrics, world.tracer, world.profiler) == (registry, tracer, profiler)
+        for pid, host in cluster.replicas.items():
+            assert host.tracer is tracer and host.profiler is profiler
+            assert host.metrics.counter("x") is registry.counter(f"proc.{pid}.x")
+            for g, group in host.groups.items():
+                assert group.tracer is tracer and group.profiler is profiler
+                assert group.metrics.counter("x") is registry.counter(f"proc.{pid}.g{g}.x")
+        for client in cluster.clients:
+            assert client.metrics is registry and client.tracer is tracer
+
+    def test_bare_components_hold_the_null_observers(self):
+        kernel = Kernel()
+        assert kernel.metrics is NULL_REGISTRY and kernel.profiler is NULL_PROFILER
+        client = Client("c0", replicas=("r0",), steps=[])
+        assert client.metrics is NULL_REGISTRY and client.tracer is NULL_TRACER
+        group = ReplicationGroup(
+            "r0", ReplicaConfig(peers=("r0",)), NoopService, StaticElector("r0")
+        )
+        assert (group.metrics, group.tracer, group.profiler) == (
+            NULL_REGISTRY, NULL_TRACER, NULL_PROFILER,
+        )
 
 
 class TestMetrics:

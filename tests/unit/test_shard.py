@@ -15,6 +15,7 @@ from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election import StaticElector
 from repro.errors import ConfigError
+from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.registry import MetricsRegistry
 from repro.shard.host import GroupHost
 from repro.sim.process import Env
@@ -151,15 +152,13 @@ class TestCrossGroupAtMostOnce:
 
 # ------------------------------------------------------------ GroupHost unit
 class TestGroupHost:
-    def _host(self, n_groups: int = 2) -> GroupHost:
+    def _host(self, n_groups: int = 2, obs: Obs = NULL_OBS) -> GroupHost:
         cfg = ReplicaConfig(peers=("r0", "r1", "r2"))
         electors = [StaticElector("r0") for _ in range(n_groups)]
-        return GroupHost("r0", cfg, _Service, electors)
+        return GroupHost("r0", cfg, _Service, electors, obs=obs)
 
-    def test_electors_must_cover_every_group(self):
+    def test_needs_at_least_one_group(self):
         cfg = ReplicaConfig(peers=("r0", "r1", "r2"))
-        with pytest.raises(ConfigError):
-            GroupHost("r0", cfg, _Service, {0: StaticElector("r0")}, n_groups=2)
         with pytest.raises(ConfigError):
             GroupHost("r0", cfg, _Service, [])
 
@@ -183,11 +182,10 @@ class TestGroupHost:
         assert host.stats["unknown_messages"] == 1
 
     def test_group_broadcast_is_one_envelope_through_the_host_env(self):
-        host = self._host()
+        registry = MetricsRegistry()
+        host = self._host(obs=Obs(metrics=registry))
         env = _RecordingEnv()
         host.bind(env)
-        registry = MetricsRegistry()
-        host.groups[1].metrics = registry.scope("r0.g1")
         prepare = Prepare(ballot=Ballot(1, "r0"), gaps=(), from_instance=0)
         host.groups[1].broadcast(("r1", "r2"), prepare)
         host.groups[1].send("r2", prepare)

@@ -1,22 +1,12 @@
-"""Unit tests for stats, tables and sequence utilities."""
+"""Unit tests for stats and table utilities."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.util.seq import SequenceGenerator
 from repro.util.stats import confidence_interval, summarize
 from repro.util.tables import format_series, format_table
-
-
-class TestSequenceGenerator:
-    def test_monotonic(self):
-        seq = SequenceGenerator()
-        assert [seq.next() for _ in range(3)] == [0, 1, 2]
-
-    def test_start(self):
-        assert SequenceGenerator(start=10).next() == 10
 
 
 class TestStats:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.handle import Obs
 from repro.obs.registry import MetricsRegistry
 from repro.sim.cpu import CpuProfile
 from repro.sim.kernel import Kernel
@@ -260,8 +261,8 @@ class TestTrace:
         kernel = Kernel()
         trace = TraceRecorder()
         metrics = MetricsRegistry()
-        world = World(kernel, FixedDelayNetwork(0.1), trace=trace, metrics=metrics,
-                      measure_bytes=True)
+        world = World(kernel, FixedDelayNetwork(0.1), trace=trace,
+                      obs=Obs(metrics=metrics), measure_bytes=True)
         a, b = world.add(Recorder("a")), world.add(Recorder("b"))
         world.start()
         envelope = Wrapped("x")
