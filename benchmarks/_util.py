@@ -1,9 +1,11 @@
 """Shared plumbing for the benchmark suite.
 
-Each benchmark regenerates one table or figure from the paper's §4. The
-measured rows/series are printed *and* written to ``benchmarks/results/``
-so the reproduction record survives pytest's output capture; EXPERIMENTS.md
-is assembled from those files. Alongside each ``<name>.txt`` block,
+Each benchmark regenerates one table or figure from the paper's §4
+(``bench_figures.py``, from the ``repro.experiments`` records that
+EXPERIMENTS.md is also rendered from) or one ablation. The measured
+rows/series are printed *and* written to ``benchmarks/results/`` so the
+reproduction record survives pytest's output capture. Alongside each
+``<name>.txt`` block,
 :func:`emit` writes a machine-readable ``BENCH_<name>.json`` summary so
 dashboards and regression tooling don't have to re-parse the text tables —
 benchmarks pass their structured rows/series via ``data`` and their named
@@ -38,13 +40,6 @@ def bench_workers() -> int:
     for any worker count — every run's seed is part of its spec.
     """
     return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
-
-
-def grid_map(task: str, param_list: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Map one sweep task over a parameter grid, honoring ``bench_workers``."""
-    from repro.parallel import pmap
-
-    return pmap(task, param_list, workers=bench_workers())
 
 
 def _normalize_metrics(metrics: dict[str, Any] | None) -> dict[str, Any]:

@@ -74,7 +74,7 @@ def compute():
         "(client->leader->acceptors->leader->client counts 4 hops but 3 "
         "delays before commit knowledge), Fast Paxos = 2 "
         "(client->acceptors->learner) — at the cost of n >= 3f+1 replicas "
-        "and collision recovery (see repro.core.fastpaxos)."
+        "and collision recovery."
     )
     return text, measured
 

@@ -25,7 +25,6 @@ from repro.cluster.harness import Cluster, ClusterSpec
 from repro.cluster.metrics import RunResult, collect
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.config import ReplicaConfig
-from repro.core.multipaxos import MultiPaxosReplica, multipaxos_config
 from repro.core.replica import Replica, ReplicaRole
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.omega import OmegaElector
@@ -49,7 +48,6 @@ __all__ = [
     "FaultSchedule",
     "ManualElectorGroup",
     "MetricsRegistry",
-    "MultiPaxosReplica",
     "OmegaElector",
     "ProposalNumber",
     "Replica",
@@ -68,7 +66,6 @@ __all__ = [
     "collect",
     "export_run",
     "load_export",
-    "multipaxos_config",
     "get_profile",
     "paper_txn_steps",
     "single_kind_steps",

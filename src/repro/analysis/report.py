@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.util.tables import format_table
 
@@ -38,20 +38,3 @@ def comparison_table(
         )
     header = ["metric", f"paper ({unit})", f"measured ({unit})", "delta"]
     return f"{title}\n{format_table(header, table_rows)}"
-
-
-def series_comparison(
-    title: str,
-    x_label: str,
-    xs: Sequence[object],
-    measured: Mapping[str, Sequence[float]],
-    fmt: str = "{:.0f}",
-) -> str:
-    """Render one measured figure series (paper figures give curves, not
-    exact values, so only measured numbers are printed; the expected *shape*
-    is stated in the title)."""
-    header = [x_label, *measured.keys()]
-    rows = []
-    for index, x in enumerate(xs):
-        rows.append([x, *(fmt.format(measured[name][index]) for name in measured)])
-    return f"{title}\n{format_table(header, rows)}"

@@ -12,229 +12,115 @@ import argparse
 import sys
 import time
 from collections.abc import Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro import __version__
-from repro.analysis.report import percent_change
 from repro.errors import ConfigError
+from repro.experiments import FIGURES, figures_grid, report
 from repro.lint.cli import add_lint_parser, lint_command
 from repro.net.profiles import PROFILES, get_profile
-from repro.parallel import figures_grid, run_grid
-from repro.parallel.spec import KINDS, TABLE1_PAPER_MS
+from repro.parallel import run_grid
+from repro.parallel.spec import KINDS
 
-#: Paper-reported T-Paxos throughput gains (%), Fig. 9 commentary, 3-req.
-FIG9_PAPER_GAINS_3REQ = {
-    "read_write": (42, 43, 45, 47, 57),
-    "write_only": (52, 53, 77, 88, 97),
-}
+if TYPE_CHECKING:
+    from repro.cluster.harness import Cluster
 
 
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines)
-
-
-def _tree(results: dict[str, dict]) -> dict:
-    """The figures grid's flat ``a/b/c`` keys as nested dicts. Grid order is
-    kept at every level, so a section renders by plain iteration."""
-    root: dict = {}
-    for key, result in results.items():
-        *path, leaf = key.split("/")
-        node = root
-        for part in path:
-            node = node.setdefault(part, {})
-        node[leaf] = result
-    return root
-
-
-def _rrt_section(by_profile: dict) -> str:
-    sections = []
-    for name, by_kind in by_profile.items():
-        profile = get_profile(name)
-        rows = []
-        for kind, result in by_kind.items():
-            rrt = result["rrt"]
-            paper = profile.paper_rrt[kind]
-            rows.append(
-                [
-                    kind,
-                    f"{paper * 1e3:.3f}",
-                    f"{rrt['mean'] * 1e3:.3f}",
-                    f"±{rrt['ci99'] * 1e3:.4f}",
-                    f"{percent_change(paper, rrt['mean']):+.1f}%",
-                ]
-            )
-        sections.append(
-            f"### {name} — request response time (§4.1)\n\n"
-            + _md_table(
-                ["kind", "paper (ms)", "measured (ms)", "99% CI (ms)", "delta"], rows
-            )
-        )
-    return "\n\n".join(sections)
-
-
-def _throughput_section(by_figure: dict) -> str:
-    sections = []
-    for figure, by_profile in by_figure.items():
-        for name, by_clients in by_profile.items():
-            rows = [
-                [int(clients[2:]), *(f"{r['throughput']:.0f}" for r in by_kind.values())]
-                for clients, by_kind in by_clients.items()
-            ]
-            kinds = next(iter(by_clients.values()))
-            sections.append(
-                f"### Fig. {figure[3:]} — throughput on {name} (requests/s)\n\n"
-                + _md_table(["clients", *kinds], rows)
-            )
-    return "\n\n".join(sections)
-
-
-def _table1_section(by_mode: dict) -> str:
-    rows = []
-    for mode, by_k in by_mode.items():
-        for k, result in by_k.items():
-            trt = result["trt"]
-            paper_ms = TABLE1_PAPER_MS[mode, int(k[2:])]
-            rows.append(
-                [
-                    f"{mode} {k[2:]}-req",
-                    f"{paper_ms:.2f}",
-                    f"{trt['mean'] * 1e3:.2f}",
-                    f"±{trt['ci99'] * 1e3:.3f}",
-                    f"{percent_change(paper_ms * 1e-3, trt['mean']):+.1f}%",
-                ]
-            )
-    gains = []
-    for k in by_mode["optimized"]:
-        for base in ("read_write", "write_only"):
-            reduction = 1 - (
-                by_mode["optimized"][k]["trt"]["mean"] / by_mode[base][k]["trt"]["mean"]
-            )
-            gains.append(f"vs {base} {k[2:]}-req: -{reduction * 100:.0f}%")
-    return (
-        "### Table 1 — transaction response time (§4.2)\n\n"
-        + _md_table(
-            ["operation", "paper (ms)", "measured (ms)", "99% CI (ms)", "delta"], rows
-        )
-        + "\n\nT-Paxos TRT reduction (paper: 28%, 34%, 31%, 39%): "
-        + "; ".join(gains)
-    )
-
-
-def _fig9_section(by_k: dict) -> str:
-    sections = []
-    for k, by_clients in by_k.items():
-        rows = []
-        for clients, by_mode in by_clients.items():
-            results = {mode: r["step_throughput"] for mode, r in by_mode.items()}
-            opt = results["optimized"]
-            rows.append(
-                [
-                    int(clients[2:]),
-                    f"{results['read_write']:.0f}",
-                    f"{results['write_only']:.0f}",
-                    f"{opt:.0f}",
-                    f"+{(opt / results['read_write'] - 1) * 100:.0f}%",
-                    f"+{(opt / results['write_only'] - 1) * 100:.0f}%",
-                ]
-            )
-        sections.append(
-            f"### Fig. 9{'a' if k == 'k=3' else 'b'} — {k[2:]}-request transaction "
-            "throughput (txn/s)\n\n"
-            + _md_table(
-                ["clients", "read/write", "write-only", "T-Paxos",
-                 "gain vs r/w", "gain vs w-only"],
-                rows,
-            )
-        )
-    return "\n\n".join(sections)
-
-
-def build_experiments_report(quick: bool = False, workers: int = 1) -> str:
+def experiments_command(args: argparse.Namespace) -> int:
+    """Run the §4 grid once, print the report, and gate on the paper's
+    claims: exit status 1 when any figure's check is non-empty."""
     started = time.time()
-    grid = _tree(run_grid(figures_grid(quick), workers=workers))
-    body = "\n\n".join(
-        [
-            "# EXPERIMENTS — paper vs. measured",
-            "Regenerate this file with `python -m repro experiments > EXPERIMENTS.md`"
-            " (add `--quick` for a fast smoke run). Every number below is produced"
-            " by the deterministic simulator; latency targets reproduce the paper"
-            " within a few percent, throughput reproduces the paper's *shapes*"
-            " (orderings, crossovers, peaks) — absolute throughput depends on"
-            " testbed constants the paper does not fully specify.",
-            "## Request response time (§4.1)",
-            _rrt_section(grid["rrt"]),
-            "## Throughput (Figs. 5-8)",
-            _throughput_section(grid["throughput"]),
-            "## Transactions (§4.2)",
-            _table1_section(grid["table1"]),
-            _fig9_section(grid["fig9"]),
-            "## Ablations",
-            "Ablation benches (not in the paper's tables, called out in its text)"
-            " live in `benchmarks/`: leader-switch sensitivity (§3.6), t > 1"
-            " degradation under wide-area variance (§4.3), and state-transfer"
-            " payload/latency vs state size (§3.3). Run"
-            " `pytest benchmarks/ --benchmark-only`; results land in"
-            " `benchmarks/results/`.",
-            f"_Generated in {time.time() - started:.1f}s of host time._",
-        ]
+    results = run_grid(figures_grid(args.quick), workers=args.workers)
+    print(report(results, time.time() - started))
+    violations = [v for figure in FIGURES for v in figure.check(results)]
+    for violation in violations:
+        print(f"repro experiments: {violation}", file=sys.stderr)
+    return 1 if violations else 0
+
+
+def _one_kind_flags(requests: int) -> argparse.ArgumentParser:
+    """The flags ``run``, ``trace`` and ``profile`` share (argparse parent):
+    one cluster, every client sending one kind of request."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--profile", default="sysnet", choices=sorted(PROFILES),
+        help="deployment profile (default: sysnet)",
     )
-    return body
+    flags.add_argument(
+        "--kind", default="write", choices=KINDS,
+        help="request kind for every client (default: write)",
+    )
+    flags.add_argument("--requests", type=int, default=requests,
+                       help=f"total requests across all clients (default: {requests})")
+    flags.add_argument("--clients", type=int, default=1,
+                       help="closed-loop client count (default: 1)")
+    flags.add_argument("--seed", type=int, default=0, help="simulation seed")
+    flags.add_argument("--chrome", metavar="PATH",
+                       help="write a Chrome trace-event JSON here (spans; with "
+                            "profiling, per-actor sim-CPU counter tracks)")
+    flags.add_argument("--export", metavar="PATH",
+                       help="write the JSONL timeline here (for 'repro report')")
+    return flags
 
 
-def run_command(args: argparse.Namespace) -> int:
-    """One instrumented run: print the result summary, optionally export the
-    JSONL timeline for ``repro report``.
+def _run_one_kind(args: argparse.Namespace, **spec_fields: Any) -> Cluster:
+    """Build and run the cluster those flags describe; ``spec_fields`` are
+    the :class:`ClusterSpec` fields the calling subcommand sets.
 
-    ``--groups N`` builds a sharded cluster: clients work a spread of KV
+    ``groups > 1`` builds a sharded cluster: clients work a spread of KV
     keys (instead of the noop service's keyless ops, which would all land
     on group 0) so every replication group coordinates a slice of the
     traffic and the per-group report tables have something to show.
     """
     from repro.client.workload import single_kind_steps
     from repro.cluster.harness import Cluster, ClusterSpec
-    from repro.cluster.metrics import collect
+    from repro.services.kvstore import KVStoreService
     from repro.types import RequestKind
 
-    profile = get_profile(args.profile)
+    spec = ClusterSpec(profile=get_profile(args.profile), seed=args.seed, **spec_fields)
     kind = RequestKind(args.kind)
     per_client = max(1, args.requests // args.clients)
-    spec = ClusterSpec(
-        profile=profile,
-        seed=args.seed,
+    if spec.groups == 1:
+        steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
+        return Cluster(spec, steps).run()
+
+    def op(index: int) -> tuple[str, ...]:
+        key = f"k{index % (4 * spec.groups)}"
+        if kind is RequestKind.READ:
+            return ("get", key)
+        return ("put", key, f"v{index}")
+
+    steps = [single_kind_steps(kind, per_client, op=op) for _ in range(args.clients)]
+    return Cluster(spec, steps, service_factory=KVStoreService).run()
+
+
+def _write_artifacts(
+    cluster: Cluster, args: argparse.Namespace, chrome_label: str = "chrome trace"
+) -> None:
+    """The ``--chrome`` / ``--export`` tail of those three subcommands."""
+    if args.chrome:
+        path = cluster.export_chrome(args.chrome)
+        print(f"{chrome_label}: {path} (load at ui.perfetto.dev)")
+    if args.export:
+        path = cluster.export_timeline(args.export)
+        print(f"timeline: {path}")
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """One instrumented run: print the result summary, optionally export the
+    JSONL timeline for ``repro report``."""
+    from repro.cluster.metrics import collect
+
+    cluster = _run_one_kind(
+        args,
         trace=args.trace,
         tracing=args.tracing or bool(args.chrome),
         profiling=args.profiling,
         fsync=args.fsync,
         groups=args.groups,
     )
-    if args.groups > 1:
-        from repro.services.kvstore import KVStoreService
-
-        def op(index: int):
-            key = f"k{index % (4 * args.groups)}"
-            if kind is RequestKind.READ:
-                return ("get", key)
-            return ("put", key, f"v{index}")
-
-        steps = [
-            single_kind_steps(kind, per_client, op=op)
-            for _ in range(args.clients)
-        ]
-        cluster = Cluster(spec, steps, service_factory=KVStoreService)
-    else:
-        steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-        cluster = Cluster(spec, steps)
-    cluster.run()
     print(collect(cluster).describe())
-    if args.export:
-        path = cluster.export_timeline(args.export)
-        print(f"timeline: {path}")
-    if args.chrome:
-        path = cluster.export_chrome(args.chrome)
-        print(f"chrome trace: {path} (load at ui.perfetto.dev)")
+    _write_artifacts(cluster, args)
     return 0
 
 
@@ -242,25 +128,11 @@ def trace_command(args: argparse.Namespace) -> int:
     """Run one traced cluster and render per-request waterfalls plus the
     critical-path and §3.4 formula-conformance summaries."""
     from repro.analysis.model import LatencyModelInputs
-    from repro.client.workload import single_kind_steps
-    from repro.cluster.harness import Cluster, ClusterSpec
-    from repro.obs.tracing import (
-        COMPONENTS,
-        analyze_requests,
-        conformance,
-        summarize_paths,
-    )
-    from repro.types import RequestKind
+    from repro.obs.report import critical_path_table
+    from repro.obs.tracing import analyze_requests, conformance
     from repro.util.tables import format_table
 
-    profile = get_profile(args.profile)
-    kind = RequestKind(args.kind)
-    per_client = max(1, args.requests // args.clients)
-    spec = ClusterSpec(profile=profile, seed=args.seed, tracing=True)
-    steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-    cluster = Cluster(spec, steps)
-    cluster.run()
-
+    cluster = _run_one_kind(args, tracing=True)
     store = cluster.tracer.store
     shown = 0
     for root in store.roots():
@@ -272,29 +144,24 @@ def trace_command(args: argparse.Namespace) -> int:
         print()
         shown += 1
 
-    paths = analyze_requests(store)
-    rows: list[list[object]] = []
-    for k, s in summarize_paths(paths).items():
-        rows.append([k, "mean", s.n, f"{s.mean_total * 1e3:.3f}",
-                     *(f"{s.mean[c] * 1e3:.3f}" for c in COMPONENTS),
-                     s.incomplete or ""])
-        rows.append([k, "p95", "", f"{s.p95_total * 1e3:.3f}",
-                     *(f"{s.p95[c] * 1e3:.3f}" for c in COMPONENTS), ""])
-    print("Critical-path attribution (ms)")
-    print(format_table(["kind", "stat", "n", "total", *COMPONENTS, "incomplete"], rows))
+    print(critical_path_table(store))
 
     # Model inputs derived from the profile's paper RRTs (original = 2M + E,
     # write = 2M + E + 2m, with E = 0 in this command's workloads).
-    original = profile.paper_rrt.get("original")
-    write = profile.paper_rrt.get("write")
+    paper_rrt = cluster.spec.profile.paper_rrt
+    original = paper_rrt.get("original")
+    write = paper_rrt.get("write")
     if original is not None and write is not None:
         model = LatencyModelInputs(
             client_replica=original / 2,
             replica_replica=(write - original) / 2,
             execute=0.0,
         )
+        paths = analyze_requests(store)
         crows = []
-        for k, row in conformance(paths, model, xpaxos_reads=spec.xpaxos_reads).items():
+        for k, row in conformance(
+            paths, model, xpaxos_reads=cluster.spec.xpaxos_reads
+        ).items():
             crows.append([k, row.formula, row.n,
                           f"{row.measured_mean * 1e3:.3f}",
                           f"{row.expected * 1e3:.3f}",
@@ -307,11 +174,7 @@ def trace_command(args: argparse.Namespace) -> int:
 
     if args.chrome:
         print()
-        path = cluster.export_chrome(args.chrome)
-        print(f"chrome trace: {path} (load at ui.perfetto.dev)")
-    if args.export:
-        path = cluster.export_timeline(args.export)
-        print(f"timeline: {path}")
+    _write_artifacts(cluster, args)
     return 0
 
 
@@ -325,10 +188,10 @@ def chaos_command(args: argparse.Namespace) -> int:
         ChaosOptions,
         dump_summary,
         render_report,
-        run_chaos,
         shrink,
         to_summary,
     )
+    from repro.parallel import RunSpec, SweepOptions, run_sweep
 
     options = ChaosOptions(
         protocol=args.protocol,
@@ -347,41 +210,34 @@ def chaos_command(args: argparse.Namespace) -> int:
     workers = args.workers
     if workers > 1 and args.tracing:
         # Traced trials keep their cluster for waterfall rendering, which
-        # cannot cross a process boundary; fall back to the serial path.
+        # cannot cross a process boundary.
         print("chaos: --tracing forces --workers 1", file=sys.stderr)
         workers = 1
-    if workers > 1:
-        # Each spec carries its own seed, so sharding the sweep across
-        # workers cannot skew any trial's nemesis schedule.
-        from repro.parallel import RunSpec, SweepOptions, run_sweep
-
-        specs = [
-            RunSpec(
-                task="chaos_result",
-                key=f"chaos/seed={seed:06d}",
-                params={"seed": seed, "options": dataclasses.asdict(options)},
-            )
-            for seed in range(args.seed, args.seed + args.seeds)
-        ]
-        sweep = run_sweep(specs, SweepOptions(workers=workers))
-        for record in sweep.failed():
-            print(f"chaos: {record.spec.key}: {record.error}", file=sys.stderr)
-        if not sweep.ok:
-            return 2
-        results = [record.result for record in sweep.records]
-        if not args.quiet:
-            for result in results:
-                if not result.ok:
-                    names = ",".join(sorted({v.invariant for v in result.violations}))
-                    print(f"seed {result.seed}: VIOLATION ({names})", file=sys.stderr)
-    else:
-        results = []
-        for seed in range(args.seed, args.seed + args.seeds):
-            result = run_chaos(seed, options, keep_cluster=args.tracing)
-            results.append(result)
-            if not result.ok and not args.quiet:
+    # Each spec carries its own seed, so sharding the sweep across
+    # workers cannot skew any trial's nemesis schedule.
+    specs = [
+        RunSpec(
+            task="chaos_result",
+            key=f"chaos/seed={seed:06d}",
+            params={
+                "seed": seed,
+                "options": dataclasses.asdict(options),
+                "keep_cluster": args.tracing,
+            },
+        )
+        for seed in range(args.seed, args.seed + args.seeds)
+    ]
+    sweep = run_sweep(specs, SweepOptions(workers=workers))
+    for record in sweep.failed():
+        print(f"chaos: {record.spec.key}: {record.error}", file=sys.stderr)
+    if not sweep.ok:
+        return 2
+    results = [record.result for record in sweep.records]
+    if not args.quiet:
+        for result in results:
+            if not result.ok:
                 names = ",".join(sorted({v.invariant for v in result.violations}))
-                print(f"seed {seed}: VIOLATION ({names})", file=sys.stderr)
+                print(f"seed {result.seed}: VIOLATION ({names})", file=sys.stderr)
 
     shrink_outcomes = []
     if args.shrink:
@@ -488,39 +344,19 @@ def profile_command(args: argparse.Namespace) -> int:
     """Profile one run: hottest-handlers table, §3.4 E/m/M attribution, and
     (optionally) a collapsed flamegraph file plus a chrome trace with
     per-actor sim-CPU counter tracks."""
-    from repro.client.workload import single_kind_steps
-    from repro.cluster.harness import Cluster, ClusterSpec
     from repro.obs.prof import attribution, frame_rows, write_collapsed
-    from repro.types import RequestKind
+    from repro.obs.report import hottest_handlers_table
     from repro.util.tables import format_table
 
-    profile = get_profile(args.profile)
-    kind = RequestKind(args.kind)
-    per_client = max(1, args.requests // args.clients)
-    spec = ClusterSpec(
-        profile=profile,
-        seed=args.seed,
+    cluster = _run_one_kind(
+        args,
         execute_time=args.execute_time,
         profiling=True,
         tracing=bool(args.chrome),
     )
-    steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-    cluster = Cluster(spec, steps)
-    cluster.run()
-
-    # Sim CPU is booked on the send/recv/execute accounting frames, host
-    # self time on the handler frames: each metric ranks its own frames.
-    first, second = (3, 2) if args.metric == "host" else (2, 3)
-    rows = sorted(
-        (row for row in frame_rows(cluster.profiler) if row[1]),
-        key=lambda row: (-row[first], -row[second], row[0]),
-    )
-    table = [
-        [";".join(path), calls, f"{sim_ns / 1e6:.3f}", f"{host_ns / 1e6:.3f}"]
-        for path, calls, sim_ns, host_ns in rows[: args.top]
-    ]
-    print(f"Hottest handlers (top {len(table)} by {args.metric} time, exclusive)")
-    print(format_table(["frame", "calls", "sim ms", "host ms"], table))
+    print(hottest_handlers_table(
+        frame_rows(cluster.profiler), metric=args.metric, top=args.top
+    ))
 
     # §3.4 attribution: M = client<->replica messaging, E = execution,
     # m = replica<->replica messaging, measured in accounted sim-CPU.
@@ -538,12 +374,7 @@ def profile_command(args: argparse.Namespace) -> int:
         path = write_collapsed(cluster.profiler, args.out, metric=args.metric)
         print(f"\ncollapsed stacks ({args.metric}): {path} "
               "(render with flamegraph.pl or speedscope)")
-    if args.chrome:
-        path = cluster.export_chrome(args.chrome)
-        print(f"chrome trace with counter tracks: {path} (load at ui.perfetto.dev)")
-    if args.export:
-        path = cluster.export_timeline(args.export)
-        print(f"timeline: {path}")
+    _write_artifacts(cluster, args, chrome_label="chrome trace with counter tracks")
     return 0
 
 
@@ -668,58 +499,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub.add_parser("profiles", help="list the calibrated deployment profiles")
 
     run = sub.add_parser(
-        "run", help="one instrumented run; export its timeline with --export"
+        "run", parents=[_one_kind_flags(requests=100)],
+        help="one instrumented run; export its timeline with --export",
     )
-    run.add_argument(
-        "--profile", default="sysnet", choices=sorted(PROFILES),
-        help="deployment profile (default: sysnet)",
-    )
-    run.add_argument(
-        "--kind", default="write", choices=KINDS,
-        help="request kind for every client (default: write)",
-    )
-    run.add_argument("--requests", type=int, default=100,
-                     help="total requests across all clients (default: 100)")
-    run.add_argument("--clients", type=int, default=1,
-                     help="closed-loop client count (default: 1)")
-    run.add_argument("--seed", type=int, default=0, help="simulation seed")
     run.add_argument("--groups", type=int, default=1,
                      help="replication groups per process (keyspace shards; "
                           ">1 switches to a keyed KV workload, default: 1)")
     run.add_argument("--fsync", default="async", choices=("sync", "group", "async"),
                      help="stable-storage durability mode: fsync per barrier, "
                           "group commit, or legacy write-through (default: async)")
-    run.add_argument("--export", metavar="PATH",
-                     help="write the JSONL timeline here (for 'repro report')")
     run.add_argument("--trace", action="store_true",
                      help="also record (and export) per-message trace events")
     run.add_argument("--tracing", action="store_true",
-                     help="record causal request spans (exported with --export)")
-    run.add_argument("--chrome", metavar="PATH",
-                     help="write a Chrome trace-event JSON here (implies --tracing)")
+                     help="record causal request spans (exported with --export; "
+                          "implied by --chrome)")
     run.add_argument("--profiling", action="store_true",
                      help="record sim-CPU/host-time profiler frames "
                           "(exported with --export; counters with --chrome)")
 
     profile_parser = sub.add_parser(
-        "profile",
+        "profile", parents=[_one_kind_flags(requests=100)],
         help="profile one run: hottest handlers, E/m/M attribution, flamegraph",
     )
-    profile_parser.add_argument(
-        "--profile", default="sysnet", choices=sorted(PROFILES),
-        help="deployment profile (default: sysnet)",
-    )
-    profile_parser.add_argument(
-        "--kind", default="write", choices=KINDS,
-        help="request kind for every client (default: write)",
-    )
-    profile_parser.add_argument("--requests", type=int, default=100,
-                                help="total requests across all clients "
-                                     "(default: 100)")
-    profile_parser.add_argument("--clients", type=int, default=1,
-                                help="closed-loop client count (default: 1)")
-    profile_parser.add_argument("--seed", type=int, default=0,
-                                help="simulation seed")
     profile_parser.add_argument("--execute-time", type=float, default=0.0,
                                 help="modeled execution time E in seconds "
                                      "(default: 0)")
@@ -734,12 +535,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                                      "ranked by and --out is written in: "
                                      "simulated CPU or host wall time "
                                      "(default: sim)")
-    profile_parser.add_argument("--chrome", metavar="PATH",
-                                help="write a Chrome trace-event JSON with "
-                                     "counter tracks here")
-    profile_parser.add_argument("--export", metavar="PATH",
-                                help="write the JSONL timeline here "
-                                     "(for 'repro report')")
 
     perf = sub.add_parser(
         "perf", help="perf-regression ledger: record results, trend, gate CI"
@@ -773,28 +568,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                             "(default: 0.10)")
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[_one_kind_flags(requests=10)],
         help="one traced run: per-request waterfalls + critical-path summary",
     )
-    trace.add_argument(
-        "--profile", default="sysnet", choices=sorted(PROFILES),
-        help="deployment profile (default: sysnet)",
-    )
-    trace.add_argument(
-        "--kind", default="write", choices=KINDS,
-        help="request kind for every client (default: write)",
-    )
-    trace.add_argument("--requests", type=int, default=10,
-                       help="total requests across all clients (default: 10)")
-    trace.add_argument("--clients", type=int, default=1,
-                       help="closed-loop client count (default: 1)")
-    trace.add_argument("--seed", type=int, default=0, help="simulation seed")
     trace.add_argument("--show", type=int, default=3,
                        help="request waterfalls to print (default: 3)")
-    trace.add_argument("--chrome", metavar="PATH",
-                       help="write a Chrome trace-event JSON here")
-    trace.add_argument("--export", metavar="PATH",
-                       help="write the JSONL timeline here (for 'repro report')")
 
     report = sub.add_parser(
         "report", help="render tables from a JSONL export (two paths: compare)"
@@ -893,8 +671,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"--{flag} must be at least 1, got {value}")
     try:
         if args.command == "experiments":
-            print(build_experiments_report(quick=args.quick, workers=args.workers))
-            return 0
+            return experiments_command(args)
         if args.command == "profiles":
             for name, factory in PROFILES.items():
                 profile = factory()

@@ -37,6 +37,11 @@ from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.types import ProcessId, StateTransferMode
 
+#: Virtual time at which the starter broadcasts the start signal (seconds).
+START_AT = 0.001
+#: Virtual-time period of the profiler's counter track (seconds).
+PROFILE_SAMPLE_INTERVAL = 0.01
+
 
 class Starter(Process):
     """Broadcasts the start signal at a fixed time (stands next to the
@@ -105,7 +110,6 @@ class ClusterSpec:
     omega_timeout: float = 0.25
     #: Scale per-message CPU with the client count (Fig. 6's contention).
     connection_scaling: bool = True
-    start_at: float = 0.001
     trace: bool = False
     #: Causal request tracing (:mod:`repro.obs.tracing`): one span tree per
     #: client request, from submit to reply. Passive like metrics — a traced
@@ -125,8 +129,6 @@ class ClusterSpec:
     #: tracer — a profiled run is byte-identical to a bare one
     #: (tests/integration/test_profiler.py) — and zero-overhead when off.
     profiling: bool = False
-    #: Virtual-time period of the profiler's counter track (seconds).
-    profile_sample_interval: float = 0.01
     #: Stable-storage durability mode (:mod:`repro.storage`): ``async``
     #: (legacy zero-latency durability, byte-identical to pre-storage
     #: runs), ``sync`` or ``group``.
@@ -184,7 +186,7 @@ class Cluster:
         self.profiler: SimProfiler | NullProfiler = (
             SimProfiler(
                 clock=lambda: self.kernel.now,
-                sample_interval=spec.profile_sample_interval,
+                sample_interval=PROFILE_SAMPLE_INTERVAL,
             )
             if spec.profiling
             else NULL_PROFILER
@@ -275,7 +277,7 @@ class Cluster:
             self.world.add(client, cpu=profile.client_cpu)
             self.clients.append(client)
 
-        self.starter = Starter(starter_pid, self.client_pids, at=spec.start_at)
+        self.starter = Starter(starter_pid, self.client_pids, at=START_AT)
         self.world.add(self.starter, cpu=profile.client_cpu)
 
         self._started = False

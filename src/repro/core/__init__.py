@@ -8,15 +8,19 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.messages` — the wire protocol.
 * :mod:`repro.core.state` — FULL / DELTA / REPRO state transfer (§3.3).
 * :mod:`repro.core.log` — the replica's command log (§3.3).
-* :mod:`repro.core.paxos` — single-decree classic Paxos (§3.2).
-* :mod:`repro.core.fastpaxos` — single-decree Fast Paxos (§5 comparator).
-* :mod:`repro.core.multipaxos` — deterministic-SMR baseline (§3.3 ¶1).
-* :mod:`repro.core.acceptor` — the acceptor role shared by all variants.
+* :mod:`repro.core.config` — the static configuration a group's replicas share.
+* :mod:`repro.core.group` — one replica of one replication group: acceptor,
+  learner, leader lifecycle and client front end (§3.1-§3.3). The
+  deterministic-SMR baseline of §3.3 ¶1 is its ``StateTransferMode.SMR``.
 * :mod:`repro.core.proposer` — the leader's sequential proposal pipeline.
 * :mod:`repro.core.xpaxos` — the read path (§3.4).
 * :mod:`repro.core.locks`, :mod:`repro.core.tpaxos` — transactions (§3.5).
 * :mod:`repro.core.recovery` — new-leader recovery (§3.3).
-* :mod:`repro.core.replica` — the full service replica.
+* :mod:`repro.core.replica` — a group standing alone as its own process
+  (bare runtimes; the simulated cluster builds :mod:`repro.shard.host`).
+
+The §5 comparator, semi-passive replication over Chandra-Toueg consensus,
+is ``examples/semipassive.py``.
 """
 
 from repro.core.ballot import Ballot, ProposalNumber

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.types import ProcessId, StateTransferMode
 
+#: Period of the leader's anti-entropy FrontierProbe broadcast (seconds).
+SYNC_INTERVAL = 0.25
+
 
 @dataclass(frozen=True, slots=True)
 class ReplicaConfig:
@@ -34,8 +37,6 @@ class ReplicaConfig:
     prepare_retry: float = 1.0
     checkpoint_interval: int = 100
     max_batch: int = 8
-    #: Period of the leader's anti-entropy FrontierProbe broadcast.
-    sync_interval: float = 0.25
     #: Abort (with undo) an ACTIVE transaction idle this long, in seconds
     #: (0 disables). A client that abandons a transaction mid-stream —
     #: e.g. a stale leader answered one of its ops with ABORTED during a

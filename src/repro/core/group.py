@@ -48,7 +48,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.core.ballot import Ballot, ProposalNumber
-from repro.core.config import ReplicaConfig
+from repro.core.config import SYNC_INTERVAL, ReplicaConfig
 from repro.core.locks import LockManager
 from repro.core.messages import (
     AcceptBatch,
@@ -697,7 +697,7 @@ class ReplicationGroup(Process):
                 self.broadcast(
                     self.others, FrontierProbe(instance=self.applied, ballot=self.ballot)
                 )
-            self.set_timer(self.config.sync_interval, self._broadcast_frontier)
+            self.set_timer(SYNC_INTERVAL, self._broadcast_frontier)
         finally:
             self.tracer.restore(token)
 
@@ -855,7 +855,7 @@ class ReplicationGroup(Process):
         # Arm anti-entropy outside any request/recovery context.
         token = self.tracer.activate(None)
         try:
-            self.set_timer(self.config.sync_interval, self._broadcast_frontier)
+            self.set_timer(SYNC_INTERVAL, self._broadcast_frontier)
         finally:
             self.tracer.restore(token)
 

@@ -42,7 +42,7 @@ from repro.core.messages import AcceptBatch, AcceptedBatch, Proposal
 from repro.types import InstanceId, ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import Replica
+    from repro.core.group import ReplicationGroup
 
 #: Sentinel: the item resolved without needing a consensus instance.
 SKIP = object()
@@ -92,7 +92,7 @@ class _InFlight:
 class SequentialProposer:
     """At most one accept round in flight; strictly increasing instances."""
 
-    def __init__(self, replica: "Replica", max_batch: int = 8) -> None:
+    def __init__(self, replica: "ReplicationGroup", max_batch: int = 8) -> None:
         self.replica = replica
         self.max_batch = max_batch
         self.queue: deque[ProposalItem] = deque()

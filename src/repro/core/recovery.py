@@ -39,7 +39,7 @@ from repro.errors import ProtocolError
 from repro.types import InstanceId, ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import Replica
+    from repro.core.group import ReplicationGroup
 
 
 @dataclass(slots=True)
@@ -64,7 +64,7 @@ class _AcceptRound:
 class RecoveryCoordinator:
     """Drives the prepare + accept rounds a new leader runs before serving."""
 
-    def __init__(self, replica: "Replica") -> None:
+    def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
         self._prepare: _PrepareRound | None = None
         self._accept: _AcceptRound | None = None
@@ -73,10 +73,6 @@ class RecoveryCoordinator:
         self._started_at: float | None = None
         #: Causal-tracing span covering prepare -> merge -> closing accept.
         self._span: Any = None
-
-    @property
-    def in_progress(self) -> bool:
-        return self._prepare is not None or self._accept is not None
 
     # --------------------------------------------------------------- prepare
     def start(self, ballot: Ballot) -> None:

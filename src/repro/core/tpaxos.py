@@ -36,7 +36,7 @@ from repro.services.base import ExecutionResult
 from repro.types import InstanceId, ProcessId, ReplyStatus, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import Replica
+    from repro.core.group import ReplicationGroup
 
 
 class TxnPhase(enum.Enum):
@@ -66,7 +66,7 @@ class TxnManager:
     """Leader-side transaction bookkeeping. Volatile: a leader switch
     aborts every active transaction (§3.6)."""
 
-    def __init__(self, replica: "Replica") -> None:
+    def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
         self.active: dict[str, ActiveTxn] = {}
         #: Statistics.
@@ -224,16 +224,6 @@ class TxnManager:
         self.aborts += 1
         self.replica.tracer.end(txn.span, status=f"aborted:{cause}")
         self.replica.metrics.counter(f"tpaxos.abort.{cause}").inc()
-
-    def abort_all(self) -> None:
-        """Abort every active transaction via its undo records (used when the
-        service state itself is kept — e.g. an administrative abort)."""
-        for txn in list(self.active.values()):
-            if txn.phase is TxnPhase.ACTIVE:
-                self._rollback(txn, cause="admin")
-            else:
-                # Commit already in flight: its fate is decided by consensus.
-                self.active.pop(txn.txn_id, None)
 
     # ---------------------------------------------------------------- expiry
     def _arm_expiry(self) -> None:

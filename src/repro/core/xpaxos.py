@@ -23,7 +23,7 @@ from repro.core.requests import ClientRequest, RequestId
 from repro.types import ProcessId, ReplyStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.replica import Replica
+    from repro.core.group import ReplicationGroup
 
 
 @dataclass(slots=True)
@@ -46,7 +46,7 @@ class ReadCoordinator:
     either arrival order.
     """
 
-    def __init__(self, replica: "Replica") -> None:
+    def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
         self._pending: dict[RequestId, _PendingRead] = {}
         #: rid -> confirming replica ids (for the *current* ballot only).

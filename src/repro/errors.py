@@ -32,16 +32,8 @@ class ProtocolError(ReproError):
     """
 
 
-class NotLeaderError(ProtocolError):
-    """An operation that only the leader may perform was attempted elsewhere."""
-
-
 class TransactionError(ReproError):
     """Base class for transaction-related failures."""
-
-
-class TransactionAborted(TransactionError):
-    """The transaction was aborted (conflict, leader switch, or client abort)."""
 
 
 class LockConflict(TransactionError):

@@ -9,9 +9,10 @@ output, so report blocks paste straight into EXPERIMENTS.md. Powers the
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.spans import SpanStore
 from repro.obs.timeline import RunExport, registry_records
 from repro.obs.tracing import COMPONENTS, analyze_requests, summarize_paths
 from repro.util.tables import format_table
@@ -130,13 +131,11 @@ def phase_table(export: RunExport) -> str:
 
 
 # -------------------------------------------------------------- critical path
-def critical_path_table(export: RunExport) -> str:
+def critical_path_table(store: SpanStore) -> str:
     """Per-request-kind critical-path attribution to the §3.4 components
     (M = client<->replica hop, E = execution, m = replica<->replica hop).
-    Empty when the export carries no causal spans."""
-    if not export.spans:
-        return ""
-    paths = analyze_requests(export.span_store())
+    Empty when the store holds no request span trees."""
+    paths = analyze_requests(store)
     if not paths:
         return ""
     rows: list[list[object]] = []
@@ -156,34 +155,31 @@ def critical_path_table(export: RunExport) -> str:
 
 
 # ------------------------------------------------------------------- profiling
-def hottest_handlers_table(export: RunExport, top: int = 10) -> str:
-    """Top-N frames by simulated CPU (host self-time as the tiebreak).
-
-    Empty when the export carries no profiler records (``repro run
-    --profiling`` / ``ClusterSpec(profiling=True)`` produce them).
+def hottest_handlers_table(
+    frames: Iterable[tuple[tuple[str, ...], int, int, int]],
+    metric: str = "sim",
+    top: int = 10,
+) -> str:
+    """Top-N of ``(path, calls, sim_ns, host_ns)`` frame rows
+    (:func:`repro.obs.prof.frame_rows`) by ``metric`` time, the other
+    currency as the tiebreak. Sim CPU is booked on the send/recv/execute
+    accounting frames, host self time on the handler frames, so each
+    metric ranks its own frames. Empty when no frame was ever entered.
     """
-    frames = [r for r in export.prof if r.get("calls")]
-    if not frames:
-        return ""
-    frames.sort(
-        key=lambda r: (
-            -(r.get("sim_ns") or 0),
-            -(r.get("host_ns") or 0),
-            tuple(r.get("path") or ()),
-        )
+    first, second = (3, 2) if metric == "host" else (2, 3)
+    ranked = sorted(
+        (row for row in frames if row[1]),
+        key=lambda row: (-row[first], -row[second], row[0]),
     )
-    rows: list[list[object]] = []
-    for record in frames[:top]:
-        rows.append(
-            [
-                ";".join(record.get("path") or ()),
-                record.get("calls", 0),
-                f"{(record.get('sim_ns') or 0) / 1e6:.3f}",
-                f"{(record.get('host_ns') or 0) / 1e6:.3f}",
-            ]
-        )
-    return f"Hottest handlers (top {len(rows)}, exclusive)\n" + format_table(
-        ["frame", "calls", "sim ms", "host ms"], rows
+    if not ranked:
+        return ""
+    rows = [
+        [";".join(path), calls, f"{sim_ns / 1e6:.3f}", f"{host_ns / 1e6:.3f}"]
+        for path, calls, sim_ns, host_ns in ranked[:top]
+    ]
+    return (
+        f"Hottest handlers (top {len(rows)} by {metric} time, exclusive)\n"
+        + format_table(["frame", "calls", "sim ms", "host ms"], rows)
     )
 
 
@@ -223,8 +219,12 @@ def render_report(export: RunExport) -> str:
             message_table(export),
             per_replica_table(export),
             phase_table(export),
-            critical_path_table(export),
-            hottest_handlers_table(export),
+            critical_path_table(export.span_store()),
+            hottest_handlers_table(
+                (tuple(r.get("path") or ()), r.get("calls", 0),
+                 r.get("sim_ns") or 0, r.get("host_ns") or 0)
+                for r in export.prof
+            ),
         )
         if block
     ]

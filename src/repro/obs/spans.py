@@ -136,9 +136,6 @@ class SpanStore:
             and (trace_id is None or s.trace_id == trace_id)
         ]
 
-    def open_spans(self) -> list[Span]:
-        return [s for s in self._spans if not s.finished]
-
     def tree(self, trace_id: int) -> "SpanTree":
         return SpanTree.build(self.trace(trace_id), trace_id)
 

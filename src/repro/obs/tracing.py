@@ -230,9 +230,6 @@ class RequestPath:
     def component(self, name: str) -> float:
         return sum(s.duration for s in self.segments if s.component == name)
 
-    def breakdown(self) -> dict[str, float]:
-        return {name: self.component(name) for name in COMPONENTS}
-
 
 def classify_span(span: Span, client: ProcessId | None) -> str:
     """Map a span to a §3.4 latency component."""

@@ -10,7 +10,7 @@ function of its spec no matter which worker executes it or in what order).
 Layers:
 
 * :mod:`repro.parallel.spec` — run specs and grid builders (chaos sweeps,
-  figure reproductions, the calibration set).
+  the calibration set; the §4 figures grid is in :mod:`repro.experiments`).
 * :mod:`repro.parallel.tasks` — the picklable task functions workers run.
 * :mod:`repro.parallel.runner` — the work-stealing multiprocess pool with
   per-run timeout, retry, and crash recovery.
@@ -30,7 +30,6 @@ from repro.parallel.spec import (
     RunSpec,
     calibration_grid,
     chaos_grid,
-    figures_grid,
     selftest_grid,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "calibration_grid",
     "canonical_json",
     "chaos_grid",
-    "figures_grid",
     "merge_records",
     "merge_sweep",
     "pmap",

@@ -8,7 +8,9 @@ exist, or what ran before it. That is the whole determinism story: the
 merged output of a sweep is a pure function of its spec list.
 
 Grid builders turn CLI-level arguments into spec lists. They are plain
-functions so tests can call them directly and assert the seed layout.
+functions so tests can call them directly and assert the seed layout. The
+grid of the paper's §4 figures is :func:`repro.experiments.figures_grid`,
+beside the figures it feeds.
 """
 
 from __future__ import annotations
@@ -23,17 +25,6 @@ from repro.errors import ConfigError
 #: Request kinds swept by the RRT/throughput figures (and the CLI's
 #: ``--kind`` choices).
 KINDS = ("original", "read", "write")
-
-#: Table 1 cells, (transaction mode, requests per transaction), each with
-#: the paper's TRT in ms that ``repro experiments`` sets the run against.
-TABLE1_PAPER_MS = {
-    ("read_write", 3): 1.17,
-    ("read_write", 5): 1.79,
-    ("write_only", 3): 1.29,
-    ("write_only", 5): 2.01,
-    ("optimized", 3): 0.85,
-    ("optimized", 5): 1.23,
-}
 
 
 @dataclass(frozen=True)
@@ -117,89 +108,6 @@ def chaos_grid(
     return specs
 
 
-def figures_grid(quick: bool = False) -> list[RunSpec]:
-    """Every cell of the paper's §4 evaluation as one independent run.
-
-    The one definition of that grid: ``repro experiments`` runs it and
-    renders its four sections from the keyed results — RRT per profile x
-    kind (``rrt/<profile>/<kind>``), throughput per figure x client count x
-    kind (``throughput/<fig>/<profile>/c=<n>/<kind>``), Table 1 transaction
-    RRT (``table1/<mode>/k=<k>``) and Fig. 9 transaction throughput
-    (``fig9/k=<k>/c=<n>/<mode>``), with seeds 1/3/2/5 respectively. Keys
-    within a section are emitted in the order its table reads.
-    """
-    specs: list[RunSpec] = []
-    rrt_samples = 60 if quick else 300
-    for profile in ("sysnet", "berkeley_princeton", "wan"):
-        for kind in KINDS:
-            specs.append(
-                RunSpec(
-                    task="rrt",
-                    key=f"rrt/{profile}/{kind}",
-                    params={
-                        "profile": profile,
-                        "kind": kind,
-                        "samples": rrt_samples,
-                        "seed": 1,
-                    },
-                )
-            )
-    total = 400 if quick else 1000
-    for figure, profile, clients in (
-        ("fig5", "sysnet", (1, 2, 4, 8, 16)),
-        ("fig6", "sysnet", (8, 16, 32, 64, 128)),
-        ("fig7", "berkeley_princeton", (1, 2, 4, 8, 16)),
-        ("fig8", "wan", (1, 2, 4, 8, 16)),
-    ):
-        for c in clients:
-            for kind in ("read", "write", "original"):
-                specs.append(
-                    RunSpec(
-                        task="throughput",
-                        key=f"throughput/{figure}/{profile}/c={c:03d}/{kind}",
-                        params={
-                            "profile": profile,
-                            "kind": kind,
-                            "n_clients": c,
-                            "total_requests": total,
-                            "seed": 3,
-                        },
-                    )
-                )
-    txn_samples = 60 if quick else 200
-    for mode, k in TABLE1_PAPER_MS:
-        specs.append(
-            RunSpec(
-                task="txn_rrt",
-                key=f"table1/{mode}/k={k}",
-                params={
-                    "mode": mode,
-                    "requests_per_txn": k,
-                    "samples": txn_samples,
-                    "seed": 2,
-                },
-            )
-        )
-    total_txns = 200 if quick else 400
-    for k in (3, 5):
-        for c in (1, 2, 4, 8, 16):
-            for mode in ("read_write", "write_only", "optimized"):
-                specs.append(
-                    RunSpec(
-                        task="txn_throughput",
-                        key=f"fig9/k={k}/c={c:03d}/{mode}",
-                        params={
-                            "mode": mode,
-                            "requests_per_txn": k,
-                            "n_clients": c,
-                            "total_txns": total_txns,
-                            "seed": 5,
-                        },
-                    )
-                )
-    return specs
-
-
 def calibration_grid(samples: int = 400, seeds: int = 4) -> list[RunSpec]:
     """The calibration set: per-profile RRT runs across several seeds.
 
@@ -242,11 +150,3 @@ def selftest_grid(runs: int = 32, sleep: float = 0.05) -> list[RunSpec]:
         )
         for index in range(runs)
     ]
-
-
-GRIDS = {
-    "chaos": chaos_grid,
-    "figures": figures_grid,
-    "calibration": calibration_grid,
-    "selftest": selftest_grid,
-}

@@ -1,7 +1,8 @@
 """Task functions executed by sweep workers.
 
-Every task is a module-level function ``(params: dict) -> dict`` so it
-pickles by reference under any multiprocessing start method. Tasks return
+Every task is a ``(params: dict) -> dict`` callable that workers look up by
+name in :data:`TASKS` (only the name and the params cross the process
+boundary, under any multiprocessing start method). Tasks return
 **deterministic, JSON-ready** dicts: no host wall-time, no worker identity,
 no object references — the merge layer depends on a task's output being a
 pure function of its params.
@@ -17,6 +18,7 @@ import os
 import signal
 import time
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 from repro.errors import ConfigError
@@ -58,79 +60,32 @@ def _run_result_dict(result: Any) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------- real tasks
-def chaos_task(params: dict[str, Any]) -> dict[str, Any]:
-    """One chaos trial. The seed comes from the spec — never from sweep
-    position — so the nemesis schedule is identical under any worker
-    layout or retry history (the satellite regression test pins this)."""
-    from repro.chaos.runner import ChaosOptions, run_chaos
-
-    options = ChaosOptions(**params["options"])
-    result = run_chaos(params["seed"], options)
-    return result.to_dict()
-
-
-def rrt_task(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.cluster.scenarios import rrt_scenario
-
-    result = rrt_scenario(
-        params["profile"],
-        params["kind"],
-        samples=params.get("samples", 200),
-        seed=params["seed"],
-    )
-    return _run_result_dict(result)
-
-
-def throughput_task(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.cluster.scenarios import throughput_scenario
-
-    result = throughput_scenario(
-        params["profile"],
-        params["kind"],
-        params["n_clients"],
-        total_requests=params.get("total_requests", 1000),
-        seed=params["seed"],
-    )
-    return _run_result_dict(result)
-
-
-def txn_rrt_task(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.cluster.scenarios import txn_rrt_scenario
-
-    result = txn_rrt_scenario(
-        params["mode"],
-        params["requests_per_txn"],
-        samples=params.get("samples", 100),
-        profile=params.get("profile", "sysnet"),
-        seed=params["seed"],
-    )
-    return _run_result_dict(result)
-
-
-def txn_throughput_task(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.cluster.scenarios import txn_throughput_scenario
-
-    result = txn_throughput_scenario(
-        params["mode"],
-        params["requests_per_txn"],
-        params["n_clients"],
-        total_txns=params.get("total_txns", 500),
-        profile=params.get("profile", "sysnet"),
-        seed=params["seed"],
-    )
-    return _run_result_dict(result)
-
-
 def chaos_result_task(params: dict[str, Any]) -> Any:
-    """Like :func:`chaos_task` but returns the full :class:`ChaosResult`
-    object (picklable; ``cluster`` is never kept). Used by ``repro chaos
-    --workers`` so the existing reporting/shrinking path works unchanged.
-    **Not JSON-ready** — excluded from ``repro sweep`` grids.
+    """One chaos trial, as the full :class:`ChaosResult` object (picklable
+    unless ``keep_cluster`` is set, which ``repro chaos --tracing`` does on
+    its single inline worker). The seed comes from the spec — never from
+    sweep position — so the nemesis schedule is identical under any worker
+    layout or retry history (the satellite regression test pins this).
+    **Not JSON-ready** — ``repro sweep`` grids use :func:`chaos_task`.
     """
     from repro.chaos.runner import ChaosOptions, run_chaos
 
     options = ChaosOptions(**params["options"])
-    return run_chaos(params["seed"], options)
+    return run_chaos(
+        params["seed"], options, keep_cluster=params.get("keep_cluster", False)
+    )
+
+
+def chaos_task(params: dict[str, Any]) -> dict[str, Any]:
+    return chaos_result_task(params).to_dict()
+
+
+def _scenario_task(scenario: str, params: dict[str, Any]) -> dict[str, Any]:
+    """Run ``repro.cluster.scenarios.<scenario>(**params)``: a spec's params
+    are the scenario's own keyword arguments, so its defaults apply."""
+    from repro.cluster import scenarios
+
+    return _run_result_dict(getattr(scenarios, scenario)(**params))
 
 
 # ---------------------------------------------------------- test-only tasks
@@ -172,10 +127,10 @@ def failing_task(params: dict[str, Any]) -> dict[str, Any]:
 TASKS: dict[str, Callable[[dict[str, Any]], Any]] = {
     "chaos": chaos_task,
     "chaos_result": chaos_result_task,
-    "rrt": rrt_task,
-    "throughput": throughput_task,
-    "txn_rrt": txn_rrt_task,
-    "txn_throughput": txn_throughput_task,
+    "rrt": partial(_scenario_task, "rrt_scenario"),
+    "throughput": partial(_scenario_task, "throughput_scenario"),
+    "txn_rrt": partial(_scenario_task, "txn_rrt_scenario"),
+    "txn_throughput": partial(_scenario_task, "txn_throughput_scenario"),
     "echo": echo_task,
     "crash": crash_task,
     "hang": hang_task,

@@ -10,8 +10,9 @@ Nondeterminism enters exclusively through the :class:`ExecutionContext`:
 ``ctx.rng`` (random choices — the resource-broker example) and ``ctx.now``
 (execution-time dependence — the grid-scheduler example). A service that
 never touches the context is deterministic and could also be replicated by
-plain Multi-Paxos (:mod:`repro.core.multipaxos`); the point of the paper is
-that services which *do* touch it cannot.
+plain Multi-Paxos (``StateTransferMode.SMR``: requests only, every replica
+re-executes); the point of the paper is that services which *do* touch it
+cannot.
 """
 
 from __future__ import annotations

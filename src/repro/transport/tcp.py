@@ -157,9 +157,6 @@ class TcpRuntime:
             time.sleep(0.002)
         return predicate()
 
-    def port_of(self, pid: ProcessId) -> int:
-        return self._ports[pid]
-
     # ---------------------------------------------------------------- serving
     async def _serve(
         self, pid: ProcessId, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

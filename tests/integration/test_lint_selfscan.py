@@ -87,9 +87,8 @@ class TestSeededViolation:
         )
         target.write_text(source, encoding="utf-8")
         assert main(["lint", str(root)]) == 0
-        # The seeded DET001 suppression plus the shipped MSG102 suppression
-        # in the copied fastpaxos.py.
-        assert "2 suppressed" in capsys.readouterr().out
+        # The seeded DET001 suppression is the only one: core/ ships none.
+        assert "1 suppressed" in capsys.readouterr().out
 
 
 class TestSeededProjectViolations:

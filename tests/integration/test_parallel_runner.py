@@ -15,13 +15,13 @@ import pytest
 
 from repro.chaos.runner import ChaosOptions, run_chaos
 from repro.errors import ConfigError
+from repro.experiments import figures_grid
 from repro.parallel import (
     RunSpec,
     SweepOptions,
     calibration_grid,
     canonical_json,
     chaos_grid,
-    figures_grid,
     merge_records,
     merge_sweep,
     pmap,

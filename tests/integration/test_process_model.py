@@ -19,7 +19,7 @@ import pytest
 
 from repro.client.client import Client
 from repro.client.workload import paper_txn_steps, single_kind_steps
-from repro.cluster.harness import Cluster, ClusterSpec, Starter
+from repro.cluster.harness import START_AT, Cluster, ClusterSpec, Starter
 from repro.core.config import ReplicaConfig
 from repro.core.replica import Replica
 from repro.election.static import StaticElector
@@ -69,7 +69,7 @@ def reference_run(
         )
         world.add(client, cpu=profile.client_cpu)
         clients.append(client)
-    world.add(Starter("starter", client_pids, at=spec.start_at), cpu=profile.client_cpu)
+    world.add(Starter("starter", client_pids, at=START_AT), cpu=profile.client_cpu)
     world.start()
     while not all(c.done for c in clients):
         assert kernel.now < 60.0

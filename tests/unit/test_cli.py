@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import re
 
 import pytest
 
-from repro.cli import _md_table, build_experiments_report, main
+from repro import experiments
+from repro.cli import main
+from repro.parallel import run_grid
 
 
 class TestMdTable:
     def test_shape(self):
-        out = _md_table(["a", "b"], [[1, 2], [3, 4]])
+        out = experiments.md_table(["a", "b"], [[1, 2], [3, 4]])
         lines = out.splitlines()
         assert lines[0] == "| a | b |"
         assert lines[1] == "|---|---|"
@@ -111,9 +114,27 @@ class TestRunAndReport:
 
 
 class TestExperimentsReport:
-    # One slow-ish end-to-end check of the generator (quick mode).
-    def test_quick_report_contains_every_artefact(self):
-        report = build_experiments_report(quick=True)
+    @pytest.fixture(scope="class")
+    def quick_results(self):
+        # The one slow-ish run of this class: the whole §4 grid, quick mode.
+        return run_grid(experiments.figures_grid(quick=True))
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_grid_is_the_union_of_the_records_cells(self, quick):
+        per_figure = [[s.key for s in f.cells(quick)] for f in experiments.FIGURES]
+        assert all(per_figure), "a record without cells"
+        flat = [key for keys in per_figure for key in keys]
+        assert len(set(flat)) == len(flat), "two records claim one cell"
+        assert [s.key for s in experiments.figures_grid(quick)] == flat
+
+    def test_quick_report_contains_every_artefact(self, quick_results):
+        report = experiments.report(quick_results, elapsed=0.0)
+        assert report.count("Paper check: ") == 10
+        assert "VIOLATED" not in report
+        for figure in experiments.FIGURES:
+            # A record reads its own cells and no other's.
+            own = {s.key: quick_results[s.key] for s in figure.cells(True)}
+            assert figure.check(own) == []
         for marker in (
             "sysnet — request response time",
             "berkeley_princeton — request response time",
@@ -129,6 +150,36 @@ class TestExperimentsReport:
             assert marker in report, f"missing {marker}"
         # Spot-check one paper number appears alongside a measured one.
         assert "0.181" in report and "106.7" in report
+
+    def violated(self, results):
+        return [v for f in experiments.FIGURES for v in f.check(results)]
+
+    def test_swapped_fig5_curves_are_named(self, quick_results):
+        results = copy.deepcopy(quick_results)
+        cell = "throughput/fig5/sysnet/c=004/"
+        results[cell + "read"], results[cell + "write"] = (
+            results[cell + "write"], results[cell + "read"],
+        )
+        violated = self.violated(results)
+        assert len(violated) == 1
+        assert violated[0].startswith("Fig. 5") and "at 4 clients" in violated[0]
+
+    def test_table1_cell_off_by_ten_percent_is_named(self, quick_results):
+        results = copy.deepcopy(quick_results)
+        results["table1/optimized/k=5"]["trt"]["mean"] *= 1.10
+        violated = self.violated(results)
+        assert len(violated) == 1
+        assert violated[0].startswith("Table 1") and "optimized 5-req" in violated[0]
+
+    def test_exit_status_follows_the_checks(self, quick_results, monkeypatch, capsys):
+        monkeypatch.setattr("repro.cli.run_grid", lambda specs, workers: quick_results)
+        assert main(["experiments", "--quick"]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setitem(experiments.TABLE1_PAPER_MS, ("read_write", 3), 2.0)
+        assert main(["experiments", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "repro experiments: Table 1" in captured.err
+        assert "VIOLATED: read_write 3-req" in captured.out
 
 
 class TestChaosCommand:
@@ -159,6 +210,27 @@ class TestChaosCommand:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
             main(["chaos", "--protocol", "raft"])
+
+    def test_traced_violation_prints_waterfalls(self, capsys):
+        code = main([
+            "chaos", "--seeds", "1", "--seed", "3", "--mutation", "minority-accept",
+            "--tracing", "--workers", "4", "--quiet",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--tracing forces --workers 1" in captured.err
+        assert "slowest request" in captured.out
+
+    def test_raising_trial_is_an_error_record_not_a_traceback(
+        self, monkeypatch, capsys
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.chaos.runner.run_chaos", boom)
+        assert main(["chaos", "--seeds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "chaos: chaos/seed=000001: RuntimeError: boom" in err
 
 
 class TestProfileCommand:
