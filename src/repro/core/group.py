@@ -95,6 +95,118 @@ class ReplicaRole(enum.Enum):
     LEADING = "leading"         # recovery done, serving requests
 
 
+class _WriteItem:
+    """The pipeline item of one plain (non-transactional) write: what
+    :class:`~repro.core.proposer.SequentialProposer` asks of an item
+    (``prepare``, ``on_committed``, ``ctx``) as methods of one small object.
+
+    It refers to its group, the client and the request; nothing refers
+    back to it but the queue, the in-flight batch, a lock wait or the
+    execute timer that currently holds it, so it is freed by reference
+    count the moment its round commits — one object per write and nothing
+    for the cyclic collector.
+    """
+
+    __slots__ = ("group", "src", "request", "ctx", "waited")
+
+    def __init__(self, group: "ReplicationGroup", src: ProcessId, request: ClientRequest) -> None:
+        self.group = group
+        self.src = src
+        self.request = request
+        #: Causal-tracing context the committed reply re-enters: the
+        #: ClientRequest delivery span (or None), replaced by the execute
+        #: span once E has been modeled.
+        self.ctx = group.tracer.current
+        self.waited = False
+
+    def prepare(self) -> Any:
+        group = self.group
+        request = self.request
+        rid = request.rid
+        if group.role not in (ReplicaRole.LEADING, ReplicaRole.RECOVERING):
+            group._pending_write_rids.discard(rid)
+            return SKIP
+        executed, cached = group.executed.lookup(rid)
+        if executed:  # committed meanwhile (e.g. via recovery)
+            group._pending_write_rids.discard(rid)
+            group.reply(self.src, rid, ReplyStatus.OK, cached)
+            return SKIP
+        config = group.config
+        tracer = group.tracer
+        if config.execute_time > 0 and not self.waited:
+            # Model the service's execution time E: the pipeline stalls
+            # (a single-threaded leader executes requests in order) and
+            # this item re-enters once E has elapsed.
+            self.waited = True
+            group.proposer.pause()
+            if group.profiler.enabled:
+                # The modeled E is leader CPU occupancy in sim time;
+                # account it to the replica's execute frame.
+                group.profiler.stat((str(group.pid), "execute")).add_cpu(
+                    config.execute_time
+                )
+            span: Span | None = None
+            if tracer.enabled:
+                span = tracer.start_span(
+                    "execute", pid=group.pid, kind="execute",
+                    parent=self.ctx, attrs={"rid": str(rid)},
+                )
+                self.ctx = span
+            token = tracer.activate(span)
+            try:
+                group.set_timer(config.execute_time, self._execution_done, span)
+            finally:
+                tracer.restore(token)
+            return DEFER
+        owner = f"w:{rid}"
+        read_keys, write_keys = group.service.locks_for(request.op)
+        if not group.locks.acquire_or_wait(owner, read_keys, write_keys, grant=self._resubmit):
+            return DEFER
+        profiler = group.profiler
+        if profiler.enabled:
+            profiler.enter("execute")
+        try:
+            result = group.service.execute(request.op, group.execution_context())
+        except Exception as exc:  # ServiceError or malformed op
+            group.locks.release_all(owner)
+            group._pending_write_rids.discard(rid)
+            group.reply(self.src, rid, ReplyStatus.ERROR, str(exc))
+            return SKIP
+        finally:
+            if profiler.enabled:
+                profiler.exit()
+        if tracer.enabled and config.execute_time == 0:
+            # E is not modeled: record a zero-length execute marker so
+            # the waterfall still shows where execution happened.
+            tracer.instant("execute", pid=group.pid, kind="execute", parent=self.ctx,
+                           attrs={"rid": str(rid)})
+        payload = build_payload(config.state_mode, group.service, (result,))
+        # Plain writes cannot abort, so their locks are only needed for
+        # the execution itself (they guard against interleaving with
+        # uncommitted *transaction* state). Releasing here lets multiple
+        # writes to the same keys share one pipeline batch.
+        group.locks.release_all(owner)
+        return Proposal(requests=(request,), payload=payload, reply=result.reply)
+
+    def _execution_done(self, span: Span | None) -> None:
+        """E has elapsed (timer; the profiler and trace name it by this
+        method's name)."""
+        proposer = self.group.proposer
+        self.group.tracer.end(span)
+        proposer.resubmit_front(self)
+        proposer.resume()
+
+    def _resubmit(self) -> None:
+        """The locks this write waited for were granted."""
+        self.group.proposer.resubmit_front(self)
+
+    def on_committed(self, proposal: Proposal, instance: InstanceId) -> None:
+        group = self.group
+        rid = self.request.rid
+        group._pending_write_rids.discard(rid)
+        group.reply(self.src, rid, ReplyStatus.OK, proposal.reply)
+
+
 class ReplicationGroup(Process):
     """One replica of one replication group (§3.1).
 
@@ -175,6 +287,8 @@ class ReplicationGroup(Process):
 
         #: Request counters by kind plus protocol events, for reports.
         self.stats: Counter[str] = Counter()
+        #: ``(stats key, req.<kind> counter)`` per request kind, on first use.
+        self._request_counters: dict[RequestKind, tuple[str, Any]] = {}
 
         #: Observability scope, used as given: whoever builds the group
         #: names it (a host scopes ``proc.<pid>.g<group>.*``). Phase-latency
@@ -280,9 +394,15 @@ class ReplicationGroup(Process):
     # ====================================================== client-side entry
     def _on_client_request(self, src: ProcessId, request: ClientRequest) -> None:
         kind = request.kind
-        kind_name = kind.value  # an Enum property: two frames a read
-        self.stats[f"req_{kind_name}"] += 1
-        self.metrics.counter(f"req.{kind_name}").inc()
+        counted = self._request_counters.get(kind)
+        if counted is None:
+            # Every replica runs this for every request: the Enum property,
+            # the two names and the scope lookup are paid once per kind.
+            counted = self._request_counters[kind] = (
+                f"req_{kind.value}", self.metrics.counter(f"req.{kind.value}")
+            )
+        self.stats[counted[0]] += 1
+        counted[1].inc()
         if kind is RequestKind.ORIGINAL:
             if self.role is ReplicaRole.LEADING:
                 self._serve_original(src, request)
@@ -337,99 +457,7 @@ class ReplicationGroup(Process):
         if rid in self._pending_write_rids:
             return  # retransmit of an in-flight write
         self._pending_write_rids.add(rid)
-        self.proposer.submit(self._make_write_item(src, request))
-
-    def _make_write_item(self, src: ProcessId, request: ClientRequest) -> ProposalItem:
-        """A pipeline item for a plain (non-transactional) write."""
-        owner = f"w:{request.rid}"
-        item_box: list[ProposalItem] = []
-        waited = [False]
-        tracer = self.tracer
-        origin = tracer.current  # the ClientRequest delivery span (or None)
-
-        def prepare() -> Any:
-            if self.role not in (ReplicaRole.LEADING, ReplicaRole.RECOVERING):
-                self._pending_write_rids.discard(request.rid)
-                return SKIP
-            executed, cached = self.executed.lookup(request.rid)
-            if executed:  # committed meanwhile (e.g. via recovery)
-                self._pending_write_rids.discard(request.rid)
-                self.reply(src, request.rid, ReplyStatus.OK, cached)
-                return SKIP
-            if self.config.execute_time > 0 and not waited[0]:
-                # Model the service's execution time E: the pipeline stalls
-                # (a single-threaded leader executes requests in order) and
-                # this item re-enters once E has elapsed.
-                waited[0] = True
-                self.proposer.pause()
-                if self.profiler.enabled:
-                    # The modeled E is leader CPU occupancy in sim time;
-                    # account it to the replica's execute frame.
-                    self.profiler.stat((str(self.pid), "execute")).add_cpu(
-                        self.config.execute_time
-                    )
-                span: Span | None = None
-                if tracer.enabled:
-                    span = tracer.start_span(
-                        "execute", pid=self.pid, kind="execute",
-                        parent=origin, attrs={"rid": str(request.rid)},
-                    )
-                    item_box[0].ctx = span
-
-                def _execution_done() -> None:
-                    tracer.end(span)
-                    self.proposer.resubmit_front(item_box[0])
-                    self.proposer.resume()
-
-                token = tracer.activate(span)
-                try:
-                    self.set_timer(self.config.execute_time, _execution_done)
-                finally:
-                    tracer.restore(token)
-                return DEFER
-            read_keys, write_keys = self.service.locks_for(request.op)
-            granted = self.locks.acquire_or_wait(
-                owner, read_keys, write_keys,
-                grant=lambda: self.proposer.resubmit_front(item_box[0]),
-            )
-            if not granted:
-                return DEFER
-            profiler = self.profiler
-            if profiler.enabled:
-                profiler.enter("execute")
-            try:
-                result = self.service.execute(request.op, self.execution_context())
-            except Exception as exc:  # ServiceError or malformed op
-                self.locks.release_all(owner)
-                self._pending_write_rids.discard(request.rid)
-                self.reply(src, request.rid, ReplyStatus.ERROR, str(exc))
-                return SKIP
-            finally:
-                if profiler.enabled:
-                    profiler.exit()
-            if tracer.enabled and self.config.execute_time == 0:
-                # E is not modeled: record a zero-length execute marker so
-                # the waterfall still shows where execution happened.
-                tracer.instant("execute", pid=self.pid, kind="execute", parent=origin,
-                               attrs={"rid": str(request.rid)})
-            payload = build_payload(self.config.state_mode, self.service, (result,))
-            # Plain writes cannot abort, so their locks are only needed for
-            # the execution itself (they guard against interleaving with
-            # uncommitted *transaction* state). Releasing here lets multiple
-            # writes to the same keys share one pipeline batch.
-            self.locks.release_all(owner)
-            return Proposal(requests=(request,), payload=payload, reply=result.reply)
-
-        def on_committed(proposal: Proposal, instance: InstanceId) -> None:
-            self._pending_write_rids.discard(request.rid)
-            self.reply(src, request.rid, ReplyStatus.OK, proposal.reply)
-
-        item = ProposalItem(
-            label=str(request.rid), prepare=prepare, on_committed=on_committed,
-            ctx=origin,
-        )
-        item_box.append(item)
-        return item
+        self.proposer.submit(_WriteItem(self, src, request))
 
     # ================================================= acceptor role (§3.2/3)
     def _on_prepare(self, src: ProcessId, msg: Prepare) -> None:
@@ -534,7 +562,13 @@ class ReplicationGroup(Process):
             return
         # A chosen value is also reported as accepted in future Promises
         # (any replica that knows a decision must make new leaders adopt it).
-        self.store.accept(ProposalNumber(ballot, instance), value)
+        # A backup that accepted this very ballot from the AcceptBatch holds
+        # that entry and its WAL record already (same ballot and instance,
+        # same value); an fsync covers a sequence prefix, so a durable
+        # choose record implies the earlier accept record is durable too.
+        accepted = self.log.accepted_entry(instance)
+        if accepted is None or accepted.pn.ballot != ballot:
+            self.store.accept(ProposalNumber(ballot, instance), value)
         self.store.choose(instance, value)
         if self.metrics.enabled:
             now = self.now

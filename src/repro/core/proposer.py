@@ -58,6 +58,11 @@ class ProposalItem:
       or ``DEFER``.
     * ``on_committed(proposal, instance)`` — called once the proposal is
       chosen; replies to the client and releases resources.
+
+    The pipeline asks nothing else of an item, so any object with these two
+    callables and ``ctx`` will do: a transaction commit is this record of
+    two closures, a plain write is one slotted object with two methods
+    (``repro.core.group``).
     """
 
     label: str

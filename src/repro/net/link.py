@@ -59,7 +59,13 @@ class Link:
         spec = self.spec
         if spec.loss and self._rng.random() < spec.loss:
             return ()
-        first = self._sample_one(depart)
+        # The first copy is ``_sample_one`` in place (one frame less per
+        # message): same draws, same float operations in the same order.
+        first = spec.latency.sample(self._rng)
+        if not spec.jitter_reorder:
+            arrival = max(depart + first, self._last_arrival)
+            self._last_arrival = arrival
+            first = arrival - depart
         if spec.duplicate and self._rng.random() < spec.duplicate:
             return (first, self._sample_one(depart))
         return (first,)

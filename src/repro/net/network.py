@@ -134,7 +134,8 @@ class SimNetwork:
     def delays(self, src: ProcessId, dst: ProcessId, depart: float) -> tuple[float, ...]:
         self.last_drop_cause = None
         self.last_dup_cause = None
-        if self.partitions.blocked(src, dst):
+        partitions = self.partitions
+        if partitions.active and partitions.blocked(src, dst):
             self.messages_dropped += 1
             self.last_drop_cause = "partition"
             self.metrics.counter("net.drop.partition").inc()
@@ -146,7 +147,7 @@ class SimNetwork:
         sent = self.messages_sent
         sent[site_key] = sent.get(site_key, 0) + 1
         if site_counter is not None:
-            site_counter.inc()
+            site_counter.value += 1
         if self._disturbance_active and src != dst:
             disturbance = self.disturbance
             if disturbance.loss and self._disturbance_rng.random() < disturbance.loss:

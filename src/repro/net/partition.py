@@ -19,6 +19,9 @@ class PartitionController:
 
     def __init__(self) -> None:
         self._group_of: dict[ProcessId, int] = {}
+        #: Whether a partition is installed: a plain attribute, because the
+        #: network reads it on every send before it asks :meth:`blocked`.
+        self.active = False
 
     def partition(self, groups: Iterable[Iterable[ProcessId]]) -> None:
         """Install a partition. Replaces any previous one."""
@@ -29,18 +32,16 @@ class PartitionController:
                     raise ConfigError(f"process {pid!r} appears in two partition groups")
                 group_of[pid] = index
         self._group_of = group_of
+        self.active = bool(group_of)
 
     def heal(self) -> None:
         """Remove the partition entirely."""
         self._group_of = {}
+        self.active = False
 
     def isolate(self, pid: ProcessId, others: Iterable[ProcessId]) -> None:
         """Convenience: put ``pid`` alone on one side, ``others`` on the other."""
         self.partition([[pid], list(others)])
-
-    @property
-    def active(self) -> bool:
-        return bool(self._group_of)
 
     def blocked(self, src: ProcessId, dst: ProcessId) -> bool:
         """True when the partition forbids ``src`` -> ``dst`` delivery."""

@@ -231,7 +231,7 @@ class SimProfiler:
         walk(self._root)
         return totals
 
-    def sample(self, now: float, events: int, heap: int, pool: int) -> None:
+    def sample(self, now: float, events: int, heap: int) -> None:
         """Record one deterministic counter sample at virtual time ``now``.
 
         Called by the kernel's profiled loop whenever ``now`` crosses
@@ -244,7 +244,6 @@ class SimProfiler:
             samples.append((now, actor, "sim_cpu_ms", totals[actor] * 1e3))
         samples.append((now, "kernel", "events_processed", float(events)))
         samples.append((now, "kernel", "heap_size", float(heap)))
-        samples.append((now, "kernel", "pool_size", float(pool)))
         self.next_sample = now + self.sample_interval
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -300,7 +299,7 @@ class NullProfiler:
     def frames(self) -> dict[tuple[str, ...], FrameStat]:
         return {}
 
-    def sample(self, now: float, events: int, heap: int, pool: int) -> None:
+    def sample(self, now: float, events: int, heap: int) -> None:
         pass
 
     def __iter__(self) -> Iterator:  # pragma: no cover - defensive

@@ -78,6 +78,9 @@ class CpuModel:
         profile = self.profile
         self.send_booking = profile.send_cost + profile.extra_per_message
         self.recv_booking = profile.recv_cost + profile.extra_per_message
+        # Checked once here: the per-message paths below book them unchecked.
+        if self.send_booking < 0 or self.recv_booking < 0:
+            raise ValueError(f"negative CPU cost per message: {profile}")
 
     def acquire(self, now: float, cost: float) -> float:
         """Book ``cost`` seconds of CPU; return the completion time."""
@@ -88,13 +91,23 @@ class CpuModel:
         self.busy_time += cost
         return self.busy_until
 
+    # The two per-message bookings are ``acquire`` without its frame: the
+    # same float operations in the same order, twice per simulated message.
     def send_completion(self, now: float) -> float:
         """Completion time for emitting one message at/after ``now``."""
-        return self.acquire(now, self.send_booking)
+        cost = self.send_booking
+        busy = self.busy_until
+        self.busy_until = done = (now if now >= busy else busy) + cost
+        self.busy_time += cost
+        return done
 
     def recv_completion(self, now: float) -> float:
         """Completion time for receiving + handling one message at/after ``now``."""
-        return self.acquire(now, self.recv_booking)
+        cost = self.recv_booking
+        busy = self.busy_until
+        self.busy_until = done = (now if now >= busy else busy) + cost
+        self.busy_time += cost
+        return done
 
     def execute_completion(self, now: float) -> float:
         """Completion time for running the service operation at/after ``now``."""

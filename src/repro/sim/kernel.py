@@ -8,22 +8,24 @@ number), which keeps runs fully deterministic.
 
 Hot-path notes (this module dominates large sweeps, so it is tuned):
 
-* Heap entries are ``(time, seq, handle)`` tuples, so heap sifting compares
+* Heap entries are ``(time, seq, ...)`` tuples, so heap sifting compares
   at C speed — no Python ``__lt__`` per comparison. ``seq`` is unique,
-  which both breaks ties FIFO and guarantees the handle itself is never
+  which both breaks ties FIFO and guarantees nothing after it is ever
   compared.
+* Internal fire-and-forget events (message deliveries — the bulk of all
+  events) go through :meth:`post_at` and *are* their heap entry,
+  ``(time, seq, fn, args)``: no handle object exists for an event nobody
+  can cancel (the perf tier pins this via :attr:`handles_created`). A
+  cancellable event is ``(time, seq, handle, None)``; the one loop tells
+  the two apart by ``args is None``.
 * Cancellation is *slot-indexed*: every handle knows its kernel, so a
   cancel updates an O(1) live-event counter instead of the heap being
   re-scanned. ``pending`` is a subtraction, and when cancelled events
   outnumber live ones the heap is compacted **in place** (same list
   object, so ``run``'s local binding stays valid even when a callback
   triggers compaction mid-run).
-* Internal fire-and-forget events (message deliveries — the bulk of all
-  events) go through :meth:`post_at`, which recycles handles from a free
-  list. After warm-up a steady-state simulation allocates no new handles
-  (the perf tier pins this via :attr:`handles_created`).
-* :meth:`run` inlines the pop loop — no call per event, and
-  heap/pool/counter lookups are bound once outside the loop.
+* :meth:`run` inlines the pop loop — no call per event, and heap and
+  profiler lookups are bound once outside the loop.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class EventHandle:
     dense cancellation triggers compaction.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "kernel", "pooled")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "kernel")
 
     def __init__(
         self,
@@ -69,8 +71,6 @@ class EventHandle:
         #: Owning kernel (None for handles created outside a kernel, e.g.
         #: in unit tests that exercise the handle directly).
         self.kernel = kernel
-        #: True for internal pool-managed events (never exposed to callers).
-        self.pooled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing. Idempotent."""
@@ -102,18 +102,18 @@ class Kernel:
 
     def __init__(self, seed: int = 0, obs: Obs = NULL_OBS) -> None:
         self._now: float = 0.0
-        #: Heap of (time, seq, EventHandle) — tuple comparison stays in C.
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: Heap of ``(time, seq, fn, args)`` fire-and-forget events and
+        #: ``(time, seq, EventHandle, None)`` cancellable ones — tuple
+        #: comparison stays in C and never reaches the third element.
+        self._heap: list[tuple[float, int, Any, tuple | None]] = []
         self._seq = itertools.count()
         self._seed = seed
         self._running = False
         self.events_processed = 0
         #: Cancelled events still sitting in the heap (slot-index bookkeeping).
         self._cancelled = 0
-        #: Free list of recycled internal event handles (see :meth:`post_at`).
-        self._pool: list[EventHandle] = []
-        #: Total EventHandle objects ever constructed — the perf tier asserts
-        #: this stops growing once the pool is warm.
+        #: Total EventHandle objects ever constructed: one per cancellable
+        #: event, none for :meth:`post_at` traffic (the perf tier pins that).
         self.handles_created = 0
         #: Observability sink (gauges updated at the end of each run());
         #: deliberately off the per-event hot path.
@@ -150,9 +150,9 @@ class Kernel:
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``.
 
-        The returned handle may be held and cancelled at any point; it is
-        never recycled. Internal callers that discard the handle should use
-        :meth:`post_at` instead, which draws from the event pool.
+        The returned handle may be held and cancelled at any point. Internal
+        callers that discard the handle should use :meth:`post_at` instead,
+        which creates none.
         """
         if time < self._now:
             raise SimulationError(
@@ -161,35 +161,22 @@ class Kernel:
         seq = next(self._seq)
         handle = EventHandle(time, seq, fn, args, self)
         self.handles_created += 1
-        heappush(self._heap, (time, seq, handle))
+        heappush(self._heap, (time, seq, handle, None))
         return handle
 
     def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule a fire-and-forget event at absolute time ``time``.
 
-        Pool-backed fast path for internal machinery (message deliveries):
-        the handle is recycled after the event fires, so no reference to it
-        ever escapes — callers that need cancellation must use
+        The fast path for internal machinery (message deliveries): the heap
+        entry is the event, so nothing is allocated beyond it and nothing
+        can cancel it — callers that need cancellation must use
         :meth:`schedule_at`.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        seq = next(self._seq)
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.fn = fn
-            handle.args = args
-            handle.cancelled = False
-        else:
-            handle = EventHandle(time, seq, fn, args, self)
-            handle.pooled = True
-            self.handles_created += 1
-        heappush(self._heap, (time, seq, handle))
+        heappush(self._heap, (time, next(self._seq), fn, args))
 
     # ------------------------------------------------------------ compaction
     def _maybe_compact(self) -> None:
@@ -201,16 +188,9 @@ class Kernel:
         heap = self._heap
         if self._cancelled < _COMPACT_MIN_CANCELLED or self._cancelled * 2 < len(heap):
             return
-        pool = self._pool
-        live = []
-        for entry in heap:
-            handle = entry[2]
-            if handle.cancelled:
-                if handle.pooled:
-                    pool.append(handle)
-            else:
-                live.append(entry)
-        heap[:] = live
+        heap[:] = [
+            entry for entry in heap if entry[3] is not None or not entry[2].cancelled
+        ]
         heapify(heap)
         self._cancelled = 0
 
@@ -219,51 +199,49 @@ class Kernel:
         """Run events until the heap drains, ``until`` is reached, or
         ``max_events`` have fired. Returns the number of events processed.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        on return even if the heap drained earlier — so back-to-back ``run``
-        calls behave like contiguous wall-clock intervals.
+        When ``until`` is given and nothing due by then is left, the clock
+        is advanced to exactly ``until`` on return even if the heap drained
+        earlier — so back-to-back ``run`` calls behave like contiguous
+        wall-clock intervals. A run that ``max_events`` stopped short of
+        ``until`` leaves the clock at the last event it fired: events due
+        before ``until`` are still pending.
 
         There is one loop. With the profiler on it additionally opens, per
         event, one host-time frame labeled with the callback's qualname, and
         takes a deterministic counter sample whenever virtual time crosses
-        ``profiler.next_sample``; pop order, cancellation handling, pool
-        recycling and the clock advance are the same statements either way.
+        ``profiler.next_sample``; pop order, cancellation handling and the
+        clock advance are the same statements either way.
         """
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
         self._running = True
         processed = 0
-        # Loop-local bindings: the heap list object is stable (compaction is
-        # in-place) and the pool list is never replaced.
+        # Loop-local binding: the heap list object is stable (compaction is
+        # in-place).
         heap = self._heap
-        pool = self._pool
         unlimited = max_events is None
         profiler = self.profiler
         profiling = profiler.enabled
         try:
             while heap:
-                if not unlimited and processed >= max_events:
-                    break
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
+                time, _seq, fn, args = heap[0]
+                if args is None and fn.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
-                    if event.pooled:
-                        event.args = ()
-                        pool.append(event)
                     continue
-                time = head[0]
                 if until is not None and time > until:
+                    break
+                if not unlimited and processed >= max_events:
                     break
                 heappop(heap)
                 self._now = time
-                fn = event.fn
-                args = event.args
-                event.cancelled = True
-                event.fn = None
-                event.args = ()
-                assert fn is not None
+                if args is None:  # a cancellable event: ``fn`` is its handle
+                    handle = fn
+                    fn = handle.fn
+                    args = handle.args
+                    handle.cancelled = True
+                    handle.fn = None
+                    handle.args = ()
                 if profiling:
                     profiler.enter_event(fn.__qualname__)
                     try:
@@ -272,18 +250,14 @@ class Kernel:
                         profiler.exit_event()
                 else:
                     fn(*args)
-                if event.pooled:
-                    event.cancelled = False
-                    pool.append(event)
                 processed += 1
                 if profiling and time >= profiler.next_sample:
-                    profiler.sample(
-                        time, self.events_processed + processed, len(heap), len(pool)
-                    )
+                    profiler.sample(time, self.events_processed + processed, len(heap))
         finally:
             self.events_processed += processed
             self._running = False
-        if until is not None and self._now < until:
+        # The head, if any, is live here: cancelled ones were popped above.
+        if until is not None and self._now < until and (not heap or heap[0][0] > until):
             self._now = until
         if self.metrics.enabled:
             self.metrics.gauge("kernel.events_processed").set(self.events_processed)
@@ -295,11 +269,6 @@ class Kernel:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still in the heap (O(1))."""
         return len(self._heap) - self._cancelled
-
-    @property
-    def pool_size(self) -> int:
-        """Recycled internal handles currently on the free list."""
-        return len(self._pool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel now={self._now:.6f}s pending={self.pending}>"

@@ -117,15 +117,13 @@ class SimDisk:
 
     def append(self, record: WalRecord) -> int:
         """Append a record; returns its sequence number."""
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         self.appends += 1
-        frame = Frame(self._seq, record)
         if self.write_through:
-            frame.acked = True
-            self.durable.append(frame)
+            self.durable.append(Frame(seq, record, True))
         else:
-            self.cache.append(frame)
-        return self._seq
+            self.cache.append(Frame(seq, record))
+        return seq
 
     def stage_checkpoint(self, blob: CheckpointBlob) -> None:
         """Stage a checkpoint to be installed by the next completed fsync.

@@ -287,6 +287,8 @@ class StableStore:
         #: Cumulative rids of every chosen request covered by the current
         #: checkpoint (only maintained with ``track_commits``).
         self._checkpoint_rids: frozenset[str] = frozenset()
+        #: The host's ``storage.appends`` counter, once an append needed it.
+        self._appends: Any = None
 
     @property
     def device(self) -> SimDisk:
@@ -324,7 +326,10 @@ class StableStore:
             self.pump.device.append(record)
         metrics = host.metrics
         if metrics.enabled:
-            metrics.counter("storage.appends").inc()
+            counter = self._appends
+            if counter is None:  # resolved at the first append, then held
+                counter = self._appends = metrics.counter("storage.appends")
+            counter.value += 1
         if not self.write_through:
             self.pump.ensure_drain()
 

@@ -11,7 +11,12 @@ is a *model* of a compact binary encoding, for the simulated network: it
 carries object references, never bytes, and message size feeds no delay,
 so serializing every message only to count its bytes would be the largest
 single host cost of a default run. The model is a pure function of the
-message's content (see :func:`wire_size` for the encoding rules).
+message's content (see :func:`wire_size` for the encoding rules). A
+dataclass is sized by a function compiled from its own field list the
+first time its type is seen (:func:`_compile_sizer`), so the dataclass is
+the only place a layout is written down; everything else, and every value
+an annotation did not predict, goes through the generic walk
+(:func:`_sizes`).
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import dataclasses
 import enum
 import pickle
 import struct
+import types
+import typing
 from collections.abc import Callable, Iterable, Iterator
-from operator import attrgetter
 from typing import Any
 
 from repro.util.fastpickle import KeepsWireSize
@@ -57,26 +63,16 @@ _NUMBER = _TAG + 8
 #: Sizes of the other fixed-width leaves by exact type; enum classes join
 #: on first sight (a member is its tag plus a one-byte ordinal).
 _FIXED: dict[type, int] = {bool: _TAG + 1, float: _NUMBER}
-#: Dataclass field readers by exact type: ``(fields_of, keeps its size)``.
-_DATACLASSES: dict[type, tuple[Callable[[Any], tuple], bool]] = {}
+#: One compiled sizer per dataclass type, built at the type's first sight.
+_SIZERS: dict[type, Callable[[Any], int]] = {}
 _keep = object.__setattr__  # the carriers are frozen dataclasses
-
-
-def _dataclass_plan(cls: type) -> None:
-    names = tuple(f.name for f in dataclasses.fields(cls))  # once per type
-    if len(names) > 1:
-        fields_of: Callable[[Any], tuple] = attrgetter(*names)
-    elif names:
-        only = attrgetter(names[0])
-        fields_of = lambda obj: (only(obj),)  # noqa: E731
-    else:
-        fields_of = lambda obj: ()  # noqa: E731
-    _DATACLASSES[cls] = (fields_of, issubclass(cls, KeepsWireSize))
+_NONE = type(None)
 
 
 def _sizes(values: Iterable[Any]) -> int:
-    """Summed body sizes of ``values``. Leaves are sized in the loop, not
-    by a call each: this runs once per simulated send."""
+    """Summed body sizes of ``values``: the generic walk. It sizes whatever
+    is not a dataclass, and whatever a compiled sizer finds in a field
+    whose annotation promised something else."""
     total = 0
     for value in values:
         cls = type(value)
@@ -90,16 +86,8 @@ def _sizes(values: Iterable[Any]) -> int:
             total += _TAG
         elif cls is tuple or cls is list:
             total += _PREFIXED + _sizes(value)
-        elif cls in _DATACLASSES:
-            fields_of, keeps = _DATACLASSES[cls]
-            if keeps:
-                size = getattr(value, "_wire_size", None)
-                if size is None:
-                    size = _TAG + _sizes(fields_of(value))
-                    _keep(value, "_wire_size", size)
-                total += size
-            else:
-                total += _TAG + _sizes(fields_of(value))
+        elif cls in _SIZERS:
+            total += _SIZERS[cls](value)
         elif cls in _FIXED:
             total += _FIXED[cls]
         elif cls is bytes:
@@ -121,10 +109,115 @@ def _uncommon_size(value: Any, cls: type) -> int:
     if isinstance(value, enum.Enum):
         return _FIXED.setdefault(cls, _TAG + 1)
     if dataclasses.is_dataclass(cls):
-        _dataclass_plan(cls)
-        return _sizes((value,))
+        sizer = _SIZERS[cls] = _compile_sizer(cls)
+        return sizer(value)
     # A leaf type the model does not know: what pickle makes of it.
     return _PREFIXED + len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _compile_sizer(cls: type) -> Callable[[Any], int]:
+    """Write and compile the sizer of dataclass ``cls`` from its field list
+    and type hints, so the dataclass stays the only statement of a layout.
+
+    The sizer is flat: the type tags a layout implies fold into constants
+    and every field is sized in place by what its annotation promises,
+    behind an exact-type guard — an annotation is a hint, and a value that
+    fails the guard goes through :func:`_sizes`. For every instance,
+    well-typed or not, the result is ``_TAG + _sizes(its fields)``. A
+    :class:`KeepsWireSize` type's sizer also reads and fills the slot.
+    """
+    try:
+        hints = typing.get_type_hints(cls)
+    except Exception:  # unresolvable forward reference: every field is Any
+        hints = {}
+    names: dict[str, Any] = {"_sizes": _sizes, "_SIZERS": _SIZERS, "_keep": _keep}
+    keeps = issubclass(cls, KeepsWireSize)
+    lines = ["def sizer(obj):"]
+    if keeps:
+        lines += [
+            "    total = getattr(obj, '_wire_size', None)",
+            "    if total is not None:",
+            "        return total",
+        ]
+    lines.append(f"    total = {_TAG}")
+    for field in dataclasses.fields(cls):
+        lines.append(f"    v = obj.{field.name}")
+        _emit_size(lines, names, hints.get(field.name, Any), "v", 1)
+    if keeps:
+        lines.append("    _keep(obj, '_wire_size', total)")
+    lines.append("    return total")
+    # The file name keeps profilers attributing the sizer to this module.
+    code = compile("\n".join(lines), f"{__file__}:<sizer {cls.__qualname__}>", "exec")
+    exec(code, names)
+    return names["sizer"]
+
+
+def _emit_size(lines: list[str], names: dict[str, Any], hint: Any, var: str, depth: int) -> None:
+    """Append the statements that add the size of ``var``, annotated
+    ``hint``, to ``total``: a guard, the exact sizing under it, and the
+    generic walk otherwise."""
+    pad = "    " * depth
+    args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and _NONE in args:
+        lines += [f"{pad}if {var} is None:", f"{pad}    total += {_TAG}", f"{pad}else:"]
+        _emit_size(lines, names, args[args[0] is _NONE], var, depth + 1)
+        return
+    body: list[str]
+    if isinstance(hint, type) and (
+        hint in (int, str) or hint in _FIXED or issubclass(hint, (enum.Enum, KeepsWireSize))
+    ):
+        name = f"T{len(names)}"
+        names[name] = hint
+        guard = f"type({var}) is {name}"
+        if hint is str:
+            body = [
+                f"total += {_PREFIXED} + "
+                f"(len({var}) if {var}.isascii() else len({var}.encode('utf-8')))"
+            ]
+        elif issubclass(hint, KeepsWireSize):  # sized before, it says so itself
+            body = [
+                f"kept = getattr({var}, '_wire_size', None)",
+                f"total += _sizes(({var},)) if kept is None else kept",
+            ]
+        else:  # int, float, bool or an enum: tag + fixed width
+            width = _NUMBER if hint is int else _FIXED.setdefault(hint, _TAG + 1)
+            body = [f"total += {width}"]
+    elif origin is tuple and args:
+        each = f"{var}_"
+        body = [f"total += {_PREFIXED}"]
+        if len(args) == 2 and args[1] is Ellipsis:
+            guard = f"type({var}) is tuple"
+            body.append(f"for {each} in {var}:")
+            _emit_size(body, names, args[0], each, 1)
+        else:
+            guard = f"type({var}) is tuple and len({var}) == {len(args)}"
+            for index, arg in enumerate(args):
+                body.append(f"{each} = {var}[{index}]")
+                _emit_size(body, names, arg, each, 0)
+    else:
+        # Another dataclass, ``Any``, or nothing else the annotation pins
+        # down: the value's own sizer if its type has one; an opaque field
+        # (op, reply, state) first tries what such fields mostly hold.
+        if not dataclasses.is_dataclass(hint):
+            lines += [
+                f"{pad}if type({var}) is int:",
+                f"{pad}    total += {_NUMBER}",
+                f"{pad}elif {var} is None:",
+                f"{pad}    total += {_TAG}",
+                f"{pad}elif type({var}) is tuple:",
+                f"{pad}    total += {_PREFIXED} + _sizes({var})",
+                f"{pad}else:",
+            ]
+            pad += "    "
+        lines += [
+            f"{pad}own = _SIZERS.get(type({var}))",
+            f"{pad}total += _sizes(({var},)) if own is None else own({var})",
+        ]
+        return
+    lines.append(f"{pad}if {guard}:")
+    lines += [f"{pad}    {line}" for line in body]
+    lines += [f"{pad}else:", f"{pad}    total += _sizes(({var},))"]
 
 
 def wire_size(message: Any) -> int:
@@ -147,7 +240,8 @@ def wire_size(message: Any) -> int:
     carriers are immutable and the same object travels inside several
     messages.
     """
-    return _HEADER.size + _sizes((message,))
+    sizer = _SIZERS.get(type(message))
+    return _HEADER.size + (_sizes((message,)) if sizer is None else sizer(message))
 
 
 class FrameDecoder:

@@ -50,6 +50,19 @@ class TestAcceptanceSweep:
                 f"{result.schedule.describe()}"
             )
 
+    def test_sync_fsync_storage_sweep_stays_clean(self):
+        # ``sync`` is the mode where a backup's accept record and its later
+        # choose record ride different fsyncs: a crash or torn write between
+        # them must never leave a choose without the accept it relies on
+        # (``choose`` no longer appends a second accept record).
+        options = ChaosOptions(fsync="sync", storage_faults=True)
+        for seed in range(30):
+            result = run_chaos(seed, options)
+            assert result.ok, (
+                f"seed {seed}: {[str(v) for v in result.violations]}\n"
+                f"{result.schedule.describe()}"
+            )
+
     def test_storage_sweep_exercises_storage_nemeses(self):
         options = ChaosOptions(fsync="group", storage_faults=True)
         fired = {

@@ -9,8 +9,8 @@ The determinism contract the whole simulator stands on:
   mid-run, and cancellations of already-fired events (no-ops).
 
 These became load-bearing with the slot-indexed cancellation, in-place
-heap compaction and handle pooling: each optimization must be invisible
-at this level.
+heap compaction and handle-less ``post_at`` events: each optimization must
+be invisible at this level.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ def test_same_timestamp_fires_in_schedule_order(times):
 @settings(max_examples=200, deadline=None)
 @given(times=times, data=st.data())
 def test_post_at_and_schedule_at_share_one_fifo_order(times, data):
-    """The pooled fast path must not get its own ordering domain."""
-    pooled = data.draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+    """The handle-less fast path must not get its own ordering domain
+    (``use_pool``: the event goes through ``post_at``)."""
+    posted = data.draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
     kernel = Kernel()
     fired: list[int] = []
-    for index, (time, use_pool) in enumerate(zip(times, pooled)):
+    for index, (time, use_pool) in enumerate(zip(times, posted)):
         if use_pool:
             kernel.post_at(time, fired.append, index)
         else:
@@ -124,8 +125,9 @@ def test_mid_run_cancellation_matches_model(times, data):
 
 @settings(max_examples=50, deadline=None)
 @given(rounds=st.integers(2, 12), width=st.integers(1, 16))
-def test_pooled_handles_stop_growing(rounds, width):
-    """Self-sustaining post_at chains reuse handles after the first round."""
+def test_post_at_traffic_creates_no_handles(rounds, width):
+    """Self-sustaining post_at chains never construct an EventHandle, from
+    the first event on; timers interleaved with them cost one each."""
     kernel = Kernel()
 
     def repost(round_index: int) -> None:
@@ -134,7 +136,7 @@ def test_pooled_handles_stop_growing(rounds, width):
 
     for _ in range(width):
         kernel.post_at(0.0, repost, 0)
-    kernel.run(until=0.002)  # warm-up: first rounds allocate the pool
-    warm = kernel.handles_created
+    timers = [kernel.schedule_at(0.0005 * i, lambda: None) for i in range(width)]
     kernel.run()
-    assert kernel.handles_created == warm
+    assert kernel.events_processed == width * (rounds + 1) + len(timers)
+    assert kernel.handles_created == len(timers)

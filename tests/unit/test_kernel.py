@@ -92,6 +92,62 @@ class TestCancellation:
         a.cancel()
         assert k.pending == 1
 
+    def test_dense_cancellation_compacts_in_place_while_run_iterates(self):
+        """A callback cancelling most of the heap triggers compaction under
+        ``run``'s feet: the heap list object stays the same one, shrinks to
+        the live entries (handles and ``post_at`` tuples alike), and the
+        survivors still fire in order."""
+        k = Kernel()
+        fired = []
+        timers = [k.schedule_at(2.0 + i * 1e-3, fired.append, ("timer", i)) for i in range(2000)]
+        for i in range(100):
+            k.post_at(3.0 + i * 1e-3, fired.append, ("post", i))
+        heap = k._heap
+
+        def cancel_most():
+            for timer in timers[10:]:
+                timer.cancel()
+
+        k.schedule_at(1.0, cancel_most)
+        k.run(until=1.5)
+        assert k._heap is heap
+        assert len(heap) < 2000 and k.pending == 110
+        k.run()
+        assert fired == [("timer", i) for i in range(10)] + [("post", i) for i in range(100)]
+        assert k.pending == 0 and not heap
+
+
+class TestFireAndForget:
+    def test_post_at_creates_no_handle(self):
+        k = Kernel()
+        fired = []
+        for i in range(1000):
+            k.post_at(i * 1e-3, fired.append, i)
+        assert k.pending == 1000
+        k.run()
+        assert fired == list(range(1000))
+        assert k.handles_created == 0
+
+    def test_handles_are_counted_per_cancellable_event(self):
+        k = Kernel()
+        k.schedule(0.1, lambda: None)
+        k.schedule_at(0.2, lambda: None)
+        k.post_at(0.3, lambda: None)
+        assert k.handles_created == 2
+
+    def test_post_at_without_arguments(self):
+        k = Kernel()
+        fired = []
+        k.post_at(0.1, lambda: fired.append("bare"))
+        k.run()
+        assert fired == ["bare"]
+
+    def test_post_at_into_the_past_rejected(self):
+        k = Kernel()
+        k.run(until=1.0)
+        with pytest.raises(SimulationError):
+            k.post_at(0.5, lambda: None)
+
 
 class TestRun:
     def test_run_until_stops_before_later_events(self):
@@ -117,6 +173,40 @@ class TestRun:
             k.schedule(0.1 * (i + 1), fired.append, i)
         k.run(max_events=2)
         assert fired == [0, 1]
+
+    def test_max_events_does_not_park_the_clock_at_until(self):
+        """Stopped short of ``until`` by ``max_events``, the clock stays at
+        the last event fired: the next ``run`` must not step it back."""
+        k = Kernel()
+        seen = []
+        for t in (1.0, 2.0, 3.0):
+            k.schedule_at(t, lambda: seen.append(k.now))
+        assert k.run(until=10.0, max_events=1) == 1
+        assert k.now == 1.0 and k.pending == 2
+        k.run()
+        assert seen == [1.0, 2.0, 3.0]
+        assert k.now == 3.0
+
+    def test_schedule_between_a_short_run_and_the_next(self):
+        k = Kernel()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            k.schedule_at(t, fired.append, t)
+        k.run(until=10.0, max_events=1)
+        k.schedule_at(2.5, fired.append, 2.5)  # raised "into the past" before
+        k.run()
+        assert fired == [1.0, 2.0, 2.5, 3.0]
+
+    def test_until_is_reached_when_max_events_ran_out_of_due_events(self):
+        """``max_events`` hit exactly as nothing else is due by ``until``:
+        the interval is over, the clock moves to its end."""
+        k = Kernel()
+        k.schedule_at(1.0, lambda: None)
+        k.schedule_at(20.0, lambda: None)
+        assert k.run(until=10.0, max_events=1) == 1
+        assert k.now == 10.0
+        assert k.run(until=15.0, max_events=0) == 0
+        assert k.now == 15.0
 
     def test_run_returns_processed_count(self):
         k = Kernel()

@@ -125,7 +125,7 @@ class TestSampling:
         profiler.register_actor("r1", "replica")
         profiler.register_actor("r0", "replica")
         profiler.stat(("r0", "send.X.replica")).add_cpu(2e-3)
-        profiler.sample(0.5, events=10, heap=3, pool=2)
+        profiler.sample(0.5, events=10, heap=3)
         assert profiler.next_sample == 0.5 + profiler.sample_interval
         names = [(actor, name) for _t, actor, name, _v in profiler.samples]
         assert names == [
@@ -133,7 +133,6 @@ class TestSampling:
             ("r1", "sim_cpu_ms"),
             ("kernel", "events_processed"),
             ("kernel", "heap_size"),
-            ("kernel", "pool_size"),
         ]
         values = {(a, n): v for _t, a, n, v in profiler.samples}
         assert values[("r0", "sim_cpu_ms")] == pytest.approx(2.0)
@@ -142,7 +141,7 @@ class TestSampling:
     def test_counter_samples_adapts_rows(self):
         profiler, _clock = make_profiler()
         profiler.register_actor("r0", "replica")
-        profiler.sample(0.25, events=1, heap=1, pool=0)
+        profiler.sample(0.25, events=1, heap=1)
         rows = counter_samples(profiler)
         assert rows[0] == {
             "actor": "r0", "name": "sim_cpu_ms", "t": 0.25, "value": 0.0,
@@ -236,7 +235,7 @@ class TestNullProfiler:
         NULL_PROFILER.enter_handler("r0", "f")
         NULL_PROFILER.exit_handler()
         NULL_PROFILER.register_actor("r0", "replica")
-        NULL_PROFILER.sample(1.0, 1, 1, 1)
+        NULL_PROFILER.sample(1.0, 1, 1)
         assert NULL_PROFILER.frames() == {}
         assert NULL_PROFILER.actors == {}
         assert NULL_PROFILER.samples == []

@@ -130,6 +130,85 @@ class TestAcceptPath:
         assert replica.service.value == 7  # applied once
 
 
+def wal_kinds(replica, instance: int) -> list[tuple[str, Ballot | None]]:
+    """The accept/choose records the device holds for ``instance``, in
+    append order, as ``(kind, ballot of an accept)``."""
+    kinds = []
+    for frame in replica.store.device.durable:
+        record = frame.record
+        if record.kind == "accept" and record.payload[0].instance == instance:
+            kinds.append(("accept", record.payload[0].ballot))
+        elif record.kind == "choose" and record.payload[0] == instance:
+            kinds.append(("choose", None))
+    return kinds
+
+
+class TestChooseAppends:
+    """``choose`` appends an accept record only where the log does not
+    already hold the instance at the choosing ballot."""
+
+    def test_accepted_then_chosen_at_the_same_ballot_appends_only_the_choose(self):
+        kernel, _world, _trace, replica = make_follower()
+        ballot = Ballot(0, "r0")
+        value = proposal(5)
+        replica.on_message("r0", AcceptBatch(ballot=ballot, entries=((1, value),)))
+        before = replica.store.device.appends
+        replica.on_message("r0", ChosenBatch(items=((1, value),), ballot=ballot))
+        kernel.run(until=0.1)
+        assert replica.store.device.appends == before + 1
+        assert wal_kinds(replica, 1) == [("accept", ballot), ("choose", None)]
+        assert replica.applied == 1
+
+    def test_chosen_without_a_prior_accept_appends_accept_and_choose(self):
+        kernel, _world, _trace, replica = make_follower()
+        ballot = Ballot(0, "r0")
+        replica.on_message("r0", ChosenBatch(items=((1, proposal(5)),), ballot=ballot))
+        kernel.run(until=0.1)
+        assert wal_kinds(replica, 1) == [("accept", ballot), ("choose", None)]
+        assert replica.log.accepted_entry(1).pn == ProposalNumber(ballot, 1)
+
+    @pytest.mark.parametrize(
+        "held, chosen",
+        [(Ballot(0, "r0"), Ballot(1, "r2")), (Ballot(1, "r2"), Ballot(0, "r0"))],
+        ids=["held-lower", "held-higher"],
+    )
+    def test_chosen_at_another_ballot_than_the_one_held_appends_both(self, held, chosen):
+        kernel, _world, _trace, replica = make_follower()
+        value = proposal(5)
+        replica.on_message(held.leader, AcceptBatch(ballot=held, entries=((1, value),)))
+        before = replica.store.device.appends
+        replica.on_message(chosen.leader, ChosenBatch(items=((1, value),), ballot=chosen))
+        kernel.run(until=0.1)
+        # A round record may ride along (a higher round observed): count kinds.
+        assert wal_kinds(replica, 1) == [
+            ("accept", held), ("accept", chosen), ("choose", None),
+        ]
+        assert replica.store.device.appends >= before + 2
+
+    def test_entry_replayed_after_a_crash_is_promised_and_not_appended_again(self):
+        """Crash between AcceptBatch and ChosenBatch: recovery rebuilds the
+        entry from its WAL record, a Promise reports it, and the decision
+        then appends only its choose record."""
+        kernel, world, trace, replica = make_follower()
+        ballot = Ballot(0, "r0")
+        value = proposal(5)
+        replica.on_message("r0", AcceptBatch(ballot=ballot, entries=((1, value),)))
+        kernel.run(until=0.1)
+        world.crash("r1")
+        world.recover("r1")
+        assert replica.log.accepted_entry(1).pn == ProposalNumber(ballot, 1)
+        replica.on_message("r2", Prepare(ballot=Ballot(1, "r2"), gaps=(), from_instance=1))
+        kernel.run(until=0.2)
+        (promise,) = sent_to(trace, "r2", Promise)
+        assert [(e.pn, e.value) for e in promise.entries] == [
+            (ProposalNumber(ballot, 1), value)
+        ]
+        replica.on_message("r0", ChosenBatch(items=((1, value),), ballot=ballot))
+        kernel.run(until=0.3)
+        assert wal_kinds(replica, 1) == [("accept", ballot), ("choose", None)]
+        assert replica.applied == 1 and replica.service.value == 5
+
+
 class TestPreparePath:
     def test_promise_reports_accepted_entries(self):
         kernel, _world, trace, replica = make_follower()

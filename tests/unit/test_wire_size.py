@@ -8,12 +8,15 @@ of content, and keeping it on a carrier never changes it.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import inspect
 import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.core import messages
+from hypothesis import given, settings, strategies as st
+
+from repro.core import ballot as ballot_module, messages, requests, state
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.group import ReplicationGroup
 from repro.core.messages import (
@@ -35,7 +38,7 @@ from repro.core.messages import (
     Reply,
     StartSignal,
 )
-from repro.core.requests import ClientRequest, RequestId
+from repro.core.requests import ClientRequest, ExecutedTable, RequestId
 from repro.core.state import StatePayload
 from repro.transport import codec
 from repro.transport.codec import wire_size
@@ -187,8 +190,122 @@ class TestKeptSizes:
         """Sizes live on the carriers; the module only remembers *types*
         (so nothing outlives a cluster or grows with the traffic)."""
         wire_size(request())  # first sight registers the types involved
-        before = (len(codec._FIXED), len(codec._DATACLASSES))
+        before = (len(codec._FIXED), len(codec._SIZERS))
         for seq in range(2000):
             wire_size(ClientRequest(RequestId("c0", seq), RequestKind.WRITE, ("write",)))
-        assert (len(codec._FIXED), len(codec._DATACLASSES)) == before
-        assert all(isinstance(key, type) for key in (*codec._FIXED, *codec._DATACLASSES))
+        assert (len(codec._FIXED), len(codec._SIZERS)) == before
+        assert all(isinstance(key, type) for key in (*codec._FIXED, *codec._SIZERS))
+
+
+# ------------------------------------------------- generated sizer == the rules
+def reference_size(value) -> int:
+    """``wire_size``'s documented encoding rules as the obvious recursion:
+    the reference the compiled per-type sizers are held to. Shares no code
+    with the model and keeps no sizes."""
+    if value is None:
+        return 1
+    if isinstance(value, (bool, enum.Enum)):
+        return 2
+    if isinstance(value, (int, float)):
+        return 9
+    if isinstance(value, str):
+        return 5 + len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return 5 + len(value)
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return 5 + sum(reference_size(item) for item in value)
+    if isinstance(value, dict):
+        return 5 + sum(reference_size(k) + reference_size(v) for k, v in value.items())
+    if dataclasses.is_dataclass(value):
+        return 1 + sum(
+            reference_size(getattr(value, field.name)) for field in dataclasses.fields(value)
+        )
+    return 5 + len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def field_values(obj) -> tuple:
+    return tuple(getattr(obj, field.name) for field in dataclasses.fields(obj))
+
+
+#: Builders for the sized dataclasses ``GOLDEN`` has no wire message for.
+PARTS = {
+    ProposalNumber: pn,
+    StatePayload: lambda: StatePayload(StateTransferMode.DELTA, (1, None)),
+    ExecutedTable: lambda: ExecutedTable({"c0": (7, "reply")}),
+}
+
+
+def sized_classes() -> dict[type, object]:
+    """Every dataclass the protocol modules define, with a builder."""
+    defined = {
+        cls
+        for module in (messages, requests, ballot_module, state)
+        for _name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+    }
+    builders = {**{cls: make for cls, (make, _size) in GOLDEN.items()}, **PARTS}
+    assert defined <= set(builders), defined - set(builders)
+    return {cls: builders[cls] for cls in defined}
+
+
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),  # any code point: pids and keys need not be ASCII
+    st.binary(max_size=5),
+    st.sampled_from([RequestKind.WRITE, ReplyStatus.ERROR, StateTransferMode.REPRO]),
+    st.sampled_from([ballot, rid, request, proposal, pn]).map(lambda make: make()),
+)
+anything = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=2),
+        st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    ),
+    max_leaves=5,
+)
+
+
+class TestCompiledSizers:
+    def test_every_sized_class_has_a_compiled_sizer_that_follows_the_rules(self):
+        for cls, make in sized_classes().items():
+            obj = make()
+            assert wire_size(obj) == 4 + reference_size(obj), cls.__name__
+            compiled = codec._SIZERS[cls]  # registered by the first sight above
+            fresh = make()
+            assert compiled(fresh) == reference_size(fresh), cls.__name__
+            assert compiled(fresh) == 1 + codec._sizes(field_values(make())), cls.__name__
+
+    def test_annotations_are_hints_never_trusted(self):
+        """Values that contradict the declared field types are sized by
+        the generic walk, not mis-sized by the guard's constant."""
+        cases = [
+            AcceptedBatch(ballot(), (5, None, "six")),          # None / str where int
+            AcceptedBatch(None, [5, 6]),                        # a list where a tuple
+            ClientRequest(rid(), "write", (("put", ("k", (1, 2))),), 7, None),
+            ClientRequest(RequestId("né€", True), RequestKind.WRITE, None, "tx-ü", 2.5),
+            Reply(rid(), ReplyStatus.OK, {"k": (1, b"x")}, 3),  # an int where a pid
+            AcceptBatch(ballot(), ((5, proposal(), "extra"), (6,), 7), None, (1, 2)),
+            Promise(ballot(), (PromiseEntry(pn(), proposal()), None), 4, (1, 2, 3)),
+            GroupEnvelope("g", 5),
+            Proposal([request()], None, proposal()),
+            Ballot(2.0, None),
+        ]
+        for case in cases:
+            assert wire_size(case) == 4 + reference_size(case), case
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_compiled_sizer_equals_the_generic_walk_on_any_field_values(self, data):
+        classes = sorted(sized_classes(), key=lambda cls: cls.__name__)
+        cls = data.draw(st.sampled_from(classes))
+        count = len(dataclasses.fields(cls))
+        values = data.draw(st.lists(anything, min_size=count, max_size=count))
+        obj = cls(*values)
+        expected = reference_size(obj)
+        assert wire_size(obj) == 4 + expected
+        assert 1 + codec._sizes(field_values(cls(*values))) == expected
+        assert wire_size(obj) == 4 + expected  # and again, from the kept size
