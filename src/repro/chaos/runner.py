@@ -84,6 +84,12 @@ class ChaosOptions:
             raise ConfigError(f"need at least one group, got {self.groups}")
         if self.intensity < 0:
             raise ConfigError(f"intensity must be >= 0, got {self.intensity}")
+        if self.n_replicas < 2:
+            raise ConfigError(
+                f"nemesis schedules need at least two replicas, got {self.n_replicas}"
+            )
+        if self.horizon <= 0:
+            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; known: {PROTOCOLS}"

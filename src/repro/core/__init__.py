@@ -12,6 +12,11 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.group` — one replica of one replication group: acceptor,
   learner, leader lifecycle and client front end (§3.1-§3.3). The
   deterministic-SMR baseline of §3.3 ¶1 is its ``StateTransferMode.SMR``.
+* :mod:`repro.core.round` — one leader-to-acceptors exchange: send once,
+  resend to the silent, count one vote per process (the leader's own only
+  once durable), stop at a majority (§3.2/§3.3). One exchange, three users:
+  every pipeline round, the new leader's prepare round, and the accept
+  round that closes its recovery.
 * :mod:`repro.core.proposer` — the leader's sequential proposal pipeline.
 * :mod:`repro.core.xpaxos` — the read path (§3.4).
 * :mod:`repro.core.locks`, :mod:`repro.core.tpaxos` — transactions (§3.5).

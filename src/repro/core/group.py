@@ -43,7 +43,6 @@ rejoining. Everything else is volatile and rebuilt in ``on_recover``.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from collections.abc import Callable
 from typing import Any
 
@@ -285,10 +284,8 @@ class ReplicationGroup(Process):
             msg_type: getattr(self, name) for msg_type, name in self.DISPATCH.items()
         }
 
-        #: Request counters by kind plus protocol events, for reports.
-        self.stats: Counter[str] = Counter()
-        #: ``(stats key, req.<kind> counter)`` per request kind, on first use.
-        self._request_counters: dict[RequestKind, tuple[str, Any]] = {}
+        #: The ``req.<kind>`` counter per request kind, on first use.
+        self._request_counters: dict[RequestKind, Any] = {}
 
         #: Observability scope, used as given: whoever builds the group
         #: names it (a host scopes ``proc.<pid>.g<group>.*``). Phase-latency
@@ -336,7 +333,6 @@ class ReplicationGroup(Process):
             )
         state = self.store.recover()
         if state is None:
-            self.stats["storage_failstops"] += 1
             if tracer.enabled:
                 tracer.end(span, status="failstop")
             self.alive = False
@@ -364,7 +360,6 @@ class ReplicationGroup(Process):
         self._accepted_at.clear()
         self._chosen_at.clear()
         self._takeover_started = None
-        self.stats["recovers"] += 1
         self.metrics.counter("recovers").inc()
         # Log entries above the checkpoint may be re-appliable already.
         self._apply_ready()
@@ -378,7 +373,7 @@ class ReplicationGroup(Process):
             return
         handler = self._dispatch.get(type(msg))
         if handler is None:
-            self.stats["unknown_messages"] += 1
+            self.metrics.counter("unknown_messages").inc()
             return
         handler(src, msg)
 
@@ -394,15 +389,14 @@ class ReplicationGroup(Process):
     # ====================================================== client-side entry
     def _on_client_request(self, src: ProcessId, request: ClientRequest) -> None:
         kind = request.kind
-        counted = self._request_counters.get(kind)
-        if counted is None:
+        counter = self._request_counters.get(kind)
+        if counter is None:
             # Every replica runs this for every request: the Enum property,
-            # the two names and the scope lookup are paid once per kind.
-            counted = self._request_counters[kind] = (
-                f"req_{kind.value}", self.metrics.counter(f"req.{kind.value}")
+            # the name and the scope lookup are paid once per kind.
+            counter = self._request_counters[kind] = self.metrics.counter(
+                f"req.{kind.value}"
             )
-        self.stats[counted[0]] += 1
-        counted[1].inc()
+        counter.inc()
         if kind is RequestKind.ORIGINAL:
             if self.role is ReplicaRole.LEADING:
                 self._serve_original(src, request)
@@ -515,10 +509,15 @@ class ReplicationGroup(Process):
             self.send(src, ack)
 
     def _on_accepted_batch(self, src: ProcessId, msg: AcceptedBatch) -> None:
-        if self.role is ReplicaRole.RECOVERING:
-            self.recovery.on_accepted_batch(src, msg)
-        elif self.role is ReplicaRole.LEADING:
-            self.proposer.on_accepted(src, msg)
+        # At most one accept round is in flight: recovery's closing round
+        # while RECOVERING, a pipeline round while LEADING, none otherwise.
+        round_ = self.recovery.inflight or self.proposer.inflight
+        if (
+            round_ is not None
+            and msg.ballot == round_.ballot  # else: an earlier leadership's ack
+            and set(round_.instances).issubset(msg.instances)  # else: an earlier batch's
+        ):
+            round_.vote(src)
 
     def _on_chosen_batch(self, src: ProcessId, msg: ChosenBatch) -> None:
         self.observe_round(msg.ballot.round)
@@ -606,7 +605,6 @@ class ReplicationGroup(Process):
         if self.others:
             items = tuple((pn.instance, proposal) for pn, proposal, _item in batch)
             self.broadcast(self.others, ChosenBatch(items=items, ballot=ballot))
-        self.stats["commits"] += len(batch)
         self.metrics.counter("commits").inc(len(batch))
 
     def _apply_ready(self) -> None:
@@ -663,7 +661,6 @@ class ReplicationGroup(Process):
             for op in value.ops():
                 if op is None:
                     continue
-                self.stats["smr_reexecutions"] += 1
                 self.metrics.counter("smr.reexecutions").inc()
                 try:
                     self.service.execute(op, self.execution_context())
@@ -677,7 +674,6 @@ class ReplicationGroup(Process):
         if self.applied - checkpoint_instance < self.config.checkpoint_interval:
             return
         self.store.write_checkpoint(self.applied)
-        self.stats["checkpoints"] += 1
 
     def install_snapshot(self, instance: InstanceId, snapshot: tuple[Any, ...]) -> None:
         """Adopt a (service, executed-table[, rid-fold]) snapshot at
@@ -803,7 +799,6 @@ class ReplicationGroup(Process):
                 self._step_down()
 
     def _become_leader(self) -> None:
-        self.stats["elected"] += 1
         self.metrics.counter("leader.elected").inc()
         self._takeover_started = self.now
         round_ = self.max_round_seen + 1
@@ -818,7 +813,6 @@ class ReplicationGroup(Process):
         self.recovery.start(self.ballot)
 
     def _step_down(self) -> None:
-        self.stats["stepped_down"] += 1
         self.metrics.counter("leader.stepdowns").inc()
         self._takeover_started = None
         self.tracer.end(self.takeover_span, status="stepped_down")
@@ -860,7 +854,7 @@ class ReplicationGroup(Process):
         self.observe_round(higher.round)
         if self.role is ReplicaRole.FOLLOWER:
             return
-        self.stats["preempted"] += 1
+        self.metrics.counter("leader.preempted").inc()
         self._step_down()
         if self.elector.current_leader() == self.pid:
             # Back off one retry interval before contending again.
@@ -875,7 +869,6 @@ class ReplicationGroup(Process):
         if self.role is not ReplicaRole.RECOVERING:
             return
         self.role = ReplicaRole.LEADING
-        self.stats["recovery_complete"] += 1
         if self._takeover_started is not None:
             # Downtime this replica imposed on the cluster while taking over:
             # election callback -> ready to serve (§3.6's switch cost).

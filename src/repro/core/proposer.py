@@ -34,12 +34,14 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, TYPE_CHECKING
 
-from repro.core.ballot import Ballot, ProposalNumber
-from repro.core.messages import AcceptBatch, AcceptedBatch, Proposal
-from repro.types import InstanceId, ProcessId
+from repro.core.ballot import ProposalNumber
+from repro.core.messages import AcceptBatch, Proposal
+from repro.core.round import QuorumRound
+from repro.types import InstanceId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group import ReplicationGroup
@@ -65,7 +67,6 @@ class ProposalItem:
     (``repro.core.group``).
     """
 
-    label: str
     prepare: Callable[[], Any]
     on_committed: Callable[[Proposal, InstanceId], None]
     #: Causal-tracing context: the span this item's request originated in
@@ -75,25 +76,6 @@ class ProposalItem:
     ctx: Any = None
 
 
-@dataclass(slots=True)
-class _InFlight:
-    ballot: Ballot
-    batch: list[tuple[ProposalNumber, Proposal, ProposalItem]]
-    instances: tuple[InstanceId, ...]
-    acks: set[ProcessId] = field(default_factory=set)
-    timer: Any = None
-    #: Virtual time the accept round left the leader (phase-latency metric).
-    proposed_at: float = 0.0
-    #: Causal-tracing span covering propose -> majority of Accepteds.
-    span: Any = None
-
-    def message(self) -> AcceptBatch:
-        return AcceptBatch(
-            ballot=self.ballot,
-            entries=tuple((pn.instance, proposal) for pn, proposal, _item in self.batch),
-        )
-
-
 class SequentialProposer:
     """At most one accept round in flight; strictly increasing instances."""
 
@@ -101,14 +83,14 @@ class SequentialProposer:
         self.replica = replica
         self.max_batch = max_batch
         self.queue: deque[ProposalItem] = deque()
-        self.inflight: _InFlight | None = None
+        #: The accept round in flight (``instances`` is its batch's), if any.
+        self.inflight: QuorumRound | None = None
+        #: Causal-tracing span of the latest round: propose -> majority of
+        #: Accepteds (or ``abandoned``).
+        self._span: Any = None
         self.next_instance: InstanceId = 1
         self.active = False
         self._paused = False
-        #: Instances committed through this proposer (stats).
-        self.committed = 0
-        #: Accept rounds sent (stats; committed/rounds = mean batch size).
-        self.rounds = 0
 
     # ------------------------------------------------------------- lifecycle
     def begin(self, next_instance: InstanceId) -> None:
@@ -124,10 +106,9 @@ class SequentialProposer:
         self.active = False
         self._paused = False
         if self.inflight is not None:
-            if self.inflight.timer is not None:
-                self.inflight.timer.cancel()
-            self.replica.tracer.end(self.inflight.span, status="abandoned")
-        self.inflight = None
+            self.inflight.close()
+            self.inflight = None
+            self.replica.tracer.end(self._span, status="abandoned")
         self.queue.clear()
 
     def reset(self) -> None:
@@ -155,7 +136,7 @@ class SequentialProposer:
 
     @property
     def depth(self) -> int:
-        inflight = len(self.inflight.batch) if self.inflight is not None else 0
+        inflight = len(self.inflight.instances) if self.inflight is not None else 0
         return len(self.queue) + inflight
 
     # --------------------------------------------------------------- pumping
@@ -184,24 +165,19 @@ class SequentialProposer:
             instance = self.next_instance
             self.next_instance += 1
             pn = ProposalNumber(replica.ballot, instance)
-            # The leader is its own acceptor: accept locally, count itself.
+            # The leader is its own acceptor: it accepts locally here and
+            # votes for the round below.
             replica.accept_locally(pn, outcome)
             batch.append((pn, outcome, item))
         if not batch:
             return
-        assert replica.ballot is not None
-        barrier = replica.store.needs_barrier
-        flight = _InFlight(
-            ballot=replica.ballot,
-            batch=batch,
-            instances=tuple(pn.instance for pn, _p, _i in batch),
-            # The leader is an acceptor too: with a real fsync model its
-            # own acceptance only counts toward the quorum once durable.
-            acks=set() if barrier else {replica.pid},
-            proposed_at=replica.now,
+        ballot = replica.ballot
+        assert ballot is not None
+        instances = tuple(pn.instance for pn, _p, _i in batch)
+        round_ = self.inflight = QuorumRound(
+            replica, ballot, replica.config.accept_retry,
+            partial(self._on_majority, batch, replica.now), instances,
         )
-        self.inflight = flight
-        self.rounds += 1
         metrics = replica.metrics
         if metrics.enabled:
             metrics.counter("proposer.rounds").inc()
@@ -210,73 +186,38 @@ class SequentialProposer:
         if tracer.enabled:
             # The round rides the first batched request's trace: that request
             # has waited longest, so the round is on *its* critical path.
-            flight.span = tracer.start_span(
+            self._span = tracer.start_span(
                 "accept_round",
                 pid=replica.pid,
                 kind="round",
                 parent=batch[0][2].ctx if batch[0][2].ctx is not None else tracer.current,
-                attrs={"instances": list(flight.instances), "batch": len(batch)},
+                attrs={"instances": list(instances), "batch": len(batch)},
             )
         others = replica.others
         if others:
-            token = tracer.activate(flight.span)
+            entries = tuple((pn.instance, proposal) for pn, proposal, _item in batch)
+            token = tracer.activate(self._span)
             try:
-                replica.broadcast(others, flight.message())
-                flight.timer = replica.set_timer(
-                    replica.config.accept_retry, self._retransmit, flight.instances
-                )
+                round_.broadcast(others, AcceptBatch(ballot=ballot, entries=entries))
             finally:
                 tracer.restore(token)
-        if barrier:
-            replica.store.flush(lambda: self._ack_durable(flight))
-        self._check_majority()
+        round_.vote_self()
 
-    def _ack_durable(self, flight: _InFlight) -> None:
-        """The leader's own accepted batch hit stable storage."""
-        if self.inflight is not flight:
-            return  # already committed on backup acks, or abandoned
-        flight.acks.add(self.replica.pid)
-        self._check_majority()
-
-    # ------------------------------------------------------------- responses
-    def on_accepted(self, src: ProcessId, msg: AcceptedBatch) -> None:
-        flight = self.inflight
-        if flight is None or msg.ballot != flight.ballot:
-            return  # stale ack from an earlier round or previous leadership
-        if not set(flight.instances).issubset(msg.instances):
-            return  # ack for a previous batch
-        flight.acks.add(src)
-        self._check_majority()
-
-    def _check_majority(self) -> None:
-        flight = self.inflight
-        if flight is None or len(flight.acks) < self.replica.config.majority:
-            return
-        if flight.timer is not None:
-            flight.timer.cancel()
+    def _on_majority(
+        self,
+        batch: list[tuple[ProposalNumber, Proposal, ProposalItem]],
+        proposed_at: float,
+        round_: QuorumRound,
+    ) -> None:
+        """A majority accepted the in-flight round: commit it, pump the next."""
         self.inflight = None
-        self.committed += len(flight.batch)
-        self.replica.tracer.end(flight.span)  # quorum reached
+        self.replica.tracer.end(self._span)  # quorum reached
         metrics = self.replica.metrics
         if metrics.enabled:
             # Majority of Accepteds in hand: the propose->accepted phase of
             # every instance in the round ends here (2m on a quiet LAN).
             metrics.histogram("phase.propose_accepted").observe(
-                self.replica.now - flight.proposed_at
+                self.replica.now - proposed_at
             )
-        self.replica.commit_batch_as_leader(flight.ballot, flight.batch)
+        self.replica.commit_batch_as_leader(round_.ballot, batch)
         self._pump()
-
-    def _retransmit(self, instances: tuple[InstanceId, ...]) -> None:
-        """Resend the in-flight batch to laggards ("if the leader fails to
-        receive the expected response ... it retransmits")."""
-        flight = self.inflight
-        if flight is None or flight.instances != instances or not self.active:
-            return
-        replica = self.replica
-        laggards = tuple(p for p in replica.others if p not in flight.acks)
-        if laggards:
-            replica.broadcast(laggards, flight.message())
-        flight.timer = replica.set_timer(
-            replica.config.accept_retry, self._retransmit, instances
-        )

@@ -21,20 +21,19 @@ rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.messages import (
     AcceptBatch,
-    AcceptedBatch,
     ChosenBatch,
-    Nack,
     Prepare,
     Promise,
     PromiseEntry,
     Proposal,
 )
+from repro.core.round import QuorumRound
 from repro.errors import ProtocolError
 from repro.types import InstanceId, ProcessId
 
@@ -42,34 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group import ReplicationGroup
 
 
-@dataclass(slots=True)
-class _PrepareRound:
-    ballot: Ballot
-    gaps: tuple[InstanceId, ...]
-    from_instance: InstanceId
-    promises: dict[ProcessId, Promise] = field(default_factory=dict)
-    timer: Any = None
-
-
-@dataclass(slots=True)
-class _AcceptRound:
-    ballot: Ballot
-    entries: tuple[tuple[InstanceId, Proposal], ...]
-    snapshot_instance: InstanceId
-    snapshot: Any
-    acks: set[ProcessId] = field(default_factory=set)
-    timer: Any = None
-
-
 class RecoveryCoordinator:
     """Drives the prepare + accept rounds a new leader runs before serving."""
 
     def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
-        self._prepare: _PrepareRound | None = None
-        self._accept: _AcceptRound | None = None
-        #: Completed recoveries (stats).
-        self.recoveries = 0
+        #: The prepare round, while it collects Promises.
+        self._prepare: QuorumRound | None = None
+        #: The closing accept round in flight, if any.
+        self.inflight: QuorumRound | None = None
         self._started_at: float | None = None
         #: Causal-tracing span covering prepare -> merge -> closing accept.
         self._span: Any = None
@@ -92,8 +72,9 @@ class RecoveryCoordinator:
         log = replica.log
         gaps = log.gaps()
         from_instance = max(log.frontier, log.max_instance_chosen()) + 1
-        round_ = _PrepareRound(ballot=ballot, gaps=gaps, from_instance=from_instance)
-        self._prepare = round_
+        round_ = self._prepare = QuorumRound(
+            replica, ballot, replica.config.prepare_retry, self._merge_and_accept
+        )
 
         def _promises_durable() -> None:
             # The self-promise (and the round record that makes a future
@@ -101,27 +82,28 @@ class RecoveryCoordinator:
             # Prepare becomes visible: replaying a truncated tail and
             # re-running round ``b`` could otherwise issue two different
             # accept rounds under one ballot.
-            if self._prepare is not round_:
+            if not round_.open:
                 return  # cancelled or superseded while the fsync ran
-            # Our own answer to our own Prepare.
-            round_.promises[replica.pid] = Promise(
-                ballot=ballot,
-                entries=replica.log.promise_entries(gaps, from_instance),
-                chosen_frontier=replica.log.frontier,
-                latest=replica.latest_state_for_promise(),
-            )
             others = replica.others
             if others:
-                message = Prepare(ballot=ballot, gaps=gaps, from_instance=from_instance)
                 token = tracer.activate_for(self._span)
                 try:
-                    replica.broadcast(others, message)
-                    round_.timer = replica.set_timer(
-                        replica.config.prepare_retry, self._retransmit_prepare
+                    round_.broadcast(
+                        others, Prepare(ballot=ballot, gaps=gaps, from_instance=from_instance)
                     )
                 finally:
                     tracer.restore(token)
-            self._check_prepare_majority()
+            # Our own answer to our own Prepare — cast only now that the
+            # Prepare has left: it may be the vote that closes the round.
+            round_.vote(
+                replica.pid,
+                Promise(
+                    ballot=ballot,
+                    entries=replica.log.promise_entries(gaps, from_instance),
+                    chosen_frontier=replica.log.frontier,
+                    latest=replica.latest_state_for_promise(),
+                ),
+            )
 
         if replica.store.needs_barrier:
             replica.store.flush(_promises_durable)
@@ -130,51 +112,19 @@ class RecoveryCoordinator:
 
     def on_promise(self, src: ProcessId, msg: Promise) -> None:
         round_ = self._prepare
-        if round_ is None or msg.ballot != round_.ballot:
-            return
-        round_.promises[src] = msg
-        self._check_prepare_majority()
-
-    def on_nack(self, src: ProcessId, msg: Nack) -> None:
-        if self._prepare is None and self._accept is None:
-            return
-        self.replica.on_preempted(msg.promised)
-
-    def _retransmit_prepare(self) -> None:
-        round_ = self._prepare
-        if round_ is None:
-            return
-        replica = self.replica
-        laggards = tuple(p for p in replica.others if p not in round_.promises)
-        if laggards:
-            replica.broadcast(
-                laggards,
-                Prepare(
-                    ballot=round_.ballot,
-                    gaps=round_.gaps,
-                    from_instance=round_.from_instance,
-                ),
-            )
-        round_.timer = replica.set_timer(
-            replica.config.prepare_retry, self._retransmit_prepare
-        )
-
-    def _check_prepare_majority(self) -> None:
-        round_ = self._prepare
-        if round_ is None or len(round_.promises) < self.replica.config.majority:
-            return
-        if round_.timer is not None:
-            round_.timer.cancel()
-        self._prepare = None
-        self._merge_and_accept(round_)
+        if round_ is not None and msg.ballot == round_.ballot:
+            round_.vote(src, msg)
 
     # ----------------------------------------------------------------- merge
-    def _merge_and_accept(self, round_: _PrepareRound) -> None:
+    def _merge_and_accept(self, round_: QuorumRound) -> None:
+        """A majority promised (``round_.votes``: pid -> Promise)."""
+        self._prepare = None
         replica = self.replica
+        promises = round_.votes.values()
 
         # 1. Adopt the most advanced snapshot among the quorum (and self).
         best: tuple[InstanceId, Any] | None = None
-        for promise in round_.promises.values():
+        for promise in promises:
             if promise.latest is not None:
                 if best is None or promise.latest[0] > best[0]:
                     best = promise.latest
@@ -184,7 +134,7 @@ class RecoveryCoordinator:
 
         # 2. Merge accepted entries: highest proposal number wins per instance.
         merged: dict[InstanceId, PromiseEntry] = {}
-        for promise in round_.promises.values():
+        for promise in promises:
             for entry in promise.entries:
                 instance = entry.pn.instance
                 if instance <= base:
@@ -226,17 +176,14 @@ class RecoveryCoordinator:
         # 5. Accept phase: one message with every re-proposed value plus the
         #    latest state, so lagging replicas catch up in one step.
         entries = tuple((i, merged[i].value) for i in instances)
-        barrier = replica.store.needs_barrier
-        accept = _AcceptRound(
-            ballot=round_.ballot,
-            entries=entries,
-            snapshot_instance=base,
-            snapshot=replica.latest_state_payload(),
-            acks=set() if barrier else {replica.pid},
+        ballot = round_.ballot
+        snapshot = replica.latest_state_payload()
+        accept = self.inflight = QuorumRound(
+            replica, ballot, replica.config.prepare_retry,
+            partial(self._choose_recovered, entries), tuple(instances),
         )
-        self._accept = accept
         for instance, value in entries:
-            replica.accept_locally(ProposalNumber(round_.ballot, instance), value)
+            replica.accept_locally(ProposalNumber(ballot, instance), value)
         others = replica.others
         if others:
             # Promises arrive inside *their own* message spans; re-enter the
@@ -244,81 +191,40 @@ class RecoveryCoordinator:
             tracer = replica.tracer
             token = tracer.activate_for(self._span)
             try:
-                replica.broadcast(others, self._accept_message(accept))
-                accept.timer = replica.set_timer(
-                    replica.config.prepare_retry, self._retransmit_accept
+                accept.broadcast(
+                    others,
+                    AcceptBatch(ballot=ballot, entries=entries,
+                                snapshot_instance=base, snapshot=snapshot),
                 )
             finally:
                 tracer.restore(token)
-        if barrier:
-            replica.store.flush(lambda: self._ack_accept_durable(accept))
-        self._check_accept_majority()
-
-    def _ack_accept_durable(self, accept: _AcceptRound) -> None:
-        """The recovering leader's own re-accepted batch is now stable."""
-        if self._accept is not accept:
-            return  # committed on backup acks, or cancelled meanwhile
-        accept.acks.add(self.replica.pid)
-        self._check_accept_majority()
-
-    def _accept_message(self, accept: _AcceptRound) -> AcceptBatch:
-        return AcceptBatch(
-            ballot=accept.ballot,
-            entries=accept.entries,
-            snapshot_instance=accept.snapshot_instance,
-            snapshot=accept.snapshot,
-        )
+        accept.vote_self()
 
     # ---------------------------------------------------------- accept phase
-    def on_accepted_batch(self, src: ProcessId, msg: AcceptedBatch) -> None:
-        accept = self._accept
-        if accept is None or msg.ballot != accept.ballot:
-            return
-        wanted = {instance for instance, _v in accept.entries}
-        if not wanted.issubset(msg.instances):
-            return
-        accept.acks.add(src)
-        self._check_accept_majority()
-
-    def _retransmit_accept(self) -> None:
-        accept = self._accept
-        if accept is None:
-            return
+    def _choose_recovered(
+        self, entries: tuple[tuple[InstanceId, Proposal], ...], accept: QuorumRound
+    ) -> None:
+        """A majority accepted the closing round: every entry is chosen."""
+        self.inflight = None
         replica = self.replica
-        laggards = tuple(p for p in replica.others if p not in accept.acks)
-        if laggards:
-            replica.broadcast(laggards, self._accept_message(accept))
-        accept.timer = replica.set_timer(
-            replica.config.prepare_retry, self._retransmit_accept
-        )
-
-    def _check_accept_majority(self) -> None:
-        accept = self._accept
-        if accept is None or len(accept.acks) < self.replica.config.majority:
-            return
-        if accept.timer is not None:
-            accept.timer.cancel()
-        self._accept = None
-        replica = self.replica
-        for instance, value in accept.entries:
-            replica.choose(instance, value, accept.ballot)
+        ballot = accept.ballot
+        for instance, value in entries:
+            replica.choose(instance, value, ballot)
         tracer = replica.tracer
         token = tracer.activate_for(self._span)
         try:
             others = replica.others
             if others:
-                replica.broadcast(others, ChosenBatch(items=accept.entries, ballot=accept.ballot))
+                replica.broadcast(others, ChosenBatch(items=entries, ballot=ballot))
             # Proactively answer the clients whose requests we just finished
             # for the old leader (they are probably retransmitting by now).
-            for _instance, value in accept.entries:
+            for _instance, value in entries:
                 replica.reply_for_recovered(value)
         finally:
             tracer.restore(token)
-        top = accept.entries[-1][0]
-        self._finish(accept.ballot, next_instance=top + 1)
+        self._finish(ballot, next_instance=entries[-1][0] + 1)
 
     def _finish(self, ballot: Ballot, next_instance: InstanceId) -> None:
-        self.recoveries += 1
         metrics = self.replica.metrics
         if metrics.enabled:
             metrics.counter("recovery.completed").inc()
@@ -334,12 +240,11 @@ class RecoveryCoordinator:
 
     # -------------------------------------------------------------- lifecycle
     def cancel(self) -> None:
-        if self._prepare is not None and self._prepare.timer is not None:
-            self._prepare.timer.cancel()
-        if self._accept is not None and self._accept.timer is not None:
-            self._accept.timer.cancel()
+        for round_ in (self._prepare, self.inflight):
+            if round_ is not None:
+                round_.close()
         self._prepare = None
-        self._accept = None
+        self.inflight = None
         if self._span is not None:
             self.replica.tracer.end(self._span, status="cancelled")
             self._span = None

@@ -69,9 +69,6 @@ class TxnManager:
     def __init__(self, replica: "ReplicationGroup") -> None:
         self.replica = replica
         self.active: dict[str, ActiveTxn] = {}
-        #: Statistics.
-        self.commits = 0
-        self.aborts = 0
         self._expiry_armed = False
 
     # --------------------------------------------------------------- routing
@@ -191,14 +188,13 @@ class TxnManager:
         def on_committed(proposal: Proposal, instance: InstanceId) -> None:
             replica.locks.release_all(txn.txn_id)
             self.active.pop(txn.txn_id, None)
-            self.commits += 1
             replica.metrics.counter("tpaxos.commits").inc()
             replica.tracer.end(txn.span)
             replica.reply(src, request.rid, ReplyStatus.OK, proposal.reply)
 
         replica.proposer.submit(
-            ProposalItem(label=f"txn:{txn.txn_id}", prepare=prepare,
-                         on_committed=on_committed, ctx=replica.tracer.current)
+            ProposalItem(prepare=prepare, on_committed=on_committed,
+                         ctx=replica.tracer.current)
         )
 
     # ----------------------------------------------------------------- abort
@@ -221,7 +217,6 @@ class TxnManager:
                 result.undo()
         self.replica.locks.release_all(txn.txn_id)
         self.active.pop(txn.txn_id, None)
-        self.aborts += 1
         self.replica.tracer.end(txn.span, status=f"aborted:{cause}")
         self.replica.metrics.counter(f"tpaxos.abort.{cause}").inc()
 
@@ -262,7 +257,6 @@ class TxnManager:
         effects. Clients learn the abort when they retransmit to the new
         leader (unknown transaction -> ABORTED)."""
         dropped = sum(1 for t in self.active.values() if t.phase is TxnPhase.ACTIVE)
-        self.aborts += dropped
         if dropped:
             self.replica.metrics.counter("tpaxos.abort.leader_switch").inc(dropped)
         tracer = self.replica.tracer

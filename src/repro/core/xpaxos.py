@@ -53,8 +53,6 @@ class ReadCoordinator:
         self._confirms: dict[RequestId, set[ProcessId]] = {}
         #: highest finished read seq per client, to GC late confirms.
         self._finished: dict[ProcessId, int] = {}
-        #: Served reads (stats).
-        self.served = 0
 
     # ------------------------------------------------------------ leader side
     def begin(self, src: ProcessId, request: ClientRequest) -> None:
@@ -140,7 +138,6 @@ class ReadCoordinator:
         stale = [r for r in self._confirms if r.client == rid.client and r.seq <= rid.seq]
         for r in stale:
             del self._confirms[r]
-        self.served += 1
         metrics = replica.metrics
         if metrics.enabled:
             metrics.counter("xpaxos.reads_served").inc()

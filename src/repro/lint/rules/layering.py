@@ -20,14 +20,6 @@ from repro.lint.rules.base import Rule
 #: Layers that must stay transport-agnostic and I/O-free.
 PURE_LAYERS = frozenset({"core", "election"})
 
-#: Layers allowed to touch the legacy ``Process.stable`` dict directly:
-#: the storage subsystem itself, and the sim runtime that defines the dict
-#: (plain test processes without a StableStore still use it).
-STORAGE_EXEMPT_LAYERS = frozenset({"storage", "sim"})
-
-#: dict methods that mutate in place.
-DICT_MUTATORS = frozenset({"update", "pop", "clear", "setdefault", "popitem"})
-
 #: Module roots banned inside pure layers.
 BANNED_MODULES = (
     "repro.transport",
@@ -96,93 +88,37 @@ class CoreLayering(Rule):
                 )
 
 
-def _is_stable_attr(node: ast.AST) -> bool:
-    """True for any ``<expr>.stable`` attribute access."""
-    return isinstance(node, ast.Attribute) and node.attr == "stable"
-
-
 @register
 class StableStoreBypass(Rule):
-    """PROTO002: crash-surviving state goes through repro.storage."""
+    """PROTO002: a replica's stable storage is never swapped out."""
 
     rule_id = "PROTO002"
-    summary = "direct mutation of crash-surviving state outside repro.storage"
+    summary = "a .store attribute rebound to an existing object"
     rationale = (
         "Durability is modeled by repro.storage.StableStore: appends go "
         "through a CRC-framed WAL and become durable only after an fsync "
-        "barrier. Writing the legacy Process.stable dict directly — or "
-        "rebinding a replica's .store to an existing object — bypasses "
-        "that boundary: the state then survives crashes it should have "
-        "lost, and the storage nemeses (torn writes, lying fsyncs) can "
-        "no longer reach it."
+        "barrier. Rebinding a replica's .store to an existing object "
+        "bypasses that boundary: the state then survives crashes it "
+        "should have lost, and the storage nemeses (torn writes, lying "
+        "fsyncs) can no longer reach it."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.layer in STORAGE_EXEMPT_LAYERS:
-            return
         for node in ctx.walk():
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    yield from self._check_target(ctx, target, node)
-            elif isinstance(node, ast.AugAssign):
-                yield from self._check_target(ctx, node.target, node)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript) and _is_stable_attr(
-                        target.value
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "del on a .stable entry bypasses the storage "
-                            "API; durable state is truncated via "
-                            "checkpoints, not dict surgery",
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in DICT_MUTATORS
-                    and _is_stable_attr(func.value)
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f".stable.{func.attr}() mutates crash-surviving "
-                        "state in place; append through "
-                        "repro.storage.StableStore so the write crosses "
-                        "the modeled durability boundary",
-                    )
-
-    def _check_target(
-        self, ctx: FileContext, target: ast.AST, node: ast.AST
-    ) -> Iterator[Finding]:
-        if isinstance(target, ast.Subscript) and _is_stable_attr(target.value):
-            yield self.finding(
-                ctx,
-                node,
-                "assignment into .stable bypasses the WAL; durable state "
-                "must be appended through repro.storage.StableStore "
-                "(accept/choose/record_promise/record_round)",
-            )
-        elif _is_stable_attr(target):
-            yield self.finding(
-                ctx,
-                node,
-                "rebinding .stable replaces crash-surviving state "
-                "wholesale; only the sim runtime may initialize it",
-            )
-        elif isinstance(target, ast.Attribute) and target.attr == "store":
+            if not isinstance(node, ast.Assign):
+                continue
             # Constructing a fresh store object is how owners initialize
             # themselves; aliasing or swapping in an *existing* object is
             # the bypass this rule exists for.
-            value = getattr(node, "value", None)
-            if isinstance(value, ast.Call):
-                return
-            yield self.finding(
-                ctx,
-                node,
-                "rebinding .store to an existing object swaps a replica's "
-                "stable storage out from under the durability model; "
-                "construct a StableStore or go through its API",
-            )
+            if isinstance(node.value, ast.Call):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and target.attr == "store":
+                    yield self.finding(
+                        ctx,
+                        node,
+                        "rebinding .store to an existing object swaps a "
+                        "replica's stable storage out from under the "
+                        "durability model; construct a StableStore or go "
+                        "through its API",
+                    )

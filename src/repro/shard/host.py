@@ -22,7 +22,6 @@ the same group, and that group's leader answers.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -119,7 +118,6 @@ class GroupHost(Process):
         self.config = config
         self.peer_set = frozenset(config.peers)
         self.router = ShardRouter(len(electors))
-        self.stats: Counter[str] = Counter()
         self.metrics = obs.metrics.scope(pid)
         self.tracer = obs.tracer
         self.profiler = obs.profiler
@@ -172,7 +170,7 @@ class GroupHost(Process):
         if type(msg) is GroupEnvelope:
             group = self.groups.get(msg.group)
             if group is None or not group.alive:
-                self.stats["dropped_group_messages"] += 1
+                self.metrics.counter("dropped_group_messages").inc()
                 return
             group.on_message(src, msg.msg)
             return
@@ -181,7 +179,7 @@ class GroupHost(Process):
             if group.alive:
                 group.on_message(src, msg)
             return
-        self.stats["unknown_messages"] += 1
+        self.metrics.counter("unknown_messages").inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "crashed"

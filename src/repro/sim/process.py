@@ -106,17 +106,13 @@ class Process:
     it is the subclass's job to reinitialize it in ``on_recover``.
     Replicas persist their Paxos state (promises, accepted proposals,
     checkpoints) through :class:`repro.storage.store.StableStore`, which
-    models the durability boundary honestly (fsync, torn tails); the
-    legacy ``self.stable`` dict remains for simple processes and tests —
-    mutating it from protocol code is flagged by lint rule ``PROTO002``.
+    models the durability boundary honestly (fsync, torn tails).
     """
 
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid
         self.env: Env | None = None
         self.alive = True
-        #: Crash-surviving storage (acceptor state lives here).
-        self.stable: dict[str, Any] = {}
 
     # ------------------------------------------------------------- lifecycle
     def bind(self, env: Env) -> None:
@@ -134,7 +130,7 @@ class Process:
 
     def on_recover(self) -> None:
         """Called when the process recovers; rebuild volatile state from
-        ``self.stable`` here."""
+        stable storage here."""
 
     # ----------------------------------------------------------- convenience
     @property

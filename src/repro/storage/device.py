@@ -77,20 +77,13 @@ class ReplayResult:
     truncated: int  # torn-tail frames dropped
     status: str  # "ok" | "poisoned" | "corrupt"
 
-    @property
-    def checkpoint(self) -> CheckpointBlob | None:
-        """The single-group view: group 0's checkpoint (or None)."""
-        return self.checkpoints.get(0)
-
 
 @dataclass
 class SimDisk:
     """Pure durable state; survives :meth:`crash` by design.
 
     Checkpoints are keyed by replication group: a sharded process stores
-    every hosted group's blobs on the one device. Single-group code sees
-    the same surface as before through the ``checkpoint`` /
-    ``pending_checkpoint`` properties (group 0).
+    every hosted group's blobs on the one device.
     """
 
     write_through: bool = False
@@ -104,14 +97,6 @@ class SimDisk:
     appends: int = 0
     fsyncs: int = 0
     crashes: int = 0
-
-    @property
-    def checkpoint(self) -> CheckpointBlob | None:
-        return self.checkpoints.get(0)
-
-    @property
-    def pending_checkpoint(self) -> CheckpointBlob | None:
-        return self.pending_checkpoints.get(0)
 
     # -- appends ----------------------------------------------------------
 

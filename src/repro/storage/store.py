@@ -1,9 +1,10 @@
 """The replica-facing stable-storage API.
 
 :class:`StableStore` is the single gateway for every stable-state
-mutation a replica makes (lint rule ``PROTO002`` enforces this): accepted
-proposals, chosen values, the promised ballot, the highest observed
-round, checkpoints, and snapshot installs. It owns the volatile
+mutation a replica makes (lint rule ``PROTO002`` keeps a replica's
+``.store`` from being swapped for another object): accepted proposals,
+chosen values, the promised ballot, the highest observed round,
+checkpoints, and snapshot installs. It owns the volatile
 :class:`repro.core.log.ReplicaLog` (the working view) for one replication
 group, and writes through a :class:`StoragePump` — the per-*process*
 durability substrate: one :class:`repro.storage.device.SimDisk`, one

@@ -23,8 +23,8 @@ class TestCheckpointing:
             checkpoint_interval=10,
         ).run()
         cluster.drain()
-        for replica in cluster.group_replicas().values():
-            assert replica.stats["checkpoints"] >= 4
+        for pid, replica in cluster.group_replicas().items():
+            assert cluster.metrics.counter_value(f"proc.{pid}.g0.storage.checkpoints") >= 4
             assert replica.log.compacted_to >= 40
             # The log holds only the tail above the last checkpoint.
             assert len(replica.log) <= 10

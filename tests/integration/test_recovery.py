@@ -56,7 +56,7 @@ class TestLeaderSwitch:
         cluster.run(max_time=30.0)
         assert cluster.group_replicas()["r2"].role is ReplicaRole.LEADING
         assert cluster.group_replicas()["r0"].role is ReplicaRole.FOLLOWER
-        assert cluster.group_replicas()["r2"].stats["recovery_complete"] >= 1
+        assert cluster.metrics.counter_value("proc.r2.g0.recovery.completed") >= 1
 
     def test_reads_after_switch_reflect_committed_writes(self):
         from repro.client.workload import Step

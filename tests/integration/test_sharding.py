@@ -70,8 +70,8 @@ class TestTwoGroups:
         assert r0.groups[0].elector.current_leader() == "r0"
         assert r0.groups[1].elector.current_leader() == "r1"
         # Each shard committed through its own leader's log.
-        assert r0.groups[0].stats["commits"] > 0
-        assert r1.groups[1].stats["commits"] > 0
+        assert cluster.metrics.counter_value("proc.r0.g0.commits") > 0
+        assert cluster.metrics.counter_value("proc.r1.g1.commits") > 0
 
     def test_same_seed_is_deterministic(self):
         def probe():
@@ -117,9 +117,8 @@ class TestShardedCrashRecovery:
         g1 = {v for k, v in prints.items() if k.endswith("/g1")}
         assert len(g0) == 1 and len(g1) == 1
         # Recovery replayed the shared WAL, split by group tag.
-        r2 = cluster.replicas["r2"]
-        assert r2.groups[0].stats["recovers"] == 1
-        assert r2.groups[1].stats["recovers"] == 1
+        assert cluster.metrics.counter_value("proc.r2.g0.recovers") == 1
+        assert cluster.metrics.counter_value("proc.r2.g1.recovers") == 1
 
     def test_leader_host_crash_fails_over_both_groups(self):
         cluster = build_cluster(

@@ -100,7 +100,7 @@ class TestCrashRestartReplay:
         restarted = cluster.group_replicas()["r1"]
         peer = cluster.group_replicas()["r2"]
         assert restarted.alive
-        assert restarted.stats["recovers"] >= 1
+        assert cluster.metrics.counter_value("proc.r1.g0.recovers") >= 1
         peer_chosen = dict(peer.log.chosen_items())
         mine = dict(restarted.log.chosen_items())
         common = sorted(set(mine) & set(peer_chosen))
@@ -151,7 +151,7 @@ class TestStorageNemeses:
         cluster.drain(1.0)
         restarted = cluster.group_replicas()["r1"]
         assert not restarted.alive  # rejoining would be Byzantine
-        assert restarted.stats["storage_failstops"] == 1
+        assert cluster.metrics.counter_value("proc.r1.g0.storage.halts") == 1
         assert not restarted.store.pump.intact
         assert storage_counter(cluster, "halts") >= 1
         # The cluster rides out the fail-stop on the remaining majority.
@@ -170,7 +170,7 @@ class TestStorageNemeses:
         cluster.drain(1.0)
         restarted = cluster.group_replicas()["r1"]
         assert not restarted.alive
-        assert restarted.stats["storage_failstops"] == 1
+        assert cluster.metrics.counter_value("proc.r1.g0.storage.halts") == 1
         assert cluster.clients[0].completed_requests == 25
 
 
@@ -216,6 +216,6 @@ class TestCrashMidCatchUp:
         cluster.run(max_time=60.0)  # a ProtocolError here fails the test
         cluster.drain(2.0)  # fire the restarts and let catch-up finish
         assert cluster.replicas["r1"].alive
-        assert cluster.group_replicas()["r1"].stats["recovers"] >= 2
+        assert cluster.metrics.counter_value("proc.r1.g0.recovers") >= 2
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1

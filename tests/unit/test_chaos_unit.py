@@ -254,6 +254,11 @@ class TestChaosOptions:
         with pytest.raises(ConfigError):
             ChaosOptions(mutation="clock-skew")
 
+    @pytest.mark.parametrize("bad", [{"n_replicas": 1}, {"horizon": 0.0}])
+    def test_values_no_schedule_can_be_generated_for_are_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ChaosOptions(**bad)
+
     def test_deadline_is_horizon_plus_grace(self):
         options = ChaosOptions(horizon=2.0, liveness_grace=3.0)
         assert options.deadline == 5.0

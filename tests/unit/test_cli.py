@@ -57,6 +57,8 @@ BAD_INPUT = [
     (["sweep", "--grid", "chaos", "--seeds", "0"], "--seeds must be at least 1"),
     (["profile", "--execute-time", "-1"], "execute_time must be >= 0"),
     (["chaos", "--intensity", "-1", "--seeds", "1"], "intensity must be >= 0"),
+    # Rejected once, up front — not once per seed from inside the sweep.
+    (["chaos", "--seeds", "3", "--replicas", "1"], "at least two replicas"),
 ]
 
 
@@ -66,8 +68,8 @@ def test_bad_input_is_a_usage_error(argv, fragment, capsys):
         main(argv)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "repro: error: " in err and fragment in err
-    assert "Traceback" not in err
+    assert err.count("repro: error: ") == 1 and fragment in err
+    assert "Traceback" not in err and "chaos/seed=" not in err
 
 
 class TestRunAndReport:

@@ -15,6 +15,7 @@ from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import StaticElector
+from repro.obs import NULL_OBS, MetricsRegistry, Obs
 from repro.services.noop import NoopService
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
@@ -24,14 +25,14 @@ from repro.types import RequestKind, StateTransferMode
 PEERS = ("r0", "r1", "r2")
 
 
-def make_cluster(seed=0, **config_overrides):
+def make_cluster(seed=0, obs=NULL_OBS, **config_overrides):
     kernel = Kernel(seed=seed)
     trace = TraceRecorder()
     world = World(kernel, trace=trace)
     config = ReplicaConfig(peers=PEERS, **config_overrides)
     replicas = {}
     for pid in PEERS:
-        replica = Replica(pid, config, NoopService, StaticElector("r0"))
+        replica = Replica(pid, config, NoopService, StaticElector("r0"), obs=obs.scoped(pid))
         world.add(replica)
         replicas[pid] = replica
     world.start()
@@ -55,7 +56,7 @@ def make_item(tag: str, outcomes: list):
             )
         return outcome
 
-    item = ProposalItem(label=tag, prepare=prepare, on_committed=lambda p, i: committed.append(i))
+    item = ProposalItem(prepare=prepare, on_committed=lambda p, i: committed.append(i))
     return item, committed
 
 
@@ -106,15 +107,16 @@ class TestPipeline:
         assert deferred_committed == [2]
 
     def test_batching_under_load(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        metrics = MetricsRegistry()
+        kernel, _world, _trace, replicas = make_cluster(obs=Obs(metrics=metrics))
         leader = replicas["r0"]
         for tag in range(10):
             item, _ = make_item(str(tag), ["proposal"])
             leader.proposer.submit(item)
         kernel.run(until=kernel.now + 1.0)
         # First round has 1 item (pumped immediately), the rest batch.
-        assert leader.proposer.committed == 10
-        assert leader.proposer.rounds < 10
+        assert metrics.counter_value("proc.r0.commits") == 10
+        assert 1 < metrics.counter_value("proc.r0.proposer.rounds") < 10
 
     def test_max_batch_respected(self):
         kernel, _world, trace, replicas = make_cluster(max_batch=3)

@@ -18,6 +18,7 @@ from repro.core.replica import Replica, ReplicaRole
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import ManualElector
+from repro.obs import NULL_OBS, MetricsRegistry, Obs
 from repro.services.counter import CounterService
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
@@ -39,7 +40,7 @@ def proposal(instance: int) -> Proposal:
     )
 
 
-def make_world(seed=0, checkpoint_interval=1000):
+def make_world(seed=0, checkpoint_interval=1000, obs=NULL_OBS):
     kernel = Kernel(seed=seed)
     trace = TraceRecorder()
     world = World(kernel, trace=trace)
@@ -51,7 +52,7 @@ def make_world(seed=0, checkpoint_interval=1000):
     for pid in PEERS:
         elector = ManualElector(None)
         electors[pid] = elector
-        replica = Replica(pid, config, CounterService, elector)
+        replica = Replica(pid, config, CounterService, elector, obs=obs.scoped(pid))
         world.add(replica)
         replicas[pid] = replica
     from repro.sim.process import Process
@@ -136,7 +137,8 @@ class TestPaperExample:
         assert r0.proposer.next_instance == 1
 
     def test_preempted_recovery_steps_down(self):
-        kernel, _world, _trace, replicas, electors = make_world()
+        metrics = MetricsRegistry()
+        kernel, _world, _trace, replicas, electors = make_world(obs=Obs(metrics=metrics))
         # r2 first becomes leader with a higher round.
         replicas["r2"].observe_round(5)
         electors["r2"].set_leader("r2")
@@ -157,7 +159,8 @@ class TestPaperExample:
             if r1.role is ReplicaRole.LEADING:
                 led_rounds.append(r1.ballot.round)
         assert led_rounds, "r1 never regained leadership after preemption"
-        assert max(led_rounds) > 6 or replicas["r1"].stats["preempted"] == 0
+        assert metrics.counter_value("proc.r1.leader.elected") >= 1
+        assert max(led_rounds) > 6 or metrics.counter_value("proc.r1.leader.preempted") == 0
 
     def test_recovery_retransmits_prepare_to_silent_majority(self):
         kernel, world, trace, replicas, electors = make_world()

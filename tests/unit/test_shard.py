@@ -39,9 +39,9 @@ class _Service:
         return "empty"
 
 
-def make_replica(**config) -> Replica:
+def make_replica(obs: Obs = NULL_OBS, **config) -> Replica:
     cfg = ReplicaConfig(peers=("r0", "r1", "r2"), **config)
-    return Replica("r0", cfg, _Service, StaticElector("r0"))
+    return Replica("r0", cfg, _Service, StaticElector("r0"), obs=obs)
 
 
 # ---------------------------------------------------------- dispatch registry
@@ -61,9 +61,10 @@ class TestDispatchRegistry:
         }
 
     def test_unknown_message_is_counted_not_raised(self):
-        replica = make_replica()
+        registry = MetricsRegistry()
+        replica = make_replica(obs=Obs(metrics=registry))
         replica.on_message("c9", object())
-        assert replica.stats["unknown_messages"] == 1
+        assert registry.counters() == {"unknown_messages": 1}
 
     def test_dispatch_is_exact_type_match(self):
         """Subclasses do not inherit a handler (the wire carries concrete
@@ -72,11 +73,12 @@ class TestDispatchRegistry:
         class FancyPrepare(Prepare):
             pass
 
-        replica = make_replica()
+        registry = MetricsRegistry()
+        replica = make_replica(obs=Obs(metrics=registry))
         replica.on_message(
             "r1", FancyPrepare(ballot=Ballot(1, "r1"), gaps=(), from_instance=0)
         )
-        assert replica.stats["unknown_messages"] == 1
+        assert registry.counters() == {"unknown_messages": 1}
 
 
 # ------------------------------------------------------------- assign_groups
@@ -169,17 +171,19 @@ class TestGroupHost:
         assert stores[0].pump is host.pump
 
     def test_envelope_for_dead_group_is_dropped(self):
-        host = self._host()
+        registry = MetricsRegistry()
+        host = self._host(obs=Obs(metrics=registry))
         host.groups[1].alive = False
         prepare = Prepare(ballot=Ballot(1, "r1"), gaps=(), from_instance=0)
         host.on_message("r1", GroupEnvelope(1, prepare))
         host.on_message("r1", GroupEnvelope(9, prepare))
-        assert host.stats["dropped_group_messages"] == 2
+        assert registry.counters() == {"proc.r0.dropped_group_messages": 2}
 
     def test_bare_non_request_message_is_counted(self):
-        host = self._host()
+        registry = MetricsRegistry()
+        host = self._host(obs=Obs(metrics=registry))
         host.on_message("c0", object())
-        assert host.stats["unknown_messages"] == 1
+        assert registry.counters() == {"proc.r0.unknown_messages": 1}
 
     def test_group_broadcast_is_one_envelope_through_the_host_env(self):
         registry = MetricsRegistry()

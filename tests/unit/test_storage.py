@@ -157,9 +157,9 @@ class TestSimDisk:
         seq = disk.append(WalRecord("promise", Ballot(2, "r0")))
         blob = CheckpointBlob(1, "snap", {}, frozenset({"c0#1"}), seq)
         disk.stage_checkpoint(blob)
-        assert disk.checkpoint is None  # not durable yet
+        assert disk.checkpoints.get(0) is None  # not durable yet
         disk.complete_fsync(seq)
-        assert disk.checkpoint is blob
+        assert disk.checkpoints.get(0) is blob
         # accept/choose at instance <= 1 truncated; latest promise kept.
         assert [f.record.kind for f in disk.durable] == ["promise"]
 
@@ -168,8 +168,8 @@ class TestSimDisk:
         seq = disk.append(accept_record(1))
         disk.stage_checkpoint(CheckpointBlob(1, "snap", {}, frozenset(), seq))
         disk.crash()
-        assert disk.checkpoint is None
-        assert disk.pending_checkpoint is None
+        assert disk.checkpoints.get(0) is None
+        assert disk.pending_checkpoints.get(0) is None
 
 
 # --------------------------------------------------------------------- store

@@ -9,6 +9,7 @@ from repro.core.messages import Reply
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
+from repro.obs import NULL_OBS, MetricsRegistry, Obs
 from repro.services.bank import BankService
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
@@ -25,13 +26,13 @@ def bank_factory():
     return service
 
 
-def make_leader(seed=0, **config_kw):
+def make_leader(seed=0, obs=NULL_OBS, **config_kw):
     kernel = Kernel(seed=seed)
     trace = TraceRecorder()
     world = World(kernel, trace=trace)
     config = ReplicaConfig(peers=PEERS, **config_kw)
     elector = ManualElector(None)
-    leader = Replica("r0", config, bank_factory, elector)
+    leader = Replica("r0", config, bank_factory, elector, obs=obs)
     world.add(leader)
     for pid in PEERS[1:]:
         world.add(Replica(pid, config, bank_factory, StaticElector("r0")))
@@ -183,12 +184,13 @@ class TestCommitAbort:
         assert errors and "committing" in str(errors[0].value)
 
     def test_drop_all_counts_aborts_without_undo(self):
-        kernel, _trace, leader = make_leader()
+        metrics = MetricsRegistry()
+        kernel, _trace, leader = make_leader(obs=Obs(metrics=metrics))
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         kernel.run(until=kernel.now + 0.01)
-        before = leader.txns.aborts
+        assert metrics.counters("tpaxos.abort") == {}
         leader.txns.drop_all()
-        assert leader.txns.aborts == before + 1
+        assert metrics.counters("tpaxos.abort") == {"tpaxos.abort.leader_switch": 1}
         assert leader.txns.active == {}
         # No undo ran (drop_all relies on the caller rebuilding state).
         assert leader.service.accounts["alice"] == 70

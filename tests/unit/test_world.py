@@ -216,15 +216,6 @@ class TestCrashRecover:
         kernel.run()
         assert b.inbox == []
 
-    def test_stable_storage_survives_crash(self):
-        _kernel, world = make_world()
-        b = world.add(Recorder("b"))
-        world.start()
-        b.stable["promised"] = 42
-        world.crash("b")
-        world.recover("b")
-        assert b.stable["promised"] == 42
-
     def test_alive_pids(self):
         _kernel, world = make_world()
         world.add(Recorder("a"))
