@@ -30,21 +30,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.faults import FaultSchedule
     from repro.cluster.harness import Cluster
 
-#: Event kinds a schedule may contain.
-EVENT_KINDS = (
-    "crash",
-    "recover",
-    "partition",
-    "heal",
-    "leader",
-    "loss_burst",
-    "dup_burst",
-    "latency_spike",
-    "torn_write",
-    "lost_fsync",
-    "disk_stall",
-    "corrupt_record",
-)
+#: The one place that knows how an event becomes a :class:`FaultSchedule`
+#: call: ``kind -> (method, event field passed positionally, {keyword:
+#: event field})``; ``at=event.at`` is always passed. :meth:`NemesisEvent.
+#: call` reads it, and compiling, scripting and describing read that.
+FAULT_CALLS: dict[str, tuple[str, str | None, dict[str, str]]] = {
+    "crash": ("crash", "pids", {}),
+    "recover": ("recover", "pids", {}),
+    "partition": ("partition", "groups", {}),
+    "heal": ("heal", None, {}),
+    "leader": ("switch_leader", "pids", {"pids": "scope", "group": "rgroup"}),
+    "loss_burst": ("loss_burst", "value", {"duration": "duration"}),
+    "dup_burst": ("dup_burst", "value", {"duration": "duration"}),
+    "latency_spike": ("latency_spike", "value", {"duration": "duration"}),
+    "torn_write": ("torn_write", "pids", {}),
+    "lost_fsync": ("lost_fsync", "pids", {"duration": "duration"}),
+    "disk_stall": ("disk_stall", "pids", {"duration": "duration", "extra": "value"}),
+    "corrupt_record": ("corrupt_record", "pids", {"fraction": "value"}),
+}
+
+#: Event kinds a schedule may contain. The order is the generator's
+#: tie-break between events at the same instant, so rows are only appended.
+EVENT_KINDS = tuple(FAULT_CALLS)
 
 #: The storage-nemesis subset (only sampled with ``storage=True``).
 STORAGE_KINDS = ("torn_write", "lost_fsync", "disk_stall", "corrupt_record")
@@ -87,37 +94,40 @@ class NemesisEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ConfigError(f"unknown nemesis event kind {self.kind!r}")
+        positional = FAULT_CALLS[self.kind][1]
+        if positional is not None and getattr(self, positional) == ():
+            raise ConfigError(
+                f"nemesis event {self.kind!r} at t={self.at} needs {positional!r}"
+            )
+
+    def _argument(self, name: str) -> Any:
+        """Field ``name`` in the shape :class:`FaultSchedule` takes it."""
+        value = getattr(self, name)
+        if name == "pids":
+            return value[0]  # every fault that takes a pid has one target
+        if isinstance(value, tuple):
+            return [list(v) if isinstance(v, tuple) else v for v in value]
+        return value
+
+    def call(self) -> tuple[str, tuple[Any, ...], dict[str, Any]]:
+        """The :class:`FaultSchedule` call this event stands for, as
+        ``(method name, positional args, keyword args)``. An empty ``scope``
+        and an unset ``rgroup`` are left to the method's defaults."""
+        method, positional, keywords = FAULT_CALLS[self.kind]
+        args = () if positional is None else (self._argument(positional),)
+        kwargs: dict[str, Any] = {"at": self.at}
+        for keyword, name in keywords.items():
+            if getattr(self, name) not in ((), None):
+                kwargs[keyword] = self._argument(name)
+        return method, args, kwargs
 
     def describe(self) -> str:
-        if self.kind == "leader":
-            where = f" on {','.join(self.scope)}" if self.scope else ""
-            shard = f" [g{self.rgroup}]" if self.rgroup is not None else ""
-            return f"{self.at:.4f}s leader {self.pids[0]}{where}{shard}"
-        if self.kind in ("crash", "recover"):
-            return f"{self.at:.4f}s {self.kind} {self.pids[0]}"
-        if self.kind == "partition":
-            sides = " | ".join(",".join(g) for g in self.groups)
-            return f"{self.at:.4f}s partition [{sides}]"
-        if self.kind == "heal":
-            return f"{self.at:.4f}s heal"
-        if self.kind == "torn_write":
-            return f"{self.at:.4f}s torn_write {self.pids[0]}"
-        if self.kind == "lost_fsync":
-            return (
-                f"{self.at:.4f}s lost_fsync {self.pids[0]} "
-                f"duration={self.duration:g}"
-            )
-        if self.kind == "disk_stall":
-            return (
-                f"{self.at:.4f}s disk_stall {self.pids[0]} "
-                f"duration={self.duration:g} extra={self.value:g}"
-            )
-        if self.kind == "corrupt_record":
-            return f"{self.at:.4f}s corrupt_record {self.pids[0]} at {self.value:g}"
-        return (
-            f"{self.at:.4f}s {self.kind} value={self.value:g} "
-            f"duration={self.duration:g}"
-        )
+        """One line of report text (nothing parses it): time, kind, then
+        the arguments of :meth:`call`."""
+        _method, args, kwargs = self.call()
+        words = [f"{self.at:.4f}s", self.kind, *map(str, args)]
+        words += [f"{key}={value}" for key, value in kwargs.items() if key != "at"]
+        return " ".join(words)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"at": self.at, "kind": self.kind}
@@ -168,38 +178,8 @@ class NemesisSchedule:
 
         fs = FaultSchedule(cluster)
         for event in self.events:
-            if event.kind == "crash":
-                fs.crash(event.pids[0], at=event.at)
-            elif event.kind == "recover":
-                fs.recover(event.pids[0], at=event.at)
-            elif event.kind == "partition":
-                fs.partition([list(g) for g in event.groups], at=event.at)
-            elif event.kind == "heal":
-                fs.heal(at=event.at)
-            elif event.kind == "leader":
-                fs.switch_leader(
-                    event.pids[0], at=event.at, pids=event.scope or None,
-                    group=event.rgroup or 0,
-                )
-            elif event.kind == "loss_burst":
-                fs.loss_burst(event.value, at=event.at, duration=event.duration)
-            elif event.kind == "dup_burst":
-                fs.dup_burst(event.value, at=event.at, duration=event.duration)
-            elif event.kind == "latency_spike":
-                fs.latency_spike(event.value, at=event.at, duration=event.duration)
-            elif event.kind == "torn_write":
-                fs.torn_write(event.pids[0], at=event.at)
-            elif event.kind == "lost_fsync":
-                fs.lost_fsync(event.pids[0], at=event.at, duration=event.duration)
-            elif event.kind == "disk_stall":
-                fs.disk_stall(
-                    event.pids[0], at=event.at,
-                    duration=event.duration, extra=event.value,
-                )
-            elif event.kind == "corrupt_record":
-                fs.corrupt_record(event.pids[0], at=event.at, fraction=event.value)
-            else:  # pragma: no cover - EVENT_KINDS guards this
-                raise ConfigError(f"unknown nemesis event kind {event.kind!r}")
+            method, args, kwargs = event.call()
+            getattr(fs, method)(*args, **kwargs)
         return fs
 
     # ---------------------------------------------------------- serialization
@@ -239,56 +219,10 @@ class NemesisSchedule:
             "schedule = FaultSchedule(cluster)",
         ]
         for event in self.events:
-            if event.kind == "crash":
-                lines.append(f"schedule.crash({event.pids[0]!r}, at={event.at})")
-            elif event.kind == "recover":
-                lines.append(f"schedule.recover({event.pids[0]!r}, at={event.at})")
-            elif event.kind == "partition":
-                groups = [list(g) for g in event.groups]
-                lines.append(f"schedule.partition({groups!r}, at={event.at})")
-            elif event.kind == "heal":
-                lines.append(f"schedule.heal(at={event.at})")
-            elif event.kind == "leader":
-                scope = f", pids={list(event.scope)!r}" if event.scope else ""
-                shard = f", group={event.rgroup}" if event.rgroup else ""
-                lines.append(
-                    f"schedule.switch_leader({event.pids[0]!r}, "
-                    f"at={event.at}{scope}{shard})"
-                )
-            elif event.kind == "loss_burst":
-                lines.append(
-                    f"schedule.loss_burst({event.value}, at={event.at}, "
-                    f"duration={event.duration})"
-                )
-            elif event.kind == "dup_burst":
-                lines.append(
-                    f"schedule.dup_burst({event.value}, at={event.at}, "
-                    f"duration={event.duration})"
-                )
-            elif event.kind == "latency_spike":
-                lines.append(
-                    f"schedule.latency_spike({event.value}, at={event.at}, "
-                    f"duration={event.duration})"
-                )
-            elif event.kind == "torn_write":
-                lines.append(
-                    f"schedule.torn_write({event.pids[0]!r}, at={event.at})"
-                )
-            elif event.kind == "lost_fsync":
-                lines.append(
-                    f"schedule.lost_fsync({event.pids[0]!r}, at={event.at}, "
-                    f"duration={event.duration})"
-                )
-            elif event.kind == "disk_stall":
-                lines.append(
-                    f"schedule.disk_stall({event.pids[0]!r}, at={event.at}, "
-                    f"duration={event.duration}, extra={event.value})"
-                )
-            elif event.kind == "corrupt_record":
-                lines.append(
-                    f"schedule.corrupt_record({event.pids[0]!r}, at={event.at}, "
-                    f"fraction={event.value})"
-                )
+            method, args, kwargs = event.call()
+            rendered = [repr(arg) for arg in args]
+            rendered += [f"{key}={value!r}" for key, value in kwargs.items()]
+            lines.append(f"schedule.{method}({', '.join(rendered)})")
         return "\n".join(lines)
 
 
@@ -444,6 +378,28 @@ def generate_schedule(
             )
         )
 
+    def crash_and_restart(pid: ProcessId, delay: float, rotted: bool = False) -> None:
+        """Crash ``pid`` at ``t + delay``, emit its restart, and re-pick the
+        leader if it was the victim. A ``rotted`` victim restarts only to
+        fail-stop on its bad record: it stays down and books no recovery."""
+        crash_at = round(t + delay, 4)
+        used_crash.add((pid, crash_at))
+        state.down.add(pid)
+        emit(NemesisEvent(at=crash_at, kind="crash", pids=(pid,)))
+        if rotted:
+            state.poisoned.add(pid)
+            back = round(min(t + 0.05, horizon), 4)
+        else:
+            downtime = 0.1 + rng.random() * min(1.0, horizon / 2)
+            back = round(min(t + delay + downtime, horizon), 4)
+            state.pending_recover.append((back, pid))
+            used_recover.add((pid, back))
+        emit(NemesisEvent(at=back, kind="recover", pids=(pid,)))
+        if pid == state.leader:
+            # Parenthesized so a delayed crash re-picks at exactly t + 0.02,
+            # the float every stored schedule and digest was drawn with.
+            pick_new_leader(t + (delay + 0.01))
+
     t = 0.02 + rng.random() * 0.05
     mean_gap = 0.5 / max(intensity, 1e-6)
     while t < horizon:
@@ -464,16 +420,7 @@ def generate_schedule(
             if candidates and (not over_budget or allow_majority_loss):
                 pid = candidates[rng.randrange(len(candidates))]
                 if (pid, at) not in used_crash:
-                    used_crash.add((pid, at))
-                    state.down.add(pid)
-                    emit(NemesisEvent(at=at, kind="crash", pids=(pid,)))
-                    downtime = 0.1 + rng.random() * min(1.0, horizon / 2)
-                    back = round(min(t + downtime, horizon), 4)
-                    state.pending_recover.append((back, pid))
-                    used_recover.add((pid, back))
-                    emit(NemesisEvent(at=back, kind="recover", pids=(pid,)))
-                    if pid == state.leader:
-                        pick_new_leader(t + 0.01)
+                    crash_and_restart(pid, 0.0)
         elif choice < 0.55:
             # Partition the replica set in two (clients stay connected).
             # Half the time, deliberately exile the current leader into the
@@ -533,17 +480,8 @@ def generate_schedule(
                         and (pid, crash_at) not in used_crash
                         and crash_at < horizon
                     ):
-                        used_crash.add((pid, crash_at))
                         emit(NemesisEvent(at=at, kind="torn_write", pids=(pid,)))
-                        state.down.add(pid)
-                        emit(NemesisEvent(at=crash_at, kind="crash", pids=(pid,)))
-                        downtime = 0.1 + rng.random() * min(1.0, horizon / 2)
-                        back = round(min(t + 0.01 + downtime, horizon), 4)
-                        state.pending_recover.append((back, pid))
-                        used_recover.add((pid, back))
-                        emit(NemesisEvent(at=back, kind="recover", pids=(pid,)))
-                        if pid == state.leader:
-                            pick_new_leader(t + 0.02)
+                        crash_and_restart(pid, 0.01)
                 elif roll < 0.55:
                     # Lying-fsync window: acks without persistence. Benign
                     # on its own; the crash branches steer clear of the
@@ -580,7 +518,6 @@ def generate_schedule(
                         and (pid, crash_at) not in used_crash
                         and crash_at < horizon
                     ):
-                        used_crash.add((pid, crash_at))
                         fraction = round(rng.random() * 0.8, 3)
                         emit(
                             NemesisEvent(
@@ -588,13 +525,7 @@ def generate_schedule(
                                 value=fraction,
                             )
                         )
-                        state.down.add(pid)
-                        state.poisoned.add(pid)
-                        emit(NemesisEvent(at=crash_at, kind="crash", pids=(pid,)))
-                        back = round(min(t + 0.05, horizon), 4)
-                        emit(NemesisEvent(at=back, kind="recover", pids=(pid,)))
-                        if pid == state.leader:
-                            pick_new_leader(t + 0.02)
+                        crash_and_restart(pid, 0.01, rotted=True)
         else:
             # Network disturbance burst (loss / duplication / latency).
             if t >= state.burst_until:

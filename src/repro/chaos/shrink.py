@@ -101,21 +101,26 @@ def shrink(
     best_options = options
     best_result = baseline
 
-    # Pass 1: drop events to fixpoint.
-    changed = True
-    while changed and trials < budget:
-        changed = False
-        for index in reversed(range(len(best_schedule.events))):
-            events = (
-                best_schedule.events[:index] + best_schedule.events[index + 1:]
-            )
-            candidate = best_schedule.with_events(events)
-            result = attempt(candidate, best_options)
-            if result is not None:
-                dropped = best_schedule.events[index]
-                best_schedule, best_result = candidate, result
-                changed = True
-                note(f"dropped {dropped.describe()} -> {len(events)} events")
+    def drop_events() -> None:
+        """Drop one event at a time, to fixpoint."""
+        nonlocal best_schedule, best_result
+        changed = True
+        while changed and trials < budget:
+            changed = False
+            for index in reversed(range(len(best_schedule.events))):
+                events = (
+                    best_schedule.events[:index] + best_schedule.events[index + 1:]
+                )
+                candidate = best_schedule.with_events(events)
+                result = attempt(candidate, best_options)
+                if result is not None:
+                    dropped = best_schedule.events[index]
+                    best_schedule, best_result = candidate, result
+                    changed = True
+                    note(f"dropped {dropped.describe()} -> {len(events)} events")
+
+    # Pass 1: drop events.
+    drop_events()
     # Pass 2: reduce the workload (fewer clients, then fewer requests).
     while best_options.n_clients > 1 and trials < budget:
         candidate_options = dataclasses.replace(
@@ -164,20 +169,7 @@ def shrink(
             break
 
     # One more drop pass: compression may have made more events redundant.
-    changed = True
-    while changed and trials < budget:
-        changed = False
-        for index in reversed(range(len(best_schedule.events))):
-            events = (
-                best_schedule.events[:index] + best_schedule.events[index + 1:]
-            )
-            candidate = best_schedule.with_events(events)
-            result = attempt(candidate, best_options)
-            if result is not None:
-                dropped = best_schedule.events[index]
-                best_schedule, best_result = candidate, result
-                changed = True
-                note(f"dropped {dropped.describe()} -> {len(events)} events")
+    drop_events()
 
     note(
         f"minimized to {len(best_schedule)} events in {trials} trials"

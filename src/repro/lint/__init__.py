@@ -14,10 +14,9 @@ Architecture:
   comments;
 * :mod:`repro.lint.rules` — the plugin registry; each rule is a class
   with an id, severity, rationale and a ``check(ctx)`` generator;
-* :mod:`repro.lint.graph` — the whole-program pass: per-file facts with
-  an on-disk content-hash cache, the linked project index, the call
-  graph, and the interprocedural rules (DET101, MSG101, MSG102,
-  PROTO101) with witness-path reporting;
+* :mod:`repro.lint.graph` — the whole-program pass: per-file facts, the
+  linked project index, the call graph, and the interprocedural rules
+  (DET101, MSG101, MSG102, PROTO101) with witness-path reporting;
 * :mod:`repro.lint.engine` — walks trees, runs rules (per-file phase,
   then whole-program phase), applies ``# lint: ignore[RULE] -- reason``
   suppressions and the baseline;

@@ -56,11 +56,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         "--graph", choices=("dot", "json"), metavar="FMT",
         help="export the message-flow graph (dot|json) instead of a report",
     )
-    lint.add_argument(
-        "--cache", metavar="FILE",
-        help="on-disk facts cache for the whole-program pass, keyed by "
-        "file content hash (stats go to stderr; reports are unaffected)",
-    )
 
 
 def lint_command(args: argparse.Namespace) -> int:
@@ -87,23 +82,10 @@ def lint_command(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        result = engine.check_paths(args.paths, cache_path=args.cache)
+        result = engine.check_paths(args.paths)
     except (OSError, FileNotFoundError) as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.cache:
-        # Stats go to stderr so cached and cold reports stay byte-identical.
-        print(
-            f"repro lint: cache: reindexed {len(result.reindexed)}/"
-            f"{result.files} file(s)"
-            + (
-                f" ({', '.join(result.reindexed)})"
-                if 0 < len(result.reindexed) <= 5
-                else ""
-            ),
-            file=sys.stderr,
-        )
 
     if args.graph:
         project = engine.project

@@ -7,8 +7,7 @@ of PYTHONHASHSEED (the same property the rules themselves enforce).
 
 Tree scans run in **two phases**. Phase one parses every file once and
 runs the per-file rules. Phase two distills the retained contexts into a
-:class:`~repro.lint.graph.index.ProjectIndex` (consulting the on-disk
-content-hash cache when one is configured), links the call graph, and
+:class:`~repro.lint.graph.index.ProjectIndex`, links the call graph, and
 runs the whole-program rules (DET101, MSG101, MSG102, PROTO101) over it.
 Suppression accounting (LINT001/LINT002) is deferred until after phase
 two so a ``# lint: ignore[DET101]`` on a project-rule finding counts as
@@ -27,7 +26,7 @@ from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity, fingerprint, legacy_fingerprint
 from repro.lint.graph.base import ProjectContext
 from repro.lint.graph.callgraph import CallGraph
-from repro.lint.graph.index import IndexCache, ProjectIndex
+from repro.lint.graph.index import ProjectIndex
 from repro.lint.rules import all_rules
 
 #: Meta-rule ids emitted by the engine itself (not by plugins).
@@ -52,9 +51,6 @@ class LintResult:
     baselined: int = 0
     #: Fingerprint of every kept finding, for --write-baseline.
     fingerprints: list[str] = field(default_factory=list)
-    #: Files whose facts were re-extracted (index-cache misses); equals
-    #: every scanned file on a cold run or when no cache is configured.
-    reindexed: tuple[str, ...] = ()
 
     @property
     def errors(self) -> int:
@@ -244,15 +240,12 @@ class LintEngine:
         return findings
 
     # ----------------------------------------------------------- discovery
-    def check_paths(
-        self, paths: Sequence[str | Path], cache_path: str | Path | None = None
-    ) -> LintResult:
+    def check_paths(self, paths: Sequence[str | Path]) -> LintResult:
         """Lint files and directory trees; paths are reported relative to
         the scanned root that contained them.
 
         Runs both phases: per-file rules while parsing, then the
-        whole-program rules over the linked project index (consulting the
-        facts cache at ``cache_path``, if given).
+        whole-program rules over the linked project index.
         """
         result = LintResult()
         contexts: dict[str, FileContext] = {}
@@ -271,7 +264,7 @@ class LintEngine:
             contexts[rel] = ctx
             pending.extend(self._file_findings(ctx, result))
 
-        pending.extend(self._project_findings(contexts, result, cache_path))
+        pending.extend(self._project_findings(contexts, result))
 
         # Suppression accounting runs only now, after both phases have had
         # the chance to mark their suppressions used.
@@ -282,17 +275,12 @@ class LintEngine:
         return result
 
     def _project_findings(
-        self,
-        contexts: dict[str, FileContext],
-        result: LintResult,
-        cache_path: str | Path | None,
+        self, contexts: dict[str, FileContext], result: LintResult
     ) -> list[Finding]:
         """Phase two: index, link, and run the whole-program rules."""
         if not contexts:
             return []
-        cache = IndexCache.load(cache_path) if cache_path is not None else None
-        index = ProjectIndex.build(contexts, cache)
-        result.reindexed = index.reindexed
+        index = ProjectIndex.build(contexts)
         graph = CallGraph.build(index)
         self.project = ProjectContext(index=index, graph=graph)
         kept: list[Finding] = []

@@ -14,8 +14,8 @@ from repro.lint.graph.base import (
     register_project,
 )
 from repro.lint.graph.callgraph import CallGraph
-from repro.lint.graph.facts import FACTS_VERSION, FileFacts, extract_facts, module_of
-from repro.lint.graph.index import IndexCache, ProjectIndex
+from repro.lint.graph.facts import FileFacts, extract_facts, module_of
+from repro.lint.graph.index import ProjectIndex
 from repro.lint.graph.msgflow import message_flow, render_dot
 
 __all__ = [
@@ -25,11 +25,9 @@ __all__ = [
     "all_project_rules",
     "register_project",
     "CallGraph",
-    "FACTS_VERSION",
     "FileFacts",
     "extract_facts",
     "module_of",
-    "IndexCache",
     "ProjectIndex",
     "message_flow",
     "render_dot",

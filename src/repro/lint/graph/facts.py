@@ -1,15 +1,14 @@
-"""Per-file fact extraction: the cacheable unit of the project analysis.
+"""Per-file fact extraction: phase one of the project analysis.
 
-Phase one of the whole-program pass walks each file's AST exactly once and
-distills it into :class:`FileFacts` — functions with their resolved call
-sites, message sends, handler dispatch checks, field reads on annotated
-parameters, stable-storage calls and durability barriers; classes with
-their fields, bases and attribute types. All name resolution that needs
-the file's *own* import table happens here, so facts are self-contained,
-JSON-serializable, and keyed by content hash in the on-disk index cache
-(:mod:`repro.lint.graph.index`). Cross-file linking (method resolution,
-re-export chasing, reachability) happens later, over facts only — it
-never needs the AST back.
+It walks each file's AST exactly once and distills it into
+:class:`FileFacts` — functions with their resolved call sites, message
+sends, handler dispatch checks, field reads on annotated parameters,
+stable-storage calls and durability barriers; classes with their fields,
+bases and attribute types. All name resolution that needs
+the file's *own* import table happens here, so facts are self-contained.
+Cross-file linking (method resolution, re-export chasing, reachability)
+happens later in :mod:`repro.lint.graph.index`, over facts only — it never
+needs the AST back.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from pathlib import PurePosixPath
 
 from repro.lint.context import FileContext
 from repro.lint.rules.determinism import AMBIENT_CALLS, AMBIENT_PREFIXES
-
-#: Bump when the extraction below changes shape or semantics: a version
-#: mismatch invalidates every cached entry at once.
-FACTS_VERSION = 2
 
 #: Handler naming convention (mirrors the MSG002 rule).
 HANDLER_RE = re.compile(r"^_?(on|handle)_")
@@ -77,13 +72,6 @@ class CallSite:
     chain: tuple[str, ...]  # raw attribute chain, e.g. ("self", "store", "accept")
     line: int
 
-    def to_json(self) -> list:
-        return [self.target, list(self.chain), self.line]
-
-    @classmethod
-    def from_json(cls, raw: list) -> CallSite:
-        return cls(target=raw[0], chain=tuple(raw[1]), line=raw[2])
-
 
 @dataclass(slots=True)
 class SendSite:
@@ -92,13 +80,6 @@ class SendSite:
     kind: str               # "send" | "broadcast"
     msg: str | None         # resolved message constructor (dotted), or None
     line: int
-
-    def to_json(self) -> list:
-        return [self.kind, self.msg, self.line]
-
-    @classmethod
-    def from_json(cls, raw: list) -> SendSite:
-        return cls(kind=raw[0], msg=raw[1], line=raw[2])
 
 
 @dataclass(slots=True)
@@ -121,45 +102,6 @@ class FunctionFacts:
     local_types: tuple[tuple[str, str], ...] = ()  # var -> constructor class
     rebound: tuple[str, ...] = ()               # params reassigned in the body
 
-    def to_json(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "handler": self.handler,
-            "params": [list(p) for p in self.params],
-            "calls": [c.to_json() for c in self.calls],
-            "sends": [s.to_json() for s in self.sends],
-            "ambient": [list(a) for a in self.ambient],
-            "reads": [list(r) for r in self.reads],
-            "stable_calls": [list(s) for s in self.stable_calls],
-            "barrier": self.barrier,
-            "handled": list(self.handled),
-            "local_types": [list(t) for t in self.local_types],
-            "rebound": list(self.rebound),
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> FunctionFacts:
-        return cls(
-            qualname=raw["qualname"],
-            name=raw["name"],
-            cls=raw["cls"],
-            line=raw["line"],
-            handler=raw["handler"],
-            params=tuple((p[0], p[1]) for p in raw["params"]),
-            calls=tuple(CallSite.from_json(c) for c in raw["calls"]),
-            sends=tuple(SendSite.from_json(s) for s in raw["sends"]),
-            ambient=tuple((a[0], a[1]) for a in raw["ambient"]),
-            reads=tuple((r[0], r[1], r[2]) for r in raw["reads"]),
-            stable_calls=tuple((s[0], s[1]) for s in raw["stable_calls"]),
-            barrier=raw["barrier"],
-            handled=tuple(raw["handled"]),
-            local_types=tuple((t[0], t[1]) for t in raw["local_types"]),
-            rebound=tuple(raw["rebound"]),
-        )
-
 
 @dataclass(slots=True)
 class ClassFacts:
@@ -180,37 +122,6 @@ class ClassFacts:
     #: method name) pairs — e.g. ``DISPATCH = {Prepare: "_on_prepare"}``.
     dispatch: tuple[tuple[str, str], ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "properties": list(self.properties),
-            "fields": list(self.fields),
-            "attr_types": [list(t) for t in self.attr_types],
-            "is_dataclass": self.is_dataclass,
-            "frozen": self.frozen,
-            "is_message": self.is_message,
-            "dispatch": [list(d) for d in self.dispatch],
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> ClassFacts:
-        return cls(
-            name=raw["name"],
-            line=raw["line"],
-            bases=tuple(raw["bases"]),
-            methods=tuple(raw["methods"]),
-            properties=tuple(raw["properties"]),
-            fields=tuple(raw["fields"]),
-            attr_types=tuple((t[0], t[1]) for t in raw["attr_types"]),
-            is_dataclass=raw["is_dataclass"],
-            frozen=raw["frozen"],
-            is_message=raw["is_message"],
-            dispatch=tuple((d[0], d[1]) for d in raw["dispatch"]),
-        )
-
 
 @dataclass(slots=True)
 class FileFacts:
@@ -222,36 +133,6 @@ class FileFacts:
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     imports: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "rel": self.rel,
-            "module": self.module,
-            "layer": self.layer,
-            "functions": {
-                name: fn.to_json() for name, fn in sorted(self.functions.items())
-            },
-            "classes": {
-                name: c.to_json() for name, c in sorted(self.classes.items())
-            },
-            "imports": dict(sorted(self.imports.items())),
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> FileFacts:
-        return cls(
-            rel=raw["rel"],
-            module=raw["module"],
-            layer=raw["layer"],
-            functions={
-                name: FunctionFacts.from_json(fn)
-                for name, fn in raw["functions"].items()
-            },
-            classes={
-                name: ClassFacts.from_json(c) for name, c in raw["classes"].items()
-            },
-            imports=dict(raw["imports"]),
-        )
 
 
 # ============================================================== extraction

@@ -458,14 +458,6 @@ class World:
             self.tracer.instant(f"recover:{pid}", pid=pid, kind="fault", parent=None)
         process.on_recover()
 
-    def schedule_crash(self, pid: ProcessId, at: float) -> EventHandle:
-        """Schedule a crash at absolute time ``at``."""
-        return self.kernel.schedule_at(at, self.crash, pid)
-
-    def schedule_recover(self, pid: ProcessId, at: float) -> EventHandle:
-        """Schedule a recovery at absolute time ``at``."""
-        return self.kernel.schedule_at(at, self.recover, pid)
-
     def alive_pids(self) -> list[ProcessId]:
         return [pid for pid, p in self._processes.items() if p.alive]
 

@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.invariants import check_cluster
 from repro.chaos.report import dump_summary, render_report, to_summary
 from repro.chaos.runner import (
     PROTOCOLS,
+    REGISTER_KEY,
     ChaosOptions,
+    build_cluster,
     run_chaos,
     run_with_schedule,
 )
-from repro.chaos.schedule import NemesisEvent, NemesisSchedule
+from repro.chaos.schedule import EVENT_KINDS, NemesisEvent, NemesisSchedule
 from repro.chaos.shrink import shrink
+from repro.errors import ReproError
 
 
 class TestAcceptanceSweep:
@@ -149,6 +153,62 @@ class TestMutationDetection:
             result.schedule, options, invariant="log_agreement", budget=5
         )
         assert outcome.trials <= 5
+
+
+class TestReproScript:
+    """The script a report prints is the schedule, not a description of it."""
+
+    @staticmethod
+    def run_script(schedule, options):
+        """What a human does with the script, then run_with_schedule's run
+        + drain."""
+        cluster = build_cluster(options, schedule.seed).start()
+        exec(schedule.to_script(), {"cluster": cluster})
+        try:
+            cluster.run(max_time=options.deadline)
+            cluster.drain(grace=max(0.5, 1.5 * options.txn_timeout + 0.2))
+        except ReproError:
+            pass
+        return cluster
+
+    @pytest.mark.parametrize("protocol", ["basic", "tpaxos"])
+    def test_script_replays_the_compiled_schedule(self, protocol):
+        options = ChaosOptions(
+            protocol=protocol, fsync="sync", storage_faults=True, groups=2
+        )
+
+        def faults(counters):
+            return {k: v for k, v in counters.items() if k.startswith("fault.")}
+
+        seen: set[str] = set()
+        for seed in range(12):
+            compiled = run_chaos(seed, options)
+            seen.update(event.kind for event in compiled.schedule.events)
+            cluster = self.run_script(compiled.schedule, options)
+            assert cluster.kernel.now == compiled.sim_time, f"seed {seed}"
+            assert (
+                sum(c.completed_requests for c in cluster.clients)
+                == compiled.completed_requests
+            ), f"seed {seed}"
+            assert faults(cluster.metrics.counters()) == faults(
+                compiled.counters
+            ), f"seed {seed}"
+        assert seen == set(EVENT_KINDS)
+
+    def test_shrunk_script_reproduces_the_violation(self):
+        options = ChaosOptions(mutation="minority-accept")
+        outcome = shrink(
+            run_chaos(3, options).schedule, options, invariant="log_agreement"
+        )
+        # The shrinker also reduced clients, requests and horizon.
+        cluster = self.run_script(outcome.schedule, outcome.options)
+        violations = check_cluster(
+            cluster,
+            register_key=REGISTER_KEY,
+            register_initial=None,
+            liveness_deadline=outcome.options.deadline,
+        )
+        assert any(v.invariant == "log_agreement" for v in violations)
 
 
 class TestDeterminism:

@@ -5,8 +5,6 @@
   scan red and the report names the rule, file and line;
 * seeding a two-hop ambient leak trips the whole-program DET101 with the
   full witness chain, and a typo'd ``Promise`` field trips MSG101;
-* the on-disk index cache is correct: warm output is byte-identical to
-  cold and touching one file re-indexes only that file;
 * two full self-scans are byte-identical across PYTHONHASHSEED values.
 """
 
@@ -152,42 +150,6 @@ class TestSeededProjectViolations:
         assert "MSG101" in out
         assert f"repro/core/replica.py:{line}" in out
         assert "balot" in out
-
-
-class TestIndexCache:
-    def test_warm_scan_byte_identical_and_single_file_reindex(
-        self, tmp_path, capsys
-    ):
-        tree = tmp_path / "repro"
-        shutil.copytree(SRC / "repro", tree)
-        cache = tmp_path / "lint-cache.json"
-        argv = ["lint", str(tmp_path), "--cache", str(cache)]
-
-        assert main(argv) == 0
-        cold = capsys.readouterr()
-        total = int(cold.err.split("reindexed ")[1].split("/")[1].split()[0])
-        assert f"reindexed {total}/{total}" in cold.err
-
-        assert main(argv) == 0
-        warm = capsys.readouterr()
-        assert warm.out == cold.out  # stdout never depends on cache state
-        assert f"reindexed 0/{total}" in warm.err
-
-        # Touching one file re-indexes exactly that file...
-        target = tree / "core" / "replica.py"
-        target.write_text(
-            target.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
-        )
-        assert main(argv) == 0
-        touched = capsys.readouterr()
-        assert f"reindexed 1/{total}" in touched.err
-        assert "repro/core/replica.py" in touched.err
-        # ...and the report is still byte-identical to a cold scan.
-        cache.unlink()
-        assert main(argv) == 0
-        recold = capsys.readouterr()
-        assert touched.out == recold.out
 
 
 class TestGraphExport:

@@ -127,6 +127,24 @@ class TestScheduleSerialization:
         with pytest.raises(ConfigError):
             NemesisEvent(at=0.0, kind="meteor")
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("crash", "pids"), ("recover", "pids"), ("leader", "pids"),
+            ("partition", "groups"), ("torn_write", "pids"),
+            ("lost_fsync", "pids"), ("disk_stall", "pids"),
+            ("corrupt_record", "pids"),
+        ],
+    )
+    def test_event_missing_the_field_its_kind_reads_rejected(self, kind, field):
+        # Was an IndexError on pids[0] once describe()/compile_onto ran.
+        with pytest.raises(ConfigError, match=f"{kind}.*{field}"):
+            NemesisEvent(at=0.1, kind=kind, value=0.5, duration=0.1)
+        with pytest.raises(ConfigError, match=f"{kind}.*{field}"):
+            NemesisSchedule.from_dict(
+                {"seed": 1, "horizon": 1.0, "events": [{"at": 0.1, "kind": kind}]}
+            )
+
     def test_describe_covers_every_kind(self):
         samples = {
             "crash": NemesisEvent(0.1, "crash", pids=("r0",)),

@@ -124,6 +124,28 @@ class TestFaultValidation:
         with pytest.raises(ConfigError, match="duration"):
             FaultSchedule(cluster).dup_burst(0.5, at=0.01, duration=-0.1)
 
+    @pytest.mark.parametrize(
+        "burst, value",
+        [
+            ("loss_burst", 1.5), ("loss_burst", 1.0), ("loss_burst", -0.1),
+            ("dup_burst", 1.5), ("dup_burst", -0.1),
+            ("latency_spike", -1e-3),
+        ],
+    )
+    def test_burst_value_rejected_when_the_schedule_is_built(self, burst, value):
+        # Not when it fires: set_disturbance would raise a bare ValueError
+        # from inside Kernel.run.
+        cluster = small_cluster()
+        with pytest.raises(ConfigError, match=str(value)):
+            getattr(FaultSchedule(cluster), burst)(value, at=0.001, duration=0.1)
+
+    def test_burst_values_at_their_bounds_accepted(self):
+        schedule = FaultSchedule(small_cluster())
+        schedule.loss_burst(0.0, at=0.001, duration=0.1)
+        schedule.dup_burst(1.0, at=0.2, duration=0.1)
+        schedule.latency_spike(0.0, at=0.4, duration=0.1)
+        schedule.cluster.run()
+
     def test_switch_leader_scope_validated(self):
         cluster = small_cluster(elector="manual")
         with pytest.raises(ConfigError, match="unknown process"):

@@ -55,7 +55,7 @@ class TestCluster:
         cluster = small_cluster()
         # Crash everything before start: nothing can complete.
         for pid in cluster.replica_pids:
-            cluster.world.schedule_crash(pid, 0.0)
+            cluster.kernel.schedule_at(0.0, cluster.world.crash, pid)
         with pytest.raises(SimulationError):
             cluster.run(max_time=0.5)
 

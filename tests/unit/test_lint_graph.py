@@ -1,4 +1,4 @@
-"""Unit tests for the whole-program analysis layer: facts, index, cache,
+"""Unit tests for the whole-program analysis layer: facts, index,
 call graph, and the v2 (symbol-based) baseline fingerprints."""
 
 from __future__ import annotations
@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintEngine, render_json
+from repro.lint import Baseline, LintEngine
 from repro.lint.context import FileContext
 from repro.lint.graph.callgraph import CallGraph
-from repro.lint.graph.facts import FileFacts, extract_facts, module_of
-from repro.lint.graph.index import IndexCache, ProjectIndex
+from repro.lint.graph.facts import extract_facts, module_of
+from repro.lint.graph.index import ProjectIndex
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:
@@ -27,9 +27,9 @@ def parse(source: str, rel: str) -> FileContext:
     return FileContext.parse(source, rel)
 
 
-def build_index(files: dict[str, str], cache: IndexCache | None = None) -> ProjectIndex:
+def build_index(files: dict[str, str]) -> ProjectIndex:
     contexts = {rel: parse(source, rel) for rel, source in files.items()}
-    return ProjectIndex.build(contexts, cache)
+    return ProjectIndex.build(contexts)
 
 
 NODE = """\
@@ -154,12 +154,6 @@ class TestFacts:
         targets = [c.target for c in facts.functions["make"].calls]
         assert "repro.core.mod.Local" in targets
 
-    def test_json_roundtrip_is_lossless(self):
-        for rel, source in FIXTURE.items():
-            facts = extract_facts(parse(source, rel))
-            restored = FileFacts.from_json(json.loads(json.dumps(facts.to_json())))
-            assert restored == facts
-
     def test_message_classification(self):
         facts = extract_facts(parse(MESSAGES, "repro/core/messages.py"))
         assert facts.classes["Ping"].is_message
@@ -256,64 +250,6 @@ class TestCallGraph:
         )
         assert "repro.core.node.Node.helper" not in reach
         assert "repro.core.node.Node._on_ping" in reach
-
-
-class TestIndexCache:
-    def test_cold_run_reindexes_everything(self, tmp_path):
-        cache = IndexCache.load(tmp_path / "cache.json")
-        index = build_index(FIXTURE, cache)
-        assert sorted(index.reindexed) == sorted(FIXTURE)
-        assert (tmp_path / "cache.json").exists()
-
-    def test_warm_run_reindexes_nothing(self, tmp_path):
-        path = tmp_path / "cache.json"
-        build_index(FIXTURE, IndexCache.load(path))
-        warm = build_index(FIXTURE, IndexCache.load(path))
-        assert warm.reindexed == ()
-
-    def test_edit_reindexes_only_that_file(self, tmp_path):
-        path = tmp_path / "cache.json"
-        build_index(FIXTURE, IndexCache.load(path))
-        edited = dict(FIXTURE)
-        edited["repro/core/store.py"] += "\n# trailing comment\n"
-        warm = build_index(edited, IndexCache.load(path))
-        assert warm.reindexed == ("repro/core/store.py",)
-
-    def test_warm_facts_equal_cold_facts(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cold = build_index(FIXTURE, IndexCache.load(path))
-        warm = build_index(FIXTURE, IndexCache.load(path))
-        assert warm.files == cold.files
-
-    def test_corrupt_cache_treated_as_cold(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{ not json", encoding="utf-8")
-        index = build_index(FIXTURE, IndexCache.load(path))
-        assert sorted(index.reindexed) == sorted(FIXTURE)
-
-    def test_version_mismatch_treated_as_cold(self, tmp_path):
-        path = tmp_path / "cache.json"
-        build_index(FIXTURE, IndexCache.load(path))
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document["facts_version"] = -1
-        path.write_text(json.dumps(document), encoding="utf-8")
-        index = build_index(FIXTURE, IndexCache.load(path))
-        assert sorted(index.reindexed) == sorted(FIXTURE)
-
-    def test_deleted_files_dropped_from_cache(self, tmp_path):
-        path = tmp_path / "cache.json"
-        build_index(FIXTURE, IndexCache.load(path))
-        smaller = {k: v for k, v in FIXTURE.items() if "store" not in k}
-        build_index(smaller, IndexCache.load(path))
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert "repro/core/store.py" not in document["files"]
-
-    def test_cached_engine_report_byte_identical_to_cold(self, tmp_path):
-        tree = write_tree(tmp_path / "tree", FIXTURE)
-        cache = tmp_path / "cache.json"
-        cold = render_json(LintEngine().check_paths([tree], cache_path=cache))
-        warm = render_json(LintEngine().check_paths([tree], cache_path=cache))
-        assert cold == warm
 
 
 class TestSymbolAt:

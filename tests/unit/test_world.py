@@ -152,7 +152,7 @@ class TestTimers:
         world.start()
         seen = []
         a.set_timer(1.0, seen.append, "tick")
-        world.schedule_crash("a", 0.5)
+        kernel.schedule_at(0.5, world.crash, "a")
         kernel.run()
         assert seen == []
 
@@ -162,8 +162,8 @@ class TestTimers:
         world.start()
         seen = []
         a.set_timer(1.0, seen.append, "tick")
-        world.schedule_crash("a", 0.2)
-        world.schedule_recover("a", 0.4)
+        kernel.schedule_at(0.2, world.crash, "a")
+        kernel.schedule_at(0.4, world.recover, "a")
         kernel.run()
         assert seen == []  # epoch changed; stale timer is dead
 
@@ -173,7 +173,7 @@ class TestCrashRecover:
         kernel, world = make_world(FixedDelayNetwork(0.1))
         a, b = world.add(Recorder("a")), world.add(Recorder("b"))
         world.start()
-        world.schedule_crash("b", 0.05)
+        kernel.schedule_at(0.05, world.crash, "b")
         a.send("b", "lost")  # in flight when b crashes
         kernel.run()
         assert b.inbox == []
@@ -244,7 +244,7 @@ class TestTrace:
         a, b = world.add(Recorder("a")), world.add(Recorder("b"))
         world.start()
         a.send("b", "x")
-        world.schedule_crash("b", 0.05)
+        kernel.schedule_at(0.05, world.crash, "b")
         kernel.run()
         assert len(trace.of_kind("drop")) == 1
 
@@ -260,7 +260,7 @@ class TestTrace:
         a.send("b", envelope)
         kernel.run()
         a.send("b", Wrapped("y"))
-        world.schedule_crash("b", kernel.now + 0.05)
+        kernel.schedule_at(kernel.now + 0.05, world.crash, "b")
         kernel.run()
         assert [msg for _t, _src, msg in b.inbox] == [envelope]  # receiver unwraps
         assert [(e.kind, e.detail) for e in trace if e.dst == "b"] == [
