@@ -4,28 +4,61 @@
 service replicas, uses TCP sockets." (§4.) This runtime gives every
 process a listening socket on 127.0.0.1; messages are pickled,
 length-prefixed (:mod:`repro.transport.codec`) and sent over lazily opened
-connections. Handlers run on the event-loop thread, so each process's
-handlers are serialized, matching the simulator's execution model.
+connections, one per ``(src, dst)``.
 
-This backend exists to prove the protocol stack is transport-agnostic and
-to exercise real socket behaviour (connection setup, framing across
-segment boundaries) in the integration tests — throughput *measurements*
-still come from the simulator, where time is controlled.
+The data path is three mechanisms:
+
+* **Protocol callbacks.** Every accepted connection is an
+  :class:`asyncio.BufferedProtocol` (:class:`_Inbound`): the socket is read
+  into the connection's own buffer, and ``buffer_updated`` feeds the
+  connection's :class:`FrameDecoder` and calls
+  ``process.on_message(src, msg)`` directly. A segment costs one callback
+  and no allocation — not a stream read, a future and a coroutine
+  wake-up. Outbound connections are bare transports.
+* **Writes made where the sender runs.** A send from the loop thread
+  writes to the transport at once (the socket is tried straight away);
+  only a send from another thread is handed over with
+  ``call_soon_threadsafe``.
+* **One frame per broadcast.** ``(src, msg)`` is pickled once and the same
+  bytes are written to every destination; ``messages_sent`` and
+  ``bytes_sent`` still count per destination.
+
+Threading rule: handlers, timers and socket writes all run on the one
+event-loop thread, so each process's handlers are serialized, matching the
+simulator's execution model. ``call_soon_threadsafe`` is reached only from
+outside that thread — a test or embedder poking a process, and
+:meth:`TcpRuntime.shutdown`. Which side a caller is on is read from
+``threading.get_ident()``, never from an option.
+
+An inbound frame that cannot be decoded (oversized length, unpicklable
+payload, not a ``(src, msg)`` pair) closes that one connection, counts in
+``bad_frames`` and prints one line; a handler that raises prints its
+traceback and the link stays up.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import sys
 import threading
 import time
-from collections.abc import Callable
+import traceback
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.errors import TransportError
 from repro.sim.process import Env, Process, TimerHandle
 from repro.transport.codec import FrameDecoder, encode_frame
 from repro.types import ProcessId
+
+
+#: Size of the buffer each inbound connection receives into. Owning one
+#: keeps allocation off the read path: a plain ``asyncio.Protocol`` gets its
+#: ``data_received`` bytes from ``recv(256 KiB)``, a fresh block of that size
+#: per segment, which the C library maps and unmaps each time — about 13 us
+#: a call on the dev box against 1.4 us (docs/performance.md).
+_RECV_BUFFER = 16384
 
 
 class _TcpTimer(TimerHandle):
@@ -63,10 +96,53 @@ class _TcpEnv(Env):
         return self._rng
 
     def send(self, dst: ProcessId, msg: Any) -> None:
-        self._runtime._send(self._pid, dst, msg)
+        self._runtime._send(self._pid, (dst,), msg)
+
+    def broadcast(self, dsts: Iterable[ProcessId], msg: Any) -> None:
+        self._runtime._send(self._pid, dsts, msg)
 
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
         return self._runtime._set_timer(self._pid, delay, fn, args)
+
+
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection to ``process``'s listening socket."""
+
+    __slots__ = ("_runtime", "_process", "_decoder", "_transport", "_view")
+
+    def __init__(self, runtime: "TcpRuntime", process: Process) -> None:
+        self._runtime = runtime
+        self._process = process
+        self._decoder = FrameDecoder()
+        self._view = memoryview(bytearray(_RECV_BUFFER))
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._runtime._inbound.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._runtime._inbound.discard(self._transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        process = self._process
+        try:
+            for src, msg in self._decoder.feed(self._view[:nbytes]):
+                if not process.alive:
+                    continue
+                try:
+                    process.on_message(src, msg)
+                except Exception:  # a poisoned message must not kill the link
+                    traceback.print_exc()
+        except Exception as exc:  # undecodable: pickle may raise anything
+            self._runtime.bad_frames += 1
+            print(
+                f"repro-tcp: bad frame for {process.pid}, connection closed: {exc!r}",
+                file=sys.stderr,
+            )
+            self._transport.close()
 
 
 class TcpRuntime:
@@ -87,15 +163,21 @@ class TcpRuntime:
         self._t0 = time.monotonic()
         self._processes: dict[ProcessId, Process] = {}
         self._ports: dict[ProcessId, int] = {}
-        self._servers: dict[ProcessId, asyncio.AbstractServer] = {}
-        #: per (src, dst): a connected StreamWriter, or a list of frames
+        self._listeners: list[asyncio.AbstractServer] = []
+        #: per (src, dst): a connected transport, or a list of frames
         #: buffered while the connection attempt is in flight.
-        self._out: dict[tuple[ProcessId, ProcessId], asyncio.StreamWriter | list[bytes]] = {}
+        self._out: dict[tuple[ProcessId, ProcessId], asyncio.WriteTransport | list[bytes]] = {}
+        self._inbound: set[asyncio.BaseTransport] = set()
+        #: connect tasks in flight: the loop holds tasks weakly.
+        self._connecting: set[asyncio.Task[None]] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._loop_ident: int | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self.bytes_sent = 0
         self.messages_sent = 0
+        #: inbound connections closed for a frame that could not be decoded.
+        self.bad_frames = 0
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -113,34 +195,35 @@ class TcpRuntime:
 
     def start(self, timeout: float = 10.0) -> "TcpRuntime":
         self._thread = threading.Thread(
-            target=self._thread_main, name="repro-tcp-runtime", daemon=True
+            target=lambda: asyncio.run(self._main()), name="repro-tcp-runtime", daemon=True
         )
         self._thread.start()
         if not self._started.wait(timeout=timeout):
             raise TransportError("TCP runtime failed to start in time")
         return self
 
-    def _thread_main(self) -> None:
-        asyncio.run(self._main())
-
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
+        self._loop_ident = threading.get_ident()
         self._stop_event = asyncio.Event()
-        for pid in self._processes:
-            server = await asyncio.start_server(
-                lambda r, w, pid=pid: self._serve(pid, r, w), self.host, 0
+        for pid, process in self._processes.items():
+            listener = await loop.create_server(
+                lambda process=process: _Inbound(self, process), self.host, 0
             )
-            self._servers[pid] = server
-            self._ports[pid] = server.sockets[0].getsockname()[1]
+            self._listeners.append(listener)
+            self._ports[pid] = listener.sockets[0].getsockname()[1]
         for process in self._processes.values():
             process.on_start()
         self._started.set()
         await self._stop_event.wait()
-        for server in self._servers.values():
-            server.close()
-        for entry in self._out.values():
-            if isinstance(entry, asyncio.StreamWriter):
+        for task in self._connecting:
+            task.cancel()
+        for listener in self._listeners:
+            listener.close()
+        for entry in (*self._inbound, *self._out.values()):
+            if not isinstance(entry, list):
                 entry.close()
+        await asyncio.sleep(0)  # the closes above finish on the next iteration
 
     def shutdown(self, timeout: float = 5.0) -> None:
         loop = self._loop
@@ -157,81 +240,60 @@ class TcpRuntime:
             time.sleep(0.002)
         return predicate()
 
-    # ---------------------------------------------------------------- serving
-    async def _serve(
-        self, pid: ProcessId, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Handle one inbound connection to ``pid``'s listening socket."""
-        process = self._processes[pid]
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                for src, msg in decoder.feed(data):
-                    if not process.alive:
-                        continue
-                    try:
-                        process.on_message(src, msg)
-                    except Exception:  # a poisoned message must not kill the link
-                        import traceback
-
-                        traceback.print_exc()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            return
-        except asyncio.CancelledError:
-            return  # orderly shutdown
-        finally:
-            writer.close()
-
     # ---------------------------------------------------------------- sending
-    def _send(self, src: ProcessId, dst: ProcessId, msg: Any) -> None:
+    def _send(self, src: ProcessId, dsts: Iterable[ProcessId], msg: Any) -> None:
         loop = self._loop
         if loop is None:
             raise TransportError("runtime not started")
         sender = self._processes.get(src)
         if sender is None or not sender.alive:
             return
-        if dst not in self._processes:
-            raise TransportError(f"{src} sent to unknown process {dst!r}")
-        # Envelope carries the source pid; frame it once, ship it on the loop.
+        # Envelope carries the source pid; framed once for every destination.
         frame = encode_frame((src, msg))
-        self.messages_sent += 1
-        self.bytes_sent += len(frame)
-        loop.call_soon_threadsafe(self._write, src, dst, frame)
+        on_loop = threading.get_ident() == self._loop_ident
+        for dst in dsts:
+            if dst not in self._processes:
+                raise TransportError(f"{src} sent to unknown process {dst!r}")
+            self.messages_sent += 1
+            self.bytes_sent += len(frame)
+            if on_loop:
+                self._write(src, dst, frame)
+            else:
+                loop.call_soon_threadsafe(self._write, src, dst, frame)
 
     def _write(self, src: ProcessId, dst: ProcessId, frame: bytes) -> None:
         """Runs on the loop thread. One connection per (src, dst); frames
         sent while the connect is in flight are buffered in order so TCP's
-        FIFO guarantee is preserved end to end."""
-        assert self._loop is not None
+        FIFO guarantee is preserved end to end. Once a stop was requested
+        frames are dropped: nothing connects behind ``shutdown()``."""
+        if self._stop_event.is_set():
+            return
         key = (src, dst)
         entry = self._out.get(key)
-        if isinstance(entry, asyncio.StreamWriter):
-            if not entry.is_closing():
-                entry.write(frame)
-                return
-            entry = None
-            del self._out[key]
         if isinstance(entry, list):
             entry.append(frame)
-            return
-        self._out[key] = [frame]
-        self._loop.create_task(self._connect(key, dst))
+        elif entry is not None and not entry.is_closing():
+            entry.write(frame)
+        else:
+            self._out[key] = [frame]
+            task = asyncio.get_running_loop().create_task(self._connect(key, dst))
+            self._connecting.add(task)
+            task.add_done_callback(self._connecting.discard)
 
     async def _connect(self, key: tuple[ProcessId, ProcessId], dst: ProcessId) -> None:
         try:
-            _reader, writer = await asyncio.open_connection(self.host, self._ports[dst])
+            transport, _ = await asyncio.get_running_loop().create_connection(
+                asyncio.Protocol, self.host, self._ports[dst]
+            )
         except OSError:
             # Receiver gone; drop the buffer — retransmissions cope.
             self._out.pop(key, None)
             return
         buffered = self._out[key]
         assert isinstance(buffered, list)
-        self._out[key] = writer
+        self._out[key] = transport
         for frame in buffered:
-            writer.write(frame)
+            transport.write(frame)
 
     # ----------------------------------------------------------------- timers
     def _set_timer(
@@ -247,9 +309,8 @@ class TcpRuntime:
             if process.alive:
                 fn(*args)
 
-        if threading.current_thread() is self._thread:
-            handle = loop.call_later(delay, fire)
-            return _TcpTimer(handle)
+        if threading.get_ident() == self._loop_ident:
+            return _TcpTimer(loop.call_later(delay, fire))
         # Called from another thread (e.g. run_until polling): hop onto loop.
         done = threading.Event()
 

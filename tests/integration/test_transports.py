@@ -3,6 +3,9 @@ the threaded wall-clock runtime and the localhost TCP runtime."""
 
 from __future__ import annotations
 
+import socket
+import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -12,11 +15,15 @@ from repro.chaos.invariants import check_cluster
 from repro.client.client import Client
 from repro.client.workload import paper_txn_steps, single_kind_steps
 from repro.core.config import ReplicaConfig
+from repro.core.messages import StartSignal
 from repro.core.replica import Replica
 from repro.election.static import StaticElector
 from repro.net.latency import ConstantLatency
 from repro.services.kvstore import KVStoreService
 from repro.services.noop import NoopService
+from repro.sim.process import Process
+from repro.transport import tcp
+from repro.transport.codec import encode_frame
 from repro.transport.local import LocalRuntime
 from repro.transport.tcp import TcpRuntime
 from repro.types import ReplyStatus, RequestKind
@@ -24,13 +31,13 @@ from repro.types import ReplyStatus, RequestKind
 PEERS = ("r0", "r1", "r2")
 
 
-def build_processes(steps, service_factory=NoopService, timeout=0.5):
+def build_processes(steps, service_factory=NoopService, timeout=0.5, wait_for_start=False):
     config = ReplicaConfig(peers=PEERS, accept_retry=0.2, prepare_retry=0.1)
     replicas = [
         Replica(pid, config, service_factory, StaticElector("r0")) for pid in PEERS
     ]
     client = Client(
-        "c0", replicas=PEERS, steps=steps, timeout=timeout, wait_for_start=False
+        "c0", replicas=PEERS, steps=steps, timeout=timeout, wait_for_start=wait_for_start
     )
     return replicas, client
 
@@ -81,6 +88,64 @@ class TestLocalRuntime:
         assert client.completed_steps == 5
 
 
+def kv_writes(n):
+    return single_kind_steps(RequestKind.WRITE, n, op=lambda i: ("put", i, i))
+
+
+class Recorder(Process):
+    """Keeps what it is sent; optionally sends a burst from ``on_start``."""
+
+    def __init__(self, pid, burst=()):
+        super().__init__(pid)
+        self.got = []
+        self.burst = burst
+
+    def on_start(self):
+        for dst, msg in self.burst:
+            self.send(dst, msg)
+
+    def on_message(self, src, msg):
+        self.got.append((src, msg))
+
+
+class Crashed(Recorder):
+    """A crashed process that counts how often the runtime asks."""
+
+    asked = 0
+
+    @property
+    def alive(self):
+        self.asked += 1
+        return False
+
+    @alive.setter
+    def alive(self, value):
+        pass
+
+
+@pytest.fixture
+def started():
+    """Start a ``TcpRuntime`` over the given processes; shut down at exit."""
+    runtimes = []
+
+    def start(*processes):
+        runtime = TcpRuntime()
+        runtimes.append(runtime)
+        for process in processes:
+            runtime.add(process)
+        return runtime.start()
+
+    yield start
+    for runtime in runtimes:
+        runtime.shutdown()
+
+
+def connect_to(runtime, pid):
+    sock = socket.create_connection((runtime.host, runtime._ports[pid]), timeout=5.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 class TestTcpRuntime:
     def run_steps(self, steps, service_factory=NoopService):
         replicas, client = build_processes(steps, service_factory)
@@ -120,3 +185,135 @@ class TestTcpRuntime:
     def test_transactions_over_tcp(self):
         _runtime, _replicas, client = self.run_steps(paper_txn_steps("optimized", 3, 3))
         assert client.completed_steps == 3
+
+    # The data path pinned by counts (frames encoded, loop hand-offs) and by
+    # what arrives — never by the wall clock.
+    REQUESTS = 50
+    #: Frames outside the steady state: the leader's prepare round at
+    #: start-up and whatever is in flight when the client finishes.
+    HANDFUL = 12
+
+    def run_writes(self, started, before_start_signal=lambda runtime: None):
+        """A 50-write closed-loop run begun by a ``StartSignal`` that the
+        test's own thread sends: the one send made off the loop thread."""
+        replicas, client = build_processes(
+            kv_writes(self.REQUESTS), KVStoreService, wait_for_start=True
+        )
+        runtime = started(*replicas, client)
+        before_start_signal(runtime)
+        replicas[0].send("c0", StartSignal())
+        assert runtime.run_until(lambda: client.done, timeout=30.0)
+        runtime.shutdown()
+        assert client.completed_requests == self.REQUESTS
+        return runtime
+
+    def test_a_broadcast_is_framed_once(self, started, monkeypatch):
+        frames = []
+        writes = Counter()
+        real_write = TcpRuntime._write
+
+        def counting_encode(message):
+            frames.append(encode_frame(message))
+            return frames[-1]
+
+        def counting_write(self, src, dst, frame):
+            writes[id(frame)] += 1
+            real_write(self, src, dst, frame)
+
+        monkeypatch.setattr(tcp, "encode_frame", counting_encode)
+        monkeypatch.setattr(TcpRuntime, "_write", counting_write)
+        runtime = self.run_writes(started)
+        # Per write: the request (to 3), AcceptBatch and ChosenBatch (to 2
+        # each), two AcceptedBatch and the Reply: 6 frames, 10 messages.
+        assert 0 <= len(frames) - 6 * self.REQUESTS <= self.HANDFUL
+        assert 0 <= runtime.messages_sent - 10 * self.REQUESTS <= 2 * self.HANDFUL
+        assert runtime.messages_sent == sum(writes.values())
+        assert runtime.bytes_sent == sum(len(f) * writes[id(f)] for f in frames)
+
+    def test_loop_thread_sends_do_not_hop_through_the_loop(self, started):
+        hops = []
+
+        def count_hops(runtime):
+            loop = runtime._loop
+            real = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                hops.append(callback)
+                return real(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+
+        self.run_writes(started, before_start_signal=count_hops)
+        # The StartSignal from this thread and shutdown(), not 10 a request.
+        assert len(hops) <= 4
+
+    def test_send_from_another_thread_is_delivered(self, started):
+        a, b = Recorder("a"), Recorder("b")
+        runtime = started(a, b)
+        for i in range(20):
+            a.send("b", i)
+        assert runtime.run_until(lambda: len(b.got) == 20, timeout=10.0)
+        assert b.got == [("a", i) for i in range(20)]
+
+    def test_frames_split_and_joined_by_segment_boundaries(self, started):
+        b = Recorder("b")
+        runtime = started(b)
+        with connect_to(runtime, "b") as sock:
+            for byte in encode_frame(("x", "split")):
+                sock.sendall(bytes([byte]))
+            assert runtime.run_until(lambda: b.got, timeout=10.0)
+            sock.sendall(encode_frame(("x", 1)) + encode_frame(("x", 2)))
+            assert runtime.run_until(lambda: len(b.got) >= 3, timeout=10.0)
+        assert b.got == [("x", "split"), ("x", 1), ("x", 2)]
+
+    def test_fifo_across_the_connect(self, started):
+        """The first 50 are sent in one loop callback, so all of them are
+        buffered behind a connect that cannot have finished."""
+        a, b = Recorder("a", burst=[("b", i) for i in range(50)]), Recorder("b")
+        runtime = started(a, b)
+        for i in range(50, 200):
+            a.send("b", i)
+        assert runtime.run_until(lambda: len(b.got) >= 200, timeout=10.0)
+        assert b.got == [("a", i) for i in range(200)]
+
+    def test_crashed_receiver_gets_nothing(self, started, capfd):
+        a, b = Recorder("a"), Crashed("b")
+        runtime = started(a, b)
+        for i in range(10):
+            a.send("b", i)
+        assert runtime.run_until(lambda: b.asked >= 10, timeout=10.0)
+        runtime.shutdown()
+        assert b.got == []
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\xff\xff\xff\xff",
+            b"\x00\x00\x00\x05hello",
+            encode_frame(42),
+        ],
+        ids=["oversized-length", "not-a-pickle", "not-a-pair"],
+    )
+    def test_bad_frame_closes_that_connection_only(self, started, capfd, payload):
+        replicas, client = build_processes(kv_writes(5), KVStoreService, wait_for_start=True)
+        runtime = started(*replicas, client)
+        with connect_to(runtime, "r1") as sock:
+            sock.sendall(payload)
+            assert sock.recv(1) == b""
+        assert runtime.bad_frames == 1
+        replicas[0].send("c0", StartSignal())
+        assert runtime.run_until(lambda: client.done, timeout=30.0)
+        assert client.completed_requests == 5
+        runtime.shutdown()
+        assert runtime.bad_frames == 1
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "r1" in err
+
+    def test_start_run_shutdown_cycles_leave_nothing_behind(self, capfd):
+        threads = threading.active_count()
+        for _ in range(20):
+            self.run_steps(kv_writes(30), KVStoreService)
+            assert threading.active_count() == threads
+        assert capfd.readouterr().err == ""

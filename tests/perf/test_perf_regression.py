@@ -64,6 +64,53 @@ class TestThroughputFloors:
         print(f"\nrrt_sysnet_write_req_per_s = {rate:,.0f}")
         assert rate >= _floor("rrt_sysnet_write_req_per_s")
 
+    def test_tcp_closed_loop_throughput(self):
+        """``tcp-write``'s shape — 3 replicas + 2 closed-loop clients x 300
+        KV writes over real localhost TCP — as requests per wall second,
+        first client start to last client finish, fastest of three runs.
+        The floor catches a data path that got twice as slow; the smaller
+        steps (a loop hop per message, a frame pickled per destination) are
+        pinned exactly, by counts, in tests/integration/test_transports.py:
+        the stream-coroutine path PR 21 replaced read 1 263-1 436 here."""
+        from repro.client.client import Client
+        from repro.client.workload import single_kind_steps
+        from repro.core.config import ReplicaConfig
+        from repro.core.replica import Replica
+        from repro.election.static import StaticElector
+        from repro.services.kvstore import KVStoreService
+        from repro.transport.tcp import TcpRuntime
+        from repro.types import RequestKind
+
+        peers = ("r0", "r1", "r2")
+        writes = 300
+
+        def once() -> float:
+            runtime = TcpRuntime(seed=1)
+            config = ReplicaConfig(peers=peers)
+            for pid in peers:
+                runtime.add(Replica(pid, config, KVStoreService, StaticElector("r0")))
+            clients = [
+                runtime.add(Client(
+                    f"c{c}", replicas=peers, timeout=1.0, wait_for_start=False,
+                    steps=single_kind_steps(
+                        RequestKind.WRITE, writes, op=lambda i, c=c: ("put", f"k{c}", i)
+                    ),
+                ))
+                for c in range(2)
+            ]
+            runtime.start()
+            try:
+                assert runtime.run_until(lambda: all(c.done for c in clients), timeout=60.0)
+            finally:
+                runtime.shutdown()
+            span = max(c.finished_at for c in clients) - min(c.started_at for c in clients)
+            return len(clients) * writes / span
+
+        once()  # warm imports and type registries
+        rate = max(once() for _ in range(3))
+        print(f"\ntcp_closed_loop_req_per_s = {rate:,.0f}")
+        assert rate >= _floor("tcp_closed_loop_req_per_s")
+
     def test_sweep_overlap_speedup(self):
         """The runner must overlap runs: 12 sleep-bound runs on 4 workers
         finish in far less than the serial sum. Sleeps (not spins) so the
