@@ -305,8 +305,8 @@ class ReplicationGroup(Process):
 
         #: Sim-profiler. Protocol code opens literal-label scopes at
         #: semantic points (execute, apply, propose, read, txn); the world's
-        #: envelope layer owns the per-message frames. Labels must be
-        #: literals — OBS002.
+        #: envelope layer owns the per-message frames. Labels are literals,
+        #: so docs/performance.md can list them.
         self.profiler = obs.profiler
 
     # ======================================================== process events

@@ -7,7 +7,7 @@ them, so everything here must stay picklable.
 Message flow in the common case (no failures, stable leader — Fig. 2):
 
 * client --``ClientRequest``--> all replicas
-* leader --``Accept``--> backups; backups --``Accepted``--> leader
+* leader --``AcceptBatch``--> backups; backups --``AcceptedBatch``--> leader
 * leader --``ChosenBatch``--> backups; leader --``Reply``--> client
 
 X-Paxos read (Fig. 3): backups --``Confirm``--> leader (no Accept round).
@@ -57,23 +57,6 @@ class Proposal(KeepsWireSize):
 
 
 # --------------------------------------------------------------- accept phase
-@fast_pickle
-@dataclass(frozen=True, slots=True)
-class Accept:
-    """Leader -> all replicas: accept ``value`` for instance ``pn.instance``."""
-
-    pn: ProposalNumber
-    value: Proposal
-
-
-@fast_pickle
-@dataclass(frozen=True, slots=True)
-class Accepted:
-    """Replica -> leader: I accepted ``pn``."""
-
-    pn: ProposalNumber
-
-
 @fast_pickle
 @dataclass(frozen=True, slots=True)
 class Nack:

@@ -1,16 +1,13 @@
-"""Per-file analysis context: AST, imports, layers and suppressions.
+"""One parsed file: AST, import table and architectural layer.
 
-The context is built once per file and shared by every rule, so the tree
-is parsed once, the import table is resolved once, and rules stay small:
-most are a walk over ``ctx.tree`` plus calls to :meth:`FileContext.resolve`.
+The context is built once per file; fact extraction and the rules that
+read syntax share it, so the tree is parsed once and the import table is
+resolved once.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 
@@ -20,27 +17,6 @@ from pathlib import PurePosixPath
 DETERMINISTIC_LAYERS = frozenset(
     {"sim", "core", "net", "chaos", "election", "cluster", "storage"}
 )
-
-#: Suppression comments, e.g. ``lint: ignore[DET001, MSG002] -- reason``.
-#: Anchored to the start of the comment token so prose that merely
-#: *mentions* the syntax (like this comment) never suppresses anything.
-_SUPPRESSION_RE = re.compile(
-    r"^#\s*lint:\s*ignore\[(?P<rules>[A-Za-z0-9_*,\s]*)\]"
-    r"(?:\s*--\s*(?P<reason>.*\S))?"
-)
-
-
-@dataclass(slots=True)
-class Suppression:
-    """One ``# lint: ignore[...]`` comment, tracked for use and misuse."""
-
-    line: int
-    rules: tuple[str, ...]
-    reason: str | None
-    used: bool = False
-
-    def matches(self, rule_id: str) -> bool:
-        return "*" in self.rules or rule_id in self.rules
 
 
 def layer_of(rel_path: str) -> str | None:
@@ -74,17 +50,12 @@ def _module_package(rel_path: str) -> tuple[str, ...]:
 
 @dataclass(slots=True)
 class FileContext:
-    """Everything a rule needs to know about one source file."""
+    """Everything the analysis needs to know about one source file."""
 
     rel: str
-    source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
     layer: str | None = None
     imports: dict[str, str] = field(default_factory=dict)
-    suppressions: dict[int, Suppression] = field(default_factory=dict)
-    #: (start, end, qualname) spans of every def/class, innermost last.
-    symbols: list[tuple[int, int, str]] = field(default_factory=list)
     #: Lazily computed flat node list shared by every rule (see ``walk``).
     _nodes: tuple[ast.AST, ...] | None = None
 
@@ -92,22 +63,14 @@ class FileContext:
     def parse(cls, source: str, rel: str) -> "FileContext":
         """Build a context; raises ``SyntaxError`` on unparseable source."""
         tree = ast.parse(source, filename=rel)
-        ctx = cls(
-            rel=rel,
-            source=source,
-            tree=tree,
-            lines=source.splitlines(),
-            layer=layer_of(rel),
-        )
+        ctx = cls(rel=rel, tree=tree, layer=layer_of(rel))
         ctx._collect_imports()
-        ctx._collect_suppressions()
-        ctx._collect_symbols(tree.body, prefix="")
         return ctx
 
     # ------------------------------------------------------------- imports
     def _collect_imports(self) -> None:
         package = _module_package(self.rel)
-        for node in ast.walk(self.tree):
+        for node in self.walk():
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -136,14 +99,8 @@ class FileContext:
         return ".".join(parts)
 
     def walk(self) -> tuple[ast.AST, ...]:
-        """Every node of the tree, walked once and shared by all rules.
-
-        A dozen rules each calling ``ast.walk(ctx.tree)`` re-traverses the
-        file a dozen times; the flat tuple makes the traversal cost
-        per-file instead of per-rule (the scan's former hot path).  Order
-        matches ``ast.walk`` (breadth-first), so findings keep their
-        historical ordering.
-        """
+        """Every node of the tree, walked once and shared by the rules
+        that read syntax, in ``ast.walk`` (breadth-first) order."""
         if self._nodes is None:
             self._nodes = tuple(ast.walk(self.tree))
         return self._nodes
@@ -166,65 +123,3 @@ class FileContext:
         root = self.imports.get(current.id, current.id)
         chain.append(root)
         return ".".join(reversed(chain))
-
-    # -------------------------------------------------------- suppressions
-    def _collect_suppressions(self) -> None:
-        # Tokenize so that the marker only counts in real comments — a
-        # docstring *describing* the suppression syntax is not an ignore.
-        try:
-            tokens = tokenize.generate_tokens(io.StringIO(self.source).readline)
-            comments = [
-                (token.start[0], token.string)
-                for token in tokens
-                if token.type == tokenize.COMMENT
-            ]
-        except (tokenize.TokenError, IndentationError):  # pragma: no cover
-            return  # unparseable files are reported as LINT000 anyway
-        for number, text in comments:
-            match = _SUPPRESSION_RE.search(text)
-            if match is None:
-                continue
-            rules = tuple(
-                part.strip() for part in match.group("rules").split(",") if part.strip()
-            )
-            self.suppressions[number] = Suppression(
-                line=number, rules=rules, reason=match.group("reason")
-            )
-
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        """True (and mark used) if ``line`` carries an ignore for ``rule_id``."""
-        suppression = self.suppressions.get(line)
-        if suppression is not None and suppression.matches(rule_id):
-            suppression.used = True
-            return True
-        return False
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
-    # ------------------------------------------------------------- symbols
-    def _collect_symbols(self, body: list[ast.stmt], prefix: str) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qualname = f"{prefix}{node.name}"
-                self.symbols.append(
-                    (node.lineno, node.end_lineno or node.lineno, qualname)
-                )
-                self._collect_symbols(node.body, prefix=f"{qualname}.")
-
-    def symbol_at(self, line: int) -> str:
-        """Qualname of the innermost def/class enclosing ``line``.
-
-        Used by the v2 baseline fingerprint: symbols survive file moves,
-        absolute line numbers do not. Module-level code (imports,
-        constants) reports ``<module>``.
-        """
-        best: tuple[int, str] | None = None
-        for start, end, qualname in self.symbols:
-            if start <= line <= end:
-                span = end - start
-                if best is None or span < best[0]:
-                    best = (span, qualname)
-        return best[1] if best is not None else "<module>"

@@ -11,8 +11,8 @@ class Severity(enum.Enum):
 
     Both levels are reported and both fail the run (the linter's job is to
     keep the tree clean, not to accumulate warnings); the distinction
-    exists so reporters and baselines can tell hard invariant violations
-    from hygiene issues.
+    exists so reporters can tell hard invariant violations from hygiene
+    issues.
     """
 
     ERROR = "error"
@@ -27,10 +27,10 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is posix-style and relative to the scan root so reports are
-    byte-identical across machines and working directories. Whole-program
-    findings additionally carry a ``witness`` — the rendered call chain
-    (``name (file:line)`` hops) that substantiates an interprocedural
-    claim; per-file findings leave it empty.
+    byte-identical across machines and working directories. A finding
+    about a call path carries a ``witness`` — the rendered chain
+    (``name (file:line)`` hops) that substantiates the claim; a finding
+    about one line of syntax leaves it empty.
     """
 
     rule: str
@@ -67,20 +67,3 @@ class Finding:
             "witness": list(self.witness),
         }
 
-
-def fingerprint(finding: Finding, line_text: str, symbol: str) -> str:
-    """Baseline identity of a finding: rule + enclosing symbol + source line.
-
-    ``symbol`` is the innermost enclosing def/class qualname (or
-    ``<module>``), so fingerprints survive file moves and renames as long
-    as the symbol keeps its name. Line *numbers* and *paths* are
-    deliberately excluded; duplicate fingerprints are counted, not
-    collapsed (see :mod:`repro.lint.baseline`).
-    """
-    return f"{finding.rule}::{symbol}::{line_text.strip()}"
-
-
-def legacy_fingerprint(finding: Finding, line_text: str) -> str:
-    """The v1 (path-based) fingerprint, kept so existing v1 baselines keep
-    matching until rewritten with ``--write-baseline``."""
-    return f"{finding.rule}::{finding.path}::{line_text.strip()}"

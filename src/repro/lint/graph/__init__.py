@@ -1,29 +1,41 @@
-"""Whole-program analysis layer: facts, index, call graph, project rules.
+"""The analysis: facts, index, call graph, and the rules that query them.
 
-Importing this package registers the project rules (DET101, MSG101,
-MSG102, PROTO101) into :data:`~repro.lint.graph.base.PROJECT_RULE_REGISTRY`,
-mirroring how :mod:`repro.lint.rules` registers the per-file rules.
+:data:`RULES` is the catalogue — the one place a rule is registered.
 """
 
-from repro.lint.graph import msgflow, taint  # noqa: F401  (rule registration)
-from repro.lint.graph.base import (
-    PROJECT_RULE_REGISTRY,
-    ProjectContext,
-    ProjectRule,
-    all_project_rules,
-    register_project,
-)
+from repro.lint.graph.base import ProjectContext, Rule
 from repro.lint.graph.callgraph import CallGraph
 from repro.lint.graph.facts import FileFacts, extract_facts, module_of
 from repro.lint.graph.index import ProjectIndex
-from repro.lint.graph.msgflow import message_flow, render_dot
+from repro.lint.graph.msgflow import (
+    BarrierDominance,
+    SendHandlerPairing,
+    message_flow,
+    render_dot,
+)
+from repro.lint.graph.syntax import CoreLayering, HashOrderIteration
+from repro.lint.graph.taint import AmbientReach
+
+#: Every rule, ordered by rule id.
+RULES: tuple[type[Rule], ...] = (
+    AmbientReach,        # DET001
+    HashOrderIteration,  # DET003
+    SendHandlerPairing,  # MSG102
+    CoreLayering,        # PROTO001
+    BarrierDominance,    # PROTO101
+)
+
+
+def all_project_rules() -> list[Rule]:
+    """Fresh instances of every rule, sorted by id."""
+    return [rule() for rule in RULES]
+
 
 __all__ = [
-    "PROJECT_RULE_REGISTRY",
+    "RULES",
     "ProjectContext",
-    "ProjectRule",
+    "Rule",
     "all_project_rules",
-    "register_project",
     "CallGraph",
     "FileFacts",
     "extract_facts",

@@ -1,13 +1,9 @@
-"""Project-rule base class and registry.
+"""The project a scan analyses, and the one rule interface over it.
 
-Project rules are the whole-program counterpart of the per-file
-:class:`~repro.lint.rules.base.Rule`: they run once per scan, over a
-:class:`ProjectContext` bundling the fact index and the call graph, and
-yield findings that may carry a **witness path** — the call chain that
-makes an interprocedural claim checkable by a human reading the report.
-
-Registration mirrors the per-file registry so ``--select`` and
-``--list-rules`` treat both kinds uniformly.
+A rule is a query over a :class:`ProjectContext` — the parsed files, the
+linked fact index and the call graph — run once per scan. A finding about
+a call path carries a **witness**: the chain that makes the claim
+checkable by a human reading the report.
 """
 
 from __future__ import annotations
@@ -15,23 +11,33 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph.callgraph import CallGraph
 from repro.lint.graph.index import ProjectIndex
 
-PROJECT_RULE_REGISTRY: dict[str, type["ProjectRule"]] = {}
-
 
 @dataclass(slots=True)
 class ProjectContext:
-    """Everything a project rule sees: linked facts plus the call graph."""
+    """Everything a rule sees: parsed files, linked facts, call graph."""
 
+    contexts: dict[str, FileContext]
     index: ProjectIndex
     graph: CallGraph
 
+    @classmethod
+    def build(cls, contexts: dict[str, FileContext]) -> "ProjectContext":
+        index = ProjectIndex.build(contexts)
+        return cls(contexts=contexts, index=index, graph=CallGraph.build(index))
 
-class ProjectRule:
-    """One whole-program rule: a stable id, a severity, a project check."""
+
+class Rule:
+    """One lint rule: a stable id, a severity, and a check over the project.
+
+    ``rationale`` ties the rule to the design or paper invariant it
+    protects and names the defect it is the only net for — it feeds
+    ``repro lint --list-rules`` and ``docs/static-analysis.md``.
+    """
 
     rule_id: str = ""
     severity: Severity = Severity.ERROR
@@ -58,17 +64,3 @@ class ProjectRule:
             message=message,
             witness=witness,
         )
-
-
-def register_project(cls: type[ProjectRule]) -> type[ProjectRule]:
-    if not cls.rule_id:
-        raise ValueError(f"project rule {cls.__name__} has no rule_id")
-    if cls.rule_id in PROJECT_RULE_REGISTRY:
-        raise ValueError(f"duplicate project rule id {cls.rule_id}")
-    PROJECT_RULE_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def all_project_rules() -> list[ProjectRule]:
-    """Fresh instances of every registered project rule, sorted by id."""
-    return [PROJECT_RULE_REGISTRY[rule_id]() for rule_id in sorted(PROJECT_RULE_REGISTRY)]

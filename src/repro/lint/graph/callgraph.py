@@ -53,15 +53,11 @@ class CallGraph:
         graph = cls(index=index)
         forward: dict[str, dict[tuple[str, int], None]] = {}
         reverse: dict[str, dict[str, None]] = {}
-        for module in sorted(index.modules):
-            facts = index.modules[module]
-            for qualname in sorted(facts.functions):
-                fn = facts.functions[qualname]
-                caller = f"{module}.{qualname}"
-                out = forward.setdefault(caller, {})
-                for callee, line in _resolve_calls(index, facts, fn):
-                    out[(callee, line)] = None
-                    reverse.setdefault(callee, {})[caller] = None
+        for caller, facts, fn in index.functions():
+            out = forward.setdefault(caller, {})
+            for callee, line in _resolve_calls(index, facts, fn):
+                out[(callee, line)] = None
+                reverse.setdefault(callee, {})[caller] = None
         graph.edges = {
             caller: tuple(sorted(targets)) for caller, targets in forward.items()
         }
@@ -82,20 +78,20 @@ class CallGraph:
 
     def reachable_from(
         self, roots: list[str], blocked: frozenset[str] = frozenset()
-    ) -> set[str]:
+    ) -> list[str]:
         """Forward closure of ``roots`` (roots included), never entering
-        ``blocked`` nodes."""
-        seen: set[str] = set()
-        queue = sorted(r for r in roots if r not in blocked)
+        ``blocked`` nodes, nearest first (breadth-first order)."""
+        order: list[str] = []
+        seen = set(blocked)
+        queue = sorted(roots)
         while queue:
             node = queue.pop(0)
             if node in seen:
                 continue
             seen.add(node)
-            for callee, _line in self.callees(node):
-                if callee not in seen and callee not in blocked:
-                    queue.append(callee)
-        return seen
+            order.append(node)
+            queue.extend(callee for callee, _line in self.callees(node))
+        return order
 
     def shortest_path(
         self,

@@ -1,14 +1,13 @@
-"""Per-file fact extraction: phase one of the project analysis.
+"""Per-file fact extraction: the first step of the analysis.
 
 It walks each file's AST exactly once and distills it into
 :class:`FileFacts` — functions with their resolved call sites, message
-sends, handler dispatch checks, field reads on annotated parameters,
+sends, handler dispatch checks, ambient clock/RNG/env calls,
 stable-storage calls and durability barriers; classes with their fields,
 bases and attribute types. All name resolution that needs
 the file's *own* import table happens here, so facts are self-contained.
 Cross-file linking (method resolution, re-export chasing, reachability)
-happens later in :mod:`repro.lint.graph.index`, over facts only — it never
-needs the AST back.
+happens later in :mod:`repro.lint.graph.index`, over facts only.
 """
 
 from __future__ import annotations
@@ -19,25 +18,47 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 
 from repro.lint.context import FileContext
-from repro.lint.rules.determinism import AMBIENT_CALLS, AMBIENT_PREFIXES
 
-#: Handler naming convention (mirrors the MSG002 rule).
+#: Handler naming convention: ``on_*`` / ``_on_*`` / ``handle_*``.
 HANDLER_RE = re.compile(r"^_?(on|handle)_")
 
-#: ``<...>.store.<method>()`` calls that mutate crash-surviving state.
-STABLE_MUTATORS = frozenset(
-    {"accept", "choose", "record_promise", "record_round",
-     "write_checkpoint", "install_state", "initialize"}
-)
+#: Facts key of the pseudo-function holding module- and class-body code.
+MODULE_BODY = "<module>"
 
-#: The subset whose loss violates Paxos safety — the writes PROTO101
-#: requires a durability barrier for before any acknowledgement leaves.
+#: ``<...>.store.<method>()`` writes whose loss violates Paxos safety — the
+#: ones PROTO101 requires a durability barrier for before any
+#: acknowledgement leaves.
 SAFETY_CRITICAL_MUTATORS = frozenset({"accept", "record_promise", "record_round"})
 
-#: Additional interprocedural taint sources beyond DET001's ambient set:
-#: environment reads are nondeterministic across hosts even though they
-#: are stable within one process.
-ENV_CALLS = frozenset({"os.getenv", "os.environ.get", "os.environb.get"})
+#: Fully-qualified callables that read wall clocks, process entropy or
+#: the environment (nondeterministic across hosts even though stable
+#: within one process).
+AMBIENT_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+        "os.urandom",
+        "os.getrandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "os.getenv",
+        "os.environ.get",
+        "os.environb.get",
+    }
+)
+
+#: Files allowed to construct ``random.Random()`` without a seed: they
+#: *are* the seed boundary of a run.
+UNSEEDED_RNG_BOUNDARY = ("sim/world.py", "sim/kernel.py")
 
 
 def module_of(rel: str) -> str:
@@ -54,13 +75,17 @@ def module_of(rel: str) -> str:
     return ".".join(parts)
 
 
-def is_ambient(target: str) -> bool:
-    """Is ``target`` (a resolved dotted callable) a nondeterminism source?"""
+def is_ambient(ctx: FileContext, node: ast.Call, target: str) -> bool:
+    """Is this call (``target`` its resolved dotted callee) a source of
+    nondeterminism? Every ``random.*`` module function is; constructing
+    ``random.Random`` is only when it draws its seed from the OS."""
+    if target == "random.Random":
+        unseeded = not node.args and not node.keywords
+        return unseeded and not ctx.rel.endswith(UNSEEDED_RNG_BOUNDARY)
     return (
         target in AMBIENT_CALLS
-        or target in ENV_CALLS
-        or target.startswith(AMBIENT_PREFIXES)
-        or (target.startswith("random.") and target != "random.Random")
+        or target.startswith("secrets.")
+        or target.startswith("random.")
     )
 
 
@@ -94,13 +119,11 @@ class FunctionFacts:
     params: tuple[tuple[str, str | None], ...]  # (name, resolved annotation)
     calls: tuple[CallSite, ...] = ()
     sends: tuple[SendSite, ...] = ()
-    ambient: tuple[tuple[str, int], ...] = ()   # direct nondeterminism calls
-    reads: tuple[tuple[str, str, int], ...] = ()  # param attribute reads
-    stable_calls: tuple[tuple[str, int], ...] = ()  # *.store.<mutator>() sites
+    ambient: tuple[tuple[str, int, int], ...] = ()  # (callee, line, col)
+    stable_calls: tuple[tuple[str, int], ...] = ()  # safety-critical store writes
     barrier: bool = False                       # touches flush()/needs_barrier
     handled: tuple[str, ...] = ()               # isinstance-dispatched classes
     local_types: tuple[tuple[str, str], ...] = ()  # var -> constructor class
-    rebound: tuple[str, ...] = ()               # params reassigned in the body
 
 
 @dataclass(slots=True)
@@ -111,10 +134,8 @@ class ClassFacts:
     line: int
     bases: tuple[str, ...] = ()         # resolved dotted base names
     methods: tuple[str, ...] = ()
-    properties: tuple[str, ...] = ()
     fields: tuple[str, ...] = ()        # class-body AnnAssign/Assign names
     attr_types: tuple[tuple[str, str], ...] = ()  # self.x = Ctor(...) wiring
-    is_dataclass: bool = False
     frozen: bool = False
     is_message: bool = False
     #: Declarative handler registries: class-body dict literals mapping
@@ -136,7 +157,11 @@ class FileFacts:
 
 
 # ============================================================== extraction
+#: Layers whose dataclasses can be messages (where messages are defined).
 _MESSAGE_LAYERS = frozenset({"core", "net"})
+
+#: Docstring convention marking a message class outside ``messages.py``:
+#: the first line names sender and receiver, e.g. "Replica -> leader: ...".
 _DIRECTION_RE = re.compile(r"\S\s*->\s*\S")
 
 
@@ -181,8 +206,8 @@ def _resolve_annotation(ctx: FileContext, node: ast.expr | None) -> str | None:
 
 
 def _is_message_class(ctx: FileContext, node: ast.ClassDef) -> bool:
-    """Mirror of MSG001's classification: a dataclass in a ``messages.py``
-    module, or a core/net dataclass whose docstring declares a direction."""
+    """A dataclass in a core/net ``messages.py`` module, or a core/net
+    dataclass whose docstring declares a ``sender -> receiver`` direction."""
     if ctx.layer not in _MESSAGE_LAYERS:
         return False
     if ctx.rel.endswith("messages.py"):
@@ -206,47 +231,34 @@ def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
     return None
 
 
-def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    names: set[str] = set()
-    for decorator in node.decorator_list:
-        chain = _attribute_chain(decorator)
-        if chain:
-            names.add(chain[-1])
-            names.add(chain[0])
-    return names
-
-
 class _FunctionWalker(ast.NodeVisitor):
-    """Collects one function's facts without descending into nested defs
-    (nested functions and lambdas share the enclosing function's facts —
-    a send inside a ``flush(lambda: ...)`` callback belongs to the
-    function that armed it)."""
+    """Collects one function's facts. Nested functions, classes and
+    lambdas contribute to the *enclosing* function's facts (closures over
+    handler state are pervasive here) — a send inside a
+    ``flush(lambda: ...)`` callback belongs to the function that armed it."""
 
-    def __init__(self, ctx: FileContext, params: dict[str, str | None]) -> None:
+    def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
-        self.params = params
         self.calls: list[CallSite] = []
         self.sends: list[SendSite] = []
-        self.ambient: list[tuple[str, int]] = []
-        self.reads: list[tuple[str, str, int]] = []
+        self.ambient: list[tuple[str, int, int]] = []
         self.stable_calls: list[tuple[str, int]] = []
         self.barrier = False
         self.handled: list[str] = []
         self.local_types: dict[str, str] = {}
-        self.rebound: set[str] = set()
 
     def visit_Call(self, node: ast.Call) -> None:
         ctx = self.ctx
         chain = _attribute_chain(node.func) or ()
         target = ctx.resolve(node.func)
-        if target is not None and is_ambient(target):
-            self.ambient.append((target, node.lineno))
+        if target is not None and is_ambient(ctx, node, target):
+            self.ambient.append((target, node.lineno, node.col_offset + 1))
         if chain:
             self.calls.append(CallSite(target=target, chain=chain, line=node.lineno))
             if len(chain) >= 2 and chain[-2] == "store":
                 if chain[-1] == "flush":
                     self.barrier = True
-                elif chain[-1] in STABLE_MUTATORS:
+                elif chain[-1] in SAFETY_CRITICAL_MUTATORS:
                     self.stable_calls.append((chain[-1], node.lineno))
             if chain[-1] in ("send", "broadcast") and len(node.args) >= 2:
                 self.sends.append(
@@ -276,12 +288,6 @@ class _FunctionWalker(ast.NodeVisitor):
                 self.handled.append(resolved)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (
-            isinstance(node.value, ast.Name)
-            and node.value.id in self.params
-            and not node.attr.startswith("__")
-        ):
-            self.reads.append((node.value.id, node.attr, node.lineno))
         if node.attr == "needs_barrier":
             chain = _attribute_chain(node)
             if chain and len(chain) >= 3 and chain[-2] == "store":
@@ -289,26 +295,36 @@ class _FunctionWalker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                if target.id in self.params:
-                    self.rebound.add(target.id)
-                if isinstance(node.value, ast.Call):
-                    ctor = self.ctx.resolve(node.value.func)
-                    if ctor is not None:
-                        self.local_types[target.id] = ctor
+        if isinstance(node.value, ast.Call):
+            ctor = self.ctx.resolve(node.value.func)
+            for target in node.targets:
+                if isinstance(target, ast.Name) and ctor is not None:
+                    self.local_types[target.id] = ctor
         self.generic_visit(node)
 
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name) and node.target.id in self.params:
-            self.rebound.add(node.target.id)
-        self.generic_visit(node)
 
-    # Nested function/class definitions contribute to the *enclosing*
-    # function's facts (closures over handler state are pervasive here),
-    # so the walker descends into them via generic_visit. Only their
-    # parameter lists would shadow ours; rebinding via inner defs is rare
-    # enough to accept the imprecision.
+def _function_facts(
+    walker: _FunctionWalker,
+    name: str,
+    cls: str | None = None,
+    line: int = 1,
+    params: tuple[tuple[str, str | None], ...] = (),
+) -> FunctionFacts:
+    return FunctionFacts(
+        qualname=f"{cls}.{name}" if cls is not None else name,
+        name=name,
+        cls=cls,
+        line=line,
+        handler=bool(HANDLER_RE.match(name)),
+        params=params,
+        calls=tuple(walker.calls),
+        sends=tuple(walker.sends),
+        ambient=tuple(walker.ambient),
+        stable_calls=tuple(walker.stable_calls),
+        barrier=walker.barrier,
+        handled=tuple(dict.fromkeys(walker.handled)),
+        local_types=tuple(sorted(walker.local_types.items())),
+    )
 
 
 def _extract_function(
@@ -316,31 +332,16 @@ def _extract_function(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
     cls: ast.ClassDef | None,
 ) -> FunctionFacts:
-    params: dict[str, str | None] = {}
-    for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs):
-        if arg.arg in ("self", "cls"):
-            continue
-        params[arg.arg] = _resolve_annotation(ctx, arg.annotation)
-    walker = _FunctionWalker(ctx, params)
+    params = tuple(
+        (arg.arg, _resolve_annotation(ctx, arg.annotation))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg not in ("self", "cls")
+    )
+    walker = _FunctionWalker(ctx)
     for statement in node.body:
         walker.visit(statement)
-    qualname = f"{cls.name}.{node.name}" if cls is not None else node.name
-    return FunctionFacts(
-        qualname=qualname,
-        name=node.name,
-        cls=cls.name if cls is not None else None,
-        line=node.lineno,
-        handler=bool(HANDLER_RE.match(node.name)),
-        params=tuple(params.items()),
-        calls=tuple(walker.calls),
-        sends=tuple(walker.sends),
-        ambient=tuple(walker.ambient),
-        reads=tuple(walker.reads),
-        stable_calls=tuple(walker.stable_calls),
-        barrier=walker.barrier,
-        handled=tuple(dict.fromkeys(walker.handled)),
-        local_types=tuple(sorted(walker.local_types.items())),
-        rebound=tuple(sorted(walker.rebound)),
+    return _function_facts(
+        walker, node.name, cls.name if cls is not None else None, node.lineno, params
     )
 
 
@@ -385,16 +386,12 @@ def _extract_class(ctx: FileContext, node: ast.ClassDef) -> ClassFacts:
         if (resolved := ctx.resolve(base)) is not None
     )
     methods: list[str] = []
-    properties: list[str] = []
     fields: list[str] = []
     attr_types: dict[str, str] = {}
     dispatch: list[tuple[str, str]] = []
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if "property" in _decorator_names(item) or "cached_property" in _decorator_names(item):
-                properties.append(item.name)
-            else:
-                methods.append(item.name)
+            methods.append(item.name)
             # ``self.x = Ctor(...)`` wiring, for attribute-method resolution.
             for statement in ast.walk(item):
                 if not isinstance(statement, ast.Assign):
@@ -423,10 +420,8 @@ def _extract_class(ctx: FileContext, node: ast.ClassDef) -> ClassFacts:
         line=node.lineno,
         bases=bases,
         methods=tuple(methods),
-        properties=tuple(properties),
         fields=tuple(fields),
         attr_types=tuple(sorted(attr_types.items())),
-        is_dataclass=decorator is not None,
         frozen=frozen,
         is_message=decorator is not None and _is_message_class(ctx, node),
         dispatch=tuple(dispatch),
@@ -497,6 +492,7 @@ def extract_facts(ctx: FileContext) -> FileFacts:
         layer=ctx.layer,
         imports=dict(ctx.imports),
     )
+    body = _FunctionWalker(ctx)  # module- and class-body statements
     for node in ctx.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = _extract_function(ctx, node, cls=None)
@@ -508,6 +504,15 @@ def extract_facts(ctx: FileContext) -> FileFacts:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     fn = _extract_function(ctx, item, cls=node)
                     facts.functions[fn.qualname] = fn
+                else:
+                    body.visit(item)
+        else:
+            body.visit(node)
+    if body.ambient:
+        # Import-time code is a function of its own only when it reaches
+        # for ambient state — a node per clean file would be noise in the
+        # call graph and its exports.
+        facts.functions[MODULE_BODY] = _function_facts(body, MODULE_BODY)
     local = frozenset(facts.classes) | {
         fn.name for fn in facts.functions.values() if fn.cls is None
     }

@@ -1,6 +1,6 @@
 """The project index: every file's facts, linked.
 
-The index is phase two's input: a map of modules to
+The index is what the rules query: a map of modules to
 :class:`~repro.lint.graph.facts.FileFacts` plus the cross-file lookups
 the whole-program rules need — dotted-symbol resolution through package
 re-exports, class lookup, and method resolution over the class hierarchy.
@@ -8,6 +8,7 @@ re-exports, class lookup, and method resolution over the class hierarchy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.lint.context import FileContext
@@ -37,6 +38,14 @@ class ProjectIndex:
         return index
 
     # -------------------------------------------------------------- lookups
+    def functions(self) -> Iterator[tuple[str, FileFacts, FunctionFacts]]:
+        """Every function as ``(dotted name, its file's facts, its facts)``,
+        in sorted order — the iteration every rule's findings inherit."""
+        for module in sorted(self.modules):
+            facts = self.modules[module]
+            for qualname in sorted(facts.functions):
+                yield f"{module}.{qualname}", facts, facts.functions[qualname]
+
     def function(self, dotted: str) -> tuple[FileFacts, FunctionFacts] | None:
         """``repro.core.replica.Replica._on_prepare`` -> its facts pair."""
         module, _sep, qualname = dotted.rpartition(".")
@@ -62,8 +71,8 @@ class ProjectIndex:
     def resolve_symbol(self, dotted: str | None) -> str | None:
         """Chase package re-exports until ``dotted`` names a real symbol.
 
-        ``repro.lint.Baseline`` (bound by ``repro/lint/__init__.py``)
-        resolves to ``repro.lint.baseline.Baseline``. Returns the input
+        ``repro.lint.Finding`` (bound by ``repro/lint/__init__.py``)
+        resolves to ``repro.lint.findings.Finding``. Returns the input
         unchanged when it already names an indexed class/function, or
         None when nothing in the project matches.
         """
@@ -95,7 +104,7 @@ class ProjectIndex:
             if pair is None:
                 continue
             facts, cls_facts = pair
-            if name in cls_facts.methods or name in cls_facts.properties:
+            if name in cls_facts.methods:
                 return f"{facts.module}.{cls_facts.name}.{name}"
             queue.extend(cls_facts.bases)
         return None
@@ -122,10 +131,6 @@ class ProjectIndex:
                     return self.resolve_symbol(ctor)
             queue.extend(cls_facts.bases)
         return None
-
-    def layer_of_function(self, dotted: str) -> str | None:
-        pair = self.function(dotted)
-        return pair[0].layer if pair is not None else None
 
     def message_classes(self) -> dict[str, tuple[FileFacts, ClassFacts]]:
         """Every indexed message dataclass, keyed by dotted name."""

@@ -1,22 +1,18 @@
-"""Message-flow conformance: schema checks, send/handler pairing, barriers.
+"""Message-flow conformance: send/handler pairing and durability barriers.
 
-Three whole-program rules over the indexed message dataclasses, send
-sites and handlers:
+Two rules over the indexed message dataclasses, send sites and handlers:
 
-* **MSG101** — a handler reads a field off an annotated message parameter
-  that the frozen dataclass does not define: a guaranteed
-  ``AttributeError`` the first time that handler runs.
 * **MSG102** — flow mismatches: a message type that is sent somewhere but
-  dispatched by no handler anywhere (the send can never be acted on), and
-  the dual — a handler dispatching a type nothing in the project
-  constructs (dead protocol surface).
-* **PROTO101** — an acknowledgement (``Promise`` / ``Accepted`` /
-  ``AcceptedBatch``) reachable from a handler entry point along a call
-  path that performs a safety-critical stable write (``accept`` /
-  ``record_promise`` / ``record_round``) with **no durability barrier**
-  (``store.flush`` / ``store.needs_barrier``) anywhere on the path. This
-  is the reachability upgrade of PROTO002: acked-but-volatile state is
-  exactly the crash bug §3.3's stable-storage contract exists to prevent.
+  dispatched by no handler anywhere (the send can never be acted on), a
+  handler dispatching a type nothing in the project constructs, and a
+  message class nothing constructs at all (dead protocol surface).
+* **PROTO101** — a handler that is not itself a barrier function and
+  whose barrier-free reachable set holds both a safety-critical stable
+  write (``accept`` / ``record_promise`` / ``record_round``) and the send
+  of an acknowledgement (``Promise`` / ``AcceptedBatch``): nothing on the
+  way routes through ``store.flush`` / ``store.needs_barrier``, so the ack
+  can leave before the write is durable — the crash bug §3.2's
+  stable-storage contract exists to prevent.
 
 The module also builds the ``--graph`` export: the send/handle bipartite
 flow between functions and message types, as sorted JSON or Graphviz DOT.
@@ -27,47 +23,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.graph.base import ProjectContext, ProjectRule, register_project
-from repro.lint.graph.facts import SAFETY_CRITICAL_MUTATORS
+from repro.lint.graph.base import ProjectContext, Rule
 from repro.lint.graph.index import ProjectIndex
 
 #: Acknowledgements whose transmission promises durable state to a peer.
-ACK_MESSAGES = frozenset({"Promise", "Accepted", "AcceptedBatch"})
-
-#: Attributes every (frozen, slots) dataclass instance legitimately has.
-_DATACLASS_BUILTINS = frozenset(
-    {"count", "index"}  # tuple-ish helpers appear on namedtuple-style uses
-)
+ACK_MESSAGES = frozenset({"Promise", "AcceptedBatch"})
 
 
 def _basename(dotted: str | None) -> str | None:
     return dotted.rpartition(".")[2] if dotted else None
-
-
-def _schema(index: ProjectIndex, dotted: str) -> frozenset[str] | None:
-    """All attribute names defined on a class and its indexed bases."""
-    names: set[str] = set()
-    seen: set[str] = set()
-    queue = [dotted]
-    found = False
-    while queue:
-        current = queue.pop(0)
-        if current in seen:
-            continue
-        seen.add(current)
-        resolved = index.resolve_symbol(current)
-        if resolved is None:
-            continue
-        pair = index.cls(resolved)
-        if pair is None:
-            continue
-        found = True
-        _facts, cls_facts = pair
-        names.update(cls_facts.fields)
-        names.update(cls_facts.properties)
-        names.update(cls_facts.methods)
-        queue.extend(cls_facts.bases)
-    return frozenset(names) if found else None
 
 
 def _resolve_message(index: ProjectIndex, dotted: str | None) -> str | None:
@@ -90,69 +54,24 @@ def _resolve_message(index: ProjectIndex, dotted: str | None) -> str | None:
     return None
 
 
-def _message_param_types(
-    index: ProjectIndex, params: tuple[tuple[str, str | None], ...]
-) -> dict[str, str]:
-    """Param name -> dotted message class, for annotated message params."""
-    out: dict[str, str] = {}
-    for name, annotation in params:
-        resolved = _resolve_message(index, annotation)
-        if resolved is not None:
-            out[name] = resolved
-    return out
+class SendHandlerPairing(Rule):
+    """MSG102. The only net for dead protocol surface — no run can see
+    code that never executes: a ``DISPATCH`` row and handler for a class
+    nothing constructs, or a message class nothing constructs at all
+    (seeded in ``test_lint_selfscan.py::TestSeededViolation``; the rule's
+    lifetime true positives are ``Chosen``, ``Accept`` and ``Accepted``).
+    It does not model ``DISPATCH`` routing: an annotated ``_on_*`` method
+    counts as a handler even when its row is gone (tier-1 reports that)."""
 
-
-@register_project
-class HandlerFieldSchema(ProjectRule):
-    rule_id = "MSG101"
-    severity = Severity.ERROR
-    summary = "handler reads a field the frozen message dataclass does not define"
-    rationale = (
-        "Frozen slots dataclasses raise AttributeError on unknown fields "
-        "only at runtime — under fault schedules a typo'd field in a "
-        "rarely-taken branch can sit untested until it crashes a replica "
-        "mid-protocol; the schema is static, so check it statically."
-    )
-
-    def check(self, project: ProjectContext) -> Iterator[Finding]:
-        index = project.index
-        for module in sorted(index.modules):
-            facts = index.modules[module]
-            for qualname in sorted(facts.functions):
-                fn = facts.functions[qualname]
-                param_types = _message_param_types(index, fn.params)
-                if not param_types:
-                    continue
-                for param, attr, line in fn.reads:
-                    if param not in param_types or param in fn.rebound:
-                        continue
-                    schema = _schema(index, param_types[param])
-                    if schema is None or attr in schema:
-                        continue
-                    if attr in _DATACLASS_BUILTINS:
-                        continue
-                    cls_name = _basename(param_types[param])
-                    yield self.finding(
-                        path=facts.rel,
-                        line=line,
-                        message=(
-                            f"{qualname} reads {param}.{attr} but message "
-                            f"{cls_name} defines no field '{attr}' "
-                            f"(fields: {', '.join(sorted(schema)) or 'none'})"
-                        ),
-                    )
-
-
-@register_project
-class SendHandlerPairing(ProjectRule):
     rule_id = "MSG102"
     severity = Severity.ERROR
-    summary = "message type sent but never handled, or handled but never constructed"
+    summary = "message type sent but never handled, or never constructed"
     rationale = (
         "A send with no dispatching handler is protocol intent that can "
-        "never execute; a handler for a type nothing constructs is dead "
-        "protocol surface that silently rots — both mean the message flow "
-        "diverges from the design."
+        "never execute; a handler for a type nothing constructs, or a "
+        "message class nothing constructs, is dead protocol surface that "
+        "silently rots — each means the message flow diverges from the "
+        "design, and no test or chaos run can see code that never runs."
     )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
@@ -160,28 +79,23 @@ class SendHandlerPairing(ProjectRule):
         messages = index.message_classes()
         handled = _handled_types(index)
         constructed = _constructed_types(index)
-        for module in sorted(index.modules):
-            facts = index.modules[module]
-            for qualname in sorted(facts.functions):
-                fn = facts.functions[qualname]
-                for send in fn.sends:
-                    resolved = index.resolve_symbol(send.msg)
-                    if resolved is None or resolved not in messages:
-                        continue
-                    if resolved in handled:
-                        continue
-                    yield self.finding(
-                        path=facts.rel,
-                        line=send.line,
-                        message=(
-                            f"{qualname} {send.kind}s {_basename(resolved)} "
-                            "but no handler anywhere dispatches that type"
-                        ),
-                    )
-        for dotted in sorted(handled):
-            if dotted in constructed or dotted not in messages:
+        for _node, facts, fn in index.functions():
+            for send in fn.sends:
+                resolved = index.resolve_symbol(send.msg)
+                if resolved not in messages or resolved in handled:
+                    continue
+                yield self.finding(
+                    path=facts.rel,
+                    line=send.line,
+                    message=(
+                        f"{fn.qualname} {send.kind}s {_basename(resolved)} "
+                        "but no handler anywhere dispatches that type"
+                    ),
+                )
+        for dotted, (facts, cls_facts) in messages.items():
+            if dotted in constructed:
                 continue
-            for rel, line, qualname in sorted(handled[dotted]):
+            for rel, line, qualname in sorted(set(handled.get(dotted, ()))):
                 yield self.finding(
                     path=rel,
                     line=line,
@@ -190,54 +104,74 @@ class SendHandlerPairing(ProjectRule):
                         "nothing in the project constructs that message"
                     ),
                 )
+            if dotted not in handled:
+                yield self.finding(
+                    path=facts.rel,
+                    line=cls_facts.line,
+                    message=(
+                        f"message class {cls_facts.name} is constructed "
+                        "nowhere in the project"
+                    ),
+                )
 
 
-@register_project
-class BarrierDominance(ProjectRule):
+class BarrierDominance(Rule):
+    """PROTO101. The only net for the §3.2 bug: with the ``store.flush``
+    fork removed before ``Promise`` in ``_on_prepare`` (or before
+    ``AcceptedBatch`` in ``_on_accept_batch``) tier-1 stays green and 50
+    seeds of storage chaos report no violation (both seeded in
+    ``test_lint_selfscan.py::TestSeededViolation``)."""
+
     rule_id = "PROTO101"
     severity = Severity.ERROR
-    summary = "ack send reachable from a handler past a stable write with no durability barrier on the path"
+    summary = "handler reaches a stable write and an ack send with no durability barrier"
     rationale = (
-        "Sending Promise/Accepted acknowledges state the peer may now rely "
-        "on across our crash (§3.3); if any handler-to-ack call path "
-        "performs the stable write without routing through a "
-        "store.flush()/needs_barrier barrier, a crash after send loses "
-        "acked state and re-opens the chosen-twice bug class."
+        "Sending Promise/AcceptedBatch acknowledges state the peer may now "
+        "rely on across our crash (§3.2); a handler that reaches the stable "
+        "write and the ack send without routing through a "
+        "store.flush()/needs_barrier barrier can lose acked state in a "
+        "crash after the send, re-opening the chosen-twice bug class — and "
+        "neither tier-1 nor the storage-fault sweep notices."
     )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
         index = project.index
         graph = project.graph
-        barriers = frozenset(_barrier_nodes(index))
-        handlers = sorted(_handler_entries(index))
-        reachable = graph.reachable_from(handlers, blocked=barriers)
-        writers = {
-            node: sites
-            for node, sites in _critical_writers(index).items()
-            if node in reachable and node not in barriers
-        }
-        for writer in sorted(writers):
-            ack = _first_barrier_free_ack(project, writer, barriers)
-            if ack is None:
+        barriers = frozenset(
+            node for node, _facts, fn in index.functions() if fn.barrier
+        )
+        reported: set[tuple[str, int]] = set()
+        for handler, _facts, fn in index.functions():
+            if not fn.handler or fn.barrier:
                 continue
-            ack_node, send = ack
-            handler_path = _first_handler_path(graph, handlers, writer, barriers)
-            mutator, write_line = writers[writer][0]
-            witness = _render_proto_witness(
-                project, handler_path, writer, mutator, write_line, ack_node, send
-            )
-            ack_pair = index.function(ack_node)
-            rel = ack_pair[0].rel if ack_pair is not None else "?"
+            reach = graph.reachable_from([handler], blocked=barriers)
+            write = next(_critical_writes(index, reach), None)
+            ack = next(_ack_sends(index, reach), None)
+            if write is None or ack is None:
+                continue
+            writer, write_rel, mutator, write_line = write
+            ack_node, ack_rel, kind, msg, ack_line = ack
+            if (ack_node, ack_line) in reported:
+                continue  # one finding per ack site: its first handler's
+            reported.add((ack_node, ack_line))
+            witness = [
+                *graph.render_path(graph.shortest_path(handler, {writer}, barriers)),
+                f"store.{mutator} ({write_rel}:{write_line})",
+            ]
+            if ack_node != handler:
+                witness.extend(
+                    graph.render_path(graph.shortest_path(handler, {ack_node}, barriers))
+                )
+            witness.append(f"{kind} {msg} ({ack_rel}:{ack_line})")
             yield self.finding(
-                path=rel,
-                line=send.line,
+                path=ack_rel,
+                line=ack_line,
                 message=(
-                    f"{_basename(ack_node)} {send.kind}s "
-                    f"{_basename(send.msg)} on a handler path through "
-                    f"store.{mutator}() with no durability barrier "
-                    "(store.flush/needs_barrier) anywhere on the path"
+                    f"handler {fn.qualname} reaches store.{mutator}() and "
+                    f"{kind}s {msg} with no durability barrier "
+                    "(store.flush/needs_barrier) on either path"
                 ),
-                witness=witness,
+                witness=tuple(witness),
             )
 
 
@@ -251,127 +185,55 @@ def _handled_types(index: ProjectIndex) -> dict[str, list[tuple[str, int, str]]]
     a named method.
     """
     out: dict[str, list[tuple[str, int, str]]] = {}
-    for module in sorted(index.modules):
-        facts = index.modules[module]
-        for qualname in sorted(facts.functions):
-            fn = facts.functions[qualname]
-            dispatched: list[str] = []
-            for dotted in fn.handled:
-                resolved = index.resolve_symbol(dotted)
-                if resolved is not None:
-                    dispatched.append(resolved)
-            if fn.handler:
-                dispatched.extend(
-                    _message_param_types(index, fn.params).values()
-                )
-            for resolved in dict.fromkeys(dispatched):
-                out.setdefault(resolved, []).append((facts.rel, fn.line, qualname))
-        for cls_name in sorted(facts.classes):
-            cls_facts = facts.classes[cls_name]
+    for _node, facts, fn in index.functions():
+        dispatched = [index.resolve_symbol(dotted) for dotted in fn.handled]
+        if fn.handler:
+            dispatched.extend(
+                _resolve_message(index, annotation) for _, annotation in fn.params
+            )
+        for resolved in dict.fromkeys(dispatched):
+            if resolved is not None:
+                out.setdefault(resolved, []).append((facts.rel, fn.line, fn.qualname))
+    for facts in index.modules.values():
+        for cls_facts in facts.classes.values():
             for msg, method in cls_facts.dispatch:
                 resolved = _resolve_message(index, msg)
                 if resolved is None:
                     continue
-                handler = f"{cls_name}.{method}"
+                handler = f"{cls_facts.name}.{method}"
                 target = facts.functions.get(handler)
                 line = target.line if target is not None else cls_facts.line
                 out.setdefault(resolved, []).append((facts.rel, line, handler))
     return out
 
 
+def _critical_writes(index: ProjectIndex, nodes: list[str]):
+    """``(node, rel, mutator, line)`` per safety-critical store write in ``nodes``."""
+    for node in nodes:
+        facts, fn = index.function(node)
+        for mutator, line in fn.stable_calls:
+            yield node, facts.rel, mutator, line
+
+
+def _ack_sends(index: ProjectIndex, nodes: list[str]):
+    """``(node, rel, kind, message, line)`` per acknowledgement sent in ``nodes``."""
+    for node in nodes:
+        facts, fn = index.function(node)
+        for send in fn.sends:
+            msg = _basename(index.resolve_symbol(send.msg))
+            if msg in ACK_MESSAGES:
+                yield node, facts.rel, send.kind, msg, send.line
+
+
 def _constructed_types(index: ProjectIndex) -> set[str]:
     """Every class the project constructs anywhere (resolved call targets)."""
     out: set[str] = set()
-    for module in sorted(index.modules):
-        facts = index.modules[module]
-        for qualname in sorted(facts.functions):
-            for call in facts.functions[qualname].calls:
-                resolved = index.resolve_symbol(call.target)
-                if resolved is not None and index.cls(resolved) is not None:
-                    out.add(resolved)
+    for _node, _facts, fn in index.functions():
+        for call in fn.calls:
+            resolved = index.resolve_symbol(call.target)
+            if resolved is not None and index.cls(resolved) is not None:
+                out.add(resolved)
     return out
-
-
-def _handler_entries(index: ProjectIndex) -> list[str]:
-    out: list[str] = []
-    for module in sorted(index.modules):
-        facts = index.modules[module]
-        for qualname in sorted(facts.functions):
-            if facts.functions[qualname].handler:
-                out.append(f"{module}.{qualname}")
-    return out
-
-
-def _barrier_nodes(index: ProjectIndex) -> list[str]:
-    out: list[str] = []
-    for module in sorted(index.modules):
-        facts = index.modules[module]
-        for qualname in sorted(facts.functions):
-            if facts.functions[qualname].barrier:
-                out.append(f"{module}.{qualname}")
-    return out
-
-
-def _critical_writers(index: ProjectIndex) -> dict[str, list[tuple[str, int]]]:
-    """Node -> sorted safety-critical ``store.<mutator>()`` sites."""
-    out: dict[str, list[tuple[str, int]]] = {}
-    for module in sorted(index.modules):
-        facts = index.modules[module]
-        for qualname in sorted(facts.functions):
-            fn = facts.functions[qualname]
-            sites = sorted(
-                (mutator, line)
-                for mutator, line in fn.stable_calls
-                if mutator in SAFETY_CRITICAL_MUTATORS
-            )
-            if sites:
-                out[f"{module}.{qualname}"] = sites
-    return out
-
-
-def _first_barrier_free_ack(
-    project: ProjectContext, writer: str, barriers: frozenset[str]
-):
-    """First (node, send-site) acking a peer, barrier-free from ``writer``."""
-    graph = project.graph
-    index = project.index
-    for node in sorted(graph.reachable_from([writer], blocked=barriers)):
-        pair = index.function(node)
-        if pair is None:
-            continue
-        for send in pair[1].sends:
-            if _basename(index.resolve_symbol(send.msg)) in ACK_MESSAGES:
-                return node, send
-    return None
-
-
-def _first_handler_path(graph, handlers, writer, barriers):
-    for handler in handlers:
-        path = graph.shortest_path(handler, {writer}, blocked=barriers)
-        if path is not None:
-            return path
-    return [(writer, 0)]
-
-
-def _render_proto_witness(
-    project, handler_path, writer, mutator, write_line, ack_node, send
-) -> tuple[str, ...]:
-    graph = project.graph
-    index = project.index
-    rendered = list(graph.render_path(handler_path))
-    writer_pair = index.function(writer)
-    writer_rel = writer_pair[0].rel if writer_pair is not None else "?"
-    rendered.append(f"store.{mutator} ({writer_rel}:{write_line})")
-    if ack_node != writer:
-        ack_path = graph.shortest_path(writer, {ack_node})
-        if ack_path is not None:
-            rendered.extend(graph.render_path(ack_path)[1:])
-    ack_pair = index.function(ack_node)
-    ack_rel = ack_pair[0].rel if ack_pair is not None else "?"
-    rendered.append(
-        f"{send.kind} {_basename(index.resolve_symbol(send.msg))} ({ack_rel}:{send.line})"
-    )
-    return tuple(rendered)
 
 
 # ------------------------------------------------------------ graph export
@@ -381,17 +243,13 @@ def message_flow(project: ProjectContext) -> dict:
     messages = index.message_classes()
     handled = _handled_types(index)
     sends: list[dict] = []
-    for module in sorted(index.modules):
-        facts = index.modules[module]
-        for qualname in sorted(facts.functions):
-            fn = facts.functions[qualname]
-            for send in fn.sends:
-                resolved = index.resolve_symbol(send.msg)
-                if resolved is None or resolved not in messages:
-                    continue
+    for node, facts, fn in index.functions():
+        for send in fn.sends:
+            resolved = index.resolve_symbol(send.msg)
+            if resolved in messages:
                 sends.append(
                     {
-                        "from": f"{module}.{qualname}",
+                        "from": node,
                         "kind": send.kind,
                         "message": resolved,
                         "line": send.line,

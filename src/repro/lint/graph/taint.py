@@ -1,21 +1,22 @@
-"""DET101 — interprocedural nondeterminism taint.
+"""DET001 — a deterministic layer reaches ambient nondeterminism.
 
-DET001 (per-file) flags a *direct* ambient clock/RNG/env call inside a
-deterministic layer. This rule closes the laundering gap: a helper chain
-``replica.py -> util.helper -> time.time()`` leaves every det-layer file
-syntactically clean while the replica still diverges across hosts.
+A direct ``time.time()`` in ``core/`` and a helper chain
+``replica.py -> util.helper -> time.time()`` are the same defect: the
+replica diverges across hosts and runs while every file on the way looks
+clean. One rule covers both, in ≥ 0 call-graph hops.
 
 Algorithm — backward reachability over the call graph:
 
 1. **Sources** are functions with a direct ambient call (the
-   ``FunctionFacts.ambient`` sites: ``time.*``, ``random.*``,
-   ``os.urandom``, ``uuid``, env reads).
+   ``FunctionFacts.ambient`` sites: ``time.*``, ``random.*``, an unseeded
+   ``random.Random()``, ``os.urandom``, ``uuid``, env reads). Module- and
+   class-body code counts as the function ``<module>``.
 2. **Taint** is the backward closure of the sources over the reverse
    edges: any function that can reach a source is tainted.
-3. **Frontier reporting**: a det-layer function is flagged only at the
-   call edge where taint *enters* from outside the deterministic layers —
-   a tainted callee that itself lives in a det layer is that callee's own
-   finding (DET001 if direct, DET101 at its own frontier), so each
+3. **Reporting**: a det-layer function is flagged at each of its own
+   ambient calls (zero hops), and at the first call edge where taint
+   *enters* from outside the deterministic layers — a tainted callee that
+   itself lives in a det layer is that callee's own finding, so each
    laundering chain produces exactly one finding, at the boundary.
 
 Every finding carries a BFS-shortest witness path from the flagged
@@ -28,21 +29,18 @@ from collections.abc import Iterator
 
 from repro.lint.context import DETERMINISTIC_LAYERS
 from repro.lint.findings import Finding, Severity
-from repro.lint.graph.base import ProjectContext, ProjectRule, register_project
+from repro.lint.graph.base import ProjectContext, Rule
 
 
-def compute_taint(project: ProjectContext) -> tuple[set[str], dict[str, tuple[str, int]]]:
-    """(tainted nodes, direct-source node -> first ambient (target, line))."""
+def compute_taint(
+    project: ProjectContext,
+) -> tuple[set[str], dict[str, tuple[str, int, int]]]:
+    """(tainted nodes, direct-source node -> first ambient (target, line, col))."""
     graph = project.graph
-    sources: dict[str, tuple[str, int]] = {}
-    for module in sorted(project.index.modules):
-        facts = project.index.modules[module]
-        for qualname in sorted(facts.functions):
-            fn = facts.functions[qualname]
-            if fn.ambient:
-                sources[f"{module}.{qualname}"] = min(
-                    fn.ambient, key=lambda site: (site[1], site[0])
-                )
+    sources: dict[str, tuple[str, int, int]] = {}
+    for node, _facts, fn in project.index.functions():
+        if fn.ambient:
+            sources[node] = min(fn.ambient, key=lambda site: (site[1], site[0]))
     tainted: set[str] = set()
     queue = sorted(sources)
     while queue:
@@ -56,76 +54,73 @@ def compute_taint(project: ProjectContext) -> tuple[set[str], dict[str, tuple[st
     return tainted, sources
 
 
-@register_project
-class InterproceduralTaint(ProjectRule):
-    rule_id = "DET101"
+class AmbientReach(Rule):
+    """DET001. The only net for its defect: a ``random.random()`` jitter on
+    ``OmegaElector``'s tick timer — direct, or behind a ``repro.util``
+    helper — leaves tier-1 green and both chaos byte-compares identical
+    (seeded in ``test_lint_selfscan.py::TestSeededViolation``)."""
+
+    rule_id = "DET001"
     severity = Severity.ERROR
-    summary = "deterministic-layer function reaches an ambient clock/RNG/env call through a helper chain"
+    summary = (
+        "deterministic-layer function reaches an ambient clock/RNG/env call, "
+        "directly or through a helper chain"
+    )
     rationale = (
-        "Replica divergence does not require a direct time.time() call — "
-        "nondeterminism laundered through any helper chain breaks the "
-        "identical-execution assumption the paper's replication protocol "
-        "rests on (§3.3); taint must be tracked interprocedurally."
+        "Simulation layers (sim/, core/, net/, chaos/, election/, cluster/, "
+        "storage/) must draw randomness and time from the injected world "
+        "(kernel RNG streams, virtual clock). One ambient call — at the "
+        "site or laundered through any helper chain — desynchronizes "
+        "replicas and breaks seed-replayability, the exact failure mode "
+        "§3.3 exists to prevent; no test or byte-compare sees it."
     )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:
         index = project.index
         graph = project.graph
         tainted, sources = compute_taint(project)
-        goal_set = set(sources)
-        for module in sorted(index.modules):
-            facts = index.modules[module]
+        goals = set(sources)
+        for node, facts, fn in index.functions():
             if facts.layer not in DETERMINISTIC_LAYERS:
                 continue
-            for qualname in sorted(facts.functions):
-                fn = facts.functions[qualname]
-                if fn.ambient:
-                    continue  # direct call: DET001's jurisdiction
-                node = f"{module}.{qualname}"
-                for callee, line in graph.callees(node):
-                    if callee not in tainted:
-                        continue
-                    callee_layer = index.layer_of_function(callee)
-                    if callee_layer in DETERMINISTIC_LAYERS:
-                        continue  # the callee gets its own finding
-                    witness = self._witness(project, node, callee, goal_set, sources)
-                    ambient_target = witness[-1].split(" ")[0] if witness else callee
-                    yield self.finding(
-                        path=facts.rel,
-                        line=line,
-                        message=(
-                            f"{qualname} reaches nondeterministic "
-                            f"{ambient_target}() via {callee} "
-                            f"({len(witness) - 1} hop(s)); deterministic layers "
-                            "must take time/randomness from the simulation kernel"
-                        ),
-                        witness=witness,
-                    )
-                    break  # one finding per function: the first frontier edge
-
-    def _witness(
-        self,
-        project: ProjectContext,
-        start: str,
-        first_callee: str,
-        goals: set[str],
-        sources: dict[str, tuple[str, int]],
-    ) -> tuple[str, ...]:
-        """Witness path start -> ... -> source -> ambient call, rendered."""
-        graph = project.graph
-        path = graph.shortest_path(first_callee, goals)
-        if path is None:
-            return (start, first_callee)
-        # Prefix the frontier function itself: its call line into the callee.
-        entry_line = 0
-        for callee, line in graph.callees(start):
-            if callee == first_callee:
-                entry_line = line
-                break
-        rendered = list(graph.render_path([(start, entry_line), *path]))
-        source_node = path[-1][0]
-        target, line = sources[source_node]
-        pair = project.index.function(source_node)
-        rel = pair[0].rel if pair is not None else "?"
-        rendered.append(f"{target} ({rel}:{line})")
-        return tuple(rendered)
+            for target, line, col in fn.ambient:
+                yield self.finding(
+                    path=facts.rel,
+                    line=line,
+                    col=col,
+                    message=(
+                        f"ambient nondeterministic call {target}() in layer "
+                        f"'{facts.layer}'; inject an RNG/clock from the world "
+                        "instead"
+                    ),
+                    witness=(
+                        f"{node} ({facts.rel}:{line})",
+                        f"{target} ({facts.rel}:{line})",
+                    ),
+                )
+            for callee, line in graph.callees(node):
+                if callee not in tainted:
+                    continue
+                if index.function(callee)[0].layer in DETERMINISTIC_LAYERS:
+                    continue  # the callee gets its own finding
+                # The frontier function's call into the callee, the callee's
+                # shortest path to a source, then the ambient call itself.
+                path = graph.shortest_path(callee, goals)
+                source = path[-1][0]
+                target, at, _col = sources[source]
+                witness = (
+                    *graph.render_path([(node, line), *path]),
+                    f"{target} ({index.function(source)[0].rel}:{at})",
+                )
+                yield self.finding(
+                    path=facts.rel,
+                    line=line,
+                    message=(
+                        f"{fn.qualname} reaches nondeterministic {target}() "
+                        f"via {callee} ({len(witness) - 1} hop(s)); "
+                        "deterministic layers must take time/randomness from "
+                        "the simulation kernel"
+                    ),
+                    witness=witness,
+                )
+                break  # one finding per function: the first frontier edge

@@ -1,8 +1,8 @@
 """Lint reporters: human text and byte-deterministic JSON.
 
-The JSON reporter is itself held to the linter's own DET004/DET003
-standard: sorted findings, sorted keys, no clocks, no absolute paths —
-two runs over the same tree are byte-identical under any PYTHONHASHSEED.
+The JSON reporter is itself held to the linter's own DET003 standard:
+sorted findings, sorted keys, no clocks, no absolute paths — two runs
+over the same tree are byte-identical under any PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ _REPORT_VERSION = 2
 
 
 def render_text(result: LintResult) -> str:
-    """Human-readable report: one line per finding (whole-program findings
-    followed by their indented witness path) plus a summary."""
+    """Human-readable report: one line per finding (followed by its
+    indented witness path, if it has one) plus a summary."""
     lines: list[str] = []
     for finding in result.findings:
         lines.append(finding.render())
@@ -24,8 +24,7 @@ def render_text(result: LintResult) -> str:
     lines.append(
         f"{len(result.findings)} finding(s) "
         f"({result.errors} error(s), {result.warnings} warning(s)) "
-        f"in {result.files} file(s); "
-        f"{result.suppressed} suppressed, {result.baselined} baselined"
+        f"in {result.files} file(s)"
     )
     return "\n".join(lines) + "\n"
 
@@ -41,8 +40,6 @@ def render_json(result: LintResult) -> str:
             "findings": len(result.findings),
             "errors": result.errors,
             "warnings": result.warnings,
-            "suppressed": result.suppressed,
-            "baselined": result.baselined,
         },
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"

@@ -127,7 +127,7 @@ class SimProfiler:
 
     # ------------------------------------------------------------- scoping
     def enter(self, label: str) -> None:
-        """Open a host-time scope. ``label`` must be a literal (OBS002)."""
+        """Open a host-time scope; ``label`` is a literal (docs/performance.md)."""
         # _child() inlined: this runs once per kernel event and once per
         # protocol scope, and the call overhead is measurable (perf tier
         # bounds the profiled/bare ratio).
@@ -150,8 +150,8 @@ class SimProfiler:
 
     # The kernel's event loop opens one frame per dispatched event with a
     # dynamic label (the callback's qualname) — same mechanics as
-    # enter/exit, different names so OBS002's literal-label rule applies
-    # only to protocol-level scopes.
+    # enter/exit, different names so the literal-label convention reads as
+    # applying only to protocol-level scopes.
     enter_event = enter
     exit_event = exit
 

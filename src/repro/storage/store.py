@@ -1,8 +1,8 @@
 """The replica-facing stable-storage API.
 
 :class:`StableStore` is the single gateway for every stable-state
-mutation a replica makes (lint rule ``PROTO002`` keeps a replica's
-``.store`` from being swapped for another object): accepted proposals,
+mutation a replica makes (a group's ``.store`` is constructed once, in
+``ReplicationGroup.__init__``, and never rebound): accepted proposals,
 chosen values, the promised ballot, the highest observed round,
 checkpoints, and snapshot installs. It owns the volatile
 :class:`repro.core.log.ReplicaLog` (the working view) for one replication

@@ -97,13 +97,32 @@ class TestProfilerCannotPerturbTheRun:
         assert chosen_log_bytes(both) == chosen_log_bytes(bare)
 
     def test_scopes_balanced_at_end_of_run(self):
-        for steps_factory in (
-            lambda: single_kind_steps(RequestKind.WRITE, 10),
-            lambda: single_kind_steps(RequestKind.READ, 10),
-            lambda: paper_txn_steps("optimized", 3, 5),
-        ):
-            cluster = run(profiling=True, steps_factory=steps_factory,
-                          execute_time=0.001)
+        def crash_and_replay() -> Cluster:
+            """``replay`` is the one scope no fault-free run enters: crash
+            a backup mid-run and let it recover from its WAL (this input
+            replaced the balance half of lint rule OBS002)."""
+            spec = ClusterSpec(profile=make_test_profile(), seed=7,
+                               profiling=True, fsync="sync")
+            steps = [single_kind_steps(RequestKind.WRITE, 10) for _ in range(2)]
+            cluster = Cluster(spec, steps).start()
+            kernel, world = cluster.kernel, cluster.world
+            kernel.schedule_at(0.002, world.crash, "r1")
+            kernel.schedule_at(0.004, world.recover, "r1")
+            cluster.run().drain()
+            frames = collapsed_lines(cluster.profiler, metric="host")
+            assert any(line.startswith("World.recover;replay ") for line in frames)
+            return cluster
+
+        finished = [
+            run(profiling=True, steps_factory=steps_factory, execute_time=0.001)
+            for steps_factory in (
+                lambda: single_kind_steps(RequestKind.WRITE, 10),
+                lambda: single_kind_steps(RequestKind.READ, 10),
+                lambda: paper_txn_steps("optimized", 3, 5),
+            )
+        ]
+        finished.append(crash_and_replay())
+        for cluster in finished:
             assert cluster.profiler._stack == []
 
 

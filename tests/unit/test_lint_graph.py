@@ -1,26 +1,13 @@
-"""Unit tests for the whole-program analysis layer: facts, index,
-call graph, and the v2 (symbol-based) baseline fingerprints."""
+"""Unit tests for the analysis layer: facts, index, call graph."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.lint import Baseline, LintEngine
 from repro.lint.context import FileContext
 from repro.lint.graph.callgraph import CallGraph
 from repro.lint.graph.facts import extract_facts, module_of
 from repro.lint.graph.index import ProjectIndex
-
-
-def write_tree(root: Path, files: dict[str, str]) -> Path:
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source, encoding="utf-8")
-    return root
 
 
 def parse(source: str, rel: str) -> FileContext:
@@ -130,16 +117,32 @@ class TestFacts:
         assert on_ping.barrier
         assert on_ping.stable_calls == (("accept", 19),)
 
-    def test_param_reads_and_annotations(self):
+    def test_param_annotations_resolved(self):
         facts = extract_facts(parse(NODE, "repro/core/node.py"))
         on_pong = facts.functions["Node._on_pong"]
-        assert ("msg", "repro.core.messages.Pong") in on_pong.params
-        assert ("msg", "seq", 27) in on_pong.reads
+        assert on_pong.params == (("src", "int"), ("msg", "repro.core.messages.Pong"))
 
     def test_ambient_detection(self):
         source = "import time\n\n\ndef now():\n    return time.time()\n"
         facts = extract_facts(parse(source, "repro/util/clock.py"))
-        assert facts.functions["now"].ambient == (("time.time", 5),)
+        assert facts.functions["now"].ambient == (("time.time", 5, 12),)
+        assert "<module>" not in facts.functions  # nothing ambient at import time
+
+    def test_module_and_class_bodies_are_the_module_function(self):
+        source = (
+            "import os, random\n\n"
+            "HOME = os.getenv('HOME')\n\n\n"
+            "class Link:\n"
+            "    rng = random.Random()\n\n"
+            "    def seeded(self):\n"
+            "        return random.Random(7)\n"
+        )
+        facts = extract_facts(parse(source, "repro/net/link.py"))
+        assert facts.functions["<module>"].ambient == (
+            ("os.getenv", 3, 8),
+            ("random.Random", 7, 11),
+        )
+        assert facts.functions["Link.seeded"].ambient == ()
 
     def test_local_names_qualified_with_module(self):
         source = (
@@ -250,76 +253,3 @@ class TestCallGraph:
         )
         assert "repro.core.node.Node.helper" not in reach
         assert "repro.core.node.Node._on_ping" in reach
-
-
-class TestSymbolAt:
-    def test_innermost_symbol_wins(self):
-        ctx = parse(NODE, "repro/core/node.py")
-        assert ctx.symbol_at(19) == "Node._on_ping"
-        assert ctx.symbol_at(1) == "<module>"
-
-    def test_nested_defs(self):
-        source = (
-            "class A:\n"
-            "    def outer(self):\n"
-            "        def inner():\n"
-            "            return 1\n"
-            "        return inner\n"
-        )
-        ctx = parse(source, "repro/core/mod.py")
-        assert ctx.symbol_at(4) == "A.outer.inner"
-        assert ctx.symbol_at(5) == "A.outer"
-
-
-class TestBaselineV2:
-    DIRTY = "import time\n\nnow = time.time()\n"
-
-    def test_fingerprints_survive_file_moves(self, tmp_path):
-        tree = write_tree(
-            tmp_path / "tree",
-            {"repro/core/mod.py": "import time\n\n\ndef f():\n    return time.time()\n"},
-        )
-        first = LintEngine().check_paths([tree])
-        baseline = Baseline.from_fingerprints(first.fingerprints)
-        assert first.fingerprints  # something to baseline
-
-        # Move the file: same symbol, new path.
-        (tree / "repro" / "core" / "mod.py").rename(
-            tree / "repro" / "core" / "renamed.py"
-        )
-        result = LintEngine(baseline=baseline).check_paths([tree])
-        assert result.ok
-        assert result.baselined == len(first.fingerprints)
-
-    def test_legacy_v1_baseline_still_matches(self, tmp_path):
-        tree = write_tree(tmp_path / "tree", {"repro/core/mod.py": self.DIRTY})
-        clean = LintEngine().check_paths([tree])
-        assert not clean.ok
-        legacy = tmp_path / "v1.json"
-        legacy.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "tool": "repro-lint",
-                    "fingerprints": {
-                        "DET001::repro/core/mod.py::now = time.time()": 1
-                    },
-                }
-            ),
-            encoding="utf-8",
-        )
-        result = LintEngine(baseline=Baseline.load(legacy)).check_paths([tree])
-        assert result.ok
-        assert result.baselined == 1
-
-    def test_write_baseline_emits_v2(self, tmp_path):
-        tree = write_tree(tmp_path / "tree", {"repro/core/mod.py": self.DIRTY})
-        result = LintEngine().check_paths([tree])
-        path = tmp_path / "baseline.json"
-        Baseline.from_fingerprints(result.fingerprints).write(path)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["version"] == 2
-        # v2 keys are symbol-based: module-level finding -> <module>.
-        assert list(document["fingerprints"]) == [
-            "DET001::<module>::now = time.time()"
-        ]

@@ -1,20 +1,24 @@
-"""Per-rule tests for the whole-program rules: DET101, MSG101, MSG102,
-PROTO101 — positive, negative, and suppression cases for each, driven
-through the real engine over small on-disk trees."""
+"""Per-rule tests for the rules that need the whole project: DET001 at
+≥ 1 call-graph hops, MSG102, PROTO101 — positive and negative cases for
+each, driven through the real engine over small ``{rel: source}``
+projects, findings filtered by rule."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import LintEngine, render_text
+from repro.lint import LintEngine, LintResult, render_text
 
-MESSAGES = """\
+PING = """\
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
 class Ping:
     seq: int
+"""
+
+MESSAGES = PING + """\
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,21 +39,16 @@ class Store:
 """
 
 
-def write_tree(root: Path, files: dict[str, str]) -> Path:
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source, encoding="utf-8")
-    return root
-
-
-def scan(tmp_path: Path, files: dict[str, str], select: list[str]):
-    tree = write_tree(tmp_path / "tree", files)
-    engine = LintEngine(select=select)
-    return engine.check_paths([tree])
+def scan(files: dict[str, str], rule: str) -> LintResult:
+    """Every rule runs; the result keeps ``rule``'s findings."""
+    result = LintEngine().check_sources(files)
+    result.findings = [f for f in result.findings if f.rule == rule]
+    return result
 
 
 class TestDET101:
+    """DET001 at ≥ 1 hops — what the id DET101 used to report."""
+
     LEAKY_HELPER = (
         "import time\n\n\n"
         "def stamp(x):\n"
@@ -58,9 +57,8 @@ class TestDET101:
         "    return (x, time.time())\n"
     )
 
-    def test_two_hop_taint_fires_with_full_witness(self, tmp_path):
+    def test_two_hop_taint_fires_with_full_witness(self):
         result = scan(
-            tmp_path,
             {
                 "repro/core/replica.py": (
                     "from repro.util.helper import stamp\n\n\n"
@@ -69,9 +67,9 @@ class TestDET101:
                 ),
                 "repro/util/helper.py": self.LEAKY_HELPER,
             },
-            select=["DET101"],
+            rule="DET001",
         )
-        assert [f.rule for f in result.findings] == ["DET101"]
+        assert [f.rule for f in result.findings] == ["DET001"]
         finding = result.findings[0]
         assert finding.path == "repro/core/replica.py"
         assert finding.line == 5
@@ -82,9 +80,8 @@ class TestDET101:
         assert "repro.util.helper._now" in witness
         assert "time.time" in witness
 
-    def test_witness_rendered_in_text_report(self, tmp_path):
+    def test_witness_rendered_in_text_report(self):
         result = scan(
-            tmp_path,
             {
                 "repro/core/replica.py": (
                     "from repro.util.helper import stamp\n\n\n"
@@ -93,15 +90,14 @@ class TestDET101:
                 ),
                 "repro/util/helper.py": self.LEAKY_HELPER,
             },
-            select=["DET101"],
+            rule="DET001",
         )
         text = render_text(result)
         assert "witness:" in text
         assert "->" in text
 
-    def test_clean_helper_chain_is_negative(self, tmp_path):
+    def test_clean_helper_chain_is_negative(self):
         result = scan(
-            tmp_path,
             {
                 "repro/core/replica.py": (
                     "from repro.util.helper import stamp\n\n\n"
@@ -110,30 +106,35 @@ class TestDET101:
                 ),
                 "repro/util/helper.py": "def stamp(x):\n    return (x, 0)\n",
             },
-            select=["DET101"],
+            rule="DET001",
         )
         assert result.ok
 
-    def test_direct_ambient_left_to_det001(self, tmp_path):
-        # A det-layer function calling time.time() directly is DET001's
-        # finding; DET101 must not double-report it.
+    def test_direct_ambient_left_to_det001(self):
+        # A det-layer function calling time.time() directly is the same
+        # rule at zero hops: reported once, at the call, not again at a
+        # frontier.
         result = scan(
-            tmp_path,
             {
                 "repro/core/replica.py": (
                     "import time\n\n\n"
                     "def choose(x):\n"
-                    "    return (x, time.time())\n"
+                    "    return (x, time.time())\n\n\n"
+                    "def decide(x):\n"
+                    "    return choose(x)\n"
                 ),
             },
-            select=["DET101"],
+            rule="DET001",
         )
-        assert result.ok
+        assert [(f.line, f.col) for f in result.findings] == [(5, 16)]
+        assert result.findings[0].witness == (
+            "repro.core.replica.choose (repro/core/replica.py:5)",
+            "time.time (repro/core/replica.py:5)",
+        )
 
-    def test_nondet_layer_caller_is_negative(self, tmp_path):
+    def test_nondet_layer_caller_is_negative(self):
         # The frontier only matters inside deterministic layers.
         result = scan(
-            tmp_path,
             {
                 "repro/parallel/runner.py": (
                     "from repro.util.helper import stamp\n\n\n"
@@ -142,107 +143,15 @@ class TestDET101:
                 ),
                 "repro/util/helper.py": self.LEAKY_HELPER,
             },
-            select=["DET101"],
+            rule="DET001",
         )
         assert result.ok
-
-    def test_suppression_with_reason(self, tmp_path):
-        result = scan(
-            tmp_path,
-            {
-                "repro/core/replica.py": (
-                    "from repro.util.helper import stamp\n\n\n"
-                    "def choose(x):\n"
-                    "    return stamp(x)  # lint: ignore[DET101] -- fixture\n"
-                ),
-                "repro/util/helper.py": self.LEAKY_HELPER,
-            },
-            select=["DET101"],
-        )
-        assert result.ok
-        assert result.suppressed == 1
-
-
-class TestMSG101:
-    def test_typo_field_fires_with_file_and_line(self, tmp_path):
-        result = scan(
-            tmp_path,
-            {
-                "repro/core/messages.py": MESSAGES,
-                "repro/core/node.py": (
-                    "from repro.core.messages import Promise\n\n\n"
-                    "class Node:\n"
-                    "    def on_promise(self, src: int, msg: Promise) -> int:\n"
-                    "        return msg.balot\n"
-                ),
-            },
-            select=["MSG101"],
-        )
-        assert [f.rule for f in result.findings] == ["MSG101"]
-        finding = result.findings[0]
-        assert finding.path == "repro/core/node.py"
-        assert finding.line == 6
-        assert "balot" in finding.message
-        assert "ballot" in finding.message  # the real schema is named
-
-    def test_valid_field_is_negative(self, tmp_path):
-        result = scan(
-            tmp_path,
-            {
-                "repro/core/messages.py": MESSAGES,
-                "repro/core/node.py": (
-                    "from repro.core.messages import Promise\n\n\n"
-                    "class Node:\n"
-                    "    def on_promise(self, src: int, msg: Promise) -> int:\n"
-                    "        return msg.ballot\n"
-                ),
-            },
-            select=["MSG101"],
-        )
-        assert result.ok
-
-    def test_rebound_param_is_negative(self, tmp_path):
-        # Once the parameter is reassigned its static type is unknown.
-        result = scan(
-            tmp_path,
-            {
-                "repro/core/messages.py": MESSAGES,
-                "repro/core/node.py": (
-                    "from repro.core.messages import Promise\n\n\n"
-                    "class Node:\n"
-                    "    def on_promise(self, src: int, msg: Promise) -> int:\n"
-                    "        msg = object()\n"
-                    "        return msg.balot\n"
-                ),
-            },
-            select=["MSG101"],
-        )
-        assert result.ok
-
-    def test_suppression_with_reason(self, tmp_path):
-        result = scan(
-            tmp_path,
-            {
-                "repro/core/messages.py": MESSAGES,
-                "repro/core/node.py": (
-                    "from repro.core.messages import Promise\n\n\n"
-                    "class Node:\n"
-                    "    def on_promise(self, src: int, msg: Promise) -> int:\n"
-                    "        return msg.balot  # lint: ignore[MSG101] -- fixture\n"
-                ),
-            },
-            select=["MSG101"],
-        )
-        assert result.ok
-        assert result.suppressed == 1
-
 
 class TestMSG102:
-    def test_orphan_send_fires(self, tmp_path):
+    def test_orphan_send_fires(self):
         result = scan(
-            tmp_path,
             {
-                "repro/core/messages.py": MESSAGES,
+                "repro/core/messages.py": PING,
                 "repro/core/node.py": (
                     "from repro.core.messages import Ping\n\n\n"
                     "class Node:\n"
@@ -252,7 +161,7 @@ class TestMSG102:
                     "        self.send(0, Ping(seq=1))\n"
                 ),
             },
-            select=["MSG102"],
+            rule="MSG102",
         )
         assert [f.rule for f in result.findings] == ["MSG102"]
         finding = result.findings[0]
@@ -260,11 +169,10 @@ class TestMSG102:
         assert "no handler" in finding.message
         assert finding.line == 9
 
-    def test_dead_handler_fires(self, tmp_path):
+    def test_dead_handler_fires(self):
         result = scan(
-            tmp_path,
             {
-                "repro/core/messages.py": MESSAGES,
+                "repro/core/messages.py": PING,
                 "repro/core/node.py": (
                     "from repro.core.messages import Ping\n\n\n"
                     "class Node:\n"
@@ -273,16 +181,15 @@ class TestMSG102:
                     "            pass\n"
                 ),
             },
-            select=["MSG102"],
+            rule="MSG102",
         )
         assert [f.rule for f in result.findings] == ["MSG102"]
         assert "nothing in the project constructs" in result.findings[0].message
 
-    def test_paired_send_and_handler_is_negative(self, tmp_path):
+    def test_paired_send_and_handler_is_negative(self):
         result = scan(
-            tmp_path,
             {
-                "repro/core/messages.py": MESSAGES,
+                "repro/core/messages.py": PING,
                 "repro/core/node.py": (
                     "from repro.core.messages import Ping\n\n\n"
                     "class Node:\n"
@@ -295,15 +202,30 @@ class TestMSG102:
                     "            pass\n"
                 ),
             },
-            select=["MSG102"],
+            rule="MSG102",
         )
         assert result.ok
 
-    def test_payload_classes_not_flagged(self, tmp_path):
+    def test_payload_classes_not_flagged(self):
         # A message constructed and *nested inside* another send (payload
         # style, like PromiseEntry) is not an orphan send.
         result = scan(
-            tmp_path,
+            {
+                "repro/core/messages.py": PING,
+                "repro/core/node.py": (
+                    "from repro.core.messages import Ping\n\n\n"
+                    "def build():\n"
+                    "    return Ping(seq=1)\n"
+                ),
+            },
+            rule="MSG102",
+        )
+        assert result.ok
+
+    def test_unconstructed_message_class_fires(self):
+        # Neither sent nor handled: the class itself is the dead surface
+        # (core.messages.Accept / Accepted until PR 22).
+        result = scan(
             {
                 "repro/core/messages.py": MESSAGES,
                 "repro/core/node.py": (
@@ -312,33 +234,35 @@ class TestMSG102:
                     "    return Ping(seq=1)\n"
                 ),
             },
-            select=["MSG102"],
+            rule="MSG102",
         )
-        assert result.ok
+        assert [(f.path, f.line) for f in result.findings] == [
+            ("repro/core/messages.py", 10)
+        ]
+        assert "Promise is constructed nowhere" in result.findings[0].message
 
-    def test_suppression_with_reason(self, tmp_path):
+    def test_dispatch_row_and_annotation_report_one_dead_handler(self):
         result = scan(
-            tmp_path,
             {
-                "repro/core/messages.py": MESSAGES,
+                "repro/core/messages.py": PING,
                 "repro/core/node.py": (
                     "from repro.core.messages import Ping\n\n\n"
                     "class Node:\n"
-                    "    def on_message(self, src, msg):  # lint: ignore[MSG102] -- fixture\n"
-                    "        if isinstance(msg, Ping):\n"
-                    "            pass\n"
+                    "    DISPATCH = {Ping: '_on_ping'}\n\n"
+                    "    def _on_ping(self, src, msg: Ping):\n"
+                    "        pass\n"
                 ),
             },
-            select=["MSG102"],
+            rule="MSG102",
         )
-        assert result.ok
-        assert result.suppressed == 1
+        assert [(f.path, f.line) for f in result.findings] == [
+            ("repro/core/node.py", 7)
+        ]
 
 
 class TestPROTO101:
-    def test_unbarriered_ack_fires_with_witness(self, tmp_path):
+    def test_unbarriered_ack_fires_with_witness(self):
         result = scan(
-            tmp_path,
             {
                 "repro/core/messages.py": MESSAGES,
                 "repro/core/store.py": STORE,
@@ -357,7 +281,7 @@ class TestPROTO101:
                     "        self.send(src, Promise(ballot=1))\n"
                 ),
             },
-            select=["PROTO101"],
+            rule="PROTO101",
         )
         assert [f.rule for f in result.findings] == ["PROTO101"]
         finding = result.findings[0]
@@ -370,9 +294,67 @@ class TestPROTO101:
         assert "store.record_promise" in witness
         assert "send Promise" in witness
 
-    def test_barriered_ack_is_negative(self, tmp_path):
+    def test_ack_sent_by_the_writers_caller_fires(self):
+        # The shape of ReplicationGroup._on_prepare with its flush fork
+        # removed: the write is in a callee, the ack in the handler itself.
         result = scan(
-            tmp_path,
+            {
+                "repro/core/messages.py": MESSAGES,
+                "repro/core/store.py": STORE,
+                "repro/core/node.py": (
+                    "from repro.core.messages import Promise\n"
+                    "from repro.core.store import Store\n\n\n"
+                    "class Node:\n"
+                    "    def __init__(self):\n"
+                    "        self.store = Store()\n\n"
+                    "    def send(self, dst, msg):\n"
+                    "        del dst, msg\n\n"
+                    "    def on_prepare(self, src, msg):\n"
+                    "        self._set_promised(1)\n"
+                    "        self.send(src, Promise(ballot=1))\n\n"
+                    "    def _set_promised(self, ballot):\n"
+                    "        self.store.record_promise(ballot)\n"
+                ),
+            },
+            rule="PROTO101",
+        )
+        assert [(f.path, f.line) for f in result.findings] == [
+            ("repro/core/node.py", 14)
+        ]
+        assert result.findings[0].witness == (
+            "repro.core.node.Node.on_prepare (repro/core/node.py:13)",
+            "repro.core.node.Node._set_promised (repro/core/node.py:16)",
+            "store.record_promise (repro/core/node.py:17)",
+            "send Promise (repro/core/node.py:14)",
+        )
+
+    def test_two_handlers_on_one_ack_site_report_once(self):
+        result = scan(
+            {
+                "repro/core/messages.py": MESSAGES,
+                "repro/core/store.py": STORE,
+                "repro/core/node.py": (
+                    "from repro.core.messages import Promise\n"
+                    "from repro.core.store import Store\n\n\n"
+                    "class Node:\n"
+                    "    def __init__(self):\n"
+                    "        self.store = Store()\n\n"
+                    "    def send(self, dst, msg):\n"
+                    "        del dst, msg\n\n"
+                    "    def on_message(self, src, msg):\n"
+                    "        self._on_prepare(src, msg)\n\n"
+                    "    def _on_prepare(self, src, msg):\n"
+                    "        self.store.record_promise(1)\n"
+                    "        self.send(src, Promise(ballot=1))\n"
+                ),
+            },
+            rule="PROTO101",
+        )
+        assert [f.line for f in result.findings] == [17]
+        assert "handler Node._on_prepare" in result.findings[0].message
+
+    def test_barriered_ack_is_negative(self):
+        result = scan(
             {
                 "repro/core/messages.py": MESSAGES,
                 "repro/core/store.py": STORE,
@@ -395,13 +377,12 @@ class TestPROTO101:
                     "            self.send(src, reply)\n"
                 ),
             },
-            select=["PROTO101"],
+            rule="PROTO101",
         )
         assert result.ok
 
-    def test_write_unreachable_from_handlers_is_negative(self, tmp_path):
+    def test_write_unreachable_from_handlers_is_negative(self):
         result = scan(
-            tmp_path,
             {
                 "repro/core/messages.py": MESSAGES,
                 "repro/core/store.py": STORE,
@@ -418,13 +399,12 @@ class TestPROTO101:
                     "        self.send(src, Promise(ballot=1))\n"
                 ),
             },
-            select=["PROTO101"],
+            rule="PROTO101",
         )
         assert result.ok
 
-    def test_non_ack_send_is_negative(self, tmp_path):
+    def test_non_ack_send_is_negative(self):
         result = scan(
-            tmp_path,
             {
                 "repro/core/messages.py": MESSAGES,
                 "repro/core/store.py": STORE,
@@ -441,36 +421,9 @@ class TestPROTO101:
                     "        self.send(src, Ping(seq=1))\n"
                 ),
             },
-            select=["PROTO101"],
+            rule="PROTO101",
         )
         assert result.ok
-
-    def test_suppression_with_reason(self, tmp_path):
-        result = scan(
-            tmp_path,
-            {
-                "repro/core/messages.py": MESSAGES,
-                "repro/core/store.py": STORE,
-                "repro/core/node.py": (
-                    "from repro.core.messages import Promise\n"
-                    "from repro.core.store import Store\n\n\n"
-                    "class Node:\n"
-                    "    def __init__(self):\n"
-                    "        self.store = Store()\n\n"
-                    "    def send(self, dst, msg):\n"
-                    "        del dst, msg\n\n"
-                    "    def on_prepare(self, src, msg):\n"
-                    "        self._promise(src)\n\n"
-                    "    def _promise(self, src):\n"
-                    "        self.store.record_promise(1)\n"
-                    "        self.send(src, Promise(ballot=1))  # lint: ignore[PROTO101] -- fixture\n"
-                ),
-            },
-            select=["PROTO101"],
-        )
-        assert result.ok
-        assert result.suppressed == 1
-
 
 class TestGoldenSnapshots:
     """The fixture package under tests/fixtures/lintpkg pins the analyzer's
@@ -525,9 +478,10 @@ class TestProjectRuleCatalogue:
 
         rules = all_project_rules()
         assert [rule.rule_id for rule in rules] == [
-            "DET101",
-            "MSG101",
+            "DET001",
+            "DET003",
             "MSG102",
+            "PROTO001",
             "PROTO101",
         ]
         for rule in rules:

@@ -20,8 +20,6 @@ from repro.core import ballot as ballot_module, messages, requests, state
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.group import ReplicationGroup
 from repro.core.messages import (
-    Accept,
-    Accepted,
     AcceptBatch,
     AcceptedBatch,
     CatchUpInfo,
@@ -76,8 +74,6 @@ GOLDEN = {
     RequestId: (rid, 21),
     ClientRequest: (request, 49),
     Proposal: (proposal, 86),
-    Accept: (lambda: Accept(pn(), proposal()), 114),
-    Accepted: (lambda: Accepted(pn()), 32),
     Nack: (lambda: Nack(None, ballot()), 23),
     Prepare: (lambda: Prepare(ballot(), (2, 3), 4), 54),
     PromiseEntry: (lambda: PromiseEntry(pn(), proposal()), 114),
@@ -109,6 +105,15 @@ def wire_classes() -> set[type]:
 class TestGoldenSizes:
     def test_every_wire_class_has_a_golden_size(self):
         assert wire_classes() <= set(GOLDEN)
+
+    def test_every_wire_class_is_frozen_and_slotted(self):
+        """Messages are shared by reference between simulated processes:
+        ``frozen`` turns a post-send mutation into ``FrozenInstanceError``
+        instead of a replica-state divergence, ``slots`` keeps a typo'd
+        attribute from riding along (this replaced lint rule MSG001)."""
+        for cls in sorted(wire_classes(), key=lambda c: c.__name__):
+            assert cls.__dataclass_params__.frozen, cls.__name__
+            assert "__slots__" in vars(cls), cls.__name__
 
     def test_golden_sizes(self):
         measured = {cls.__name__: wire_size(make()) for cls, (make, _size) in GOLDEN.items()}
