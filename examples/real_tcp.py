@@ -3,9 +3,9 @@
 
 The paper's prototype used TCP between all processes (§4). This script
 runs the *same* replica and client objects used in the simulator on the
-:class:`repro.transport.tcp.TcpRuntime` — every message is pickled,
-length-prefixed and shipped over a real localhost socket — and reports
-wall-clock latencies.
+:class:`repro.transport.tcp.TcpRuntime` — every message is packed by its
+compiled field plan, length-prefixed and shipped over a real localhost
+socket — and reports wall-clock latencies.
 
 Run:  python examples/real_tcp.py
 """

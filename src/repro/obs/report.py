@@ -59,7 +59,7 @@ def message_table(export: RunExport) -> str:
     if total_bytes:
         table += (
             "\nbytes: modelled wire size (repro.transport.codec.wire_size), "
-            "not the TCP codec's pickled frames"
+            "not the frames the TCP codec writes"
         )
     return table
 

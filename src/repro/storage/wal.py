@@ -5,7 +5,12 @@ value, promised ballot, observed round) becomes one :class:`WalRecord`
 appended to the device. On the wire — and on the simulated platter — a
 record is a CRC-framed blob::
 
-    <u32 length> <u32 crc32(body)> <body = pickle((kind, payload))>
+    <u32 length> <u32 crc32(body)> <body = pickle((kind, payload, group))>
+
+in which every message dataclass of the payload (the ``ProposalNumber`` and
+``Proposal`` of an accept) pickles as ``(unpack, (tag, packed fields))`` —
+one call of its compiled plan (:mod:`repro.util.fastpickle`), not a state
+dict per nested object.
 
 Framing matters for exactly one reason: crash recovery. A torn tail (the
 record being written when power died) decodes as a truncated or

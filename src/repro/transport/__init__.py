@@ -7,10 +7,13 @@ objects run unmodified on:
 * :class:`repro.transport.local.LocalRuntime` — wall-clock time, a
   scheduler thread, in-memory delivery (with optional injected latency);
 * :class:`repro.transport.tcp.TcpRuntime` — real TCP sockets on localhost
-  with length-prefixed pickled frames, as in the paper's prototype.
+  with length-prefixed frames of packed message fields, as in the paper's
+  prototype.
 
-These exist to demonstrate that the protocol layer is simulator-agnostic;
-all *measurements* come from the simulator, where time is controlled.
+They show that the protocol layer is simulator-agnostic. The paper's
+figures come from the simulator, where time is controlled; what the host
+pays for a real request is measured on ``TcpRuntime`` itself, by the
+benchmark suite's ``tcp-write`` workload.
 """
 
 from repro.transport.codec import decode_frames, encode_frame

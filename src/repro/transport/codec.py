@@ -1,10 +1,15 @@
-"""Length-prefixed pickle framing for the TCP transport, and the wire-size
-model the simulator accounts bytes with.
+"""Length-prefixed framing for the TCP transport, and the wire-size model
+the simulator accounts bytes with.
 
-Frame format: 4-byte big-endian payload length, then the pickled message.
-Pickle is acceptable here because both endpoints are this library's own
-processes on one machine (the paper's prototype likewise used its own
-binary format over TCP); this is not a security boundary.
+Frame format: 4-byte big-endian body length, then the body. A ``(src, msg)``
+pair whose ``msg`` is a registered wire dataclass — every frame of a
+protocol run — is :data:`_PACKED`, then the pickle of ``(src, tag, packed
+fields)``: the message's compiled plan (:mod:`repro.util.fastpickle`) has
+already turned it into nested tuples of ints and strings, so pickle meets
+no object and spells no class path. Anything else is the plain pickle of
+the object, as before. Pickle is acceptable here because both endpoints are
+this library's own processes on one machine (the paper's prototype likewise
+used its own binary format over TCP); this is not a security boundary.
 
 :func:`encoded_size` is the exact size of such a frame. :func:`wire_size`
 is a *model* of a compact binary encoding, for the simulated network: it
@@ -25,33 +30,46 @@ import dataclasses
 import enum
 import pickle
 import struct
-import types
-import typing
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
-from repro.util.fastpickle import KeepsWireSize
+from repro.util.fastpickle import KeepsWireSize, classify, field_hints, pack, unpack
 
 _HEADER = struct.Struct(">I")
 
 #: Refuse frames larger than this (corrupt stream guard), 64 MiB.
 MAX_FRAME = 64 * 1024 * 1024
 
+#: First body byte of a frame whose message travels as its packed fields.
+#: Every pickle this module writes starts with the PROTO opcode, 0x80.
+_PACKED = b"\x01"
+
+
+def _body(message: Any) -> bytes:
+    """What follows the length: ``message`` pickled — or, for a ``(src,
+    msg)`` pair whose ``msg`` has a packing plan, :data:`_PACKED` and the
+    pickle of ``(src, tag, packed fields)``."""
+    if type(message) is tuple and len(message) == 2:
+        packed = pack(message[1])
+        if packed is not None:
+            return _PACKED + pickle.dumps((message[0], *packed), pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+
 
 def encode_frame(message: Any) -> bytes:
     """Serialize one message into a length-prefixed frame."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME:
-        raise ValueError(f"message of {len(payload)} bytes exceeds MAX_FRAME")
-    return _HEADER.pack(len(payload)) + payload
+    body = _body(message)
+    if len(body) > MAX_FRAME:
+        raise ValueError(f"message of {len(body)} bytes exceeds MAX_FRAME")
+    return _HEADER.pack(len(body)) + body
 
 
 def encoded_size(message: Any) -> int:
     """Exact size in bytes of the frame :func:`encode_frame` writes for
-    ``message`` (header + pickled payload): what the TCP transport puts on
-    the wire. The simulator's byte accounting uses :func:`wire_size`.
+    ``message`` (header + body): what the TCP transport puts on the wire.
+    The simulator's byte accounting uses :func:`wire_size`.
     """
-    return _HEADER.size + len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+    return _HEADER.size + len(_body(message))
 
 
 # ------------------------------------------------------------ wire-size model
@@ -66,7 +84,6 @@ _FIXED: dict[type, int] = {bool: _TAG + 1, float: _NUMBER}
 #: One compiled sizer per dataclass type, built at the type's first sight.
 _SIZERS: dict[type, Callable[[Any], int]] = {}
 _keep = object.__setattr__  # the carriers are frozen dataclasses
-_NONE = type(None)
 
 
 def _sizes(values: Iterable[Any]) -> int:
@@ -126,10 +143,6 @@ def _compile_sizer(cls: type) -> Callable[[Any], int]:
     well-typed or not, the result is ``_TAG + _sizes(its fields)``. A
     :class:`KeepsWireSize` type's sizer also reads and fills the slot.
     """
-    try:
-        hints = typing.get_type_hints(cls)
-    except Exception:  # unresolvable forward reference: every field is Any
-        hints = {}
     names: dict[str, Any] = {"_sizes": _sizes, "_SIZERS": _SIZERS, "_keep": _keep}
     keeps = issubclass(cls, KeepsWireSize)
     lines = ["def sizer(obj):"]
@@ -140,9 +153,9 @@ def _compile_sizer(cls: type) -> Callable[[Any], int]:
             "        return total",
         ]
     lines.append(f"    total = {_TAG}")
-    for field in dataclasses.fields(cls):
-        lines.append(f"    v = obj.{field.name}")
-        _emit_size(lines, names, hints.get(field.name, Any), "v", 1)
+    for name, hint in field_hints(cls):
+        lines.append(f"    v = obj.{name}")
+        _emit_size(lines, names, hint, "v", 1)
     if keeps:
         lines.append("    _keep(obj, '_wire_size', total)")
     lines.append("    return total")
@@ -157,49 +170,46 @@ def _emit_size(lines: list[str], names: dict[str, Any], hint: Any, var: str, dep
     ``hint``, to ``total``: a guard, the exact sizing under it, and the
     generic walk otherwise."""
     pad = "    " * depth
-    args = typing.get_args(hint)
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType) and len(args) == 2 and _NONE in args:
+    kind, detail = classify(hint)
+    if kind == "optional":
         lines += [f"{pad}if {var} is None:", f"{pad}    total += {_TAG}", f"{pad}else:"]
-        _emit_size(lines, names, args[args[0] is _NONE], var, depth + 1)
+        _emit_size(lines, names, detail, var, depth + 1)
         return
     body: list[str]
-    if isinstance(hint, type) and (
-        hint in (int, str) or hint in _FIXED or issubclass(hint, (enum.Enum, KeepsWireSize))
-    ):
+    if kind in ("scalar", "enum") or (kind == "dataclass" and issubclass(detail, KeepsWireSize)):
         name = f"T{len(names)}"
-        names[name] = hint
+        names[name] = detail
         guard = f"type({var}) is {name}"
-        if hint is str:
+        if detail is str:
             body = [
                 f"total += {_PREFIXED} + "
                 f"(len({var}) if {var}.isascii() else len({var}.encode('utf-8')))"
             ]
-        elif issubclass(hint, KeepsWireSize):  # sized before, it says so itself
+        elif kind == "dataclass":  # sized before, it says so itself
             body = [
                 f"kept = getattr({var}, '_wire_size', None)",
                 f"total += _sizes(({var},)) if kept is None else kept",
             ]
         else:  # int, float, bool or an enum: tag + fixed width
-            width = _NUMBER if hint is int else _FIXED.setdefault(hint, _TAG + 1)
+            width = _NUMBER if detail is int else _FIXED.setdefault(detail, _TAG + 1)
             body = [f"total += {width}"]
-    elif origin is tuple and args:
+    elif kind == "each":
         each = f"{var}_"
+        guard = f"type({var}) is tuple"
+        body = [f"total += {_PREFIXED}", f"for {each} in {var}:"]
+        _emit_size(body, names, detail, each, 1)
+    elif kind == "fixed":
+        each = f"{var}_"
+        guard = f"type({var}) is tuple and len({var}) == {len(detail)}"
         body = [f"total += {_PREFIXED}"]
-        if len(args) == 2 and args[1] is Ellipsis:
-            guard = f"type({var}) is tuple"
-            body.append(f"for {each} in {var}:")
-            _emit_size(body, names, args[0], each, 1)
-        else:
-            guard = f"type({var}) is tuple and len({var}) == {len(args)}"
-            for index, arg in enumerate(args):
-                body.append(f"{each} = {var}[{index}]")
-                _emit_size(body, names, arg, each, 0)
+        for index, arg in enumerate(detail):
+            body.append(f"{each} = {var}[{index}]")
+            _emit_size(body, names, arg, each, 0)
     else:
         # Another dataclass, ``Any``, or nothing else the annotation pins
         # down: the value's own sizer if its type has one; an opaque field
         # (op, reply, state) first tries what such fields mostly hold.
-        if not dataclasses.is_dataclass(hint):
+        if kind == "opaque":
             lines += [
                 f"{pad}if type({var}) is int:",
                 f"{pad}    total += {_NUMBER}",
@@ -262,9 +272,13 @@ class FrameDecoder:
             end = _HEADER.size + length
             if len(self._buffer) < end:
                 return
-            payload = bytes(self._buffer[_HEADER.size:end])
+            body = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
-            yield pickle.loads(payload)
+            if body[:1] == _PACKED:
+                src, tag, fields = pickle.loads(memoryview(body)[1:])
+                yield src, unpack(tag, fields)
+            else:
+                yield pickle.loads(body)
 
     @property
     def pending_bytes(self) -> int:

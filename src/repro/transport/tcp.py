@@ -2,9 +2,10 @@
 
 "The communication between service replicas, and between clients and
 service replicas, uses TCP sockets." (§4.) This runtime gives every
-process a listening socket on 127.0.0.1; messages are pickled,
-length-prefixed (:mod:`repro.transport.codec`) and sent over lazily opened
-connections, one per ``(src, dst)``.
+process a listening socket on 127.0.0.1; messages are packed by their
+compiled field plans into length-prefixed frames
+(:mod:`repro.transport.codec`) and sent over lazily opened connections,
+one per ``(src, dst)``.
 
 The data path is three mechanisms:
 
@@ -19,7 +20,7 @@ The data path is three mechanisms:
   writes to the transport at once (the socket is tried straight away);
   only a send from another thread is handed over with
   ``call_soon_threadsafe``.
-* **One frame per broadcast.** ``(src, msg)`` is pickled once and the same
+* **One frame per broadcast.** ``(src, msg)`` is framed once and the same
   bytes are written to every destination; ``messages_sent`` and
   ``bytes_sent`` still count per destination.
 
@@ -31,9 +32,10 @@ outside that thread — a test or embedder poking a process, and
 ``threading.get_ident()``, never from an option.
 
 An inbound frame that cannot be decoded (oversized length, unpicklable
-payload, not a ``(src, msg)`` pair) closes that one connection, counts in
-``bad_frames`` and prints one line; a handler that raises prints its
-traceback and the link stays up.
+body, an unknown tag or damaged fields in a packed message, anything but a
+2-tuple led by a ``str`` sender) closes that one connection, counts in
+``bad_frames`` and prints one line — before any handler sees it; a handler
+that raises prints its traceback and the link stays up.
 """
 
 from __future__ import annotations
@@ -129,14 +131,17 @@ class _Inbound(asyncio.BufferedProtocol):
     def buffer_updated(self, nbytes: int) -> None:
         process = self._process
         try:
-            for src, msg in self._decoder.feed(self._view[:nbytes]):
+            for pair in self._decoder.feed(self._view[:nbytes]):
+                if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
+                    raise ValueError(f"not a (src, msg) pair: {pair!r}")
                 if not process.alive:
                     continue
+                src, msg = pair
                 try:
                     process.on_message(src, msg)
                 except Exception:  # a poisoned message must not kill the link
                     traceback.print_exc()
-        except Exception as exc:  # undecodable: pickle may raise anything
+        except Exception as exc:  # undecodable: unpickling may raise anything
             self._runtime.bad_frames += 1
             print(
                 f"repro-tcp: bad frame for {process.pid}, connection closed: {exc!r}",
@@ -248,12 +253,14 @@ class TcpRuntime:
         sender = self._processes.get(src)
         if sender is None or not sender.alive:
             return
+        dsts = tuple(dsts)
+        for dst in dsts:  # all of them, before anything is written or counted
+            if dst not in self._processes:
+                raise TransportError(f"{src} sent to unknown process {dst!r}")
         # Envelope carries the source pid; framed once for every destination.
         frame = encode_frame((src, msg))
         on_loop = threading.get_ident() == self._loop_ident
         for dst in dsts:
-            if dst not in self._processes:
-                raise TransportError(f"{src} sent to unknown process {dst!r}")
             self.messages_sent += 1
             self.bytes_sent += len(frame)
             if on_loop:

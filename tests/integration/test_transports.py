@@ -18,17 +18,22 @@ from repro.core.config import ReplicaConfig
 from repro.core.messages import StartSignal
 from repro.core.replica import Replica
 from repro.election.static import StaticElector
+from repro.errors import TransportError
 from repro.net.latency import ConstantLatency
 from repro.services.kvstore import KVStoreService
 from repro.services.noop import NoopService
 from repro.sim.process import Process
-from repro.transport import tcp
-from repro.transport.codec import encode_frame
+from repro.transport import codec, tcp
+from repro.transport.codec import FrameDecoder, encode_frame
 from repro.transport.local import LocalRuntime
 from repro.transport.tcp import TcpRuntime
 from repro.types import ReplyStatus, RequestKind
+from tests.unit.test_wire_plans import DAMAGED
+from tests.unit.test_wire_size import sized_classes
 
 PEERS = ("r0", "r1", "r2")
+#: The damaged packed frames also sent to a listening process.
+DAMAGED_OVER_TCP = ("unknown-tag", "short-fields", "extra-fields", "bad-enum-ordinal")
 
 
 def build_processes(steps, service_factory=NoopService, timeout=0.5, wait_for_start=False):
@@ -230,6 +235,40 @@ class TestTcpRuntime:
         assert runtime.messages_sent == sum(writes.values())
         assert runtime.bytes_sent == sum(len(f) * writes[id(f)] for f in frames)
 
+    def test_a_frame_is_one_pack_and_one_unpack(self, started, monkeypatch):
+        """The mechanism, not the clock: a message crosses the wire through
+        its compiled plan, called once on each side, and through nothing
+        per nested object."""
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        def counting_feed(self, data, real=FrameDecoder.feed):
+            for message in real(self, data):
+                calls["decoded"] += 1
+                yield message
+
+        registered = [cls for cls, make in sized_classes().items() if codec.pack(make())]
+        assert len(registered) == 20
+        for cls in registered:
+            for hook in ("__getstate__", "__setstate__", "__reduce_ex__"):
+                monkeypatch.setattr(cls, hook, counting(hook, getattr(cls, hook)))
+        monkeypatch.setattr(codec, "pack", counting("pack", codec.pack))
+        monkeypatch.setattr(codec, "unpack", counting("unpack", codec.unpack))
+        monkeypatch.setattr(tcp, "encode_frame", counting("encoded", encode_frame))
+        monkeypatch.setattr(FrameDecoder, "feed", counting_feed)
+        self.run_writes(started)
+        assert calls["encoded"] >= 6 * self.REQUESTS
+        assert calls["pack"] == calls["encoded"]
+        assert calls["decoded"] >= 10 * self.REQUESTS
+        assert calls["unpack"] == calls["decoded"]
+        assert calls["__getstate__"] == calls["__setstate__"] == calls["__reduce_ex__"] == 0
+
     def test_loop_thread_sends_do_not_hop_through_the_loop(self, started):
         hops = []
 
@@ -292,8 +331,18 @@ class TestTcpRuntime:
             b"\xff\xff\xff\xff",
             b"\x00\x00\x00\x05hello",
             encode_frame(42),
+            # Two-element iterables that unpack like a pair and are none.
+            encode_frame("ab"),
+            encode_frame([1, 2]),
+            encode_frame({"x": 1, "y": 2}),
+            encode_frame((1, StartSignal())),
+            *(DAMAGED[name] for name in DAMAGED_OVER_TCP),
         ],
-        ids=["oversized-length", "not-a-pickle", "not-a-pair"],
+        ids=[
+            "oversized-length", "not-a-pickle", "not-a-pair",
+            "a-str", "a-list", "a-dict", "src-not-a-str",
+            *DAMAGED_OVER_TCP,
+        ],
     )
     def test_bad_frame_closes_that_connection_only(self, started, capfd, payload):
         replicas, client = build_processes(kv_writes(5), KVStoreService, wait_for_start=True)
@@ -310,6 +359,16 @@ class TestTcpRuntime:
         err = capfd.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "r1" in err
+
+    def test_unknown_destination_fails_before_anything_is_written(self, started):
+        a, b = Recorder("a"), Recorder("b")
+        runtime = started(a, b)
+        with pytest.raises(TransportError, match="nobody"):
+            a.broadcast(["b", "nobody"], 1)
+        assert runtime.messages_sent == runtime.bytes_sent == 0
+        a.send("b", 2)
+        assert runtime.run_until(lambda: b.got, timeout=10.0)
+        assert b.got == [("a", 2)]
 
     def test_start_run_shutdown_cycles_leave_nothing_behind(self, capfd):
         threads = threading.active_count()

@@ -274,6 +274,22 @@ anything = st.recursive(
 )
 
 
+def hint_violations() -> list:
+    """Messages whose field values contradict the declared field types."""
+    return [
+        AcceptedBatch(ballot(), (5, None, "six")),          # None / str where int
+        AcceptedBatch(None, [5, 6]),                        # a list where a tuple
+        ClientRequest(rid(), "write", (("put", ("k", (1, 2))),), 7, None),
+        ClientRequest(RequestId("né€", True), RequestKind.WRITE, None, "tx-ü", 2.5),
+        Reply(rid(), ReplyStatus.OK, {"k": (1, b"x")}, 3),  # an int where a pid
+        AcceptBatch(ballot(), ((5, proposal(), "extra"), (6,), 7), None, (1, 2)),
+        Promise(ballot(), (PromiseEntry(pn(), proposal()), None), 4, (1, 2, 3)),
+        GroupEnvelope("g", 5),
+        Proposal([request()], None, proposal()),
+        Ballot(2.0, None),
+    ]
+
+
 class TestCompiledSizers:
     def test_every_sized_class_has_a_compiled_sizer_that_follows_the_rules(self):
         for cls, make in sized_classes().items():
@@ -287,19 +303,7 @@ class TestCompiledSizers:
     def test_annotations_are_hints_never_trusted(self):
         """Values that contradict the declared field types are sized by
         the generic walk, not mis-sized by the guard's constant."""
-        cases = [
-            AcceptedBatch(ballot(), (5, None, "six")),          # None / str where int
-            AcceptedBatch(None, [5, 6]),                        # a list where a tuple
-            ClientRequest(rid(), "write", (("put", ("k", (1, 2))),), 7, None),
-            ClientRequest(RequestId("né€", True), RequestKind.WRITE, None, "tx-ü", 2.5),
-            Reply(rid(), ReplyStatus.OK, {"k": (1, b"x")}, 3),  # an int where a pid
-            AcceptBatch(ballot(), ((5, proposal(), "extra"), (6,), 7), None, (1, 2)),
-            Promise(ballot(), (PromiseEntry(pn(), proposal()), None), 4, (1, 2, 3)),
-            GroupEnvelope("g", 5),
-            Proposal([request()], None, proposal()),
-            Ballot(2.0, None),
-        ]
-        for case in cases:
+        for case in hint_violations():
             assert wire_size(case) == 4 + reference_size(case), case
 
     @settings(max_examples=300, deadline=None)
