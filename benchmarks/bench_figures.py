@@ -1,5 +1,6 @@
 """§4 of the paper — Sysnet RRT, Figs. 5-8 (with the Berkeley->Princeton and
-WAN RRTs), Table 1, Figs. 9a/9b — one case per ``repro.experiments`` record.
+WAN RRTs), Table 1, Figs. 9a/9b — and the seven ablations behind the claims
+of its text: one case per ``repro.experiments`` record.
 
 Each case runs only its record's grid cells at full size, writes the
 record's tables to ``benchmarks/results/<stem>.txt`` / ``BENCH_<stem>.json``
@@ -29,10 +30,6 @@ def test_figure(once, figure):
             {"title": table.title, "headers": table.headers, "rows": table.rows}
             for table in tables
         ],
-        metrics={
-            name: {"value": value, "unit": unit}
-            for table in tables
-            for name, (value, unit) in table.metrics.items()
-        },
+        metrics={name: entry for table in tables for name, entry in table.metrics.items()},
     )
     assert figure.check(results) == []

@@ -10,7 +10,7 @@ from repro.analysis.model import (
     xpaxos_rrt,
 )
 from repro.analysis.queueing import ClosedSystem, sysnet_model
-from repro.analysis.report import comparison_table, percent_change
+from repro.analysis.report import percent_change
 
 __all__ = [
     "ClosedSystem",
@@ -18,7 +18,6 @@ __all__ = [
     "Op",
     "basic_rrt",
     "check_register",
-    "comparison_table",
     "history_from_clients",
     "original_rrt",
     "percent_change",

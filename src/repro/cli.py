@@ -665,7 +665,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_lint_parser(sub)
 
     args = parser.parse_args(argv)
-    for flag in ("clients", "requests", "seeds"):
+    for flag in ("clients", "requests", "seeds", "samples"):
         value = getattr(args, flag, None)  # None: this command has no such flag
         if value is not None and value < 1:
             parser.error(f"--{flag} must be at least 1, got {value}")

@@ -5,7 +5,8 @@ open-loop client fires requests at exponential inter-arrival times at a
 configured rate regardless of completions — the standard way to measure a
 latency-vs-offered-load curve (the "hockey stick") and locate the
 saturation point independently of the client count. Used by the
-``bench_latency_throughput`` ablation.
+``latency_throughput`` record of ``repro.experiments``, through
+:func:`repro.cluster.scenarios.open_loop_scenario`.
 
 No retransmission: this client is for failure-free load studies; lost
 requests would distort the load. Use :class:`repro.client.client.Client`

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.util.stats import Summary, summarize
 
@@ -35,6 +36,9 @@ class RunResult:
     total_bytes: int = 0
     #: ``(message type, sent count)`` pairs, descending by count.
     messages_by_type: tuple[tuple[str, int], ...] = ()
+    #: What one scenario measures beyond the above (fsync counts, shipped
+    #: payload bytes, ...), by name; rides in :meth:`to_dict`.
+    extra: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def throughput(self) -> float:
@@ -47,6 +51,25 @@ class RunResult:
         if self.duration <= 0:
             return 0.0
         return self.total_steps / self.duration
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON-ready form: a sweep task's result and the timeline's
+        ``result`` record."""
+        return {
+            "n_clients": self.n_clients,
+            "duration": self.duration,
+            "total_requests": self.total_requests,
+            "total_steps": self.total_steps,
+            "aborted_steps": self.aborted_steps,
+            "total_retransmits": self.total_retransmits,
+            "throughput": self.throughput,
+            "step_throughput": self.step_throughput,
+            "total_messages": self.total_messages,
+            "total_bytes": self.total_bytes,
+            "rrt": self.rrt.to_dict() if self.rrt else None,
+            "trt": self.trt.to_dict() if self.trt else None,
+            **self.extra,
+        }
 
     def describe(self) -> str:
         lines = [

@@ -2,10 +2,10 @@
 
 The benchmark suite writes schema-2 ``BENCH_<name>.json`` summaries through
 :func:`benchmarks._util.emit`; each carries a ``metrics`` section (named
-scalar measurements) and a ``meta`` stamp (commit, network profile, worker
-count, protocol, host). ``repro perf record`` flattens those into one
-JSONL ledger — one line per (bench, metric) observation — and
-``repro perf trend`` / ``repro perf check`` analyze the series:
+scalar measurements) and a ``meta`` stamp (commit, worker count, host).
+``repro perf record`` flattens those into one JSONL ledger — one line per
+(bench, metric) observation — and ``repro perf trend`` / ``repro perf check``
+analyze the series:
 
 * the **noise band** of a series is ``max(k * 1.4826 * MAD, floor * |median|)``
   over its history (all but the latest observation) — robust to outliers,
@@ -236,11 +236,7 @@ def bench_records(doc: Any, source: str = "") -> tuple[list[LedgerRecord], list[
 
 
 # -------------------------------------------------------------------- meta stamp
-def collect_meta(
-    profile: str | None = None,
-    protocol: str | None = None,
-    workers: int | None = None,
-) -> dict[str, Any]:
+def collect_meta(workers: int | None = None) -> dict[str, Any]:
     """The provenance stamp benchmarks attach to every BENCH document.
 
     The commit hash comes from ``REPRO_COMMIT`` (CI sets it) or
@@ -260,8 +256,6 @@ def collect_meta(
             commit = "unknown"
     return {
         "commit": commit,
-        "profile": profile,
-        "protocol": protocol,
         "workers": workers,
         "host": {
             "machine": platform.machine(),

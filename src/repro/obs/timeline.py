@@ -84,7 +84,6 @@ def export_run(
 
     path = Path(path)
     spec = cluster.spec
-    result = collect(cluster)
     prof_records: list[dict[str, Any]] = []
     profiler = getattr(cluster, "profiler", None)
     if profiler is not None and profiler.enabled:
@@ -116,19 +115,7 @@ def export_run(
             events=cluster.trace if (include_events and cluster.trace is not None) else (),
             spans=cluster.tracer.store.to_records() if cluster.tracer.enabled else (),
             prof=prof_records,
-            result={
-                "record": "result",
-                "duration": result.duration,
-                "total_requests": result.total_requests,
-                "total_steps": result.total_steps,
-                "aborted_steps": result.aborted_steps,
-                "total_retransmits": result.total_retransmits,
-                "total_messages": result.total_messages,
-                "total_bytes": result.total_bytes,
-                "throughput": result.throughput,
-                "rrt_mean": result.rrt.mean if result.rrt else None,
-                "trt_mean": result.trt.mean if result.trt else None,
-            },
+            result={"record": "result", **collect(cluster).to_dict()},
         )
     return path
 

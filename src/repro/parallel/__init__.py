@@ -25,7 +25,7 @@ from repro.parallel.merge import (
     merge_sweep,
     timing_summary,
 )
-from repro.parallel.runner import RunRecord, SweepOptions, pmap, run_grid, run_sweep
+from repro.parallel.runner import RunRecord, SweepOptions, run_grid, run_sweep
 from repro.parallel.spec import (
     RunSpec,
     calibration_grid,
@@ -42,7 +42,6 @@ __all__ = [
     "chaos_grid",
     "merge_records",
     "merge_sweep",
-    "pmap",
     "run_grid",
     "run_sweep",
     "selftest_grid",

@@ -330,18 +330,3 @@ def run_grid(
             f"{first.spec.key}: {first.error}"
         )
     return {record.spec.key: record.result for record in sweep.records}  # type: ignore[misc]
-
-
-def pmap(
-    task: str,
-    param_list: Sequence[dict[str, Any]],
-    workers: int = 1,
-    timeout: float | None = None,
-) -> list[dict[str, Any]]:
-    """Map one task over parameter dicts, preserving order (:func:`run_grid`
-    over positional keys)."""
-    specs = [
-        RunSpec(task=task, key=f"{task}/{index:06d}", params=params)
-        for index, params in enumerate(param_list)
-    ]
-    return list(run_grid(specs, workers, timeout).values())

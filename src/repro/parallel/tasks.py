@@ -7,9 +7,10 @@ boundary, under any multiprocessing start method). Tasks return
 no object references — the merge layer depends on a task's output being a
 pure function of its params.
 
-Latency summaries are flattened with :func:`summary_dict` (full
-:class:`~repro.util.stats.Summary` detail) so merged sweep documents carry
-enough to regenerate any table without re-running.
+Scenario tasks return :meth:`repro.cluster.metrics.RunResult.to_dict`, whose
+latency summaries keep full :class:`~repro.util.stats.Summary` detail so
+merged sweep documents carry enough to regenerate any table without
+re-running.
 """
 
 from __future__ import annotations
@@ -22,41 +23,6 @@ from functools import partial
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.util.stats import Summary
-
-
-def summary_dict(summary: Summary | None) -> dict[str, Any] | None:
-    """Flatten a latency summary; None stays None (no samples)."""
-    if summary is None:
-        return None
-    return {
-        "n": summary.n,
-        "mean": summary.mean,
-        "std": summary.std,
-        "ci99": summary.ci99,
-        "p50": summary.p50,
-        "p95": summary.p95,
-        "p99": summary.p99,
-        "min": summary.minimum,
-        "max": summary.maximum,
-    }
-
-
-def _run_result_dict(result: Any) -> dict[str, Any]:
-    """Common serialization for scenario ``RunResult`` objects."""
-    return {
-        "n_clients": result.n_clients,
-        "duration": result.duration,
-        "total_requests": result.total_requests,
-        "total_steps": result.total_steps,
-        "aborted_steps": result.aborted_steps,
-        "throughput": result.throughput,
-        "step_throughput": result.step_throughput,
-        "total_messages": result.total_messages,
-        "total_bytes": result.total_bytes,
-        "rrt": summary_dict(result.rrt),
-        "trt": summary_dict(result.trt),
-    }
 
 
 # ---------------------------------------------------------------- real tasks
@@ -85,7 +51,7 @@ def _scenario_task(scenario: str, params: dict[str, Any]) -> dict[str, Any]:
     are the scenario's own keyword arguments, so its defaults apply."""
     from repro.cluster import scenarios
 
-    return _run_result_dict(getattr(scenarios, scenario)(**params))
+    return getattr(scenarios, scenario)(**params).to_dict()
 
 
 # ---------------------------------------------------------- test-only tasks
@@ -131,6 +97,13 @@ TASKS: dict[str, Callable[[dict[str, Any]], Any]] = {
     "throughput": partial(_scenario_task, "throughput_scenario"),
     "txn_rrt": partial(_scenario_task, "txn_rrt_scenario"),
     "txn_throughput": partial(_scenario_task, "txn_throughput_scenario"),
+    "fsync_modes": partial(_scenario_task, "fsync_modes_scenario"),
+    "latency_throughput": partial(_scenario_task, "open_loop_scenario"),
+    "leader_switch": partial(_scenario_task, "leader_switch_scenario"),
+    "message_complexity": partial(_scenario_task, "message_complexity_scenario"),
+    "sharding": partial(_scenario_task, "sharding_scenario"),
+    "state_transfer": partial(_scenario_task, "state_transfer_scenario"),
+    "t_sweep": partial(_scenario_task, "t_sweep_scenario"),
     "echo": echo_task,
     "crash": crash_task,
     "hang": hang_task,

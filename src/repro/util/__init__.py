@@ -1,12 +1,11 @@
 """Small shared utilities: statistics, table rendering."""
 
 from repro.util.stats import Summary, confidence_interval, summarize
-from repro.util.tables import format_series, format_table
+from repro.util.tables import format_table
 
 __all__ = [
     "Summary",
     "confidence_interval",
     "summarize",
-    "format_series",
     "format_table",
 ]

@@ -35,6 +35,21 @@ class Summary:
     def ci_hi(self) -> float:
         return self.mean + self.ci99
 
+    def to_dict(self) -> dict[str, float]:
+        """Every field, JSON-ready, so a merged sweep document can
+        regenerate any table without re-running."""
+        return {
+            "n": self.n,
+            "mean": self.mean,
+            "std": self.std,
+            "ci99": self.ci99,
+            "p50": self.p50,
+            "p95": self.p95,
+            "p99": self.p99,
+            "min": self.minimum,
+            "max": self.maximum,
+        }
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mean:.6g} ±{self.ci99:.2g} (n={self.n})"
 

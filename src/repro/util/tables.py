@@ -6,7 +6,7 @@ helpers keep that output aligned and copy-pasteable into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -19,18 +19,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def format_series(
-    title: str,
-    x_label: str,
-    xs: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    fmt: str = "{:.1f}",
-) -> str:
-    """Render one figure-style data set: one row per x value, one column per series."""
-    headers = [x_label, *series.keys()]
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x, *(fmt.format(series[name][i]) for name in series)])
-    return f"{title}\n{format_table(headers, rows)}"

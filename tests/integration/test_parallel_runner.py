@@ -24,7 +24,7 @@ from repro.parallel import (
     chaos_grid,
     merge_records,
     merge_sweep,
-    pmap,
+    run_grid,
     run_sweep,
     selftest_grid,
 )
@@ -148,6 +148,13 @@ class TestSeedHygiene:
             "throughput": {3},
             "txn_rrt": {2},
             "txn_throughput": {5},
+            "state_transfer": {4},
+            "message_complexity": {2},
+            "leader_switch": {7},
+            "t_sweep": {9},
+            "fsync_modes": {11},
+            "sharding": {5},
+            "latency_throughput": {3},
         }
 
     def test_byte_totals_identical_for_any_worker_layout(self):
@@ -202,13 +209,15 @@ class TestSpecsAndPmap:
         with pytest.raises(ConfigError, match="duplicate run key"):
             run_sweep(specs, SweepOptions(workers=1))
 
-    def test_pmap_preserves_order(self):
-        results = pmap("echo", [{"value": i} for i in range(7)], workers=3)
-        assert [r["echo"]["value"] for r in results] == list(range(7))
-
-    def test_pmap_raises_on_failure(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            pmap("fail", [{"message": "boom"}, {"message": "boom"}], workers=2)
+    def test_run_grid_keys_results_and_raises_on_a_failed_run(self):
+        specs = [RunSpec(task="echo", key=f"k{i}", params={"value": i}) for i in range(5)]
+        results = run_grid(specs, workers=3)
+        assert {key: r["echo"]["value"] for key, r in results.items()} == {
+            f"k{i}": i for i in range(5)
+        }
+        failing = [RunSpec(task="fail", key=f"f{i}", params={"message": "boom"}) for i in (0, 1)]
+        with pytest.raises(RuntimeError, match="2/2 runs failed; first: f0: .*boom"):
+            run_grid(failing, workers=2)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError, match="unknown task"):

@@ -12,7 +12,7 @@ from repro.analysis.model import (
     unoptimized_trt,
     xpaxos_rrt,
 )
-from repro.analysis.report import comparison_table, percent_change
+from repro.analysis.report import percent_change
 
 
 class TestModel:
@@ -72,11 +72,3 @@ class TestReport:
         assert percent_change(100.0, 78.0) == pytest.approx(-22.0)
         with pytest.raises(ValueError):
             percent_change(0.0, 1.0)
-
-    def test_comparison_table_contents(self):
-        out = comparison_table(
-            "RRT", [("read", 0.263e-3, 0.261e-3), ("write", 0.338e-3, 0.341e-3)]
-        )
-        assert "RRT" in out and "read" in out
-        assert "0.263" in out and "0.341" in out
-        assert "%" in out

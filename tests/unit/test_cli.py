@@ -59,6 +59,8 @@ BAD_INPUT = [
     (["chaos", "--intensity", "-1", "--seeds", "1"], "intensity must be >= 0"),
     # Rejected once, up front — not once per seed from inside the sweep.
     (["chaos", "--seeds", "3", "--replicas", "1"], "at least two replicas"),
+    # 36 runs that send nothing would all report "ok".
+    (["sweep", "--grid", "calibration", "--samples", "0"], "--samples must be at least 1"),
 ]
 
 
@@ -89,6 +91,7 @@ class TestRunAndReport:
         assert "Per-message-type traffic" in out
         assert "AcceptBatch" in out
         assert "Phase latencies" in out
+        assert out.splitlines()[-1].startswith("totals: requests=6 messages=")
 
     def test_report_compares_two_exports(self, tmp_path, capsys):
         paths = []
@@ -115,6 +118,58 @@ class TestRunAndReport:
             main(["run", "--kind", "bogus"])
 
 
+def _swap(results, a, b):
+    results[a], results[b] = results[b], results[a]
+
+
+def _swap_read_and_write_under_switches(results, monkeypatch):
+    for run in ("stable", "switching"):
+        _swap(results, f"leader_switch/read/{run}", f"leader_switch/write/{run}")
+
+
+#: Per ablation stem: the first words of its table's title, and one way
+#: to make the measured numbers (or the bar they are held to) contradict
+#: its claim.
+ABLATIONS = {
+    "state_transfer": (
+        "§3.3 — write RRT and shipped payload",
+        lambda results, monkeypatch: _swap(
+            results, "state_transfer/delta/1000000", "state_transfer/full/1000000"
+        ),
+    ),
+    "message_complexity": (
+        "Message complexity per request",
+        lambda results, monkeypatch: monkeypatch.setitem(
+            experiments.MESSAGE_COUNTS, "write", ("write", "n + 4(n-1) + 1", 12, 0.6)
+        ),
+    ),
+    "leader_switch": (
+        "§3.6 — completion time under forced leader switches",
+        _swap_read_and_write_under_switches,
+    ),
+    "t_sweep": (
+        "§4.3 — RRT vs replication degree",
+        lambda results, monkeypatch: _swap(results, "t_sweep/n=7/read", "t_sweep/n=3/read"),
+    ),
+    "fsync_modes": (
+        "Stable storage",
+        lambda results, monkeypatch: results["fsync_modes/async"].update(fsyncs=1),
+    ),
+    "sharding": (
+        "Sharded replication",
+        lambda results, monkeypatch: monkeypatch.setattr(
+            experiments, "SHARDING_MIN_SPEEDUP", 4.5
+        ),
+    ),
+    "latency_throughput": (
+        "Open-loop latency vs offered load",
+        lambda results, monkeypatch: _swap(
+            results, "latency_throughput/load=1.10", "latency_throughput/load=0.20"
+        ),
+    ),
+}
+
+
 class TestExperimentsReport:
     @pytest.fixture(scope="class")
     def quick_results(self):
@@ -124,6 +179,7 @@ class TestExperimentsReport:
     @pytest.mark.parametrize("quick", [True, False])
     def test_grid_is_the_union_of_the_records_cells(self, quick):
         per_figure = [[s.key for s in f.cells(quick)] for f in experiments.FIGURES]
+        assert len(per_figure) == 15  # eight files of §4 and seven ablations
         assert all(per_figure), "a record without cells"
         flat = [key for keys in per_figure for key in keys]
         assert len(set(flat)) == len(flat), "two records claim one cell"
@@ -131,7 +187,7 @@ class TestExperimentsReport:
 
     def test_quick_report_contains_every_artefact(self, quick_results):
         report = experiments.report(quick_results, elapsed=0.0)
-        assert report.count("Paper check: ") == 10
+        assert report.count("Paper check: ") == 17
         assert "VIOLATED" not in report
         for figure in experiments.FIGURES:
             # A record reads its own cells and no other's.
@@ -148,6 +204,7 @@ class TestExperimentsReport:
             "Table 1",
             "Fig. 9a",
             "Fig. 9b",
+            *(title for title, _ in ABLATIONS.values()),
         ):
             assert marker in report, f"missing {marker}"
         # Spot-check one paper number appears alongside a measured one.
@@ -182,6 +239,22 @@ class TestExperimentsReport:
         captured = capsys.readouterr()
         assert "repro experiments: Table 1" in captured.err
         assert "VIOLATED: read_write 3-req" in captured.out
+
+    @pytest.mark.parametrize("stem", ABLATIONS)
+    def test_a_seeded_ablation_violation_is_named(
+        self, stem, quick_results, monkeypatch, capsys
+    ):
+        title, seed_violation = ABLATIONS[stem]
+        results = copy.deepcopy(quick_results)
+        seed_violation(results, monkeypatch)
+        monkeypatch.setattr("repro.cli.run_grid", lambda specs, workers: results)
+        assert main(["experiments", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err
+        for line in captured.err.splitlines():
+            assert line.startswith(f"repro experiments: {title}"), line
+        assert captured.out.count("VIOLATED: ") == 1
+        assert [f.stem for f in experiments.FIGURES if f.check(results)] == [stem]
 
 
 class TestChaosCommand:

@@ -225,10 +225,8 @@ class TestBenchIngest:
 class TestCollectMeta:
     def test_env_commit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMMIT", "deadbeef")
-        meta = collect_meta(profile="sysnet", protocol="basic", workers=4)
+        meta = collect_meta(workers=4)
         assert meta["commit"] == "deadbeef"
-        assert meta["profile"] == "sysnet"
-        assert meta["protocol"] == "basic"
         assert meta["workers"] == 4
         assert "python" in meta["host"]
         assert meta["recorded_at"]

@@ -7,6 +7,8 @@ exercised against hand-built clients rather than full simulated runs.
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -50,6 +52,7 @@ class TestCollectEdgeCases:
         assert result.rrt is None and result.trt is None
         assert result.throughput == 0.0
         assert result.step_throughput == 0.0
+        assert result.to_dict()["rrt"] is None and result.to_dict()["trt"] is None
 
     def test_client_that_never_finished(self):
         # Started but no request ever completed: duration stays 0 because
@@ -87,6 +90,14 @@ class TestCollectEdgeCases:
         assert result.aborted_steps == 1
         assert result.trt is not None
         assert result.trt.mean == pytest.approx(0.5)  # aborted TRT excluded
+        # The JSON-ready form: every aggregate, summaries in full, and a
+        # scenario's own measurements beside them.
+        as_dict = replace(result, extra={"fsyncs": 3}).to_dict()
+        assert as_dict["aborted_steps"] == 1 and as_dict["total_retransmits"] == 0
+        assert as_dict["step_throughput"] == pytest.approx(1 / 0.7)
+        assert as_dict["trt"]["mean"] == pytest.approx(0.5) and as_dict["trt"]["n"] == 1
+        assert as_dict["fsyncs"] == 3
+        assert json.loads(json.dumps(as_dict)) == as_dict
 
     def test_retransmits_summed_across_clients(self):
         clients = []

@@ -8,6 +8,7 @@ import pytest
 
 from repro.client.workload import single_kind_steps
 from repro.cluster.harness import Cluster, ClusterSpec
+from repro.cluster.metrics import collect
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import (
     compare_table,
@@ -42,7 +43,13 @@ class TestExportRoundTrip:
         # Every trace event made it across, payloads reduced to type names.
         assert len(export.events) == len(cluster.trace)
         assert all(isinstance(e["type"], str) for e in export.events)
-        # The result record carries the aggregates.
+        # The result record is the run's one serialisation (what a sweep
+        # task returns for it), and the report's last line reads it.
+        assert export.result == {"record": "result", **collect(cluster).to_dict()}
+        assert export.result["n_clients"] == 1 and export.result["rrt"]["n"] == 4
+        assert render_report(export).splitlines()[-1].startswith(
+            "totals: requests=4 messages="
+        )
         assert export.result["total_requests"] == 4
         assert export.result["total_messages"] == export.counter("msg.send.ClientRequest") + sum(
             v for k, v in export.counters.items()

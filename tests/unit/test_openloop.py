@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client.openloop import OpenLoopClient
+from repro.cluster.scenarios import open_loop_scenario
 from repro.core.config import ReplicaConfig
 from repro.core.replica import Replica
 from repro.election.static import StaticElector
@@ -76,6 +77,15 @@ class TestOpenLoop:
         kernel.run(until=5.0)
         assert client.stats.fired == 50
         assert client.stats.completed < client.stats.fired
+
+    def test_runs_against_a_cluster_built_deployment(self):
+        # The ``latency_throughput`` record's cell: the client joins a
+        # ``Cluster`` (GroupHost replicas, the run's metrics registry).
+        result = open_loop_scenario("write", rate=2000.0, total=40, seed=1)
+        assert result.total_requests == 40
+        assert result.rrt is not None and result.rrt.n == 40
+        sent = dict(result.messages_by_type)
+        assert sent["ClientRequest"] == 40 * 3 and sent["AcceptBatch"] > 0
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):

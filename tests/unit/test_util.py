@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.util.stats import confidence_interval, summarize
-from repro.util.tables import format_series, format_table
+from repro.util.tables import format_table
 
 
 class TestStats:
@@ -56,11 +56,3 @@ class TestTables:
         assert lines[0].startswith("name")
         assert "---" in lines[1]
         assert len(lines) == 4
-
-    def test_format_series(self):
-        out = format_series(
-            "Figure X", "clients", [1, 2], {"read": [10.0, 20.0], "write": [5.0, 6.0]}
-        )
-        assert "Figure X" in out
-        assert "read" in out and "write" in out
-        assert "10.0" in out and "6.0" in out
