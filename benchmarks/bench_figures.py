@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks._util import bench_workers, emit
 from repro.experiments import FIGURES, render_text
-from repro.parallel import run_grid
+from repro.parallel.runner import run_grid
 
 
 @pytest.mark.benchmark(group="figures")

@@ -16,61 +16,43 @@ Quick tour::
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
+
+The quick-tour names are served from the modules that define them, each
+imported the first time one of its names is used (PEP 562), so ``import
+repro.sim.kernel`` loads the kernel and what it imports, nothing more. Every
+other name is imported from its defining module.
 """
 
-from repro.client.client import Client
-from repro.client.workload import Step, paper_txn_steps, single_kind_steps, txn_steps
-from repro.cluster.faults import FaultSchedule
-from repro.cluster.harness import Cluster, ClusterSpec
-from repro.cluster.metrics import RunResult, collect
-from repro.core.ballot import Ballot, ProposalNumber
-from repro.core.config import ReplicaConfig
-from repro.core.replica import Replica, ReplicaRole
-from repro.core.requests import ClientRequest, RequestId
-from repro.election.omega import OmegaElector
-from repro.election.static import ManualElectorGroup, StaticElector
-from repro.net.profiles import berkeley_princeton, get_profile, sysnet, wan
-from repro.obs.registry import MetricsRegistry
-from repro.obs.timeline import RunExport, export_run, load_export
-from repro.services.base import ExecutionContext, ExecutionResult, Service
-from repro.types import ReplyStatus, RequestKind, StateTransferMode
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Ballot",
-    "Client",
-    "ClientRequest",
-    "Cluster",
-    "ClusterSpec",
-    "ExecutionContext",
-    "ExecutionResult",
-    "FaultSchedule",
-    "ManualElectorGroup",
-    "MetricsRegistry",
-    "OmegaElector",
-    "ProposalNumber",
-    "Replica",
-    "ReplicaConfig",
-    "ReplicaRole",
-    "ReplyStatus",
-    "RequestId",
-    "RequestKind",
-    "RunExport",
-    "RunResult",
-    "Service",
-    "StateTransferMode",
-    "StaticElector",
-    "Step",
-    "berkeley_princeton",
-    "collect",
-    "export_run",
-    "load_export",
-    "get_profile",
-    "paper_txn_steps",
-    "single_kind_steps",
-    "sysnet",
-    "txn_steps",
-    "wan",
-    "__version__",
-]
+#: defining module -> the names ``from repro import ...`` serves from it.
+_MODULES = {
+    "repro.client.client": ("Client",),
+    "repro.client.workload": ("Step", "paper_txn_steps", "single_kind_steps", "txn_steps"),
+    "repro.cluster.faults": ("FaultSchedule",),
+    "repro.cluster.harness": ("Cluster", "ClusterSpec"),
+    "repro.cluster.metrics": ("RunResult", "collect"),
+    "repro.core.ballot": ("Ballot", "ProposalNumber"),
+    "repro.core.config": ("ReplicaConfig",),
+    "repro.core.replica": ("Replica", "ReplicaRole"),
+    "repro.core.requests": ("ClientRequest", "RequestId"),
+    "repro.election.omega": ("OmegaElector",),
+    "repro.election.static": ("ManualElectorGroup", "StaticElector"),
+    "repro.net.profiles": ("berkeley_princeton", "get_profile", "sysnet", "wan"),
+    "repro.obs.registry": ("MetricsRegistry",),
+    "repro.obs.timeline": ("RunExport", "export_run", "load_export"),
+    "repro.services.base": ("ExecutionContext", "ExecutionResult", "Service"),
+    "repro.types": ("ReplyStatus", "RequestKind", "StateTransferMode"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -7,40 +7,3 @@ See :mod:`repro.chaos.schedule` (seeded nemesis timelines),
 :mod:`repro.chaos.report` (deterministic summaries). Driven by
 ``repro chaos`` (:mod:`repro.cli`) and ``docs/robustness.md``.
 """
-
-from repro.chaos.invariants import INVARIANTS, Violation, check_cluster
-from repro.chaos.report import dump_summary, render_report, to_summary
-from repro.chaos.runner import (
-    MUTATIONS,
-    PROTOCOLS,
-    ChaosOptions,
-    ChaosResult,
-    run_chaos,
-    run_with_schedule,
-)
-from repro.chaos.schedule import (
-    NemesisEvent,
-    NemesisSchedule,
-    generate_schedule,
-)
-from repro.chaos.shrink import ShrinkOutcome, shrink
-
-__all__ = [
-    "INVARIANTS",
-    "MUTATIONS",
-    "PROTOCOLS",
-    "ChaosOptions",
-    "ChaosResult",
-    "NemesisEvent",
-    "NemesisSchedule",
-    "ShrinkOutcome",
-    "Violation",
-    "check_cluster",
-    "dump_summary",
-    "generate_schedule",
-    "render_report",
-    "run_chaos",
-    "run_with_schedule",
-    "shrink",
-    "to_summary",
-]

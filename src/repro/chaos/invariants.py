@@ -51,7 +51,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any, TYPE_CHECKING
 
-from repro.analysis.linearizability import check_register, history_from_clients
 from repro.types import ReplyStatus, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -300,6 +299,8 @@ def check_linearizability(
 
     Subsumes X-Paxos read freshness: a stale confirmed read shows up as a
     read that cannot be ordered after the write it missed."""
+    from repro.analysis.linearizability import check_register, history_from_clients
+
     history = history_from_clients(clients, key)
     if check_register(history, initial=initial):
         return []

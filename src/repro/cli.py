@@ -16,10 +16,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro import __version__
 from repro.errors import ConfigError
-from repro.experiments import FIGURES, figures_grid, report
 from repro.lint.cli import add_lint_parser, lint_command
 from repro.net.profiles import PROFILES, get_profile
-from repro.parallel import run_grid
 from repro.parallel.spec import KINDS
 
 if TYPE_CHECKING:
@@ -29,6 +27,9 @@ if TYPE_CHECKING:
 def experiments_command(args: argparse.Namespace) -> int:
     """Run the §4 grid once, print the report, and gate on the paper's
     claims: exit status 1 when any figure's check is non-empty."""
+    from repro.experiments import FIGURES, figures_grid, report
+    from repro.parallel.runner import run_grid
+
     started = time.time()
     results = run_grid(figures_grid(args.quick), workers=args.workers)
     print(report(results, time.time() - started))
@@ -184,14 +185,11 @@ def chaos_command(args: argparse.Namespace) -> int:
     Exit status 1 when any seed violated an invariant (CI gate)."""
     import dataclasses
 
-    from repro.chaos import (
-        ChaosOptions,
-        dump_summary,
-        render_report,
-        shrink,
-        to_summary,
-    )
-    from repro.parallel import RunSpec, SweepOptions, run_sweep
+    from repro.chaos.report import dump_summary, render_report, to_summary
+    from repro.chaos.runner import ChaosOptions
+    from repro.chaos.shrink import shrink
+    from repro.parallel.runner import SweepOptions, run_sweep
+    from repro.parallel.spec import RunSpec
 
     options = ChaosOptions(
         protocol=args.protocol,
@@ -270,15 +268,10 @@ def sweep_command(args: argparse.Namespace) -> int:
     artifacts)."""
     import os
 
-    from repro.parallel import (
-        SweepOptions,
-        calibration_grid,
-        canonical_json,
-        chaos_grid,
-        merge_sweep,
-        run_sweep,
-        selftest_grid,
-    )
+    from repro.experiments import figures_grid
+    from repro.parallel.merge import canonical_json, merge_sweep
+    from repro.parallel.runner import SweepOptions, run_sweep
+    from repro.parallel.spec import calibration_grid, chaos_grid, selftest_grid
 
     if args.grid == "chaos":
         protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
@@ -344,7 +337,7 @@ def profile_command(args: argparse.Namespace) -> int:
     """Profile one run: hottest-handlers table, §3.4 E/m/M attribution, and
     (optionally) a collapsed flamegraph file plus a chrome trace with
     per-actor sim-CPU counter tracks."""
-    from repro.obs.prof import attribution, frame_rows, write_collapsed
+    from repro.obs.prof.export import attribution, frame_rows, write_collapsed
     from repro.obs.report import hottest_handlers_table
     from repro.util.tables import format_table
 

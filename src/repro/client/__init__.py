@@ -1,21 +1,1 @@
 """Client-side machinery: closed-loop clients and workload generators."""
-
-from repro.client.client import Client, RequestRecord, StepRecord
-from repro.client.openloop import OpenLoopClient
-from repro.client.workload import (
-    Step,
-    paper_txn_steps,
-    single_kind_steps,
-    txn_steps,
-)
-
-__all__ = [
-    "Client",
-    "OpenLoopClient",
-    "RequestRecord",
-    "StepRecord",
-    "Step",
-    "paper_txn_steps",
-    "single_kind_steps",
-    "txn_steps",
-]

@@ -9,15 +9,3 @@
 * :mod:`repro.cluster.scenarios` — canned runners for each paper
   experiment (used by the benchmarks and by EXPERIMENTS.md).
 """
-
-from repro.cluster.faults import FaultSchedule
-from repro.cluster.harness import Cluster, ClusterSpec
-from repro.cluster.metrics import RunResult, collect
-
-__all__ = [
-    "Cluster",
-    "ClusterSpec",
-    "FaultSchedule",
-    "RunResult",
-    "collect",
-]

@@ -115,7 +115,7 @@ class ClusterSpec:
     #: client request, from submit to reply. Passive like metrics — a traced
     #: run is byte-identical to a bare one (tests/integration/test_tracing.py).
     tracing: bool = False
-    #: Record counters/histograms into a :class:`repro.obs.MetricsRegistry`.
+    #: Record counters/histograms into a :class:`repro.obs.registry.MetricsRegistry`.
     #: On by default so every harness run (and benchmark) gets per-message
     #: accounting for free; recording is passive and cannot perturb the
     #: schedule (see tests/integration/test_obs_determinism.py).

@@ -27,23 +27,3 @@ Module map (paper section in parentheses):
 The §5 comparator, semi-passive replication over Chandra-Toueg consensus,
 is ``examples/semipassive.py``.
 """
-
-from repro.core.ballot import Ballot, ProposalNumber
-from repro.core.config import ReplicaConfig
-from repro.core.log import AcceptedEntry, ReplicaLog
-from repro.core.replica import Replica
-from repro.core.requests import ClientRequest, ExecutedTable, RequestId
-from repro.core.state import StatePayload
-
-__all__ = [
-    "AcceptedEntry",
-    "Ballot",
-    "ClientRequest",
-    "ExecutedTable",
-    "ProposalNumber",
-    "Replica",
-    "ReplicaConfig",
-    "ReplicaLog",
-    "RequestId",
-    "StatePayload",
-]

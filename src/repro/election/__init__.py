@@ -11,17 +11,3 @@ leader tenure). Implementations:
 * :class:`repro.election.omega.OmegaElector` — heartbeat-based eventual
   leader election with the stability property.
 """
-
-from repro.election.base import ElectorHost, LeaderElector
-from repro.election.omega import Heartbeat, OmegaElector
-from repro.election.static import ManualElector, ManualElectorGroup, StaticElector
-
-__all__ = [
-    "ElectorHost",
-    "Heartbeat",
-    "LeaderElector",
-    "ManualElector",
-    "ManualElectorGroup",
-    "OmegaElector",
-    "StaticElector",
-]

@@ -38,7 +38,7 @@ from repro.parallel.spec import KINDS, RunSpec
 from repro.storage import FSYNC_MODES
 from repro.util.tables import format_table
 
-#: ``{run key: task result}``, as :func:`repro.parallel.run_grid` returns it.
+#: ``{run key: task result}``, as :func:`repro.parallel.runner.run_grid` returns it.
 Results = dict[str, dict[str, Any]]
 #: ``{curve name: [value per client count]}``.
 Series = dict[str, list[float]]

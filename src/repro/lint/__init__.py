@@ -21,28 +21,3 @@ Architecture — one analysis phase:
 * :mod:`repro.lint.report` — text and byte-deterministic JSON reporters;
 * :mod:`repro.lint.cli` — the ``repro lint`` subcommand.
 """
-
-from __future__ import annotations
-
-from repro.lint.engine import LintEngine, LintResult
-from repro.lint.findings import Finding, Severity
-from repro.lint.graph import (
-    CallGraph,
-    ProjectContext,
-    ProjectIndex,
-    all_project_rules,
-)
-from repro.lint.report import render_json, render_text
-
-__all__ = [
-    "CallGraph",
-    "Finding",
-    "LintEngine",
-    "LintResult",
-    "ProjectContext",
-    "ProjectIndex",
-    "Severity",
-    "all_project_rules",
-    "render_json",
-    "render_text",
-]

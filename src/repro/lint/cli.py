@@ -11,10 +11,6 @@ import argparse
 import json
 import sys
 
-from repro.lint.engine import LintEngine
-from repro.lint.graph import all_project_rules, message_flow, render_dot
-from repro.lint.report import render_json, render_rules, render_text
-
 
 def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     lint = sub.add_parser(
@@ -46,6 +42,11 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def lint_command(args: argparse.Namespace) -> int:
+    from repro.lint.engine import LintEngine
+    from repro.lint.graph import all_project_rules
+    from repro.lint.graph.msgflow import message_flow, render_dot
+    from repro.lint.report import render_json, render_rules, render_text
+
     if args.list_rules:
         print(render_rules(all_project_rules()), end="")
         return 0

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
-from repro.lint.graph import ProjectContext, all_project_rules
+from repro.lint.graph import all_project_rules
+from repro.lint.graph.base import ProjectContext
 
 #: The one finding the engine emits itself: a file that does not parse is
 #: reported, never crashes the run.

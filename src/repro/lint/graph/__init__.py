@@ -3,16 +3,8 @@
 :data:`RULES` is the catalogue — the one place a rule is registered.
 """
 
-from repro.lint.graph.base import ProjectContext, Rule
-from repro.lint.graph.callgraph import CallGraph
-from repro.lint.graph.facts import FileFacts, extract_facts, module_of
-from repro.lint.graph.index import ProjectIndex
-from repro.lint.graph.msgflow import (
-    BarrierDominance,
-    SendHandlerPairing,
-    message_flow,
-    render_dot,
-)
+from repro.lint.graph.base import Rule
+from repro.lint.graph.msgflow import BarrierDominance, SendHandlerPairing
 from repro.lint.graph.syntax import CoreLayering, HashOrderIteration
 from repro.lint.graph.taint import AmbientReach
 
@@ -29,18 +21,3 @@ RULES: tuple[type[Rule], ...] = (
 def all_project_rules() -> list[Rule]:
     """Fresh instances of every rule, sorted by id."""
     return [rule() for rule in RULES]
-
-
-__all__ = [
-    "RULES",
-    "ProjectContext",
-    "Rule",
-    "all_project_rules",
-    "CallGraph",
-    "FileFacts",
-    "extract_facts",
-    "module_of",
-    "ProjectIndex",
-    "message_flow",
-    "render_dot",
-]

@@ -71,8 +71,8 @@ class ProjectIndex:
     def resolve_symbol(self, dotted: str | None) -> str | None:
         """Chase package re-exports until ``dotted`` names a real symbol.
 
-        ``repro.lint.Finding`` (bound by ``repro/lint/__init__.py``)
-        resolves to ``repro.lint.findings.Finding``. Returns the input
+        ``pkg.Finding``, bound by an import in ``pkg/__init__.py``,
+        resolves to ``pkg.findings.Finding``. Returns the input
         unchanged when it already names an indexed class/function, or
         None when nothing in the project matches.
         """

@@ -9,33 +9,3 @@ The paper's three experimental configurations (§4) are expressed as
 * ``wan()`` — PlanetLab wide-area: leader at UIUC, replicas at Utah and
   Texas, clients at Berkeley and Intel Labs Oregon.
 """
-
-from repro.net.latency import (
-    ConstantLatency,
-    EmpiricalLatency,
-    LatencyModel,
-    LogNormalLatency,
-    UniformLatency,
-)
-from repro.net.link import Link, LinkSpec
-from repro.net.network import SimNetwork
-from repro.net.partition import PartitionController
-from repro.net.profiles import NetworkProfile, berkeley_princeton, sysnet, wan
-from repro.net.topology import Topology
-
-__all__ = [
-    "ConstantLatency",
-    "EmpiricalLatency",
-    "LatencyModel",
-    "LogNormalLatency",
-    "UniformLatency",
-    "Link",
-    "LinkSpec",
-    "SimNetwork",
-    "PartitionController",
-    "NetworkProfile",
-    "Topology",
-    "berkeley_princeton",
-    "sysnet",
-    "wan",
-]

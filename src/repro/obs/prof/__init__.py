@@ -5,31 +5,3 @@ overhead when off, byte-identical simulation when on) and
 :mod:`repro.obs.prof.export` for the flamegraph / Perfetto / table
 exporters. ``docs/performance.md`` has the walkthrough.
 """
-
-from repro.obs.prof.export import (
-    attribution,
-    classify_frame,
-    collapsed_lines,
-    counter_samples,
-    frame_rows,
-    write_collapsed,
-)
-from repro.obs.prof.profiler import (
-    NULL_PROFILER,
-    FrameStat,
-    NullProfiler,
-    SimProfiler,
-)
-
-__all__ = [
-    "FrameStat",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "SimProfiler",
-    "attribution",
-    "classify_frame",
-    "collapsed_lines",
-    "counter_samples",
-    "frame_rows",
-    "write_collapsed",
-]

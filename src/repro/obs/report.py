@@ -161,7 +161,7 @@ def hottest_handlers_table(
     top: int = 10,
 ) -> str:
     """Top-N of ``(path, calls, sim_ns, host_ns)`` frame rows
-    (:func:`repro.obs.prof.frame_rows`) by ``metric`` time, the other
+    (:func:`repro.obs.prof.export.frame_rows`) by ``metric`` time, the other
     currency as the tiebreak. Sim CPU is booked on the send/recv/execute
     accounting frames, host self time on the handler frames, so each
     metric ranks its own frames. Empty when no frame was ever entered.

@@ -33,16 +33,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.analysis.model import (
-    LatencyModelInputs,
-    basic_rrt,
-    original_rrt,
-    xpaxos_rrt,
-)
 from repro.obs.spans import Span, SpanStore, SpanTree
 from repro.types import ProcessId
+
+if TYPE_CHECKING:
+    from repro.analysis.model import LatencyModelInputs
 
 #: Sentinel: "parent defaults to the ambient span".
 _AMBIENT = object()
@@ -402,14 +399,6 @@ class ConformanceRow:
         return self.measured_mean - self.expected
 
 
-#: request kind -> (formula label, model function).
-_FORMULAS: dict[str, tuple[str, Callable[[LatencyModelInputs], float]]] = {
-    "write": ("2M + E + 2m", basic_rrt),
-    "read": ("2M + max(E, m)", xpaxos_rrt),
-    "original": ("2M + E", original_rrt),
-}
-
-
 def conformance(
     paths: Iterable[RequestPath],
     model: LatencyModelInputs,
@@ -420,15 +409,22 @@ def conformance(
     With ``xpaxos_reads=False`` reads travel the basic protocol path and
     are held to the write formula instead.
     """
+    from repro.analysis.model import basic_rrt, original_rrt, xpaxos_rrt
+
+    formulas = {
+        "write": ("2M + E + 2m", basic_rrt),
+        "read": ("2M + max(E, m)", xpaxos_rrt),
+        "original": ("2M + E", original_rrt),
+    }
     summaries = summarize_paths(paths)
     rows: dict[str, ConformanceRow] = {}
     for kind, summary in summaries.items():
-        entry = _FORMULAS.get(kind)
+        entry = formulas.get(kind)
         if entry is None:
             continue
         formula, fn = entry
         if kind == "read" and not xpaxos_reads:
-            formula, fn = _FORMULAS["write"]
+            formula, fn = formulas["write"]
         rows[kind] = ConformanceRow(
             request_kind=kind,
             formula=formula,

@@ -18,32 +18,3 @@ Layers:
   sorted by run spec, byte-identical regardless of worker count or
   completion order; wall-clock lives in a separate timing section.
 """
-
-from repro.parallel.merge import (
-    canonical_json,
-    merge_records,
-    merge_sweep,
-    timing_summary,
-)
-from repro.parallel.runner import RunRecord, SweepOptions, run_grid, run_sweep
-from repro.parallel.spec import (
-    RunSpec,
-    calibration_grid,
-    chaos_grid,
-    selftest_grid,
-)
-
-__all__ = [
-    "RunRecord",
-    "RunSpec",
-    "SweepOptions",
-    "calibration_grid",
-    "canonical_json",
-    "chaos_grid",
-    "merge_records",
-    "merge_sweep",
-    "run_grid",
-    "run_sweep",
-    "selftest_grid",
-    "timing_summary",
-]

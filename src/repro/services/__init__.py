@@ -8,23 +8,3 @@
 * :mod:`repro.services.gridsched` — the FCFS-with-priority grid scheduler (§2).
 * :mod:`repro.services.bank` — transactional accounts for T-Paxos examples.
 """
-
-from repro.services.bank import BankService
-from repro.services.base import ExecutionContext, ExecutionResult, Service
-from repro.services.broker import ResourceBrokerService
-from repro.services.counter import CounterService
-from repro.services.gridsched import GridSchedulerService
-from repro.services.kvstore import KVStoreService
-from repro.services.noop import NoopService
-
-__all__ = [
-    "BankService",
-    "ExecutionContext",
-    "ExecutionResult",
-    "Service",
-    "ResourceBrokerService",
-    "CounterService",
-    "GridSchedulerService",
-    "KVStoreService",
-    "NoopService",
-]

@@ -7,8 +7,3 @@ is the process that hosts one replica of *every* group, sharing one
 stable-storage pump (one simulated disk, one fsync clock, one crash)
 across all of them.
 """
-
-from repro.shard.host import GroupEnv, GroupHost
-from repro.shard.router import ShardRouter
-
-__all__ = ["GroupEnv", "GroupHost", "ShardRouter"]

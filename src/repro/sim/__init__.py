@@ -15,22 +15,3 @@ Layering:
   together, with crash/recover fault injection.
 * :mod:`repro.sim.trace` — optional structured event tracing.
 """
-
-from repro.sim.cpu import CpuModel, CpuProfile
-from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.process import Env, Process, TimerHandle
-from repro.sim.trace import TraceEvent, TraceRecorder
-from repro.sim.world import World
-
-__all__ = [
-    "CpuModel",
-    "CpuProfile",
-    "Env",
-    "EventHandle",
-    "Kernel",
-    "Process",
-    "TimerHandle",
-    "TraceEvent",
-    "TraceRecorder",
-    "World",
-]

@@ -5,23 +5,4 @@ replay contract, :mod:`repro.storage.device` for the durability state
 machine, and :mod:`repro.storage.wal` for the CRC record framing.
 """
 
-from repro.storage.device import CheckpointBlob, Frame, ReplayResult, SimDisk
-from repro.storage.store import RecoveredState, StableStore, StoragePump
-from repro.storage.wal import RECORD_KINDS, WalRecord, decode_frames, encode_frame
-
 FSYNC_MODES = ("sync", "group", "async")
-
-__all__ = [
-    "FSYNC_MODES",
-    "RECORD_KINDS",
-    "CheckpointBlob",
-    "Frame",
-    "RecoveredState",
-    "ReplayResult",
-    "SimDisk",
-    "StableStore",
-    "StoragePump",
-    "WalRecord",
-    "decode_frames",
-    "encode_frame",
-]

@@ -1,7 +1,7 @@
 """Real (non-simulated) runtimes for the protocol stack.
 
 The protocol code is written against :class:`repro.sim.process.Env`, so the
-same :class:`repro.core.replica.Replica` and :class:`repro.client.Client`
+same :class:`repro.core.replica.Replica` and :class:`repro.client.client.Client`
 objects run unmodified on:
 
 * :class:`repro.transport.local.LocalRuntime` — wall-clock time, a
@@ -15,9 +15,3 @@ figures come from the simulator, where time is controlled; what the host
 pays for a real request is measured on ``TcpRuntime`` itself, by the
 benchmark suite's ``tcp-write`` workload.
 """
-
-from repro.transport.codec import decode_frames, encode_frame
-from repro.transport.local import LocalRuntime
-from repro.transport.tcp import TcpRuntime
-
-__all__ = ["LocalRuntime", "TcpRuntime", "decode_frames", "encode_frame"]

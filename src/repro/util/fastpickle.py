@@ -176,6 +176,12 @@ def unpack(tag: str, fields: tuple) -> Any:
     if unpacker is None:
         cls = _CLASSES.get(tag)
         if cls is None:
+            # A process that only reads frames or a WAL may not have imported
+            # the wire classes yet; importing the messages registers them all.
+            import repro.core.messages  # noqa: F401
+
+            cls = _CLASSES.get(tag)
+        if cls is None:
             raise UnpicklingError(f"unknown message tag {tag!r}")
         _compile(cls)
         unpacker = _UNPACKERS[tag]

@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True, slots=True)
 class Summary:
@@ -60,18 +58,20 @@ def confidence_interval(samples: Sequence[float], confidence: float = 0.99) -> f
     Returns 0.0 for samples of size < 2 (no variance estimate is possible);
     the paper's experiments always have hundreds of samples.
     """
-    # Imported here, not at module scope: scipy costs ~0.7 s to import and
-    # ``repro.util`` sits on the import path of every CLI entry point — the
-    # lint and sim commands never need it.
-    from scipy import stats as _scipy_stats
-
+    # numpy (~12 MB resident) and scipy (~0.7 s to import) are imported
+    # here, not at module scope: only a report's 99% interval needs them —
+    # a run, a chaos worker or ``repro --help`` never does.
     n = len(samples)
     if n < 2:
         return 0.0
+    import numpy as np
+
     arr = np.asarray(samples, dtype=float)
     sem = arr.std(ddof=1) / np.sqrt(n)
     if sem == 0.0:
         return 0.0
+    from scipy import stats as _scipy_stats
+
     t_crit = _scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
     return float(t_crit * sem)
 
@@ -80,6 +80,8 @@ def summarize(samples: Sequence[float], confidence: float = 0.99) -> Summary:
     """Compute :class:`Summary` statistics for a non-empty sample."""
     if len(samples) == 0:
         raise ValueError("cannot summarize an empty sample")
+    import numpy as np
+
     arr = np.asarray(samples, dtype=float)
     return Summary(
         n=int(arr.size),

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import LintEngine
+from repro.lint.engine import LintEngine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -88,7 +88,7 @@ SEEDED = {
             "2 hop(s)",
         ],
         [
-            (STATS, "import numpy as np", "import random\n\nimport numpy as np"),
+            (STATS, "from dataclasses", "import random\nfrom dataclasses"),
             (STATS, "@dataclass", "def jitter(x):\n    return x * (1 + random.random() / 100)\n\n\n@dataclass"),
             (OMEGA, "from repro.types", "from repro.util.stats import jitter\nfrom repro.types"),
             (OMEGA, TICK, TICK.replace("self.heartbeat_interval", "jitter(self.heartbeat_interval)")),

@@ -16,18 +16,9 @@ import pytest
 from repro.chaos.runner import ChaosOptions, run_chaos
 from repro.errors import ConfigError
 from repro.experiments import figures_grid
-from repro.parallel import (
-    RunSpec,
-    SweepOptions,
-    calibration_grid,
-    canonical_json,
-    chaos_grid,
-    merge_records,
-    merge_sweep,
-    run_grid,
-    run_sweep,
-    selftest_grid,
-)
+from repro.parallel.merge import canonical_json, merge_records, merge_sweep
+from repro.parallel.runner import SweepOptions, run_grid, run_sweep
+from repro.parallel.spec import RunSpec, calibration_grid, chaos_grid, selftest_grid
 
 #: Small, fast chaos trials for sweep-level tests (~10 ms each).
 FAST_CHAOS = dict(n_clients=1, requests_per_client=3, horizon=0.4, liveness_grace=4.0)

@@ -14,7 +14,8 @@ import pytest
 from repro.client.workload import paper_txn_steps, single_kind_steps
 from repro.cluster.harness import Cluster, ClusterSpec
 from repro.obs.chrome import validate_chrome_trace
-from repro.obs.prof import NULL_PROFILER, attribution, collapsed_lines
+from repro.obs.prof.export import attribution, collapsed_lines
+from repro.obs.prof.profiler import NULL_PROFILER
 from repro.types import RequestKind
 from tests.conftest import make_test_profile
 
@@ -164,7 +165,7 @@ class TestProfilerDeterminism:
         # The test profile's CPU costs are zero, so M/m frames carry no
         # sim time and stay out of the attribution — but the frames
         # themselves must exist and classify correctly.
-        from repro.obs.prof import classify_frame
+        from repro.obs.prof.export import classify_frame
 
         components = {
             classify_frame(path, cluster.profiler.actors)

@@ -13,6 +13,8 @@ Two kinds of guard:
 * **Paired cost ratios**: what a feature (default metrics, byte
   accounting, the profiler) costs in host time, as the median ratio of
   back-to-back runs with and without it — machine speed cancels out.
+* **Import budget**: a simulated run loads only the code it executes —
+  no numpy, asyncio, linter, sweep runner or exporter (exact, by name).
 
 Every test prints its measurement so re-calibrating floors is one run.
 """
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -116,7 +120,8 @@ class TestThroughputFloors:
         finish in far less than the serial sum. Sleeps (not spins) so the
         floor holds on single-core CI boxes — this measures the scheduler,
         not the core count."""
-        from repro.parallel import RunSpec, SweepOptions, run_sweep
+        from repro.parallel.runner import SweepOptions, run_sweep
+        from repro.parallel.spec import RunSpec
 
         specs = [
             RunSpec(task="echo", key=f"sleep/{i:02d}", params={"sleep": 0.1, "i": i})
@@ -199,7 +204,7 @@ class TestProfilerOverhead:
         from repro.client.workload import single_kind_steps
         from repro.cluster.harness import Cluster, ClusterSpec
         from repro.net.profiles import get_profile
-        from repro.obs.prof import NULL_PROFILER, FrameStat
+        from repro.obs.prof.profiler import NULL_PROFILER, FrameStat
         from repro.types import RequestKind
 
         spec = ClusterSpec(profile=get_profile("sysnet"), seed=1)
@@ -284,3 +289,41 @@ class TestZeroAllocationGrowth:
         # timers and per-request scheduling may allocate a handle. If they
         # went through schedule_at this ratio would sit near 1.0.
         assert ratio < 0.6
+
+
+class TestImportBudget:
+    def test_a_run_loads_only_the_code_it_executes(self):
+        """A fresh interpreter builds and runs a 100-write cluster through
+        the quick-tour names and the invariant layer: no package root pulls
+        in its subtree, and numpy, scipy and asyncio stay unloaded until a
+        report interval or a real socket needs them."""
+        script = (
+            "import sys\n"
+            "import repro.cluster.harness, repro.chaos.invariants\n"
+            "from repro import Cluster, ClusterSpec, sysnet\n"
+            "from repro.client.workload import single_kind_steps\n"
+            "from repro.types import RequestKind\n"
+            "steps = [single_kind_steps(RequestKind.WRITE, 100)]\n"
+            "cluster = Cluster(ClusterSpec(profile=sysnet(), seed=1), steps).run()\n"
+            "assert len(cluster.clients[0].rrts()) == 100\n"
+            "print(len(sys.modules), *sorted(sys.modules))\n"
+            "from repro.util.stats import summarize\n"
+            "summarize([1.0]), summarize([2.0, 2.0])\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(pathlib.Path(__file__).parents[2] / "src")},
+        )
+        assert done.returncode == 0, done.stderr
+        run_line, scipy_line = done.stdout.splitlines()
+        count, *loaded = run_line.split()
+        print(f"\nmodules loaded by a 100-write run = {count}")
+        forbidden = {
+            "numpy", "scipy", "asyncio", "repro.lint", "repro.experiments",
+            "repro.parallel", "repro.analysis", "repro.chaos.runner", "repro.chaos.shrink",
+            "repro.obs.chrome", "repro.obs.ledger", "repro.obs.report", "repro.obs.timeline",
+            "repro.transport.tcp",
+        }
+        assert sorted(forbidden.intersection(loaded)) == []
+        assert scipy_line == "False"  # one sample, or no variance: no t quantile

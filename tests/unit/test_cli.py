@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import copy
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import experiments
 from repro.cli import main
-from repro.parallel import run_grid
+from repro.parallel.runner import run_grid
 
 
 class TestMdTable:
@@ -37,6 +40,20 @@ class TestCommands:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_help_loads_no_subcommand_machinery(self):
+        """A subcommand's machinery is imported when it is dispatched, not
+        to print the usage (``-X importtime`` names every module loaded)."""
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(__file__).parents[2] / "src")},
+        )
+        assert done.returncode == 0 and "usage: repro" in done.stdout
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "repro.cli" in loaded
+        heavy = {"numpy", "repro.lint.engine", "repro.experiments", "asyncio"}
+        assert sorted(heavy & loaded) == []
 
 
 #: Bad input ends in ``repro: error: ...`` and exit status 2, never a
@@ -231,7 +248,7 @@ class TestExperimentsReport:
         assert violated[0].startswith("Table 1") and "optimized 5-req" in violated[0]
 
     def test_exit_status_follows_the_checks(self, quick_results, monkeypatch, capsys):
-        monkeypatch.setattr("repro.cli.run_grid", lambda specs, workers: quick_results)
+        monkeypatch.setattr("repro.parallel.runner.run_grid", lambda specs, workers: quick_results)
         assert main(["experiments", "--quick"]) == 0
         assert capsys.readouterr().err == ""
         monkeypatch.setitem(experiments.TABLE1_PAPER_MS, ("read_write", 3), 2.0)
@@ -247,7 +264,7 @@ class TestExperimentsReport:
         title, seed_violation = ABLATIONS[stem]
         results = copy.deepcopy(quick_results)
         seed_violation(results, monkeypatch)
-        monkeypatch.setattr("repro.cli.run_grid", lambda specs, workers: results)
+        monkeypatch.setattr("repro.parallel.runner.run_grid", lambda specs, workers: results)
         assert main(["experiments", "--quick"]) == 1
         captured = capsys.readouterr()
         assert captured.err

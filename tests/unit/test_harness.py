@@ -11,9 +11,11 @@ from repro.cluster.metrics import collect
 from repro.cluster.scenarios import rrt_scenario, throughput_scenario
 from repro.core.config import ReplicaConfig
 from repro.core.group import ReplicationGroup
-from repro.election import StaticElector
+from repro.election.static import StaticElector
 from repro.errors import ConfigError, SimulationError
-from repro.obs import NULL_PROFILER, NULL_REGISTRY, NULL_TRACER
+from repro.obs.prof.profiler import NULL_PROFILER
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.tracing import NULL_TRACER
 from repro.services.noop import NoopService
 from repro.sim.kernel import Kernel
 from repro.types import RequestKind

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import LintEngine, all_project_rules, render_json, render_text
+from repro.lint.engine import LintEngine
+from repro.lint.graph import all_project_rules
+from repro.lint.report import render_json, render_text
 
 DIRTY = "import time\n\nnow = time.time()\nlater = time.time()\n"
 

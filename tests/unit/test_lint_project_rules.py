@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import LintEngine, LintResult, render_text
+from repro.lint.engine import LintEngine, LintResult
+from repro.lint.report import render_text
 
 PING = """\
 from dataclasses import dataclass
@@ -461,7 +462,7 @@ class TestGoldenSnapshots:
     def test_message_flow_matches_golden(self):
         import json
 
-        from repro.lint.graph import message_flow
+        from repro.lint.graph.msgflow import message_flow
 
         project = self._project()
         golden = json.loads(
@@ -474,7 +475,7 @@ class TestGoldenSnapshots:
 
 class TestProjectRuleCatalogue:
     def test_project_rules_document_themselves(self):
-        from repro.lint import all_project_rules
+        from repro.lint.graph import all_project_rules
 
         rules = all_project_rules()
         assert [rule.rule_id for rule in rules] == [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint import LintEngine
+from repro.lint.engine import LintEngine
 
 CORE = "repro/core/mod.py"
 

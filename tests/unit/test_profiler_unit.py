@@ -10,18 +10,16 @@ import re
 
 import pytest
 
-from repro.obs.prof import (
-    NULL_PROFILER,
-    FrameStat,
-    NullProfiler,
-    SimProfiler,
+from repro.obs.prof.export import (
     attribution,
+    classify_frame,
     collapsed_lines,
     counter_samples,
     frame_rows,
+    leaf_is_component,
     write_collapsed,
 )
-from repro.obs.prof.export import classify_frame, leaf_is_component
+from repro.obs.prof.profiler import NULL_PROFILER, FrameStat, NullProfiler, SimProfiler
 
 
 class FakeHostClock:

@@ -15,7 +15,8 @@ from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import StaticElector
-from repro.obs import NULL_OBS, MetricsRegistry, Obs
+from repro.obs.handle import NULL_OBS, Obs
+from repro.obs.registry import MetricsRegistry
 from repro.services.noop import NoopService
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder

@@ -18,7 +18,8 @@ from repro.core.replica import Replica, ReplicaRole
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
 from repro.election.static import ManualElector
-from repro.obs import NULL_OBS, MetricsRegistry, Obs
+from repro.obs.handle import NULL_OBS, Obs
+from repro.obs.registry import MetricsRegistry
 from repro.services.counter import CounterService
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder

@@ -13,13 +13,13 @@ from repro.core.group import ReplicationGroup
 from repro.core.messages import GroupEnvelope, Prepare, Proposal
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
-from repro.election import StaticElector
+from repro.election.static import StaticElector
 from repro.errors import ConfigError
 from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.registry import MetricsRegistry
 from repro.shard.host import GroupHost
 from repro.sim.process import Env
-from repro.storage import StableStore, StoragePump
+from repro.storage.store import StableStore, StoragePump
 from repro.types import RequestKind
 
 

@@ -9,14 +9,9 @@ from repro.core.config import ReplicaConfig
 from repro.core.messages import Proposal
 from repro.core.requests import ClientRequest, RequestId
 from repro.errors import ConfigError
-from repro.storage import (
-    CheckpointBlob,
-    SimDisk,
-    StableStore,
-    WalRecord,
-    decode_frames,
-    encode_frame,
-)
+from repro.storage.device import CheckpointBlob, SimDisk
+from repro.storage.store import StableStore
+from repro.storage.wal import WalRecord, decode_frames, encode_frame
 from repro.types import RequestKind
 
 

@@ -9,7 +9,8 @@ from repro.core.messages import Reply
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
-from repro.obs import NULL_OBS, MetricsRegistry, Obs
+from repro.obs.handle import NULL_OBS, Obs
+from repro.obs.registry import MetricsRegistry
 from repro.services.bank import BankService
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process

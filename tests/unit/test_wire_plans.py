@@ -128,19 +128,34 @@ class TestRoundTrip:
         clone = pickle.loads(pickle.dumps(message))
         assert clone == message and shape(clone) == shape(message)
 
-    def test_tags_do_not_depend_on_import_order(self):
-        """Frames written here decode in an interpreter that imported the
-        message modules last, and it writes the same bytes back."""
-        messages = [("r0", make()) for make, _size in GOLDEN.values()]
-        frames = b"".join(encode_frame(pair) for pair in messages)
-        script = (
-            "import sys\n"
+    @pytest.mark.parametrize(
+        "prelude",
+        [
             "import repro.election, repro.shard\n"
             "import repro.core.messages\n"
-            "from repro.transport.codec import decode_frames, encode_frame\n"
-            "pairs = decode_frames(sys.stdin.buffer.read())\n"
-            "sys.stdout.buffer.write(b''.join(encode_frame(pair) for pair in pairs))\n"
-            "print(repr(pairs), file=sys.stderr)\n"
+            "from repro.transport import codec as decoder\n",
+            "from repro.transport import codec as decoder\n",
+            "from repro.storage import wal as decoder\n",
+        ],
+        ids=["messages-imported-last", "codec-only", "wal-only"],
+    )
+    def test_tags_do_not_depend_on_import_order(self, prelude):
+        """Frames written here decode in an interpreter that imported the
+        message modules last — or only the TCP codec, or only the WAL, so
+        that nothing but decoding registers the wire classes — and it writes
+        the same bytes back."""
+        messages = [("r0", make()) for make, _size in GOLDEN.values()]
+        if "wal" in prelude:
+            frames = b"".join(wal.encode_frame(WalRecord("accept", pair)) for pair in messages)
+        else:
+            frames = b"".join(encode_frame(pair) for pair in messages)
+        script = (
+            "import sys\n"
+            f"{prelude}"
+            "decoded = decoder.decode_frames(sys.stdin.buffer.read())\n"
+            "items = decoded[0] if type(decoded) is tuple else decoded\n"
+            "sys.stdout.buffer.write(b''.join(decoder.encode_frame(item) for item in items))\n"
+            "print(repr([getattr(item, 'payload', item) for item in items]), file=sys.stderr)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script],
