@@ -20,8 +20,12 @@ Three fsync modes (``ReplicaConfig.fsync_mode``):
 * ``async`` — the legacy semantics: appends are durable immediately and
   :meth:`flush` invokes its callback inline. Zero extra events, zero
   extra latency; runs are byte-identical to the pre-storage simulator.
-* ``sync`` — a durability barrier starts an fsync at once; background
-  appends (e.g. Chosen records) drain on the group-commit interval.
+* ``sync`` — a durability barrier starts an fsync at once. A background
+  append (e.g. a Chosen record) takes one of two paths: made while an
+  fsync is in flight, it rides the next fsync, started as soon as that one
+  completes; made while the device is idle, it arms the group-commit timer
+  and drains when the timer fires, or sooner with the fsync the next
+  barrier starts (which cancels the timer).
 * ``group`` — barriers and background appends both wait for the
   group-commit timer, amortizing one modeled fsync over a batch.
 

@@ -87,7 +87,9 @@ def decode_frames(data: bytes) -> tuple[list[WalRecord], int, str]:
             break
         length, crc = _HEADER.unpack_from(data, offset)
         body = data[offset + HEADER_SIZE : offset + HEADER_SIZE + length]
-        if len(body) < length or zlib.crc32(body) != crc:
+        # No record has an empty body, and eight zero bytes (a zero-filled
+        # tail) would pass the CRC check: crc32(b"") is 0.
+        if not length or len(body) < length or zlib.crc32(body) != crc:
             bad_at = offset
             break
         decoded = pickle.loads(body)

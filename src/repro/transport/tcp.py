@@ -36,23 +36,30 @@ body, an unknown tag or damaged fields in a packed message, anything but a
 2-tuple led by a ``str`` sender) closes that one connection, counts in
 ``bad_frames`` and prints one line — before any handler sees it; a handler
 that raises prints its traceback and the link stays up.
+
+asyncio is imported by :meth:`TcpRuntime.start`, not by this module: a
+simulated run that imports :class:`TcpRuntime` but never starts one does not
+load the network stack (asyncio pulls in ``ssl`` and maps OpenSSL).
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import random
 import sys
 import threading
 import time
 import traceback
 from collections.abc import Callable, Iterable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransportError
 from repro.sim.process import Env, Process, TimerHandle
 from repro.transport.codec import FrameDecoder, encode_frame
 from repro.types import ProcessId
+
+if TYPE_CHECKING:
+    import asyncio
 
 
 #: Size of the buffer each inbound connection receives into. Owning one
@@ -107,47 +114,56 @@ class _TcpEnv(Env):
         return self._runtime._set_timer(self._pid, delay, fn, args)
 
 
-class _Inbound(asyncio.BufferedProtocol):
-    """One accepted connection to ``process``'s listening socket."""
+@functools.cache
+def _inbound_protocol() -> type[asyncio.BufferedProtocol]:
+    """The protocol class of an accepted connection, made once by the first
+    ``start()``: asyncio reads into a connection's own buffer only for a
+    real :class:`asyncio.BufferedProtocol` subclass."""
+    import asyncio
 
-    __slots__ = ("_runtime", "_process", "_decoder", "_transport", "_view")
+    class _Inbound(asyncio.BufferedProtocol):
+        """One accepted connection to ``process``'s listening socket."""
 
-    def __init__(self, runtime: "TcpRuntime", process: Process) -> None:
-        self._runtime = runtime
-        self._process = process
-        self._decoder = FrameDecoder()
-        self._view = memoryview(bytearray(_RECV_BUFFER))
+        __slots__ = ("_runtime", "_process", "_decoder", "_transport", "_view")
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._transport = transport
-        self._runtime._inbound.add(transport)
+        def __init__(self, runtime: "TcpRuntime", process: Process) -> None:
+            self._runtime = runtime
+            self._process = process
+            self._decoder = FrameDecoder()
+            self._view = memoryview(bytearray(_RECV_BUFFER))
 
-    def connection_lost(self, exc: Exception | None) -> None:
-        self._runtime._inbound.discard(self._transport)
+        def connection_made(self, transport: asyncio.BaseTransport) -> None:
+            self._transport = transport
+            self._runtime._inbound.add(transport)
 
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._view
+        def connection_lost(self, exc: Exception | None) -> None:
+            self._runtime._inbound.discard(self._transport)
 
-    def buffer_updated(self, nbytes: int) -> None:
-        process = self._process
-        try:
-            for pair in self._decoder.feed(self._view[:nbytes]):
-                if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
-                    raise ValueError(f"not a (src, msg) pair: {pair!r}")
-                if not process.alive:
-                    continue
-                src, msg = pair
-                try:
-                    process.on_message(src, msg)
-                except Exception:  # a poisoned message must not kill the link
-                    traceback.print_exc()
-        except Exception as exc:  # undecodable: unpickling may raise anything
-            self._runtime.bad_frames += 1
-            print(
-                f"repro-tcp: bad frame for {process.pid}, connection closed: {exc!r}",
-                file=sys.stderr,
-            )
-            self._transport.close()
+        def get_buffer(self, sizehint: int) -> memoryview:
+            return self._view
+
+        def buffer_updated(self, nbytes: int) -> None:
+            process = self._process
+            try:
+                for pair in self._decoder.feed(self._view[:nbytes]):
+                    if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
+                        raise ValueError(f"not a (src, msg) pair: {pair!r}")
+                    if not process.alive:
+                        continue
+                    src, msg = pair
+                    try:
+                        process.on_message(src, msg)
+                    except Exception:  # a poisoned message must not kill the link
+                        traceback.print_exc()
+            except Exception as exc:  # undecodable: unpickling may raise anything
+                self._runtime.bad_frames += 1
+                print(
+                    f"repro-tcp: bad frame for {process.pid}, connection closed: {exc!r}",
+                    file=sys.stderr,
+                )
+                self._transport.close()
+
+    return _Inbound
 
 
 class TcpRuntime:
@@ -199,6 +215,10 @@ class TcpRuntime:
         return process
 
     def start(self, timeout: float = 10.0) -> "TcpRuntime":
+        if self._thread is not None:
+            raise TransportError("runtime already started")
+        import asyncio
+
         self._thread = threading.Thread(
             target=lambda: asyncio.run(self._main()), name="repro-tcp-runtime", daemon=True
         )
@@ -208,12 +228,15 @@ class TcpRuntime:
         return self
 
     async def _main(self) -> None:
+        import asyncio
+
+        inbound = _inbound_protocol()
         self._loop = loop = asyncio.get_running_loop()
         self._loop_ident = threading.get_ident()
         self._stop_event = asyncio.Event()
         for pid, process in self._processes.items():
             listener = await loop.create_server(
-                lambda process=process: _Inbound(self, process), self.host, 0
+                lambda process=process: inbound(self, process), self.host, 0
             )
             self._listeners.append(listener)
             self._ports[pid] = listener.sockets[0].getsockname()[1]
@@ -283,11 +306,13 @@ class TcpRuntime:
             entry.write(frame)
         else:
             self._out[key] = [frame]
-            task = asyncio.get_running_loop().create_task(self._connect(key, dst))
+            task = self._loop.create_task(self._connect(key, dst))
             self._connecting.add(task)
             task.add_done_callback(self._connecting.discard)
 
     async def _connect(self, key: tuple[ProcessId, ProcessId], dst: ProcessId) -> None:
+        import asyncio
+
         try:
             transport, _ = await asyncio.get_running_loop().create_connection(
                 asyncio.Protocol, self.host, self._ports[dst]

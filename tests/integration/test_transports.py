@@ -370,6 +370,20 @@ class TestTcpRuntime:
         assert runtime.run_until(lambda: b.got, timeout=10.0)
         assert b.got == [("a", 2)]
 
+    def test_a_second_start_is_refused(self, started):
+        starts = Counter()
+
+        class Counting(Recorder):
+            def on_start(self):
+                starts[self.pid] += 1
+
+        runtime = started(Counting("a"), Counting("b"))
+        with pytest.raises(TransportError, match="already started"):
+            runtime.start()
+        runtime.shutdown()
+        assert starts == {"a": 1, "b": 1}
+        assert [t for t in threading.enumerate() if t.name == "repro-tcp-runtime"] == []
+
     def test_start_run_shutdown_cycles_leave_nothing_behind(self, capfd):
         threads = threading.active_count()
         for _ in range(20):

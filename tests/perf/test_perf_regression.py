@@ -14,7 +14,8 @@ Two kinds of guard:
   accounting, the profiler) costs in host time, as the median ratio of
   back-to-back runs with and without it — machine speed cancels out.
 * **Import budget**: a simulated run loads only the code it executes —
-  no numpy, asyncio, linter, sweep runner or exporter (exact, by name).
+  no numpy, asyncio, linter, sweep runner or exporter (exact, by name),
+  also when ``TcpRuntime`` was imported.
 
 Every test prints its measurement so re-calibrating floors is one run.
 """
@@ -327,3 +328,37 @@ class TestImportBudget:
         }
         assert sorted(forbidden.intersection(loaded)) == []
         assert scipy_line == "False"  # one sample, or no variance: no t quantile
+
+    def test_importing_the_tcp_runtime_loads_no_network_stack(self):
+        """The suite imports ``TcpRuntime`` for its one TCP workload; a
+        simulated run in the same interpreter must still load no asyncio
+        (and so no ssl/OpenSSL) — the runtime imports it in ``start()``."""
+        script = (
+            "import sys, threading\n"
+            "from repro.transport.tcp import TcpRuntime\n"
+            "from repro import Cluster, ClusterSpec, sysnet\n"
+            "from repro.client.workload import single_kind_steps\n"
+            "from repro.sim.process import Process\n"
+            "from repro.types import RequestKind\n"
+            "steps = [single_kind_steps(RequestKind.WRITE, 100)]\n"
+            "cluster = Cluster(ClusterSpec(profile=sysnet(), seed=1), steps).run()\n"
+            "assert len(cluster.clients[0].rrts()) == 100\n"
+            "print(*sorted(sys.modules))\n"
+            "runtime = TcpRuntime()\n"
+            "runtime.add(Process('p'))\n"
+            "runtime.start()\n"
+            "port = runtime._ports['p']\n"
+            "runtime.shutdown()\n"
+            "threads = [t for t in threading.enumerate() if t.name == 'repro-tcp-runtime']\n"
+            "print('asyncio' in sys.modules, port > 0, threads == [])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(pathlib.Path(__file__).parents[2] / "src")},
+        )
+        assert done.returncode == 0, done.stderr
+        run_line, started_line = done.stdout.splitlines()
+        network = {"asyncio", "ssl", "_ssl", "selectors", "socket", "concurrent.futures"}
+        assert sorted(network.intersection(run_line.split())) == []
+        # Positive control: a started runtime does load it, binds, and leaves no thread.
+        assert started_line == "True True True"
