@@ -25,10 +25,27 @@ For transactions of ``k`` requests plus a commit:
 
 These functions deliberately ignore per-message CPU costs (a few µs); the
 tests check that the simulator agrees with the model to within that slack.
+
+The failover stall (§3.6 on the Ω elector) is a matter of timers, not
+message counts. When the leader crashes at ``t_c``:
+
+* *detection* — heartbeats and elector ticks both run every ``h`` from
+  boot, so the leader's last heartbeat left at ``b = h·⌈t_c/h − 1⌉``. A
+  survivor suspects it at the first evaluation (its tick, or another
+  survivor's heartbeat arriving) more than ``T`` after that beat arrived:
+  inside ``(b + T, b + T + h]``;
+* *ready* — the new leader serves one prepare round after detection, plus
+  a closing accept round when it recovers values;
+* a write in flight at the crash then completes one of two ways. If its
+  accept reached the survivors, the closing round commits and answers it
+  (*recovered*). Otherwise it completes at the client's first retransmit
+  after ready (*retransmit*); the ``k``-th retransmit falls
+  ``Σ_{j<k} min(cap, c·βʲ)·(1 + u_j)`` after the send, ``u_j ∈ [0, jitter)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -76,3 +93,65 @@ def tpaxos_trt(p: LatencyModelInputs, k: int) -> float:
     ops = k * original_rrt(p)
     commit = 2 * p.client_replica + 2 * p.replica_replica
     return ops + commit
+
+
+@dataclass(frozen=True, slots=True)
+class FailoverInputs:
+    """The timing knobs behind an Ω failover stall (seconds)."""
+
+    heartbeat_interval: float  # h: Ω heartbeat and tick period
+    suspect_timeout: float     # T
+    client_timeout: float      # c
+    #: Upper bound on one protocol round (prepare, accept or a client's
+    #: write), fsync included.
+    quorum_round: float
+    backoff: float = 2.0       # β
+    jitter: float = 0.1
+    timeout_cap: float | None = None  # default 10·c, as the client's
+
+    def __post_init__(self) -> None:
+        if self.suspect_timeout <= self.heartbeat_interval:
+            raise ValueError("suspect_timeout must exceed heartbeat_interval")
+
+
+def detection_window(p: FailoverInputs, crash_at: float) -> tuple[float, float]:
+    """``(lo, hi]``: when survivors suspect a leader that crashed at ``crash_at``."""
+    h = p.heartbeat_interval
+    expiry = h * math.ceil(crash_at / h - 1) + p.suspect_timeout
+    return expiry, expiry + h
+
+
+def ready_window(p: FailoverInputs, crash_at: float) -> tuple[float, float]:
+    """``(lo, hi]``: when the new leader serves — a prepare round after
+    detection, plus the closing accept round if it recovered values."""
+    lo, hi = detection_window(p, crash_at)
+    return lo, hi + 2 * p.quorum_round
+
+
+def retransmit_window(p: FailoverInputs, k: int) -> tuple[float, float]:
+    """``[lo, hi)`` after its send at which a request's ``k``-th retransmit falls."""
+    cap = p.timeout_cap if p.timeout_cap is not None else 10 * p.client_timeout
+    base = sum(min(cap, p.client_timeout * p.backoff**j) for j in range(k))
+    return base, base * (1 + p.jitter)
+
+
+def stall_windows(
+    p: FailoverInputs, sent_at: float, crash_at: float
+) -> dict[str, tuple[int, float, float]]:
+    """Path name -> ``(retransmits, lo, hi)``: the RRT window of a write sent
+    at ``sent_at`` that the leader crashing at ``crash_at`` left unanswered
+    (in flight at the crash, or sent before detection), per completion path.
+
+    Raises ``ValueError`` when a retransmit may fall on either side of
+    ready: then the retransmit count of neither path is determined."""
+    ready_lo, ready_hi = ready_window(p, crash_at)
+    k = 1
+    while sent_at + retransmit_window(p, k)[0] <= ready_hi:
+        k += 1
+    if sent_at + retransmit_window(p, k - 1)[1] >= ready_lo:
+        raise ValueError(f"retransmit {k - 1} may fall on either side of ready")
+    lo, hi = retransmit_window(p, k)
+    return {
+        "recovered": (k - 1, ready_lo - sent_at, ready_hi + p.quorum_round - sent_at),
+        "retransmit": (k, lo, hi + p.quorum_round),
+    }

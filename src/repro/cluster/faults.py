@@ -34,6 +34,10 @@ class FaultSchedule:
     """Builder for a scripted fault timeline on one cluster."""
 
     cluster: "Cluster"
+    #: ``(at, label)`` of every *booked* fault, in booking order. A booking
+    #: is not a firing: ``Cluster.run`` returns once the clients finish, and
+    #: a fault booked later never fires. Its ``fault.<kind>`` counter says
+    #: whether it did.
     applied: list[tuple[float, str]] = field(default_factory=list)
     _booked: set[tuple[str, ProcessId, float]] = field(default_factory=set)
 

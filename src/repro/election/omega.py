@@ -12,6 +12,11 @@ local choice is:
   ``suspect_timeout`` *grace period*, during which it adopts any
   unsuspected incumbent's self-claim — this is what makes a recovered
   small-id process defer to the working leader instead of electing itself;
+* the grace period ends early once every peer has been heard since this
+  process (re)started and each one's latest claim is ``None``: nobody
+  leads, so there is no incumbent to wait for (a cluster that boots
+  together elects at once). One claim that is not ``None``, or one peer
+  not yet heard, keeps the full grace period;
 * if the grace period passes with no incumbent heard, elect the
   smallest-id unsuspected process.
 
@@ -55,6 +60,8 @@ class OmegaElector(LeaderElector):
         self.heartbeat_interval = heartbeat_interval
         self.suspect_timeout = suspect_timeout
         self._last_heard: dict[ProcessId, float] = {}
+        #: Each peer's latest leader claim heard since this process (re)started.
+        self._claims: dict[ProcessId, ProcessId | None] = {}
         self._leader: ProcessId | None = None
         self._grace_until = 0.0
         self._running = False
@@ -66,6 +73,7 @@ class OmegaElector(LeaderElector):
         assert self.host is not None
         self._running = True
         self._leader = None
+        self._claims.clear()
         now = self.host.now
         for peer in self.peers:
             self._last_heard[peer] = now
@@ -104,6 +112,7 @@ class OmegaElector(LeaderElector):
             return True
         assert self.host is not None
         self._last_heard[msg.sender] = self.host.now
+        self._claims[msg.sender] = msg.claims
         if msg.claims == msg.sender:
             # An incumbent asserting leadership: defer to it if we have no
             # working leader of our own.
@@ -132,9 +141,19 @@ class OmegaElector(LeaderElector):
         alive = self._unsuspected()
         if self._leader in alive:
             return  # stability: keep a working leader
-        if self._leader is None and self.host.now < self._grace_until:
+        if (
+            self._leader is None
+            and self.host.now < self._grace_until
+            and not self._nobody_leads()
+        ):
             return  # still listening for an incumbent
         self._set_leader(alive[0] if alive else None)
+
+    def _nobody_leads(self) -> bool:
+        """Every peer has been heard since (re)start and none claims a leader."""
+        return len(self._claims) == len(self.peers) - 1 and all(
+            claim is None for claim in self._claims.values()
+        )
 
     def _set_leader(self, leader: ProcessId | None) -> None:
         if leader == self._leader:

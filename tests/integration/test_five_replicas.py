@@ -9,7 +9,7 @@ from repro.cluster.faults import FaultSchedule
 from repro.services.counter import CounterService
 from repro.services.kvstore import KVStoreService
 from repro.types import RequestKind
-from tests.integration.util import build_cluster
+from tests.integration.util import build_cluster, elections, paced_adds
 
 
 def five(steps, **kw):
@@ -81,9 +81,8 @@ class TestMixedWorkloadAtFive:
             assert records[2 * i + 1].value == i
 
     def test_omega_failover_at_five(self):
-        steps = single_kind_steps(RequestKind.WRITE, 30, op=("add", 1))
         cluster = five(
-            [steps],
+            [paced_adds(30)],  # outlasts both crashes
             service_factory=CounterService,
             elector="omega",
             omega_heartbeat=0.02,
@@ -91,9 +90,11 @@ class TestMixedWorkloadAtFive:
             client_timeout=0.15,
         )
         schedule = FaultSchedule(cluster)
-        schedule.crash_leader(at=0.05)
-        schedule.crash("r1", at=0.4)  # kill the first successor too
+        schedule.crash_leader(at=0.15)
+        schedule.crash("r1", at=0.35)  # kill the first successor too
         cluster.run(max_time=120.0)
+        assert cluster.metrics.counter_value("fault.crash") == 2
+        assert elections(cluster) >= 3  # r0, then r1, then r2
         assert cluster.clients[0].completed_requests == 30
         cluster.drain(2.0)
         alive = {r.service.value for r in cluster.group_replicas().values() if r.alive}

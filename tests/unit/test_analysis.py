@@ -5,9 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.model import (
+    FailoverInputs,
     LatencyModelInputs,
     basic_rrt,
+    detection_window,
     original_rrt,
+    ready_window,
+    retransmit_window,
+    stall_windows,
     tpaxos_trt,
     unoptimized_trt,
     xpaxos_rrt,
@@ -64,6 +69,41 @@ class TestModel:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             LatencyModelInputs(-1.0, 0.0)
+
+
+class TestFailoverStall:
+    P = FailoverInputs(
+        heartbeat_interval=0.05, suspect_timeout=0.25, client_timeout=0.05,
+        quorum_round=1e-3,
+    )
+
+    def test_detection_phase_follows_the_last_heartbeat(self):
+        # A crash on a heartbeat instant loses that beat; one just after it
+        # does not, and detection moves a whole interval later.
+        assert detection_window(self.P, 1.0) == pytest.approx((1.20, 1.25))
+        assert detection_window(self.P, 1.01) == pytest.approx((1.25, 1.30))
+        lo, hi = ready_window(self.P, 1.0)
+        assert (lo, hi) == pytest.approx((1.20, 1.252))
+
+    def test_retransmits_back_off_with_jitter_and_cap(self):
+        assert retransmit_window(self.P, 0) == (0, 0)
+        assert retransmit_window(self.P, 3) == pytest.approx((0.35, 0.385))
+        capped = FailoverInputs(0.05, 0.25, 0.05, 1e-3, timeout_cap=0.08)
+        assert retransmit_window(capped, 3)[0] == pytest.approx(0.05 + 0.08 + 0.08)
+
+    def test_stall_windows_name_both_paths(self):
+        windows = stall_windows(self.P, 0.999, 1.0)
+        assert windows["recovered"] == pytest.approx((2, 0.201, 0.254))
+        assert windows["retransmit"] == pytest.approx((3, 0.35, 0.386))
+
+    def test_ambiguous_retransmit_count_rejected(self):
+        # Sent so that its second retransmit may land just before or after ready.
+        with pytest.raises(ValueError, match="either side"):
+            stall_windows(self.P, 1.045, 1.0)
+
+    def test_suspect_timeout_must_exceed_heartbeat(self):
+        with pytest.raises(ValueError):
+            FailoverInputs(0.25, 0.25, 0.05, 1e-3)
 
 
 class TestReport:

@@ -133,6 +133,55 @@ class TestOmegaElector:
         r0 = hosts[0]
         assert r0.elector.current_leader() == "r1"
 
+    def test_boot_together_elects_before_one_heartbeat_interval(self):
+        # Every peer heard, every claim None: nobody leads, so nobody waits
+        # out the grace period.
+        kernel, world, hosts = omega_cluster()
+        world.start()
+        kernel.run(until=0.5 * hosts[0].elector.heartbeat_interval)
+        assert [h.elector.current_leader() for h in hosts] == ["r0", "r0", "r0"]
+        assert all(h.changes == ["r0"] for h in hosts)
+
+    def test_unheard_peer_keeps_the_grace_period(self):
+        kernel, world, hosts = omega_cluster()
+        world.crash("r2")  # down at boot: r0 and r1 never hear it
+        world.start()
+        timeout = hosts[0].elector.suspect_timeout
+        kernel.run(until=0.99 * timeout)
+        assert all(h.changes == [] for h in hosts[:2])
+        kernel.run(until=timeout + hosts[0].elector.heartbeat_interval)
+        assert [h.elector.current_leader() for h in hosts[:2]] == ["r0", "r0"]
+
+    def test_peer_naming_a_leader_keeps_the_grace_period(self):
+        kernel, world, hosts = omega_cluster()
+        world.start()
+        kernel.run(until=1.0)
+        world.crash("r0")
+        kernel.run(until=1.05)  # back before anyone suspects it
+        world.recover("r0")
+        r0 = hosts[0].elector
+        kernel.run(until=1.05 + 0.99 * r0.suspect_timeout)
+        assert r0.current_leader() is None  # r1 and r2 still name r0
+        kernel.run(until=1.05 + r0.suspect_timeout + r0.heartbeat_interval)
+        assert r0.current_leader() == "r0"
+
+    def test_restart_hearing_none_and_incumbent_defers_to_incumbent(self):
+        kernel, world, hosts = omega_cluster()
+        world.start()
+        kernel.run(until=1.0)
+        world.crash("r0")
+        kernel.run(until=2.0)  # r1 leads r2
+        world.crash("r2")
+        kernel.run(until=2.5)
+        # r0 and r2 restart together: r0 hears r2 claim None and r1 claim
+        # itself, and must not take the lead back as the smallest id.
+        world.recover("r0")
+        world.recover("r2")
+        before = len(hosts[0].changes)
+        kernel.run(until=4.0)
+        assert hosts[0].changes[before:] == ["r1"]
+        assert [h.elector.current_leader() for h in hosts] == ["r1", "r1", "r1"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OmegaElector(heartbeat_interval=0.5, suspect_timeout=0.25)

@@ -28,12 +28,15 @@ class TestFaultSchedule:
         cluster = small_cluster()
         schedule = FaultSchedule(cluster)
         schedule.crash("r1", at=0.01).recover("r1", at=0.02)
+        # ``applied`` lists bookings: both are there before either fires.
+        assert [entry for _t, entry in schedule.applied] == ["crash r1", "recover r1"]
         cluster.start()
         cluster.kernel.run(until=0.015)
         assert not cluster.replicas["r1"].alive
+        assert cluster.metrics.counter_value("fault.recover") == 0
         cluster.kernel.run(until=0.05)
         assert cluster.replicas["r1"].alive
-        assert [entry for _t, entry in schedule.applied] == ["crash r1", "recover r1"]
+        assert cluster.metrics.counter_value("fault.recover") == 1
 
     def test_crash_leader_targets_r0(self):
         cluster = small_cluster()
