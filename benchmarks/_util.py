@@ -13,9 +13,7 @@ BENCH documents are **schema 2**: ``{"schema": 2, "name", "text", "data",
 ``{"value", "unit", "direction"}`` entries (the direction inferred from the
 name); ``meta`` stamps provenance — commit hash, worker count, host — via
 :func:`repro.obs.ledger.collect_meta`. The perf ledger
-(``repro perf record`` / ``check``) ingests exactly this shape; when the
-``REPRO_PERF_LEDGER`` environment variable names a ledger path, emit
-appends the metrics there directly so benchmark runs self-record.
+(``repro perf record`` / ``check``) ingests exactly this shape.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import os
 import pathlib
 from typing import Any
 
-from repro.obs.ledger import append_records, bench_records, collect_meta, infer_direction
+from repro.obs.ledger import collect_meta, infer_direction
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -46,8 +44,7 @@ def emit(name: str, text: str, data: Any, metrics: dict[str, tuple[float, str]])
     Writes ``<name>.txt`` (the human-readable block) and a schema-2
     ``BENCH_<name>.json`` (see module docstring). ``metrics`` names the
     scalar measurements the perf ledger should track, each a ``(value,
-    unit)``. When ``REPRO_PERF_LEDGER`` is set and metrics are present, the
-    observations are appended to that ledger immediately.
+    unit)``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}\n")
@@ -66,7 +63,3 @@ def emit(name: str, text: str, data: Any, metrics: dict[str, tuple[float, str]])
     (RESULTS_DIR / f"BENCH_{name}.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n"
     )
-    ledger = os.environ.get("REPRO_PERF_LEDGER")
-    if ledger and summary["metrics"]:
-        records, _problems = bench_records(summary, source=name)
-        append_records(ledger, records)

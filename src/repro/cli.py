@@ -57,8 +57,8 @@ def _one_kind_flags(requests: int) -> argparse.ArgumentParser:
                        help="closed-loop client count (default: 1)")
     flags.add_argument("--seed", type=int, default=0, help="simulation seed")
     flags.add_argument("--chrome", metavar="PATH",
-                       help="write a Chrome trace-event JSON here (spans; with "
-                            "profiling, per-actor sim-CPU counter tracks)")
+                       help="write a Chrome trace-event JSON here (spans; under "
+                            "'profile', per-actor sim-CPU counter tracks too)")
     flags.add_argument("--export", metavar="PATH",
                        help="write the JSONL timeline here (for 'repro report')")
     return flags
@@ -114,9 +114,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     cluster = _run_one_kind(
         args,
-        trace=args.trace,
         tracing=args.tracing or bool(args.chrome),
-        profiling=args.profiling,
         fsync=args.fsync,
         groups=args.groups,
     )
@@ -310,36 +308,15 @@ def sweep_command(args: argparse.Namespace) -> int:
     for key in aggregate["failed"]:
         print(f"  FAILED {key}", file=sys.stderr)
     print(f"merged: {out}")
-
-    if args.ledger:
-        from repro.obs.ledger import LedgerRecord, append_records, collect_meta
-
-        meta = collect_meta(workers=sweep.workers)
-        count = append_records(
-            args.ledger,
-            [
-                LedgerRecord(
-                    bench=f"sweep_{args.grid}", metric="wall_s",
-                    value=sweep.wall, unit="s", direction="lower", meta=meta,
-                ),
-                LedgerRecord(
-                    bench=f"sweep_{args.grid}", metric="runs_ok_rate",
-                    value=aggregate["ok"] / max(1, aggregate["total"]),
-                    unit="", direction="higher", meta=meta,
-                ),
-            ],
-        )
-        print(f"recorded {count} metric(s) into {args.ledger}")
     return 0 if sweep.ok else 1
 
 
 def profile_command(args: argparse.Namespace) -> int:
-    """Profile one run: hottest-handlers table, §3.4 E/m/M attribution, and
-    (optionally) a collapsed flamegraph file plus a chrome trace with
-    per-actor sim-CPU counter tracks."""
-    from repro.obs.prof.export import attribution, frame_rows, write_collapsed
+    """Profile one run: the hottest sim-CPU frames and (optionally) a
+    collapsed flamegraph file plus a chrome trace with per-actor sim-CPU
+    counter tracks."""
+    from repro.obs.prof.export import frame_rows, write_collapsed
     from repro.obs.report import hottest_handlers_table
-    from repro.util.tables import format_table
 
     cluster = _run_one_kind(
         args,
@@ -347,25 +324,10 @@ def profile_command(args: argparse.Namespace) -> int:
         profiling=True,
         tracing=bool(args.chrome),
     )
-    print(hottest_handlers_table(
-        frame_rows(cluster.profiler), metric=args.metric, top=args.top
-    ))
-
-    # §3.4 attribution: M = client<->replica messaging, E = execution,
-    # m = replica<->replica messaging, measured in accounted sim-CPU.
-    attributed = attribution(cluster.profiler)
-    total = sum(seconds for _calls, seconds in attributed.values()) or 1.0
-    arows = [
-        [component, calls, f"{seconds * 1e3:.3f}", f"{seconds / total * 100:.1f}%"]
-        for component, (calls, seconds) in attributed.items()
-    ]
-    print()
-    print("Sim-CPU attribution by §3.4 component")
-    print(format_table(["component", "calls", "sim ms", "share"], arows))
-
+    print(hottest_handlers_table(frame_rows(cluster.profiler), top=args.top))
     if args.out:
-        path = write_collapsed(cluster.profiler, args.out, metric=args.metric)
-        print(f"\ncollapsed stacks ({args.metric}): {path} "
+        path = write_collapsed(cluster.profiler, args.out)
+        print(f"\ncollapsed stacks (sim): {path} "
               "(render with flamegraph.pl or speedscope)")
     _write_artifacts(cluster, args, chrome_label="chrome trace with counter tracks")
     return 0
@@ -453,19 +415,16 @@ def perf_command(args: argparse.Namespace) -> int:
 
 
 def report_command(args: argparse.Namespace) -> int:
-    """Render tables from one JSONL export, or compare two."""
-    from repro.obs.report import render_comparison, render_report
+    """Render tables from one JSONL export."""
+    from repro.obs.report import render_report
     from repro.obs.timeline import load_export
 
     try:
-        exports = [load_export(path) for path in args.paths]
+        export = load_export(args.path)
     except (OSError, ValueError) as exc:
         print(f"repro report: error: {exc}", file=sys.stderr)
         return 2
-    if len(exports) == 1:
-        print(render_report(exports[0]))
-    else:
-        print(render_comparison(exports[0], exports[1]))
+    print(render_report(export))
     return 0
 
 
@@ -501,18 +460,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     run.add_argument("--fsync", default="async", choices=("sync", "group", "async"),
                      help="stable-storage durability mode: fsync per barrier, "
                           "group commit, or legacy write-through (default: async)")
-    run.add_argument("--trace", action="store_true",
-                     help="also record (and export) per-message trace events")
     run.add_argument("--tracing", action="store_true",
                      help="record causal request spans (exported with --export; "
                           "implied by --chrome)")
-    run.add_argument("--profiling", action="store_true",
-                     help="record sim-CPU/host-time profiler frames "
-                          "(exported with --export; counters with --chrome)")
 
     profile_parser = sub.add_parser(
         "profile", parents=[_one_kind_flags(requests=100)],
-        help="profile one run: hottest handlers, E/m/M attribution, flamegraph",
+        help="profile one run: hottest sim-CPU frames, flamegraph",
     )
     profile_parser.add_argument("--execute-time", type=float, default=0.0,
                                 help="modeled execution time E in seconds "
@@ -523,11 +477,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     profile_parser.add_argument("--out", metavar="PATH",
                                 help="write collapsed flamegraph stacks here "
                                      "(flamegraph.pl / speedscope input)")
-    profile_parser.add_argument("--metric", default="sim", choices=("sim", "host"),
-                                help="metric the hottest-handlers table is "
-                                     "ranked by and --out is written in: "
-                                     "simulated CPU or host wall time "
-                                     "(default: sim)")
 
     perf = sub.add_parser(
         "perf", help="perf-regression ledger: record results, trend, gate CI"
@@ -567,11 +516,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace.add_argument("--show", type=int, default=3,
                        help="request waterfalls to print (default: 3)")
 
-    report = sub.add_parser(
-        "report", help="render tables from a JSONL export (two paths: compare)"
-    )
-    report.add_argument("paths", nargs="+", metavar="EXPORT",
-                        help="one export to report on, or two to compare")
+    report = sub.add_parser("report", help="render tables from a JSONL export")
+    report.add_argument("path", metavar="EXPORT", help="the export to report on")
 
     chaos = sub.add_parser(
         "chaos",
@@ -651,9 +597,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="[figures grid] smaller sample counts")
     sweep.add_argument("--samples", type=int, default=400,
                        help="[calibration grid] samples per run (default: 400)")
-    sweep.add_argument("--ledger", metavar="PATH",
-                       help="also append the sweep's wall time and ok-rate "
-                            "to this perf ledger")
 
     add_lint_parser(sub)
 
@@ -681,8 +624,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "perf":
             return perf_command(args)
         if args.command == "report":
-            if len(args.paths) > 2:
-                parser.error("report takes one export, or two to compare")
             return report_command(args)
         if args.command == "chaos":
             return chaos_command(args)

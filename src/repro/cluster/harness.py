@@ -124,8 +124,8 @@ class ClusterSpec:
     #: (``repro.transport.codec.wire_size``: a walk of the message, nothing
     #: is serialized).
     measure_bytes: bool = True
-    #: Sim-profiler (:mod:`repro.obs.prof`): folded-stack sim-CPU / host-time
-    #: attribution per actor, handler, and message type. Passive like the
+    #: Sim-profiler (:mod:`repro.obs.prof`): folded-stack sim-CPU
+    #: attribution per actor and message type. Passive like the
     #: tracer — a profiled run is byte-identical to a bare one
     #: (tests/integration/test_profiler.py) — and zero-overhead when off.
     profiling: bool = False
@@ -184,10 +184,7 @@ class Cluster:
             Tracer(clock=lambda: self.kernel.now) if spec.tracing else NULL_TRACER
         )
         self.profiler: SimProfiler | NullProfiler = (
-            SimProfiler(
-                clock=lambda: self.kernel.now,
-                sample_interval=PROFILE_SAMPLE_INTERVAL,
-            )
+            SimProfiler(sample_interval=PROFILE_SAMPLE_INTERVAL)
             if spec.profiling
             else NULL_PROFILER
         )
@@ -351,12 +348,12 @@ class Cluster:
         self.kernel.run(until=self.kernel.now + grace)
         return self
 
-    def export_timeline(self, path: str, include_events: bool = True) -> str:
-        """Write this run's metrics (and trace/spans, if recorded) as a JSONL
+    def export_timeline(self, path: str) -> str:
+        """Write this run's metrics (and spans, if recorded) as a JSONL
         timeline readable by ``repro report`` — see :mod:`repro.obs.timeline`."""
         from repro.obs.timeline import export_run  # local import: cycle guard
 
-        return str(export_run(self, path, include_events=include_events))
+        return str(export_run(self, path))
 
     def export_chrome(self, path: str) -> str:
         """Write the causal spans as a Chrome trace-event file (load it at

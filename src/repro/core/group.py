@@ -161,9 +161,6 @@ class _WriteItem:
         read_keys, write_keys = group.service.locks_for(request.op)
         if not group.locks.acquire_or_wait(owner, read_keys, write_keys, grant=self._resubmit):
             return DEFER
-        profiler = group.profiler
-        if profiler.enabled:
-            profiler.enter("execute")
         try:
             result = group.service.execute(request.op, group.execution_context())
         except Exception as exc:  # ServiceError or malformed op
@@ -171,9 +168,6 @@ class _WriteItem:
             group._pending_write_rids.discard(rid)
             group.reply(self.src, rid, ReplyStatus.ERROR, str(exc))
             return SKIP
-        finally:
-            if profiler.enabled:
-                profiler.exit()
         if tracer.enabled and config.execute_time == 0:
             # E is not modeled: record a zero-length execute marker so
             # the waterfall still shows where execution happened.
@@ -188,8 +182,8 @@ class _WriteItem:
         return Proposal(requests=(request,), payload=payload, reply=result.reply)
 
     def _execution_done(self, span: Span | None) -> None:
-        """E has elapsed (timer; the profiler and trace name it by this
-        method's name)."""
+        """E has elapsed (timer; the trace names it by this method's
+        name)."""
         proposer = self.group.proposer
         self.group.tracer.end(span)
         proposer.resubmit_front(self)
@@ -303,10 +297,9 @@ class ReplicationGroup(Process):
         #: Open leader-takeover span (its own trace; recovery nests under it).
         self.takeover_span: Span | None = None
 
-        #: Sim-profiler. Protocol code opens literal-label scopes at
-        #: semantic points (execute, apply, propose, read, txn); the world's
-        #: envelope layer owns the per-message frames. Labels are literals,
-        #: so docs/performance.md can list them.
+        #: Sim-profiler. The group books the modeled execution time E on
+        #: its ``execute`` frame; the world's envelope layer owns the
+        #: per-message frames and the storage pump the ``fsync`` frame.
         self.profiler = obs.profiler
 
     # ======================================================== process events
@@ -426,9 +419,6 @@ class ReplicationGroup(Process):
 
     def _serve_original(self, src: ProcessId, request: ClientRequest) -> None:
         """The unreplicated baseline: execute + reply, no coordination."""
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.enter("execute")
         try:
             result = self.service.execute(request.op, self.execution_context())
         except ServiceError as exc:
@@ -437,9 +427,6 @@ class ReplicationGroup(Process):
         except Exception as exc:  # malformed op: reject, never crash the replica
             self.reply(src, request.rid, ReplyStatus.ERROR, f"bad request: {exc}")
             return
-        finally:
-            if profiler.enabled:
-                profiler.exit()
         self.reply(src, request.rid, ReplyStatus.OK, result.reply)
 
     def _submit_write(self, src: ProcessId, request: ClientRequest) -> None:
@@ -609,16 +596,6 @@ class ReplicationGroup(Process):
 
     def _apply_ready(self) -> None:
         """Apply chosen proposals in instance order up to the frontier."""
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.enter("apply")
-        try:
-            self._apply_ready_inner()
-        finally:
-            if profiler.enabled:
-                profiler.exit()
-
-    def _apply_ready_inner(self) -> None:
         applied_before = self.applied
         log = self.log
         metrics = self.metrics

@@ -141,16 +141,6 @@ class SequentialProposer:
 
     # --------------------------------------------------------------- pumping
     def _pump(self) -> None:
-        profiler = self.replica.profiler
-        if profiler.enabled:
-            profiler.enter("propose")
-        try:
-            self._pump_inner()
-        finally:
-            if profiler.enabled:
-                profiler.exit()
-
-    def _pump_inner(self) -> None:
         replica = self.replica
         if not self.active or self._paused or self.inflight is not None:
             return

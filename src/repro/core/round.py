@@ -71,8 +71,8 @@ class QuorumRound:
         self._timer = group.set_timer(self.retry, self._retransmit)
 
     def _retransmit(self) -> None:
-        """Timer tick (the profiler and the trace name it by this method's
-        name): resend to the laggards."""
+        """Timer tick (the trace names it by this method's name): resend to
+        the laggards."""
         if not self.open:
             return
         group = self.group

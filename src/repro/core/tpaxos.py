@@ -73,16 +73,6 @@ class TxnManager:
 
     # --------------------------------------------------------------- routing
     def on_request(self, src: ProcessId, request: ClientRequest) -> None:
-        profiler = self.replica.profiler
-        if profiler.enabled:
-            profiler.enter("txn")
-        try:
-            self._on_request_inner(src, request)
-        finally:
-            if profiler.enabled:
-                profiler.exit()
-
-    def _on_request_inner(self, src: ProcessId, request: ClientRequest) -> None:
         kind = request.kind
         if request.txn is not None:
             txn = self.active.get(request.txn)

@@ -57,16 +57,6 @@ class ReadCoordinator:
     # ------------------------------------------------------------ leader side
     def begin(self, src: ProcessId, request: ClientRequest) -> None:
         """Start serving a read at the leader."""
-        profiler = self.replica.profiler
-        if profiler.enabled:
-            profiler.enter("read")
-        try:
-            self._begin_inner(src, request)
-        finally:
-            if profiler.enabled:
-                profiler.exit()
-
-    def _begin_inner(self, src: ProcessId, request: ClientRequest) -> None:
         rid = request.rid
         if rid in self._pending:
             return  # client retransmit; the original is still being served

@@ -15,9 +15,10 @@ analyze the series:
   band in the metric's bad direction (``direction`` is stored per record
   and inferred from the metric name when a benchmark doesn't say).
 
-Like the timeline loader, ingest is lenient: malformed or legacy (schema-1)
-records are skipped and counted with one summary warning, so an old
-``benchmarks/results/`` directory doesn't wedge the ledger.
+Like the timeline loader, ingest is lenient: malformed records, and
+documents that are not schema-2 BENCH summaries (such as the merged
+``BENCH_sweep_*.json`` a ``repro sweep`` writes), are skipped and counted
+with one summary warning, so a results directory never wedges the ledger.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import warnings
 from collections.abc import Iterable, Sequence
@@ -52,8 +54,6 @@ __all__ = [
     "collect_meta",
     "infer_direction",
     "load_ledger",
-    "mad",
-    "median",
     "trends",
 ]
 
@@ -182,18 +182,15 @@ def load_ledger(path: str | Path) -> tuple[list[LedgerRecord], int]:
 def bench_records(doc: Any, source: str = "") -> tuple[list[LedgerRecord], list[str]]:
     """Flatten one schema-2 BENCH document into ledger records.
 
-    Returns ``(records, warnings)``; legacy (schema-1) documents yield no
-    records and one warning, so ``repro perf record`` can sweep a results
-    directory that still holds old files.
+    Returns ``(records, warnings)``; any other document yields no records
+    and one warning, so ``repro perf record`` can sweep a results directory
+    that also holds sweep merges.
     """
     where = source or "<bench>"
     if not isinstance(doc, dict):
         return [], [f"{where}: not a JSON object"]
     if doc.get("schema") != 2:
-        return [], [
-            f"{where}: legacy BENCH document (schema "
-            f"{doc.get('schema')!r}); skipped — re-run the benchmark"
-        ]
+        return [], [f"{where}: not a schema-2 BENCH document; skipped"]
     bench = doc.get("name")
     if not isinstance(bench, str) or not bench:
         return [], [f"{where}: missing benchmark name"]
@@ -206,14 +203,12 @@ def bench_records(doc: Any, source: str = "") -> tuple[list[LedgerRecord], list[
     problems: list[str] = []
     for metric in sorted(metrics):
         entry = metrics[metric]
-        if isinstance(entry, dict):
-            value = entry.get("value")
-            unit = str(entry.get("unit") or "")
-            direction = entry.get("direction") or infer_direction(metric)
-        else:
-            value = entry
-            unit = ""
-            direction = infer_direction(metric)
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: metric {metric!r} is not a value/unit entry; skipped")
+            continue
+        value = entry.get("value")
+        unit = str(entry.get("unit") or "")
+        direction = entry.get("direction") or infer_direction(metric)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             problems.append(f"{where}: metric {metric!r} is not numeric; skipped")
             continue
@@ -269,23 +264,6 @@ def collect_meta(workers: int | None = None) -> dict[str, Any]:
 
 
 # ------------------------------------------------------------------------ trends
-def median(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation (unscaled)."""
-    center = median(values)
-    return median([abs(v - center) for v in values])
-
-
 @dataclass(frozen=True)
 class Trend:
     """The analyzed state of one (bench, metric) series."""
@@ -350,8 +328,8 @@ def trends(
             )
             continue
         history = values[:-1]
-        center = median(history)
-        spread = 1.4826 * mad(history)
+        center = statistics.median(history)
+        spread = 1.4826 * statistics.median(abs(v - center) for v in history)
         band = max(mad_k * spread, rel_floor * abs(center))
         delta = values[-1] - center
         if latest.direction == "higher":

@@ -1,4 +1,4 @@
-"""Deterministic sim-profiler: folded stacks, counter tracks, attribution.
+"""Deterministic sim-profiler: folded stacks of simulated CPU, counter tracks.
 
 See :mod:`repro.obs.prof.profiler` for the collection machinery (zero
 overhead when off, byte-identical simulation when on) and

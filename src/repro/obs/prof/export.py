@@ -1,16 +1,13 @@
-"""Profiler exporters: collapsed flamegraph text, counter tracks, tables.
+"""Profiler exporters: collapsed flamegraph text, counter tracks, table rows.
 
 The collapsed format is Brendan Gregg's folded-stack convention — one line
 per unique frame path, ``frame;frame;frame <count>`` — directly consumable
-by ``flamegraph.pl``, speedscope, and inferno. Values are integers:
-nanoseconds of simulated CPU (``metric="sim"``) or of host self time
-(``metric="host"``).
+by ``flamegraph.pl``, speedscope, and inferno. Values are integer
+nanoseconds of simulated CPU.
 
 :func:`counter_samples` adapts the profiler's deterministic counter track
 to the shape :func:`repro.obs.chrome.chrome_events` merges as Perfetto
-``"C"`` (counter) events; :func:`attribution` rolls frame paths up to the
-paper's §3.4 latency components so ``repro profile`` can cross-check the
-tracer's critical-path analysis against CPU occupancy.
+``"C"`` (counter) events.
 """
 
 from __future__ import annotations
@@ -20,13 +17,7 @@ from typing import Any
 
 from repro.obs.prof.profiler import NullProfiler, SimProfiler
 
-#: §3.4 component order (matches ``repro.obs.tracing.COMPONENTS``).
-COMPONENTS = ("M", "E", "m", "other")
-
 __all__ = [
-    "COMPONENTS",
-    "attribution",
-    "classify_frame",
     "collapsed_lines",
     "counter_samples",
     "frame_rows",
@@ -36,38 +27,27 @@ __all__ = [
 
 def frame_rows(
     profiler: SimProfiler | NullProfiler,
-) -> list[tuple[tuple[str, ...], int, int, int]]:
-    """Sorted ``(path, calls, sim_ns, host_ns)`` rows for every frame."""
+) -> list[tuple[tuple[str, ...], int, int]]:
+    """Sorted ``(path, calls, sim_ns)`` rows for every frame."""
     return [
-        (path, stat.calls, int(round(stat.sim_cpu * 1e9)), stat.host_ns)
+        (path, stat.calls, int(round(stat.sim_cpu * 1e9)))
         for path, stat in profiler.frames().items()
     ]
 
 
-def collapsed_lines(
-    profiler: SimProfiler | NullProfiler, metric: str = "sim"
-) -> list[str]:
-    """Folded-stack lines with integer values; zero-valued frames dropped.
-
-    ``metric="sim"`` emits simulated-CPU nanoseconds (deterministic);
-    ``metric="host"`` emits host self-time nanoseconds.
-    """
-    if metric not in ("sim", "host"):
-        raise ValueError(f"unknown collapsed metric {metric!r} (want sim|host)")
-    lines = []
-    for path, _calls, sim_ns, host_ns in frame_rows(profiler):
-        value = sim_ns if metric == "sim" else host_ns
-        if value > 0:
-            lines.append(";".join(path) + f" {value}")
-    return lines
+def collapsed_lines(profiler: SimProfiler | NullProfiler) -> list[str]:
+    """Folded-stack lines of sim-CPU nanoseconds; zero-valued frames dropped."""
+    return [
+        ";".join(path) + f" {sim_ns}"
+        for path, _calls, sim_ns in frame_rows(profiler)
+        if sim_ns > 0
+    ]
 
 
-def write_collapsed(
-    profiler: SimProfiler | NullProfiler, path: str | Path, metric: str = "sim"
-) -> Path:
+def write_collapsed(profiler: SimProfiler | NullProfiler, path: str | Path) -> Path:
     """Write the collapsed flamegraph file; returns the path."""
     path = Path(path)
-    text = "\n".join(collapsed_lines(profiler, metric=metric))
+    text = "\n".join(collapsed_lines(profiler))
     path.write_text(text + "\n" if text else "", encoding="utf-8")
     return path
 
@@ -78,50 +58,3 @@ def counter_samples(profiler: SimProfiler | NullProfiler) -> list[dict[str, Any]
         {"actor": actor, "name": name, "t": t, "value": value}
         for t, actor, name, value in profiler.samples
     ]
-
-
-def classify_frame(path: tuple[str, ...], actors: dict[str, str]) -> str:
-    """Map one frame path to a §3.4 component.
-
-    ``execute`` frames are E; ``send.<Type>.<peer>`` / ``recv.<Type>.<peer>``
-    frames are M when either endpoint is a client, m when both are
-    replicas; everything else is protocol overhead ("other").
-    """
-    leaf = path[-1]
-    if leaf == "execute" or leaf.startswith("execute."):
-        return "E"
-    if leaf.startswith(("send.", "recv.")):
-        peer = leaf.rsplit(".", 1)[-1]
-        actor = next((actors[p] for p in path if p in actors), "other")
-        if "client" in (peer, actor):
-            return "M"
-        if peer == "replica" and actor == "replica":
-            return "m"
-    return "other"
-
-
-def leaf_is_component(path: tuple[str, ...]) -> bool:
-    """True when the leaf frame is an E/m/M-classifiable accounting frame
-    (send/recv/execute), as opposed to a host-time handler frame."""
-    leaf = path[-1]
-    return leaf == "execute" or leaf.startswith(("execute.", "send.", "recv."))
-
-
-def attribution(
-    profiler: SimProfiler | NullProfiler,
-) -> dict[str, tuple[int, float]]:
-    """Sim-CPU occupancy rolled up per component: ``{comp: (calls, secs)}``.
-
-    Only accounting frames (send/recv/execute leaves) that carry sim CPU
-    participate, so the call counts are per-message / per-execution — the
-    host-time scope frames that happen to share a leaf label (the
-    ``enter("execute")`` wrap around a real service call) don't double in.
-    """
-    out: dict[str, list[float]] = {c: [0, 0.0] for c in COMPONENTS}
-    for path, stat in profiler.frames().items():
-        if not leaf_is_component(path) or not stat.sim_cpu:
-            continue
-        comp = classify_frame(path, profiler.actors)
-        out[comp][0] += stat.calls
-        out[comp][1] += stat.sim_cpu
-    return {c: (int(v[0]), v[1]) for c, v in out.items()}

@@ -1,36 +1,28 @@
-"""The deterministic sim-profiler: folded-stack attribution of sim CPU and
-host wall time.
+"""The deterministic sim-profiler: folded-stack attribution of simulated CPU.
 
-Two currencies are tracked per frame path:
-
-* **sim CPU** — the virtual-time CPU occupancy the :class:`repro.sim.cpu`
-  model books per message (and ``execute_time`` per modeled execution).
-  These values derive only from simulation state, so they are identical on
-  every run of the same seed.
-* **host time** — real ``perf_counter_ns`` time spent inside kernel event
-  callbacks and protocol handlers. This is where the *reproduction's own*
-  hot spots show up (the thing ``tests/perf`` floors guard).
+The profiler's one currency is **sim CPU**: the virtual-time CPU occupancy
+the :class:`repro.sim.cpu` model books per message (``send.<Type>.<peer>``
+and ``recv.<Type>.<peer>`` frames), ``execute_time`` per modeled execution
+(``execute``) and the modeled device time per fsync (``fsync``). These
+values derive only from simulation state, so they are identical on every
+run of the same seed. Host cost is measured elsewhere: by the benchmark
+suite's cProfile layer shares (``python3 -m benchmarks.suite --trace 1``)
+and by ``benchmarks/opcount.py``.
 
 The profiler follows the same passivity contract as the metrics registry
-and the tracer: it only *reads* clocks and counters, never touches an RNG
-or a schedule, so a profiled run is byte-identical to a bare one
+and the tracer: it only *reads* cost constants and counters, never touches
+an RNG or a schedule, so a profiled run is byte-identical to a bare one
 (tests/integration/test_profiler.py pins this for all three protocols).
 When profiling is off every hook is a no-op on the shared
-:data:`NULL_PROFILER` and the kernel runs its untouched bare loop — zero
-overhead, checked exactly by the perf tier.
+:data:`NULL_PROFILER` and the kernel never samples — zero overhead,
+checked exactly by the perf tier.
 
-Frame paths form a tree interned as :class:`_Node` objects, so the hot
-path (``enter``/``exit``) is one dict hit plus one clock read per edge —
-no tuple allocation per event. Host clocks live *here*, in the obs layer,
-on purpose: deterministic layers (sim/core/...) may only reach them
-through the injected :attr:`SimProfiler.host_clock` attribute (see
-DET001 in ``repro.lint``).
+Frame paths form a tree interned as :class:`_Node` objects; the accounting
+sites resolve their :class:`FrameStat` once and cache it, so the hot path
+is one dict hit plus one ``add_cpu``.
 """
 
 from __future__ import annotations
-
-import time
-from collections.abc import Callable, Iterator
 
 __all__ = [
     "FrameStat",
@@ -41,16 +33,14 @@ __all__ = [
 
 
 class FrameStat:
-    """Exclusive (self-time) totals for one frame path."""
+    """Totals for one frame path."""
 
-    __slots__ = ("calls", "sim_cpu", "host_ns")
+    __slots__ = ("calls", "sim_cpu")
 
     def __init__(self) -> None:
         self.calls = 0
         #: Simulated CPU seconds attributed to this frame (deterministic).
         self.sim_cpu = 0.0
-        #: Host nanoseconds of self time (excludes child frames).
-        self.host_ns = 0
 
     def add_cpu(self, seconds: float) -> None:
         """Account one call worth ``seconds`` of simulated CPU."""
@@ -58,10 +48,7 @@ class FrameStat:
         self.sim_cpu += seconds
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FrameStat calls={self.calls} sim_cpu={self.sim_cpu:.6f}s "
-            f"host={self.host_ns}ns>"
-        )
+        return f"<FrameStat calls={self.calls} sim_cpu={self.sim_cpu:.6f}s>"
 
 
 class _Node:
@@ -78,45 +65,25 @@ class _Node:
 class SimProfiler:
     """Collects folded-stack samples; created per run by the harness.
 
-    ``clock`` is the virtual clock (``lambda: kernel.now``); ``host_clock``
-    is the host-time source (injected so deterministic layers never name an
-    ambient clock themselves). ``sample_interval`` is the virtual-time
-    period of the counter track sampled by the kernel's profiled loop.
+    ``sample_interval`` is the virtual-time period of the counter track
+    sampled by the kernel's loop.
     """
 
     enabled = True
 
-    __slots__ = (
-        "clock",
-        "host_clock",
-        "sample_interval",
-        "next_sample",
-        "actors",
-        "samples",
-        "_root",
-        "_stack",
-    )
+    __slots__ = ("sample_interval", "next_sample", "actors", "samples", "_root")
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        host_clock: Callable[[], int] = time.perf_counter_ns,
-        sample_interval: float = 0.01,
-    ) -> None:
-        self.clock = clock
-        self.host_clock = host_clock
+    def __init__(self, sample_interval: float = 0.01) -> None:
         self.sample_interval = sample_interval
         #: Virtual time at/after which the next counter sample fires.
         self.next_sample = 0.0
-        #: pid -> kind ("replica" | "client" | "other"); drives the E/m/M
-        #: classification of send/recv frames.
+        #: pid -> kind ("replica" | "client" | "other"); names the peer in
+        #: the send/recv frame labels.
         self.actors: dict[str, str] = {}
         #: Counter-track rows ``(t, actor, name, value)``; values are
         #: simulation-derived only, so the track is deterministic.
         self.samples: list[tuple[float, str, str, float]] = []
         self._root = _Node("")
-        #: Live scope stack: ``[node, start_ns, child_ns]`` per open frame.
-        self._stack: list[list] = []
 
     # -------------------------------------------------------------- actors
     def register_actor(self, pid: object, kind: str) -> None:
@@ -124,63 +91,6 @@ class SimProfiler:
 
     def actor_kind(self, pid: object) -> str:
         return self.actors.get(str(pid), "other")
-
-    # ------------------------------------------------------------- scoping
-    def enter(self, label: str) -> None:
-        """Open a host-time scope; ``label`` is a literal (docs/performance.md)."""
-        # _child() inlined: this runs once per kernel event and once per
-        # protocol scope, and the call overhead is measurable (perf tier
-        # bounds the profiled/bare ratio).
-        stack = self._stack
-        parent = stack[-1][0] if stack else self._root
-        node = parent.children.get(label)
-        if node is None:
-            node = parent.children[label] = _Node(label)
-        stack.append([node, self.host_clock(), 0])
-
-    def exit(self) -> None:
-        """Close the innermost scope, attributing exclusive self time."""
-        node, start, child_ns = self._stack.pop()
-        elapsed = self.host_clock() - start
-        stat = node.stat
-        stat.calls += 1
-        stat.host_ns += elapsed - child_ns
-        if self._stack:
-            self._stack[-1][2] += elapsed
-
-    # The kernel's event loop opens one frame per dispatched event with a
-    # dynamic label (the callback's qualname) — same mechanics as
-    # enter/exit, different names so the literal-label convention reads as
-    # applying only to protocol-level scopes.
-    enter_event = enter
-    exit_event = exit
-
-    def enter_handler(self, actor: str, frame: str) -> None:
-        """Open the two-frame ``actor -> handler`` scope with one clock read."""
-        now = self.host_clock()
-        stack = self._stack
-        parent = stack[-1][0] if stack else self._root
-        actor_node = parent.children.get(actor)
-        if actor_node is None:
-            actor_node = parent.children[actor] = _Node(actor)
-        frame_node = actor_node.children.get(frame)
-        if frame_node is None:
-            frame_node = actor_node.children[frame] = _Node(frame)
-        stack.append([actor_node, now, 0])
-        stack.append([frame_node, now, 0])
-
-    def exit_handler(self) -> None:
-        """Close a handler scope; the actor frame keeps zero self time."""
-        now = self.host_clock()
-        stack = self._stack
-        node, start, child_ns = stack.pop()
-        elapsed = now - start
-        stat = node.stat
-        stat.calls += 1
-        stat.host_ns += elapsed - child_ns
-        stack.pop()  # the actor frame: all of its time belongs to children
-        if stack:
-            stack[-1][2] += elapsed
 
     # ---------------------------------------------------------- accounting
     def stat(self, path: tuple[str, ...]) -> FrameStat:
@@ -203,7 +113,7 @@ class SimProfiler:
                 child = node.children[label]
                 path = prefix + (label,)
                 stat = child.stat
-                if stat.calls or stat.sim_cpu or stat.host_ns:
+                if stat.calls or stat.sim_cpu:
                     out[path] = stat
                 walk(child, path)
 
@@ -234,7 +144,7 @@ class SimProfiler:
     def sample(self, now: float, events: int, heap: int) -> None:
         """Record one deterministic counter sample at virtual time ``now``.
 
-        Called by the kernel's profiled loop whenever ``now`` crosses
+        Called by the kernel's loop whenever ``now`` crosses
         :attr:`next_sample`. Only simulation-derived values are sampled, so
         the counter tracks are reproducible run to run.
         """
@@ -266,8 +176,6 @@ class NullProfiler:
     #: still ``add_cpu`` harmlessly.
     _SINK = FrameStat()
 
-    host_clock = staticmethod(time.perf_counter_ns)
-    sample_interval = 0.0
     next_sample = float("inf")
     actors: dict[str, str] = {}
     samples: list[tuple[float, str, str, float]] = []
@@ -278,21 +186,6 @@ class NullProfiler:
     def actor_kind(self, pid: object) -> str:
         return "other"
 
-    def enter(self, label: str) -> None:
-        pass
-
-    def exit(self) -> None:
-        pass
-
-    enter_event = enter
-    exit_event = exit
-
-    def enter_handler(self, actor: str, frame: str) -> None:
-        pass
-
-    def exit_handler(self) -> None:
-        pass
-
     def stat(self, path: tuple[str, ...]) -> FrameStat:
         return self._SINK
 
@@ -301,9 +194,6 @@ class NullProfiler:
 
     def sample(self, now: float, events: int, heap: int) -> None:
         pass
-
-    def __iter__(self) -> Iterator:  # pragma: no cover - defensive
-        return iter(())
 
 
 #: The shared disabled profiler (the default everywhere).

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Pure Python and allocation-light: instruments are plain ``__slots__``
 objects created once and mutated in place, and every lookup is a single
@@ -48,21 +48,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.value}>"
-
-
-class Gauge:
-    """A point-in-time value (queue depth, virtual clock, heap size)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.value}>"
 
 
 class Histogram:
@@ -162,13 +147,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -186,7 +164,7 @@ class Scope:
     Registries never drop or replace an instrument, so the memo cannot go
     stale."""
 
-    __slots__ = ("enabled", "_registry", "_prefix", "_counters", "_gauges", "_histograms")
+    __slots__ = ("enabled", "_registry", "_prefix", "_counters", "_histograms")
 
     def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
         #: Whether recording does anything (fixed per registry class).
@@ -194,7 +172,6 @@ class Scope:
         self._registry = registry
         self._prefix = prefix
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -204,12 +181,6 @@ class Scope:
                 f"{self._prefix}.{name}"
             )
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = self._registry.gauge(f"{self._prefix}.{name}")
-        return gauge
 
     def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
         hist = self._histograms.get(name)
@@ -228,7 +199,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------ instruments
@@ -237,12 +207,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter()
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge()
-        return gauge
 
     def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
         hist = self._histograms.get(name)
@@ -261,13 +225,6 @@ class MetricsRegistry:
             if name.startswith(prefix)
         }
 
-    def gauges(self, prefix: str = "") -> dict[str, float]:
-        return {
-            name: g.value
-            for name, g in sorted(self._gauges.items())
-            if name.startswith(prefix)
-        }
-
     def histograms(self, prefix: str = "") -> dict[str, Histogram]:
         return {
             name: h
@@ -282,7 +239,6 @@ class MetricsRegistry:
 
     def __iter__(self) -> Iterator[str]:
         yield from self._counters
-        yield from self._gauges
         yield from self._histograms
 
 
@@ -293,7 +249,6 @@ class NullRegistry(MetricsRegistry):
     enabled = False
 
     _COUNTER = _NullCounter()
-    _GAUGE = _NullGauge()
     _HISTOGRAM = _NullHistogram()
 
     def __init__(self) -> None:
@@ -302,9 +257,6 @@ class NullRegistry(MetricsRegistry):
 
     def counter(self, name: str) -> Counter:
         return self._COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return self._GAUGE
 
     def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
         return self._HISTOGRAM

@@ -1,35 +1,22 @@
 """Rendering of instrumented runs: per-message-type and per-phase tables.
 
-Consumes :class:`repro.obs.timeline.RunExport` (a parsed JSONL export) or a
-live :class:`repro.obs.registry.MetricsRegistry`, and renders aligned text
-tables via :mod:`repro.util.tables` — the same look as the benchmark
-output, so report blocks paste straight into EXPERIMENTS.md. Powers the
-``repro report`` CLI subcommand, including the two-run comparison mode.
+Consumes :class:`repro.obs.timeline.RunExport` (a parsed JSONL export) and
+renders aligned text tables via :mod:`repro.util.tables` — the same look
+as the benchmark output, so report blocks paste straight into
+EXPERIMENTS.md. Powers the ``repro report`` CLI subcommand; the
+critical-path and hottest-handlers tables also serve ``repro trace`` and
+``repro profile``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Histogram
 from repro.obs.spans import SpanStore
-from repro.obs.timeline import RunExport, registry_records
+from repro.obs.timeline import RunExport
 from repro.obs.tracing import COMPONENTS, analyze_requests, summarize_paths
 from repro.util.tables import format_table
-
-
-def export_from_registry(registry: MetricsRegistry) -> RunExport:
-    """Wrap a live registry as a :class:`RunExport` (no file round-trip)."""
-    export = RunExport()
-    for record in registry_records(registry):
-        kind = record["record"]
-        if kind == "counter":
-            export.counters[record["name"]] = record["value"]
-        elif kind == "gauge":
-            export.gauges[record["name"]] = record["value"]
-        else:
-            export.histograms[record["name"]] = Histogram.from_snapshot(record)
-    return export
 
 
 # ------------------------------------------------------------------- messages
@@ -156,46 +143,25 @@ def critical_path_table(store: SpanStore) -> str:
 
 # ------------------------------------------------------------------- profiling
 def hottest_handlers_table(
-    frames: Iterable[tuple[tuple[str, ...], int, int, int]],
-    metric: str = "sim",
-    top: int = 10,
+    frames: Iterable[tuple[tuple[str, ...], int, int]], top: int = 10
 ) -> str:
-    """Top-N of ``(path, calls, sim_ns, host_ns)`` frame rows
-    (:func:`repro.obs.prof.export.frame_rows`) by ``metric`` time, the other
-    currency as the tiebreak. Sim CPU is booked on the send/recv/execute
-    accounting frames, host self time on the handler frames, so each
-    metric ranks its own frames. Empty when no frame was ever entered.
+    """Top-N of ``(path, calls, sim_ns)`` frame rows
+    (:func:`repro.obs.prof.export.frame_rows`) by sim-CPU time. Empty when
+    no frame was ever booked.
     """
-    first, second = (3, 2) if metric == "host" else (2, 3)
     ranked = sorted(
-        (row for row in frames if row[1]),
-        key=lambda row: (-row[first], -row[second], row[0]),
+        (row for row in frames if row[1]), key=lambda row: (-row[2], row[0])
     )
     if not ranked:
         return ""
     rows = [
-        [";".join(path), calls, f"{sim_ns / 1e6:.3f}", f"{host_ns / 1e6:.3f}"]
-        for path, calls, sim_ns, host_ns in ranked[:top]
+        [";".join(path), calls, f"{sim_ns / 1e6:.3f}"]
+        for path, calls, sim_ns in ranked[:top]
     ]
     return (
-        f"Hottest handlers (top {len(rows)} by {metric} time, exclusive)\n"
-        + format_table(["frame", "calls", "sim ms", "host ms"], rows)
+        f"Hottest handlers (top {len(rows)} by sim time, exclusive)\n"
+        + format_table(["frame", "calls", "sim ms"], rows)
     )
-
-
-# ------------------------------------------------------------------ comparison
-def compare_table(a: RunExport, b: RunExport) -> str:
-    """Side-by-side message counters of two exports, with deltas."""
-    rows = []
-    for type_name in sorted(set(a.message_types()) | set(b.message_types())):
-        sent_a = a.counter(f"msg.send.{type_name}")
-        sent_b = b.counter(f"msg.send.{type_name}")
-        if sent_a == 0 and sent_b == 0:
-            continue
-        delta = f"{(sent_b - sent_a) / sent_a * 100:+.1f}%" if sent_a else "new"
-        rows.append([type_name, sent_a, sent_b, sent_b - sent_a, delta])
-    header = f"Message counts: A = {a.path or 'run A'} | B = {b.path or 'run B'}"
-    return header + "\n" + format_table(["message", "A sent", "B sent", "diff", "delta"], rows)
 
 
 # -------------------------------------------------------------------- summary
@@ -220,11 +186,6 @@ def render_report(export: RunExport) -> str:
             per_replica_table(export),
             phase_table(export),
             critical_path_table(export.span_store()),
-            hottest_handlers_table(
-                (tuple(r.get("path") or ()), r.get("calls", 0),
-                 r.get("sim_ns") or 0, r.get("host_ns") or 0)
-                for r in export.prof
-            ),
         )
         if block
     ]
@@ -236,14 +197,4 @@ def render_report(export: RunExport) -> str:
             f"bytes={result.get('total_bytes')} "
             f"throughput={result.get('throughput') or 0.0:.1f}/s"
         )
-    return "\n\n".join(blocks)
-
-
-def render_comparison(a: RunExport, b: RunExport) -> str:
-    """The two-run comparison report used by ``repro report A B``."""
-    blocks = [compare_table(a, b)]
-    for label, export in (("A", a), ("B", b)):
-        line = _meta_line(export)
-        if line:
-            blocks.append(f"[{label}] {line}")
     return "\n\n".join(blocks)

@@ -116,26 +116,6 @@ class SpanStore:
     def trace(self, trace_id: int) -> list[Span]:
         return [s for s in self._spans if s.trace_id == trace_id]
 
-    def trace_ids(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
-    def find(
-        self,
-        name: str | None = None,
-        kind: str | None = None,
-        trace_id: int | None = None,
-    ) -> list[Span]:
-        return [
-            s
-            for s in self._spans
-            if (name is None or s.name == name)
-            and (kind is None or s.kind == kind)
-            and (trace_id is None or s.trace_id == trace_id)
-        ]
-
     def tree(self, trace_id: int) -> "SpanTree":
         return SpanTree.build(self.trace(trace_id), trace_id)
 

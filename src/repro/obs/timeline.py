@@ -3,17 +3,11 @@
 One run exports to one JSON-Lines file, self-describing record by record:
 
 * ``{"record": "meta", ...}`` — run identity (seed, replica/client counts,
-  profile name) so two exports can be compared meaningfully;
-* ``{"record": "counter" | "gauge", "name": ..., "value": ...}``;
+  profile name, simulated time);
+* ``{"record": "counter", "name": ..., "value": ...}``;
 * ``{"record": "hist", "name": ..., **Histogram.snapshot()}``;
-* ``{"record": "event", "t": ..., "kind": ..., "src": ..., "dst": ...,
-  "type": ...}`` — one per trace event when tracing was enabled;
 * ``{"record": "span", ...}`` — one per causal span
   (:meth:`repro.obs.spans.Span.to_record`) when request tracing was enabled;
-* ``{"record": "prof", "path": [...], "calls": ..., "sim_ns": ...,
-  "host_ns": ...}`` — one per profiler frame path when the run was
-  profiled (:mod:`repro.obs.prof`), powering the report's hottest-handlers
-  table;
 * ``{"record": "result", ...}`` — the :class:`repro.cluster.metrics.RunResult`
   aggregates.
 
@@ -30,10 +24,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.spans import SpanStore
@@ -50,95 +44,34 @@ def registry_records(registry: MetricsRegistry) -> Iterator[dict[str, Any]]:
     """Yield one JSON-serializable record per instrument in ``registry``."""
     for name, value in registry.counters().items():
         yield {"record": "counter", "name": name, "value": value}
-    for name, value in registry.gauges().items():
-        yield {"record": "gauge", "name": name, "value": value}
     for name, hist in registry.histograms().items():
         yield {"record": "hist", "name": name, **hist.snapshot()}
 
 
-def trace_records(events: Iterable[Any]) -> Iterator[dict[str, Any]]:
-    """Yield one record per :class:`repro.sim.trace.TraceEvent`.
-
-    The message payload is reduced to its type name — the timeline is for
-    traffic-shape analysis; full payloads stay in the in-memory trace.
-    """
-    for event in events:
-        detail = event.detail
-        yield {
-            "record": "event",
-            "t": event.time,
-            "kind": event.kind,
-            "src": event.src,
-            "dst": event.dst,
-            "type": detail if isinstance(detail, str) else type(detail).__name__,
-        }
-
-
-def export_run(
-    cluster: "Cluster",
-    path: str | Path,
-    include_events: bool = True,
-) -> Path:
-    """Write one cluster run's metrics (and trace, if recorded) as JSONL."""
+def export_run(cluster: "Cluster", path: str | Path) -> Path:
+    """Write one cluster run's metrics (and spans, if recorded) as JSONL."""
     from repro.cluster.metrics import collect  # local import: cycle guard
 
     path = Path(path)
     spec = cluster.spec
-    prof_records: list[dict[str, Any]] = []
-    profiler = getattr(cluster, "profiler", None)
-    if profiler is not None and profiler.enabled:
-        from repro.obs.prof.export import frame_rows  # local import: cycle guard
-
-        prof_records = [
-            {
-                "record": "prof",
-                "path": list(frame_path),
-                "calls": calls,
-                "sim_ns": sim_ns,
-                "host_ns": host_ns,
-            }
-            for frame_path, calls, sim_ns, host_ns in frame_rows(profiler)
-        ]
+    meta = {
+        "record": "meta",
+        "seed": spec.seed,
+        "n_replicas": spec.n_replicas,
+        "n_clients": len(cluster.clients),
+        "profile": spec.profile.name,
+        "state_mode": spec.state_mode.value,
+        "sim_time": cluster.kernel.now,
+    }
+    spans = cluster.tracer.store.to_records() if cluster.tracer.enabled else ()
     with path.open("w", encoding="utf-8") as fh:
-        _write_records(
-            fh,
-            meta={
-                "record": "meta",
-                "seed": spec.seed,
-                "n_replicas": spec.n_replicas,
-                "n_clients": len(cluster.clients),
-                "profile": spec.profile.name,
-                "state_mode": spec.state_mode.value,
-                "sim_time": cluster.kernel.now,
-            },
-            registry=cluster.metrics,
-            events=cluster.trace if (include_events and cluster.trace is not None) else (),
-            spans=cluster.tracer.store.to_records() if cluster.tracer.enabled else (),
-            prof=prof_records,
-            result={"record": "result", **collect(cluster).to_dict()},
-        )
+        fh.write(_dump(meta) + "\n")
+        for record in registry_records(cluster.metrics):
+            fh.write(_dump(record) + "\n")
+        for record in spans:
+            fh.write(_dump(record) + "\n")
+        fh.write(_dump({"record": "result", **collect(cluster).to_dict()}) + "\n")
     return path
-
-
-def _write_records(
-    fh: IO[str],
-    meta: dict[str, Any],
-    registry: MetricsRegistry,
-    events: Iterable[Any],
-    result: dict[str, Any],
-    spans: Iterable[dict[str, Any]] = (),
-    prof: Iterable[dict[str, Any]] = (),
-) -> None:
-    fh.write(_dump(meta) + "\n")
-    for record in registry_records(registry):
-        fh.write(_dump(record) + "\n")
-    for record in trace_records(events):
-        fh.write(_dump(record) + "\n")
-    for record in spans:
-        fh.write(_dump(record) + "\n")
-    for record in prof:
-        fh.write(_dump(record) + "\n")
-    fh.write(_dump(result) + "\n")
 
 
 @dataclass
@@ -148,12 +81,8 @@ class RunExport:
     path: str = ""
     meta: dict[str, Any] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
-    events: list[dict[str, Any]] = field(default_factory=list)
     spans: list[dict[str, Any]] = field(default_factory=list)
-    #: Profiler frame records (``{"path", "calls", "sim_ns", "host_ns"}``).
-    prof: list[dict[str, Any]] = field(default_factory=list)
     result: dict[str, Any] = field(default_factory=dict)
     #: Lines :func:`load_export` could not parse (blank lines excluded).
     skipped: int = 0
@@ -179,9 +108,12 @@ class RunExport:
 def load_export(path: str | Path) -> RunExport:
     """Parse a JSONL export written by :func:`export_run`.
 
-    Lenient by design: a timeline may be truncated mid-line (a run was
-    killed), hold records from a newer schema, or have been edited by hand.
-    Unparseable and unrecognized lines are skipped and counted in
+    The record kinds read are ``meta``, ``counter``, ``hist``, ``span`` and
+    ``result``. Lenient by design: a timeline may be truncated mid-line (a
+    run was killed), hold records of a kind this version does not read
+    (exports from before ``gauge``, ``event`` and ``prof`` records were
+    dropped still carry them), or have been edited by hand. Unparseable
+    and unrecognized lines are skipped and counted in
     :attr:`RunExport.skipped`; one summary warning reports the count and
     the first offending line number.
     """
@@ -204,16 +136,10 @@ def load_export(path: str | Path) -> RunExport:
                 export.meta = record
             elif kind == "counter":
                 export.counters[record["name"]] = int(record["value"])
-            elif kind == "gauge":
-                export.gauges[record["name"]] = float(record["value"])
             elif kind == "hist":
                 export.histograms[record["name"]] = Histogram.from_snapshot(record)
-            elif kind == "event":
-                export.events.append(record)
             elif kind == "span":
                 export.spans.append(record)
-            elif kind == "prof":
-                export.prof.append(record)
             elif kind == "result":
                 export.result = record
             else:

@@ -115,11 +115,9 @@ class Kernel:
         #: Total EventHandle objects ever constructed: one per cancellable
         #: event, none for :meth:`post_at` traffic (the perf tier pins that).
         self.handles_created = 0
-        #: Observability sink (gauges updated at the end of each run());
-        #: deliberately off the per-event hot path.
-        self.metrics = obs.metrics
         #: Sim-profiler (:mod:`repro.obs.prof`): :meth:`run` reads its
-        #: ``enabled`` flag once per call and frames each event when set.
+        #: ``enabled`` flag once per call and samples its counter track
+        #: when set.
         self.profiler = obs.profiler
 
     # ------------------------------------------------------------------ time
@@ -206,9 +204,8 @@ class Kernel:
         ``until`` leaves the clock at the last event it fired: events due
         before ``until`` are still pending.
 
-        There is one loop. With the profiler on it additionally opens, per
-        event, one host-time frame labeled with the callback's qualname, and
-        takes a deterministic counter sample whenever virtual time crosses
+        There is one loop. With the profiler on it additionally takes a
+        deterministic counter sample whenever virtual time crosses
         ``profiler.next_sample``; pop order, cancellation handling and the
         clock advance are the same statements either way.
         """
@@ -242,14 +239,7 @@ class Kernel:
                     handle.cancelled = True
                     handle.fn = None
                     handle.args = ()
-                if profiling:
-                    profiler.enter_event(fn.__qualname__)
-                    try:
-                        fn(*args)
-                    finally:
-                        profiler.exit_event()
-                else:
-                    fn(*args)
+                fn(*args)
                 processed += 1
                 if profiling and time >= profiler.next_sample:
                     profiler.sample(time, self.events_processed + processed, len(heap))
@@ -259,10 +249,6 @@ class Kernel:
         # The head, if any, is live here: cancelled ones were popped above.
         if until is not None and self._now < until and (not heap or heap[0][0] > until):
             self._now = until
-        if self.metrics.enabled:
-            self.metrics.gauge("kernel.events_processed").set(self.events_processed)
-            self.metrics.gauge("kernel.vtime").set(self._now)
-            self.metrics.gauge("kernel.heap_size").set(len(self._heap))
         return processed
 
     @property

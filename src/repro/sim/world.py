@@ -149,8 +149,8 @@ class World:
         #: tracing on or off.
         self.tracer = obs.tracer
         #: Sim-profiler (:mod:`repro.obs.prof`). Passive like the tracer:
-        #: it reads the CPU-cost constants and the host clock but never an
-        #: RNG or a schedule, so profiled runs are byte-identical.
+        #: it reads the CPU-cost constants but never an RNG or a schedule,
+        #: so profiled runs are byte-identical.
         self.profiler = obs.profiler
         self._measure_bytes = measure_bytes and self.metrics.enabled
         self._processes: dict[ProcessId, Process] = {}
@@ -165,13 +165,11 @@ class World:
         self._recv_instruments: dict[tuple[ProcessId, type], tuple[Any, Any]] = {}
         self._drop_instruments: dict[type, Any] = {}
         # Profiler caches, same pattern: one dict hit per message when
-        # profiling is on. Send/recv entries are (FrameStat, cpu_cost) —
-        # the cost constants are frozen per process, so they are resolved
-        # once per (src, dst, type). Handler entries are the interned
-        # (actor_frame, handler_frame) label pair.
+        # profiling is on. Entries are (FrameStat, cpu_cost) — the cost
+        # constants are frozen per process, so they are resolved once per
+        # (src, dst, type).
         self._prof_send: dict[tuple[ProcessId, ProcessId, type], tuple[FrameStat, float]] = {}
         self._prof_recv: dict[tuple[ProcessId, ProcessId, type], tuple[FrameStat, float]] = {}
-        self._prof_handle: dict[tuple[ProcessId, type], tuple[str, str]] = {}
 
     # -------------------------------------------------------------- registry
     def add(self, process: Process, cpu: CpuProfile | None = None) -> Process:
@@ -208,15 +206,7 @@ class World:
     def _start_one(self, pid: ProcessId) -> None:
         process = self._processes[pid]
         if process.alive:
-            profiler = self.profiler
-            if profiler.enabled:
-                profiler.enter_handler(str(pid), "on_start")
-                try:
-                    process.on_start()
-                finally:
-                    profiler.exit_handler()
-            else:
-                process.on_start()
+            process.on_start()
 
     # ------------------------------------------------------------- messaging
     def _drop(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
@@ -377,29 +367,16 @@ class World:
                 )
             entry[0].value += 1
             entry[1].value += 1
-        profiler = self.profiler
-        if profiler.enabled:
-            pkey = (dst, kind)
-            frames = self._prof_handle.get(pkey)
-            if frames is None:
-                frames = self._prof_handle[pkey] = (
-                    str(dst), "on_message." + kind.__name__,
-                )
-            profiler.enter_handler(frames[0], frames[1])
         tracer = self.tracer
-        try:
-            if tracer.enabled:
-                tracer.end(span)  # duplicate copies keep the first delivery's end
-                token = tracer.activate(span)
-                try:
-                    receiver.on_message(src, msg)
-                finally:
-                    tracer.restore(token)
-            else:
+        if tracer.enabled:
+            tracer.end(span)  # duplicate copies keep the first delivery's end
+            token = tracer.activate(span)
+            try:
                 receiver.on_message(src, msg)
-        finally:
-            if profiler.enabled:
-                profiler.exit_handler()
+            finally:
+                tracer.restore(token)
+        else:
+            receiver.on_message(src, msg)
 
     # ----------------------------------------------------------------- timers
     def _set_timer(
@@ -409,25 +386,17 @@ class World:
         # Timers carry the ambient span across the delay: a retransmit or a
         # deferred execution stays inside the request that armed it.
         ctx = self.tracer.current
-        # Profiler frames are resolved at arm time (the profiler is fixed
-        # for a run), so a disabled run closes over None and pays nothing.
-        tframes = (str(pid), "timer." + fn.__name__) if self.profiler.enabled else None
 
         def fire() -> None:
             process = self._processes[pid]
             if process.alive and self._epochs[pid] == epoch:
                 if self.trace is not None:
                     self.trace.emit(self.kernel.now, "timer", pid, None, fn.__name__)
-                profiler = self.profiler
-                if tframes is not None and profiler.enabled:
-                    profiler.enter_handler(tframes[0], tframes[1])
                 token = self.tracer.activate(ctx)
                 try:
                     fn(*args)
                 finally:
                     self.tracer.restore(token)
-                    if tframes is not None and profiler.enabled:
-                        profiler.exit_handler()
 
         return _SimTimer(self.kernel.schedule(delay, fire))
 

@@ -319,17 +319,8 @@ class StableStore:
         self._append(WalRecord("round", round_, self.group))
 
     def _append(self, record: WalRecord) -> None:
-        host = self.host
-        profiler = host.profiler
-        if profiler.enabled:
-            profiler.enter("append")
-            try:
-                self.pump.device.append(record)
-            finally:
-                profiler.exit()
-        else:
-            self.pump.device.append(record)
-        metrics = host.metrics
+        self.pump.device.append(record)
+        metrics = self.host.metrics
         if metrics.enabled:
             counter = self._appends
             if counter is None:  # resolved at the first append, then held
@@ -431,14 +422,7 @@ class StableStore:
     def recover(self) -> RecoveredState | None:
         """Replay checkpoint + WAL tail; ``None`` means fail-stop."""
         host = self.host
-        profiler = host.profiler
-        if profiler.enabled:
-            profiler.enter("replay")
-        try:
-            state = self._recover_inner()
-        finally:
-            if profiler.enabled:
-                profiler.exit()
+        state = self._recover_inner()
         if host.metrics.enabled:
             if state is None:
                 host.metrics.counter("storage.halts").inc()

@@ -130,15 +130,21 @@ def test_envelope_is_invisible_to_every_observer(groups, tmp_path):
     ]
     cluster = Cluster(spec, steps, service_factory=KVStoreService).run().drain()
 
-    # Metric names, trace events, span names and profiler frames all land
-    # in the timeline export; the report renders its rows from it.
+    # Metric and span names land in the timeline export, and the report
+    # renders its rows from it; trace events and profiler frames stay in
+    # memory.
     path = cluster.export_timeline(str(tmp_path / "run.jsonl"))
     exported = Path(path).read_text(encoding="utf-8")
     report = render_report(load_export(path))
-    assert "GroupEnvelope" not in exported
-    assert "GroupEnvelope" not in report
-    for name in ("msg.AcceptBatch", "on_message.AcceptBatch", "send.AcceptedBatch.replica"):
-        assert name in exported
+    events = [e.detail if isinstance(e.detail, str) else type(e.detail).__name__
+              for e in cluster.trace]
+    frames = [";".join(frame) for frame in cluster.profiler.frames()]
+    for observed_names in (exported, report, "\n".join(events), "\n".join(frames)):
+        assert "GroupEnvelope" not in observed_names
+    assert "msg.AcceptBatch" in exported
+    assert "AcceptBatch" in events
+    assert any(frame.endswith(";recv.AcceptBatch.replica") for frame in frames)
+    assert any(frame.endswith(";send.AcceptedBatch.replica") for frame in frames)
     row = re.search(r"^AcceptBatch\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+)", report, re.M)
     assert row and int(row[1]) == int(row[2]) > 0 and int(row[4]) > 0
 

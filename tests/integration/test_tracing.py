@@ -70,7 +70,7 @@ class TestSpanTreesUnderDrops:
         )
         cluster.run(max_time=120.0).drain()
         store = cluster.tracer.store
-        dropped = [s for s in store.find(kind="message") if s.status == "dropped"]
+        dropped = [s for s in store if s.kind == "message" and s.status == "dropped"]
         assert dropped, "a 25%-loss run must record dropped message spans"
         assert all(s.attrs.get("cause") == "loss" for s in dropped)
         roots = request_roots(cluster)
@@ -114,7 +114,7 @@ class TestSpanTreesUnderLeaderSwitch:
         assert any(s.name == "takeover:r1" for s in takeovers)
         done = [s for s in takeovers if s.finished and s.status == "ok"]
         assert done, "r1's takeover must complete"
-        recoveries = store.find(name="recovery", kind="recovery")
+        recoveries = [s for s in store if s.name == "recovery" and s.kind == "recovery"]
         assert any(
             r.parent_id in {s.span_id for s in takeovers} for r in recoveries
         ), "the recovery span hangs under its takeover trace"
@@ -151,7 +151,7 @@ class TestSpanTreesUnderLeaderSwitch:
         store = export.span_store()
         orphan_total = 0
         flagged_ids = set()
-        for trace_id in store.trace_ids():
+        for trace_id in dict.fromkeys(s.trace_id for s in store):
             tree = store.tree(trace_id)
             orphan_total += len(tree.orphans)
             flagged_ids.update(s.span_id for s in tree.orphans)

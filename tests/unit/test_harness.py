@@ -98,7 +98,6 @@ class TestObsWiring:
         cluster = small_cluster(tracing=True, profiling=True, groups=2)
         registry, tracer, profiler = cluster.metrics, cluster.tracer, cluster.profiler
         assert registry.enabled and tracer.enabled and profiler.enabled
-        assert cluster.kernel.metrics is registry
         assert cluster.kernel.profiler is profiler
         assert cluster.network.metrics is registry
         world = cluster.world
@@ -114,7 +113,7 @@ class TestObsWiring:
 
     def test_bare_components_hold_the_null_observers(self):
         kernel = Kernel()
-        assert kernel.metrics is NULL_REGISTRY and kernel.profiler is NULL_PROFILER
+        assert kernel.profiler is NULL_PROFILER
         client = Client("c0", replicas=("r0",), steps=[])
         assert client.metrics is NULL_REGISTRY and client.tracer is NULL_TRACER
         group = ReplicationGroup(

@@ -19,8 +19,6 @@ from repro.obs.ledger import (
     collect_meta,
     infer_direction,
     load_ledger,
-    mad,
-    median,
     trends,
 )
 
@@ -54,15 +52,17 @@ class TestDirectionInference:
 
 
 class TestStatistics:
+    """A trend is judged against the history's median and scaled MAD; the
+    latest observation is not part of the history."""
+
     def test_median(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
-        with pytest.raises(ValueError):
-            median([])
+        assert one_trend(series([3.0, 1.0, 2.0, 1.0, 99.0])).center == 1.5
+        assert one_trend(series([3.0, 1.0, 2.0, 99.0])).center == 2.0
 
     def test_mad(self):
-        assert mad([1.0, 1.0, 1.0]) == 0.0
-        assert mad([1.0, 2.0, 3.0, 4.0, 5.0]) == 1.0
+        assert one_trend(series([1.0, 1.0, 1.0, 5.0])).spread == 0.0
+        t = one_trend(series([1.0, 2.0, 3.0, 4.0, 5.0, 99.0]))
+        assert t.spread == pytest.approx(1.4826 * 1.0)
 
 
 class TestRegressionDetection:
@@ -188,7 +188,7 @@ class TestBenchIngest:
             "metrics": {
                 "rrt_write_s": {"value": 3.4e-4, "unit": "s",
                                 "direction": "lower"},
-                "total_wall_s": 1.5,
+                "total_wall_s": {"value": 1.5, "unit": "s"},
             },
             "meta": {"commit": "abc123", "profile": "sysnet"},
         }
@@ -209,13 +209,14 @@ class TestBenchIngest:
         legacy = {"name": "old", "text": "...", "data": None}
         records, warnings = bench_records(legacy, source="old.json")
         assert records == []
-        assert len(warnings) == 1 and "legacy" in warnings[0]
+        assert warnings == ["old.json: not a schema-2 BENCH document; skipped"]
 
     def test_non_numeric_metric_skipped(self):
-        doc = self.doc(metrics={"bad": "fast", "good": 1.0})
+        doc = self.doc(metrics={"bad": {"value": "fast"}, "bare": 2.0,
+                                "good": {"value": 1.0}})
         records, warnings = bench_records(doc)
         assert [r.metric for r in records] == ["good"]
-        assert len(warnings) == 1
+        assert len(warnings) == 2
 
     def test_missing_metrics_section(self):
         records, warnings = bench_records(self.doc(metrics={}))

@@ -7,7 +7,6 @@ import pytest
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -22,12 +21,6 @@ class TestCounterAndGauge:
         counter.inc()
         counter.inc(5)
         assert counter.value == 6
-
-    def test_gauge_holds_last_value(self):
-        gauge = Gauge()
-        gauge.set(3.5)
-        gauge.set(-1.0)
-        assert gauge.value == -1.0
 
 
 class TestHistogram:
@@ -97,7 +90,6 @@ class TestMetricsRegistry:
     def test_instruments_cached_by_name(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
     def test_prefix_queries(self):
@@ -118,19 +110,16 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         scope = registry.scope("r1")
         scope.counter("send.Reply").inc()
-        scope.gauge("depth").set(4)
         scope.histogram("phase.x").observe(0.001)
         assert registry.counter_value("proc.r1.send.Reply") == 1
-        assert registry.gauges("proc.r1.") == {"proc.r1.depth": 4}
         assert registry.histograms("proc.r1.")["proc.r1.phase.x"].count == 1
         assert scope.enabled
 
     def test_iter_yields_every_name(self):
         registry = MetricsRegistry()
         registry.counter("c")
-        registry.gauge("g")
         registry.histogram("h")
-        assert sorted(registry) == ["c", "g", "h"]
+        assert sorted(registry) == ["c", "h"]
 
     def test_default_buckets_strictly_increasing(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(set(DEFAULT_LATENCY_BUCKETS))
@@ -140,10 +129,8 @@ class TestNullRegistry:
     def test_records_nothing(self):
         registry = NullRegistry()
         registry.counter("a").inc(100)
-        registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
         assert registry.counters() == {}
-        assert registry.gauges() == {}
         assert registry.histograms() == {}
         assert registry.counter_value("a") == 0
 

@@ -11,12 +11,9 @@ from repro.cluster.harness import Cluster, ClusterSpec
 from repro.cluster.metrics import collect
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import (
-    compare_table,
-    export_from_registry,
     message_table,
     per_replica_table,
     phase_table,
-    render_comparison,
     render_report,
 )
 from repro.obs.timeline import RunExport, load_export, registry_records
@@ -40,9 +37,7 @@ class TestExportRoundTrip:
         assert export.meta["profile"] == "test"
         # Counters survive the round trip exactly.
         assert export.counters == cluster.metrics.counters()
-        # Every trace event made it across, payloads reduced to type names.
-        assert len(export.events) == len(cluster.trace)
-        assert all(isinstance(e["type"], str) for e in export.events)
+        assert export.skipped == 0
         # The result record is the run's one serialisation (what a sweep
         # task returns for it), and the report's last line reads it.
         assert export.result == {"record": "result", **collect(cluster).to_dict()}
@@ -65,18 +60,13 @@ class TestExportRoundTrip:
             assert hist.count == live[name].count
             assert hist.quantile(0.5) == pytest.approx(live[name].quantile(0.5))
 
-    def test_include_events_false_drops_events(self, tmp_path):
-        cluster = run_cluster()
-        export = load_export(
-            cluster.export_timeline(str(tmp_path / "run.jsonl"), include_events=False)
-        )
-        assert export.events == []
-        assert export.counters  # metrics still exported
-
     def test_export_without_trace(self, tmp_path):
-        cluster = run_cluster(trace=False)
-        export = load_export(cluster.export_timeline(str(tmp_path / "run.jsonl")))
-        assert export.events == []
+        """The per-message trace stays in memory: a run that records one
+        exports the same timeline as a run that does not."""
+        paths = {trace: tmp_path / f"run{trace}.jsonl" for trace in (False, True)}
+        for trace, path in paths.items():
+            run_cluster(trace=trace).export_timeline(str(path))
+        assert paths[False].read_bytes() == paths[True].read_bytes()
 
     def test_message_types_unions_all_counter_families(self):
         export = RunExport()
@@ -103,6 +93,38 @@ class TestExportRoundTrip:
             export = load_export(path)
         assert export.skipped == 1
 
+    def test_old_export_with_dropped_record_kinds_still_loads(self, tmp_path, capsys):
+        """A timeline written before the ``gauge``, ``event`` and ``prof``
+        records were dropped loads with those lines skipped and counted,
+        one warning, and ``repro report`` still renders it."""
+        from repro.cli import main
+
+        lines = [
+            {"record": "meta", "seed": 0, "n_replicas": 3, "n_clients": 1,
+             "profile": "sysnet", "sim_time": 0.1},
+            {"record": "counter", "name": "msg.send.Reply", "value": 4},
+            {"record": "gauge", "name": "kernel.vtime", "value": 0.1},
+            {"record": "event", "t": 0.0, "kind": "send", "src": "c0",
+             "dst": "r0", "type": "ClientRequest"},
+            {"record": "prof", "path": ["r0", "execute"], "calls": 4,
+             "sim_ns": 0, "host_ns": 1200},
+            {"record": "result", "total_requests": 4, "total_messages": 4,
+             "total_bytes": 0, "throughput": 40.0},
+        ]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.warns(RuntimeWarning) as caught:
+            export = load_export(path)
+        assert len(caught) == 1
+        assert "skipped 3" in str(caught[0].message)
+        assert "unknown record kind 'gauge'" in str(caught[0].message)
+        assert export.skipped == 3
+        assert export.counter("msg.send.Reply") == 4
+        with pytest.warns(RuntimeWarning):
+            assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("totals: requests=4 messages=4")
+
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "sparse.jsonl"
         path.write_text('\n{"record": "counter", "name": "a", "value": 2}\n\n')
@@ -118,7 +140,7 @@ class TestReportRendering:
         registry.counter("msg.drop.Reply").inc(1)
         registry.counter("proc.r0.send.Reply").inc(10)
         registry.scope("r0").histogram("phase.accept_chosen").observe(2e-3)
-        return export_from_registry(registry)
+        return RunExport(counters=registry.counters(), histograms=registry.histograms())
 
     def test_message_table_has_counts_and_total(self):
         table = message_table(self.make_export())
@@ -148,30 +170,11 @@ class TestReportRendering:
         assert "Messages sent per process" in report
         assert "Phase latencies" in report
 
-    def test_compare_table_deltas(self):
-        a, b = self.make_export(), self.make_export()
-        b.counters["msg.send.Reply"] = 15
-        b.counters["msg.send.Extra"] = 3
-        table = compare_table(a, b)
-        assert "+50.0%" in table
-        assert "new" in table
-
-    def test_render_comparison_from_real_runs(self, tmp_path):
-        paths = []
-        for seed in (1, 2):
-            cluster = run_cluster(seed=seed, trace=False)
-            paths.append(cluster.export_timeline(str(tmp_path / f"run{seed}.jsonl")))
-        text = render_comparison(load_export(paths[0]), load_export(paths[1]))
-        assert "AcceptBatch" in text
-        assert "[A] run: seed=1" in text
-        assert "[B] run: seed=2" in text
-
 
 class TestRegistryRecords:
     def test_one_record_per_instrument(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        registry.gauge("g").set(1.0)
         registry.histogram("h").observe(0.5)
         kinds = sorted(r["record"] for r in registry_records(registry))
-        assert kinds == ["counter", "gauge", "hist"]
+        assert kinds == ["counter", "hist"]
