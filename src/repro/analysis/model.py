@@ -29,18 +29,20 @@ tests check that the simulator agrees with the model to within that slack.
 The failover stall (§3.6 on the Ω elector) is a matter of timers, not
 message counts. When the leader crashes at ``t_c``:
 
-* *detection* — heartbeats and elector ticks both run every ``h`` from
-  boot, so the leader's last heartbeat left at ``b = h·⌈t_c/h − 1⌉``. A
-  survivor suspects it at the first evaluation (its tick, or another
-  survivor's heartbeat arriving) more than ``T`` after that beat arrived:
-  inside ``(b + T, b + T + h]``;
+* *detection* — heartbeats run every ``h`` from boot, so the leader's last
+  heartbeat left at ``b = h·⌈t_c/h − 1⌉``. A survivor's elector arms a
+  one-shot evaluation at the instant ``T`` after that beat arrived, so it
+  suspects the leader at the deadline ``b + T`` (later only by the beat's
+  one-way delay), not at its next tick;
 * *ready* — the new leader serves one prepare round after detection, plus
   a closing accept round when it recovers values;
-* a write in flight at the crash then completes one of two ways. If its
-  accept reached the survivors, the closing round commits and answers it
-  (*recovered*). Otherwise it completes at the client's first retransmit
-  after ready (*retransmit*); the ``k``-th retransmit falls
-  ``Σ_{j<k} min(cap, c·βʲ)·(1 + u_j)`` after the send, ``u_j ∈ [0, jitter)``.
+* a write in flight at the crash, or sent before detection, reached every
+  replica (clients send to all of them), so the new leader holds it and
+  proposes it the moment it is ready (*held*). Its accept round rides
+  right behind the closing one, inside the same ``quorum_round`` bound.
+  The write's retransmits are the ones that fall before it completes; the
+  ``k``-th falls ``Σ_{j<k} min(cap, c·βʲ)·(1 + u_j)`` after the send,
+  ``u_j ∈ [0, jitter)``.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class FailoverInputs:
     heartbeat_interval: float  # h: Ω heartbeat and tick period
     suspect_timeout: float     # T
     client_timeout: float      # c
-    #: Upper bound on one protocol round (prepare, accept or a client's
-    #: write), fsync included.
+    #: Upper bound on one protocol round, fsync included: the prepare round,
+    #: or the accept rounds that follow it (the closing round, if any, and
+    #: the held writes' round behind it, answered to the client).
     quorum_round: float
     backoff: float = 2.0       # β
     jitter: float = 0.1
@@ -115,15 +118,16 @@ class FailoverInputs:
 
 
 def detection_window(p: FailoverInputs, crash_at: float) -> tuple[float, float]:
-    """``(lo, hi]``: when survivors suspect a leader that crashed at ``crash_at``."""
+    """``(lo, hi]``: when survivors suspect a leader that crashed at
+    ``crash_at`` — the deadline itself, so ``lo == hi``."""
     h = p.heartbeat_interval
     expiry = h * math.ceil(crash_at / h - 1) + p.suspect_timeout
-    return expiry, expiry + h
+    return expiry, expiry
 
 
 def ready_window(p: FailoverInputs, crash_at: float) -> tuple[float, float]:
-    """``(lo, hi]``: when the new leader serves — a prepare round after
-    detection, plus the closing accept round if it recovered values."""
+    """``(lo, hi]``: when the new leader has served what it holds — a
+    prepare round after detection, then the accept rounds."""
     lo, hi = detection_window(p, crash_at)
     return lo, hi + 2 * p.quorum_round
 
@@ -140,18 +144,15 @@ def stall_windows(
 ) -> dict[str, tuple[int, float, float]]:
     """Path name -> ``(retransmits, lo, hi)``: the RRT window of a write sent
     at ``sent_at`` that the leader crashing at ``crash_at`` left unanswered
-    (in flight at the crash, or sent before detection), per completion path.
+    (in flight at the crash, or sent before detection). The one path is
+    *held*: the new leader serves it once ready.
 
-    Raises ``ValueError`` when a retransmit may fall on either side of
-    ready: then the retransmit count of neither path is determined."""
+    Raises ``ValueError`` when a retransmit may fall on either side of the
+    write's completion: then its retransmit count is not determined."""
     ready_lo, ready_hi = ready_window(p, crash_at)
-    k = 1
-    while sent_at + retransmit_window(p, k)[0] <= ready_hi:
+    k = 0
+    while sent_at + retransmit_window(p, k + 1)[1] <= ready_lo:
         k += 1
-    if sent_at + retransmit_window(p, k - 1)[1] >= ready_lo:
-        raise ValueError(f"retransmit {k - 1} may fall on either side of ready")
-    lo, hi = retransmit_window(p, k)
-    return {
-        "recovered": (k - 1, ready_lo - sent_at, ready_hi + p.quorum_round - sent_at),
-        "retransmit": (k, lo, hi + p.quorum_round),
-    }
+    if sent_at + retransmit_window(p, k + 1)[0] < ready_hi:
+        raise ValueError(f"retransmit {k + 1} may fall on either side of the reply")
+    return {"held": (k, ready_lo - sent_at, ready_hi - sent_at)}

@@ -6,8 +6,10 @@ until it receives the reply associated with the previous one."
 
 The client starts on a :class:`repro.core.messages.StartSignal` (the paper's
 leader-broadcast start marker) or immediately if ``wait_for_start=False``.
-It retransmits unanswered requests on a timeout — this is what re-drives a
-request to a new leader after a switch. Per-request and per-step
+It retransmits unanswered requests on a timeout — this is what re-drives
+an X-Paxos read or a transaction op to a new leader after a switch (a
+follower already holds each client's latest write and serves it once it
+leads). Per-request and per-step
 (transaction) timings are recorded for the harness.
 """
 

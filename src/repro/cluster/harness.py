@@ -149,6 +149,15 @@ class ClusterSpec:
             raise ConfigError(f"unknown elector kind {self.elector!r}")
         if self.fsync not in ("sync", "group", "async"):
             raise ConfigError(f"unknown fsync mode {self.fsync!r}")
+        # A zero period would stop simulated time; a negative one goes back.
+        for name in ("client_timeout", "accept_retry", "prepare_retry", "omega_heartbeat"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.omega_timeout <= self.omega_heartbeat:
+            raise ConfigError(
+                f"omega_timeout must exceed omega_heartbeat, got {self.omega_timeout}"
+                f" <= {self.omega_heartbeat}"
+            )
 
 
 class Cluster:

@@ -71,6 +71,9 @@ class ReplicaConfig:
             raise ConfigError(f"duplicate peer ids: {self.peers}")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint_interval must be >= 1")
+        for name in ("accept_retry", "prepare_retry"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.execute_time < 0:
             raise ConfigError(f"execute_time must be >= 0, got {self.execute_time}")
         if self.fsync_mode not in ("sync", "group", "async"):

@@ -264,6 +264,9 @@ class ReplicationGroup(Process):
         self.view_leader: ProcessId | None = None
         self._locally_executed: set[InstanceId] = set()
         self._pending_write_rids: set[RequestId] = set()
+        #: A follower's latest totally ordered request per client, served
+        #: once it leads (clients send every request to all replicas, §4).
+        self._held: dict[ProcessId, ClientRequest] = {}
         self._catching_up = False
 
         self.locks = LockManager()
@@ -344,6 +347,7 @@ class ReplicationGroup(Process):
         self.view_leader = None
         self._locally_executed = set()
         self._pending_write_rids = set()
+        self._held = {}
         self._catching_up = False
         self.locks = LockManager()
         self.proposer.reset()
@@ -405,8 +409,13 @@ class ReplicationGroup(Process):
             return
         if kind in (RequestKind.WRITE, RequestKind.READ):
             # READ lands here only with xpaxos_reads=False: totally ordered.
-            if self.role in (ReplicaRole.LEADING, ReplicaRole.RECOVERING):
+            if self.role is not ReplicaRole.FOLLOWER:
                 self._submit_write(src, request)
+                return
+            rid = request.rid
+            held = self._held.get(rid.client)
+            if held is None or held.rid.seq < rid.seq:
+                self._held[rid.client] = request
             return
         if kind.is_transactional:
             if not self.config.tpaxos:
@@ -855,6 +864,13 @@ class ReplicationGroup(Process):
             self._takeover_started = None
         self.tracer.end(self.takeover_span)
         self.takeover_span = None
+        # Serve what the clients already sent us. Only now are the recovered
+        # instances applied: the executed table answers a held request that
+        # finished and marks one superseded by its client's next as stale.
+        held, self._held = self._held, {}
+        for client, request in held.items():
+            if not self.executed.is_stale(request.rid):
+                self._submit_write(client, request)
         self.proposer.begin(next_instance)
         # Arm anti-entropy outside any request/recovery context.
         token = self.tracer.activate(None)

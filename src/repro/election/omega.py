@@ -2,8 +2,10 @@
 
 Every replica periodically broadcasts a heartbeat carrying its current
 leader view. Each replica tracks whom it has heard from recently; a process
-is *suspected* once no heartbeat arrived within ``suspect_timeout``. The
-local choice is:
+is *suspected* once ``suspect_timeout`` has passed since its last heartbeat
+arrived — at that deadline, not at the next tick: a tick arms a one-shot
+evaluation for a deadline that falls before the next one. The local choice
+is:
 
 * keep the current leader while it is unsuspected (**stability** — the
   §3.6 requirement, after Malkhi, Oprea & Zhou [22]: a working leader is
@@ -103,6 +105,13 @@ class OmegaElector(LeaderElector):
             return
         assert self.host is not None
         self._evaluate()
+        # A peer whose timeout expires before the next tick is suspected at
+        # its deadline, not up to one heartbeat interval late.
+        now = self.host.now
+        for peer, heard in self._last_heard.items():
+            deadline = heard + self.suspect_timeout
+            if peer != self.host.pid and now < deadline < now + self.heartbeat_interval:
+                self.host.set_timer(deadline - now, self._evaluate)
         self.host.set_timer(self.heartbeat_interval, self._tick)
 
     def on_message(self, src: ProcessId, msg: Any) -> bool:
@@ -132,7 +141,7 @@ class OmegaElector(LeaderElector):
             pid
             for pid in self.peers
             if pid == self.host.pid
-            or now - self._last_heard.get(pid, -1e18) <= self.suspect_timeout
+            or now < self._last_heard.get(pid, -1e18) + self.suspect_timeout
         ]
         return sorted(alive)
 

@@ -37,6 +37,28 @@ class TestClusterSpec:
         with pytest.raises(ConfigError):
             ClusterSpec(profile=make_test_profile(), n_replicas=0)
 
+    @pytest.mark.parametrize(
+        ("field", "overrides"),
+        [
+            ("client_timeout", {"client_timeout": 0.0}),
+            ("client_timeout", {"client_timeout": -1.0}),
+            ("omega_heartbeat", {"elector": "omega", "omega_heartbeat": 0.0}),
+            ("accept_retry", {"accept_retry": 0.0}),
+            ("prepare_retry", {"prepare_retry": 0.0}),
+            ("omega_timeout", {"omega_heartbeat": 0.25, "omega_timeout": 0.25}),
+        ],
+    )
+    def test_timer_period_rejected_when_the_spec_is_built(self, field, overrides):
+        # A zero period stops simulated time, so building the spec is the
+        # only place the error can surface instead of a hang.
+        with pytest.raises(ConfigError, match=field):
+            ClusterSpec(profile=make_test_profile(), **overrides)
+
+    @pytest.mark.parametrize("field", ["accept_retry", "prepare_retry"])
+    def test_replica_config_rejects_a_zero_retry(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ReplicaConfig(peers=("r0",), **{field: 0.0})
+
     def test_no_clients_rejected(self):
         spec = ClusterSpec(profile=make_test_profile())
         with pytest.raises(ConfigError):
