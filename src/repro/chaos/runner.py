@@ -67,7 +67,7 @@ class ChaosOptions:
     txn_timeout: float = 0.5
     #: Stable-storage durability mode for the replicas (see
     #: :data:`repro.storage.FSYNC_MODES`). ``async`` keeps the legacy
-    #: write-through device; ``sync``/``group`` model real fsync barriers.
+    #: write-through device; ``sync`` models real fsync barriers.
     fsync: str = "async"
     #: Also sample storage nemeses (torn writes, lying fsyncs, disk
     #: stalls, record rot) into the schedule. Requires a real durability
@@ -104,12 +104,12 @@ class ChaosOptions:
             )
         if self.storage_faults and self.fsync == "async":
             raise ConfigError(
-                "storage_faults requires fsync='sync' or 'group' "
+                "storage_faults requires fsync='sync' "
                 "(async is write-through: storage nemeses would be no-ops)"
             )
         if self.mutation == "skip-fsync" and self.fsync == "async":
             raise ConfigError(
-                "the skip-fsync mutation requires fsync='sync' or 'group' "
+                "the skip-fsync mutation requires fsync='sync' "
                 "(with async there is no fsync to skip)"
             )
 

@@ -19,6 +19,7 @@ from repro.errors import ConfigError
 from repro.lint.cli import add_lint_parser, lint_command
 from repro.net.profiles import PROFILES, get_profile
 from repro.parallel.spec import KINDS
+from repro.storage import FSYNC_MODES
 
 if TYPE_CHECKING:
     from repro.cluster.harness import Cluster
@@ -457,9 +458,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     run.add_argument("--groups", type=int, default=1,
                      help="replication groups per process (keyspace shards; "
                           ">1 switches to a keyed KV workload, default: 1)")
-    run.add_argument("--fsync", default="async", choices=("sync", "group", "async"),
-                     help="stable-storage durability mode: fsync per barrier, "
-                          "group commit, or legacy write-through (default: async)")
+    run.add_argument("--fsync", default="async", choices=FSYNC_MODES,
+                     help="stable-storage durability mode: fsync per barrier "
+                          "or legacy write-through (default: async)")
     run.add_argument("--tracing", action="store_true",
                      help="record causal request spans (exported with --export; "
                           "implied by --chrome)")
@@ -545,14 +546,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="fault event rate multiplier (default: 1.0)")
     chaos.add_argument("--allow-majority-loss", action="store_true",
                        help="let crash bursts take down a majority")
-    chaos.add_argument("--fsync", default="async",
-                       choices=("sync", "group", "async"),
+    chaos.add_argument("--fsync", default="async", choices=FSYNC_MODES,
                        help="replica durability mode (default: async; "
-                            "storage faults need sync or group)")
+                            "storage faults need sync)")
     chaos.add_argument("--storage-faults", action="store_true",
                        help="also sample storage nemeses (torn writes, lying "
                             "fsyncs, disk stalls, record rot); requires "
-                            "--fsync sync|group")
+                            "--fsync sync")
     chaos.add_argument("--mutation", choices=("minority-accept", "skip-fsync"),
                        help="inject a deliberate protocol bug (validation runs)")
     chaos.add_argument("--shrink", action="store_true",

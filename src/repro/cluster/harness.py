@@ -35,6 +35,7 @@ from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
+from repro.storage import FSYNC_MODES
 from repro.types import ProcessId, StateTransferMode
 
 #: Virtual time at which the starter broadcasts the start signal (seconds).
@@ -131,11 +132,10 @@ class ClusterSpec:
     profiling: bool = False
     #: Stable-storage durability mode (:mod:`repro.storage`): ``async``
     #: (legacy zero-latency durability, byte-identical to pre-storage
-    #: runs), ``sync`` or ``group``.
+    #: runs) or ``sync``.
     fsync: str = "async"
-    #: Modeled fsync device latency / group-commit window (seconds).
+    #: Modeled fsync device latency (seconds).
     fsync_latency: float = 5e-4
-    group_commit_interval: float = 2e-3
     #: Maintain the chosen-rid fold in checkpoints (the acked-durability
     #: invariant needs it; off by default — it grows with the run).
     track_commits: bool = False
@@ -147,12 +147,19 @@ class ClusterSpec:
             raise ConfigError("need at least one replication group")
         if self.elector not in ("static", "manual", "omega"):
             raise ConfigError(f"unknown elector kind {self.elector!r}")
-        if self.fsync not in ("sync", "group", "async"):
+        if self.fsync not in FSYNC_MODES:
             raise ConfigError(f"unknown fsync mode {self.fsync!r}")
         # A zero period would stop simulated time; a negative one goes back.
-        for name in ("client_timeout", "accept_retry", "prepare_retry", "omega_heartbeat"):
+        periods = ["client_timeout", "accept_retry", "prepare_retry", "omega_heartbeat"]
+        if self.client_timeout_cap is not None:
+            periods.append("client_timeout_cap")
+        for name in periods:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        # A backoff below 1 shrinks the retransmit period toward zero.
+        for name, floor in (("client_backoff", 1), ("client_jitter", 0)):
+            if not getattr(self, name) >= floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         if self.omega_timeout <= self.omega_heartbeat:
             raise ConfigError(
                 f"omega_timeout must exceed omega_heartbeat, got {self.omega_timeout}"
@@ -226,7 +233,6 @@ class Cluster:
             txn_timeout=spec.txn_timeout,
             fsync_mode=spec.fsync,
             fsync_latency=spec.fsync_latency,
-            group_commit_interval=spec.group_commit_interval,
             track_commits=spec.track_commits,
         )
         self.config = config

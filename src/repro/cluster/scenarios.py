@@ -133,9 +133,8 @@ def fsync_modes_scenario(
     fsync: str, n_clients: int = 8, per_client: int = 25, seed: int = 0
 ) -> RunResult:
     """The price of durability barriers: concurrent closed-loop counter
-    increments under one fsync discipline (group commit amortizes across
-    *concurrent* barriers). ``fsyncs`` and ``appends`` are device totals
-    over every replica."""
+    increments under one fsync discipline. ``fsyncs`` and ``appends`` are
+    device totals over every replica."""
     spec = ClusterSpec(profile=flat(), seed=seed, client_timeout=0.2, fsync=fsync)
     steps = [
         single_kind_steps(RequestKind.WRITE, per_client, op=("add", 1))

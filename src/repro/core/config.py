@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.storage import FSYNC_MODES
 from repro.types import ProcessId, StateTransferMode
 
 #: Period of the leader's anti-entropy FrontierProbe broadcast (seconds).
@@ -51,14 +52,10 @@ class ReplicaConfig:
     #: Stable-storage durability mode (:mod:`repro.storage`): ``async``
     #: keeps the legacy zero-latency semantics (appends durable at once,
     #: byte-identical to the pre-storage simulator); ``sync`` fsyncs at
-    #: every durability barrier; ``group`` batches barriers onto the
-    #: group-commit timer.
+    #: every durability barrier.
     fsync_mode: str = "async"
     #: Modeled device latency of one fsync, in seconds.
     fsync_latency: float = 5e-4
-    #: Group-commit window: background appends and (in ``group`` mode)
-    #: barriers wait at most this long for a shared fsync.
-    group_commit_interval: float = 2e-3
     #: Maintain the cumulative chosen-request-id fold in checkpoints so
     #: the acked-durability invariant can attribute survival. Off by
     #: default: the fold grows with the run and is only read by chaos.
@@ -76,14 +73,12 @@ class ReplicaConfig:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.execute_time < 0:
             raise ConfigError(f"execute_time must be >= 0, got {self.execute_time}")
-        if self.fsync_mode not in ("sync", "group", "async"):
+        if self.fsync_mode not in FSYNC_MODES:
             raise ConfigError(
-                f"fsync_mode must be sync, group or async, got {self.fsync_mode!r}"
+                f"fsync_mode must be one of {FSYNC_MODES}, got {self.fsync_mode!r}"
             )
         if self.fsync_latency <= 0:
             raise ConfigError("fsync_latency must be > 0")
-        if self.group_commit_interval <= 0:
-            raise ConfigError("group_commit_interval must be > 0")
 
     @property
     def n(self) -> int:

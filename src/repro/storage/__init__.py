@@ -5,4 +5,4 @@ replay contract, :mod:`repro.storage.device` for the durability state
 machine, and :mod:`repro.storage.wal` for the CRC record framing.
 """
 
-FSYNC_MODES = ("sync", "group", "async")
+FSYNC_MODES = ("sync", "async")

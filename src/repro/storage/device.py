@@ -1,7 +1,7 @@
 """Simulated stable-storage device: the bytes that survive a crash.
 
 :class:`SimDisk` models the durability boundary and nothing else — all
-timing (append latency, fsync latency, group-commit scheduling) lives in
+timing (append latency, fsync latency, background drain scheduling) lives in
 :class:`repro.storage.store.StableStore`, which owns the device and calls
 into it at the right simulated instants. Keeping the device pure state
 makes crash semantics trivial to reason about: ``World.crash()`` destroys

@@ -10,24 +10,24 @@ group, and writes through a :class:`StoragePump` — the per-*process*
 durability substrate: one :class:`repro.storage.device.SimDisk`, one
 fsync pump, one crash/replay cycle. A replica process
 (:class:`repro.shard.host.GroupHost`) hands every hosted group's store the
-same pump, so all groups share one WAL, one group-commit clock, and one
+same pump, so all groups share one WAL, one fsync clock, and one
 crash; fault injection (``inject_*``) and device health (``intact``,
 ``halted``) are the pump's, not any one store's. A group standing alone
 (:class:`repro.core.replica.Replica`) creates its own pump.
 
-Three fsync modes (``ReplicaConfig.fsync_mode``):
+Two fsync modes (``ReplicaConfig.fsync_mode``, one of
+:data:`repro.storage.FSYNC_MODES`):
 
 * ``async`` — the legacy semantics: appends are durable immediately and
   :meth:`flush` invokes its callback inline. Zero extra events, zero
   extra latency; runs are byte-identical to the pre-storage simulator.
 * ``sync`` — a durability barrier starts an fsync at once. A background
   append (e.g. a Chosen record) takes one of two paths: made while an
-  fsync is in flight, it rides the next fsync, started as soon as that one
-  completes; made while the device is idle, it arms the group-commit timer
-  and drains when the timer fires, or sooner with the fsync the next
-  barrier starts (which cancels the timer).
-* ``group`` — barriers and background appends both wait for the
-  group-commit timer, amortizing one modeled fsync over a batch.
+  fsync is in flight, it rides the follow-up fsync, started as soon as
+  that one completes; made while the device is idle, it arms the drain
+  timer (:data:`DRAIN_DELAY`) and becomes durable when the timer fires,
+  or sooner with the fsync the next barrier starts (which cancels the
+  timer).
 
 Durability barriers: protocol code calls ``flush(callback)`` before any
 externally visible promise of durability (sending a Promise, sending an
@@ -67,6 +67,10 @@ from repro.types import GroupId, InstanceId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group import ReplicationGroup
 
+#: How long an idle device waits before it fsyncs a background append
+#: that no barrier asked for (seconds).
+DRAIN_DELAY = 2e-3
+
 
 @dataclass(frozen=True, slots=True)
 class RecoveredState:
@@ -85,22 +89,20 @@ class StoragePump:
     ``host`` is the world-registered process (the
     :class:`~repro.shard.host.GroupHost`, or the replica itself when a
     group stands alone): its timers die with the process epoch, its config
-    sets the fsync mode and latencies, and its tracer/profiler account the
+    sets the fsync mode and latency, and its tracer/profiler account the
     modeled device time.
     """
 
     def __init__(self, host: Any) -> None:
         self.host = host
-        config = host.config
-        self.mode = config.fsync_mode
-        self.write_through = self.mode == "async"
+        self.write_through = host.config.fsync_mode == "async"
         self.device = SimDisk(write_through=self.write_through)
         #: Barrier callbacks: ``(target_seq, callback, trace_ctx)``.
         self._waiters: list[tuple[int, Any, Any]] = []
         #: Append seq covered by the in-flight fsync (None = none running).
         self._fsync_covered: int | None = None
         self._fsync_lie = False
-        self._group_timer: Any = None
+        self._drain_timer: Any = None
         #: Storage-nemesis windows (virtual-time horizons).
         self._lie_until = -1.0
         self._stall_until = -1.0
@@ -130,27 +132,22 @@ class StoragePump:
             callback()
             return
         self._waiters.append((device.last_seq, callback, self.host.tracer.current))
-        if self.mode == "sync":
-            self._start_fsync()
-        else:
-            self.ensure_drain()
+        self._start_fsync()
 
     def ensure_drain(self) -> None:
-        """Arm the group-commit timer unless a drain is already underway."""
-        if self._fsync_covered is not None or self._group_timer is not None:
+        """Arm the drain timer unless a drain is already underway."""
+        if self._fsync_covered is not None or self._drain_timer is not None:
             return
         host = self.host
         # Background durability is not part of any request's causal chain.
         token = host.tracer.activate(None)
         try:
-            self._group_timer = host.set_timer(
-                host.config.group_commit_interval, self._drain_tick
-            )
+            self._drain_timer = host.set_timer(DRAIN_DELAY, self._drain_tick)
         finally:
             host.tracer.restore(token)
 
     def _drain_tick(self) -> None:
-        self._group_timer = None
+        self._drain_timer = None
         self._start_fsync()
 
     def _start_fsync(self) -> None:
@@ -160,9 +157,9 @@ class StoragePump:
         if device.unsynced == 0 and not device.pending_checkpoints:
             self._fire_waiters(device.last_seq)
             return
-        if self._group_timer is not None:
-            self._group_timer.cancel()
-            self._group_timer = None
+        if self._drain_timer is not None:
+            self._drain_timer.cancel()
+            self._drain_timer = None
         host = self.host
         now = host.now
         self._fsync_covered = device.last_seq
@@ -195,13 +192,8 @@ class StoragePump:
             if lie:
                 host.metrics.counter("storage.fsyncs_lost").inc()
         self._fire_waiters(covered)
-        if self._waiters:
-            self._start_fsync()
-        elif device.unsynced or device.pending_checkpoints:
-            if self.mode == "sync":
-                self._start_fsync()
-            else:
-                self.ensure_drain()
+        # Waiters and appends made meanwhile ride the follow-up fsync.
+        self._start_fsync()
 
     def _fire_waiters(self, covered: int) -> None:
         if not self._waiters:
@@ -234,7 +226,7 @@ class StoragePump:
         self._waiters = []
         self._fsync_covered = None
         self._fsync_lie = False
-        self._group_timer = None  # the epoch bump killed the real timer
+        self._drain_timer = None  # the epoch bump killed the real timer
 
     def replay_once(self) -> ReplayResult:
         """Replay the device once per restart; every group shares the result."""
@@ -283,7 +275,6 @@ class StableStore:
         self.host = host
         self.group = group
         self.pump = pump if pump is not None else StoragePump(host)
-        self.mode = self.pump.mode
         self.write_through = self.pump.write_through
         self.log = ReplicaLog()
         #: The latest checkpoint as the replica sees it (may be ahead of
@@ -512,7 +503,7 @@ class StableStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<StableStore {self.host.pid}/g{self.group} mode={self.mode} "
+            f"<StableStore {self.host.pid}/g{self.group} "
             f"durable={len(self.device.durable)} unsynced={self.device.unsynced} "
             f"ckpt={self._checkpoint[0]}>"
         )

@@ -44,7 +44,7 @@ class TestAcceptanceSweep:
         # never cost an acknowledged write while a majority of devices
         # stays intact.
         options = ChaosOptions(
-            protocol=protocol, fsync="group", storage_faults=True
+            protocol=protocol, fsync="sync", storage_faults=True
         )
         for seed in range(50):
             result = run_chaos(seed, options)
@@ -68,7 +68,7 @@ class TestAcceptanceSweep:
             )
 
     def test_storage_sweep_exercises_storage_nemeses(self):
-        options = ChaosOptions(fsync="group", storage_faults=True)
+        options = ChaosOptions(fsync="sync", storage_faults=True)
         fired = {
             kind: sum(
                 run_chaos(seed, options).counters.get(f"fault.{kind}", 0)
@@ -82,7 +82,7 @@ class TestAcceptanceSweep:
         # A replica that acks without persisting loses acked writes at its
         # first crash: acked_durability must catch it, and the repro must
         # shrink to a handful of events.
-        options = ChaosOptions(mutation="skip-fsync", fsync="group")
+        options = ChaosOptions(mutation="skip-fsync", fsync="sync")
         caught = None
         for seed in range(10):
             result = run_chaos(seed, options)

@@ -104,7 +104,7 @@ class TestShardedCrashRecovery:
             [slow_steps(10, "c0")],
             service_factory=KVStoreService,
             groups=2,
-            fsync="group",
+            fsync="sync",
         )
         # r2 backs both groups; cut its power mid-run and bring it back.
         FaultSchedule(cluster).crash("r2", at=0.2).recover("r2", at=0.4)
@@ -146,7 +146,7 @@ class TestShardedChaos:
         options = ChaosOptions(
             protocol="tpaxos",
             groups=2,
-            fsync="group",
+            fsync="sync",
             storage_faults=True,
             horizon=1.0,
             requests_per_client=6,

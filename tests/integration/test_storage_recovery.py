@@ -38,19 +38,8 @@ class TestFsyncModes:
         assert cluster.clients[0].completed_requests == 20
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
-        assert storage_counter(cluster, "fsyncs") > 0
-        assert storage_counter(cluster, "appends") > 0
-
-    def test_group_mode_batches_fsyncs(self):
-        cluster = build_cluster(
-            [write_steps(20)], service_factory=CounterService, fsync="group"
-        )
-        cluster.run(max_time=30.0)
-        assert cluster.clients[0].completed_requests == 20
-        assert len(set(converged_fingerprints(cluster).values())) == 1
-        # Group commit exists to ride many appends on one fsync.
-        fsyncs = storage_counter(cluster, "fsyncs")
-        assert 0 < fsyncs < storage_counter(cluster, "appends")
+        # One fsync covers every record appended since the last one.
+        assert 0 < storage_counter(cluster, "fsyncs") < storage_counter(cluster, "appends")
 
     def test_sync_mode_is_slower_than_async(self):
         # Durability barriers cost modeled time; the same workload must
@@ -125,7 +114,7 @@ class TestCrashRestartReplay:
 class TestStorageNemeses:
     def test_torn_write_truncates_tail_and_rejoins(self):
         cluster = build_cluster(
-            [write_steps(25)], service_factory=CounterService, fsync="group",
+            [write_steps(25)], service_factory=CounterService, fsync="sync",
             seed=2,
         )
         schedule = FaultSchedule(cluster)
@@ -205,7 +194,7 @@ class TestCrashMidCatchUp:
     @pytest.mark.parametrize("protocol", ("basic", "xpaxos", "tpaxos"))
     def test_double_crash_through_catch_up_converges(self, protocol):
         cluster = protocol_cluster(
-            protocol, fsync="group", checkpoint_interval=5, seed=7
+            protocol, fsync="sync", checkpoint_interval=5, seed=7
         )
         schedule = FaultSchedule(cluster)
         # First outage long enough that the leader checkpoints past r1's

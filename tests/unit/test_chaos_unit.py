@@ -288,13 +288,12 @@ class TestChaosOptions:
     def test_storage_faults_require_a_durable_fsync_mode(self):
         with pytest.raises(ConfigError):
             ChaosOptions(storage_faults=True)  # default fsync="async"
-        ChaosOptions(storage_faults=True, fsync="group")
         ChaosOptions(storage_faults=True, fsync="sync")
 
     def test_skip_fsync_mutation_requires_a_durable_fsync_mode(self):
         with pytest.raises(ConfigError):
             ChaosOptions(mutation="skip-fsync")
-        ChaosOptions(mutation="skip-fsync", fsync="group")
+        ChaosOptions(mutation="skip-fsync", fsync="sync")
 
 
 # ---------------------------------------------------------------- invariants

@@ -104,6 +104,14 @@ def test_bad_input_is_a_usage_error(argv, fragment, capsys):
     assert "Traceback" not in err and "chaos/seed=" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "chaos"])
+def test_fsync_is_sync_or_async(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--fsync", "group"])
+    assert excinfo.value.code == 2
+    assert "argument --fsync: invalid choice: 'group'" in capsys.readouterr().err
+
+
 class TestRunAndReport:
     def test_run_prints_summary(self, capsys):
         assert main(["run", "--requests", "6", "--clients", "2", "--seed", "3"]) == 0
@@ -455,6 +463,6 @@ class TestPerfCommand:
             "perf", "record", "--results-dir", str(results), "--ledger", str(ledger),
         ]) == 0
         captured = capsys.readouterr()
-        assert "recorded 46 metric(s)" in captured.out
+        assert "recorded 45 metric(s)" in captured.out
         assert captured.err.count("not a schema-2 BENCH document; skipped") == 2
         assert "re-run" not in captured.err

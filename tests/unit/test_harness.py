@@ -46,6 +46,10 @@ class TestClusterSpec:
             ("accept_retry", {"accept_retry": 0.0}),
             ("prepare_retry", {"prepare_retry": 0.0}),
             ("omega_timeout", {"omega_heartbeat": 0.25, "omega_timeout": 0.25}),
+            ("client_timeout_cap", {"client_timeout": 1e-5, "client_timeout_cap": 0.0}),
+            ("client_timeout_cap", {"client_timeout_cap": -1.0}),
+            ("client_backoff", {"client_backoff": 0.5}),
+            ("client_jitter", {"client_jitter": -0.1}),
         ],
     )
     def test_timer_period_rejected_when_the_spec_is_built(self, field, overrides):

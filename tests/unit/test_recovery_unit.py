@@ -163,6 +163,31 @@ class TestPaperExample:
         assert metrics.counter_value("proc.r1.leader.elected") >= 1
         assert max(led_rounds) > 6 or metrics.counter_value("proc.r1.leader.preempted") == 0
 
+    def test_leader_promising_a_higher_prepare_stops_proposing_at_its_old_ballot(self):
+        # A leader that promises a higher ballot away must stop its
+        # proposer: self-accepting at the old ballot afterwards would hide
+        # the value from the new leader's prepare quorum.
+        kernel, _world, trace, replicas, electors = make_world()
+        electors["r0"].set_leader("r0")
+        kernel.run(until=0.1)
+        r0 = replicas["r0"]
+        assert r0.role is ReplicaRole.LEADING
+        old, higher = r0.ballot, Ballot(5, "r2")
+        sent_before = len(trace.of_kind("send"))
+        r0.on_message("r2", Prepare(ballot=higher, gaps=(), from_instance=1))
+        assert r0.role is ReplicaRole.FOLLOWER
+        # A write reaching r0 now is held, and served once r0 leads again
+        # (its elector still names it) at a ballot above the one promised.
+        r0.on_message("c1", ClientRequest(RequestId("c1", 0), RequestKind.WRITE, op=("add", 1)))
+        kernel.run(until=0.5)
+        ballots = [
+            e.detail.ballot for e in trace.of_kind("send")[sent_before:]
+            if isinstance(e.detail, AcceptBatch) and e.src == "r0"
+        ]
+        assert ballots, "r0 never proposed the held write"
+        assert old not in ballots
+        assert min(ballots) > higher
+
     def test_recovery_retransmits_prepare_to_silent_majority(self):
         kernel, world, trace, replicas, electors = make_world()
         world.crash("r0")

@@ -283,7 +283,7 @@ class _FakeHost:
 
 class TestTwoGroupsOneDisk:
     def _stores(self, **config) -> tuple[_FakeHost, StableStore, StableStore]:
-        host = _FakeHost(fsync_mode="group", fsync_latency=1e-3, **config)
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3, **config)
         pump = StoragePump(host)
         return host, StableStore(host, pump=pump, group=0), StableStore(
             host, pump=pump, group=1

@@ -10,7 +10,7 @@ from repro.core.messages import Proposal
 from repro.core.requests import ClientRequest, RequestId
 from repro.errors import ConfigError
 from repro.storage.device import CheckpointBlob, SimDisk
-from repro.storage.store import StableStore
+from repro.storage.store import DRAIN_DELAY, StableStore
 from repro.storage.wal import WalRecord, decode_frames, encode_frame
 from repro.types import RequestKind
 
@@ -255,19 +255,40 @@ class TestStableStore:
         assert fired == [True]
         assert store.device.unsynced == 0
 
-    def test_group_mode_batches_one_fsync(self):
-        host = _FakeHost(
-            fsync_mode="group", fsync_latency=1e-3, group_commit_interval=5e-3
-        )
+    def test_sync_mode_idle_append_is_durable_after_the_drain_delay(self):
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
         store = StableStore(host)
-        fired = []
+        store.record_round(1)  # a background append: no barrier asks for it
+        host.advance(DRAIN_DELAY)
+        assert store.device.unsynced == 1  # the drain fsync has only begun
+        host.advance(DRAIN_DELAY + 1e-3)
+        assert (store.device.unsynced, store.device.fsyncs) == (0, 1)
+
+    def test_sync_mode_append_during_an_fsync_rides_the_follow_up(self):
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
+        store = StableStore(host)
         store.record_round(1)
-        store.flush(lambda: fired.append("a"))
+        host.advance(DRAIN_DELAY + 5e-4)  # the drain fsync is in flight
         store.record_round(2)
-        store.flush(lambda: fired.append("b"))
+        host.advance(DRAIN_DELAY + 1e-3)
+        assert (store.device.unsynced, store.device.fsyncs) == (1, 1)
+        host.advance(DRAIN_DELAY + 2e-3)  # no second drain delay
+        assert (store.device.unsynced, store.device.fsyncs) == (0, 2)
+
+    def test_sync_mode_barrier_cancels_the_drain_and_one_fsync_covers_both(self):
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
+        store = StableStore(host)
+        store.record_round(1)
+        armed = [handle for _at, _fn, handle in host.timers]
+        assert len(armed) == 1  # the drain timer
+        host.advance(5e-4)
+        store.record_round(2)
+        fired = []
+        store.flush(lambda: fired.append(True))
+        assert armed[0].cancelled
         host.advance(0.02)
-        assert fired == ["a", "b"]
-        assert store.device.fsyncs == 1  # both barriers rode one fsync
+        assert fired == [True]
+        assert (store.device.unsynced, store.device.fsyncs) == (0, 1)
 
     def test_flush_with_nothing_outstanding_is_inline(self):
         store = StableStore(_FakeHost(fsync_mode="sync"))
@@ -318,10 +339,10 @@ class TestStableStore:
         assert store.durable_rids() == frozenset({"c0#1"})
 
     def test_unsynced_records_lost_at_crash(self):
-        host = _FakeHost(fsync_mode="group", group_commit_interval=1.0)
+        host = _FakeHost(fsync_mode="sync")
         store = StableStore(host)
         store.accept(pn(1), proposal())
-        store.crash()  # group timer never fired: nothing durable
+        store.crash()  # the drain timer never fired: nothing durable
         state = store.recover()
         assert state is not None
         assert state.replayed_records == 0
@@ -332,12 +353,11 @@ class TestConfigValidation:
     PEERS = ("r0", "r1", "r2")
 
     def test_unknown_fsync_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            ReplicaConfig(peers=self.PEERS, fsync_mode="lazy")
+        for mode in ("lazy", "group"):
+            with pytest.raises(ConfigError):
+                ReplicaConfig(peers=self.PEERS, fsync_mode=mode)
 
-    @pytest.mark.parametrize(
-        "field", ["fsync_latency", "group_commit_interval"]
-    )
+    @pytest.mark.parametrize("field", ["fsync_latency"])
     def test_non_positive_latencies_rejected(self, field):
         with pytest.raises(ConfigError):
             ReplicaConfig(peers=self.PEERS, **{field: 0.0})
