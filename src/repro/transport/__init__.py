@@ -8,7 +8,10 @@ objects run unmodified on:
   scheduler thread, in-memory delivery (with optional injected latency);
 * :class:`repro.transport.tcp.TcpRuntime` — real TCP sockets on localhost
   with length-prefixed frames of packed message fields, as in the paper's
-  prototype.
+  prototype, driven by one plain ``selectors`` loop thread.
+
+Both share the process table, the per-process ``Env`` and ``run_until`` of
+:mod:`repro.transport.wallclock`.
 
 They show that the protocol layer is simulator-agnostic. The paper's
 figures come from the simulator, where time is controlled; what the host

@@ -17,14 +17,14 @@ import heapq
 import itertools
 import random
 import threading
-import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.errors import TransportError
 from repro.net.latency import LatencyModel
 from repro.obs.handle import NULL_OBS, Obs
-from repro.sim.process import Env, Process, TimerHandle, payload_of
+from repro.sim.process import TimerHandle, payload_of
+from repro.transport.wallclock import WallClockRuntime
 from repro.types import ProcessId
 
 
@@ -42,34 +42,7 @@ class _LocalTimer(TimerHandle):
         return not self._cancelled
 
 
-class _LocalEnv(Env):
-    __slots__ = ("_runtime", "_pid", "_rng")
-
-    def __init__(self, runtime: "LocalRuntime", pid: ProcessId) -> None:
-        self._runtime = runtime
-        self._pid = pid
-        self._rng = random.Random(f"{runtime.seed}/proc/{pid}")
-
-    @property
-    def pid(self) -> ProcessId:
-        return self._pid
-
-    @property
-    def now(self) -> float:
-        return self._runtime.now
-
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
-
-    def send(self, dst: ProcessId, msg: Any) -> None:
-        self._runtime._send(self._pid, dst, msg)
-
-    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
-        return self._runtime._set_timer(self._pid, delay, fn, args)
-
-
-class LocalRuntime:
+class LocalRuntime(WallClockRuntime):
     """Threaded wall-clock runtime for :class:`repro.sim.process.Process`es."""
 
     def __init__(
@@ -78,37 +51,21 @@ class LocalRuntime:
         seed: int = 0,
         obs: Obs = NULL_OBS,
     ) -> None:
+        super().__init__(seed)
         self.latency = latency
-        self.seed = seed
         #: Causal tracing against the wall clock. Handlers all run on the
         #: scheduler thread, so the ambient-span discipline is safe here;
         #: context travels in the delivery/timer closures (envelope layer),
         #: exactly as in the simulated world.
         self.tracer = obs.tracer
-        self._t0 = time.monotonic()
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._lock = threading.Condition()
-        self._processes: dict[ProcessId, Process] = {}
         self._rng = random.Random(f"{seed}/latency")
         self._stopping = False
         self._thread = threading.Thread(target=self._loop, name="repro-local-runtime", daemon=True)
-        self._started = False
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def add(self, process: Process) -> Process:
-        if self._started:
-            raise TransportError("add processes before start()")
-        if process.pid in self._processes:
-            raise TransportError(f"duplicate process id {process.pid!r}")
-        self._processes[process.pid] = process
-        process.bind(_LocalEnv(self, process.pid))
-        return process
-
     def start(self) -> "LocalRuntime":
         if self._started:
             raise TransportError("runtime already started")
@@ -125,15 +82,6 @@ class LocalRuntime:
         if self._thread.ident is not None:  # only join a started thread
             self._thread.join(timeout=timeout)
 
-    def run_until(self, predicate: Callable[[], bool], timeout: float = 30.0) -> bool:
-        """Poll ``predicate`` from the caller's thread until it holds."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.002)
-        return predicate()
-
     # -------------------------------------------------------------- internals
     def _push(self, delay: float, fn: Callable[[], None]) -> None:
         deadline = self.now + max(0.0, delay)
@@ -141,10 +89,13 @@ class LocalRuntime:
             heapq.heappush(self._queue, (deadline, next(self._seq), fn))
             self._lock.notify_all()
 
-    def _send(self, src: ProcessId, dst: ProcessId, msg: Any) -> None:
+    def _send(self, src: ProcessId, dsts: Iterable[ProcessId], msg: Any) -> None:
         sender = self._processes.get(src)
-        if sender is None or not sender.alive:
-            return
+        if sender is not None and sender.alive:
+            for dst in dsts:
+                self._post(src, dst, msg)
+
+    def _post(self, src: ProcessId, dst: ProcessId, msg: Any) -> None:
         receiver = self._processes.get(dst)
         if receiver is None:
             raise TransportError(f"{src} sent to unknown process {dst!r}")

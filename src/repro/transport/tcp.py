@@ -1,35 +1,45 @@
-"""Real-TCP runtime on localhost (asyncio), as in the paper's prototype.
+"""Real-TCP runtime on localhost (one ``selectors`` loop), as in the paper's
+prototype.
 
 "The communication between service replicas, and between clients and
 service replicas, uses TCP sockets." (§4.) This runtime gives every
 process a listening socket on 127.0.0.1; messages are packed by their
 compiled field plans into length-prefixed frames
 (:mod:`repro.transport.codec`) and sent over lazily opened connections,
-one per ``(src, dst)``.
+one per ``(src, dst)``. Both ends of every connection are non-blocking and
+set ``TCP_NODELAY``: without it delayed ACKs stall every round.
 
-The data path is three mechanisms:
+The loop is one thread that owns a ``selectors.DefaultSelector``, a heap of
+wall-clock timers and a queue of calls handed over by other threads (woken
+through a ``socketpair``). Each turn waits for the sockets until the
+earliest timer is due, runs the ready socket callbacks, then the due timers,
+then the handed-over calls.
 
-* **Protocol callbacks.** Every accepted connection is an
-  :class:`asyncio.BufferedProtocol` (:class:`_Inbound`): the socket is read
-  into the connection's own buffer, and ``buffer_updated`` feeds the
-  connection's :class:`FrameDecoder` and calls
-  ``process.on_message(src, msg)`` directly. A segment costs one callback
-  and no allocation — not a stream read, a future and a coroutine
-  wake-up. Outbound connections are bare transports.
-* **Writes made where the sender runs.** A send from the loop thread
-  writes to the transport at once (the socket is tried straight away);
-  only a send from another thread is handed over with
-  ``call_soon_threadsafe``.
+* **Reads.** An accepted connection (:meth:`TcpRuntime._accept`) does
+  ``recv_into`` its own 16 KiB buffer and feeds the bytes to its
+  :class:`FrameDecoder`, which calls ``process.on_message(src, msg)``
+  directly: a segment costs one callback and no allocation.
+* **Writes made where the sender runs.** A send from the loop thread goes
+  straight to the socket (:class:`_Outbound`); what a partial ``send``
+  leaves over, and every frame written while the connect is in flight, is
+  kept in order in one pending ``bytearray`` flushed when the socket turns
+  writable. Only a send from another thread is handed over to the loop.
 * **One frame per broadcast.** ``(src, msg)`` is framed once and the same
   bytes are written to every destination; ``messages_sent`` and
   ``bytes_sent`` still count per destination.
+* **Timers drop their callback.** A timer that fires or is cancelled lets
+  go of its function and arguments at once, as the simulator's
+  ``EventHandle`` does: a cancelled retry timer does not hold its
+  ``QuorumRound`` until the deadline, and no handle joins a cycle.
 
-Threading rule: handlers, timers and socket writes all run on the one
-event-loop thread, so each process's handlers are serialized, matching the
-simulator's execution model. ``call_soon_threadsafe`` is reached only from
-outside that thread — a test or embedder poking a process, and
-:meth:`TcpRuntime.shutdown`. Which side a caller is on is read from
-``threading.get_ident()``, never from an option.
+Threading rule: handlers, timers and socket writes all run on the one loop
+thread, so each process's handlers are serialized, matching the
+simulator's execution model. The call queue is reached only from outside
+that thread — a test or embedder poking a process; :meth:`TcpRuntime.shutdown`
+only sets the stop flag and wakes the loop. Which side a caller is on is
+read from ``threading.get_ident()``, never from an option. After
+``shutdown()`` a send is dropped and ``set_timer`` from outside the loop
+raises :class:`TransportError`.
 
 An inbound frame that cannot be decoded (oversized length, unpicklable
 body, an unknown tag or damaged fields in a packed message, anything but a
@@ -37,137 +47,148 @@ body, an unknown tag or damaged fields in a packed message, anything but a
 ``bad_frames`` and prints one line — before any handler sees it; a handler
 that raises prints its traceback and the link stays up.
 
-asyncio is imported by :meth:`TcpRuntime.start`, not by this module: a
-simulated run that imports :class:`TcpRuntime` but never starts one does not
-load the network stack (asyncio pulls in ``ssl`` and maps OpenSSL).
+``selectors`` and ``socket`` are imported by :meth:`TcpRuntime.start`, not
+by this module: a simulated run that imports :class:`TcpRuntime` but never
+starts one loads neither. asyncio is not used at all: its import alone
+loads ``ssl`` and maps OpenSSL, more memory than this whole runtime takes.
 """
 
 from __future__ import annotations
 
 import functools
-import random
+import heapq
+import itertools
 import sys
 import threading
 import time
 import traceback
+from collections import deque
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransportError
-from repro.sim.process import Env, Process, TimerHandle
+from repro.sim.process import Process, TimerHandle
 from repro.transport.codec import FrameDecoder, encode_frame
+from repro.transport.wallclock import WallClockRuntime
 from repro.types import ProcessId
 
 if TYPE_CHECKING:
-    import asyncio
+    import selectors
+    import socket
 
 
 #: Size of the buffer each inbound connection receives into. Owning one
-#: keeps allocation off the read path: a plain ``asyncio.Protocol`` gets its
-#: ``data_received`` bytes from ``recv(256 KiB)``, a fresh block of that size
-#: per segment, which the C library maps and unmaps each time — about 13 us
-#: a call on the dev box against 1.4 us (docs/performance.md).
+#: keeps allocation off the read path: a plain ``recv(256 KiB)`` returns a
+#: fresh block of that size per segment, which the C library maps and
+#: unmaps each time — about 13 us a call against 1.4 us (docs/performance.md,
+#: "The real-TCP data path").
 _RECV_BUFFER = 16384
+#: ``selectors.EVENT_READ`` / ``EVENT_WRITE``, named here so that this
+#: module does not import ``selectors``.
+_READ, _WRITE = 1, 2
+
+
+def _nodelay(sock: socket.socket) -> socket.socket:
+    """Make ``sock`` non-blocking, with Nagle's algorithm off."""
+    import socket
+
+    sock.setblocking(False)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 class _TcpTimer(TimerHandle):
-    __slots__ = ("_handle",)
+    """``(fn, args)`` is one attribute, so a cancel from another thread
+    cannot split it under a firing loop."""
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
+    __slots__ = ("_process", "_call")
+
+    def __init__(self, process: Process, fn: Callable[..., None], args: tuple) -> None:
+        self._process = process
+        self._call: tuple[Callable[..., None], tuple] | None = (fn, args)
 
     def cancel(self) -> None:
-        self._handle.cancel()
+        self._call = None
 
     @property
     def active(self) -> bool:
-        return not self._handle.cancelled()
+        return self._call is not None
+
+    def fire(self) -> None:
+        call = self._call
+        if call is not None:
+            self._call = None
+            if self._process.alive:
+                call[0](*call[1])
 
 
-class _TcpEnv(Env):
-    __slots__ = ("_runtime", "_pid", "_rng")
+class _Outbound:
+    """The connection for one ``(src, dst)``. Frames written while the
+    connect is in flight, or behind a partial ``send``, wait in ``_pending``
+    in order, so TCP's FIFO guarantee holds end to end. The socket is
+    registered for ``EVENT_WRITE`` exactly while it is connecting or has
+    bytes pending."""
 
-    def __init__(self, runtime: "TcpRuntime", pid: ProcessId) -> None:
+    __slots__ = ("_runtime", "_key", "sock", "_pending", "_connecting")
+
+    def __init__(self, runtime: "TcpRuntime", key: tuple[ProcessId, ProcessId]) -> None:
+        import socket
+
         self._runtime = runtime
-        self._pid = pid
-        self._rng = random.Random(f"{runtime.seed}/proc/{pid}")
+        self._key = key
+        self.sock = _nodelay(socket.socket())
+        self._pending = bytearray()
+        self._connecting = True
+        runtime._selector.register(self.sock, _WRITE, self._flush)
+        # EINPROGRESS, or a refusal: either way _flush learns the outcome.
+        self.sock.connect_ex((runtime.host, runtime._ports[key[1]]))
 
-    @property
-    def pid(self) -> ProcessId:
-        return self._pid
+    def close(self) -> None:
+        """Drop the connection and what is pending on it (the receiver is
+        gone; retransmissions cope). The next frame connects anew."""
+        if self._connecting or self._pending:
+            self._runtime._selector.unregister(self.sock)
+        del self._runtime._out[self._key]
+        self.sock.close()
 
-    @property
-    def now(self) -> float:
-        return self._runtime.now
+    def write(self, frame: bytes) -> None:
+        if self._connecting or self._pending:
+            self._pending += frame
+            return
+        try:
+            sent = self.sock.send(frame)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self.close()
+            return
+        if sent < len(frame):
+            self._pending += frame[sent:]
+            self._runtime._selector.register(self.sock, _WRITE, self._flush)
 
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
+    def _flush(self) -> None:
+        import socket
 
-    def send(self, dst: ProcessId, msg: Any) -> None:
-        self._runtime._send(self._pid, (dst,), msg)
-
-    def broadcast(self, dsts: Iterable[ProcessId], msg: Any) -> None:
-        self._runtime._send(self._pid, dsts, msg)
-
-    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
-        return self._runtime._set_timer(self._pid, delay, fn, args)
-
-
-@functools.cache
-def _inbound_protocol() -> type[asyncio.BufferedProtocol]:
-    """The protocol class of an accepted connection, made once by the first
-    ``start()``: asyncio reads into a connection's own buffer only for a
-    real :class:`asyncio.BufferedProtocol` subclass."""
-    import asyncio
-
-    class _Inbound(asyncio.BufferedProtocol):
-        """One accepted connection to ``process``'s listening socket."""
-
-        __slots__ = ("_runtime", "_process", "_decoder", "_transport", "_view")
-
-        def __init__(self, runtime: "TcpRuntime", process: Process) -> None:
-            self._runtime = runtime
-            self._process = process
-            self._decoder = FrameDecoder()
-            self._view = memoryview(bytearray(_RECV_BUFFER))
-
-        def connection_made(self, transport: asyncio.BaseTransport) -> None:
-            self._transport = transport
-            self._runtime._inbound.add(transport)
-
-        def connection_lost(self, exc: Exception | None) -> None:
-            self._runtime._inbound.discard(self._transport)
-
-        def get_buffer(self, sizehint: int) -> memoryview:
-            return self._view
-
-        def buffer_updated(self, nbytes: int) -> None:
-            process = self._process
-            try:
-                for pair in self._decoder.feed(self._view[:nbytes]):
-                    if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
-                        raise ValueError(f"not a (src, msg) pair: {pair!r}")
-                    if not process.alive:
-                        continue
-                    src, msg = pair
-                    try:
-                        process.on_message(src, msg)
-                    except Exception:  # a poisoned message must not kill the link
-                        traceback.print_exc()
-            except Exception as exc:  # undecodable: unpickling may raise anything
-                self._runtime.bad_frames += 1
-                print(
-                    f"repro-tcp: bad frame for {process.pid}, connection closed: {exc!r}",
-                    file=sys.stderr,
-                )
-                self._transport.close()
-
-    return _Inbound
+        if self._connecting:
+            if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+                self.close()
+                return
+            self._connecting = False
+        try:
+            del self._pending[: self.sock.send(self._pending)]
+        except BlockingIOError:
+            return
+        except OSError:
+            self.close()
+            return
+        if not self._pending:
+            self._runtime._selector.unregister(self.sock)
 
 
-class TcpRuntime:
-    """Runs processes over real localhost TCP inside one asyncio loop.
+class TcpRuntime(WallClockRuntime):
+    """Runs processes over real localhost TCP on one ``selectors`` loop.
+    ``host`` is the IPv4 address, or a name resolving to one, that every
+    process listens on.
 
     Usage::
 
@@ -179,102 +200,149 @@ class TcpRuntime:
     """
 
     def __init__(self, seed: int = 0, host: str = "127.0.0.1") -> None:
-        self.seed = seed
+        super().__init__(seed)
         self.host = host
-        self._t0 = time.monotonic()
-        self._processes: dict[ProcessId, Process] = {}
         self._ports: dict[ProcessId, int] = {}
-        self._listeners: list[asyncio.AbstractServer] = []
-        #: per (src, dst): a connected transport, or a list of frames
-        #: buffered while the connection attempt is in flight.
-        self._out: dict[tuple[ProcessId, ProcessId], asyncio.WriteTransport | list[bytes]] = {}
-        self._inbound: set[asyncio.BaseTransport] = set()
-        #: connect tasks in flight: the loop holds tasks weakly.
-        self._connecting: set[asyncio.Task[None]] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._out: dict[tuple[ProcessId, ProcessId], _Outbound] = {}
+        #: ``(deadline, seq, timer)``: tuple comparison never reaches the timer.
+        self._timers: list[tuple[float, int, _TcpTimer]] = []
+        self._seq = itertools.count()
+        #: calls handed over by other threads, run in order by the loop.
+        self._calls: deque[tuple[Callable[..., None], tuple]] = deque()
         self._loop_ident: int | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
+        #: set by the loop thread once every process's ``on_start`` ran.
+        self._ready = threading.Event()
+        self._stopping = False
         self.bytes_sent = 0
         self.messages_sent = 0
         #: inbound connections closed for a frame that could not be decoded.
         self.bad_frames = 0
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def add(self, process: Process) -> Process:
-        if self._started.is_set():
-            raise TransportError("add processes before start()")
-        if process.pid in self._processes:
-            raise TransportError(f"duplicate process id {process.pid!r}")
-        self._processes[process.pid] = process
-        process.bind(_TcpEnv(self, process.pid))
-        return process
-
     def start(self, timeout: float = 10.0) -> "TcpRuntime":
-        if self._thread is not None:
+        if self._started:
             raise TransportError("runtime already started")
-        import asyncio
+        self._started = True
+        import selectors
+        import socket
 
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), name="repro-tcp-runtime", daemon=True
-        )
+        self._selector = selectors.DefaultSelector()
+        wake, self._waker = socket.socketpair()
+        self._waker.setblocking(False)
+        self._selector.register(wake, _READ, functools.partial(wake.recv, 4096))
+        for pid, process in self._processes.items():
+            listener = socket.create_server((self.host, 0))
+            listener.setblocking(False)
+            self._ports[pid] = listener.getsockname()[1]
+            accept = functools.partial(self._accept, listener, process)
+            self._selector.register(listener, _READ, accept)
+        self._thread = threading.Thread(target=self._run, name="repro-tcp-runtime", daemon=True)
         self._thread.start()
-        if not self._started.wait(timeout=timeout):
+        if not self._ready.wait(timeout=timeout):
             raise TransportError("TCP runtime failed to start in time")
         return self
 
-    async def _main(self) -> None:
-        import asyncio
-
-        inbound = _inbound_protocol()
-        self._loop = loop = asyncio.get_running_loop()
+    def _run(self) -> None:
         self._loop_ident = threading.get_ident()
-        self._stop_event = asyncio.Event()
-        for pid, process in self._processes.items():
-            listener = await loop.create_server(
-                lambda process=process: inbound(self, process), self.host, 0
-            )
-            self._listeners.append(listener)
-            self._ports[pid] = listener.sockets[0].getsockname()[1]
-        for process in self._processes.values():
-            process.on_start()
-        self._started.set()
-        await self._stop_event.wait()
-        for task in self._connecting:
-            task.cancel()
-        for listener in self._listeners:
-            listener.close()
-        for entry in (*self._inbound, *self._out.values()):
-            if not isinstance(entry, list):
-                entry.close()
-        await asyncio.sleep(0)  # the closes above finish on the next iteration
+        try:
+            for process in self._processes.values():
+                process.on_start()
+            self._ready.set()
+            while not self._stopping:
+                try:
+                    self._turn()
+                except Exception:  # a raising timer or call must not stop the loop
+                    traceback.print_exc()
+        finally:  # every socket: listeners, inbound, outbound, the wake pair
+            selected = [key.fileobj for key in self._selector.get_map().values()]
+            for sock in (*selected, *(out.sock for out in self._out.values()), self._waker):
+                sock.close()
+            self._selector.close()
+            # A stopped runtime holds no callbacks: processes and runtime
+            # refer to each other, so this one may wait for the collector.
+            self._timers.clear()
+            self._calls.clear()
+
+    def _turn(self) -> None:
+        """One loop iteration. Whatever an exception cuts short stays in the
+        heap, the queue or the selector for the next turn."""
+        timers, calls = self._timers, self._calls
+        # No wait with calls queued; else until the next deadline, if any.
+        timeout = 0.0 if calls else (timers[0][0] - time.monotonic() if timers else None)
+        for key, _events in self._selector.select(timeout):
+            key.data()
+        now = time.monotonic()
+        while timers and timers[0][0] <= now:
+            heapq.heappop(timers)[2].fire()
+        while calls:
+            fn, args = calls.popleft()
+            fn(*args)
+
+    def _accept(self, listener: socket.socket, process: Process) -> None:
+        """A connection to ``process``'s listening socket: from now on it
+        ``recv_into`` its own buffer and feeds its own decoder."""
+        try:
+            sock, _address = listener.accept()
+        except OSError:
+            return
+        decoder, view = FrameDecoder(), memoryview(bytearray(_RECV_BUFFER))
+
+        def read() -> None:
+            try:
+                nbytes = sock.recv_into(view)
+            except BlockingIOError:
+                return
+            except OSError:
+                nbytes = 0
+            try:
+                for pair in decoder.feed(view[:nbytes]):
+                    if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
+                        raise ValueError(f"not a (src, msg) pair: {pair!r}")
+                    if not process.alive:
+                        continue
+                    src, msg = pair
+                    try:
+                        process.on_message(src, msg)
+                    except Exception:  # a poisoned message must not kill the link
+                        traceback.print_exc()
+            except Exception as exc:  # undecodable: unpickling may raise anything
+                self.bad_frames += 1
+                print(
+                    f"repro-tcp: bad frame for {process.pid}, connection closed: {exc!r}",
+                    file=sys.stderr,
+                )
+                nbytes = 0
+            if not nbytes:  # closed by the peer, or by a bad frame
+                self._selector.unregister(sock)
+                sock.close()
+
+        self._selector.register(_nodelay(sock), _READ, read)
+
+    def _call_soon(self, fn: Callable[..., None], *args: Any) -> None:
+        """Hand ``fn(*args)`` over to the loop thread: the one cross-thread path."""
+        self._calls.append((fn, args))
+        self._wakeup()
+
+    def _wakeup(self) -> None:
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # buffer full (the loop is awake) or closed by shutdown
+            pass
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-
-    def run_until(self, predicate: Callable[[], bool], timeout: float = 30.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.002)
-        return predicate()
+        if self._thread is None:
+            return
+        self._stopping = True
+        self._wakeup()  # the loop then closes every socket and exits
+        self._thread.join(timeout=timeout)
 
     # ---------------------------------------------------------------- sending
     def _send(self, src: ProcessId, dsts: Iterable[ProcessId], msg: Any) -> None:
-        loop = self._loop
-        if loop is None:
+        if not self._started:
             raise TransportError("runtime not started")
         sender = self._processes.get(src)
-        if sender is None or not sender.alive:
+        if self._stopping or sender is None or not sender.alive:
             return
         dsts = tuple(dsts)
         for dst in dsts:  # all of them, before anything is written or counted
@@ -284,74 +352,37 @@ class TcpRuntime:
         frame = encode_frame((src, msg))
         on_loop = threading.get_ident() == self._loop_ident
         for dst in dsts:
-            self.messages_sent += 1
-            self.bytes_sent += len(frame)
             if on_loop:
                 self._write(src, dst, frame)
             else:
-                loop.call_soon_threadsafe(self._write, src, dst, frame)
+                self._call_soon(self._write, src, dst, frame)
 
     def _write(self, src: ProcessId, dst: ProcessId, frame: bytes) -> None:
-        """Runs on the loop thread. One connection per (src, dst); frames
-        sent while the connect is in flight are buffered in order so TCP's
-        FIFO guarantee is preserved end to end. Once a stop was requested
-        frames are dropped: nothing connects behind ``shutdown()``."""
-        if self._stop_event.is_set():
+        """Runs on the loop thread, the one writer of the counters. Once a
+        stop was requested frames are dropped: nothing connects behind
+        ``shutdown()``."""
+        self.messages_sent += 1
+        self.bytes_sent += len(frame)
+        if self._stopping:
             return
         key = (src, dst)
-        entry = self._out.get(key)
-        if isinstance(entry, list):
-            entry.append(frame)
-        elif entry is not None and not entry.is_closing():
-            entry.write(frame)
-        else:
-            self._out[key] = [frame]
-            task = self._loop.create_task(self._connect(key, dst))
-            self._connecting.add(task)
-            task.add_done_callback(self._connecting.discard)
-
-    async def _connect(self, key: tuple[ProcessId, ProcessId], dst: ProcessId) -> None:
-        import asyncio
-
-        try:
-            transport, _ = await asyncio.get_running_loop().create_connection(
-                asyncio.Protocol, self.host, self._ports[dst]
-            )
-        except OSError:
-            # Receiver gone; drop the buffer — retransmissions cope.
-            self._out.pop(key, None)
-            return
-        buffered = self._out[key]
-        assert isinstance(buffered, list)
-        self._out[key] = transport
-        for frame in buffered:
-            transport.write(frame)
+        out = self._out.get(key)
+        if out is None:
+            out = self._out[key] = _Outbound(self, key)
+        out.write(frame)
 
     # ----------------------------------------------------------------- timers
     def _set_timer(
         self, pid: ProcessId, delay: float, fn: Callable[..., None], args: tuple
     ) -> TimerHandle:
-        loop = self._loop
-        if loop is None:
+        if not self._started:
             raise TransportError("runtime not started")
-        process = self._processes[pid]
-        holder: list[_TcpTimer] = []
-
-        def fire() -> None:
-            if process.alive:
-                fn(*args)
-
+        timer = _TcpTimer(self._processes[pid], fn, args)
+        entry = (time.monotonic() + delay, next(self._seq), timer)
         if threading.get_ident() == self._loop_ident:
-            return _TcpTimer(loop.call_later(delay, fire))
-        # Called from another thread (e.g. run_until polling): hop onto loop.
-        done = threading.Event()
-
-        def schedule() -> None:
-            holder.append(_TcpTimer(loop.call_later(delay, fire)))
-            done.set()
-
-        loop.call_soon_threadsafe(schedule)
-        done.wait(timeout=5.0)
-        if not holder:
-            raise TransportError("failed to schedule timer on the loop")
-        return holder[0]
+            heapq.heappush(self._timers, entry)
+        elif self._stopping:
+            raise TransportError("runtime stopped")
+        else:
+            self._call_soon(heapq.heappush, self._timers, entry)
+        return timer

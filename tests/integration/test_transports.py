@@ -3,8 +3,12 @@ the threaded wall-clock runtime and the localhost TCP runtime."""
 
 from __future__ import annotations
 
+import gc
 import socket
+import sys
 import threading
+import time
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -76,8 +80,6 @@ class TestLocalRuntime:
     def test_replicas_converge(self):
         steps = single_kind_steps(RequestKind.WRITE, 10, op=lambda i: ("put", i, i))
         replicas, client = self.run_steps(steps, service_factory=KVStoreService)
-        import time
-
         time.sleep(0.1)  # let Chosen broadcasts land
         prints = {r.service.state_fingerprint() for r in replicas}
         assert len(prints) == 1
@@ -181,8 +183,6 @@ class TestTcpRuntime:
     def test_kvstore_replication_over_tcp(self):
         steps = single_kind_steps(RequestKind.WRITE, 8, op=lambda i: ("put", i, i))
         _runtime, replicas, _client = self.run_steps(steps, service_factory=KVStoreService)
-        import time
-
         time.sleep(0.2)
         prints = {r.service.state_fingerprint() for r in replicas}
         assert len(prints) == 1
@@ -273,17 +273,16 @@ class TestTcpRuntime:
         hops = []
 
         def count_hops(runtime):
-            loop = runtime._loop
-            real = loop.call_soon_threadsafe
+            real = runtime._call_soon
 
-            def counting(callback, *args, **kwargs):
+            def counting(callback, *args):
                 hops.append(callback)
-                return real(callback, *args, **kwargs)
+                return real(callback, *args)
 
-            loop.call_soon_threadsafe = counting
+            runtime._call_soon = counting
 
         self.run_writes(started, before_start_signal=count_hops)
-        # The StartSignal from this thread and shutdown(), not 10 a request.
+        # The StartSignal from this thread, not 10 a request.
         assert len(hops) <= 4
 
     def test_send_from_another_thread_is_delivered(self, started):
@@ -293,6 +292,33 @@ class TestTcpRuntime:
             a.send("b", i)
         assert runtime.run_until(lambda: len(b.got) == 20, timeout=10.0)
         assert b.got == [("a", i) for i in range(20)]
+
+    def test_sends_from_many_threads_are_each_delivered_once_in_order(self, started):
+        """More sending threads than cores, switching every microsecond:
+        the hand-off to the loop loses, repeats and reorders nothing, and
+        the counters, written by the loop thread alone, lose no update."""
+        a, b = Recorder("a"), Recorder("b")
+        runtime = started(a, b)
+
+        def burst(thread):
+            for i in range(200):
+                a.send("b", (thread, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=burst, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert runtime.run_until(lambda: len(b.got) >= 800, timeout=20.0)
+        for t in range(4):
+            assert [i for _src, (thread, i) in b.got if thread == t] == list(range(200))
+        assert runtime.messages_sent == len(b.got) == 800
 
     def test_frames_split_and_joined_by_segment_boundaries(self, started):
         b = Recorder("b")
@@ -383,6 +409,55 @@ class TestTcpRuntime:
         runtime.shutdown()
         assert starts == {"a": 1, "b": 1}
         assert [t for t in threading.enumerate() if t.name == "repro-tcp-runtime"] == []
+
+    def test_sends_and_timers_after_shutdown_have_a_defined_outcome(self, started):
+        a, b = Recorder("a"), Recorder("b")
+        runtime = started(a, b)
+        a.send("b", 1)
+        assert runtime.run_until(lambda: b.got, timeout=10.0)
+        runtime.shutdown()
+        sent = runtime.messages_sent
+        a.send("b", 2)  # dropped, like a frame written behind shutdown()
+        a.broadcast(["a", "b"], 3)
+        assert runtime.messages_sent == sent and b.got == [("a", 1)]
+        with pytest.raises(TransportError, match="runtime stopped"):
+            a.set_timer(0.01, a.send, "b", 4)
+        idle = TcpRuntime().add(Recorder("c"))
+        with pytest.raises(TransportError, match="runtime not started"):
+            idle.set_timer(0.01, idle.send, "c", 5)
+
+    def test_a_tcp_run_leaves_no_timer_cycles(self, started):
+        """No ``QuorumRound``, ``_WriteItem`` or timer handle of a TCP run
+        waits for the cyclic collector: the TCP counterpart of opcount's
+        "cyclic garbage/request 0". The rule that keeps it so: a cancelled
+        timer lets go of its callback at once, not at its deadline, so no
+        handle is left holding (a closure over) itself or its owner."""
+        watched = {"QuorumRound", "_WriteItem", "_TcpTimer"}
+        gc.collect()
+        gc.disable()
+        try:
+            replicas, client = build_processes(kv_writes(300), KVStoreService)
+            runtime = started(*replicas, client)
+            assert runtime.run_until(lambda: client.done, timeout=30.0)
+            # Past the retry and client deadlines: the loop has popped every
+            # timer that a closed round or an answered request cancelled.
+            time.sleep(0.6)
+            owner = Recorder("x")
+            handle = client.set_timer(60.0, owner.on_start)
+            released = weakref.ref(owner)
+            del owner
+            handle.cancel()
+            assert released() is None and not handle.active
+            runtime.shutdown()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert client.completed_requests == 300
+        assert {name: cyclic[name] for name in watched if cyclic[name]} == {}
 
     def test_start_run_shutdown_cycles_leave_nothing_behind(self, capfd):
         threads = threading.active_count()

@@ -331,8 +331,10 @@ class TestImportBudget:
 
     def test_importing_the_tcp_runtime_loads_no_network_stack(self):
         """The suite imports ``TcpRuntime`` for its one TCP workload; a
-        simulated run in the same interpreter must still load no asyncio
-        (and so no ssl/OpenSSL) — the runtime imports it in ``start()``."""
+        simulated run in the same interpreter must still load no network
+        stack — the runtime imports ``selectors`` and ``socket`` in
+        ``start()``. A started runtime loads those two and never asyncio
+        (nor, through it, ssl/OpenSSL or ``concurrent.futures``)."""
         script = (
             "import sys, threading\n"
             "from repro.transport.tcp import TcpRuntime\n"
@@ -350,15 +352,18 @@ class TestImportBudget:
             "port = runtime._ports['p']\n"
             "runtime.shutdown()\n"
             "threads = [t for t in threading.enumerate() if t.name == 'repro-tcp-runtime']\n"
-            "print('asyncio' in sys.modules, port > 0, threads == [])\n"
+            "print(port > 0, threads == [])\n"
+            "print(*sorted(sys.modules))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": str(pathlib.Path(__file__).parents[2] / "src")},
         )
         assert done.returncode == 0, done.stderr
-        run_line, started_line = done.stdout.splitlines()
+        run_line, started_line, started_modules = done.stdout.splitlines()
         network = {"asyncio", "ssl", "_ssl", "selectors", "socket", "concurrent.futures"}
         assert sorted(network.intersection(run_line.split())) == []
-        # Positive control: a started runtime does load it, binds, and leaves no thread.
-        assert started_line == "True True True"
+        # Positive control: a started runtime binds, leaves no thread, and
+        # loads exactly the plain-socket part of the stack.
+        assert started_line == "True True"
+        assert sorted(network.intersection(started_modules.split())) == ["selectors", "socket"]
