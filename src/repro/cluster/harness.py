@@ -33,7 +33,6 @@ from repro.services.noop import NoopService
 from repro.shard.host import GroupHost
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.storage import FSYNC_MODES
 from repro.types import ProcessId, StateTransferMode
@@ -111,7 +110,6 @@ class ClusterSpec:
     omega_timeout: float = 0.25
     #: Scale per-message CPU with the client count (Fig. 6's contention).
     connection_scaling: bool = True
-    trace: bool = False
     #: Causal request tracing (:mod:`repro.obs.tracing`): one span tree per
     #: client request, from submit to reply. Passive like metrics — a traced
     #: run is byte-identical to a bare one (tests/integration/test_tracing.py).
@@ -194,7 +192,6 @@ class Cluster:
         # The run's observers are built first and travel as one handle:
         # every component below gets ``obs`` at construction and nothing
         # is set on it afterwards. The clocks read ``self.kernel`` lazily.
-        self.trace = TraceRecorder() if spec.trace else None
         self.metrics: MetricsRegistry = MetricsRegistry() if spec.metrics else NULL_REGISTRY
         self.tracer: Tracer | NullTracer = (
             Tracer(clock=lambda: self.kernel.now) if spec.tracing else NULL_TRACER
@@ -216,7 +213,6 @@ class Cluster:
         self.world = World(
             self.kernel,
             self.network,
-            trace=self.trace,
             obs=obs,
             measure_bytes=spec.measure_bytes,
         )

@@ -71,6 +71,8 @@ class ReplicaConfig:
         for name in ("accept_retry", "prepare_retry"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.max_batch < 1:
+            raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.execute_time < 0:
             raise ConfigError(f"execute_time must be >= 0, got {self.execute_time}")
         if self.fsync_mode not in FSYNC_MODES:

@@ -1,11 +1,11 @@
 """Wire messages of the replication protocols.
 
-All messages are immutable dataclasses. The simulation and the threaded
-:class:`~repro.transport.local.LocalRuntime` pass them by reference
-(processes must not mutate them); the TCP transport and the WAL's byte form
-turn them into bytes through the plan :func:`~repro.util.fastpickle.fast_pickle`
-compiles from each class's field list, so the annotations here are the wire
-layout and every ``Any`` field must hold something picklable.
+All messages are immutable dataclasses. The simulation passes them by
+reference (processes must not mutate them); the TCP transport and the WAL's
+byte form turn them into bytes through the plan
+:func:`~repro.util.fastpickle.fast_pickle` compiles from each class's field
+list, so the annotations here are the wire layout and every ``Any`` field
+must hold something picklable.
 
 Message flow in the common case (no failures, stable leader — Fig. 2):
 

@@ -13,5 +13,4 @@ Layering:
 * :mod:`repro.sim.process` — the actor base class and its environment.
 * :mod:`repro.sim.world` — registry wiring processes, network and kernel
   together, with crash/recover fault injection.
-* :mod:`repro.sim.trace` — optional structured event tracing.
 """

@@ -4,7 +4,7 @@ A :class:`Process` is a message handler with timers — the unit the paper
 calls a "process" (service replica or client). It is written against the
 abstract :class:`Env` so the same protocol code runs unmodified on the
 deterministic simulation (:class:`repro.sim.world.World`) and on the real
-threaded transport (:mod:`repro.transport.local`).
+TCP runtime (:class:`repro.transport.tcp.TcpRuntime`).
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class Envelope:
     """Base for wire wrappers that address ``msg`` to one part of the
     destination process (a replication group of a replica process).
 
-    Every runtime names a message by what it carries: metrics, trace
-    events, message spans and profiler frames read :func:`payload_of`, so
+    Every runtime names a message by what it carries: metrics, message
+    spans and profiler frames read :func:`payload_of`, so
     an envelope never shows up as a message type of its own. Routing,
     delivery and byte accounting see the envelope itself.
     """

@@ -36,7 +36,6 @@ from repro.obs.spans import Span
 from repro.sim.cpu import CpuModel, CpuProfile
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.process import Env, Envelope, Process, TimerHandle, payload_of
-from repro.sim.trace import TraceRecorder
 from repro.transport.codec import wire_size
 from repro.types import ProcessId
 
@@ -128,13 +127,11 @@ class World:
         self,
         kernel: Kernel,
         network: NetworkLike | None = None,
-        trace: TraceRecorder | None = None,
         obs: Obs = NULL_OBS,
         measure_bytes: bool = False,
     ) -> None:
         self.kernel = kernel
         self.network: NetworkLike = network if network is not None else ZeroLatencyNetwork()
-        self.trace = trace
         #: Per-message-type send/deliver/drop (and optionally byte) counts
         #: land here, keyed by the type a message carries: an
         #: :class:`~repro.sim.process.Envelope` counts as its payload's type
@@ -210,9 +207,7 @@ class World:
 
     # ------------------------------------------------------------- messaging
     def _drop(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        """Trace and count one lost message (named by its payload)."""
-        if self.trace is not None:
-            self.trace.emit(self.kernel.now, "drop", src, dst, payload)
+        """Count one lost message (named by its payload)."""
         if self.metrics.enabled:
             counter = self._drop_instruments.get(type(payload))
             if counter is None:
@@ -247,8 +242,6 @@ class World:
         # here and in _handle: both run once per message).
         payload = msg.msg if isinstance(msg, Envelope) else msg
         kind = type(payload)
-        if self.trace is not None:
-            self.trace.emit(self.kernel.now, "send", src, dst, payload)
         metrics = self.metrics
         if metrics.enabled:
             sent, proc_sent, sent_bytes = self._send_instruments.get(
@@ -292,9 +285,7 @@ class World:
                 tracer.end(span, status="dropped")
         elif len(copies) > 1:
             # Duplicated delivery: mirror the drop-cause plumbing so the
-            # duplicate shows up in trace timelines and on the message span.
-            if self.trace is not None:
-                self.trace.emit(kernel.now, "dup", src, dst, payload)
+            # duplicate shows up in the counters and on the message span.
             if metrics.enabled:
                 metrics.counter(f"msg.dup.{kind.__name__}").inc()
             if span is not None:
@@ -352,8 +343,6 @@ class World:
                 span.attrs.setdefault("cause", "stale_epoch")
                 self.tracer.end(span, status="dropped")
             return
-        if self.trace is not None:
-            self.trace.emit(self.kernel.now, "deliver", src, dst, payload)
         kind = type(payload)
         metrics = self.metrics
         if metrics.enabled:
@@ -390,8 +379,6 @@ class World:
         def fire() -> None:
             process = self._processes[pid]
             if process.alive and self._epochs[pid] == epoch:
-                if self.trace is not None:
-                    self.trace.emit(self.kernel.now, "timer", pid, None, fn.__name__)
                 token = self.tracer.activate(ctx)
                 try:
                     fn(*args)
@@ -409,8 +396,6 @@ class World:
         process.alive = False
         self._epochs[pid] += 1
         self._cpus[pid].reset()
-        if self.trace is not None:
-            self.trace.emit(self.kernel.now, "crash", pid, None)
         if self.tracer.enabled:
             self.tracer.instant(f"crash:{pid}", pid=pid, kind="fault", parent=None)
         process.on_crash()
@@ -421,8 +406,6 @@ class World:
         if process.alive:
             return
         process.alive = True
-        if self.trace is not None:
-            self.trace.emit(self.kernel.now, "recover", pid, None)
         if self.tracer.enabled:
             self.tracer.instant(f"recover:{pid}", pid=pid, kind="fault", parent=None)
         process.on_recover()

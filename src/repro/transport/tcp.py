@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import random
 import sys
 import threading
 import time
@@ -67,9 +68,8 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransportError
-from repro.sim.process import Process, TimerHandle
+from repro.sim.process import Env, Process, TimerHandle
 from repro.transport.codec import FrameDecoder, encode_frame
-from repro.transport.wallclock import WallClockRuntime
 from repro.types import ProcessId
 
 if TYPE_CHECKING:
@@ -95,6 +95,38 @@ def _nodelay(sock: socket.socket) -> socket.socket:
     sock.setblocking(False)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
+
+
+class _TcpEnv(Env):
+    """A process's view of its runtime: every call names the process."""
+
+    __slots__ = ("_runtime", "_pid", "_rng")
+
+    def __init__(self, runtime: "TcpRuntime", pid: ProcessId) -> None:
+        self._runtime = runtime
+        self._pid = pid
+        self._rng = random.Random(f"{runtime.seed}/proc/{pid}")
+
+    @property
+    def pid(self) -> ProcessId:
+        return self._pid
+
+    @property
+    def now(self) -> float:
+        return self._runtime.now
+
+    @property
+    def rng(self) -> random.Random:
+        return self._rng
+
+    def send(self, dst: ProcessId, msg: Any) -> None:
+        self._runtime._send(self._pid, (dst,), msg)
+
+    def broadcast(self, dsts: Iterable[ProcessId], msg: Any) -> None:
+        self._runtime._send(self._pid, dsts, msg)
+
+    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
+        return self._runtime._set_timer(self._pid, delay, fn, args)
 
 
 class _TcpTimer(TimerHandle):
@@ -185,10 +217,11 @@ class _Outbound:
             self._runtime._selector.unregister(self.sock)
 
 
-class TcpRuntime(WallClockRuntime):
+class TcpRuntime:
     """Runs processes over real localhost TCP on one ``selectors`` loop.
     ``host`` is the IPv4 address, or a name resolving to one, that every
-    process listens on.
+    process listens on. Processes are added before ``start()``; ``now`` is
+    the wall clock since the runtime object was made.
 
     Usage::
 
@@ -200,8 +233,11 @@ class TcpRuntime(WallClockRuntime):
     """
 
     def __init__(self, seed: int = 0, host: str = "127.0.0.1") -> None:
-        super().__init__(seed)
+        self.seed = seed
         self.host = host
+        self._t0 = time.monotonic()
+        self._processes: dict[ProcessId, Process] = {}
+        self._started = False
         self._ports: dict[ProcessId, int] = {}
         self._out: dict[tuple[ProcessId, ProcessId], _Outbound] = {}
         #: ``(deadline, seq, timer)``: tuple comparison never reaches the timer.
@@ -218,6 +254,28 @@ class TcpRuntime(WallClockRuntime):
         self.messages_sent = 0
         #: inbound connections closed for a frame that could not be decoded.
         self.bad_frames = 0
+
+    @property
+    def now(self) -> float:
+        return time.monotonic() - self._t0
+
+    def add(self, process: Process) -> Process:
+        if self._started:
+            raise TransportError("add processes before start()")
+        if process.pid in self._processes:
+            raise TransportError(f"duplicate process id {process.pid!r}")
+        self._processes[process.pid] = process
+        process.bind(_TcpEnv(self, process.pid))
+        return process
+
+    def run_until(self, predicate: Callable[[], bool], timeout: float = 30.0) -> bool:
+        """Poll ``predicate`` from the caller's thread until it holds."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if predicate():
+                return True
+            time.sleep(0.002)
+        return predicate()
 
     # -------------------------------------------------------------- lifecycle
     def start(self, timeout: float = 10.0) -> "TcpRuntime":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any, NamedTuple
+
 import pytest
 
 
@@ -31,6 +33,9 @@ from repro.net.link import LinkSpec
 from repro.net.profiles import NetworkProfile
 from repro.net.topology import Topology
 from repro.sim.cpu import CpuProfile
+from repro.sim.process import payload_of
+from repro.sim.world import World
+from repro.types import ProcessId
 
 
 def _flat_builder(replicas, clients):
@@ -73,3 +78,30 @@ def flat_profile() -> NetworkProfile:
 def fast_profile() -> NetworkProfile:
     """Sub-millisecond profile for tests that run many requests."""
     return make_test_profile(latency=50e-6)
+
+
+class Sent(NamedTuple):
+    """One message a live process sent in a simulated world."""
+
+    time: float
+    src: ProcessId
+    dst: ProcessId
+    msg: Any  # what it carries: an envelope's payload
+
+
+@pytest.fixture
+def sent(monkeypatch: pytest.MonkeyPatch) -> list[Sent]:
+    """Every message sent by a live process of any ``World`` during the
+    test, one entry per destination, in send order. For tests that read
+    payloads; a count is the registry's (``proc.<pid>.send.<T>``)."""
+    records: list[Sent] = []
+    route = World._send
+
+    def recording(world, src, dst, msg, size=None):
+        sender = world._processes.get(src)
+        if sender is not None and sender.alive:
+            records.append(Sent(world.kernel.now, src, dst, payload_of(msg)))
+        route(world, src, dst, msg, size)
+
+    monkeypatch.setattr(World, "_send", recording)
+    return records

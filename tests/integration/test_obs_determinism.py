@@ -16,13 +16,12 @@ from repro.types import RequestKind
 from tests.conftest import make_test_profile
 
 
-def run(metrics: bool, trace: bool, steps_factory, seed: int = 7) -> Cluster:
+def run(metrics: bool, steps_factory, seed: int = 7) -> Cluster:
     spec = ClusterSpec(
         profile=make_test_profile(),
         seed=seed,
         metrics=metrics,
         measure_bytes=metrics,
-        trace=trace,
     )
     steps = [steps_factory() for _ in range(2)]
     return Cluster(spec, steps).run().drain()
@@ -46,14 +45,14 @@ WORKLOADS = [
 class TestMetricsCannotPerturbTheRun:
     @pytest.mark.parametrize("steps_factory", WORKLOADS)
     def test_chosen_logs_byte_identical(self, steps_factory):
-        instrumented = run(metrics=True, trace=True, steps_factory=steps_factory)
-        bare = run(metrics=False, trace=False, steps_factory=steps_factory)
+        instrumented = run(metrics=True, steps_factory=steps_factory)
+        bare = run(metrics=False, steps_factory=steps_factory)
         assert chosen_log_bytes(instrumented) == chosen_log_bytes(bare)
 
     @pytest.mark.parametrize("steps_factory", WORKLOADS)
     def test_run_results_identical(self, steps_factory):
-        instrumented = collect(run(metrics=True, trace=True, steps_factory=steps_factory))
-        bare = collect(run(metrics=False, trace=False, steps_factory=steps_factory))
+        instrumented = collect(run(metrics=True, steps_factory=steps_factory))
+        bare = collect(run(metrics=False, steps_factory=steps_factory))
         # Every paper-facing aggregate must match exactly. The message
         # accounting fields legitimately differ (zeros when disabled).
         assert instrumented.n_clients == bare.n_clients
@@ -74,8 +73,8 @@ class TestMetricsCannotPerturbTheRun:
 
     def test_virtual_end_times_identical(self):
         factory = lambda: single_kind_steps(RequestKind.WRITE, 8)  # noqa: E731
-        instrumented = run(metrics=True, trace=True, steps_factory=factory)
-        bare = run(metrics=False, trace=False, steps_factory=factory)
+        instrumented = run(metrics=True, steps_factory=factory)
+        bare = run(metrics=False, steps_factory=factory)
         assert instrumented.kernel.now == bare.kernel.now
         for pid in instrumented.replicas:
             assert (
@@ -86,7 +85,6 @@ class TestMetricsCannotPerturbTheRun:
     def test_metrics_off_skips_registry(self):
         bare = run(
             metrics=False,
-            trace=False,
             steps_factory=lambda: single_kind_steps(RequestKind.WRITE, 3),
         )
         assert not bare.metrics.enabled

@@ -5,7 +5,7 @@
   :class:`~repro.core.replica.Replica` processes and the same clients.
   Chosen logs, every client's reply/RRT sequence and the final clock must
   be equal, bit for bit — the envelope and the host add no event.
-* The envelope is invisible to every observer: no metric, trace event,
+* The envelope is invisible to every observer: no metric,
   span, profiler frame or report row is named after it, and the world's
   per-type send totals are the sum of the per-group rows.
 """
@@ -120,7 +120,7 @@ GROUP_SEND = re.compile(r"^proc\.(r\d+)\.g(\d+)\.send\.(\w+)$")
 def test_envelope_is_invisible_to_every_observer(groups, tmp_path):
     spec = ClusterSpec(
         profile=make_test_profile(), seed=3, groups=groups,
-        trace=True, tracing=True, profiling=True,
+        tracing=True, profiling=True,
     )
     steps = [
         single_kind_steps(
@@ -131,18 +131,14 @@ def test_envelope_is_invisible_to_every_observer(groups, tmp_path):
     cluster = Cluster(spec, steps, service_factory=KVStoreService).run().drain()
 
     # Metric and span names land in the timeline export, and the report
-    # renders its rows from it; trace events and profiler frames stay in
-    # memory.
+    # renders its rows from it; profiler frames stay in memory.
     path = cluster.export_timeline(str(tmp_path / "run.jsonl"))
     exported = Path(path).read_text(encoding="utf-8")
     report = render_report(load_export(path))
-    events = [e.detail if isinstance(e.detail, str) else type(e.detail).__name__
-              for e in cluster.trace]
     frames = [";".join(frame) for frame in cluster.profiler.frames()]
-    for observed_names in (exported, report, "\n".join(events), "\n".join(frames)):
+    for observed_names in (exported, report, "\n".join(frames)):
         assert "GroupEnvelope" not in observed_names
     assert "msg.AcceptBatch" in exported
-    assert "AcceptBatch" in events
     assert any(frame.endswith(";recv.AcceptBatch.replica") for frame in frames)
     assert any(frame.endswith(";send.AcceptedBatch.replica") for frame in frames)
     row = re.search(r"^AcceptBatch\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+)", report, re.M)

@@ -40,37 +40,37 @@ class TestEquivalence:
 
 
 class TestPayloadSizes:
-    def payload_bytes(self, mode, state_size):
-        cluster = build_cluster(
+    def payload_bytes(self, sent, mode, state_size):
+        first = len(sent)
+        build_cluster(
             [single_kind_steps(RequestKind.WRITE, 5)],
             service_factory=lambda: NoopService(state_size=state_size),
             state_mode=mode,
-            trace=True,
         ).run()
         sizes = [
-            wire_size(e.detail.entries[0][1].payload)
-            for e in cluster.trace.of_kind("send")
-            if isinstance(e.detail, AcceptBatch) and e.detail.entries
+            wire_size(e.msg.entries[0][1].payload)
+            for e in sent[first:]
+            if isinstance(e.msg, AcceptBatch) and e.msg.entries
         ]
         assert sizes
         return sum(sizes) / len(sizes)
 
-    def test_full_mode_grows_with_state(self):
-        small = self.payload_bytes(StateTransferMode.FULL, state_size=10)
-        large = self.payload_bytes(StateTransferMode.FULL, state_size=100_000)
+    def test_full_mode_grows_with_state(self, sent):
+        small = self.payload_bytes(sent, StateTransferMode.FULL, state_size=10)
+        large = self.payload_bytes(sent, StateTransferMode.FULL, state_size=100_000)
         assert large > 50 * small
 
-    def test_delta_mode_independent_of_state_size(self):
-        small = self.payload_bytes(StateTransferMode.DELTA, state_size=10)
-        large = self.payload_bytes(StateTransferMode.DELTA, state_size=100_000)
+    def test_delta_mode_independent_of_state_size(self, sent):
+        small = self.payload_bytes(sent, StateTransferMode.DELTA, state_size=10)
+        large = self.payload_bytes(sent, StateTransferMode.DELTA, state_size=100_000)
         assert large == pytest.approx(small, rel=0.1)
 
-    def test_repro_mode_independent_of_state_size(self):
-        small = self.payload_bytes(StateTransferMode.REPRO, state_size=10)
-        large = self.payload_bytes(StateTransferMode.REPRO, state_size=100_000)
+    def test_repro_mode_independent_of_state_size(self, sent):
+        small = self.payload_bytes(sent, StateTransferMode.REPRO, state_size=10)
+        large = self.payload_bytes(sent, StateTransferMode.REPRO, state_size=100_000)
         assert large == pytest.approx(small, rel=0.1)
 
-    def test_delta_smaller_than_full_for_big_state(self):
-        full = self.payload_bytes(StateTransferMode.FULL, state_size=100_000)
-        delta = self.payload_bytes(StateTransferMode.DELTA, state_size=100_000)
+    def test_delta_smaller_than_full_for_big_state(self, sent):
+        full = self.payload_bytes(sent, StateTransferMode.FULL, state_size=100_000)
+        delta = self.payload_bytes(sent, StateTransferMode.DELTA, state_size=100_000)
         assert delta < full / 100

@@ -49,9 +49,7 @@ class TestCommit:
         assert set(prints.values()) == {expected}
 
     def test_one_consensus_instance_per_txn(self):
-        cluster = build_cluster(
-            [paper_txn_steps("optimized", 5, 4)], trace=True
-        ).run()
+        cluster = build_cluster([paper_txn_steps("optimized", 5, 4)]).run()
         cluster.drain()
         # 4 transactions -> 4 instances, regardless of 5 ops each.
         assert cluster.leader().log.frontier == 4

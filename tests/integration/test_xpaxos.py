@@ -10,7 +10,6 @@ import pytest
 
 from repro.client.workload import Step, single_kind_steps
 from repro.cluster.faults import FaultSchedule
-from repro.core.messages import AcceptBatch, Confirm
 from repro.services.kvstore import KVStoreService
 from repro.types import ReplyStatus, RequestKind
 from tests.integration.util import build_cluster
@@ -33,18 +32,19 @@ class TestReadPath:
         assert all(r.status is ReplyStatus.OK for r in client.request_records())
 
     def test_reads_use_no_consensus_round(self):
-        cluster = build_cluster([single_kind_steps(RequestKind.READ, 10)], trace=True)
+        cluster = build_cluster([single_kind_steps(RequestKind.READ, 10)])
         cluster.run()
-        accepts = [e for e in cluster.trace.of_kind("send") if isinstance(e.detail, AcceptBatch)]
-        assert accepts == []
+        assert cluster.metrics.counter_value("msg.send.AcceptBatch") == 0
 
     def test_backups_send_confirms(self):
-        cluster = build_cluster([single_kind_steps(RequestKind.READ, 10)], trace=True)
+        cluster = build_cluster([single_kind_steps(RequestKind.READ, 10)])
         cluster.run()
-        confirms = [e for e in cluster.trace.of_kind("send") if isinstance(e.detail, Confirm)]
-        # Two backups confirm each of the 10 reads.
-        assert len(confirms) == 20
-        assert all(e.dst == cluster.leader_pid for e in confirms)
+        # Two backups confirm each of the 10 reads, all to the leader.
+        confirms = {pid: cluster.metrics.counter_value(f"proc.{pid}.send.Confirm")
+                    for pid in cluster.replicas}
+        assert confirms == {"r0": 0, "r1": 10, "r2": 10}
+        leader_received = f"proc.{cluster.leader_pid}.recv.Confirm"
+        assert cluster.metrics.counter_value(leader_received) == 20
 
     def test_read_reflects_latest_write(self):
         cluster = build_cluster([mixed_steps(15)], service_factory=KVStoreService).run()
@@ -68,10 +68,9 @@ class TestReadPath:
 
     def test_basic_mode_reads_go_through_consensus(self):
         cluster = build_cluster(
-            [single_kind_steps(RequestKind.READ, 5)], xpaxos_reads=False, trace=True
+            [single_kind_steps(RequestKind.READ, 5)], xpaxos_reads=False
         ).run()
-        accepts = [e for e in cluster.trace.of_kind("send") if isinstance(e.detail, AcceptBatch)]
-        assert len(accepts) > 0
+        assert cluster.metrics.counter_value("msg.send.AcceptBatch") > 0
         cluster.drain()
         assert cluster.leader().log.frontier == 5
 

@@ -1,4 +1,4 @@
-"""Unit tests for fault schedules, the starter, and trace extras."""
+"""Unit tests for fault schedules and the starter."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core.messages import StartSignal
 from repro.errors import ConfigError
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.trace import TraceEvent, TraceRecorder
 from repro.sim.world import World
 from repro.types import RequestKind
 from tests.conftest import make_test_profile
@@ -228,44 +227,3 @@ class TestStarter:
         # Exactly one begin despite repeated signals.
         assert client.completed_requests == 3
         assert client.started_at is not None
-
-
-class TestTraceExtras:
-    def test_messages_filter_by_type(self):
-        trace = TraceRecorder()
-        trace.emit(0.0, "send", "a", "b", detail={"k": 1})
-        trace.emit(0.1, "send", "a", "b", detail="text")
-        assert len(trace.messages()) == 2
-        assert len(trace.messages(dict)) == 1
-        assert len(trace.messages(str)) == 1
-
-    def test_len_and_iter(self):
-        trace = TraceRecorder()
-        trace.emit(0.0, "crash", "a")
-        trace.emit(0.1, "recover", "a")
-        assert len(trace) == 2
-        assert [e.kind for e in trace] == ["crash", "recover"]
-
-    def test_event_str_renders(self):
-        event = TraceEvent(time=0.001, kind="send", src="a", dst="b", detail="x")
-        text = str(event)
-        assert "send" in text and "a->b" in text
-
-    def test_event_str_renders_falsy_pids(self):
-        # Numeric pid 0 and the empty string are valid process ids; the
-        # arrow must not vanish just because a pid is falsy.
-        event = TraceEvent(time=0.0, kind="send", src=0, dst=1, detail=None)
-        assert "0->1" in str(event)
-        event = TraceEvent(time=0.0, kind="send", src="", dst="b", detail=None)
-        assert "->b" in str(event)
-        event = TraceEvent(time=0.0, kind="deliver", src=None, dst=0, detail=None)
-        assert "None->0" in str(event)
-
-    def test_event_str_no_arrow_when_both_none(self):
-        event = TraceEvent(time=0.0, kind="timer", src=None, dst=None, detail="t")
-        assert "->" not in str(event)
-
-    def test_dump(self):
-        trace = TraceRecorder()
-        trace.emit(0.0, "send", "a", "b", detail=1)
-        assert "send" in trace.dump()

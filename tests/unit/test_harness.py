@@ -58,10 +58,12 @@ class TestClusterSpec:
         with pytest.raises(ConfigError, match=field):
             ClusterSpec(profile=make_test_profile(), **overrides)
 
-    @pytest.mark.parametrize("field", ["accept_retry", "prepare_retry"])
-    def test_replica_config_rejects_a_zero_retry(self, field):
+    @pytest.mark.parametrize("field", ["accept_retry", "prepare_retry", "max_batch"])
+    def test_replica_config_rejects_a_zero_field(self, field):
+        # Each would stall the group: no retransmission, or no batch ever
+        # admitted to the pipeline.
         with pytest.raises(ConfigError, match=field):
-            ReplicaConfig(peers=("r0",), **{field: 0.0})
+            ReplicaConfig(peers=("r0",), **{field: 0})
 
     def test_no_clients_rejected(self):
         spec = ClusterSpec(profile=make_test_profile())
@@ -110,10 +112,6 @@ class TestCluster:
         assert cpu.profile.extra_per_message == pytest.approx(
             sysnet().per_connection_overhead * 8
         )
-
-    def test_trace_enabled(self):
-        cluster = small_cluster(trace=True).run()
-        assert cluster.trace is not None and len(cluster.trace) > 0
 
 
 class TestObsWiring:

@@ -21,8 +21,8 @@ from repro.types import RequestKind
 from tests.conftest import make_test_profile
 
 
-def run_cluster(seed: int = 0, trace: bool = True) -> Cluster:
-    spec = ClusterSpec(profile=make_test_profile(), seed=seed, trace=trace)
+def run_cluster(seed: int = 0) -> Cluster:
+    spec = ClusterSpec(profile=make_test_profile(), seed=seed)
     return Cluster(spec, [single_kind_steps(RequestKind.WRITE, 4)]).run()
 
 
@@ -60,13 +60,11 @@ class TestExportRoundTrip:
             assert hist.count == live[name].count
             assert hist.quantile(0.5) == pytest.approx(live[name].quantile(0.5))
 
-    def test_export_without_trace(self, tmp_path):
-        """The per-message trace stays in memory: a run that records one
-        exports the same timeline as a run that does not."""
-        paths = {trace: tmp_path / f"run{trace}.jsonl" for trace in (False, True)}
-        for trace, path in paths.items():
-            run_cluster(trace=trace).export_timeline(str(path))
-        assert paths[False].read_bytes() == paths[True].read_bytes()
+    def test_same_seed_exports_the_same_bytes(self, tmp_path):
+        paths = [tmp_path / f"run{i}.jsonl" for i in range(2)]
+        for path in paths:
+            run_cluster().export_timeline(str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_message_types_unions_all_counter_families(self):
         export = RunExport()

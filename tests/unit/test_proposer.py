@@ -19,7 +19,6 @@ from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.registry import MetricsRegistry
 from repro.services.noop import NoopService
 from repro.sim.kernel import Kernel
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.types import RequestKind, StateTransferMode
 
@@ -28,8 +27,7 @@ PEERS = ("r0", "r1", "r2")
 
 def make_cluster(seed=0, obs=NULL_OBS, **config_overrides):
     kernel = Kernel(seed=seed)
-    trace = TraceRecorder()
-    world = World(kernel, trace=trace)
+    world = World(kernel, obs=obs)
     config = ReplicaConfig(peers=PEERS, **config_overrides)
     replicas = {}
     for pid in PEERS:
@@ -38,7 +36,7 @@ def make_cluster(seed=0, obs=NULL_OBS, **config_overrides):
         replicas[pid] = replica
     world.start()
     kernel.run(until=0.5)  # let the initial (empty) recovery finish
-    return kernel, world, trace, replicas
+    return kernel, world, replicas
 
 
 def make_item(tag: str, outcomes: list):
@@ -63,7 +61,7 @@ def make_item(tag: str, outcomes: list):
 
 class TestPipeline:
     def test_single_item_commits(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        kernel, _world, replicas = make_cluster()
         leader = replicas["r0"]
         item, committed = make_item("a", ["proposal"])
         leader.proposer.submit(item)
@@ -72,7 +70,7 @@ class TestPipeline:
         assert leader.log.frontier == 1
 
     def test_items_get_consecutive_instances(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        kernel, _world, replicas = make_cluster()
         leader = replicas["r0"]
         records = []
         for tag in ("a", "b", "c"):
@@ -83,7 +81,7 @@ class TestPipeline:
         assert [c[0] for c in records] == [1, 2, 3]
 
     def test_skip_items_consume_no_instance(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        kernel, _world, replicas = make_cluster()
         leader = replicas["r0"]
         skip_item, skip_committed = make_item("skip", [SKIP])
         real_item, real_committed = make_item("real", ["proposal"])
@@ -94,7 +92,7 @@ class TestPipeline:
         assert real_committed == [1]
 
     def test_defer_moves_on(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        kernel, _world, replicas = make_cluster()
         leader = replicas["r0"]
         deferred, deferred_committed = make_item("deferred", [DEFER, "proposal"])
         ready, ready_committed = make_item("ready", ["proposal"])
@@ -109,7 +107,7 @@ class TestPipeline:
 
     def test_batching_under_load(self):
         metrics = MetricsRegistry()
-        kernel, _world, _trace, replicas = make_cluster(obs=Obs(metrics=metrics))
+        kernel, _world, replicas = make_cluster(obs=Obs(metrics=metrics))
         leader = replicas["r0"]
         for tag in range(10):
             item, _ = make_item(str(tag), ["proposal"])
@@ -119,8 +117,8 @@ class TestPipeline:
         assert metrics.counter_value("proc.r0.commits") == 10
         assert 1 < metrics.counter_value("proc.r0.proposer.rounds") < 10
 
-    def test_max_batch_respected(self):
-        kernel, _world, trace, replicas = make_cluster(max_batch=3)
+    def test_max_batch_respected(self, sent):
+        kernel, _world, replicas = make_cluster(max_batch=3)
         leader = replicas["r0"]
         # Stall the pipeline so a queue builds up, then release.
         leader.proposer.pause()
@@ -130,15 +128,15 @@ class TestPipeline:
         leader.proposer.resume()
         kernel.run(until=kernel.now + 1.0)
         batches = [
-            len(e.detail.entries)
-            for e in trace.of_kind("send")
-            if isinstance(e.detail, AcceptBatch) and e.dst == "r1"
+            len(e.msg.entries)
+            for e in sent
+            if isinstance(e.msg, AcceptBatch) and e.dst == "r1"
         ]
         assert max(batches) <= 3
         assert sum(batches) == 9
 
     def test_pause_blocks_pumping(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        kernel, _world, replicas = make_cluster()
         leader = replicas["r0"]
         leader.proposer.pause()
         item, committed = make_item("a", ["proposal"])
@@ -150,7 +148,7 @@ class TestPipeline:
         assert committed == [1]
 
     def test_stop_drops_queue_and_inflight(self):
-        kernel, _world, _trace, replicas = make_cluster()
+        kernel, _world, replicas = make_cluster()
         leader = replicas["r0"]
         item, committed = make_item("a", ["proposal"])
         leader.proposer.submit(item)  # in flight now (accepts sent)
@@ -160,7 +158,8 @@ class TestPipeline:
         assert leader.proposer.depth == 0
 
     def test_retransmit_on_silent_backup(self):
-        kernel, world, trace, replicas = make_cluster(accept_retry=0.01)
+        metrics = MetricsRegistry()
+        kernel, world, replicas = make_cluster(accept_retry=0.01, obs=Obs(metrics=metrics))
         leader = replicas["r0"]
         # Both backups down: no majority, so the leader keeps retransmitting.
         world.crash("r1")
@@ -169,15 +168,14 @@ class TestPipeline:
         leader.proposer.submit(item)
         kernel.run(until=kernel.now + 0.1)
         assert committed == []
-        sends = [e for e in trace.of_kind("send") if isinstance(e.detail, AcceptBatch)]
-        assert len(sends) > 4  # original + retries
+        assert metrics.counter_value("proc.r0.send.AcceptBatch") > 4  # original + retries
         # Recover one backup: commit completes.
         world.recover("r1")
         kernel.run(until=kernel.now + 0.2)
         assert committed == [1]
 
     def test_commit_needs_majority_not_all(self):
-        kernel, world, _trace, replicas = make_cluster()
+        kernel, world, replicas = make_cluster()
         world.crash("r2")
         leader = replicas["r0"]
         item, committed = make_item("a", ["proposal"])
@@ -190,7 +188,7 @@ class TestExecuteTime:
     def test_execute_time_stalls_pipeline(self):
         from repro.sim.process import Process
 
-        kernel, world, _trace, replicas = make_cluster(execute_time=0.05)
+        kernel, world, replicas = make_cluster(execute_time=0.05)
         world.add(Process("c0"))  # reply sink
         leader = replicas["r0"]
         request = ClientRequest(RequestId("c0", 0), RequestKind.WRITE, op=("write",))

@@ -22,7 +22,6 @@ from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.registry import MetricsRegistry
 from repro.services.counter import CounterService
 from repro.sim.kernel import Kernel
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.types import RequestKind, StateTransferMode
 
@@ -43,8 +42,7 @@ def proposal(instance: int) -> Proposal:
 
 def make_world(seed=0, checkpoint_interval=1000, obs=NULL_OBS):
     kernel = Kernel(seed=seed)
-    trace = TraceRecorder()
-    world = World(kernel, trace=trace)
+    world = World(kernel, obs=obs)
     config = ReplicaConfig(
         peers=PEERS, checkpoint_interval=checkpoint_interval, prepare_retry=0.05
     )
@@ -61,7 +59,7 @@ def make_world(seed=0, checkpoint_interval=1000, obs=NULL_OBS):
     for instance in range(1, 95):
         world.add(Process(f"c{instance}"))  # reply sinks
     world.start()
-    return kernel, world, trace, replicas, electors
+    return kernel, world, replicas, electors
 
 
 def seed_paper_example(kernel, replicas):
@@ -86,15 +84,15 @@ def seed_paper_example(kernel, replicas):
 
 
 class TestPaperExample:
-    def test_new_leader_prepare_covers_gaps_and_tail(self):
-        kernel, world, trace, replicas, electors = make_world()
+    def test_new_leader_prepare_covers_gaps_and_tail(self, sent):
+        kernel, world, replicas, electors = make_world()
         seed_paper_example(kernel, replicas)
         world.crash("r0")
         electors["r1"].set_leader("r1")
         kernel.run(until=0.02)
         prepares = [
-            e.detail for e in trace.of_kind("send")
-            if isinstance(e.detail, Prepare) and e.src == "r1"
+            e.msg for e in sent
+            if isinstance(e.msg, Prepare) and e.src == "r1"
         ]
         assert prepares, "no Prepare sent"
         prepare = prepares[0]
@@ -104,7 +102,7 @@ class TestPaperExample:
         assert prepare.from_instance == 91
 
     def test_recovery_completes_with_all_values(self):
-        kernel, world, _trace, replicas, electors = make_world()
+        kernel, world, replicas, electors = make_world()
         seed_paper_example(kernel, replicas)
         world.crash("r0")
         electors["r1"].set_leader("r1")
@@ -119,7 +117,7 @@ class TestPaperExample:
         assert r1.proposer.next_instance == 92
 
     def test_backup_catches_up_through_recovery(self):
-        kernel, world, _trace, replicas, electors = make_world()
+        kernel, world, replicas, electors = make_world()
         seed_paper_example(kernel, replicas)
         world.crash("r0")
         electors["r1"].set_leader("r1")
@@ -130,7 +128,7 @@ class TestPaperExample:
         assert r2.service.value == sum(range(1, 92))
 
     def test_recovery_with_empty_logs_is_trivial(self):
-        kernel, _world, _trace, replicas, electors = make_world()
+        kernel, _world, replicas, electors = make_world()
         electors["r0"].set_leader("r0")
         kernel.run(until=0.5)
         r0 = replicas["r0"]
@@ -139,7 +137,7 @@ class TestPaperExample:
 
     def test_preempted_recovery_steps_down(self):
         metrics = MetricsRegistry()
-        kernel, _world, _trace, replicas, electors = make_world(obs=Obs(metrics=metrics))
+        kernel, _world, replicas, electors = make_world(obs=Obs(metrics=metrics))
         # r2 first becomes leader with a higher round.
         replicas["r2"].observe_round(5)
         electors["r2"].set_leader("r2")
@@ -163,17 +161,17 @@ class TestPaperExample:
         assert metrics.counter_value("proc.r1.leader.elected") >= 1
         assert max(led_rounds) > 6 or metrics.counter_value("proc.r1.leader.preempted") == 0
 
-    def test_leader_promising_a_higher_prepare_stops_proposing_at_its_old_ballot(self):
+    def test_leader_promising_a_higher_prepare_stops_proposing_at_its_old_ballot(self, sent):
         # A leader that promises a higher ballot away must stop its
         # proposer: self-accepting at the old ballot afterwards would hide
         # the value from the new leader's prepare quorum.
-        kernel, _world, trace, replicas, electors = make_world()
+        kernel, _world, replicas, electors = make_world()
         electors["r0"].set_leader("r0")
         kernel.run(until=0.1)
         r0 = replicas["r0"]
         assert r0.role is ReplicaRole.LEADING
         old, higher = r0.ballot, Ballot(5, "r2")
-        sent_before = len(trace.of_kind("send"))
+        sent_before = len(sent)
         r0.on_message("r2", Prepare(ballot=higher, gaps=(), from_instance=1))
         assert r0.role is ReplicaRole.FOLLOWER
         # A write reaching r0 now is held, and served once r0 leads again
@@ -181,24 +179,22 @@ class TestPaperExample:
         r0.on_message("c1", ClientRequest(RequestId("c1", 0), RequestKind.WRITE, op=("add", 1)))
         kernel.run(until=0.5)
         ballots = [
-            e.detail.ballot for e in trace.of_kind("send")[sent_before:]
-            if isinstance(e.detail, AcceptBatch) and e.src == "r0"
+            e.msg.ballot for e in sent[sent_before:]
+            if isinstance(e.msg, AcceptBatch) and e.src == "r0"
         ]
         assert ballots, "r0 never proposed the held write"
         assert old not in ballots
         assert min(ballots) > higher
 
     def test_recovery_retransmits_prepare_to_silent_majority(self):
-        kernel, world, trace, replicas, electors = make_world()
+        metrics = MetricsRegistry()
+        kernel, world, replicas, electors = make_world(obs=Obs(metrics=metrics))
         world.crash("r0")
         world.crash("r2")
         electors["r1"].set_leader("r1")
         kernel.run(until=0.3)
         assert replicas["r1"].role is ReplicaRole.RECOVERING  # stuck, no quorum
-        prepares = [
-            e for e in trace.of_kind("send") if isinstance(e.detail, Prepare)
-        ]
-        assert len(prepares) > 4  # retried
+        assert metrics.counter_value("proc.r1.send.Prepare") > 4  # retried
         world.recover("r2")
         kernel.run(until=1.0)
         assert replicas["r1"].role is ReplicaRole.LEADING

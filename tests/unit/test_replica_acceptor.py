@@ -22,7 +22,6 @@ from repro.core.state import StatePayload
 from repro.election.static import ManualElector
 from repro.services.counter import CounterService
 from repro.sim.kernel import Kernel
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.types import RequestKind, StateTransferMode
 
@@ -32,8 +31,7 @@ PEERS = ("r0", "r1", "r2")
 def make_follower(seed=0):
     """A single follower replica r1 in a world with message sinks."""
     kernel = Kernel(seed=seed)
-    trace = TraceRecorder()
-    world = World(kernel, trace=trace)
+    world = World(kernel)
     config = ReplicaConfig(peers=PEERS)
     replica = Replica("r1", config, CounterService, ManualElector(None))
     world.add(replica)
@@ -42,7 +40,7 @@ def make_follower(seed=0):
     for pid in ("r0", "r2", "c0"):
         world.add(Process(pid))
     world.start()
-    return kernel, world, trace, replica
+    return kernel, world, replica
 
 
 def proposal(amount: int, client="c0", seq=0) -> Proposal:
@@ -56,43 +54,43 @@ def proposal(amount: int, client="c0", seq=0) -> Proposal:
     )
 
 
-def sent_to(trace, dst, msg_type):
-    return [e.detail for e in trace.of_kind("send") if e.dst == dst and isinstance(e.detail, msg_type)]
+def sent_to(sent, dst, msg_type):
+    return [e.msg for e in sent if e.dst == dst and isinstance(e.msg, msg_type)]
 
 
 class TestAcceptPath:
-    def test_accept_batch_acknowledged_and_logged(self):
-        kernel, _world, trace, replica = make_follower()
+    def test_accept_batch_acknowledged_and_logged(self, sent):
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         batch = AcceptBatch(ballot=ballot, entries=((1, proposal(5)),))
         replica.on_message("r0", batch)
         kernel.run(until=0.1)
-        acks = sent_to(trace, "r0", AcceptedBatch)
+        acks = sent_to(sent, "r0", AcceptedBatch)
         assert len(acks) == 1 and acks[0].instances == (1,)
         assert replica.log.accepted_entry(1) is not None
         assert replica.promised == ballot
 
-    def test_stale_ballot_nacked(self):
-        kernel, _world, trace, replica = make_follower()
+    def test_stale_ballot_nacked(self, sent):
+        kernel, _world, replica = make_follower()
         replica.on_message("r0", Prepare(ballot=Ballot(5, "r2"), gaps=(), from_instance=1))
         stale = AcceptBatch(ballot=Ballot(1, "r0"), entries=((1, proposal(5)),))
         replica.on_message("r0", stale)
         kernel.run(until=0.1)
-        nacks = sent_to(trace, "r0", Nack)
+        nacks = sent_to(sent, "r0", Nack)
         assert len(nacks) == 1
         assert nacks[0].promised == Ballot(5, "r2")
         assert replica.log.accepted_entry(1) is None
 
-    def test_equal_ballot_accepted(self):
-        kernel, _world, trace, replica = make_follower()
+    def test_equal_ballot_accepted(self, sent):
+        kernel, _world, replica = make_follower()
         ballot = Ballot(3, "r0")
         replica.on_message("r0", Prepare(ballot=ballot, gaps=(), from_instance=1))
         replica.on_message("r0", AcceptBatch(ballot=ballot, entries=((1, proposal(1)),)))
         kernel.run(until=0.1)
-        assert sent_to(trace, "r0", AcceptedBatch)
+        assert sent_to(sent, "r0", AcceptedBatch)
 
     def test_chosen_batch_applies_in_order(self):
-        kernel, _world, _trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         items = tuple((i, proposal(i, seq=i - 1)) for i in (1, 2, 3))
         replica.on_message("r0", ChosenBatch(items=items, ballot=ballot))
@@ -101,7 +99,7 @@ class TestAcceptPath:
         assert replica.service.value == 1 + 2 + 3
 
     def test_chosen_gap_stalls_application(self):
-        kernel, _world, _trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         replica.on_message("r0", ChosenBatch(items=((2, proposal(2)),), ballot=ballot))
         kernel.run(until=0.1)
@@ -110,18 +108,18 @@ class TestAcceptPath:
         kernel.run(until=0.1)
         assert replica.applied == 2
 
-    def test_chosen_triggers_catch_up_query(self):
+    def test_chosen_triggers_catch_up_query(self, sent):
         from repro.core.messages import CatchUpQuery
 
-        kernel, _world, trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         replica.on_message("r0", ChosenBatch(items=((5, proposal(5)),), ballot=ballot))
         kernel.run(until=0.1)
-        queries = sent_to(trace, "r0", CatchUpQuery)
+        queries = sent_to(sent, "r0", CatchUpQuery)
         assert len(queries) == 1 and queries[0].from_instance == 0
 
     def test_duplicate_chosen_idempotent(self):
-        kernel, _world, _trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         msg = ChosenBatch(items=((1, proposal(7)),), ballot=ballot)
         replica.on_message("r0", msg)
@@ -148,7 +146,7 @@ class TestChooseAppends:
     already hold the instance at the choosing ballot."""
 
     def test_accepted_then_chosen_at_the_same_ballot_appends_only_the_choose(self):
-        kernel, _world, _trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         value = proposal(5)
         replica.on_message("r0", AcceptBatch(ballot=ballot, entries=((1, value),)))
@@ -160,7 +158,7 @@ class TestChooseAppends:
         assert replica.applied == 1
 
     def test_chosen_without_a_prior_accept_appends_accept_and_choose(self):
-        kernel, _world, _trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         replica.on_message("r0", ChosenBatch(items=((1, proposal(5)),), ballot=ballot))
         kernel.run(until=0.1)
@@ -173,7 +171,7 @@ class TestChooseAppends:
         ids=["held-lower", "held-higher"],
     )
     def test_chosen_at_another_ballot_than_the_one_held_appends_both(self, held, chosen):
-        kernel, _world, _trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         value = proposal(5)
         replica.on_message(held.leader, AcceptBatch(ballot=held, entries=((1, value),)))
         before = replica.store.device.appends
@@ -185,11 +183,11 @@ class TestChooseAppends:
         ]
         assert replica.store.device.appends >= before + 2
 
-    def test_entry_replayed_after_a_crash_is_promised_and_not_appended_again(self):
+    def test_entry_replayed_after_a_crash_is_promised_and_not_appended_again(self, sent):
         """Crash between AcceptBatch and ChosenBatch: recovery rebuilds the
         entry from its WAL record, a Promise reports it, and the decision
         then appends only its choose record."""
-        kernel, world, trace, replica = make_follower()
+        kernel, world, replica = make_follower()
         ballot = Ballot(0, "r0")
         value = proposal(5)
         replica.on_message("r0", AcceptBatch(ballot=ballot, entries=((1, value),)))
@@ -199,7 +197,7 @@ class TestChooseAppends:
         assert replica.log.accepted_entry(1).pn == ProposalNumber(ballot, 1)
         replica.on_message("r2", Prepare(ballot=Ballot(1, "r2"), gaps=(), from_instance=1))
         kernel.run(until=0.2)
-        (promise,) = sent_to(trace, "r2", Promise)
+        (promise,) = sent_to(sent, "r2", Promise)
         assert [(e.pn, e.value) for e in promise.entries] == [
             (ProposalNumber(ballot, 1), value)
         ]
@@ -210,8 +208,8 @@ class TestChooseAppends:
 
 
 class TestPreparePath:
-    def test_promise_reports_accepted_entries(self):
-        kernel, _world, trace, replica = make_follower()
+    def test_promise_reports_accepted_entries(self, sent):
+        kernel, _world, replica = make_follower()
         old = Ballot(0, "r0")
         replica.on_message(
             "r0",
@@ -220,46 +218,46 @@ class TestPreparePath:
         new = Ballot(1, "r2")
         replica.on_message("r2", Prepare(ballot=new, gaps=(), from_instance=1))
         kernel.run(until=0.1)
-        promises = sent_to(trace, "r2", Promise)
+        promises = sent_to(sent, "r2", Promise)
         assert len(promises) == 1
         promise = promises[0]
         assert {e.pn.instance for e in promise.entries} == {1, 2}
         assert promise.ballot == new
         assert replica.promised == new
 
-    def test_promise_includes_latest_state(self):
-        kernel, _world, trace, replica = make_follower()
+    def test_promise_includes_latest_state(self, sent):
+        kernel, _world, replica = make_follower()
         ballot = Ballot(0, "r0")
         replica.on_message("r0", ChosenBatch(items=((1, proposal(9)),), ballot=ballot))
         replica.on_message("r2", Prepare(ballot=Ballot(1, "r2"), gaps=(), from_instance=2))
         kernel.run(until=0.1)
-        (promise,) = sent_to(trace, "r2", Promise)
+        (promise,) = sent_to(sent, "r2", Promise)
         assert promise.latest is not None
         instance, (service_snap, _executed) = promise.latest
         assert instance == 1 and service_snap == 9
 
-    def test_lower_prepare_nacked(self):
-        kernel, _world, trace, replica = make_follower()
+    def test_lower_prepare_nacked(self, sent):
+        kernel, _world, replica = make_follower()
         replica.on_message("r2", Prepare(ballot=Ballot(5, "r2"), gaps=(), from_instance=1))
         replica.on_message("r0", Prepare(ballot=Ballot(1, "r0"), gaps=(), from_instance=1))
         kernel.run(until=0.1)
-        assert sent_to(trace, "r0", Nack)
+        assert sent_to(sent, "r0", Nack)
 
-    def test_chosen_values_reported_in_promise(self):
+    def test_chosen_values_reported_in_promise(self, sent):
         # A replica that learned a decision must surface it to new leaders.
-        kernel, _world, trace, replica = make_follower()
+        kernel, _world, replica = make_follower()
         replica.on_message(
             "r0", ChosenBatch(items=((1, proposal(4)),), ballot=Ballot(0, "r0"))
         )
         replica.on_message("r2", Prepare(ballot=Ballot(1, "r2"), gaps=(1,), from_instance=2))
         kernel.run(until=0.1)
-        (promise,) = sent_to(trace, "r2", Promise)
+        (promise,) = sent_to(sent, "r2", Promise)
         assert {e.pn.instance for e in promise.entries} == {1}
 
 
 class TestStableStorage:
     def test_promised_ballot_survives_crash(self):
-        kernel, world, _trace, replica = make_follower()
+        kernel, world, replica = make_follower()
         ballot = Ballot(7, "r0")
         replica.on_message("r0", Prepare(ballot=ballot, gaps=(), from_instance=1))
         kernel.run(until=0.1)
@@ -268,7 +266,7 @@ class TestStableStorage:
         assert replica.promised == ballot
 
     def test_service_state_rebuilt_from_checkpoint_and_log(self):
-        kernel, world, _trace, replica = make_follower()
+        kernel, world, replica = make_follower()
         ballot = Ballot(0, "r0")
         items = tuple((i, proposal(i, seq=i - 1)) for i in (1, 2, 3))
         replica.on_message("r0", ChosenBatch(items=items, ballot=ballot))
@@ -280,7 +278,7 @@ class TestStableStorage:
         assert replica.applied == 3
 
     def test_max_round_survives_crash(self):
-        kernel, world, _trace, replica = make_follower()
+        kernel, world, replica = make_follower()
         replica.on_message("r0", Prepare(ballot=Ballot(9, "r0"), gaps=(), from_instance=1))
         kernel.run(until=0.1)
         world.crash("r1")

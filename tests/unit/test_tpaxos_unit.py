@@ -14,7 +14,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.services.bank import BankService
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.types import ReplyStatus, RequestKind
 
@@ -29,8 +28,7 @@ def bank_factory():
 
 def make_leader(seed=0, obs=NULL_OBS, **config_kw):
     kernel = Kernel(seed=seed)
-    trace = TraceRecorder()
-    world = World(kernel, trace=trace)
+    world = World(kernel)
     config = ReplicaConfig(peers=PEERS, **config_kw)
     elector = ManualElector(None)
     leader = Replica("r0", config, bank_factory, elector, obs=obs)
@@ -43,7 +41,7 @@ def make_leader(seed=0, obs=NULL_OBS, **config_kw):
     elector.set_leader("r0")
     kernel.run(until=0.1)
     assert leader.is_leading
-    return kernel, trace, leader
+    return kernel, leader
 
 
 def txn_op(seq, op, txn="t1", txn_seq=None, client="c0"):
@@ -63,130 +61,130 @@ def abort(seq, txn="t1", client="c0"):
     return ClientRequest(RequestId(client, seq), RequestKind.TXN_ABORT, txn=txn)
 
 
-def replies_to(trace, client):
-    return [e.detail for e in trace.of_kind("send")
-            if e.dst == client and isinstance(e.detail, Reply)]
+def replies_to(sent, client):
+    return [e.msg for e in sent
+            if e.dst == client and isinstance(e.msg, Reply)]
 
 
 class TestOps:
-    def test_op_executed_and_answered_immediately(self):
-        kernel, trace, leader = make_leader()
+    def test_op_executed_and_answered_immediately(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         kernel.run(until=kernel.now + 0.05)
-        (reply,) = replies_to(trace, "c0")
+        (reply,) = replies_to(sent, "c0")
         assert reply.status is ReplyStatus.OK and reply.value == 90
         # Executed on the leader, but nothing replicated yet.
         assert leader.service.accounts["alice"] == 90
         assert leader.log.frontier == 0
 
     def test_op_holds_locks(self):
-        kernel, _trace, leader = make_leader()
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         kernel.run(until=kernel.now + 0.01)
         assert "alice" in leader.locks.holds("t1")
 
-    def test_retransmitted_op_replies_cached_value(self):
-        kernel, trace, leader = make_leader()
+    def test_retransmitted_op_replies_cached_value(self, sent):
+        kernel, leader = make_leader()
         request = txn_op(0, ("withdraw", "alice", 10))
         leader.on_message("c0", request)
         leader.on_message("c0", request)
         kernel.run(until=kernel.now + 0.05)
-        values = [r.value for r in replies_to(trace, "c0")]
+        values = [r.value for r in replies_to(sent, "c0")]
         assert values == [90, 90]
         assert leader.service.accounts["alice"] == 90  # executed once
 
-    def test_conflicting_txn_aborted_no_wait(self):
-        kernel, trace, leader = make_leader()
+    def test_conflicting_txn_aborted_no_wait(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10), txn="t1"))
         leader.on_message("c1", txn_op(0, ("deposit", "alice", 5), txn="t2", client="c1"))
         kernel.run(until=kernel.now + 0.05)
-        (t2_reply,) = replies_to(trace, "c1")
+        (t2_reply,) = replies_to(sent, "c1")
         assert t2_reply.status is ReplyStatus.ABORTED
         assert leader.service.accounts["alice"] == 90  # only t1's effect
 
-    def test_failed_op_keeps_txn_alive(self):
-        kernel, trace, leader = make_leader()
+    def test_failed_op_keeps_txn_alive(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "ghost", 1)))
         kernel.run(until=kernel.now + 0.05)
-        (reply,) = replies_to(trace, "c0")
+        (reply,) = replies_to(sent, "c0")
         assert reply.status is ReplyStatus.ERROR
         # Next op with txn_seq 0 still starts cleanly in the same txn.
         leader.on_message("c0", txn_op(1, ("withdraw", "alice", 10), txn_seq=0))
         kernel.run(until=kernel.now + 0.05)
-        assert replies_to(trace, "c0")[-1].status is ReplyStatus.OK
+        assert replies_to(sent, "c0")[-1].status is ReplyStatus.OK
 
 
 class TestCommitAbort:
-    def test_commit_replicates_and_releases_locks(self):
-        kernel, trace, leader = make_leader()
+    def test_commit_replicates_and_releases_locks(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         leader.on_message("c0", commit(1, n_ops=1))
         kernel.run(until=kernel.now + 0.2)
-        assert replies_to(trace, "c0")[-1].value == "committed"
+        assert replies_to(sent, "c0")[-1].value == "committed"
         assert leader.log.frontier == 1
         assert leader.locks.holds("t1") == frozenset()
         assert "t1" not in leader.txns.active
 
-    def test_commit_retransmit_after_decision_replies_cached(self):
-        kernel, trace, leader = make_leader()
+    def test_commit_retransmit_after_decision_replies_cached(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         leader.on_message("c0", commit(1, n_ops=1))
         kernel.run(until=kernel.now + 0.2)
         leader.on_message("c0", commit(1, n_ops=1))
         kernel.run(until=kernel.now + 0.2)
-        assert replies_to(trace, "c0")[-1].value == "committed"
+        assert replies_to(sent, "c0")[-1].value == "committed"
         assert leader.log.frontier == 1  # no second instance
 
-    def test_commit_for_unknown_txn_aborted(self):
-        kernel, trace, leader = make_leader()
+    def test_commit_for_unknown_txn_aborted(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", commit(0, txn="nope", n_ops=2))
         kernel.run(until=kernel.now + 0.05)
-        assert replies_to(trace, "c0")[-1].status is ReplyStatus.ABORTED
+        assert replies_to(sent, "c0")[-1].status is ReplyStatus.ABORTED
 
-    def test_commit_with_missing_prefix_aborts(self):
-        kernel, trace, leader = make_leader()
+    def test_commit_with_missing_prefix_aborts(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         # Commit claims 2 ops but the leader saw only 1.
         leader.on_message("c0", commit(1, n_ops=2))
         kernel.run(until=kernel.now + 0.1)
-        assert replies_to(trace, "c0")[-1].status is ReplyStatus.ABORTED
+        assert replies_to(sent, "c0")[-1].status is ReplyStatus.ABORTED
         # The seen op was rolled back.
         assert leader.service.accounts["alice"] == 100
 
-    def test_op_with_wrong_seq_aborts(self):
-        kernel, trace, leader = make_leader()
+    def test_op_with_wrong_seq_aborts(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10), txn_seq=1))
         kernel.run(until=kernel.now + 0.05)
-        assert replies_to(trace, "c0")[-1].status is ReplyStatus.ABORTED
+        assert replies_to(sent, "c0")[-1].status is ReplyStatus.ABORTED
 
-    def test_abort_rolls_back_in_reverse(self):
-        kernel, trace, leader = make_leader()
+    def test_abort_rolls_back_in_reverse(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         leader.on_message("c0", txn_op(1, ("deposit", "bob", 30), txn_seq=1))
         leader.on_message("c0", abort(2))
         kernel.run(until=kernel.now + 0.05)
         assert leader.service.accounts == {"alice": 100, "bob": 100}
-        assert replies_to(trace, "c0")[-1].value == "aborted"
+        assert replies_to(sent, "c0")[-1].value == "aborted"
         assert leader.locks.owners() == frozenset()
 
-    def test_abort_of_unknown_txn_is_ok(self):
-        kernel, trace, leader = make_leader()
+    def test_abort_of_unknown_txn_is_ok(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", abort(0, txn="nope"))
         kernel.run(until=kernel.now + 0.05)
-        assert replies_to(trace, "c0")[-1].status is ReplyStatus.OK
+        assert replies_to(sent, "c0")[-1].status is ReplyStatus.OK
 
-    def test_op_after_commit_in_flight_rejected(self):
-        kernel, trace, leader = make_leader()
+    def test_op_after_commit_in_flight_rejected(self, sent):
+        kernel, leader = make_leader()
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         leader.on_message("c0", commit(1, n_ops=1))
         leader.on_message("c0", txn_op(2, ("deposit", "bob", 1), txn_seq=1))
         kernel.run(until=kernel.now + 0.2)
-        errors = [r for r in replies_to(trace, "c0") if r.status is ReplyStatus.ERROR]
+        errors = [r for r in replies_to(sent, "c0") if r.status is ReplyStatus.ERROR]
         assert errors and "committing" in str(errors[0].value)
 
     def test_drop_all_counts_aborts_without_undo(self):
         metrics = MetricsRegistry()
-        kernel, _trace, leader = make_leader(obs=Obs(metrics=metrics))
+        kernel, leader = make_leader(obs=Obs(metrics=metrics))
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         kernel.run(until=kernel.now + 0.01)
         assert metrics.counters("tpaxos.abort") == {}
@@ -204,7 +202,7 @@ class TestIdleExpiry:
     sweep must roll the orphan back and release its locks."""
 
     def test_idle_txn_expires_and_rolls_back(self):
-        kernel, _trace, leader = make_leader(txn_timeout=0.3)
+        kernel, leader = make_leader(txn_timeout=0.3)
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         kernel.run(until=kernel.now + 0.05)
         assert leader.service.accounts["alice"] == 70
@@ -214,7 +212,7 @@ class TestIdleExpiry:
         assert leader.locks.owners() == frozenset()
 
     def test_activity_refreshes_the_clock(self):
-        kernel, _trace, leader = make_leader(txn_timeout=0.3)
+        kernel, leader = make_leader(txn_timeout=0.3)
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
         kernel.run(until=kernel.now + 0.2)
         # A second op arrives before the timeout: the transaction is live.
@@ -225,20 +223,20 @@ class TestIdleExpiry:
         assert leader.txns.active == {}  # now it expired
 
     def test_zero_timeout_disables_expiry(self):
-        kernel, _trace, leader = make_leader(txn_timeout=0.0)
+        kernel, leader = make_leader(txn_timeout=0.0)
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         kernel.run(until=kernel.now + 2.0)
         assert "t1" in leader.txns.active
 
-    def test_expiry_unblocks_later_transactions(self):
-        kernel, trace, leader = make_leader(txn_timeout=0.3)
+    def test_expiry_unblocks_later_transactions(self, sent):
+        kernel, leader = make_leader(txn_timeout=0.3)
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         kernel.run(until=kernel.now + 0.05)
         # While the zombie holds the lock, c1's conflicting txn aborts.
         leader.on_message("c1", txn_op(0, ("withdraw", "alice", 5), txn="t2", client="c1"))
         kernel.run(until=kernel.now + 0.05)
-        assert replies_to(trace, "c1")[-1].status is ReplyStatus.ABORTED
+        assert replies_to(sent, "c1")[-1].status is ReplyStatus.ABORTED
         kernel.run(until=kernel.now + 0.6)  # zombie expires
         leader.on_message("c1", txn_op(1, ("withdraw", "alice", 5), txn="t3", client="c1"))
         kernel.run(until=kernel.now + 0.05)
-        assert replies_to(trace, "c1")[-1].status is ReplyStatus.OK
+        assert replies_to(sent, "c1")[-1].status is ReplyStatus.OK

@@ -12,7 +12,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.cpu import CpuProfile
 from repro.sim.kernel import Kernel
 from repro.sim.process import Envelope, Process
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World, ZeroLatencyNetwork
 from repro.transport.codec import wire_size
 
@@ -226,33 +225,38 @@ class TestCrashRecover:
 
 
 class TestTrace:
+    """What the world records of each message: the registry's counters
+    (a payload is read through the ``sent`` fixture)."""
+
     def test_trace_records_send_and_deliver(self):
         kernel = Kernel()
-        trace = TraceRecorder()
-        world = World(kernel, ZeroLatencyNetwork(), trace=trace)
+        metrics = MetricsRegistry()
+        world = World(kernel, ZeroLatencyNetwork(), obs=Obs(metrics=metrics))
         a, b = world.add(Recorder("a")), world.add(Recorder("b"))
         world.start()
         a.send("b", "x")
         kernel.run()
-        assert len(trace.of_kind("send")) == 1
-        assert len(trace.of_kind("deliver")) == 1
+        assert metrics.counters() == {
+            "msg.send.str": 1, "proc.a.send.str": 1,
+            "msg.deliver.str": 1, "proc.b.recv.str": 1,
+        }
 
     def test_trace_records_drop_on_crash(self):
         kernel = Kernel()
-        trace = TraceRecorder()
-        world = World(kernel, FixedDelayNetwork(0.1), trace=trace)
+        metrics = MetricsRegistry()
+        world = World(kernel, FixedDelayNetwork(0.1), obs=Obs(metrics=metrics))
         a, b = world.add(Recorder("a")), world.add(Recorder("b"))
         world.start()
         a.send("b", "x")
         kernel.schedule_at(0.05, world.crash, "b")
         kernel.run()
-        assert len(trace.of_kind("drop")) == 1
+        assert metrics.counter_value("msg.drop.str") == 1
+        assert metrics.counter_value("msg.deliver.str") == 0
 
-    def test_envelope_is_named_by_its_payload_and_delivered_whole(self):
+    def test_envelope_is_named_by_its_payload_and_delivered_whole(self, sent):
         kernel = Kernel()
-        trace = TraceRecorder()
         metrics = MetricsRegistry()
-        world = World(kernel, FixedDelayNetwork(0.1), trace=trace,
+        world = World(kernel, FixedDelayNetwork(0.1),
                       obs=Obs(metrics=metrics), measure_bytes=True)
         a, b = world.add(Recorder("a")), world.add(Recorder("b"))
         world.start()
@@ -263,25 +267,12 @@ class TestTrace:
         kernel.schedule_at(kernel.now + 0.05, world.crash, "b")
         kernel.run()
         assert [msg for _t, _src, msg in b.inbox] == [envelope]  # receiver unwraps
-        assert [(e.kind, e.detail) for e in trace if e.dst == "b"] == [
-            ("send", "x"), ("deliver", "x"), ("send", "y"), ("drop", "y"),
-        ]
+        assert [(e.dst, e.msg) for e in sent] == [("b", "x"), ("b", "y")]
         counters = metrics.counters()
         assert not [name for name in counters if "Wrapped" in name]
         assert counters["msg.send.str"] == counters["proc.a.send.str"] == 2
         assert counters["msg.deliver.str"] == counters["msg.drop.str"] == 1
         assert counters["msg.send_bytes.str"] == 2 * wire_size(envelope)
-
-    def test_trace_predicate_filters(self):
-        kernel = Kernel()
-        trace = TraceRecorder(predicate=lambda e: e.kind == "crash")
-        world = World(kernel, trace=trace)
-        a, b = world.add(Recorder("a")), world.add(Recorder("b"))
-        world.start()
-        a.send("b", "x")
-        world.crash("b")
-        kernel.run()
-        assert {e.kind for e in trace} == {"crash"}
 
     def test_late_registration_starts(self):
         kernel, world = make_world()

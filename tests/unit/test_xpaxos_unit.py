@@ -10,10 +10,11 @@ from repro.core.messages import Confirm, Reply
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
+from repro.obs.handle import Obs
+from repro.obs.registry import MetricsRegistry
 from repro.services.counter import CounterService
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.trace import TraceRecorder
 from repro.sim.world import World
 from repro.types import ReplyStatus, RequestKind
 
@@ -28,8 +29,7 @@ def make_leader(n=3, execute_time=0.0, seed=0):
     them, so every Confirm in these tests is explicitly injected.
     """
     kernel = Kernel(seed=seed)
-    trace = TraceRecorder()
-    world = World(kernel, trace=trace)
+    world = World(kernel)
     peers = PEERS[:n]
     config = ReplicaConfig(peers=peers, execute_time=execute_time)
     elector = ManualElector(None)
@@ -42,114 +42,113 @@ def make_leader(n=3, execute_time=0.0, seed=0):
     elector.set_leader("r0")
     kernel.run(until=0.1)  # recovery completes
     assert leader.is_leading
-    return kernel, trace, leader
+    return kernel, leader
 
 
 def read_request(seq=0):
     return ClientRequest(RequestId("c0", seq), RequestKind.READ, op=("get",))
 
 
-def replies(trace):
-    return [e.detail for e in trace.of_kind("send") if isinstance(e.detail, Reply)]
+def replies(sent):
+    return [e.msg for e in sent if isinstance(e.msg, Reply)]
 
 
 class TestLeaderSide:
-    def test_no_reply_before_majority_confirms(self):
-        kernel, trace, leader = make_leader()
+    def test_no_reply_before_majority_confirms(self, sent):
+        kernel, leader = make_leader()
         leader.reads.begin("c0", read_request())
         kernel.run(until=kernel.now + 0.05)
-        assert replies(trace) == []
+        assert replies(sent) == []
         assert leader.reads.pending_count == 1
 
-    def test_reply_after_one_confirm_in_three(self):
-        kernel, trace, leader = make_leader(n=3)
+    def test_reply_after_one_confirm_in_three(self, sent):
+        kernel, leader = make_leader(n=3)
         request = read_request()
         leader.reads.begin("c0", request)
         leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=request.rid))
         kernel.run(until=kernel.now + 0.05)
-        assert len(replies(trace)) == 1
-        assert replies(trace)[0].status is ReplyStatus.OK
+        assert len(replies(sent)) == 1
+        assert replies(sent)[0].status is ReplyStatus.OK
 
-    def test_five_replicas_need_two_confirms(self):
-        kernel, trace, leader = make_leader(n=5)
+    def test_five_replicas_need_two_confirms(self, sent):
+        kernel, leader = make_leader(n=5)
         request = read_request()
         leader.reads.begin("c0", request)
         leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=request.rid))
         kernel.run(until=kernel.now + 0.05)
-        assert replies(trace) == []
+        assert replies(sent) == []
         leader.reads.on_confirm("r2", Confirm(ballot=leader.ballot, rid=request.rid))
         kernel.run(until=kernel.now + 0.05)
-        assert len(replies(trace)) == 1
+        assert len(replies(sent)) == 1
 
-    def test_duplicate_confirms_from_same_backup_dont_count_twice(self):
-        kernel, trace, leader = make_leader(n=5)
+    def test_duplicate_confirms_from_same_backup_dont_count_twice(self, sent):
+        kernel, leader = make_leader(n=5)
         request = read_request()
         leader.reads.begin("c0", request)
         for _ in range(3):
             leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=request.rid))
         kernel.run(until=kernel.now + 0.05)
-        assert replies(trace) == []
+        assert replies(sent) == []
 
-    def test_stale_ballot_confirm_ignored(self):
-        kernel, trace, leader = make_leader()
+    def test_stale_ballot_confirm_ignored(self, sent):
+        kernel, leader = make_leader()
         request = read_request()
         leader.reads.begin("c0", request)
         stale = Ballot(leader.ballot.round - 1, "r0")
         leader.reads.on_confirm("r1", Confirm(ballot=stale, rid=request.rid))
         kernel.run(until=kernel.now + 0.05)
-        assert replies(trace) == []
+        assert replies(sent) == []
 
-    def test_confirm_arriving_before_read_is_buffered(self):
-        kernel, trace, leader = make_leader()
+    def test_confirm_arriving_before_read_is_buffered(self, sent):
+        kernel, leader = make_leader()
         request = read_request()
         leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=request.rid))
         leader.reads.begin("c0", request)
         kernel.run(until=kernel.now + 0.05)
-        assert len(replies(trace)) == 1
+        assert len(replies(sent)) == 1
 
-    def test_execute_time_overlaps_confirm_wait(self):
-        kernel, trace, leader = make_leader(execute_time=0.03)
+    def test_execute_time_overlaps_confirm_wait(self, sent):
+        kernel, leader = make_leader(execute_time=0.03)
         request = read_request()
         leader.reads.begin("c0", request)
         leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=request.rid))
         # Confirm is in, but E has not elapsed.
         kernel.run(until=kernel.now + 0.02)
-        assert replies(trace) == []
+        assert replies(sent) == []
         kernel.run(until=kernel.now + 0.05)
-        assert len(replies(trace)) == 1
+        assert len(replies(sent)) == 1
 
-    def test_retransmitted_read_not_served_twice_concurrently(self):
-        kernel, trace, leader = make_leader()
+    def test_retransmitted_read_not_served_twice_concurrently(self, sent):
+        kernel, leader = make_leader()
         request = read_request()
         leader.reads.begin("c0", request)
         leader.reads.begin("c0", request)  # retransmit while pending
         assert leader.reads.pending_count == 1
         leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=request.rid))
         kernel.run(until=kernel.now + 0.05)
-        assert len(replies(trace)) == 1
+        assert len(replies(sent)) == 1
 
-    def test_clear_drops_pending(self):
-        kernel, trace, leader = make_leader()
+    def test_clear_drops_pending(self, sent):
+        kernel, leader = make_leader()
         leader.reads.begin("c0", read_request())
         leader.reads.clear()
         leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=read_request().rid))
         kernel.run(until=kernel.now + 0.05)
-        assert replies(trace) == []
+        assert replies(sent) == []
 
-    def test_malformed_read_rejected_cleanly(self):
-        kernel, trace, leader = make_leader()
+    def test_malformed_read_rejected_cleanly(self, sent):
+        kernel, leader = make_leader()
         bad = ClientRequest(RequestId("c0", 0), RequestKind.READ, op=("nonsense",))
         leader.reads.begin("c0", bad)
         kernel.run(until=kernel.now + 0.05)
-        assert len(replies(trace)) == 1
-        assert replies(trace)[0].status is ReplyStatus.ERROR
+        assert len(replies(sent)) == 1
+        assert replies(sent)[0].status is ReplyStatus.ERROR
 
 
 class TestBackupSide:
-    def test_backup_confirms_to_promised_leader(self):
+    def test_backup_confirms_to_promised_leader(self, sent):
         kernel = Kernel()
-        trace = TraceRecorder()
-        world = World(kernel, trace=trace)
+        world = World(kernel)
         config = ReplicaConfig(peers=PEERS[:3])
         backup = Replica("r1", config, CounterService, StaticElector("r0"))
         world.add(backup)
@@ -161,15 +160,15 @@ class TestBackupSide:
         backup.on_message("r0", Prepare(ballot=Ballot(0, "r0"), gaps=(), from_instance=1))
         backup.on_message("c0", read_request())
         kernel.run(until=0.1)
-        confirms = [e for e in trace.of_kind("send") if isinstance(e.detail, Confirm)]
+        confirms = [e for e in sent if isinstance(e.msg, Confirm)]
         assert len(confirms) == 1
         assert confirms[0].dst == "r0"
-        assert confirms[0].detail.ballot == Ballot(0, "r0")
+        assert confirms[0].msg.ballot == Ballot(0, "r0")
 
     def test_backup_without_promise_stays_silent(self):
         kernel = Kernel()
-        trace = TraceRecorder()
-        world = World(kernel, trace=trace)
+        metrics = MetricsRegistry()
+        world = World(kernel, obs=Obs(metrics=metrics))
         config = ReplicaConfig(peers=PEERS[:3])
         backup = Replica("r1", config, CounterService, StaticElector("r0"))
         world.add(backup)
@@ -178,5 +177,4 @@ class TestBackupSide:
         world.start()
         backup.on_message("c0", read_request())
         kernel.run(until=0.1)
-        confirms = [e for e in trace.of_kind("send") if isinstance(e.detail, Confirm)]
-        assert confirms == []
+        assert metrics.counter_value("proc.r1.send.Confirm") == 0
