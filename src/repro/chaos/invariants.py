@@ -51,6 +51,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any, TYPE_CHECKING
 
+from repro.storage.store import RidFold
 from repro.types import ReplyStatus, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -339,9 +340,9 @@ def check_acked_durability(
     intact = [snap for snap in snapshots if snap["storage_intact"]]
     if len(intact) < majority:
         return []
-    covered: set[str] = set()
+    covered = RidFold()
     for snap in intact:
-        covered.update(snap["durable_rids"])
+        covered |= snap["durable_rids"]
     violations: list[Violation] = []
     for client in clients:
         for record in client.request_records():
@@ -349,8 +350,8 @@ def check_acked_durability(
                 continue
             if record.completed_at is None or record.status is not ReplyStatus.OK:
                 continue
-            rid = str(record.rid)
-            if rid not in covered:
+            if record.rid not in covered:
+                rid = str(record.rid)
                 violations.append(
                     Violation(
                         "acked_durability",
@@ -471,8 +472,8 @@ def _device_snapshots(
         for snap in snapshots:
             device = devices.setdefault(
                 snap["pid"],
-                {"pid": snap["pid"], "storage_intact": True, "durable_rids": set()},
+                {"pid": snap["pid"], "storage_intact": True, "durable_rids": RidFold()},
             )
             device["storage_intact"] &= bool(snap["storage_intact"])
-            device["durable_rids"] |= set(snap["durable_rids"])
+            device["durable_rids"] |= snap["durable_rids"]
     return [devices[pid] for pid in sorted(devices)]

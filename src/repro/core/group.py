@@ -665,7 +665,6 @@ class ReplicationGroup(Process):
         """Adopt a (service, executed-table[, rid-fold]) snapshot at
         ``instance`` (catch-up / recovery state transfer)."""
         service_snap, executed_snap = snapshot[0], snapshot[1]
-        rids = snapshot[2] if len(snapshot) > 2 else frozenset()
         self.service.restore(service_snap)
         self.executed.restore(executed_snap)
         self.applied = instance
@@ -675,7 +674,7 @@ class ReplicationGroup(Process):
         if self._chosen_at:
             self._chosen_at = {i: t for i, t in self._chosen_at.items() if i > instance}
         self.store.install_state(
-            instance, self.service.snapshot(), dict(executed_snap), rids
+            instance, self.service.snapshot(), dict(executed_snap), *snapshot[2:]
         )
         self._apply_ready()
 
@@ -688,7 +687,7 @@ class ReplicationGroup(Process):
 
     def latest_state_payload(self) -> tuple[Any, ...]:
         if self.config.track_commits:
-            # Ship the cumulative chosen-rid fold with the state so the
+            # Ship the chosen-request fold with the state so the
             # receiver's durable checkpoint keeps attributing survival of
             # acked requests (acked-durability invariant).
             return (
@@ -893,7 +892,7 @@ class ReplicationGroup(Process):
         chaos invariant layer (:mod:`repro.chaos.invariants`). Never mutates
         anything; safe to call on crashed replicas (their stable log and the
         last materialized service state survive the crash)."""
-        return {
+        snapshot: dict[str, Any] = {
             "pid": self.pid,
             "group": self.group,
             "alive": self.alive,
@@ -905,8 +904,10 @@ class ReplicationGroup(Process):
             "chosen": self.log.chosen_items(),
             "fingerprint": self.service.state_fingerprint(),
             "storage_intact": self.store.pump.intact,
-            "durable_rids": self.store.durable_rids(),
         }
+        if self.config.track_commits:  # only acked durability reads it
+            snapshot["durable_rids"] = self.store.durable_rids()
+        return snapshot
 
     def execution_context(self, txn: str | None = None) -> ExecutionContext:
         return ExecutionContext(rng=self.rng, now=self.now, txn=txn)

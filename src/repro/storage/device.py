@@ -35,9 +35,12 @@ Byzantine from the protocol's point of view).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.storage.wal import WalRecord, decode_frames, encode_frame
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.storage.store import RidFold
 
 
 @dataclass(slots=True)
@@ -54,7 +57,7 @@ class CheckpointBlob:
     instance: int
     service_snap: Any
     executed_snap: dict[str, Any]
-    rids: frozenset[str]
+    rids: RidFold
     seq: int
     group: int = 0
 

@@ -54,15 +54,20 @@ Because the device is shared, refusal halts every group on the process.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.log import ReplicaLog
 from repro.core.messages import Proposal
+from repro.core.requests import RequestId
 from repro.storage.device import CheckpointBlob, ReplayResult, SimDisk
 from repro.storage.wal import WalRecord
-from repro.types import GroupId, InstanceId
+from repro.types import GroupId, InstanceId, ProcessId
+from repro.util.fastpickle import fast_pickle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group import ReplicationGroup
@@ -70,6 +75,63 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: How long an idle device waits before it fsyncs a background append
 #: that no barrier asked for (seconds).
 DRAIN_DELAY = 2e-3
+
+
+#: One client's seqs: sorted, merged, inclusive ``(lo, hi)`` runs.
+SeqRuns = tuple[tuple[int, int], ...]
+
+
+@fast_pickle
+@dataclass(frozen=True, slots=True)
+class RidFold:
+    """An exact set of request ids in O(clients + gaps) space: for each
+    client, in client order, the sorted, merged, inclusive ``(lo, hi)`` runs
+    of its seqs.
+
+    It records which chosen requests a checkpoint covers (``track_commits``).
+    A client numbers its requests in a row, so its chosen writes form one
+    run that breaks only where a read or a T-Paxos op, never chosen, took a
+    seq. The fold holds ``c#s`` only if ``c#s`` was added — a lost ``c#s``
+    stays out when ``c#s+1`` is in — so the acked-durability invariant gives
+    the verdict a set of rid strings would. The form is canonical: two
+    folds of the same rids are equal.
+    """
+
+    runs: tuple[tuple[ProcessId, SeqRuns], ...] = ()
+
+    def __contains__(self, rid: RequestId) -> bool:
+        for client, spans in self.runs:
+            if client == rid.client:
+                i = bisect_right(spans, rid.seq, key=itemgetter(0))
+                return i > 0 and spans[i - 1][1] >= rid.seq
+        return False
+
+    def add(self, rids: Iterable[RequestId]) -> RidFold:
+        """This fold plus ``rids``."""
+        return self._join((rid.client, ((rid.seq, rid.seq),)) for rid in rids)
+
+    def __or__(self, other: RidFold) -> RidFold:
+        return self._join(other.runs)
+
+    def _join(self, extra: Iterable[tuple[ProcessId, SeqRuns]]) -> RidFold:
+        by_client = {client: list(spans) for client, spans in self.runs}
+        for client, spans in extra:
+            by_client.setdefault(client, []).extend(spans)
+        return RidFold(tuple(
+            (client, _merged(spans)) for client, spans in sorted(by_client.items())
+        ))
+
+
+def _merged(spans: list[tuple[int, int]]) -> SeqRuns:
+    """``spans`` as sorted runs, overlapping and adjacent ones merged."""
+    runs: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if runs and lo <= runs[-1][1] + 1:
+            if hi > runs[-1][1]:
+                runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return tuple(runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,9 +342,9 @@ class StableStore:
         #: The latest checkpoint as the replica sees it (may be ahead of
         #: the durable one while its fsync is in flight).
         self._checkpoint: tuple[InstanceId, Any, dict[str, Any]] = (0, None, {})
-        #: Cumulative rids of every chosen request covered by the current
-        #: checkpoint (only maintained with ``track_commits``).
-        self._checkpoint_rids: frozenset[str] = frozenset()
+        #: Every chosen request covered by the current checkpoint (only
+        #: maintained with ``track_commits``).
+        self._checkpoint_rids = RidFold()
         #: The host's ``storage.appends`` counter, once an append needed it.
         self._appends: Any = None
 
@@ -326,7 +388,7 @@ class StableStore:
         return self._checkpoint
 
     @property
-    def checkpoint_rids(self) -> frozenset[str]:
+    def checkpoint_rids(self) -> RidFold:
         return self._checkpoint_rids
 
     def write_checkpoint(self, instance: InstanceId) -> None:
@@ -357,14 +419,14 @@ class StableStore:
         instance: InstanceId,
         service_snap: Any,
         executed_snap: dict[str, Any],
-        rids: frozenset[str] = frozenset(),
+        rids: RidFold = RidFold(),
     ) -> None:
         """Adopt a transferred snapshot at ``instance`` as a checkpoint.
 
         Same durability contract as :meth:`write_checkpoint`. ``rids`` is
-        the sender's cumulative chosen-request fold (empty when the peer
-        does not track commits); our own fold stays valid — everything it
-        covers is chosen at or below ``instance`` too.
+        the sender's chosen-request fold (empty when the peer does not
+        track commits); our own fold stays valid — everything it covers is
+        chosen at or below ``instance`` too — so we keep the union.
         """
         self.log.install_prefix(instance)
         if self.host.config.track_commits:
@@ -383,17 +445,18 @@ class StableStore:
         if not self.write_through:
             self.pump.ensure_drain()
 
-    def rid_fold(self, instance: InstanceId) -> frozenset[str]:
-        """Rids of every chosen request at or below ``instance``: the
-        current checkpoint's fold plus retained chosen entries."""
+    def rid_fold(self, instance: InstanceId) -> RidFold:
+        """Every chosen request at or below ``instance``: the current
+        checkpoint's fold plus the retained chosen entries (the log keeps
+        only those above the checkpoint)."""
         if not self.host.config.track_commits:
-            return frozenset()
-        rids = set(self._checkpoint_rids)
-        for inst, value in self.log.chosen_items():
-            if inst <= instance:
-                for request in value.requests:
-                    rids.add(str(request.rid))
-        return frozenset(rids)
+            return RidFold()
+        return self._checkpoint_rids.add(
+            request.rid
+            for inst, value in self.log.chosen_items()
+            if inst <= instance
+            for request in value.requests
+        )
 
     # ---------------------------------------------------------------- flushing
     @property
@@ -436,7 +499,7 @@ class StableStore:
             base = blob.instance
         else:
             checkpoint = (0, self.host.service_factory().snapshot(), {})
-            rids = frozenset()
+            rids = RidFold()
             base = 0
         promised = Ballot.ZERO
         max_round = -1
@@ -461,7 +524,7 @@ class StableStore:
                 max_round = record.payload
         self.log = log
         self._checkpoint = checkpoint
-        self._checkpoint_rids = rids if self.host.config.track_commits else frozenset()
+        self._checkpoint_rids = rids if self.host.config.track_commits else RidFold()
         return RecoveredState(
             promised=promised,
             max_round=max_round,
@@ -471,9 +534,9 @@ class StableStore:
         )
 
     # -------------------------------------------------------------- inspection
-    def durable_rids(self) -> frozenset[str]:
-        """Rids of this group's client requests provably on the platter
-        *right now*.
+    def durable_rids(self) -> RidFold:
+        """This group's client requests provably on the platter *right
+        now*.
 
         Read-only (unlike :meth:`recover`, this never truncates): walks
         the durable frames the way replay would, unioned with the durable
@@ -482,24 +545,21 @@ class StableStore:
         """
         device = self.device
         if device.poisoned:
-            return frozenset()
-        rids: set[str] = set()
-        blob = device.checkpoints.get(self.group)
-        if blob is not None:
-            rids.update(blob.rids)
+            return RidFold()
+        rids: list[RequestId] = []
         frames = device.durable
         for i, frame in enumerate(frames):
             if frame.status != "ok":
                 if frame.status == "torn" and i == len(frames) - 1:
                     break  # replay would truncate here
-                return frozenset()  # replay would refuse this device
+                return RidFold()  # replay would refuse this device
             record = frame.record
             if record.group != self.group:
                 continue
             if record.kind in ("accept", "choose"):
-                for request in record.payload[1].requests:
-                    rids.add(str(request.rid))
-        return frozenset(rids)
+                rids.extend(request.rid for request in record.payload[1].requests)
+        blob = device.checkpoints.get(self.group)
+        return (RidFold() if blob is None else blob.rids).add(rids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -208,3 +208,32 @@ class TestCrashMidCatchUp:
         assert cluster.metrics.counter_value("proc.r1.g0.recovers") >= 2
         prints = converged_fingerprints(cluster)
         assert len(set(prints.values())) == 1
+
+
+class TestCommitTracking:
+    """The ``track_commits`` fold grows with the clients, not the history."""
+
+    @staticmethod
+    def _fold_runs(writes_per_client: int) -> dict[str, list[int]]:
+        """Runs per client in each replica's checkpoint fold after a tracked
+        ``fsync=sync`` run of 4 clients x ``writes_per_client`` writes."""
+        cluster = build_cluster(
+            [write_steps(writes_per_client) for _ in range(4)],
+            service_factory=CounterService, fsync="sync", track_commits=True,
+        )
+        cluster.run(max_time=600.0)
+        assert sum(c.completed_requests for c in cluster.clients) == 4 * writes_per_client
+        runs = {}
+        for host in cluster.replicas.values():
+            for group in host.groups.values():
+                fold = group.store.checkpoint_rids
+                assert [client for client, _spans in fold.runs] == ["c0", "c1", "c2", "c3"]
+                runs[group.pid] = [len(spans) for _client, spans in fold.runs]
+        return runs
+
+    def test_checkpoint_fold_holds_one_run_per_client(self):
+        # Each client's writes are chosen in seq order with no read in
+        # between, so every checkpoint folds them into a single run.
+        short = self._fold_runs(3000)
+        assert short == {pid: [1, 1, 1, 1] for pid in ("r0", "r1", "r2")}
+        assert self._fold_runs(6000) == short

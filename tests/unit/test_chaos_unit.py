@@ -28,6 +28,7 @@ from repro.client.client import RequestRecord
 from repro.core.messages import Proposal
 from repro.core.requests import ClientRequest, RequestId
 from repro.errors import ConfigError
+from repro.storage.store import RidFold
 from repro.types import ReplyStatus, RequestKind
 
 PIDS = ("r0", "r1", "r2")
@@ -319,7 +320,7 @@ def _snap(pid: str, chosen=(), alive=True, applied=0, frontier=None,
         "chosen": tuple(chosen),
         "fingerprint": fingerprint,
         "storage_intact": intact,
-        "durable_rids": frozenset(durable),
+        "durable_rids": RidFold().add(durable),
     }
 
 
@@ -446,17 +447,25 @@ class TestInvariantCheckers:
     def test_acked_durability_clean_when_covered(self):
         client = _DurClient("c0", [_acked_write("c0", 0)])
         snaps = [
-            _snap("r0", durable=("c0#0",)),
-            _snap("r1", durable=("c0#0",)),
+            _snap("r0", durable=(RequestId("c0", 0),)),
+            _snap("r1", durable=(RequestId("c0", 0),)),
             _snap("r2", intact=False),
         ]
         assert check_acked_durability([client], snaps, majority=2) == []
 
     def test_acked_durability_detects_lost_write(self):
         client = _DurClient("c0", [_acked_write("c0", 0), _acked_write("c0", 1)])
-        snaps = [_snap("r0", durable=("c0#0",)), _snap("r1"), _snap("r2")]
+        snaps = [_snap("r0", durable=(RequestId("c0", 0),)), _snap("r1"), _snap("r2")]
         (violation,) = check_acked_durability([client], snaps, majority=2)
         assert violation.invariant == "acked_durability"
+        assert violation.data["rid"] == "c0#1"
+
+    def test_acked_durability_detects_a_gap_below_a_later_durable_write(self):
+        # The fold is exact: c0#2 on the platter does not cover a lost c0#1.
+        client = _DurClient("c0", [_acked_write("c0", seq) for seq in range(3)])
+        durable = (RequestId("c0", 0), RequestId("c0", 2))
+        snaps = [_snap("r0", durable=durable), _snap("r1", durable=durable), _snap("r2")]
+        (violation,) = check_acked_durability([client], snaps, majority=2)
         assert violation.data["rid"] == "c0#1"
 
     def test_acked_durability_stands_down_below_majority(self):

@@ -7,10 +7,10 @@ import pytest
 from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.config import ReplicaConfig
 from repro.core.messages import Proposal
-from repro.core.requests import ClientRequest, RequestId
+from repro.core.requests import ClientRequest, ExecutedTable, RequestId
 from repro.errors import ConfigError
 from repro.storage.device import CheckpointBlob, SimDisk
-from repro.storage.store import DRAIN_DELAY, StableStore
+from repro.storage.store import DRAIN_DELAY, RidFold, StableStore
 from repro.storage.wal import WalRecord, decode_frames, encode_frame
 from repro.types import RequestKind
 
@@ -28,6 +28,13 @@ def pn(instance: int, round_: int = 1, leader: str = "r0") -> ProposalNumber:
 
 def accept_record(instance: int, seq: int = 1) -> WalRecord:
     return WalRecord("accept", (pn(instance), proposal(seq=seq)))
+
+
+def rids(*names: str) -> RidFold:
+    """The fold of ``"c#s"`` names."""
+    return RidFold().add(
+        RequestId(client, int(seq)) for client, seq in (name.split("#") for name in names)
+    )
 
 
 # ------------------------------------------------------------------- framing
@@ -150,7 +157,7 @@ class TestSimDisk:
         disk.append(accept_record(1))
         disk.append(WalRecord("choose", (1, proposal())))
         seq = disk.append(WalRecord("promise", Ballot(2, "r0")))
-        blob = CheckpointBlob(1, "snap", {}, frozenset({"c0#1"}), seq)
+        blob = CheckpointBlob(1, "snap", {}, RidFold().add([RequestId("c0", 1)]), seq)
         disk.stage_checkpoint(blob)
         assert disk.checkpoints.get(0) is None  # not durable yet
         disk.complete_fsync(seq)
@@ -161,7 +168,7 @@ class TestSimDisk:
     def test_pending_checkpoint_lost_at_crash(self):
         disk = SimDisk()
         seq = disk.append(accept_record(1))
-        disk.stage_checkpoint(CheckpointBlob(1, "snap", {}, frozenset(), seq))
+        disk.stage_checkpoint(CheckpointBlob(1, "snap", {}, RidFold(), seq))
         disk.crash()
         assert disk.checkpoints.get(0) is None
         assert disk.pending_checkpoints.get(0) is None
@@ -214,6 +221,8 @@ class _FakeHost:
         self.profiler = _Off()
         self.tracer = _Tracer()
         self.service_factory = _Service
+        self.service = _Service()
+        self.executed = ExecutedTable()
         self.timers: list[tuple[float, object, _Handle]] = []
 
     def set_timer(self, delay, fn, *args):
@@ -336,7 +345,7 @@ class TestStableStore:
         assert state.max_round == 9
         assert state.replayed_records == 4
         assert store.log.is_chosen(1)
-        assert store.durable_rids() == frozenset({"c0#1"})
+        assert store.durable_rids() == RidFold().add([RequestId("c0", 1)])
 
     def test_unsynced_records_lost_at_crash(self):
         host = _FakeHost(fsync_mode="sync")
@@ -347,6 +356,73 @@ class TestStableStore:
         assert state is not None
         assert state.replayed_records == 0
         assert not store.log.is_chosen(1)
+
+
+class TestCommitFold:
+    """The ``track_commits`` fold: what a checkpoint covers, on the platter."""
+
+    @staticmethod
+    def _checkpointed() -> tuple[_FakeHost, StableStore]:
+        """c0#1, c1#1 and c0#3 chosen at 1..3 and checkpointed at 3, durably."""
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3, track_commits=True)
+        store = StableStore(host)
+        for instance, (client, seq) in enumerate([("c0", 1), ("c1", 1), ("c0", 3)], 1):
+            store.accept(pn(instance), proposal(client, seq))
+            store.choose(instance, proposal(client, seq))
+        store.write_checkpoint(3)
+        store.choose(4, proposal("c1", 2))  # above the checkpoint: WAL only
+        store.flush(lambda: None)
+        host.advance(0.01)
+        return host, store
+
+    def test_fold_survives_checkpoint_install_and_wal_truncation(self):
+        _host, store = self._checkpointed()
+        assert store.checkpoint_rids == rids("c0#1", "c1#1", "c0#3")
+        assert store.device.checkpoints[0].rids == store.checkpoint_rids
+        # The install truncated every accept/choose at or below instance 3.
+        assert [f.record.payload[0] for f in store.device.durable] == [4]
+        assert store.durable_rids() == rids("c0#1", "c1#1", "c0#3", "c1#2")
+        assert RequestId("c0", 2) not in store.durable_rids()  # a gap stays a gap
+
+    def test_install_state_keeps_the_union_of_both_folds(self):
+        host, store = self._checkpointed()
+        store.install_state(9, "theirs", {}, rids("c0#2", "c2#5"))
+        union = rids("c0#1", "c0#2", "c0#3", "c1#1", "c2#5")
+        assert store.checkpoint_rids == union
+        assert store.checkpoint_rids.runs == (
+            ("c0", ((1, 3),)), ("c1", ((1, 1),)), ("c2", ((5, 5),))
+        )
+        store.flush(lambda: None)
+        host.advance(0.02)
+        assert store.device.checkpoints[0].rids == union
+
+    def test_recover_restores_the_fold_from_the_blob(self):
+        _host, store = self._checkpointed()
+        store.crash()
+        state = store.recover()
+        assert state is not None and state.checkpoint[0] == 3
+        assert store.checkpoint_rids == rids("c0#1", "c1#1", "c0#3")
+        assert store.rid_fold(4) == rids("c0#1", "c1#1", "c0#3", "c1#2")
+
+    def test_poisoned_device_reports_nothing_durable(self):
+        host, store = self._checkpointed()
+        store.pump.inject_lost_fsync(duration=1.0)
+        store.choose(5, proposal("c1", 3))
+        store.flush(lambda: None)
+        host.advance(0.02)  # the lying fsync acks without persisting
+        store.crash()
+        assert store.device.poisoned
+        assert store.durable_rids() == RidFold()
+        assert RequestId("c0", 1) not in store.durable_rids()
+
+    def test_untracked_store_folds_nothing(self):
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
+        store = StableStore(host)
+        store.choose(1, proposal())
+        store.write_checkpoint(1)
+        store.install_state(2, "theirs", {}, rids("c0#2"))
+        assert store.checkpoint_rids == RidFold()
+        assert store.rid_fold(2) == RidFold()
 
 
 class TestConfigValidation:
