@@ -23,6 +23,7 @@ import dataclasses
 import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.chaos.invariants import Violation, check_cluster
@@ -30,6 +31,9 @@ from repro.chaos.schedule import NemesisSchedule, assign_groups, generate_schedu
 from repro.client.workload import Step, txn_steps
 from repro.cluster.harness import Cluster, ClusterSpec
 from repro.core.config import ReplicaConfig
+from repro.core.group import ReplicaRole, ReplicationGroup
+from repro.core.recovery import RecoveryCoordinator
+from repro.core.requests import ClientRequest, ExecutedTable, RequestId, Verdict
 from repro.errors import ConfigError, ReproError, SimulationError
 from repro.net.profiles import get_profile
 from repro.services.kvstore import KVStoreService
@@ -223,16 +227,18 @@ class _MinorityAcceptConfig(ReplicaConfig):
         return 1
 
 
+def _groups(cluster: Cluster) -> list[ReplicationGroup]:
+    return [group for host in cluster.replicas.values() for group in host.groups.values()]
+
+
 def _mutate_minority_accept(cluster: Cluster) -> None:
     fields = {
         f.name: getattr(cluster.config, f.name)
         for f in dataclasses.fields(ReplicaConfig)
     }
     broken = _MinorityAcceptConfig(**fields)
-    for host in cluster.replicas.values():
-        # Quorum math happens inside each ReplicationGroup.
-        for group in host.groups.values():
-            group.config = broken
+    for group in _groups(cluster):  # quorum math happens inside each group
+        group.config = broken
 
 
 def _mutate_skip_fsync(cluster: Cluster) -> None:
@@ -250,10 +256,76 @@ def _mutate_skip_fsync(cluster: Cluster) -> None:
         host.pump._start_fsync = lambda: None  # type: ignore[method-assign]
 
 
+class _StaleBlindTable(ExecutedTable):
+    """An executed table whose verdict never says STALE."""
+
+    def verdict(self, rid: RequestId) -> tuple[Verdict, Any]:
+        verdict, cached = super().verdict(rid)
+        return (Verdict.NEW, None) if verdict is Verdict.STALE else (verdict, cached)
+
+
+def _propose_while_recovering(
+    group: ReplicationGroup, on_request: Callable[[str, ClientRequest], None],
+    src: str, request: ClientRequest,
+) -> None:
+    kind = request.kind
+    if group.role is ReplicaRole.RECOVERING and (
+        kind is RequestKind.WRITE
+        or (kind is RequestKind.READ and not group.config.xpaxos_reads)
+    ):
+        group._submit_write(src, request)  # queued until the pipeline begins
+    else:
+        on_request(src, request)
+
+
+def _mutate_propose_stale(cluster: Cluster) -> None:
+    """A recovering leader queues client writes in its proposer, and the
+    executed table admits a request its client has moved past.
+
+    Two takeover paths that disagree: the queue drains once recovery has
+    installed a snapshot whose table already covers some of those writes,
+    and each is proposed again (``at_most_once``; sweep seed basic 210).
+    Test-only."""
+    for group in _groups(cluster):
+        group.executed = _StaleBlindTable()  # restored in place, never replaced
+        on_request = group._dispatch[ClientRequest]
+        group._dispatch[ClientRequest] = partial(_propose_while_recovering, group, on_request)
+
+
+def _merge_blind_to_known_tail(
+    recovery: RecoveryCoordinator, merge: Callable[[Any], None], round_: Any
+) -> None:
+    # Step 3's back-fill then stops at max(merged), as it did before P2c
+    # was enforced; nothing else in the merge asks the log this.
+    log = recovery.replica.log
+    log.max_instance_chosen = lambda: 0  # type: ignore[method-assign]
+    try:
+        merge(round_)
+    finally:
+        del log.max_instance_chosen
+
+
+def _mutate_recovery_skips_known_tail(cluster: Cluster) -> None:
+    """Recovery back-fills the instances it knows are chosen only up to the
+    highest instance a Promise reported.
+
+    A new leader holding 16 chosen but missing 15 prepares gaps=(15,)
+    from=17, re-proposes 15 alone and starts its pipeline on 16: a second
+    value chosen there (``runtime`` ProtocolError, P2c; sweep seed basic
+    1303). Test-only."""
+    for group in _groups(cluster):
+        recovery = group.recovery
+        recovery._merge_and_accept = partial(  # type: ignore[method-assign]
+            _merge_blind_to_known_tail, recovery, recovery._merge_and_accept
+        )
+
+
 #: name -> callable(cluster) applied after construction, before start.
 MUTATIONS: Mapping[str, Callable[[Cluster], None]] = {
     "minority-accept": _mutate_minority_accept,
     "skip-fsync": _mutate_skip_fsync,
+    "propose-stale": _mutate_propose_stale,
+    "recovery-skips-known-tail": _mutate_recovery_skips_known_tail,
 }
 
 

@@ -553,7 +553,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="also sample storage nemeses (torn writes, lying "
                             "fsyncs, disk stalls, record rot); requires "
                             "--fsync sync")
-    chaos.add_argument("--mutation", choices=("minority-accept", "skip-fsync"),
+    chaos.add_argument("--mutation", choices=("minority-accept", "skip-fsync",
+                                              "propose-stale", "recovery-skips-known-tail"),
                        help="inject a deliberate protocol bug (validation runs)")
     chaos.add_argument("--shrink", action="store_true",
                        help="minimize each violating schedule to a small repro")

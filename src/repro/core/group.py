@@ -65,7 +65,7 @@ from repro.core.messages import (
 )
 from repro.core.proposer import DEFER, SKIP, ProposalItem, SequentialProposer
 from repro.core.recovery import RecoveryCoordinator
-from repro.core.requests import ClientRequest, ExecutedTable, RequestId
+from repro.core.requests import DUPLICATE, NEW, ClientRequest, ExecutedTable, RequestId
 from repro.core.state import apply_payload, build_payload
 from repro.core.tpaxos import TxnManager
 from repro.core.xpaxos import ReadCoordinator
@@ -122,13 +122,13 @@ class _WriteItem:
         group = self.group
         request = self.request
         rid = request.rid
-        if group.role not in (ReplicaRole.LEADING, ReplicaRole.RECOVERING):
+        # The proposer runs only while LEADING (begin() at recovery_complete,
+        # stop() at every step-down), so the verdict is the one check.
+        verdict, cached = group.executed.verdict(rid)
+        if verdict is not NEW:  # committed or superseded meanwhile
             group._pending_write_rids.discard(rid)
-            return SKIP
-        executed, cached = group.executed.lookup(rid)
-        if executed:  # committed meanwhile (e.g. via recovery)
-            group._pending_write_rids.discard(rid)
-            group.reply(self.src, rid, ReplyStatus.OK, cached)
+            if verdict is DUPLICATE:
+                group.reply(self.src, rid, ReplyStatus.OK, cached)
             return SKIP
         config = group.config
         tracer = group.tracer
@@ -264,8 +264,9 @@ class ReplicationGroup(Process):
         self.view_leader: ProcessId | None = None
         self._locally_executed: set[InstanceId] = set()
         self._pending_write_rids: set[RequestId] = set()
-        #: A follower's latest totally ordered request per client, served
-        #: once it leads (clients send every request to all replicas, §4).
+        #: The latest totally ordered request per client that arrived while
+        #: not LEADING, served once recovery completes (clients send every
+        #: request to all replicas, §4).
         self._held: dict[ProcessId, ClientRequest] = {}
         self._catching_up = False
 
@@ -339,7 +340,6 @@ class ReplicationGroup(Process):
         checkpoint_instance, service_snap, executed_snap = state.checkpoint
         self.service = self.service_factory()
         self.service.restore(service_snap)
-        self.executed = ExecutedTable()
         self.executed.restore(executed_snap)
         self.applied = checkpoint_instance
         self.role = ReplicaRole.FOLLOWER
@@ -409,9 +409,11 @@ class ReplicationGroup(Process):
             return
         if kind in (RequestKind.WRITE, RequestKind.READ):
             # READ lands here only with xpaxos_reads=False: totally ordered.
-            if self.role is not ReplicaRole.FOLLOWER:
+            if self.role is ReplicaRole.LEADING:
                 self._submit_write(src, request)
                 return
+            # A follower, or a leader still recovering, holds the client's
+            # latest request for recovery_complete: one takeover path.
             rid = request.rid
             held = self._held.get(rid.client)
             if held is None or held.rid.seq < rid.seq:
@@ -440,14 +442,14 @@ class ReplicationGroup(Process):
 
     def _submit_write(self, src: ProcessId, request: ClientRequest) -> None:
         rid = request.rid
-        executed, cached = self.executed.lookup(rid)
-        if executed:
+        verdict, cached = self.executed.verdict(rid)
+        if verdict is NEW:
+            if rid not in self._pending_write_rids:  # else an in-flight retransmit
+                self._pending_write_rids.add(rid)
+                self.proposer.submit(_WriteItem(self, src, request))
+        elif verdict is DUPLICATE:
             self.reply(src, rid, ReplyStatus.OK, cached)
-            return
-        if rid in self._pending_write_rids:
-            return  # retransmit of an in-flight write
-        self._pending_write_rids.add(rid)
-        self.proposer.submit(_WriteItem(self, src, request))
+        # STALE: dropped unanswered, its closed-loop client has moved on.
 
     # ================================================= acceptor role (§3.2/3)
     def _on_prepare(self, src: ProcessId, msg: Prepare) -> None:
@@ -822,7 +824,6 @@ class ReplicationGroup(Process):
         checkpoint_instance, service_snap, executed_snap = self.store.checkpoint
         self.service = self.service_factory()
         self.service.restore(service_snap)
-        self.executed = ExecutedTable()
         self.executed.restore(executed_snap)
         current = checkpoint_instance
         while current < self.applied:
@@ -864,12 +865,11 @@ class ReplicationGroup(Process):
         self.tracer.end(self.takeover_span)
         self.takeover_span = None
         # Serve what the clients already sent us. Only now are the recovered
-        # instances applied: the executed table answers a held request that
-        # finished and marks one superseded by its client's next as stale.
+        # instances applied, so the executed table's verdict on each held
+        # request is final.
         held, self._held = self._held, {}
         for client, request in held.items():
-            if not self.executed.is_stale(request.rid):
-                self._submit_write(client, request)
+            self._submit_write(client, request)
         self.proposer.begin(next_instance)
         # Arm anti-entropy outside any request/recovery context.
         token = self.tracer.activate(None)

@@ -148,9 +148,11 @@ class RecoveryCoordinator:
         #    the tail — the paper's example: 90 is known, 88/89/91 are not),
         #    yet they must be in the re-proposed batch so backups missing
         #    them catch up in the same single message. Re-proposing a
-        #    decided value at a higher ballot is always safe.
-        if merged:
-            top = max(merged)
+        #    decided value at a higher ballot is always safe, and the batch
+        #    reaches the highest instance known chosen, so the pipeline
+        #    never proposes over a decision (P2c).
+        top = max([*merged, replica.log.max_instance_chosen()])
+        if top > base:
             for instance in range(base + 1, top + 1):
                 if instance not in merged:
                     known = replica.log.chosen_value(instance)

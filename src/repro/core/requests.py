@@ -8,6 +8,7 @@ recognizable and the service executes each request at most once.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -57,6 +58,18 @@ class ClientRequest(KeepsWireSize):
         return f"req({self.rid}, {self.kind.value}{txn})"
 
 
+class Verdict(enum.Enum):
+    """What the executed table says about one arriving client request."""
+
+    NEW = "new"              # never executed: propose it
+    DUPLICATE = "duplicate"  # this very request executed: answer its cached reply
+    STALE = "stale"          # its client has moved on: drop it, unanswered
+
+
+#: Module-level names for the hot path: a global load, where ``Verdict.NEW``
+#: is a metaclass attribute lookup on every request.
+NEW, DUPLICATE, STALE = Verdict
+
 @dataclass(slots=True)
 class ExecutedTable:
     """At-most-once table: remembers the reply for each executed request.
@@ -64,8 +77,8 @@ class ExecutedTable:
     Bounded per client: only the *latest* executed request per client is
     retained, which is sufficient because each client is closed-loop (it
     never issues request ``n+1`` before request ``n`` was answered), as in
-    the paper's experiments. ``seen`` answers "was this exact request
-    already executed?" and returns the cached reply value for retransmits.
+    the paper's experiments. :meth:`verdict` is the one admission rule for
+    a request that would take a consensus instance.
     """
 
     _latest: dict[ProcessId, tuple[int, Any]] = field(default_factory=dict)
@@ -78,17 +91,16 @@ class ExecutedTable:
             return
         self._latest[rid.client] = (rid.seq, reply_value)
 
-    def lookup(self, rid: RequestId) -> tuple[bool, Any]:
-        """Return ``(executed, cached_reply)`` for ``rid``."""
+    def verdict(self, rid: RequestId) -> tuple[Verdict, Any]:
+        """``(verdict, cached_reply)`` for ``rid``; the reply is None
+        unless the verdict is DUPLICATE. A STALE request's client already
+        had a newer request executed, so it stopped waiting for this one."""
         entry = self._latest.get(rid.client)
-        if entry is not None and entry[0] == rid.seq:
-            return True, entry[1]
-        return False, None
-
-    def is_stale(self, rid: RequestId) -> bool:
-        """True when a *newer* request from the same client already executed."""
-        entry = self._latest.get(rid.client)
-        return entry is not None and entry[0] > rid.seq
+        if entry is None or entry[0] < rid.seq:
+            return NEW, None
+        if entry[0] == rid.seq:
+            return DUPLICATE, entry[1]
+        return STALE, None
 
     def snapshot(self) -> dict[ProcessId, tuple[int, Any]]:
         """Copy of the table, for checkpointing."""

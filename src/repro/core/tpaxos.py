@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.messages import Proposal
 from repro.core.proposer import ProposalItem
-from repro.core.requests import ClientRequest, RequestId
+from repro.core.requests import DUPLICATE, NEW, ClientRequest, RequestId
 from repro.core.state import build_payload
 from repro.errors import ServiceError
 from repro.services.base import ExecutionResult
@@ -145,9 +145,10 @@ class TxnManager:
     def _on_commit(self, src: ProcessId, request: ClientRequest) -> None:
         replica = self.replica
         assert request.txn is not None
-        executed, cached = replica.executed.lookup(request.rid)
-        if executed:  # retransmit of a commit that was already chosen
-            replica.reply(src, request.rid, ReplyStatus.OK, cached)
+        verdict, cached = replica.executed.verdict(request.rid)
+        if verdict is not NEW:  # a chosen commit's retransmit, or stale
+            if verdict is DUPLICATE:
+                replica.reply(src, request.rid, ReplyStatus.OK, cached)
             return
         txn = self.active.get(request.txn)
         if txn is None:

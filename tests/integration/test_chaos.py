@@ -9,6 +9,9 @@ heal; sustained duplication) asserted at the replica level.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.chaos.invariants import check_cluster
@@ -209,6 +212,42 @@ class TestReproScript:
             liveness_deadline=outcome.options.deadline,
         )
         assert any(v.invariant == "log_agreement" for v in violations)
+
+
+#: Shrunk scripts of sweep seeds that once violated, one file per seed,
+#: named ``<protocol>-seed-<seed>.py``. Each header says what broke and
+#: names the ``MUTATIONS`` entry that puts the bug back.
+REGRESSIONS = sorted((Path(__file__).parents[1] / "fixtures" / "chaos").glob("*.py"))
+
+
+def run_regression(path, mutation=None):
+    protocol, seed = re.fullmatch(r"(\w+)-seed-(\d+)", path.stem).groups()
+    options = ChaosOptions(protocol=protocol, mutation=mutation)
+    cluster = build_cluster(options, int(seed)).start()
+    exec(path.read_text(encoding="utf-8"), {"cluster": cluster})
+    cluster.run(max_time=options.deadline)
+    cluster.drain(grace=max(0.5, 1.5 * options.txn_timeout + 0.2))
+    return check_cluster(
+        cluster,
+        register_key=REGISTER_KEY,
+        register_initial=None,
+        liveness_deadline=options.deadline,
+    )
+
+
+@pytest.mark.parametrize("path", REGRESSIONS, ids=lambda path: path.stem)
+def test_regression_script_runs_clean(path):
+    assert run_regression(path) == []
+
+
+@pytest.mark.parametrize("path", REGRESSIONS, ids=lambda path: path.stem)
+def test_regression_script_fails_under_its_mutation(path):
+    mutation = re.search(r"^# mutation: (\S+)", path.read_text(encoding="utf-8"), re.M)[1]
+    try:
+        violations = run_regression(path, mutation)
+    except ReproError as exc:  # a protocol tripwire fired mid-run
+        violations = [exc]
+    assert violations
 
 
 class TestDeterminism:

@@ -2,9 +2,10 @@
 
 Clients send every request to all replicas (§4), so a follower already
 holds the write that was in flight when the leader failed. The rule under
-test (``ReplicationGroup._held``): a FOLLOWER keeps each client's latest
-totally ordered request, and a new leader submits what it holds when its
-recovery completes, skipping what the executed table says is stale.
+test (``ReplicationGroup._held``): a replica that is not LEADING keeps each
+client's latest totally ordered request, and a new leader admits what it
+holds when its recovery completes, by the executed table's verdict: NEW is
+proposed, DUPLICATE answered from the table, STALE dropped.
 
 The deployment is the flat test profile at 10 ms a hop with the manual
 elector: the client's first write leaves at 11 ms and reaches every

@@ -127,6 +127,35 @@ class TestPaperExample:
         assert r2.applied == 91
         assert r2.service.value == sum(range(1, 92))
 
+    def test_recovery_reproposes_up_to_the_highest_instance_known_chosen(self, sent):
+        # P2c: r1 holds 16 chosen but lost the Chosen for 15. Its Prepare asks
+        # about 15 and 17 onwards only, so no Promise reports 16; the closing
+        # batch must still carry 16's chosen value, and the pipeline start
+        # above it.
+        kernel, world, replicas, electors = make_world()
+        old = Ballot(0, "r0")
+        items = tuple((i, proposal(i)) for i in range(1, 15))
+        for pid in ("r1", "r2"):
+            replicas[pid].on_message("r0", ChosenBatch(items=items, ballot=old))
+        replicas["r2"].on_message(
+            "r0", AcceptBatch(ballot=old, entries=((15, proposal(15)), (16, proposal(16))))
+        )
+        replicas["r1"].on_message("r0", ChosenBatch(items=((16, proposal(16)),), ballot=old))
+        kernel.run(until=0.01)
+        world.crash("r0")
+        electors["r1"].set_leader("r1")
+        electors["r2"].set_leader("r1")
+        kernel.run(until=0.5)
+        to_r2 = [e.msg for e in sent if e.src == "r1" and e.dst == "r2"]
+        prepare = next(m for m in to_r2 if isinstance(m, Prepare))
+        assert (prepare.gaps, prepare.from_instance) == ((15,), 17)
+        accept = next(m for m in to_r2 if isinstance(m, AcceptBatch))
+        assert accept.entries == ((15, proposal(15)), (16, proposal(16)))
+        r1 = replicas["r1"]
+        assert r1.role is ReplicaRole.LEADING
+        assert r1.proposer.next_instance == 17
+        assert r1.applied == 16 and r1.service.value == sum(range(1, 17))
+
     def test_recovery_with_empty_logs_is_trivial(self):
         kernel, _world, replicas, electors = make_world()
         electors["r0"].set_leader("r0")

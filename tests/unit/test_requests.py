@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.requests import ClientRequest, ExecutedTable, RequestId
+from repro.core.group import ReplicaRole
+from repro.core.requests import ClientRequest, ExecutedTable, RequestId, Verdict
 from repro.types import RequestKind
+from tests.unit.test_round import make_group
 
 
 class TestRequestId:
@@ -34,21 +36,18 @@ class TestExecutedTable:
     def test_lookup_hit(self):
         table = ExecutedTable()
         table.record(RequestId("c0", 1), "reply-1")
-        executed, value = table.lookup(RequestId("c0", 1))
-        assert executed and value == "reply-1"
+        assert table.verdict(RequestId("c0", 1)) == (Verdict.DUPLICATE, "reply-1")
 
     def test_lookup_miss(self):
         table = ExecutedTable()
-        executed, value = table.lookup(RequestId("c0", 1))
-        assert not executed and value is None
+        assert table.verdict(RequestId("c0", 1)) == (Verdict.NEW, None)
 
     def test_newer_request_replaces(self):
         table = ExecutedTable()
         table.record(RequestId("c0", 1), "one")
         table.record(RequestId("c0", 2), "two")
-        assert table.lookup(RequestId("c0", 2)) == (True, "two")
-        assert table.lookup(RequestId("c0", 1)) == (False, None)
-        assert table.is_stale(RequestId("c0", 1))
+        assert table.verdict(RequestId("c0", 2)) == (Verdict.DUPLICATE, "two")
+        assert table.verdict(RequestId("c0", 1)) == (Verdict.STALE, None)
 
     def test_out_of_order_record_ignored(self):
         # Closed-loop clients cannot regress; a late older record must not
@@ -56,14 +55,14 @@ class TestExecutedTable:
         table = ExecutedTable()
         table.record(RequestId("c0", 5), "five")
         table.record(RequestId("c0", 3), "three")
-        assert table.lookup(RequestId("c0", 5)) == (True, "five")
+        assert table.verdict(RequestId("c0", 5)) == (Verdict.DUPLICATE, "five")
 
     def test_clients_independent(self):
         table = ExecutedTable()
         table.record(RequestId("c0", 1), "a")
         table.record(RequestId("c1", 9), "b")
-        assert table.lookup(RequestId("c0", 1)) == (True, "a")
-        assert table.lookup(RequestId("c1", 9)) == (True, "b")
+        assert table.verdict(RequestId("c0", 1)) == (Verdict.DUPLICATE, "a")
+        assert table.verdict(RequestId("c1", 9)) == (Verdict.DUPLICATE, "b")
 
     def test_snapshot_restore_roundtrip(self):
         table = ExecutedTable()
@@ -71,13 +70,28 @@ class TestExecutedTable:
         snap = table.snapshot()
         other = ExecutedTable()
         other.restore(snap)
-        assert other.lookup(RequestId("c0", 1)) == (True, "a")
+        assert other.verdict(RequestId("c0", 1)) == (Verdict.DUPLICATE, "a")
         # Snapshot is a copy, not a view.
         table.record(RequestId("c0", 2), "b")
-        assert other.lookup(RequestId("c0", 2)) == (False, None)
+        assert other.verdict(RequestId("c0", 2)) == (Verdict.NEW, None)
 
     def test_is_stale_false_for_latest_and_future(self):
         table = ExecutedTable()
         table.record(RequestId("c0", 1), "a")
-        assert not table.is_stale(RequestId("c0", 1))
-        assert not table.is_stale(RequestId("c0", 2))
+        assert table.verdict(RequestId("c0", 1))[0] is not Verdict.STALE
+        assert table.verdict(RequestId("c0", 2))[0] is not Verdict.STALE
+
+
+def test_a_leading_leader_drops_a_stale_write_unanswered():
+    # A dup_burst copy of c0#5 reaches the leader after c0#6 executed: its
+    # client has moved on, so it gets neither a reply nor an instance.
+    _kernel, metrics, group = make_group(peers=("r0",))
+    group.elector.set_leader("r0")
+    assert group.role is ReplicaRole.LEADING
+    group.on_message("c0", ClientRequest(RequestId("c0", 6), RequestKind.WRITE, op=("write",)))
+    assert group.log.frontier == 1 and metrics.counter_value("msg.send.Reply") == 1
+    submitted = []
+    group.proposer.submit = submitted.append
+    group.on_message("c0", ClientRequest(RequestId("c0", 5), RequestKind.WRITE, op=("write",)))
+    assert submitted == [] and metrics.counter_value("msg.send.Reply") == 1
+    assert group.log.frontier == 1
