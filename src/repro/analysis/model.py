@@ -71,7 +71,11 @@ def original_rrt(p: LatencyModelInputs) -> float:
 
 def xpaxos_rrt(p: LatencyModelInputs) -> float:
     """X-Paxos read (§3.4): ``2M + max(E, m)`` — the leader executes while
-    the confirms travel."""
+    the confirms travel.
+
+    This is the read with no write in flight. A read that comes due while
+    an accept round is in flight waits for that round to be chosen, so it
+    finishes within ``xpaxos_rrt(p) + 2m``."""
     return 2 * p.client_replica + max(p.execute, p.replica_replica)
 
 

@@ -191,11 +191,12 @@ def check_state_convergence(
 ) -> list[Violation]:
     """Alive replicas that applied the same prefix must have identical
     service-state fingerprints (applied state is volatile, so crashed
-    replicas are excluded until they recover)."""
+    replicas are excluded until they recover; a leader with an accept round
+    in flight reports no fingerprint, its copy being ahead of ``applied``)."""
     violations: list[Violation] = []
     by_applied: dict[int, dict[str, list[str]]] = {}
     for snap in snapshots:
-        if not snap["alive"]:
+        if not snap["alive"] or "fingerprint" not in snap:
             continue
         fingerprints = by_applied.setdefault(snap["applied"], {})
         fingerprints.setdefault(str(snap["fingerprint"]), []).append(snap["pid"])

@@ -34,6 +34,8 @@ from repro.core.config import ReplicaConfig
 from repro.core.group import ReplicaRole, ReplicationGroup
 from repro.core.recovery import RecoveryCoordinator
 from repro.core.requests import ClientRequest, ExecutedTable, RequestId, Verdict
+from repro.core.state import StatePayload
+from repro.core.tpaxos import TxnPhase
 from repro.errors import ConfigError, ReproError, SimulationError
 from repro.net.profiles import get_profile
 from repro.services.kvstore import KVStoreService
@@ -320,12 +322,41 @@ def _mutate_recovery_skips_known_tail(cluster: Cluster) -> None:
         )
 
 
+def _payload_leaking_active_txns(
+    group: ReplicationGroup, payload: Callable[[Any], StatePayload], results: Any,
+) -> StatePayload:
+    service = group.service
+    own = service.snapshot()
+    for txn in group.txns.active.values():
+        if txn.phase is TxnPhase.ACTIVE:  # a committing one's are already in
+            txn.apply_to(service)
+    try:
+        return payload(results)
+    finally:
+        service.restore(own)
+
+
+def _mutate_full_payload_leaks_txn(cluster: Cluster) -> None:
+    """The leader builds each FULL payload, a plain write's or a commit's,
+    with every other ACTIVE transaction's deltas applied; its own copy
+    stays without them.
+
+    Backups install effects that may still abort, as they did when open
+    transactions changed the leader's copy itself (``state_convergence``;
+    bug C, sweep seed tpaxos ``--groups 2`` 7). Test-only."""
+    for group in _groups(cluster):
+        group.payload = partial(  # type: ignore[method-assign]
+            _payload_leaking_active_txns, group, group.payload
+        )
+
+
 #: name -> callable(cluster) applied after construction, before start.
 MUTATIONS: Mapping[str, Callable[[Cluster], None]] = {
     "minority-accept": _mutate_minority_accept,
     "skip-fsync": _mutate_skip_fsync,
     "propose-stale": _mutate_propose_stale,
     "recovery-skips-known-tail": _mutate_recovery_skips_known_tail,
+    "full-payload-leaks-txn": _mutate_full_payload_leaks_txn,
 }
 
 

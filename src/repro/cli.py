@@ -554,7 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                             "fsyncs, disk stalls, record rot); requires "
                             "--fsync sync")
     chaos.add_argument("--mutation", choices=("minority-accept", "skip-fsync",
-                                              "propose-stale", "recovery-skips-known-tail"),
+                                              "propose-stale", "recovery-skips-known-tail",
+                                              "full-payload-leaks-txn"),
                        help="inject a deliberate protocol bug (validation runs)")
     chaos.add_argument("--shrink", action="store_true",
                        help="minimize each violating schedule to a small repro")

@@ -38,12 +38,11 @@ class ReplicaConfig:
     prepare_retry: float = 1.0
     checkpoint_interval: int = 100
     max_batch: int = 8
-    #: Abort (with undo) an ACTIVE transaction idle this long, in seconds
-    #: (0 disables). A client that abandons a transaction mid-stream —
-    #: e.g. a stale leader answered one of its ops with ABORTED during a
+    #: Abort an ACTIVE transaction idle this long, in seconds (0
+    #: disables). A client that abandons a transaction mid-stream — e.g.
+    #: a stale leader answered one of its ops with ABORTED during a
     #: partial view change, so it retried under a fresh txn id — would
-    #: otherwise leave the real leader holding the old locks and
-    #: speculative effects forever.
+    #: otherwise leave the real leader holding the old locks forever.
     txn_timeout: float = 2.0
     #: Service execution time E per request, in seconds (0 for the paper's
     #: empty-method benchmark service). Modeled, not burned: the leader

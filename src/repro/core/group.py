@@ -66,14 +66,14 @@ from repro.core.messages import (
 from repro.core.proposer import DEFER, SKIP, ProposalItem, SequentialProposer
 from repro.core.recovery import RecoveryCoordinator
 from repro.core.requests import DUPLICATE, NEW, ClientRequest, ExecutedTable, RequestId
-from repro.core.state import apply_payload, build_payload
+from repro.core.state import StatePayload, apply_payload, build_payload
 from repro.core.tpaxos import TxnManager
 from repro.core.xpaxos import ReadCoordinator
 from repro.election.base import LeaderElector
 from repro.errors import ServiceError
 from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.spans import Span
-from repro.services.base import ExecutionContext, Service
+from repro.services.base import ExecutionContext, ExecutionResult, Service
 from repro.sim.process import Process
 from repro.storage.store import StableStore, StoragePump
 from repro.types import (
@@ -173,7 +173,7 @@ class _WriteItem:
             # the waterfall still shows where execution happened.
             tracer.instant("execute", pid=group.pid, kind="execute", parent=self.ctx,
                            attrs={"rid": str(rid)})
-        payload = build_payload(config.state_mode, group.service, (result,))
+        payload = group.payload((result,))
         # Plain writes cannot abort, so their locks are only needed for
         # the execution itself (they guard against interleaving with
         # uncommitted *transaction* state). Releasing here lets multiple
@@ -812,10 +812,9 @@ class ReplicationGroup(Process):
         self.reads.clear()
         self.locks.clear()
         self._pending_write_rids.clear()
-        # Our service copy may contain executed-but-uncommitted effects
-        # (speculative writes whose batch never committed, dropped
-        # transactions). Rebuild it from the committed prefix so follower
-        # state stays exactly the replicated state.
+        # Our service copy may be ahead by an abandoned round's writes and
+        # commits. Rebuild it from the committed prefix so follower state
+        # stays exactly the replicated state.
         self._rebuild_service_to_applied()
 
     def _rebuild_service_to_applied(self) -> None:
@@ -902,18 +901,27 @@ class ReplicationGroup(Process):
             "compacted_to": self.log.compacted_to,
             "checkpoint_instance": self.store.checkpoint[0],
             "chosen": self.log.chosen_items(),
-            "fingerprint": self.service.state_fingerprint(),
             "storage_intact": self.store.pump.intact,
         }
+        if self.proposer.inflight is None:
+            # With a round in flight the service copy is ahead of
+            # ``applied`` by that round's writes: no committed state to show.
+            snapshot["fingerprint"] = self.service.state_fingerprint()
         if self.config.track_commits:  # only acked durability reads it
             snapshot["durable_rids"] = self.store.durable_rids()
         return snapshot
+
+    def payload(self, results: tuple[ExecutionResult, ...]) -> StatePayload:
+        """The state half of the proposal the pipeline is building now."""
+        return build_payload(self.config.state_mode, self.service, results)
 
     def execution_context(self, txn: str | None = None) -> ExecutionContext:
         return ExecutionContext(rng=self.rng, now=self.now, txn=txn)
 
     def execute_read(self, request: ClientRequest) -> Any:
-        """Execute a read-only request against the current state."""
+        """Execute a read-only request against the service copy, which is
+        chosen state whenever no accept round is in flight (the X-Paxos
+        coordinator only calls this then)."""
         result = self.service.execute(request.op, self.execution_context())
         return result.reply
 

@@ -210,4 +210,7 @@ class SequentialProposer:
                 self.replica.now - proposed_at
             )
         self.replica.commit_batch_as_leader(round_.ballot, batch)
+        # Reads that came due during the round see exactly its writes: the
+        # next round has not executed anything yet.
+        self.replica.reads.serve_waiting()
         self._pump()

@@ -56,11 +56,9 @@ def build_payload(
 
     In FULL mode the snapshot must be taken at *proposal* time (i.e. when
     this function runs inside the leader's sequential pipeline), so that it
-    reflects exactly the instances proposed so far. Note the concurrency
-    caveat: with other transactions active, a FULL snapshot would embed
-    their uncommitted writes — use DELTA or REPRO for transactional
-    workloads with concurrency (the lock manager guarantees bundled deltas
-    commute with everything interleaved).
+    reflects exactly the instances proposed so far. The leader's service
+    copy holds nothing else: an open transaction keeps its effects in its
+    own record until its commit's turn (:mod:`repro.core.tpaxos`).
     """
     if mode is StateTransferMode.FULL:
         return StatePayload(mode, service.snapshot())

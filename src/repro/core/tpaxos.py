@@ -8,31 +8,36 @@ for an unreplicated service, but the overhead is paid at the commit phase."
 Leader-side mechanics:
 
 * a ``TXN_OP`` acquires its locks (no-wait strict 2PL,
-  :mod:`repro.core.locks`), executes against the leader's service copy,
-  records the result + undo, and is answered immediately;
+  :mod:`repro.core.locks`), executes against the leader's service copy
+  with the transaction's own earlier deltas applied, records the result,
+  restores the copy, and is answered immediately;
 * a ``TXN_COMMIT`` bundles the transaction's requests into **one**
-  consensus instance whose state payload covers all its operations;
-* a ``TXN_ABORT`` (from the client, from a lock conflict, or from a leader
-  switch, §3.6) runs the undo records in reverse and releases the locks —
-  nothing was replicated, so nothing else needs to happen.
+  consensus instance: at its turn in the pipeline the recorded deltas
+  enter the service copy and the state payload is built from there;
+* a ``TXN_ABORT`` (from the client, from a lock conflict, from idle expiry
+  or from a leader switch, §3.6) forgets the record and releases the
+  locks — nothing reached the service copy, so nothing else happens.
 
-Locks are held until the commit is *chosen*, so concurrent transactions
-never observe state that could still roll back — the §3.5 consistency
-hazard (T1 commits having read r2's effects while T2 aborts) cannot occur.
+The service copy therefore only ever holds the proposed sequence, and no
+other transaction, read or payload sees an uncommitted transaction's
+effects. Locks are held until the commit is *chosen*, so each recorded
+delta is still the right one at the commit's pipeline position, and the
+§3.5 consistency hazard (T1 commits having read r2's effects while T2
+aborts) cannot occur.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.core.messages import Proposal
 from repro.core.proposer import ProposalItem
 from repro.core.requests import DUPLICATE, NEW, ClientRequest, RequestId
-from repro.core.state import build_payload
 from repro.errors import ServiceError
-from repro.services.base import ExecutionResult
+from repro.services.base import ExecutionResult, Service
 from repro.types import InstanceId, ProcessId, ReplyStatus, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,6 +65,12 @@ class ActiveTxn:
     #: Virtual time of the last request touching this transaction; idle
     #: transactions past ``config.txn_timeout`` are expired.
     last_activity: float = 0.0
+
+    def apply_to(self, service: Service) -> None:
+        """Apply this transaction's recorded deltas, in op order."""
+        for result in self.results:
+            if result.delta is not None:
+                service.apply_delta(result.delta)
 
 
 class TxnManager:
@@ -117,24 +128,31 @@ class TxnManager:
             # We are missing earlier ops of this transaction (a leader
             # switch orphaned its prefix, §3.6): abort rather than commit a
             # torn suffix.
-            self._rollback(txn, cause="missing_prefix")
+            self._abort(txn, cause="missing_prefix")
             replica.reply(src, request.rid, ReplyStatus.ABORTED, "missing transaction prefix")
             return
         read_keys, write_keys = replica.service.locks_for(request.op)
         if not replica.locks.try_acquire(txn.txn_id, read_keys, write_keys):
             # No-wait policy: conflicting transactions abort immediately.
-            self._rollback(txn, cause="lock_conflict")
+            self._abort(txn, cause="lock_conflict")
             replica.reply(src, request.rid, ReplyStatus.ABORTED, "lock conflict")
             return
+        # The op sees the proposed sequence plus its own transaction's
+        # earlier ops; its effects stay in the record until the commit.
+        service = replica.service
+        committed = service.snapshot()
         try:
-            result = replica.service.execute(request.op, replica.execution_context(txn=txn.txn_id))
+            txn.apply_to(service)
+            result = service.execute(request.op, replica.execution_context(txn=txn.txn_id))
         except ServiceError as exc:
-            # The op failed cleanly (no state change); the txn stays alive.
+            # The op failed; the txn stays alive.
             replica.reply(src, request.rid, ReplyStatus.ERROR, str(exc))
             return
         except Exception as exc:  # malformed op: reject, never crash the replica
             replica.reply(src, request.rid, ReplyStatus.ERROR, f"bad request: {exc}")
             return
+        finally:
+            service.restore(committed)
         txn.requests.append(request)
         txn.results.append(result)
         txn.replied[request.rid] = result.reply
@@ -161,20 +179,10 @@ class TxnManager:
             return  # commit retransmit while the instance is in flight
         if request.txn_seq != len(txn.requests):
             # Incomplete transaction record (mid-stream leader switch).
-            self._rollback(txn, cause="missing_prefix")
+            self._abort(txn, cause="missing_prefix")
             replica.reply(src, request.rid, ReplyStatus.ABORTED, "missing transaction prefix")
             return
         txn.phase = TxnPhase.COMMITTING
-        bundle = (*txn.requests, request)
-        # The commit marker contributes an empty result so payload entries
-        # stay aligned with the bundled requests.
-        results = (*txn.results, ExecutionResult())
-
-        def prepare() -> Any:
-            # Everything already executed; just build the payload at our
-            # position in the sequence (FULL snapshots are position-sensitive).
-            payload = build_payload(replica.config.state_mode, replica.service, results)
-            return Proposal(requests=bundle, payload=payload, reply="committed")
 
         def on_committed(proposal: Proposal, instance: InstanceId) -> None:
             replica.locks.release_all(txn.txn_id)
@@ -184,9 +192,21 @@ class TxnManager:
             replica.reply(src, request.rid, ReplyStatus.OK, proposal.reply)
 
         replica.proposer.submit(
-            ProposalItem(prepare=prepare, on_committed=on_committed,
-                         ctx=replica.tracer.current)
+            ProposalItem(prepare=partial(self._prepare_commit, txn, request),
+                         on_committed=on_committed, ctx=replica.tracer.current)
         )
+
+    def _prepare_commit(self, txn: ActiveTxn, request: ClientRequest) -> Proposal:
+        """The commit's turn in the pipeline: the transaction's effects
+        enter the service copy here, so the payload (FULL snapshots are
+        position-sensitive) is the state after this instance."""
+        replica = self.replica
+        txn.apply_to(replica.service)
+        # The commit marker contributes an empty result so payload entries
+        # stay aligned with the bundled requests.
+        results = (*txn.results, ExecutionResult())
+        return Proposal(requests=(*txn.requests, request), payload=replica.payload(results),
+                        reply="committed")
 
     # ----------------------------------------------------------------- abort
     def _on_abort(self, src: ProcessId, request: ClientRequest) -> None:
@@ -194,18 +214,16 @@ class TxnManager:
         assert request.txn is not None
         txn = self.active.get(request.txn)
         if txn is not None and txn.phase is TxnPhase.ACTIVE:
-            self._rollback(txn, cause="client_abort")
+            self._abort(txn, cause="client_abort")
         replica.reply(src, request.rid, ReplyStatus.OK, "aborted")
 
-    def _rollback(self, txn: ActiveTxn, cause: str = "admin") -> None:
-        """Undo the transaction's effects on the leader's service copy.
+    def _abort(self, txn: ActiveTxn, cause: str = "admin") -> None:
+        """Forget the transaction and release its locks; its effects never
+        left its record.
 
         ``cause`` feeds the per-cause abort counters
         (``tpaxos.abort.<cause>``) the paper's §4.2 abort analysis needs.
         """
-        for result in reversed(txn.results):
-            if result.undo is not None:
-                result.undo()
         self.replica.locks.release_all(txn.txn_id)
         self.active.pop(txn.txn_id, None)
         self.replica.tracer.end(txn.span, status=f"aborted:{cause}")
@@ -226,10 +244,9 @@ class TxnManager:
         A client that abandoned its transaction (a stale leader during a
         partial view change answered one of its ops with ABORTED, so it
         retried under a fresh txn id) never sends TXN_ABORT for the old
-        one; without expiry that zombie holds its locks — aborting every
-        later transaction on the same keys — and its speculative effects,
-        leaving this replica's service copy diverged forever. COMMITTING
-        transactions are left alone: consensus decides their fate."""
+        one; without expiry that zombie holds its locks forever, aborting
+        every later transaction on the same keys. COMMITTING transactions
+        are left alone: consensus decides their fate."""
         self._expiry_armed = False
         timeout = self.replica.config.txn_timeout
         if timeout <= 0:
@@ -237,16 +254,14 @@ class TxnManager:
         now = self.replica.now
         for txn in list(self.active.values()):
             if txn.phase is TxnPhase.ACTIVE and now - txn.last_activity >= timeout:
-                self._rollback(txn, cause="expired")
+                self._abort(txn, cause="expired")
         if self.active:
             self._arm_expiry()
 
     def drop_all(self) -> None:
         """Leadership lost mid-transaction (§3.6): every active transaction
-        dies. No undo runs — the replica rebuilds its whole service copy
-        from the committed log right after, which also erases transactional
-        effects. Clients learn the abort when they retransmit to the new
-        leader (unknown transaction -> ABORTED)."""
+        dies with its record. Clients learn the abort when they retransmit
+        to the new leader (unknown transaction -> ABORTED)."""
         dropped = sum(1 for t in self.active.values() if t.phase is TxnPhase.ACTIVE)
         if dropped:
             self.replica.metrics.counter("tpaxos.abort.leader_switch").inc(dropped)

@@ -10,7 +10,13 @@ after a majority accepted its ballot, only the latest leader can assemble
 a confirming majority — a deposed leader that missed a write can never
 answer a read, which is exactly the §3.4 consistency requirement.
 
-Latency: ``2M + max(E, m)`` versus the basic protocol's ``2M + E + 2m``.
+A read executes against chosen state only. While an accept round is in
+flight the leader's service copy is ahead by that round's writes, so a
+read whose execution comes due then waits for the round to be chosen
+(:meth:`ReadCoordinator.serve_waiting`) and reflects it.
+
+Latency: ``2M + max(E, m)`` versus the basic protocol's ``2M + E + 2m``;
+a read behind one accept round waits at most that round's ``2m`` more.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ class ReadCoordinator:
         self._confirms: dict[RequestId, set[ProcessId]] = {}
         #: highest finished read seq per client, to GC late confirms.
         self._finished: dict[ProcessId, int] = {}
+        #: Reads whose execution came due during an accept round.
+        self._waiting: list[RequestId] = []
 
     # ------------------------------------------------------------ leader side
     def begin(self, src: ProcessId, request: ClientRequest) -> None:
@@ -90,6 +98,21 @@ class ReadCoordinator:
         if pending is None:
             return
         self.replica.tracer.end(pending.span)
+        if self.replica.proposer.inflight is not None:
+            self._waiting.append(rid)
+            return
+        self._serve(rid, pending)
+
+    def serve_waiting(self) -> None:
+        """The in-flight round was chosen: the service copy is chosen state
+        again, so serve the reads that waited for it."""
+        waiting, self._waiting = self._waiting, []
+        for rid in waiting:
+            pending = self._pending.get(rid)
+            if pending is not None:
+                self._serve(rid, pending)
+
+    def _serve(self, rid: RequestId, pending: _PendingRead) -> None:
         try:
             pending.reply_value = self.replica.execute_read(pending.request)
         except Exception as exc:  # malformed read: reject, don't crash
@@ -168,6 +191,7 @@ class ReadCoordinator:
                 tracer.end(pending.span, status="abandoned")
         self._pending.clear()
         self._confirms.clear()
+        self._waiting.clear()
 
     def reset(self) -> None:
         self.clear()

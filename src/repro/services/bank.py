@@ -1,8 +1,9 @@
 """A transactional bank-accounts service, the T-Paxos showcase (§3.5).
 
 Deterministic, but with multi-operation invariants (transfers must not be
-torn), so it exercises the transaction path: per-account strict 2PL locks
-and undo records for rollback.
+torn), so it exercises the transaction path: per-account strict 2PL locks,
+and ``("set", acct, balance)`` deltas that a commit applies at its
+pipeline position.
 
 Operations:
 
@@ -45,7 +46,6 @@ class BankService(Service):
                 reply=balance,
                 delta=("set", acct, balance),
                 repro=balance,
-                undo=lambda: self.accounts.pop(acct, None),
             )
         if kind == "deposit":
             _, acct, amount = op
@@ -56,7 +56,6 @@ class BankService(Service):
                 reply=new_balance,
                 delta=("set", acct, new_balance),
                 repro=new_balance,
-                undo=lambda: self._set(acct, new_balance - amount),
             )
         if kind == "withdraw":
             _, acct, amount = op
@@ -69,16 +68,12 @@ class BankService(Service):
                 reply=new_balance,
                 delta=("set", acct, new_balance),
                 repro=new_balance,
-                undo=lambda: self._set(acct, new_balance + amount),
             )
         raise ValueError(f"unknown bank op {op!r}")
 
     def _check(self, acct: str) -> None:
         if acct not in self.accounts:
             raise ServiceError(f"no such account {acct!r}")
-
-    def _set(self, acct: str, balance: int) -> None:
-        self.accounts[acct] = balance
 
     # ----------------------------------------------------------- state moves
     def snapshot(self) -> Any:

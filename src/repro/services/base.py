@@ -4,7 +4,10 @@ The protocol never interprets operations — it hands them to the service and
 ships the resulting state. A service that wants cheap state transfer
 implements ``apply_delta`` (DELTA mode) and/or ``replay`` (REPRO mode);
 ``snapshot``/``restore`` (FULL mode) are mandatory because new-leader
-recovery and replica catch-up always use full snapshots.
+recovery and replica catch-up always use full snapshots. A service that
+serves T-Paxos transactions needs ``apply_delta`` in every mode: the leader
+keeps a transaction's effects as its ops' deltas until the commit's turn
+in the pipeline, then applies them (:mod:`repro.core.tpaxos`).
 
 Nondeterminism enters exclusively through the :class:`ExecutionContext`:
 ``ctx.rng`` (random choices — the resource-broker example) and ``ctx.now``
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -45,14 +47,11 @@ class ExecutionResult:
       service does not support deltas or the op changed nothing).
     * ``repro`` — reproduction info for REPRO-mode transfer: enough for a
       backup to re-execute the op deterministically.
-    * ``undo`` — optional inverse action for T-Paxos rollback. Services
-      that support transactions must supply it for state-changing ops.
     """
 
     reply: Any = None
     delta: Any = None
     repro: Any = None
-    undo: Callable[[], None] | None = None
 
 
 class Service(abc.ABC):
@@ -77,7 +76,8 @@ class Service(abc.ABC):
 
     # --------------------------------------------------------- DELTA transfer
     def apply_delta(self, delta: Any) -> None:
-        """Apply a state update produced by the leader. Optional."""
+        """Apply a state update produced by the leader. Optional, but a
+        transactional service must implement it."""
         raise ServiceError(f"{self.name} does not support DELTA state transfer")
 
     # --------------------------------------------------------- REPRO transfer

@@ -55,7 +55,6 @@ class ResourceBrokerService(Service):
                 reply=name,
                 delta=("add_resource", name, capacity),
                 repro=name,
-                undo=lambda: self.resources.pop(name, None),
             )
         if kind == "request":
             _, task_id, demand = op
@@ -69,7 +68,6 @@ class ResourceBrokerService(Service):
                 reply=choice,
                 delta=("place", task_id, choice, demand),
                 repro=choice,
-                undo=lambda: self._unplace(task_id),
             )
         if kind == "release":
             _, task_id = op
@@ -77,13 +75,7 @@ class ResourceBrokerService(Service):
             if placement is None:
                 return ExecutionResult(reply=False, repro=False)
             self._unplace(task_id)
-            resource, demand = placement
-            return ExecutionResult(
-                reply=True,
-                delta=("release", task_id),
-                repro=True,
-                undo=lambda: self._place(task_id, resource, demand),
-            )
+            return ExecutionResult(reply=True, delta=("release", task_id), repro=True)
         raise ValueError(f"unknown broker op {op!r}")
 
     def _pick(self, demand: float, ctx: ExecutionContext) -> str | None:

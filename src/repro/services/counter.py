@@ -38,16 +38,7 @@ class CounterService(Service):
         else:
             raise ValueError(f"unknown counter op {op!r}")
         self.value += amount
-        new_value = self.value
-        return ExecutionResult(
-            reply=new_value,
-            delta=amount,
-            repro=amount,
-            undo=lambda: self._sub(amount),
-        )
-
-    def _sub(self, amount: int) -> None:
-        self.value -= amount
+        return ExecutionResult(reply=self.value, delta=amount, repro=amount)
 
     def snapshot(self) -> Any:
         return self.value

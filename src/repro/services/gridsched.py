@@ -67,20 +67,14 @@ class GridSchedulerService(Service):
                 reply=job_id,
                 delta=("submit", job_id, priority, job.arrival, job.seq),
                 repro=(job.arrival, job.seq),
-                undo=lambda: self._unsubmit(job_id),
             )
         if kind == "dispatch":
             choice = self._choose(ctx.now)
             if choice is None:
                 return ExecutionResult(reply=None, repro=None)
-            job = self.pending.pop(choice)
+            del self.pending[choice]
             self.dispatched.append(choice)
-            return ExecutionResult(
-                reply=choice,
-                delta=("dispatch", choice),
-                repro=choice,
-                undo=lambda: self._undispatch(job),
-            )
+            return ExecutionResult(reply=choice, delta=("dispatch", choice), repro=choice)
         raise ValueError(f"unknown gridsched op {op!r}")
 
     def _examination_order(self) -> list[Job]:
@@ -95,14 +89,6 @@ class GridSchedulerService(Service):
         """
         visible = [j for j in self._examination_order() if j.arrival <= now]
         return visible[0].job_id if visible else None
-
-    def _unsubmit(self, job_id: str) -> None:
-        self.pending.pop(job_id, None)
-        self._seq -= 1
-
-    def _undispatch(self, job: Job) -> None:
-        self.dispatched.remove(job.job_id)
-        self.pending[job.job_id] = job
 
     # ----------------------------------------------------------- state moves
     def snapshot(self) -> Any:

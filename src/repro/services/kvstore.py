@@ -3,8 +3,8 @@
 Used throughout the test suite: it is deterministic, so it is also
 replicable by the Multi-Paxos baseline, which lets tests cross-check the
 nondeterministic protocol against plain state-machine replication. It
-supports all three state-transfer modes and transactions (per-key 2PL
-with undo records).
+supports all three state-transfer modes and transactions (per-key 2PL;
+a commit applies its ops' ``put``/``delete`` deltas).
 
 Operations (tuples):
 
@@ -20,9 +20,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.services.base import ExecutionContext, ExecutionResult, Service
-
-_MISSING = object()
-
 
 class KVStoreService(Service):
     """Dictionary with protocol-friendly plumbing."""
@@ -41,43 +38,20 @@ class KVStoreService(Service):
             return ExecutionResult(reply=sorted(self.data, key=repr))
         if kind == "put":
             _, key, value = op
-            previous = self.data.get(key, _MISSING)
+            previous = self.data.get(key)
             self.data[key] = value
-            return ExecutionResult(
-                reply=None if previous is _MISSING else previous,
-                delta=("put", key, value),
-                repro=None,
-                undo=lambda: self._unput(key, previous),
-            )
+            return ExecutionResult(reply=previous, delta=("put", key, value), repro=None)
         if kind == "delete":
             _, key = op
-            previous = self.data.pop(key, _MISSING)
-            return ExecutionResult(
-                reply=None if previous is _MISSING else previous,
-                delta=("delete", key),
-                repro=None,
-                undo=lambda: self._unput(key, previous),
-            )
+            previous = self.data.pop(key, None)
+            return ExecutionResult(reply=previous, delta=("delete", key), repro=None)
         if kind == "cas":
             _, key, expected, new = op
-            current = self.data.get(key)
-            if current == expected:
-                previous = self.data.get(key, _MISSING)
+            if self.data.get(key) == expected:
                 self.data[key] = new
-                return ExecutionResult(
-                    reply=True,
-                    delta=("put", key, new),
-                    repro=True,
-                    undo=lambda: self._unput(key, previous),
-                )
+                return ExecutionResult(reply=True, delta=("put", key, new), repro=True)
             return ExecutionResult(reply=False, repro=False)
         raise ValueError(f"unknown kvstore op {op!r}")
-
-    def _unput(self, key: Any, previous: Any) -> None:
-        if previous is _MISSING:
-            self.data.pop(key, None)
-        else:
-            self.data[key] = previous
 
     # ----------------------------------------------------------- state moves
     def snapshot(self) -> Any:

@@ -34,19 +34,10 @@ class NoopService(Service):
             return ExecutionResult(reply=self.version)
         if kind == "write":
             self.version += 1
-            version = self.version
-            return ExecutionResult(
-                reply=version,
-                delta=version,
-                repro=version,
-                # Decrement (not set-back): commutative, so concurrent
-                # transactions' rollbacks interleave safely.
-                undo=self._decrement,
-            )
+            # A relative bump, not the new version: concurrent transactions
+            # take no locks (see locks_for), so each commit adds its own.
+            return ExecutionResult(reply=self.version, delta=1, repro=1)
         raise ValueError(f"unknown noop op {op!r}")
-
-    def _decrement(self) -> None:
-        self.version -= 1
 
     # ----------------------------------------------------------- state moves
     def snapshot(self) -> Any:
@@ -56,11 +47,11 @@ class NoopService(Service):
         self.version, self._padding = snap
 
     def apply_delta(self, delta: Any) -> None:
-        self.version = delta
+        self.version += delta
 
     def replay(self, op: Any, repro: Any) -> Any:
-        self.version = repro
-        return repro
+        self.version += repro
+        return self.version
 
     def locks_for(self, op: Any) -> tuple[frozenset, frozenset]:
         # An empty method conflicts with nothing (§4: requests "do not

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.model import LatencyModelInputs
+from repro.analysis.model import LatencyModelInputs, xpaxos_rrt
 from repro.client.workload import single_kind_steps
 from repro.cluster.harness import Cluster, ClusterSpec
 from repro.net.latency import ConstantLatency
@@ -123,6 +123,25 @@ class TestReadConformance:
         row = conformance(paths, model, xpaxos_reads=False)["read"]
         assert row.formula == "2M + E + 2m"
         assert abs(row.deviation) < QUANTUM
+
+
+class TestReadBehindWrite:
+    """A read that comes due while a write's accept round is in flight
+    waits for that round to be chosen: at most one round, ``2m``, above
+    ``2M + max(E, m)``."""
+
+    @pytest.mark.parametrize("execute", [0.0, 300e-6], ids=["E<m", "E>m"])
+    def test_read_rrt_within_one_round_of_xpaxos_rrt(self, execute):
+        spec = ClusterSpec(profile=calibrated_profile(), execute_time=execute, seed=0)
+        cluster = Cluster(spec, [single_kind_steps(RequestKind.WRITE, 12),
+                                 single_kind_steps(RequestKind.READ, 12)])
+        cluster.run(max_time=60.0).drain()
+        rrts = [r.rrt for c in cluster.clients for r in c.request_records()
+                if r.kind is RequestKind.READ]
+        model = LatencyModelInputs(client_replica=M, replica_replica=SMALL_m, execute=execute)
+        assert len(rrts) == 12
+        assert max(rrts) <= xpaxos_rrt(model) + 2 * SMALL_m + QUANTUM
+        assert any(rrt > xpaxos_rrt(model) + QUANTUM for rrt in rrts)  # some waited
 
 
 class TestOriginalConformance:

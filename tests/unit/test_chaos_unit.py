@@ -25,9 +25,16 @@ from repro.chaos.schedule import (
     generate_schedule,
 )
 from repro.client.client import RequestRecord
+from repro.core.config import ReplicaConfig
 from repro.core.messages import Proposal
+from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
+from repro.election.static import ManualElector, StaticElector
 from repro.errors import ConfigError
+from repro.services.kvstore import KVStoreService
+from repro.sim.kernel import Kernel
+from repro.sim.process import Process
+from repro.sim.world import World
 from repro.storage.store import RidFold
 from repro.types import ReplyStatus, RequestKind
 
@@ -419,6 +426,32 @@ class TestInvariantCheckers:
             _snap("r1", applied=3, fingerprint="bbb", alive=False),
             _snap("r2", applied=2, fingerprint="ccc"),
         ]
+        assert check_state_convergence(snaps) == []
+
+    def test_state_convergence_skips_a_leader_ahead_by_its_inflight_round(self):
+        kernel = Kernel(seed=0)
+        world = World(kernel)
+        config = ReplicaConfig(peers=PIDS)
+        elector = ManualElector(None)
+        replicas = [Replica("r0", config, KVStoreService, elector)]
+        replicas += [Replica(pid, config, KVStoreService, StaticElector("r0"))
+                     for pid in PIDS[1:]]
+        for replica in replicas:
+            world.add(replica)
+        world.add(Process("c0"))
+        world.start()
+        elector.set_leader("r0")
+        kernel.run(until=0.1)
+        replicas[0].on_message("c0", _request("c0", 0))
+        assert replicas[0].proposer.inflight is not None
+        snaps = [r.invariant_snapshot() for r in replicas]
+        assert [s["applied"] for s in snaps] == [0, 0, 0]
+        assert "fingerprint" not in snaps[0]  # executed, not yet chosen
+        assert check_state_convergence(snaps) == []
+        kernel.run(until=kernel.now + 0.1)
+        snaps = [r.invariant_snapshot() for r in replicas]
+        assert [s["applied"] for s in snaps] == [1, 1, 1]
+        assert len({s["fingerprint"] for s in snaps}) == 1
         assert check_state_convergence(snaps) == []
 
     def test_txn_atomicity_accepts_whole_bundle(self):

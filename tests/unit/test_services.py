@@ -30,12 +30,6 @@ class TestNoop:
         assert s.execute(("write",), ctx()).reply == 1
         assert s.execute(("write",), ctx()).reply == 2
 
-    def test_undo(self):
-        s = NoopService()
-        result = s.execute(("write",), ctx())
-        result.undo()
-        assert s.version == 0
-
     def test_snapshot_restore(self):
         s = NoopService(state_size=64)
         s.execute(("write",), ctx())
@@ -87,26 +81,6 @@ class TestKVStore:
         s.execute(("put", "a", 1), ctx())
         assert s.execute(("keys",), ctx()).reply == ["a", "b"]
 
-    def test_undo_put_restores_missing(self):
-        s = KVStoreService()
-        result = s.execute(("put", "k", 1), ctx())
-        result.undo()
-        assert "k" not in s.data
-
-    def test_undo_put_restores_previous(self):
-        s = KVStoreService()
-        s.execute(("put", "k", 1), ctx())
-        result = s.execute(("put", "k", 2), ctx())
-        result.undo()
-        assert s.data["k"] == 1
-
-    def test_undo_delete(self):
-        s = KVStoreService()
-        s.execute(("put", "k", 1), ctx())
-        result = s.execute(("delete", "k"), ctx())
-        result.undo()
-        assert s.data["k"] == 1
-
     def test_delta_roundtrip(self):
         a, b = KVStoreService(), KVStoreService()
         r = a.execute(("put", "k", 5), ctx())
@@ -143,12 +117,6 @@ class TestCounter:
         result = a.execute(("add_random", 1, 1000), ctx(seed=1))
         b.replay(("add_random", 1, 1000), result.repro)
         assert b.value == a.value
-
-    def test_undo(self):
-        s = CounterService()
-        result = s.execute(("add", 5), ctx())
-        result.undo()
-        assert s.value == 0
 
     def test_delta(self):
         a, b = CounterService(), CounterService()
@@ -215,13 +183,6 @@ class TestBroker:
         # With both candidates sampled, the less loaded one must win.
         picks = {s._pick(10, ctx(seed=i)) for i in range(10)}
         assert picks == {"idle"}
-
-    def test_undo_request(self):
-        s = self.loaded()
-        result = s.execute(("request", "t1", 10), ctx())
-        result.undo()
-        assert "t1" not in s.placements
-        assert all(load == 0 for _cap, load in s.resources.values())
 
     def test_snapshot_restore(self):
         s = self.loaded()
@@ -291,13 +252,6 @@ class TestGridScheduler:
         s.execute(("dispatch",), ctx(now=3.0))
         assert s.execute(("done",), ctx()).reply == ["j2"]
 
-    def test_undo_dispatch(self):
-        s = GridSchedulerService()
-        s.execute(("submit", "j1", 0), ctx(now=1.0))
-        result = s.execute(("dispatch",), ctx(now=2.0))
-        result.undo()
-        assert "j1" in s.pending and s.dispatched == []
-
     def test_delta_roundtrip(self):
         leader, backup = GridSchedulerService(), GridSchedulerService()
         for op, now in ((("submit", "A", 0), 1.0), (("submit", "B", 5), 2.0)):
@@ -338,14 +292,6 @@ class TestBank:
     def test_total(self):
         s = self.funded()
         assert s.execute(("total",), ctx()).reply == 150
-
-    def test_undo_chain(self):
-        s = self.funded()
-        r1 = s.execute(("withdraw", "alice", 30), ctx())
-        r2 = s.execute(("deposit", "bob", 30), ctx())
-        r2.undo()
-        r1.undo()
-        assert s.accounts == {"alice": 100, "bob": 50}
 
     def test_locks(self):
         s = self.funded()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ReplicaConfig
-from repro.core.messages import Reply
+from repro.core.messages import AcceptBatch, Reply
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
@@ -73,9 +73,14 @@ class TestOps:
         kernel.run(until=kernel.now + 0.05)
         (reply,) = replies_to(sent, "c0")
         assert reply.status is ReplyStatus.OK and reply.value == 90
-        # Executed on the leader, but nothing replicated yet.
-        assert leader.service.accounts["alice"] == 90
+        # Answered, but nothing replicated yet: the effect waits in the
+        # transaction record and the live copy holds the committed balance.
+        assert leader.service.accounts["alice"] == 100
         assert leader.log.frontier == 0
+        leader.on_message("c0", commit(1, n_ops=1))
+        kernel.run(until=kernel.now + 0.2)
+        assert leader.log.frontier == 1
+        assert leader.service.accounts["alice"] == 90
 
     def test_op_holds_locks(self):
         kernel, leader = make_leader()
@@ -91,6 +96,9 @@ class TestOps:
         kernel.run(until=kernel.now + 0.05)
         values = [r.value for r in replies_to(sent, "c0")]
         assert values == [90, 90]
+        assert leader.service.accounts["alice"] == 100  # until the commit
+        leader.on_message("c0", commit(1, n_ops=1))
+        kernel.run(until=kernel.now + 0.2)
         assert leader.service.accounts["alice"] == 90  # executed once
 
     def test_conflicting_txn_aborted_no_wait(self, sent):
@@ -100,6 +108,9 @@ class TestOps:
         kernel.run(until=kernel.now + 0.05)
         (t2_reply,) = replies_to(sent, "c1")
         assert t2_reply.status is ReplyStatus.ABORTED
+        assert leader.service.accounts["alice"] == 100  # until t1 commits
+        leader.on_message("c0", commit(1, txn="t1", n_ops=1))
+        kernel.run(until=kernel.now + 0.2)
         assert leader.service.accounts["alice"] == 90  # only t1's effect
 
     def test_failed_op_keeps_txn_alive(self, sent):
@@ -191,8 +202,25 @@ class TestCommitAbort:
         leader.txns.drop_all()
         assert metrics.counters("tpaxos.abort") == {"tpaxos.abort.leader_switch": 1}
         assert leader.txns.active == {}
-        # No undo ran (drop_all relies on the caller rebuilding state).
-        assert leader.service.accounts["alice"] == 70
+        # The withdrawal never reached the live copy: nothing to rebuild.
+        assert leader.service.accounts["alice"] == 100
+
+
+class TestPayloadIsolation:
+    def test_plain_write_full_payload_excludes_active_txn(self, sent):
+        kernel, leader = make_leader()
+        leader.on_message("c0", txn_op(0, ("withdraw", "alice", 10)))
+        write = ClientRequest(RequestId("c1", 0), RequestKind.WRITE,
+                              op=("deposit", "bob", 5))
+        leader.on_message("c1", write)
+        kernel.run(until=kernel.now + 0.2)
+        assert "t1" in leader.txns.active  # still ACTIVE
+        batches = [e.msg for e in sent if isinstance(e.msg, AcceptBatch)]
+        assert batches and all(b == batches[0] for b in batches)  # one round
+        ((_instance, proposal),) = batches[0].entries
+        assert proposal.requests == (write,)
+        assert proposal.payload.data == {"alice": 100, "bob": 105}
+        assert replies_to(sent, "c1")[-1].value == 105
 
 
 class TestIdleExpiry:
@@ -205,10 +233,10 @@ class TestIdleExpiry:
         kernel, leader = make_leader(txn_timeout=0.3)
         leader.on_message("c0", txn_op(0, ("withdraw", "alice", 30)))
         kernel.run(until=kernel.now + 0.05)
-        assert leader.service.accounts["alice"] == 70
+        assert leader.service.accounts["alice"] == 100  # uncommitted
         kernel.run(until=kernel.now + 0.6)  # idle well past the timeout
         assert leader.txns.active == {}
-        assert leader.service.accounts["alice"] == 100  # undone
+        assert leader.service.accounts["alice"] == 100
         assert leader.locks.owners() == frozenset()
 
     def test_activity_refreshes_the_clock(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.ballot import Ballot
 from repro.core.config import ReplicaConfig
-from repro.core.messages import Confirm, Reply
+from repro.core.messages import ChosenBatch, Confirm, Reply
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.election.static import ManualElector, StaticElector
@@ -143,6 +143,25 @@ class TestLeaderSide:
         kernel.run(until=kernel.now + 0.05)
         assert len(replies(sent)) == 1
         assert replies(sent)[0].status is ReplyStatus.ERROR
+
+
+class TestReadsBehindWrites:
+    def test_read_during_accept_round_waits_for_it_and_reflects_it(self, sent):
+        kernel, leader = make_leader()
+        write = ClientRequest(RequestId("c0", 0), RequestKind.WRITE, op=("add", 5))
+        leader.on_message("c0", write)
+        assert leader.proposer.inflight is not None  # executed, not chosen
+        read = read_request(seq=1)
+        leader.reads.begin("c0", read)
+        leader.reads.on_confirm("r1", Confirm(ballot=leader.ballot, rid=read.rid))
+        # Confirmed by a majority, but the service copy is ahead of chosen.
+        assert replies(sent) == []
+        kernel.run(until=kernel.now + 0.05)
+        (answer,) = [e for e in sent if isinstance(e.msg, Reply) and e.msg.rid == read.rid]
+        chosen = next(e for e in sent if isinstance(e.msg, ChosenBatch))
+        assert sent.index(answer) > sent.index(chosen)
+        assert answer.time == chosen.time
+        assert answer.msg.value == 5
 
 
 class TestBackupSide:
