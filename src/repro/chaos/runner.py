@@ -368,7 +368,6 @@ def build_cluster(options: ChaosOptions, seed: int) -> Cluster:
         n_replicas=options.n_replicas,
         seed=seed,
         xpaxos_reads=options.protocol == "xpaxos",
-        tpaxos=options.protocol == "tpaxos",
         client_timeout=options.client_timeout,
         txn_timeout=options.txn_timeout,
         retry_aborted=options.protocol == "tpaxos",

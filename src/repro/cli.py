@@ -18,10 +18,11 @@ from repro import __version__
 from repro.errors import ConfigError
 from repro.lint.cli import add_lint_parser, lint_command
 from repro.net.profiles import PROFILES, get_profile
-from repro.parallel.spec import KINDS
+from repro.parallel.spec import KINDS, RunSpec
 from repro.storage import FSYNC_MODES
 
 if TYPE_CHECKING:
+    from repro.chaos.runner import ChaosOptions
     from repro.cluster.harness import Cluster
 
 
@@ -81,10 +82,16 @@ def _run_one_kind(args: argparse.Namespace, **spec_fields: Any) -> Cluster:
 
     spec = ClusterSpec(profile=get_profile(args.profile), seed=args.seed, **spec_fields)
     kind = RequestKind(args.kind)
-    per_client = max(1, args.requests // args.clients)
+    if args.requests < args.clients:
+        raise ConfigError(
+            f"--requests {args.requests} < --clients {args.clients}: "
+            "each client needs at least one request"
+        )
+    # The first requests % clients clients send one extra: N requests in all.
+    base, extra = divmod(args.requests, args.clients)
+    counts = [base + (c < extra) for c in range(args.clients)]
     if spec.groups == 1:
-        steps = [single_kind_steps(kind, per_client) for _ in range(args.clients)]
-        return Cluster(spec, steps).run()
+        return Cluster(spec, [single_kind_steps(kind, n) for n in counts]).run()
 
     def op(index: int) -> tuple[str, ...]:
         key = f"k{index % (4 * spec.groups)}"
@@ -92,7 +99,7 @@ def _run_one_kind(args: argparse.Namespace, **spec_fields: Any) -> Cluster:
             return ("get", key)
         return ("put", key, f"v{index}")
 
-    steps = [single_kind_steps(kind, per_client, op=op) for _ in range(args.clients)]
+    steps = [single_kind_steps(kind, n, op=op) for n in counts]
     return Cluster(spec, steps, service_factory=KVStoreService).run()
 
 
@@ -178,6 +185,28 @@ def trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def chaos_specs(
+    options: ChaosOptions, seeds: range, keep_cluster: bool = False
+) -> list[RunSpec]:
+    """One ``chaos_result`` spec per seed. Each spec carries its own seed,
+    so sharding the sweep across workers cannot skew any trial's nemesis
+    schedule."""
+    import dataclasses
+
+    return [
+        RunSpec(
+            task="chaos_result",
+            key=f"chaos/seed={seed:06d}",
+            params={
+                "seed": seed,
+                "options": dataclasses.asdict(options),
+                "keep_cluster": keep_cluster,
+            },
+        )
+        for seed in seeds
+    ]
+
+
 def chaos_command(args: argparse.Namespace) -> int:
     """Fan a nemesis-schedule sweep over seeds, check invariants, report.
 
@@ -187,8 +216,7 @@ def chaos_command(args: argparse.Namespace) -> int:
     from repro.chaos.report import dump_summary, render_report, to_summary
     from repro.chaos.runner import ChaosOptions
     from repro.chaos.shrink import shrink
-    from repro.parallel.runner import SweepOptions, run_sweep
-    from repro.parallel.spec import RunSpec
+    from repro.parallel.runner import run_grid
 
     options = ChaosOptions(
         protocol=args.protocol,
@@ -210,26 +238,13 @@ def chaos_command(args: argparse.Namespace) -> int:
         # cannot cross a process boundary.
         print("chaos: --tracing forces --workers 1", file=sys.stderr)
         workers = 1
-    # Each spec carries its own seed, so sharding the sweep across
-    # workers cannot skew any trial's nemesis schedule.
-    specs = [
-        RunSpec(
-            task="chaos_result",
-            key=f"chaos/seed={seed:06d}",
-            params={
-                "seed": seed,
-                "options": dataclasses.asdict(options),
-                "keep_cluster": args.tracing,
-            },
-        )
-        for seed in range(args.seed, args.seed + args.seeds)
-    ]
-    sweep = run_sweep(specs, SweepOptions(workers=workers))
-    for record in sweep.failed():
-        print(f"chaos: {record.spec.key}: {record.error}", file=sys.stderr)
-    if not sweep.ok:
+    specs = chaos_specs(options, range(args.seed, args.seed + args.seeds), args.tracing)
+    try:
+        results = list(run_grid(specs, workers).values())
+    except RuntimeError as exc:  # failed trials, one per line, or a dead worker
+        for line in str(exc).splitlines():
+            print(f"chaos: {line}", file=sys.stderr)
         return 2
-    results = [record.result for record in sweep.records]
     if not args.quiet:
         for result in results:
             if not result.ok:
@@ -256,60 +271,6 @@ def chaos_command(args: argparse.Namespace) -> int:
             fh.write(dump_summary(to_summary(results, shrink_outcomes)))
         print(f"summary: {args.summary}")
     return 0 if all(r.ok for r in results) else 1
-
-
-def sweep_command(args: argparse.Namespace) -> int:
-    """Shard a run grid across worker processes and write the merged JSON.
-
-    The ``results`` section of the output is byte-identical for any
-    ``--workers`` value; wall-clock lives in the separate ``timing``
-    section (drop it entirely with ``--no-timing`` for diff-friendly
-    artifacts)."""
-    import os
-
-    from repro.experiments import figures_grid
-    from repro.parallel.merge import canonical_json, merge_sweep
-    from repro.parallel.runner import SweepOptions, run_sweep
-    from repro.parallel.spec import calibration_grid, chaos_grid, selftest_grid
-
-    if args.grid == "chaos":
-        protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
-        specs = chaos_grid(
-            seeds=args.seeds, first_seed=args.seed, protocols=protocols
-        )
-    elif args.grid == "figures":
-        specs = figures_grid(quick=args.quick)
-    elif args.grid == "selftest":
-        specs = selftest_grid(runs=args.seeds)
-    else:
-        specs = calibration_grid(samples=args.samples)
-
-    options = SweepOptions(
-        workers=args.workers, timeout=args.timeout, retries=args.retries
-    )
-    sweep = run_sweep(specs, options)
-    doc = merge_sweep(sweep, name=f"sweep_{args.grid}")
-    if args.no_timing:
-        del doc["timing"]
-
-    out = args.out or os.path.join(
-        "benchmarks", "results", f"BENCH_sweep_{args.grid}.json"
-    )
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-
-    aggregate = doc["results"]["aggregate"]
-    print(
-        f"sweep {args.grid}: {aggregate['ok']}/{aggregate['total']} ok, "
-        f"workers={sweep.workers}, wall={sweep.wall:.2f}s"
-    )
-    for key in aggregate["failed"]:
-        print(f"  FAILED {key}", file=sys.stderr)
-    print(f"merged: {out}")
-    return 0 if sweep.ok else 1
 
 
 def profile_command(args: argparse.Namespace) -> int:
@@ -570,40 +531,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     chaos.add_argument("--workers", type=int, default=1,
                        help="worker processes for the seed sweep (default: 1)")
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="shard a run grid across workers; deterministic merged JSON",
-    )
-    sweep.add_argument("--grid", required=True,
-                       choices=("chaos", "figures", "calibration", "selftest"),
-                       help="which run grid to execute")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default: 1, serial)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-run wall-clock budget in seconds")
-    sweep.add_argument("--retries", type=int, default=1,
-                       help="retries after a worker death/timeout (default: 1)")
-    sweep.add_argument("--out", metavar="PATH",
-                       help="merged JSON path (default: "
-                            "benchmarks/results/BENCH_sweep_<grid>.json)")
-    sweep.add_argument("--no-timing", action="store_true",
-                       help="omit the host-dependent timing section")
-    sweep.add_argument("--seeds", type=int, default=20,
-                       help="[chaos/selftest grid] run count (default: 20)")
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="[chaos grid] first seed (default: 0)")
-    sweep.add_argument("--protocols", default="basic",
-                       help="[chaos grid] comma-separated protocols "
-                            "(default: basic)")
-    sweep.add_argument("--quick", action="store_true",
-                       help="[figures grid] smaller sample counts")
-    sweep.add_argument("--samples", type=int, default=400,
-                       help="[calibration grid] samples per run (default: 400)")
-
     add_lint_parser(sub)
 
     args = parser.parse_args(argv)
-    for flag in ("clients", "requests", "seeds", "samples"):
+    for flag in ("clients", "requests", "seeds", "workers"):
         value = getattr(args, flag, None)  # None: this command has no such flag
         if value is not None and value < 1:
             parser.error(f"--{flag} must be at least 1, got {value}")
@@ -629,8 +560,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return report_command(args)
         if args.command == "chaos":
             return chaos_command(args)
-        if args.command == "sweep":
-            return sweep_command(args)
         if args.command == "lint":
             return lint_command(args)
     except ConfigError as exc:

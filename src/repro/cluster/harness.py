@@ -88,7 +88,6 @@ class ClusterSpec:
     groups: int = 1
     state_mode: StateTransferMode = StateTransferMode.FULL
     xpaxos_reads: bool = True
-    tpaxos: bool = True
     execute_time: float = 0.0
     checkpoint_interval: int = 100
     accept_retry: float = 0.5
@@ -221,7 +220,6 @@ class Cluster:
             peers=self.replica_pids,
             state_mode=spec.state_mode,
             xpaxos_reads=spec.xpaxos_reads,
-            tpaxos=spec.tpaxos,
             accept_retry=spec.accept_retry,
             prepare_retry=spec.prepare_retry,
             checkpoint_interval=spec.checkpoint_interval,

@@ -2,7 +2,7 @@
 
 Each function builds a cluster against a named profile, runs one workload
 shape, and returns the collected :class:`RunResult`. Its keyword arguments
-are JSON-ready, so ``repro.parallel.tasks`` registers each as a sweep task
+are JSON-ready, so ``repro.parallel.tasks`` registers each as a grid task
 and the ``repro.experiments`` records are written in terms of them.
 """
 

@@ -20,7 +20,6 @@ class ReplicaConfig:
     * ``state_mode`` — how proposal state is shipped (§3.3).
     * ``xpaxos_reads`` — serve reads via X-Paxos (§3.4); when False, reads
       are totally ordered through the basic protocol like writes.
-    * ``tpaxos`` — accept T-Paxos transaction requests (§3.5).
     * ``accept_retry`` / ``prepare_retry`` — retransmission intervals for
       the leader's in-flight Accept and Prepare rounds ("if the leader
       fails to receive the expected response ... it retransmits").
@@ -33,7 +32,6 @@ class ReplicaConfig:
     peers: tuple[ProcessId, ...]
     state_mode: StateTransferMode = StateTransferMode.FULL
     xpaxos_reads: bool = True
-    tpaxos: bool = True
     accept_retry: float = 1.0
     prepare_retry: float = 1.0
     checkpoint_interval: int = 100

@@ -22,7 +22,7 @@ Request routing (the §4 experiment semantics):
   turn in the sequential pipeline comes, proposes ``<req, state>`` for the
   next instance, commits on a majority of Accepteds, replies, then
   broadcasts ChosenBatch.
-* ``TXN_*`` — T-Paxos (when enabled): see :mod:`repro.core.tpaxos`.
+* ``TXN_*`` — T-Paxos: see :mod:`repro.core.tpaxos`.
 
 Message dispatch is declarative: the class-level :data:`DISPATCH` table
 maps each wire message type to its handler method. The table is shared by
@@ -420,9 +420,6 @@ class ReplicationGroup(Process):
                 self._held[rid.client] = request
             return
         if kind.is_transactional:
-            if not self.config.tpaxos:
-                self.reply(src, request.rid, ReplyStatus.ERROR, "transactions disabled")
-                return
             if self.role is ReplicaRole.LEADING:
                 self.txns.on_request(src, request)
             return

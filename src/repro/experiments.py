@@ -11,8 +11,7 @@ paper's claim about them, and where the measured numbers contradict it. A
 :class:`Figure` groups the artefacts written to one results file. Every
 consumer is a view over :data:`FIGURES`:
 
-* :func:`figures_grid` (``repro sweep --grid figures``) concatenates the
-  records' cells;
+* :func:`figures_grid` concatenates the records' cells;
 * ``repro experiments`` runs that grid once, prints :func:`report` and
   exits 1 when any :meth:`Figure.check` is non-empty;
 * ``benchmarks/bench_figures.py`` runs one record's cells per case and

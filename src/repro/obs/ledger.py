@@ -16,9 +16,9 @@ analyze the series:
   and inferred from the metric name when a benchmark doesn't say).
 
 Like the timeline loader, ingest is lenient: malformed records, and
-documents that are not schema-2 BENCH summaries (such as the merged
-``BENCH_sweep_*.json`` a ``repro sweep`` writes), are skipped and counted
-with one summary warning, so a results directory never wedges the ledger.
+documents that are not schema-2 BENCH summaries (such as a legacy
+``{"name", "text", "data"}`` BENCH file), are skipped and counted with one
+summary warning, so a results directory never wedges the ledger.
 """
 
 from __future__ import annotations

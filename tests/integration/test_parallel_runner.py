@@ -1,118 +1,117 @@
-"""Parallel sweep runner: determinism, crash recovery, seed hygiene.
+"""Grid runner: determinism, failure model, seed hygiene.
 
-The load-bearing promise: the merged ``results`` section is a pure
-function of the spec list — byte-identical for any worker count, any
-completion order, and any retry history. Everything host-dependent
-(wall-clock, attempts, worker ids) lives in the separated timing section.
+The load-bearing promise: the results of a grid are a pure function of
+the spec list — identical for any worker count and any submission order.
+A cell that raises is named, with every other failed cell, once the grid
+has finished; a worker that dies ends the grid with an error.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.chaos.runner import ChaosOptions, run_chaos
+from repro.cli import chaos_specs
 from repro.errors import ConfigError
 from repro.experiments import figures_grid
-from repro.parallel.merge import canonical_json, merge_records, merge_sweep
-from repro.parallel.runner import SweepOptions, run_grid, run_sweep
-from repro.parallel.spec import RunSpec, calibration_grid, chaos_grid, selftest_grid
+from repro.parallel.runner import run_grid
+from repro.parallel.spec import RunSpec
+from repro.parallel.tasks import TASKS
 
-#: Small, fast chaos trials for sweep-level tests (~10 ms each).
+#: Small, fast chaos trials for grid-level tests (~10 ms each).
 FAST_CHAOS = dict(n_clients=1, requests_per_client=3, horizon=0.4, liveness_grace=4.0)
 
 
-def merged_bytes(sweep) -> str:
-    return canonical_json(merge_records(sweep.records))
+def fast_specs(seeds: int, first_seed: int = 0) -> list[RunSpec]:
+    return chaos_specs(ChaosOptions(**FAST_CHAOS), range(first_seed, first_seed + seeds))
+
+
+def as_dicts(results) -> dict:
+    return {key: result.to_dict() for key, result in results.items()}
+
+
+def _touch(path: str) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("ran\n")
+
+
+@pytest.fixture
+def scratch_tasks(monkeypatch, tmp_path):
+    """Register throwaway tasks; forked workers inherit the patched table.
+    Each run appends a line to ``tmp_path/<name>``, so a test can count
+    which cells ran."""
+
+    def echo(params):
+        _touch(str(tmp_path / params["name"]))
+        return {"echo": params["value"]}
+
+    def fail(params):
+        _touch(str(tmp_path / params["name"]))
+        raise RuntimeError(params["message"])
+
+    def die(params):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setitem(TASKS, "echo", echo)
+    monkeypatch.setitem(TASKS, "fail", fail)
+    monkeypatch.setitem(TASKS, "die", die)
+    return tmp_path
 
 
 class TestMergedDeterminism:
     def test_workers_1_4_8_byte_identical(self):
-        specs = chaos_grid(seeds=6, **FAST_CHAOS)
-        docs = {
-            workers: merged_bytes(run_sweep(specs, SweepOptions(workers=workers)))
-            for workers in (1, 4, 8)
-        }
-        assert docs[1] == docs[4] == docs[8]
+        specs = fast_specs(6)
+        runs = {workers: as_dicts(run_grid(specs, workers)) for workers in (1, 4, 8)}
+        assert runs[1] == runs[4] == runs[8]
 
     def test_submission_order_does_not_matter(self):
-        specs = chaos_grid(seeds=5, **FAST_CHAOS)
-        forward = run_sweep(specs, SweepOptions(workers=1))
-        backward = run_sweep(list(reversed(specs)), SweepOptions(workers=3))
-        assert merged_bytes(forward) == merged_bytes(backward)
-
-    def test_timing_is_separated_from_results(self):
-        specs = chaos_grid(seeds=3, **FAST_CHAOS)
-        doc = merge_sweep(run_sweep(specs, SweepOptions(workers=2)))
-        assert set(doc) == {"name", "results", "timing"}
-        # Nothing host-dependent in the results section.
-        assert "wall" not in json.dumps(doc["results"])
-        # Timing has per-run wall and realized parallelism.
-        assert doc["timing"]["workers"] == 2
-        assert set(doc["timing"]["runs"]) == {spec.key for spec in specs}
-
-    def test_canonical_json_is_stable(self):
-        doc = {"b": 1, "a": [1.5, {"z": None, "y": "x"}]}
-        assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+        specs = fast_specs(5)
+        forward = run_grid(specs, workers=1)
+        backward = run_grid(list(reversed(specs)), workers=3)
+        assert list(backward) == [spec.key for spec in reversed(specs)]
+        assert as_dicts(forward) == as_dicts(backward)
 
 
 class TestCrashRecovery:
-    def test_killed_worker_is_retried_with_unchanged_merge(self, tmp_path):
-        marker = tmp_path / "crashed"
-        specs = [RunSpec(task="echo", key=f"echo/{i}", params={"value": i})
-                 for i in range(5)]
-        crash = RunSpec(
-            task="crash",
-            key="crash/once",
-            params={"marker": str(marker), "value": 42},
-        )
-        specs.insert(2, crash)
-
-        # Reference: the same specs where the crash never happens (marker
-        # pre-created, so the task completes on its first attempt).
-        marker.write_text("pre-existing\n")
-        reference = run_sweep(specs, SweepOptions(workers=1))
-        marker.unlink()
-
-        sweep = run_sweep(specs, SweepOptions(workers=3, retries=1))
-        record = next(r for r in sweep.records if r.spec.key == "crash/once")
-        assert record.ok
-        assert record.attempts == 2  # first attempt SIGKILLed the worker
-        assert merged_bytes(sweep) == merged_bytes(reference)
-
-    def test_timeout_kills_and_records_error(self):
+    def test_killed_worker_ends_the_grid(self, scratch_tasks):
         specs = [
-            RunSpec(task="hang", key="hang/0", params={"duration": 60.0}),
-            RunSpec(task="echo", key="echo/0", params={"value": 0}),
-            RunSpec(task="echo", key="echo/1", params={"value": 1}),
+            RunSpec(task="echo", key=f"echo/{i}", params={"name": f"echo{i}", "value": i})
+            for i in range(5)
         ]
-        sweep = run_sweep(specs, SweepOptions(workers=2, timeout=0.3, retries=0))
-        hang = next(r for r in sweep.records if r.spec.key == "hang/0")
-        assert not hang.ok
-        assert "timeout" in hang.error
-        assert all(r.ok for r in sweep.records if r.spec.key != "hang/0")
-        assert not sweep.ok and sweep.failed() == [hang]
+        specs.insert(2, RunSpec(task="die", key="die/0"))
+        start = time.perf_counter()
+        with pytest.raises(BrokenProcessPool):
+            run_grid(specs, workers=3)
+        assert time.perf_counter() - start < 10.0
 
-    def test_task_exception_becomes_error_record_not_retry(self):
+    def test_task_exception_becomes_error_record_not_retry(self, scratch_tasks):
+        """One raising cell among good ones is named by key; the others
+        still ran, and the raising one ran once."""
         specs = [
-            RunSpec(task="fail", key="fail/0", params={"message": "boom"}),
-            RunSpec(task="echo", key="echo/0", params={"value": 1}),
+            RunSpec(task="echo", key=f"echo/{i}", params={"name": f"echo{i}", "value": i})
+            for i in range(4)
         ]
-        sweep = run_sweep(specs, SweepOptions(workers=2, retries=3))
-        failed = next(r for r in sweep.records if r.spec.key == "fail/0")
-        assert failed.error == "RuntimeError: boom"
-        # Deterministic failures are not retried (they would fail again).
-        assert failed.attempts == 1
+        specs.insert(1, RunSpec(task="fail", key="fail/0",
+                                params={"name": "fail0", "message": "boom"}))
+        with pytest.raises(RuntimeError) as excinfo:
+            run_grid(specs, workers=2)
+        assert str(excinfo.value) == "fail/0: RuntimeError: boom"
+        for name in ("fail0", "echo0", "echo1", "echo2", "echo3"):
+            assert (scratch_tasks / name).read_text() == "ran\n"
 
 
 class TestSeedHygiene:
-    """Satellite fix: run seeds are part of the run spec, so parallel
-    execution (sharding, stealing, retries) cannot skew any schedule."""
+    """Run seeds are part of the run spec, so parallel execution cannot
+    skew any schedule."""
 
     def test_every_chaos_spec_carries_its_own_seed(self):
-        specs = chaos_grid(seeds=4, first_seed=7, **FAST_CHAOS)
+        specs = fast_specs(4, first_seed=7)
         assert [spec.params["seed"] for spec in specs] == [7, 8, 9, 10]
         for spec in specs:
             assert f"seed={spec.params['seed']:06d}" in spec.key
@@ -121,12 +120,12 @@ class TestSeedHygiene:
             ChaosOptions(**spec.params["options"])
 
     def test_parallel_chaos_trial_equals_direct_serial_call(self):
-        specs = chaos_grid(seeds=3, **FAST_CHAOS)
-        sweep = run_sweep(specs, SweepOptions(workers=3))
+        specs = fast_specs(3)
+        results = run_grid(specs, workers=3)
         options = ChaosOptions(**specs[0].params["options"])
-        for record in sweep.records:
-            direct = run_chaos(record.spec.params["seed"], options)
-            assert record.result == direct.to_dict()
+        for spec in specs:
+            direct = run_chaos(spec.params["seed"], options)
+            assert results[spec.key].to_dict() == direct.to_dict()
 
     def test_figure_grid_seeds_match_serial_report(self):
         """The grid must pin the exact seeds the serial sections use —
@@ -152,7 +151,7 @@ class TestSeedHygiene:
         """``total_bytes`` is modelled per message, so it may not depend on
         which messages a process happened to size first: one process running
         every spec in turn and fresh workers each starting on a different
-        one must merge byte-identically."""
+        one must give identical results."""
         specs = [
             RunSpec(
                 task=task,
@@ -169,62 +168,43 @@ class TestSeedHygiene:
                 ]
             )
         ]
-        serial = run_sweep(specs, SweepOptions(workers=1))
-        sharded = run_sweep(list(reversed(specs)), SweepOptions(workers=4))
-        assert merged_bytes(serial) == merged_bytes(sharded)
-        assert all(record.result["total_bytes"] > 0 for record in serial.records)
-
-    def test_calibration_grid_keys_unique_and_sorted_stable(self):
-        specs = calibration_grid(samples=10, seeds=3)
-        keys = [spec.key for spec in specs]
-        assert len(set(keys)) == len(keys)
-
-    def test_selftest_grid_deterministic_across_workers(self):
-        """The selftest grid merges byte-identically at any worker count,
-        and the sleep knob (overlap only) never reaches a task result."""
-        specs = selftest_grid(runs=5, sleep=0.01)
-        serial = run_sweep(specs, SweepOptions(workers=1))
-        sharded = run_sweep(specs, SweepOptions(workers=3))
-        assert merged_bytes(serial) == merged_bytes(sharded)
-        assert [r.result for r in serial.records] == [
-            {"echo": {"index": i}} for i in range(5)
-        ]
+        serial = run_grid(specs, workers=1)
+        sharded = run_grid(list(reversed(specs)), workers=4)
+        assert serial == sharded
+        assert all(result["total_bytes"] > 0 for result in serial.values())
 
 
 class TestSpecsAndPmap:
     def test_duplicate_keys_rejected(self):
         specs = [
-            RunSpec(task="echo", key="dup", params={}),
-            RunSpec(task="echo", key="dup", params={}),
+            RunSpec(task="rrt", key="dup", params={}),
+            RunSpec(task="rrt", key="dup", params={}),
         ]
         with pytest.raises(ConfigError, match="duplicate run key"):
-            run_sweep(specs, SweepOptions(workers=1))
+            run_grid(specs, workers=1)
 
-    def test_run_grid_keys_results_and_raises_on_a_failed_run(self):
-        specs = [RunSpec(task="echo", key=f"k{i}", params={"value": i}) for i in range(5)]
+    def test_run_grid_keys_results_and_raises_on_a_failed_run(self, scratch_tasks):
+        specs = [
+            RunSpec(task="echo", key=f"k{i}", params={"name": f"k{i}", "value": i})
+            for i in range(5)
+        ]
         results = run_grid(specs, workers=3)
-        assert {key: r["echo"]["value"] for key, r in results.items()} == {
-            f"k{i}": i for i in range(5)
-        }
-        failing = [RunSpec(task="fail", key=f"f{i}", params={"message": "boom"}) for i in (0, 1)]
-        with pytest.raises(RuntimeError, match="2/2 runs failed; first: f0: .*boom"):
+        assert results == {f"k{i}": {"echo": i} for i in range(5)}
+        failing = [
+            RunSpec(task="fail", key=f"f{i}", params={"name": f"f{i}", "message": "boom"})
+            for i in (0, 1)
+        ]
+        with pytest.raises(RuntimeError) as excinfo:
             run_grid(failing, workers=2)
+        assert str(excinfo.value) == "f0: RuntimeError: boom\nf1: RuntimeError: boom"
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError, match="unknown task"):
-            run_sweep([RunSpec(task="nope", key="k", params={})])
-
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ConfigError):
-            SweepOptions(workers=-1)
-        with pytest.raises(ConfigError):
-            SweepOptions(timeout=0.0)
-        with pytest.raises(ConfigError):
-            SweepOptions(retries=-1)
+            run_grid([RunSpec(task="nope", key="k", params={})])
 
     def test_spec_requires_key(self):
         with pytest.raises(ConfigError):
-            RunSpec(task="echo", key="")
+            RunSpec(task="rrt", key="")
 
     def test_options_roundtrip_through_worker(self):
         """ChaosOptions survive asdict/reconstruct across the process

@@ -182,7 +182,6 @@ def protocol_cluster(protocol: str, **overrides):
         [steps],
         service_factory=service,
         xpaxos_reads=protocol == "xpaxos",
-        tpaxos=protocol == "tpaxos",
         **overrides,
     )
 

@@ -116,24 +116,31 @@ class TestThroughputFloors:
         print(f"\ntcp_closed_loop_req_per_s = {rate:,.0f}")
         assert rate >= _floor("tcp_closed_loop_req_per_s")
 
-    def test_sweep_overlap_speedup(self):
+    def test_sweep_overlap_speedup(self, monkeypatch):
         """The runner must overlap runs: 12 sleep-bound runs on 4 workers
         finish in far less than the serial sum. Sleeps (not spins) so the
         floor holds on single-core CI boxes — this measures the scheduler,
         not the core count."""
-        from repro.parallel.runner import SweepOptions, run_sweep
+        from repro.parallel.runner import run_grid
         from repro.parallel.spec import RunSpec
+        from repro.parallel.tasks import TASKS
 
+        def nap(params):
+            start = time.perf_counter()
+            time.sleep(params["sleep"])
+            return time.perf_counter() - start
+
+        monkeypatch.setitem(TASKS, "nap", nap)  # forked workers inherit it
         specs = [
-            RunSpec(task="echo", key=f"sleep/{i:02d}", params={"sleep": 0.1, "i": i})
+            RunSpec(task="nap", key=f"sleep/{i:02d}", params={"sleep": 0.1})
             for i in range(12)
         ]
-        sweep = run_sweep(specs, SweepOptions(workers=4))
-        assert sweep.ok
-        busy = sum(record.wall for record in sweep.records)
-        speedup = busy / sweep.wall
+        start = time.perf_counter()
+        busy = sum(run_grid(specs, workers=4).values())
+        wall = time.perf_counter() - start
+        speedup = busy / wall
         print(f"\nsweep_overlap_speedup = {speedup:.2f} "
-              f"(busy {busy:.2f}s / wall {sweep.wall:.2f}s)")
+              f"(busy {busy:.2f}s / wall {wall:.2f}s)")
         assert speedup >= _floor("sweep_overlap_speedup")
 
 

@@ -84,13 +84,13 @@ BAD_INPUT = [
     (["chaos", "--clients", "0"], "--clients must be at least 1"),
     (["chaos", "--requests", "0"], "--requests must be at least 1"),
     (["chaos", "--seeds", "0"], "--seeds must be at least 1"),
-    (["sweep", "--grid", "chaos", "--seeds", "0"], "--seeds must be at least 1"),
+    (["chaos", "--workers", "0"], "--workers must be at least 1"),
     (["profile", "--execute-time", "-1"], "execute_time must be >= 0"),
     (["chaos", "--intensity", "-1", "--seeds", "1"], "intensity must be >= 0"),
     # Rejected once, up front — not once per seed from inside the sweep.
     (["chaos", "--seeds", "3", "--replicas", "1"], "at least two replicas"),
-    # 36 runs that send nothing would all report "ok".
-    (["sweep", "--grid", "calibration", "--samples", "0"], "--samples must be at least 1"),
+    (["experiments", "--workers", "-1"], "--workers must be at least 1"),
+    (["run", "--requests", "2", "--clients", "5"], "each client needs at least one request"),
 ]
 
 
@@ -118,6 +118,11 @@ class TestRunAndReport:
         out = capsys.readouterr().out
         assert "clients=2" in out
         assert "messages=" in out  # metrics on by default
+
+    def test_run_sends_exactly_the_requested_total(self, capsys):
+        # 7 over 2 clients: the first client sends the odd one out.
+        assert main(["run", "--requests", "7", "--clients", "2"]) == 0
+        assert "requests=7" in capsys.readouterr().out
 
     def test_run_export_then_report(self, tmp_path, capsys):
         export = tmp_path / "run.jsonl"
@@ -454,9 +459,8 @@ class TestPerfCommand:
         assert not ledger.exists()
 
     def test_record_the_repos_results(self, tmp_path, capsys):
-        """Every schema-2 BENCH file under benchmarks/results/ is recorded;
-        the two ``repro sweep`` merges beside them are skipped without
-        advice to re-run a benchmark, which could never make them schema 2."""
+        """Every BENCH file under benchmarks/results/ is schema 2 and is
+        recorded; none is skipped, and nothing advises a re-run."""
         results = Path(__file__).parents[2] / "benchmarks" / "results"
         ledger = tmp_path / "ledger.jsonl"
         assert main([
@@ -464,5 +468,5 @@ class TestPerfCommand:
         ]) == 0
         captured = capsys.readouterr()
         assert "recorded 45 metric(s)" in captured.out
-        assert captured.err.count("not a schema-2 BENCH document; skipped") == 2
+        assert captured.err.count("not a schema-2 BENCH document; skipped") == 0
         assert "re-run" not in captured.err
