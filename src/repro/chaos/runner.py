@@ -36,7 +36,7 @@ from repro.core.recovery import RecoveryCoordinator
 from repro.core.requests import ClientRequest, ExecutedTable, RequestId, Verdict
 from repro.core.state import StatePayload
 from repro.core.tpaxos import TxnPhase
-from repro.errors import ConfigError, ReproError, SimulationError
+from repro.errors import ConfigError, ReproError, SimulationError, require_finite
 from repro.net.profiles import get_profile
 from repro.services.kvstore import KVStoreService
 from repro.storage import FSYNC_MODES
@@ -88,6 +88,9 @@ class ChaosOptions:
     def __post_init__(self) -> None:
         if self.groups < 1:
             raise ConfigError(f"need at least one group, got {self.groups}")
+        require_finite(
+            self, "horizon", "liveness_grace", "intensity", "client_timeout", "txn_timeout"
+        )
         if self.intensity < 0:
             raise ConfigError(f"intensity must be >= 0, got {self.intensity}")
         if self.n_replicas < 2:

@@ -18,6 +18,7 @@ to_script` emits exactly that code.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
@@ -341,8 +342,8 @@ def generate_schedule(
     pids = tuple(replicas)
     if len(pids) < 2:
         raise ConfigError("nemesis schedules need at least two replicas")
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:  # an infinite one never stops sampling
+        raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
     rng = random.Random(f"{seed}/nemesis")
     state = _GenState(replicas=pids, leader=pids[0])
     events: list[NemesisEvent] = []

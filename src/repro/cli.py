@@ -59,8 +59,8 @@ def _one_kind_flags(requests: int) -> argparse.ArgumentParser:
                        help="closed-loop client count (default: 1)")
     flags.add_argument("--seed", type=int, default=0, help="simulation seed")
     flags.add_argument("--chrome", metavar="PATH",
-                       help="write a Chrome trace-event JSON here (spans; under "
-                            "'profile', per-actor sim-CPU counter tracks too)")
+                       help="write the run's causal spans here as Chrome "
+                            "trace-event JSON (Perfetto)")
     flags.add_argument("--export", metavar="PATH",
                        help="write the JSONL timeline here (for 'repro report')")
     return flags
@@ -103,13 +103,11 @@ def _run_one_kind(args: argparse.Namespace, **spec_fields: Any) -> Cluster:
     return Cluster(spec, steps, service_factory=KVStoreService).run()
 
 
-def _write_artifacts(
-    cluster: Cluster, args: argparse.Namespace, chrome_label: str = "chrome trace"
-) -> None:
+def _write_artifacts(cluster: Cluster, args: argparse.Namespace) -> None:
     """The ``--chrome`` / ``--export`` tail of those three subcommands."""
     if args.chrome:
         path = cluster.export_chrome(args.chrome)
-        print(f"{chrome_label}: {path} (load at ui.perfetto.dev)")
+        print(f"chrome trace: {path} (load at ui.perfetto.dev)")
     if args.export:
         path = cluster.export_timeline(args.export)
         print(f"timeline: {path}")
@@ -275,23 +273,27 @@ def chaos_command(args: argparse.Namespace) -> int:
 
 def profile_command(args: argparse.Namespace) -> int:
     """Profile one run: the hottest sim-CPU frames and (optionally) a
-    collapsed flamegraph file plus a chrome trace with per-actor sim-CPU
-    counter tracks."""
-    from repro.obs.prof.export import frame_rows, write_collapsed
+    collapsed flamegraph file of them, both derived after the run from its
+    message counters and CPU bookings."""
+    from pathlib import Path
+
+    from repro.cluster.metrics import sim_cpu_frames
     from repro.obs.report import hottest_handlers_table
 
     cluster = _run_one_kind(
-        args,
-        execute_time=args.execute_time,
-        profiling=True,
-        tracing=bool(args.chrome),
+        args, execute_time=args.execute_time, tracing=bool(args.chrome)
     )
-    print(hottest_handlers_table(frame_rows(cluster.profiler), top=args.top))
+    frames = sim_cpu_frames(cluster)
+    print(hottest_handlers_table(frames, top=args.top))
     if args.out:
-        path = write_collapsed(cluster.profiler, args.out)
-        print(f"\ncollapsed stacks (sim): {path} "
+        # Folded stacks (flamegraph.pl / speedscope input), sim nanoseconds.
+        Path(args.out).write_text(
+            "".join(f"{';'.join(path)} {ns}\n" for path, _calls, ns in frames if ns),
+            encoding="utf-8",
+        )
+        print(f"\ncollapsed stacks (sim): {args.out} "
               "(render with flamegraph.pl or speedscope)")
-    _write_artifacts(cluster, args, chrome_label="chrome trace with counter tracks")
+    _write_artifacts(cluster, args)
     return 0
 
 
@@ -534,7 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_lint_parser(sub)
 
     args = parser.parse_args(argv)
-    for flag in ("clients", "requests", "seeds", "workers"):
+    for flag in ("clients", "requests", "seeds", "workers", "top"):
         value = getattr(args, flag, None)  # None: this command has no such flag
         if value is not None and value < 1:
             parser.error(f"--{flag} must be at least 1, got {value}")

@@ -56,8 +56,7 @@ class FaultSchedule:
     # ------------------------------------------------------------- scheduling
     def _schedule(self, at: float, label: str, kind: str, action, *args) -> "FaultSchedule":
         """Book ``action(*args)`` at ``at``; it counts as ``fault.<kind>``
-        when it fires. The kernel names a profiled event by its callback's
-        ``__qualname__``, so what fires is always the bound :meth:`_fire`."""
+        when it fires."""
         self.cluster.kernel.schedule_at(at, self._fire, kind, action, *args)
         self.applied.append((at, label))
         return self

@@ -21,11 +21,10 @@ from repro.core.group import ReplicationGroup
 from repro.election.base import LeaderElector
 from repro.election.omega import OmegaElector
 from repro.election.static import ManualElectorGroup, StaticElector
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, require_finite
 from repro.net.network import SimNetwork
 from repro.net.profiles import NetworkProfile
 from repro.obs.handle import Obs
-from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.services.base import Service
@@ -39,8 +38,6 @@ from repro.types import ProcessId, StateTransferMode
 
 #: Virtual time at which the starter broadcasts the start signal (seconds).
 START_AT = 0.001
-#: Virtual-time period of the profiler's counter track (seconds).
-PROFILE_SAMPLE_INTERVAL = 0.01
 
 
 class Starter(Process):
@@ -122,11 +119,6 @@ class ClusterSpec:
     #: (``repro.transport.codec.wire_size``: a walk of the message, nothing
     #: is serialized).
     measure_bytes: bool = True
-    #: Sim-profiler (:mod:`repro.obs.prof`): folded-stack sim-CPU
-    #: attribution per actor and message type. Passive like the
-    #: tracer — a profiled run is byte-identical to a bare one
-    #: (tests/integration/test_profiler.py) — and zero-overhead when off.
-    profiling: bool = False
     #: Stable-storage durability mode (:mod:`repro.storage`): ``async``
     #: (legacy zero-latency durability, byte-identical to pre-storage
     #: runs) or ``sync``.
@@ -146,6 +138,11 @@ class ClusterSpec:
             raise ConfigError(f"unknown elector kind {self.elector!r}")
         if self.fsync not in FSYNC_MODES:
             raise ConfigError(f"unknown fsync mode {self.fsync!r}")
+        require_finite(
+            self, "execute_time", "accept_retry", "prepare_retry", "client_timeout",
+            "client_backoff", "client_timeout_cap", "client_jitter", "txn_timeout",
+            "omega_heartbeat", "omega_timeout", "fsync_latency",
+        )
         # A zero period would stop simulated time; a negative one goes back.
         periods = ["client_timeout", "accept_retry", "prepare_retry", "omega_heartbeat"]
         if self.client_timeout_cap is not None:
@@ -195,20 +192,9 @@ class Cluster:
         self.tracer: Tracer | NullTracer = (
             Tracer(clock=lambda: self.kernel.now) if spec.tracing else NULL_TRACER
         )
-        self.profiler: SimProfiler | NullProfiler = (
-            SimProfiler(sample_interval=PROFILE_SAMPLE_INTERVAL)
-            if spec.profiling
-            else NULL_PROFILER
-        )
-        if self.profiler.enabled:
-            for pid in self.replica_pids:
-                self.profiler.register_actor(pid, "replica")
-            for pid in self.client_pids:
-                self.profiler.register_actor(pid, "client")
-            self.profiler.register_actor(starter_pid, "other")
-        obs = Obs(self.metrics, self.tracer, self.profiler)
+        obs = Obs(self.metrics, self.tracer)
         self.network = SimNetwork(topology, seed=spec.seed, obs=obs)
-        self.kernel = Kernel(seed=spec.seed, obs=obs)
+        self.kernel = Kernel(seed=spec.seed)
         self.world = World(
             self.kernel,
             self.network,
@@ -367,19 +353,9 @@ class Cluster:
     def export_chrome(self, path: str) -> str:
         """Write the causal spans as a Chrome trace-event file (load it at
         ``ui.perfetto.dev`` or ``chrome://tracing``). Requires
-        ``ClusterSpec.tracing=True``; with ``profiling=True`` the profiler's
-        deterministic counter track rides along as Perfetto counter rows."""
+        ``ClusterSpec.tracing=True``."""
         from repro.obs.chrome import export_chrome  # local import: cycle guard
 
         if not self.tracer.enabled:
             raise ConfigError("chrome export needs ClusterSpec(tracing=True)")
-        counters = None
-        if self.profiler.enabled:
-            from repro.obs.prof.export import counter_samples
-
-            counters = counter_samples(self.profiler)
-        return str(
-            export_chrome(
-                self.tracer.store, path, horizon=self.kernel.now, counters=counters
-            )
-        )
+        return str(export_chrome(self.tracer.store, path, horizon=self.kernel.now))

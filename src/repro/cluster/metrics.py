@@ -139,3 +139,47 @@ def collect(cluster: "Cluster") -> RunResult:
         total_bytes=sum(registry.counters("msg.send_bytes.").values()),
         messages_by_type=by_type,
     )
+
+
+def sim_cpu_frames(cluster: "Cluster") -> list[tuple[tuple[str, ...], int, int]]:
+    """Simulated CPU per process and cause, as sorted ``(path, calls, sim_ns)``
+    rows: what ``repro profile`` prints and folds into a flamegraph.
+
+    Every booking is a constant per call, so each frame is a counter the
+    run already keeps times the cost the model holds for it:
+
+    * ``<pid>;send.<T>`` / ``<pid>;recv.<T>`` — the world's
+      ``proc.<pid>.send|recv.<T>`` times that process's CPU booking per
+      message (the ``proc.<pid>.g<g>.send.<T>`` rows of a group count the
+      same sends again and are not read);
+    * ``<pid>;execute`` — ``proc.<pid>.g<g>.executions`` times
+      ``execute_time`` (E, modeled on the leader);
+    * ``<pid>;fsync`` — ``proc.<pid>.storage.fsyncs`` times
+      ``fsync_latency`` (a storage-nemesis stall is not added).
+
+    A message a process received but had not handled when the run stopped
+    is on its CPU's ``busy_time`` and in no frame. Empty when the run kept
+    no metrics.
+    """
+    spec = cluster.spec
+    world = cluster.world
+    calls: dict[tuple[str, ...], int] = {}
+    costs: dict[tuple[str, ...], float] = {}
+    for name, value in cluster.metrics.counters("proc.").items():
+        parts = name.split(".")
+        if len(parts) != 4:
+            continue
+        _proc, pid, head, tail = parts
+        if head == "send":
+            path, cost = (pid, f"send.{tail}"), world.cpu(pid).send_booking
+        elif head == "recv":
+            path, cost = (pid, f"recv.{tail}"), world.cpu(pid).recv_booking
+        elif tail == "executions":  # head is the group, g<N>
+            path, cost = (pid, "execute"), spec.execute_time
+        elif (head, tail) == ("storage", "fsyncs"):
+            path, cost = (pid, "fsync"), spec.fsync_latency
+        else:
+            continue
+        calls[path] = calls.get(path, 0) + value
+        costs[path] = cost
+    return [(path, n, round(n * costs[path] * 1e9)) for path, n in sorted(calls.items())]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_finite
 from repro.storage import FSYNC_MODES
 from repro.types import ProcessId, StateTransferMode
 
@@ -65,13 +65,18 @@ class ReplicaConfig:
             raise ConfigError(f"duplicate peer ids: {self.peers}")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint_interval must be >= 1")
+        require_finite(
+            self, "accept_retry", "prepare_retry", "txn_timeout", "execute_time",
+            "fsync_latency",
+        )
         for name in ("accept_retry", "prepare_retry"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.execute_time < 0:
-            raise ConfigError(f"execute_time must be >= 0, got {self.execute_time}")
+        for name in ("execute_time", "txn_timeout"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fsync_mode not in FSYNC_MODES:
             raise ConfigError(
                 f"fsync_mode must be one of {FSYNC_MODES}, got {self.fsync_mode!r}"

@@ -138,12 +138,9 @@ class _WriteItem:
             # this item re-enters once E has elapsed.
             self.waited = True
             group.proposer.pause()
-            if group.profiler.enabled:
-                # The modeled E is leader CPU occupancy in sim time;
-                # account it to the replica's execute frame.
-                group.profiler.stat((str(group.pid), "execute")).add_cpu(
-                    config.execute_time
-                )
+            # Executions x E is the leader's modeled execute time
+            # (repro.cluster.metrics.sim_cpu_frames).
+            group.metrics.counter("executions").inc()
             span: Span | None = None
             if tracer.enabled:
                 span = tracer.start_span(
@@ -300,11 +297,6 @@ class ReplicationGroup(Process):
         self.tracer = obs.tracer
         #: Open leader-takeover span (its own trace; recovery nests under it).
         self.takeover_span: Span | None = None
-
-        #: Sim-profiler. The group books the modeled execution time E on
-        #: its ``execute`` frame; the world's envelope layer owns the
-        #: per-message frames and the storage pump the ``fsync`` frame.
-        self.profiler = obs.profiler
 
     # ======================================================== process events
     def on_start(self) -> None:

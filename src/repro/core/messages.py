@@ -198,7 +198,7 @@ class GroupEnvelope(Envelope):
     ``groups`` value, so the receiving :class:`repro.shard.host.GroupHost`
     can hand it to the right hosted group. Replies to clients travel
     unwrapped. As an :class:`~repro.sim.process.Envelope` it is
-    transparent to observers: metrics, trace events, spans and profiler
+    transparent to observers: metrics, trace events, spans and sim-CPU
     frames name the payload's type, and the envelope only shows as 10
     modelled bytes on each peer message.
     """

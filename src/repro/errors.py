@@ -6,6 +6,8 @@ catch everything from this package with a single ``except`` clause.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -42,3 +44,13 @@ class LockConflict(TransactionError):
 
 class ServiceError(ReproError):
     """An application service rejected or failed to execute a request."""
+
+
+def require_finite(config: object, *names: str) -> None:
+    """Raise :class:`ConfigError` unless every named field of ``config``
+    is finite (``None`` passes): NaN slips past every ``<``/``>`` range
+    check, and an infinite duration or rate keeps a run from ending."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")

@@ -16,9 +16,11 @@ schedules — instrumented and uninstrumented runs are byte-identical.
 contract: :class:`Tracer` records :class:`repro.obs.spans.Span` trees per
 client request, :func:`critical_path` attributes wall time to the §3.4
 ``M``/``E``/``m`` components, and :mod:`repro.obs.chrome` exports
-Perfetto-loadable trace-event files. :mod:`repro.obs.prof` books simulated
-CPU per actor and message type for flamegraphs.
+Perfetto-loadable trace-event files.
 
-One run's registry, tracer and profiler travel together as an :class:`Obs`
-handle, passed to every component at construction (``obs=``).
+One run's registry and tracer travel together as an :class:`Obs` handle,
+passed to every component at construction (``obs=``). Simulated CPU per
+process and message type, ``repro profile``'s flamegraph, needs no third
+observer: :func:`repro.cluster.metrics.sim_cpu_frames` derives it from the
+registry's counters and the CPU model's per-message bookings.
 """

@@ -25,7 +25,7 @@ matched begin/end pairs (both duration and async).
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
@@ -50,21 +50,8 @@ def _span_args(span: Span, open_at_horizon: bool) -> dict[str, Any]:
     return args
 
 
-def chrome_events(
-    store: SpanStore,
-    horizon: float | None = None,
-    counters: Sequence[Mapping[str, Any]] | None = None,
-) -> list[dict[str, Any]]:
-    """Flatten a span store into a sorted trace-event list.
-
-    ``counters`` (optional) are profiler counter rows —
-    ``{"actor", "name", "t", "value"}`` dicts from
-    :func:`repro.obs.prof.export.counter_samples` — merged as ``"C"``
-    (counter) events *before* the final timestamp sort, so the exported
-    file keeps the non-decreasing-ts invariant the validator enforces.
-    Each actor gets (or reuses) a trace-event pid, so counter tracks line
-    up with that process's span rows in Perfetto.
-    """
+def chrome_events(store: SpanStore, horizon: float | None = None) -> list[dict[str, Any]]:
+    """Flatten a span store into a sorted trace-event list."""
     spans = list(store)
     if horizon is None:
         ends = [s.end for s in spans if s.end is not None]
@@ -137,17 +124,6 @@ def chrome_events(
                        "args": _span_args(span, is_open)})
         events.append({**common, "ph": "e", "ts": end * _US})
 
-    if counters:
-        for row in counters:
-            actor = row["actor"]
-            if actor not in pid_index:
-                pid_index[actor] = len(pid_index) + 1
-            events.append({
-                "name": row["name"], "ph": "C", "pid": pid_index[actor],
-                "tid": 0, "ts": float(row["t"]) * _US,
-                "args": {"value": row["value"]},
-            })
-
     events.sort(key=lambda e: e["ts"])  # stable: per-track order survives
 
     metadata = [
@@ -158,16 +134,11 @@ def chrome_events(
     return metadata + events
 
 
-def export_chrome(
-    store: SpanStore,
-    path: str | Path,
-    horizon: float | None = None,
-    counters: Sequence[Mapping[str, Any]] | None = None,
-) -> Path:
+def export_chrome(store: SpanStore, path: str | Path, horizon: float | None = None) -> Path:
     """Write the store as a trace-event JSON file Perfetto can load."""
     path = Path(path)
     document = {
-        "traceEvents": chrome_events(store, horizon=horizon, counters=counters),
+        "traceEvents": chrome_events(store, horizon=horizon),
         "displayTimeUnit": "ms",
         "otherData": {"producer": "repro.obs.chrome", "clock": "virtual"},
     }
@@ -201,7 +172,7 @@ def validate_chrome_trace(source: str | Path | Mapping[str, Any]) -> dict[str, i
 
     stacks: dict[tuple[Any, Any], list[str]] = {}
     async_open: dict[tuple[Any, Any], list[float]] = {}
-    counts = {"events": 0, "duration_spans": 0, "async_spans": 0, "counter_events": 0}
+    counts = {"events": 0, "duration_spans": 0, "async_spans": 0}
     last_ts: float | None = None
 
     for i, event in enumerate(events):
@@ -248,9 +219,7 @@ def validate_chrome_trace(source: str | Path | Mapping[str, Any]) -> dict[str, i
             if ts < started:
                 raise ValueError(f"event {i}: async span ends before it begins")
             counts["async_spans"] += 1
-        elif ph == "C":
-            counts["counter_events"] += 1  # self-contained, but worth counting
-        elif ph in ("X", "i", "I", "s", "t", "f"):
+        elif ph in ("X", "i", "I", "s", "t", "f", "C"):
             continue  # self-contained phases need no pairing
         else:
             raise ValueError(f"event {i}: unknown phase {ph!r}")

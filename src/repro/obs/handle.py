@@ -1,30 +1,28 @@
-"""The instrumentation handle: one run's three observers, handed to every
+"""The instrumentation handle: one run's two observers, handed to every
 component at construction.
 
 Whoever builds a run builds one :class:`Obs` and passes it down as the
 ``obs=`` keyword; a component unpacks it once in ``__init__`` into plain
-``metrics`` / ``tracer`` / ``profiler`` attributes and never has them
-replaced afterwards. :data:`NULL_OBS` — all three observers disabled — is
-the default everywhere, so a component built bare records nothing.
+``metrics`` / ``tracer`` attributes and never has them replaced
+afterwards. :data:`NULL_OBS` — both observers disabled — is the default
+everywhere, so a component built bare records nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.obs.prof.profiler import NULL_PROFILER, NullProfiler, SimProfiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, Scope
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass(frozen=True, slots=True)
 class Obs:
-    """The metrics sink, causal tracer and sim-profiler of one run."""
+    """The metrics sink and causal tracer of one run."""
 
     #: The run's registry, or one process's :class:`Scope` of it.
     metrics: MetricsRegistry | Scope = NULL_REGISTRY
     tracer: Tracer | NullTracer = NULL_TRACER
-    profiler: SimProfiler | NullProfiler = NULL_PROFILER
 
     def scoped(self, name: str) -> "Obs":
         """This (unscoped) handle with its metrics narrowed to

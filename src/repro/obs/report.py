@@ -146,8 +146,8 @@ def hottest_handlers_table(
     frames: Iterable[tuple[tuple[str, ...], int, int]], top: int = 10
 ) -> str:
     """Top-N of ``(path, calls, sim_ns)`` frame rows
-    (:func:`repro.obs.prof.export.frame_rows`) by sim-CPU time. Empty when
-    no frame was ever booked.
+    (:func:`repro.cluster.metrics.sim_cpu_frames`) by sim-CPU time. Empty
+    when no frame was ever booked.
     """
     ranked = sorted(
         (row for row in frames if row[1]), key=lambda row: (-row[2], row[0])

@@ -120,7 +120,6 @@ class GroupHost(Process):
         self.router = ShardRouter(len(electors))
         self.metrics = obs.metrics.scope(pid)
         self.tracer = obs.tracer
-        self.profiler = obs.profiler
         #: One durable substrate for the whole process.
         self.pump = StoragePump(self)
         self.groups: dict[GroupId, ReplicationGroup] = {}

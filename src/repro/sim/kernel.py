@@ -24,8 +24,8 @@ Hot-path notes (this module dominates large sweeps, so it is tuned):
   outnumber live ones the heap is compacted **in place** (same list
   object, so ``run``'s local binding stays valid even when a callback
   triggers compaction mid-run).
-* :meth:`run` inlines the pop loop — no call per event, and heap and
-  profiler lookups are bound once outside the loop.
+* :meth:`run` inlines the pop loop — no call per event, and the heap
+  is bound once outside the loop.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from heapq import heapify, heappop, heappush
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.obs.handle import NULL_OBS, Obs
 
 #: Compact the heap once this many cancelled events have accumulated *and*
 #: they outnumber the live ones (see :meth:`Kernel._maybe_compact`).
@@ -100,7 +99,7 @@ class Kernel:
     execution, which the protocol safety tests rely on.
     """
 
-    def __init__(self, seed: int = 0, obs: Obs = NULL_OBS) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now: float = 0.0
         #: Heap of ``(time, seq, fn, args)`` fire-and-forget events and
         #: ``(time, seq, EventHandle, None)`` cancellable ones — tuple
@@ -115,10 +114,6 @@ class Kernel:
         #: Total EventHandle objects ever constructed: one per cancellable
         #: event, none for :meth:`post_at` traffic (the perf tier pins that).
         self.handles_created = 0
-        #: Sim-profiler (:mod:`repro.obs.prof`): :meth:`run` reads its
-        #: ``enabled`` flag once per call and samples its counter track
-        #: when set.
-        self.profiler = obs.profiler
 
     # ------------------------------------------------------------------ time
     @property
@@ -203,11 +198,6 @@ class Kernel:
         wall-clock intervals. A run that ``max_events`` stopped short of
         ``until`` leaves the clock at the last event it fired: events due
         before ``until`` are still pending.
-
-        There is one loop. With the profiler on it additionally takes a
-        deterministic counter sample whenever virtual time crosses
-        ``profiler.next_sample``; pop order, cancellation handling and the
-        clock advance are the same statements either way.
         """
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
@@ -217,8 +207,6 @@ class Kernel:
         # in-place).
         heap = self._heap
         unlimited = max_events is None
-        profiler = self.profiler
-        profiling = profiler.enabled
         try:
             while heap:
                 time, _seq, fn, args = heap[0]
@@ -241,8 +229,6 @@ class Kernel:
                     handle.args = ()
                 fn(*args)
                 processed += 1
-                if profiling and time >= profiler.next_sample:
-                    profiler.sample(time, self.events_processed + processed, len(heap))
         finally:
             self.events_processed += processed
             self._running = False

@@ -34,8 +34,8 @@ class Envelope:
     """Base for wire wrappers that address ``msg`` to one part of the
     destination process (a replication group of a replica process).
 
-    Every runtime names a message by what it carries: metrics, message
-    spans and profiler frames read :func:`payload_of`, so
+    Every runtime names a message by what it carries: metrics and message
+    spans read :func:`payload_of`, so
     an envelope never shows up as a message type of its own. Routing,
     delivery and byte accounting see the envelope itself.
     """

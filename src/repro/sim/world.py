@@ -31,7 +31,6 @@ from typing import Any, Protocol as TypingProtocol
 
 from repro.errors import SimulationError
 from repro.obs.handle import NULL_OBS, Obs
-from repro.obs.prof.profiler import FrameStat
 from repro.obs.spans import Span
 from repro.sim.cpu import CpuModel, CpuProfile
 from repro.sim.kernel import EventHandle, Kernel
@@ -119,7 +118,7 @@ class World:
         kernel.run(until=10.0)
 
     To observe the run, build one :class:`~repro.obs.handle.Obs` and give
-    the same handle to the kernel, the network, the world and every
+    the same handle to the network, the world and every
     process (``obs=``); the world keeps whatever it was built with.
     """
 
@@ -145,10 +144,6 @@ class World:
         #: are never touched, and the event schedule is identical with
         #: tracing on or off.
         self.tracer = obs.tracer
-        #: Sim-profiler (:mod:`repro.obs.prof`). Passive like the tracer:
-        #: it reads the CPU-cost constants but never an RNG or a schedule,
-        #: so profiled runs are byte-identical.
-        self.profiler = obs.profiler
         self._measure_bytes = measure_bytes and self.metrics.enabled
         self._processes: dict[ProcessId, Process] = {}
         self._cpus: dict[ProcessId, CpuModel] = {}
@@ -161,12 +156,6 @@ class World:
         self._send_instruments: dict[tuple[ProcessId, type], tuple[Any, Any, Any]] = {}
         self._recv_instruments: dict[tuple[ProcessId, type], tuple[Any, Any]] = {}
         self._drop_instruments: dict[type, Any] = {}
-        # Profiler caches, same pattern: one dict hit per message when
-        # profiling is on. Entries are (FrameStat, cpu_cost) — the cost
-        # constants are frozen per process, so they are resolved once per
-        # (src, dst, type).
-        self._prof_send: dict[tuple[ProcessId, ProcessId, type], tuple[FrameStat, float]] = {}
-        self._prof_recv: dict[tuple[ProcessId, ProcessId, type], tuple[FrameStat, float]] = {}
 
     # -------------------------------------------------------------- registry
     def add(self, process: Process, cpu: CpuProfile | None = None) -> Process:
@@ -262,19 +251,6 @@ class World:
             )
         kernel = self.kernel
         depart = self._cpus[src].send_completion(kernel._now)
-        profiler = self.profiler
-        if profiler.enabled:
-            pkey = (src, dst, kind)
-            pentry = self._prof_send.get(pkey)
-            if pentry is None:
-                pentry = self._prof_send[pkey] = (
-                    profiler.stat(
-                        (str(src),
-                         f"send.{kind.__name__}.{profiler.actor_kind(dst)}")
-                    ),
-                    self._cpus[src].send_booking,
-                )
-            pentry[0].add_cpu(pentry[1])
         copies = self.network.delays(src, dst, depart)
         if not copies:
             self._drop(src, dst, payload)
@@ -316,20 +292,6 @@ class World:
             return
         kernel = self.kernel
         completion = self._cpus[dst].recv_completion(kernel._now)
-        profiler = self.profiler
-        if profiler.enabled:
-            kind = type(payload_of(msg))
-            pkey = (src, dst, kind)
-            pentry = self._prof_recv.get(pkey)
-            if pentry is None:
-                pentry = self._prof_recv[pkey] = (
-                    profiler.stat(
-                        (str(dst),
-                         f"recv.{kind.__name__}.{profiler.actor_kind(src)}")
-                    ),
-                    self._cpus[dst].recv_booking,
-                )
-            pentry[0].add_cpu(pentry[1])
         kernel.post_at(completion, self._handle, src, dst, msg, self._epochs[dst], span)
 
     def _handle(

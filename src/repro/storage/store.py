@@ -151,8 +151,8 @@ class StoragePump:
     ``host`` is the world-registered process (the
     :class:`~repro.shard.host.GroupHost`, or the replica itself when a
     group stands alone): its timers die with the process epoch, its config
-    sets the fsync mode and latency, and its tracer/profiler account the
-    modeled device time.
+    sets the fsync mode and latency, its metrics count the fsyncs, and its
+    tracer keeps background durability off every request's trace.
     """
 
     def __init__(self, host: Any) -> None:
@@ -229,10 +229,6 @@ class StoragePump:
         latency = host.config.fsync_latency
         if now < self._stall_until:
             latency += self._stall_extra
-        profiler = host.profiler
-        if profiler.enabled:
-            # Modeled device time, accounted like the leader's modeled E.
-            profiler.stat((str(host.pid), "fsync")).add_cpu(latency)
         token = host.tracer.activate(None)
         try:
             host.set_timer(latency, self._fsync_done)

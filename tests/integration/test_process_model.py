@@ -6,7 +6,7 @@
   Chosen logs, every client's reply/RRT sequence and the final clock must
   be equal, bit for bit — the envelope and the host add no event.
 * The envelope is invisible to every observer: no metric,
-  span, profiler frame or report row is named after it, and the world's
+  span, sim-CPU frame or report row is named after it, and the world's
   per-type send totals are the sum of the per-group rows.
 """
 
@@ -20,6 +20,7 @@ import pytest
 from repro.client.client import Client
 from repro.client.workload import paper_txn_steps, single_kind_steps
 from repro.cluster.harness import START_AT, Cluster, ClusterSpec, Starter
+from repro.cluster.metrics import sim_cpu_frames
 from repro.core.config import ReplicaConfig
 from repro.core.replica import Replica
 from repro.election.static import StaticElector
@@ -50,7 +51,7 @@ def reference_run(
     topology = profile.build_topology(replica_pids, client_pids)
     topology.place("starter", topology.site_of(replica_pids[0]))
     obs = Obs(metrics=MetricsRegistry())
-    kernel = Kernel(seed=spec.seed, obs=obs)
+    kernel = Kernel(seed=spec.seed)
     world = World(
         kernel, SimNetwork(topology, seed=spec.seed, obs=obs), obs=obs, measure_bytes=True
     )
@@ -120,7 +121,7 @@ GROUP_SEND = re.compile(r"^proc\.(r\d+)\.g(\d+)\.send\.(\w+)$")
 def test_envelope_is_invisible_to_every_observer(groups, tmp_path):
     spec = ClusterSpec(
         profile=make_test_profile(), seed=3, groups=groups,
-        tracing=True, profiling=True,
+        tracing=True,
     )
     steps = [
         single_kind_steps(
@@ -131,16 +132,16 @@ def test_envelope_is_invisible_to_every_observer(groups, tmp_path):
     cluster = Cluster(spec, steps, service_factory=KVStoreService).run().drain()
 
     # Metric and span names land in the timeline export, and the report
-    # renders its rows from it; profiler frames stay in memory.
+    # renders its rows from it; `repro profile` derives its frames.
     path = cluster.export_timeline(str(tmp_path / "run.jsonl"))
     exported = Path(path).read_text(encoding="utf-8")
     report = render_report(load_export(path))
-    frames = [";".join(frame) for frame in cluster.profiler.frames()]
+    frames = [";".join(frame) for frame, _calls, _ns in sim_cpu_frames(cluster)]
     for observed_names in (exported, report, "\n".join(frames)):
         assert "GroupEnvelope" not in observed_names
     assert "msg.AcceptBatch" in exported
-    assert any(frame.endswith(";recv.AcceptBatch.replica") for frame in frames)
-    assert any(frame.endswith(";send.AcceptedBatch.replica") for frame in frames)
+    assert any(frame.endswith(";recv.AcceptBatch") for frame in frames)
+    assert any(frame.endswith(";send.AcceptedBatch") for frame in frames)
     row = re.search(r"^AcceptBatch\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+)", report, re.M)
     assert row and int(row[1]) == int(row[2]) > 0 and int(row[4]) > 0
 

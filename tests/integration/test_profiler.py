@@ -1,168 +1,115 @@
-"""The profiler must be passive and deterministic: a profiled run is
-byte-identical to a bare one, two profiled runs of the same seed produce
-byte-identical sim-CPU output, and the exported artifacts validate.
+"""``repro profile``'s sim-CPU frames, derived after the run.
 
-Mirrors tests/integration/test_obs_determinism.py — the profiler signs the
-same passivity contract as the metrics registry and the tracer."""
+Every simulated CPU booking is a constant per call, so
+:func:`repro.cluster.metrics.sim_cpu_frames` rebuilds the flamegraph from
+counters the run keeps anyway (sends, receives, executions, fsyncs) times
+the cost the model holds for each. These tests pin the derived frames to a
+golden file and to the CPU model's own busy time."""
 
 from __future__ import annotations
 
-import pickle
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.client.workload import paper_txn_steps, single_kind_steps
+from repro.cli import main
+from repro.client.workload import single_kind_steps
 from repro.cluster.harness import Cluster, ClusterSpec
-from repro.obs.chrome import validate_chrome_trace
-from repro.obs.prof.export import collapsed_lines
-from repro.obs.prof.profiler import NULL_PROFILER
+from repro.cluster.metrics import sim_cpu_frames
+from repro.net.profiles import sysnet
+from repro.services.kvstore import KVStoreService
+from repro.sim.cpu import CpuProfile
 from repro.types import RequestKind
 from tests.conftest import make_test_profile
 
+#: ``repro profile``'s collapsed output for the command below: the one CI
+#: runs, 27 frames of a 2-client write run with a modeled 1 ms E.
+GOLDEN = Path(__file__).parents[1] / "fixtures" / "profile" / "write-60x2-e1ms.collapsed.txt"
+GOLDEN_ARGV = [
+    "profile", "--profile", "sysnet", "--kind", "write", "--requests", "60",
+    "--clients", "2", "--execute-time", "0.001",
+]
 
-def run(profiling: bool, steps_factory, seed: int = 7,
-        execute_time: float = 0.0, tracing: bool = False) -> Cluster:
-    spec = ClusterSpec(
-        profile=make_test_profile(),
-        seed=seed,
-        profiling=profiling,
-        execute_time=execute_time,
-        tracing=tracing,
-    )
+
+def run(steps_factory, seed: int = 7, execute_time: float = 0.0) -> Cluster:
+    spec = ClusterSpec(profile=make_test_profile(), seed=seed, execute_time=execute_time)
     steps = [steps_factory() for _ in range(2)]
     return Cluster(spec, steps).run().drain()
 
 
-def chosen_log_bytes(cluster: Cluster) -> dict[str, bytes]:
-    """A byte-exact digest of every replica's chosen sequence."""
-    return {
-        pid: pickle.dumps(replica.log.chosen_above(0))
-        for pid, replica in cluster.group_replicas().items()
-    }
-
-
-WORKLOADS = [
-    pytest.param(lambda: single_kind_steps(RequestKind.WRITE, 10), id="writes"),
-    pytest.param(lambda: single_kind_steps(RequestKind.READ, 10), id="reads"),
-    pytest.param(lambda: paper_txn_steps("optimized", 3, 5), id="txns"),
-]
-
-
-class TestProfilerCannotPerturbTheRun:
-    @pytest.mark.parametrize("steps_factory", WORKLOADS)
-    def test_chosen_logs_byte_identical(self, steps_factory):
-        profiled = run(profiling=True, steps_factory=steps_factory)
-        bare = run(profiling=False, steps_factory=steps_factory)
-        assert chosen_log_bytes(profiled) == chosen_log_bytes(bare)
-        assert profiled.kernel.now == bare.kernel.now
-
-    @pytest.mark.parametrize("steps_factory", WORKLOADS)
-    def test_byte_identical_with_modeled_execution(self, steps_factory):
-        profiled = run(profiling=True, steps_factory=steps_factory,
-                       execute_time=0.002)
-        bare = run(profiling=False, steps_factory=steps_factory,
-                   execute_time=0.002)
-        assert chosen_log_bytes(profiled) == chosen_log_bytes(bare)
-        assert profiled.kernel.now == bare.kernel.now
-
-    @pytest.mark.parametrize(
-        "limits",
-        [
-            lambda i: {"until": 0.002 * (i + 1)},
-            lambda i: {"max_events": 37},
-            lambda i: {"until": 0.002 * (i + 1), "max_events": 15},
-        ],
-        ids=["until", "max_events", "both"],
-    )
-    def test_partial_runs_stop_at_the_same_event(self, limits):
-        """``kernel.run(until=, max_events=)`` is one loop: with the
-        profiler on it fires the same events and parks the clock at the
-        same place, call after call."""
-
-        def drive(profiling: bool):
-            spec = ClusterSpec(profile=make_test_profile(), seed=7, profiling=profiling)
-            steps = [single_kind_steps(RequestKind.WRITE, 10) for _ in range(2)]
-            cluster = Cluster(spec, steps).start()
-            kernel = cluster.kernel
-            fired = [(kernel.run(**limits(i)), kernel.now) for i in range(4)]
-            return fired, kernel.events_processed, kernel.pending, chosen_log_bytes(cluster)
-
-        profiled, bare = drive(True), drive(False)
-        assert profiled == bare
-        assert all(n > 0 for n, _now in bare[0]) and bare[2] > 0  # stopped mid-run
-
-    def test_profiling_composes_with_tracing(self):
-        factory = lambda: single_kind_steps(RequestKind.WRITE, 8)  # noqa: E731
-        both = run(profiling=True, tracing=True, steps_factory=factory)
-        bare = run(profiling=False, tracing=False, steps_factory=factory)
-        assert chosen_log_bytes(both) == chosen_log_bytes(bare)
+def frame_table(cluster: Cluster) -> dict[tuple[str, ...], tuple[int, int]]:
+    return {path: (calls, ns) for path, calls, ns in sim_cpu_frames(cluster)}
 
 
 class TestProfilerDeterminism:
-    @pytest.mark.parametrize("steps_factory", WORKLOADS)
-    def test_sim_collapsed_output_byte_identical(self, steps_factory):
-        a = run(profiling=True, steps_factory=steps_factory)
-        b = run(profiling=True, steps_factory=steps_factory)
-        # Sim-CPU frames and counter samples derive only from simulation
-        # state, so two runs of the same seed agree to the byte.
-        assert collapsed_lines(a.profiler) == collapsed_lines(b.profiler)
-        assert a.profiler.samples == b.profiler.samples
+    def test_collapsed_output_matches_the_golden_file(self, tmp_path, capsys):
+        out = tmp_path / "flamegraph.txt"
+        assert main([*GOLDEN_ARGV, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == GOLDEN.read_bytes()
 
     def test_frames_cover_protocol_and_messaging(self):
         cluster = run(
-            profiling=True,
             steps_factory=lambda: single_kind_steps(RequestKind.WRITE, 10),
             execute_time=0.001,
         )
         # The test profile's CPU costs are zero, so the message frames
         # carry no sim time, but each send and receive is still counted.
-        leaves = {path[-1] for path in cluster.profiler.frames()}
+        leaves = {path[-1] for path in frame_table(cluster)}
         assert "execute" in leaves
-        assert "send.AcceptBatch.replica" in leaves
-        assert "recv.AcceptedBatch.replica" in leaves
-        assert "send.Reply.client" in leaves
-        assert "recv.ClientRequest.client" in leaves
+        assert "send.AcceptBatch" in leaves
+        assert "recv.AcceptedBatch" in leaves
+        assert "send.Reply" in leaves
+        assert "recv.ClientRequest" in leaves
 
     def test_attribution_accounts_expected_components(self):
         cluster = run(
-            profiling=True,
             steps_factory=lambda: single_kind_steps(RequestKind.WRITE, 10),
             execute_time=0.001,
         )
         # E: one modeled execution per committed write, 1 ms each, all of
         # it on the leader's execute frame.
-        execute = cluster.profiler.frames()[("r0", "execute")]
-        assert execute.calls == 20  # 2 clients x 10 writes
-        assert execute.sim_cpu == pytest.approx(20 * 0.001)
-        assert sum(
-            stat.sim_cpu for path, stat in cluster.profiler.frames().items()
-        ) == pytest.approx(20 * 0.001)
+        frames = frame_table(cluster)
+        assert frames[("r0", "execute")] == (20, 20_000_000)  # 2 clients x 10 writes
+        assert sum(ns for _calls, ns in frames.values()) == 20_000_000
 
 
-class TestProfilerExports:
-    def test_chrome_trace_with_counters_validates(self, tmp_path):
-        cluster = run(
-            profiling=True, tracing=True,
-            steps_factory=lambda: single_kind_steps(RequestKind.WRITE, 8),
-        )
-        path = cluster.export_chrome(tmp_path / "trace.json")
-        counts = validate_chrome_trace(path)
-        assert counts["counter_events"] > 0
-        assert counts["duration_spans"] > 0
+class TestFramesAccountTheCpuModel:
+    @pytest.mark.parametrize("elector", ["static", "omega"])
+    @pytest.mark.parametrize("kind", [RequestKind.WRITE, RequestKind.READ], ids=str)
+    def test_send_and_recv_frames_sum_to_busy_time(self, kind, elector):
+        """On a failure-free run every message a process sent or handled
+        is one booking on its CPU, so its message frames add up to the
+        CPU model's own busy time. Replicas pay more to receive than to
+        send here, so a frame booked at the wrong rate shows."""
+        profile = replace(sysnet(), replica_cpu=CpuProfile(send_cost=5e-6, recv_cost=7e-6))
+        spec = ClusterSpec(profile=profile, seed=11, elector=elector)
+        cluster = Cluster(spec, [single_kind_steps(kind, 15) for _ in range(3)]).run()
+        per_pid: dict[str, list[int]] = {pid: [] for pid in cluster.world.pids}
+        for (pid, frame), _calls, ns in sim_cpu_frames(cluster):
+            if frame.startswith(("send.", "recv.")):
+                per_pid[pid].append(ns)
+        for pid, frames in per_pid.items():
+            busy = cluster.world.cpu(pid).busy_time
+            assert busy > 0, pid
+            # Each frame is rounded to the nanosecond.
+            assert sum(frames) == pytest.approx(busy * 1e9, abs=len(frames) / 2), pid
 
-    def test_unprofiled_run_exports_no_prof_records(self, tmp_path):
-        """The profiler's surfaces are ``repro profile``'s table, the
-        flamegraph and the chrome counters: a timeline is the same bytes
-        with profiling on or off."""
-        exports = []
-        for profiling in (False, True):
-            cluster = run(
-                profiling=profiling,
-                steps_factory=lambda: single_kind_steps(RequestKind.WRITE, 5),
-            )
-            assert (cluster.profiler is NULL_PROFILER) is not profiling
-            path = tmp_path / f"run{profiling}.jsonl"
-            cluster.export_timeline(path)
-            exports.append(path.read_bytes())
-        assert exports[0] == exports[1]
-        assert b'"record":"prof"' not in exports[0]
+    def test_group_send_rows_are_not_counted_twice(self):
+        """A group also counts its sends (``proc.<pid>.g<g>.send.<T>``);
+        a frame reads only the world's per-process row."""
+        spec = ClusterSpec(profile=sysnet(), seed=5, groups=2, fsync="sync")
+        steps = [
+            single_kind_steps(RequestKind.WRITE, 12, op=lambda i: ("put", f"k{i % 8}", i))
+            for _ in range(2)
+        ]
+        cluster = Cluster(spec, steps, service_factory=KVStoreService).run()
+        frames = frame_table(cluster)
+        counters = cluster.metrics.counters()
+        calls, ns = frames[("r0", "send.AcceptBatch")]
+        assert calls == counters["proc.r0.send.AcceptBatch"] > 0
+        assert ns == round(calls * cluster.world.cpu("r0").send_booking * 1e9)
+        fsyncs, fsync_ns = frames[("r1", "fsync")]
+        assert fsyncs == counters["proc.r1.storage.fsyncs"] > 0
+        assert fsync_ns == round(fsyncs * spec.fsync_latency * 1e9)

@@ -11,7 +11,7 @@ Two kinds of guard:
   ``Kernel.handles_created`` untouched. This one is exact, not a floor: a
   single allocation per event is a bug regardless of how fast the box is.
 * **Paired cost ratios**: what a feature (default metrics, byte
-  accounting, the profiler) costs in host time, as the median ratio of
+  accounting) costs in host time, as the median ratio of
   back-to-back runs with and without it — machine speed cancels out.
 * **Import budget**: a simulated run loads only the code it executes —
   no numpy, asyncio, linter, sweep runner or exporter (exact, by name),
@@ -197,64 +197,6 @@ class TestDefaultInstrumentationCost:
         print(f"\ndefault / metrics=False host-time ratio = {ratio:.3f} "
               f"(pairs: {pairs})")
         assert ratio <= 1.30
-
-
-class TestProfilerOverhead:
-    """The sim-profiler's contract: zero cost when off, bounded when on."""
-
-    def test_profiling_off_is_the_null_object_everywhere(self):
-        """An unprofiled run must never construct profiler state: every
-        layer shares the NULL_PROFILER singleton and no FrameStat is
-        allocated anywhere in the process during the run. Exact, not a
-        floor — one stray allocation means a hook lost its guard."""
-        import gc
-
-        from repro.client.workload import single_kind_steps
-        from repro.cluster.harness import Cluster, ClusterSpec
-        from repro.net.profiles import get_profile
-        from repro.obs.prof.profiler import NULL_PROFILER, FrameStat
-        from repro.types import RequestKind
-
-        spec = ClusterSpec(profile=get_profile("sysnet"), seed=1)
-        steps = [single_kind_steps(RequestKind.WRITE, 100)]
-        gc.collect()
-        stats_before = sum(
-            1 for obj in gc.get_objects() if isinstance(obj, FrameStat)
-        )
-        cluster = Cluster(spec, steps).run().drain()
-        gc.collect()
-        stats_after = sum(
-            1 for obj in gc.get_objects() if isinstance(obj, FrameStat)
-        )
-        print(f"\nFrameStat allocations during unprofiled run = "
-              f"{stats_after - stats_before}")
-        assert stats_after - stats_before == 0
-        assert cluster.profiler is NULL_PROFILER
-        assert cluster.kernel.profiler is NULL_PROFILER
-        assert cluster.world.profiler is NULL_PROFILER
-        assert all(
-            replica.profiler is NULL_PROFILER
-            for replica in cluster.group_replicas().values()
-        )
-
-    def test_profiled_run_host_overhead_bounded(self):
-        """Profiling on must stay under ~30% host overhead (target <10%
-        on quiet machines; the bound carries CI-noise headroom)."""
-        from repro.cluster.scenarios import rrt_scenario
-
-        def once(profiling: bool) -> float:
-            start = time.perf_counter()
-            rrt_scenario("sysnet", "write", samples=300, seed=1,
-                         profiling=profiling)
-            return time.perf_counter() - start
-
-        rrt_scenario("sysnet", "write", samples=40, seed=1)  # warm imports
-        ratio, pairs = _paired_cost_ratio(
-            lambda: once(profiling=True), lambda: once(profiling=False)
-        )
-        print(f"\nprofiled/bare host-time ratio (median of pairs) = "
-              f"{ratio:.3f} (pairs: {pairs})")
-        assert ratio < 1.35
 
 
 class TestZeroAllocationGrowth:

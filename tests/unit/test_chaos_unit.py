@@ -117,6 +117,12 @@ class TestGenerateSchedule:
         with pytest.raises(ConfigError):
             generate_schedule(0, PIDS, horizon=0.0)
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # An infinite horizon used to keep the generator sampling forever.
+        with pytest.raises(ConfigError, match="finite"):
+            generate_schedule(0, PIDS, horizon=horizon)
+
 
 # -------------------------------------------------------------- serialization
 class TestScheduleSerialization:
@@ -280,7 +286,15 @@ class TestChaosOptions:
         with pytest.raises(ConfigError):
             ChaosOptions(mutation="clock-skew")
 
-    @pytest.mark.parametrize("bad", [{"n_replicas": 1}, {"horizon": 0.0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_replicas": 1}, {"horizon": 0.0},
+            {"horizon": float("inf")}, {"liveness_grace": float("inf")},
+            {"intensity": float("nan")}, {"client_timeout": float("nan")},
+            {"txn_timeout": float("nan")},
+        ],
+    )
     def test_values_no_schedule_can_be_generated_for_are_rejected(self, bad):
         with pytest.raises(ConfigError):
             ChaosOptions(**bad)

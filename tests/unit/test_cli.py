@@ -91,6 +91,16 @@ BAD_INPUT = [
     (["chaos", "--seeds", "3", "--replicas", "1"], "at least two replicas"),
     (["experiments", "--workers", "-1"], "--workers must be at least 1"),
     (["run", "--requests", "2", "--clients", "5"], "each client needs at least one request"),
+    # Non-finite times: NaN passes every range check, and an infinite
+    # horizon never finished generating its schedule.
+    (["chaos", "--horizon", "inf", "--seeds", "1"], "horizon must be finite, got inf"),
+    (["chaos", "--horizon", "nan", "--seeds", "1"], "horizon must be finite, got nan"),
+    (["chaos", "--intensity", "nan", "--seeds", "1"], "intensity must be finite, got nan"),
+    (["profile", "--execute-time", "inf"], "execute_time must be finite, got inf"),
+    (["profile", "--execute-time", "nan"], "execute_time must be finite, got nan"),
+    # A slice would print all rows but the last three, or none.
+    (["profile", "--top", "0"], "--top must be at least 1"),
+    (["profile", "--top", "-3"], "--top must be at least 1"),
 ]
 
 
@@ -364,7 +374,7 @@ class TestProfileCommand:
         assert lines and all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
         from repro.obs.chrome import validate_chrome_trace
 
-        assert validate_chrome_trace(trace)["counter_events"] > 0
+        assert validate_chrome_trace(trace)["duration_spans"] > 0
 
     def test_profile_sim_metric_still_ranks_by_sim_time(self, capsys):
         assert main(["profile", "--requests", "40"]) == 0

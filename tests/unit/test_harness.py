@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.client.client import Client
@@ -13,11 +15,10 @@ from repro.core.config import ReplicaConfig
 from repro.core.group import ReplicationGroup
 from repro.election.static import StaticElector
 from repro.errors import ConfigError, SimulationError
-from repro.obs.prof.profiler import NULL_PROFILER
+from repro.obs.handle import Obs
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracing import NULL_TRACER
 from repro.services.noop import NoopService
-from repro.sim.kernel import Kernel
 from repro.types import RequestKind
 from tests.conftest import make_test_profile
 
@@ -50,6 +51,13 @@ class TestClusterSpec:
             ("client_timeout_cap", {"client_timeout_cap": -1.0}),
             ("client_backoff", {"client_backoff": 0.5}),
             ("client_jitter", {"client_jitter": -0.1}),
+            # NaN passes every range check; an infinite time never elapses.
+            ("client_timeout", {"client_timeout": float("nan")}),
+            ("execute_time", {"execute_time": float("inf")}),
+            ("txn_timeout", {"txn_timeout": float("nan")}),
+            ("fsync_latency", {"fsync_latency": float("nan")}),
+            ("omega_timeout", {"omega_timeout": float("inf")}),
+            ("client_timeout_cap", {"client_timeout_cap": float("inf")}),
         ],
     )
     def test_timer_period_rejected_when_the_spec_is_built(self, field, overrides):
@@ -64,6 +72,21 @@ class TestClusterSpec:
         # admitted to the pipeline.
         with pytest.raises(ConfigError, match=field):
             ReplicaConfig(peers=("r0",), **{field: 0})
+
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"execute_time": float("nan")}, "execute_time must be finite"),
+            ({"fsync_latency": float("nan")}, "fsync_latency must be finite"),
+            ({"txn_timeout": float("nan")}, "txn_timeout must be finite"),
+            ({"accept_retry": float("inf")}, "accept_retry must be finite"),
+            ({"txn_timeout": -1.0}, "txn_timeout must be >= 0"),
+        ],
+    )
+    def test_replica_config_rejects_a_bad_time(self, overrides, message):
+        # NaN used to pass every range check (execute_time=nan ran as 0).
+        with pytest.raises(ConfigError, match=message):
+            ReplicaConfig(peers=("r0",), **overrides)
 
     def test_no_clients_rejected(self):
         spec = ClusterSpec(profile=make_test_profile())
@@ -119,33 +142,30 @@ class TestObsWiring:
     construction; nothing is swapped in afterwards."""
 
     def test_every_component_holds_the_clusters_observers(self):
-        cluster = small_cluster(tracing=True, profiling=True, groups=2)
-        registry, tracer, profiler = cluster.metrics, cluster.tracer, cluster.profiler
-        assert registry.enabled and tracer.enabled and profiler.enabled
-        assert cluster.kernel.profiler is profiler
+        cluster = small_cluster(tracing=True, groups=2)
+        registry, tracer = cluster.metrics, cluster.tracer
+        assert registry.enabled and tracer.enabled
         assert cluster.network.metrics is registry
         world = cluster.world
-        assert (world.metrics, world.tracer, world.profiler) == (registry, tracer, profiler)
+        assert (world.metrics, world.tracer) == (registry, tracer)
         for pid, host in cluster.replicas.items():
-            assert host.tracer is tracer and host.profiler is profiler
+            assert host.tracer is tracer
             assert host.metrics.counter("x") is registry.counter(f"proc.{pid}.x")
             for g, group in host.groups.items():
-                assert group.tracer is tracer and group.profiler is profiler
+                assert group.tracer is tracer
                 assert group.metrics.counter("x") is registry.counter(f"proc.{pid}.g{g}.x")
         for client in cluster.clients:
             assert client.metrics is registry and client.tracer is tracer
 
     def test_bare_components_hold_the_null_observers(self):
-        kernel = Kernel()
-        assert kernel.profiler is NULL_PROFILER
+        # Two observers: the handle carries nothing else.
+        assert [f.name for f in fields(Obs)] == ["metrics", "tracer"]
         client = Client("c0", replicas=("r0",), steps=[])
         assert client.metrics is NULL_REGISTRY and client.tracer is NULL_TRACER
         group = ReplicationGroup(
             "r0", ReplicaConfig(peers=("r0",)), NoopService, StaticElector("r0")
         )
-        assert (group.metrics, group.tracer, group.profiler) == (
-            NULL_REGISTRY, NULL_TRACER, NULL_PROFILER,
-        )
+        assert (group.metrics, group.tracer) == (NULL_REGISTRY, NULL_TRACER)
 
 
 class TestMetrics:

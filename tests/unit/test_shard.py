@@ -258,7 +258,6 @@ class _FakeHost:
         self.pid = "r0"
         self.now = 0.0
         self.metrics = _Off()
-        self.profiler = _Off()
         self.tracer = _Tracer()
         self.service_factory = _Service
         self.timers: list[tuple[float, object, _Handle]] = []
