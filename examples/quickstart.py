@@ -32,7 +32,6 @@ def main() -> None:
         seed=42,
         elector="omega",            # automatic failover via heartbeats
         omega_heartbeat=0.01,
-        omega_timeout=0.05,
         client_timeout=0.08,
     )
     cluster = Cluster(spec, [steps], service_factory=KVStoreService)

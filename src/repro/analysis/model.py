@@ -31,9 +31,10 @@ message counts. When the leader crashes at ``t_c``:
 
 * *detection* — heartbeats run every ``h`` from boot, so the leader's last
   heartbeat left at ``b = h·⌈t_c/h − 1⌉``. A survivor's elector arms a
-  one-shot evaluation at the instant ``T`` after that beat arrived, so it
-  suspects the leader at the deadline ``b + T`` (later only by the beat's
-  one-way delay), not at its next tick;
+  one-shot evaluation at the instant ``2h`` after that beat arrived (one
+  missed heartbeat: the leader's timeout before any false suspicion), so
+  it suspects the leader at the deadline ``b + 2h`` (later only by the
+  beat's one-way delay), not at its next tick;
 * *ready* — the new leader serves one prepare round after detection, plus
   a closing accept round when it recovers values;
 * a write in flight at the crash, or sent before detection, reached every
@@ -106,7 +107,6 @@ class FailoverInputs:
     """The timing knobs behind an Ω failover stall (seconds)."""
 
     heartbeat_interval: float  # h: Ω heartbeat and tick period
-    suspect_timeout: float     # T
     client_timeout: float      # c
     #: Upper bound on one protocol round, fsync included: the prepare round,
     #: or the accept rounds that follow it (the closing round, if any, and
@@ -117,15 +117,15 @@ class FailoverInputs:
     timeout_cap: float | None = None  # default 10·c, as the client's
 
     def __post_init__(self) -> None:
-        if self.suspect_timeout <= self.heartbeat_interval:
-            raise ValueError("suspect_timeout must exceed heartbeat_interval")
+        if not self.heartbeat_interval > 0:
+            raise ValueError("heartbeat_interval must be > 0")
 
 
 def detection_window(p: FailoverInputs, crash_at: float) -> tuple[float, float]:
     """``(lo, hi]``: when survivors suspect a leader that crashed at
     ``crash_at`` — the deadline itself, so ``lo == hi``."""
     h = p.heartbeat_interval
-    expiry = h * math.ceil(crash_at / h - 1) + p.suspect_timeout
+    expiry = h * math.ceil(crash_at / h - 1) + 2 * h
     return expiry, expiry
 
 

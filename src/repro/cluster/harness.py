@@ -102,8 +102,9 @@ class ClusterSpec:
     txn_timeout: float = 2.0
     #: "static" (benchmark default), "manual" (fault tests), "omega".
     elector: str = "static"
+    #: Ω heartbeat period ``h``; a peer is first suspected after ``2h``
+    #: (:class:`~repro.election.omega.OmegaElector`).
     omega_heartbeat: float = 0.05
-    omega_timeout: float = 0.25
     #: Scale per-message CPU with the client count (Fig. 6's contention).
     connection_scaling: bool = True
     #: Causal request tracing (:mod:`repro.obs.tracing`): one span tree per
@@ -141,7 +142,7 @@ class ClusterSpec:
         require_finite(
             self, "execute_time", "accept_retry", "prepare_retry", "client_timeout",
             "client_backoff", "client_timeout_cap", "client_jitter", "txn_timeout",
-            "omega_heartbeat", "omega_timeout", "fsync_latency",
+            "omega_heartbeat", "fsync_latency",
         )
         # A zero period would stop simulated time; a negative one goes back.
         periods = ["client_timeout", "accept_retry", "prepare_retry", "omega_heartbeat"]
@@ -154,11 +155,6 @@ class ClusterSpec:
         for name, floor in (("client_backoff", 1), ("client_jitter", 0)):
             if not getattr(self, name) >= floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {getattr(self, name)}")
-        if self.omega_timeout <= self.omega_heartbeat:
-            raise ConfigError(
-                f"omega_timeout must exceed omega_heartbeat, got {self.omega_timeout}"
-                f" <= {self.omega_heartbeat}"
-            )
 
 
 class Cluster:
@@ -240,10 +236,7 @@ class Cluster:
                 return StaticElector(self.group_leader_pids[g])
             if spec.elector == "manual":
                 return self._manual_electors[g].elector_for(pid)
-            return OmegaElector(
-                heartbeat_interval=spec.omega_heartbeat,
-                suspect_timeout=spec.omega_timeout,
-            )
+            return OmegaElector(heartbeat_interval=spec.omega_heartbeat)
 
         for pid in self.replica_pids:
             electors = [elector(pid, g) for g in range(spec.groups)]

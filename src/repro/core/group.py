@@ -418,7 +418,31 @@ class ReplicationGroup(Process):
         raise AssertionError(f"unhandled request kind {kind}")
 
     def _serve_original(self, src: ProcessId, request: ClientRequest) -> None:
-        """The unreplicated baseline: execute + reply, no coordination."""
+        """The unreplicated baseline: execute + reply once E has elapsed
+        (one timer per request, as an X-Paxos read), no coordination."""
+        execute_time = self.config.execute_time
+        if execute_time == 0:
+            self._reply_original(src, request, None)
+            return
+        # Executions x E is the leader's modeled execute time
+        # (repro.cluster.metrics.sim_cpu_frames).
+        self.metrics.counter("executions").inc()
+        tracer = self.tracer
+        span: Span | None = None
+        if tracer.enabled:
+            span = tracer.start_span(
+                "execute", pid=self.pid, kind="execute", attrs={"rid": str(request.rid)}
+            )
+        token = tracer.activate(span)
+        try:
+            self.set_timer(execute_time, self._reply_original, src, request, span)
+        finally:
+            tracer.restore(token)
+
+    def _reply_original(
+        self, src: ProcessId, request: ClientRequest, span: Span | None
+    ) -> None:
+        self.tracer.end(span)
         try:
             result = self.service.execute(request.op, self.execution_context())
         except ServiceError as exc:

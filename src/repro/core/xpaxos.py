@@ -79,7 +79,10 @@ class ReadCoordinator:
         execute_time = self.replica.config.execute_time
         if execute_time > 0:
             # Execution and confirm-collection proceed in parallel (§3.4):
-            # the read completes at max(E, confirm latency).
+            # the read completes at max(E, confirm latency). Executions x E
+            # is the leader's modeled execute time
+            # (repro.cluster.metrics.sim_cpu_frames).
+            self.replica.metrics.counter("executions").inc()
             if tracer.enabled:
                 pending.span = tracer.start_span(
                     "execute", pid=self.replica.pid, kind="execute",

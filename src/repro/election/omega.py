@@ -1,19 +1,30 @@
 """Ω-style heartbeat leader election with leader stability (§3.6).
 
 Every replica periodically broadcasts a heartbeat carrying its current
-leader view. Each replica tracks whom it has heard from recently; a process
-is *suspected* once ``suspect_timeout`` has passed since its last heartbeat
-arrived — at that deadline, not at the next tick: a tick arms a one-shot
-evaluation for a deadline that falls before the next one. The local choice
-is:
+leader view, every ``h`` (``heartbeat_interval``). Each replica tracks whom
+it has heard from recently, and suspects peer ``p`` once ``p``'s own
+timeout ``T_p`` has passed since its last heartbeat arrived — at that
+deadline, not at the next tick: a tick arms a one-shot evaluation for a
+deadline that falls before the next one.
+
+``T_p`` follows Chandra & Toueg's eventually perfect detector ◇P: it
+starts at ``2h``, one missed heartbeat, and every *false suspicion* — a
+heartbeat arriving from a peer this process currently suspects — adds
+``h`` to it. ``T_p`` never shrinks; it is volatile state, so it resets to
+``2h`` only when this process restarts. A peer that crashes and recovers
+also looks like a false suspicion, so its ``T_p`` grows too: a
+crash-prone peer is suspected a little later, never wrongly forever.
+
+The local choice is:
 
 * keep the current leader while it is unsuspected (**stability** — the
   §3.6 requirement, after Malkhi, Oprea & Zhou [22]: a working leader is
   not deposed just because a smaller-id process comes back);
 * a process that has no leader yet (boot or recovery) first waits one
-  ``suspect_timeout`` *grace period*, during which it adopts any
-  unsuspected incumbent's self-claim — this is what makes a recovered
-  small-id process defer to the working leader instead of electing itself;
+  ``T_p`` *grace period* (``2h``: every ``T_p`` is fresh then), during
+  which it adopts any unsuspected incumbent's self-claim — this is what
+  makes a recovered small-id process defer to the working leader instead
+  of electing itself;
 * the grace period ends early once every peer has been heard since this
   process (re)started and each one's latest claim is ``None``: nobody
   leads, so there is no incumbent to wait for (a cluster that boots
@@ -23,9 +34,10 @@ is:
   smallest-id unsuspected process.
 
 This implements Ω under the usual partial-synchrony assumption: once
-message delays stabilize below ``suspect_timeout``, all correct replicas
-converge on the same (correct) leader forever. Before that, views may
-disagree — ballot numbers in the replication protocol keep that safe.
+message delays stabilize, each ``T_p`` stops growing after finitely many
+false suspicions, and all correct replicas converge on the same (correct)
+leader forever. Before that, views may disagree — ballot numbers in the
+replication protocol keep that safe.
 """
 
 from __future__ import annotations
@@ -51,17 +63,15 @@ class Heartbeat:
 class OmegaElector(LeaderElector):
     """Heartbeat-based eventual leader election with stability."""
 
-    def __init__(
-        self,
-        heartbeat_interval: float = 0.05,
-        suspect_timeout: float = 0.25,
-    ) -> None:
+    def __init__(self, heartbeat_interval: float = 0.05) -> None:
         super().__init__()
-        if suspect_timeout <= heartbeat_interval:
-            raise ValueError("suspect_timeout must exceed heartbeat_interval")
+        if not heartbeat_interval > 0:
+            raise ValueError(f"heartbeat_interval must be > 0, got {heartbeat_interval}")
         self.heartbeat_interval = heartbeat_interval
-        self.suspect_timeout = suspect_timeout
         self._last_heard: dict[ProcessId, float] = {}
+        #: Each peer's suspicion timeout ``T_p``: ``2h`` at (re)start, plus
+        #: ``h`` per false suspicion of that peer.
+        self.timeouts: dict[ProcessId, float] = {}
         #: Each peer's latest leader claim heard since this process (re)started.
         self._claims: dict[ProcessId, ProcessId | None] = {}
         self._leader: ProcessId | None = None
@@ -77,10 +87,12 @@ class OmegaElector(LeaderElector):
         self._leader = None
         self._claims.clear()
         now = self.host.now
+        fresh = 2 * self.heartbeat_interval
         for peer in self.peers:
             self._last_heard[peer] = now
+            self.timeouts[peer] = fresh
         # Grace period: listen for an incumbent before electing anyone.
-        self._grace_until = now + self.suspect_timeout
+        self._grace_until = now + fresh
         self._beat()
         self._tick()
 
@@ -109,7 +121,7 @@ class OmegaElector(LeaderElector):
         # its deadline, not up to one heartbeat interval late.
         now = self.host.now
         for peer, heard in self._last_heard.items():
-            deadline = heard + self.suspect_timeout
+            deadline = heard + self.timeouts[peer]
             if peer != self.host.pid and now < deadline < now + self.heartbeat_interval:
                 self.host.set_timer(deadline - now, self._evaluate)
         self.host.set_timer(self.heartbeat_interval, self._tick)
@@ -120,7 +132,11 @@ class OmegaElector(LeaderElector):
         if not self._running:
             return True
         assert self.host is not None
-        self._last_heard[msg.sender] = self.host.now
+        now = self.host.now
+        if now >= self._last_heard[msg.sender] + self.timeouts[msg.sender]:
+            # A false suspicion: this peer was alive after all.
+            self.timeouts[msg.sender] += self.heartbeat_interval
+        self._last_heard[msg.sender] = now
         self._claims[msg.sender] = msg.claims
         if msg.claims == msg.sender:
             # An incumbent asserting leadership: defer to it if we have no
@@ -141,7 +157,7 @@ class OmegaElector(LeaderElector):
             pid
             for pid in self.peers
             if pid == self.host.pid
-            or now < self._last_heard.get(pid, -1e18) + self.suspect_timeout
+            or now < self._last_heard[pid] + self.timeouts[pid]
         ]
         return sorted(alive)
 

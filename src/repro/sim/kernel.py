@@ -83,6 +83,11 @@ class EventHandle:
             kernel._cancelled += 1
             kernel._maybe_compact()
 
+    @property
+    def active(self) -> bool:
+        """True until the event fires or is cancelled."""
+        return not self.cancelled
+
     def __lt__(self, other: "EventHandle") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
 

@@ -58,18 +58,9 @@ class ZeroLatencyNetwork:
         return (0.0,)
 
 
-class _SimTimer(TimerHandle):
-    __slots__ = ("_event",)
-
-    def __init__(self, event: EventHandle) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancel()
-
-    @property
-    def active(self) -> bool:
-        return not self._event.cancelled
+# A simulated timer is its kernel event: the handle cancels and reports
+# ``active`` itself.
+TimerHandle.register(EventHandle)
 
 
 class _SimEnv(Env):
@@ -333,21 +324,27 @@ class World:
     def _set_timer(
         self, pid: ProcessId, delay: float, fn: Callable[..., None], *args: Any
     ) -> TimerHandle:
-        epoch = self._epochs[pid]
         # Timers carry the ambient span across the delay: a retransmit or a
         # deferred execution stays inside the request that armed it.
-        ctx = self.tracer.current
+        return self.kernel.schedule(
+            delay, self._fire, pid, self._epochs[pid], self.tracer.current, fn, args
+        )
 
-        def fire() -> None:
-            process = self._processes[pid]
-            if process.alive and self._epochs[pid] == epoch:
-                token = self.tracer.activate(ctx)
-                try:
-                    fn(*args)
-                finally:
-                    self.tracer.restore(token)
-
-        return _SimTimer(self.kernel.schedule(delay, fire))
+    def _fire(
+        self, pid: ProcessId, epoch: int, ctx: Span | None, fn: Callable[..., None],
+        args: tuple,
+    ) -> None:
+        if not self._processes[pid].alive or self._epochs[pid] != epoch:
+            return
+        tracer = self.tracer
+        if tracer.enabled:
+            token = tracer.activate(ctx)
+            try:
+                fn(*args)
+            finally:
+                tracer.restore(token)
+        else:
+            fn(*args)
 
     # ------------------------------------------------------------ fault hooks
     def crash(self, pid: ProcessId) -> None:

@@ -153,6 +153,12 @@ class StoragePump:
     group stands alone): its timers die with the process epoch, its config
     sets the fsync mode and latency, its metrics count the fsyncs, and its
     tracer keeps background durability off every request's trace.
+
+    In ``sync`` mode the drain timer and the follow-up fsync after each
+    completed one run even when no barrier waits: they re-sync the acked
+    frames of an fsync the device lost, which would otherwise still be
+    unsynced at the next crash and poison the device (storage-sweep seeds
+    471 and 1400, ``test_lost_fsync_frames_are_synced_before_the_next_crash``).
     """
 
     def __init__(self, host: Any) -> None:
@@ -200,13 +206,7 @@ class StoragePump:
         """Arm the drain timer unless a drain is already underway."""
         if self._fsync_covered is not None or self._drain_timer is not None:
             return
-        host = self.host
-        # Background durability is not part of any request's causal chain.
-        token = host.tracer.activate(None)
-        try:
-            self._drain_timer = host.set_timer(DRAIN_DELAY, self._drain_tick)
-        finally:
-            host.tracer.restore(token)
+        self._drain_timer = self._background_timer(DRAIN_DELAY, self._drain_tick)
 
     def _drain_tick(self) -> None:
         self._drain_timer = None
@@ -229,11 +229,20 @@ class StoragePump:
         latency = host.config.fsync_latency
         if now < self._stall_until:
             latency += self._stall_extra
-        token = host.tracer.activate(None)
+        self._background_timer(latency, self._fsync_done)
+
+    def _background_timer(self, delay: float, fn: Any) -> Any:
+        """Arm ``fn`` outside every request's trace: background durability
+        is not part of any request's causal chain."""
+        host = self.host
+        tracer = host.tracer
+        if not tracer.enabled:
+            return host.set_timer(delay, fn)
+        token = tracer.activate(None)
         try:
-            host.set_timer(latency, self._fsync_done)
+            return host.set_timer(delay, fn)
         finally:
-            host.tracer.restore(token)
+            tracer.restore(token)
 
     def _fsync_done(self) -> None:
         covered = self._fsync_covered
@@ -261,6 +270,10 @@ class StoragePump:
             return
         self._waiters = [w for w in self._waiters if w[0] > covered]
         tracer = self.host.tracer
+        if not tracer.enabled:
+            for _seq, callback, _ctx in ready:
+                callback()
+            return
         for _seq, callback, ctx in ready:
             token = tracer.activate_for(ctx)
             try:

@@ -70,6 +70,22 @@ class TestAcceptanceSweep:
                 f"{result.schedule.describe()}"
             )
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_lost_fsync_frames_are_synced_before_the_next_crash(self, protocol):
+        # Each seed loses one fsync whose frames were already acked. Only
+        # the pump's drain timer and its follow-up fsync sync them again
+        # before the next crash; without both, the frames are still
+        # unsynced at that crash, the device is poisoned, and r0 (seed
+        # 471) or r2 (seed 1400) fail-stops at recovery.
+        options = ChaosOptions(protocol=protocol, fsync="sync", storage_faults=True)
+        for seed in (471, 1400):
+            result = run_chaos(seed, options)
+            assert result.counters.get("fault.lost_fsync") == 1
+            halts = {k: v for k, v in result.counters.items() if k.endswith("storage.halts")}
+            assert result.ok and not halts, (
+                f"{protocol} seed {seed}: {[str(v) for v in result.violations]} {halts}"
+            )
+
     def test_storage_sweep_exercises_storage_nemeses(self):
         options = ChaosOptions(fsync="sync", storage_faults=True)
         fired = {

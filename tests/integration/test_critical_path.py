@@ -4,8 +4,7 @@ calibrated constant-latency profile with free CPUs —
 
 * basic protocol writes:  ``2M + E + 2m``
 * X-Paxos reads:          ``2M + max(E, m)``
-* original (unreplicated): ``2M + E``  (E = 0 here: the original path
-  models no separate execution delay)
+* original (unreplicated): ``2M + E``
 
 ``M`` and ``m`` are one-way client<->replica and replica<->replica
 latencies. With deterministic links the only slack is float rounding, so
@@ -151,4 +150,17 @@ class TestOriginalConformance:
         model = LatencyModelInputs(client_replica=M, replica_replica=SMALL_m, execute=0.0)
         row = conformance(paths, model)["original"]
         assert row.formula == "2M + E"
+        assert abs(row.deviation) < QUANTUM
+
+    def test_original_rrt_pays_one_execution(self):
+        # One E timer per request: at E = 1 ms the mean RRT is the E = 0
+        # mean plus 1 ms, and the trace holds the model to 2M + E.
+        means = {}
+        for execute in (0.0, 1e-3):
+            cluster = run_traced(RequestKind.ORIGINAL, execute_time=execute)
+            rrts = [r.rrt for c in cluster.clients for r in c.request_records()]
+            means[execute] = sum(rrts) / len(rrts)
+        assert means[1e-3] == pytest.approx(means[0.0] + 1e-3, abs=QUANTUM)
+        model = LatencyModelInputs(client_replica=M, replica_replica=SMALL_m, execute=1e-3)
+        row = conformance(paths_of(cluster), model)["original"]
         assert abs(row.deviation) < QUANTUM

@@ -1,17 +1,19 @@
-"""The Ω crash stall against its closed form (``analysis.model.stall_windows``).
+"""The Ω crash stall against its closed form (``analysis.model``).
 
 The deployment is the benchmark suite's ``sim-failover`` shape: sysnet, Ω
-with its default timers, ``fsync="sync"``, four clients pacing KV writes on
-a 5 ms gap, ``r0`` crashing at 1 s and recovering from its WAL at 2 s, two
-trials per seed on seeds ``2·seed`` and ``2·seed + 1``. Each client holds
-fewer writes than the suite's 600: the stall happens at the crash, and the
-run still spans the rejoin at 2 s.
+with its default heartbeat, ``fsync="sync"``, four clients pacing KV writes
+on a 5 ms gap, ``r0`` crashing at 1 s and recovering from its WAL at 2 s,
+two trials per seed on seeds ``2·seed`` and ``2·seed + 1``. Each client
+holds fewer writes than the suite's 600: the stall happens at the crash,
+and the run still spans the rejoin at 2 s.
 
-Every write slower than one client timeout is a stall. Its RRT must fall in
-the window of the one completion path — the new leader serves the write it
-holds — and its retransmit count must be that path's. Each window is at
-most two quorum rounds wide: detection is the Ω deadline itself, and the
-writes complete within a prepare round and the accept rounds after it.
+A write still unanswered when Ω suspects the leader (``detection_window``,
+one missed heartbeat after the leader's last) is a stall, whatever its RRT:
+the outage is now about one client timeout long, so a write sent just
+after the crash stalls for less than one. Each stall must complete inside
+the ready window — the new leader serves the write it holds — which is at
+most two quorum rounds wide, and its retransmit count must be the one the
+client's backoff fits before that reply.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ import random
 
 import pytest
 
-from repro.analysis.model import FailoverInputs, detection_window, stall_windows
+from repro.analysis.model import (
+    FailoverInputs,
+    detection_window,
+    ready_window,
+    retransmit_window,
+)
 from repro.client.workload import Step
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.harness import Cluster, ClusterSpec
@@ -65,36 +72,30 @@ def test_every_crash_stall_fits_its_path(seed):
         spec = cluster.spec
         inputs = FailoverInputs(
             heartbeat_interval=spec.omega_heartbeat,
-            suspect_timeout=spec.omega_timeout,
             client_timeout=spec.client_timeout,
             quorum_round=1.5e-3,
             backoff=spec.client_backoff,
             jitter=spec.client_jitter,
         )
-        stalls = [
-            r
-            for client in cluster.clients
-            for r in client.request_records()
-            if r.rrt > CLIENT_TIMEOUT
-        ]
+        detected = detection_window(inputs, CRASH_AT)[0]
+        ready_lo, ready_hi = ready_window(inputs, CRASH_AT)
+        assert ready_hi - ready_lo <= 2 * inputs.quorum_round + 1e-12
+        records = [r for client in cluster.clients for r in client.request_records()]
+        stalls = [r for r in records if r.sent_at < detected < r.completed_at]
         # One write per client is in flight at the crash or sent during the
         # outage; boot and rejoin cost no stall.
         assert len(stalls) == len(cluster.clients)
+        assert all(r.rrt <= CLIENT_TIMEOUT for r in records if r not in stalls)
         for record in stalls:
-            assert record.completed_at > CRASH_AT
-            assert record.sent_at < detection_window(inputs, CRASH_AT)[0]
-            windows = stall_windows(inputs, record.sent_at, CRASH_AT)
-            path = next(
-                (name for name, (k, _lo, _hi) in windows.items() if k == record.retransmits),
-                None,
+            assert ready_lo < record.completed_at <= ready_hi, (
+                f"trial {trial_seed}: {record.rid} completed at "
+                f"{record.completed_at:.6f} s, outside ({ready_lo:.6f}, {ready_hi:.6f}] s"
             )
-            assert path is not None, (
-                f"trial {trial_seed}: {record.rid} retransmitted {record.retransmits} "
-                f"times, which fits no path of {windows}"
-            )
-            _k, lo, hi = windows[path]
-            assert hi - lo <= 2 * inputs.quorum_round + 1e-12
-            assert lo < record.rrt <= hi, (
-                f"trial {trial_seed}: {record.rid} on the {path} path took "
-                f"{record.rrt * 1e3:.3f} ms, outside ({lo * 1e3:.3f}, {hi * 1e3:.3f}] ms"
+            # Its last retransmit may have fallen before the reply, and the
+            # next one may not have.
+            k = record.retransmits
+            assert record.sent_at + retransmit_window(inputs, k)[0] < record.completed_at
+            assert record.sent_at + retransmit_window(inputs, k + 1)[1] > record.completed_at, (
+                f"trial {trial_seed}: {record.rid} retransmitted {k} times, "
+                f"too few for a reply at {record.completed_at:.6f} s"
             )

@@ -86,7 +86,6 @@ class TestMixedWorkloadAtFive:
             service_factory=CounterService,
             elector="omega",
             omega_heartbeat=0.02,
-            omega_timeout=0.1,
             client_timeout=0.15,
         )
         schedule = FaultSchedule(cluster)

@@ -63,15 +63,17 @@ class TestProfilerDeterminism:
         assert "send.Reply" in leaves
         assert "recv.ClientRequest" in leaves
 
-    def test_attribution_accounts_expected_components(self):
+    @pytest.mark.parametrize("kind", [RequestKind.WRITE, RequestKind.READ, RequestKind.ORIGINAL])
+    def test_attribution_accounts_expected_components(self, kind):
         cluster = run(
-            steps_factory=lambda: single_kind_steps(RequestKind.WRITE, 10),
+            steps_factory=lambda: single_kind_steps(kind, 10),
             execute_time=0.001,
         )
-        # E: one modeled execution per committed write, 1 ms each, all of
-        # it on the leader's execute frame.
+        # E: one modeled execution per committed write, X-Paxos read or
+        # unreplicated request, 1 ms each, all of it on the leader's
+        # execute frame.
         frames = frame_table(cluster)
-        assert frames[("r0", "execute")] == (20, 20_000_000)  # 2 clients x 10 writes
+        assert frames[("r0", "execute")] == (20, 20_000_000)  # 2 clients x 10 requests
         assert sum(ns for _calls, ns in frames.values()) == 20_000_000
 
 

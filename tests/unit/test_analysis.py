@@ -73,38 +73,38 @@ class TestModel:
 
 class TestFailoverStall:
     P = FailoverInputs(
-        heartbeat_interval=0.05, suspect_timeout=0.25, client_timeout=0.05,
-        quorum_round=1e-3,
+        heartbeat_interval=0.05, client_timeout=0.05, quorum_round=1e-3,
     )
 
     def test_detection_phase_follows_the_last_heartbeat(self):
         # A crash on a heartbeat instant loses that beat; one just after it
-        # does not, and detection moves a whole interval later.
-        assert detection_window(self.P, 1.0) == pytest.approx((1.20, 1.20))
-        assert detection_window(self.P, 1.01) == pytest.approx((1.25, 1.25))
+        # does not, and detection moves a whole interval later. Either way
+        # the leader is suspected one missed heartbeat (2h) after its last.
+        assert detection_window(self.P, 1.0) == pytest.approx((1.05, 1.05))
+        assert detection_window(self.P, 1.01) == pytest.approx((1.10, 1.10))
         lo, hi = ready_window(self.P, 1.0)
-        assert (lo, hi) == pytest.approx((1.20, 1.202))
+        assert (lo, hi) == pytest.approx((1.05, 1.052))
 
     def test_retransmits_back_off_with_jitter_and_cap(self):
         assert retransmit_window(self.P, 0) == (0, 0)
         assert retransmit_window(self.P, 3) == pytest.approx((0.35, 0.385))
-        capped = FailoverInputs(0.05, 0.25, 0.05, 1e-3, timeout_cap=0.08)
+        capped = FailoverInputs(0.05, 0.05, 1e-3, timeout_cap=0.08)
         assert retransmit_window(capped, 3)[0] == pytest.approx(0.05 + 0.08 + 0.08)
 
     def test_held_write_completes_once_the_new_leader_is_ready(self):
-        assert stall_windows(self.P, 0.999, 1.0) == {
-            "held": pytest.approx((2, 0.201, 0.203))
+        assert stall_windows(self.P, 0.99, 1.0) == {
+            "held": pytest.approx((1, 0.06, 0.062))
         }
 
     def test_ambiguous_retransmit_count_rejected(self):
-        # Sent so that its second retransmit may land just before or after
+        # Sent so that its first retransmit may land just before or after
         # the reply.
         with pytest.raises(ValueError, match="either side"):
-            stall_windows(self.P, 1.045, 1.0)
+            stall_windows(self.P, 0.998, 1.0)
 
-    def test_suspect_timeout_must_exceed_heartbeat(self):
+    def test_heartbeat_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            FailoverInputs(0.25, 0.25, 0.05, 1e-3)
+            FailoverInputs(0.0, 0.05, 1e-3)
 
 
 class TestReport:

@@ -35,13 +35,30 @@ class Host(Process):
         self.changes.append(new_leader)
 
 
-def omega_cluster(n=3, seed=0, hb=0.05, timeout=0.25):
+class HoldFrom:
+    """Zero-latency links, except that whatever ``src`` sends inside one of
+    the ``(start, until)`` windows arrives at ``until``: its heartbeats run
+    late, in order, and none is lost."""
+
+    def __init__(self, src, windows):
+        self.src = src
+        self.windows = windows
+
+    def delays(self, src, dst, depart):
+        if src == self.src:
+            for start, until in self.windows:
+                if start <= depart < until:
+                    return (until - depart,)
+        return (0.0,)
+
+
+def omega_cluster(n=3, seed=0, hb=0.05, network=None):
     kernel = Kernel(seed=seed)
-    world = World(kernel)
+    world = World(kernel, network)
     pids = tuple(f"r{i}" for i in range(n))
     hosts = []
     for pid in pids:
-        elector = OmegaElector(heartbeat_interval=hb, suspect_timeout=timeout)
+        elector = OmegaElector(heartbeat_interval=hb)
         host = Host(pid, elector)
         elector.attach(host, pids)
         world.add(host)
@@ -146,7 +163,7 @@ class TestOmegaElector:
         kernel, world, hosts = omega_cluster()
         world.crash("r2")  # down at boot: r0 and r1 never hear it
         world.start()
-        timeout = hosts[0].elector.suspect_timeout
+        timeout = 2 * hosts[0].elector.heartbeat_interval
         kernel.run(until=0.99 * timeout)
         assert all(h.changes == [] for h in hosts[:2])
         kernel.run(until=timeout + hosts[0].elector.heartbeat_interval)
@@ -157,12 +174,13 @@ class TestOmegaElector:
         world.start()
         kernel.run(until=1.0)
         world.crash("r0")
-        kernel.run(until=1.05)  # back before anyone suspects it
+        kernel.run(until=1.02)  # back before anyone suspects it
         world.recover("r0")
         r0 = hosts[0].elector
-        kernel.run(until=1.05 + 0.99 * r0.suspect_timeout)
+        grace = 2 * r0.heartbeat_interval
+        kernel.run(until=1.02 + 0.99 * grace)
         assert r0.current_leader() is None  # r1 and r2 still name r0
-        kernel.run(until=1.05 + r0.suspect_timeout + r0.heartbeat_interval)
+        kernel.run(until=1.02 + grace + r0.heartbeat_interval)
         assert r0.current_leader() == "r0"
 
     def test_restart_hearing_none_and_incumbent_defers_to_incumbent(self):
@@ -184,7 +202,50 @@ class TestOmegaElector:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OmegaElector(heartbeat_interval=0.5, suspect_timeout=0.25)
+            OmegaElector(heartbeat_interval=0.0)
+
+    def test_crashed_leader_suspected_one_missed_heartbeat_after_last_heard(self):
+        kernel, world, hosts = omega_cluster()
+        world.start()
+        kernel.run(until=1.01)  # just after the beat at 1.0
+        r1 = hosts[1].elector
+        heard = r1._last_heard["r0"]
+        assert r1.timeouts["r0"] == 2 * r1.heartbeat_interval
+        world.crash("r0")
+        kernel.run(until=heard + 2 * r1.heartbeat_interval - 1e-9)
+        assert r1.current_leader() == "r0"
+        kernel.run(until=heard + 2 * r1.heartbeat_interval)
+        assert r1.current_leader() == "r1"
+
+    def test_one_late_heartbeat_is_one_false_suspicion_and_backs_off(self):
+        # r0's beats sent in [1.0, 1.07) arrive at 1.07: its last on-time
+        # beat left at 0.95, so it is suspected at 0.95 + 2h = 1.05 and
+        # heard again at 1.07. The same hold later costs no suspicion.
+        hb = 0.05
+        network = HoldFrom("r0", [(1.0, 1.07), (2.0, 2.07)])
+        kernel, world, hosts = omega_cluster(hb=hb, network=network)
+        world.start()
+        r1 = hosts[1].elector
+        kernel.run(until=1.06)
+        assert r1.current_leader() == "r1"  # r0 suspected
+        kernel.run(until=1.5)
+        assert r1.timeouts["r0"] == pytest.approx(3 * hb)
+        switches = r1.switches
+        kernel.run(until=3.0)
+        assert r1.timeouts["r0"] == pytest.approx(3 * hb)
+        assert r1.switches == switches
+        assert hosts[2].elector.timeouts["r0"] == pytest.approx(3 * hb)
+
+    def test_timeouts_reset_when_the_process_restarts(self):
+        network = HoldFrom("r0", [(1.0, 1.07)])
+        kernel, world, hosts = omega_cluster(network=network)
+        world.start()
+        kernel.run(until=1.5)
+        r1 = hosts[1].elector
+        assert r1.timeouts["r0"] == pytest.approx(3 * r1.heartbeat_interval)
+        world.crash("r1")
+        world.recover("r1")
+        assert r1.timeouts["r0"] == 2 * r1.heartbeat_interval
 
     def test_switch_counter(self):
         kernel, world, hosts = omega_cluster()

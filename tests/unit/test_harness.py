@@ -46,7 +46,6 @@ class TestClusterSpec:
             ("omega_heartbeat", {"elector": "omega", "omega_heartbeat": 0.0}),
             ("accept_retry", {"accept_retry": 0.0}),
             ("prepare_retry", {"prepare_retry": 0.0}),
-            ("omega_timeout", {"omega_heartbeat": 0.25, "omega_timeout": 0.25}),
             ("client_timeout_cap", {"client_timeout": 1e-5, "client_timeout_cap": 0.0}),
             ("client_timeout_cap", {"client_timeout_cap": -1.0}),
             ("client_backoff", {"client_backoff": 0.5}),
@@ -56,7 +55,7 @@ class TestClusterSpec:
             ("execute_time", {"execute_time": float("inf")}),
             ("txn_timeout", {"txn_timeout": float("nan")}),
             ("fsync_latency", {"fsync_latency": float("nan")}),
-            ("omega_timeout", {"omega_timeout": float("inf")}),
+            ("omega_heartbeat", {"omega_heartbeat": float("inf")}),
             ("client_timeout_cap", {"client_timeout_cap": float("inf")}),
         ],
     )
