@@ -145,18 +145,21 @@ def retransmit_window(p: FailoverInputs, k: int) -> tuple[float, float]:
 
 def stall_windows(
     p: FailoverInputs, sent_at: float, crash_at: float
-) -> dict[str, tuple[int, float, float]]:
-    """Path name -> ``(retransmits, lo, hi)``: the RRT window of a write sent
-    at ``sent_at`` that the leader crashing at ``crash_at`` left unanswered
-    (in flight at the crash, or sent before detection). The one path is
+) -> dict[str, tuple[int, int, float, float]]:
+    """Path name -> ``(k_lo, k_hi, lo, hi)``: the RRT window ``(lo, hi]`` of
+    a write sent at ``sent_at`` that the leader crashing at ``crash_at``
+    left unanswered (in flight at the crash, or sent before detection), and
+    the range ``[k_lo, k_hi]`` of its retransmit count. The one path is
     *held*: the new leader serves it once ready.
 
-    Raises ``ValueError`` when a retransmit may fall on either side of the
-    write's completion: then its retransmit count is not determined."""
+    ``k_lo`` retransmits surely fall before the reply; ``k_hi`` may. They
+    differ when a retransmit's window overlaps the ready window, as when
+    the stall is about one client timeout long."""
     ready_lo, ready_hi = ready_window(p, crash_at)
-    k = 0
-    while sent_at + retransmit_window(p, k + 1)[1] <= ready_lo:
-        k += 1
-    if sent_at + retransmit_window(p, k + 1)[0] < ready_hi:
-        raise ValueError(f"retransmit {k + 1} may fall on either side of the reply")
-    return {"held": (k, ready_lo - sent_at, ready_hi - sent_at)}
+    k_lo = 0
+    while sent_at + retransmit_window(p, k_lo + 1)[1] <= ready_lo:
+        k_lo += 1
+    k_hi = k_lo
+    while sent_at + retransmit_window(p, k_hi + 1)[0] < ready_hi:
+        k_hi += 1
+    return {"held": (k_lo, k_hi, ready_lo - sent_at, ready_hi - sent_at)}

@@ -8,12 +8,22 @@ proposals" — which would make the shipped states inconsistent.
 
 The pipeline therefore holds at most **one in-flight accept round** at a
 time. Within a round, every request that queued up while the previous
-round was in flight is executed in order and proposed as a batch of
+round was in flight — or that was already delivered to the leader when
+that round committed — is executed in order and proposed as a batch of
 consecutive instances carried by a single
 :class:`repro.core.messages.AcceptBatch` — the paper's own recovery
 pattern ("one single message" for instances 88, 89 and 91) applied to the
 steady state. Per-acceptor atomic handling of the batch preserves the
 no-gaps invariant; see the AcceptBatch docstring.
+
+A round starts once the leader has handled every message it already
+received (:meth:`repro.sim.process.Env.idle_at`), or at once when
+``max_batch`` items are queued: an event-loop server reads what is in its
+socket before it acts. The round's ``AcceptBatch`` could not leave before
+that receive work anyway, so the first wait costs nothing. Messages that
+land during it may extend the wait, but only to twice the first, so a
+leader whose CPU never drains still starts its rounds. On a real runtime
+``idle_at`` is ``now``.
 
 Queue items produce their proposal lazily (``prepare``): the leader
 executes a request only when its turn comes, so the state attached to
@@ -45,6 +55,7 @@ from repro.types import InstanceId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group import ReplicationGroup
+    from repro.sim.process import TimerHandle
 
 #: Sentinel: the item resolved without needing a consensus instance.
 SKIP = object()
@@ -91,6 +102,12 @@ class SequentialProposer:
         self.next_instance: InstanceId = 1
         self.active = False
         self._paused = False
+        #: Timer that starts the next round once the leader has handled
+        #: what it already received (see ``_pump``), and the time by which
+        #: that round starts however busy the leader stays (``None``: the
+        #: next round has not waited).
+        self._hold: TimerHandle | None = None
+        self._deadline: float | None = None
 
     # ------------------------------------------------------------- lifecycle
     def begin(self, next_instance: InstanceId) -> None:
@@ -105,6 +122,10 @@ class SequentialProposer:
         the fate of anything already accepted somewhere."""
         self.active = False
         self._paused = False
+        if self._hold is not None:
+            self._hold.cancel()
+            self._hold = None
+        self._deadline = None
         if self.inflight is not None:
             self.inflight.close()
             self.inflight = None
@@ -142,11 +163,34 @@ class SequentialProposer:
     # --------------------------------------------------------------- pumping
     def _pump(self) -> None:
         replica = self.replica
-        if not self.active or self._paused or self.inflight is not None:
+        queue = self.queue
+        if not self.active or self._paused or self.inflight is not None or not queue:
             return
+        # Read what is in the socket, then act: requests already delivered
+        # but still in the leader's receive queue join this round instead
+        # of waiting a whole round for the next (module docstring). The
+        # first wait is free, since the round's AcceptBatch could not leave
+        # before it ends; later ones must end by twice the first, so a CPU
+        # that never drains (overload) cannot hold a round for good.
+        if len(queue) < self.max_batch:
+            idle_at = replica.env.idle_at()
+            now = replica.now
+            if idle_at > now:
+                if self._hold is not None:
+                    return
+                if self._deadline is None:
+                    self._deadline = idle_at + (idle_at - now)
+                if idle_at <= self._deadline:
+                    self._hold = replica.set_timer(idle_at - now, self._release)
+                    return
+        if self._hold is not None:
+            self._hold.cancel()
+            self._hold = None
+        held = self._deadline is not None
+        self._deadline = None
         batch: list[tuple[ProposalNumber, Proposal, ProposalItem]] = []
-        while self.queue and len(batch) < self.max_batch and not self._paused:
-            item = self.queue.popleft()
+        while queue and len(batch) < self.max_batch and not self._paused:
+            item = queue.popleft()
             outcome = item.prepare()
             if outcome is SKIP or outcome is DEFER:
                 continue
@@ -172,6 +216,8 @@ class SequentialProposer:
         if metrics.enabled:
             metrics.counter("proposer.rounds").inc()
             metrics.counter("proposer.batched_instances").inc(len(batch))
+            if held:
+                metrics.counter("proposer.held_rounds").inc()
         tracer = replica.tracer
         if tracer.enabled:
             # The round rides the first batched request's trace: that request
@@ -192,6 +238,12 @@ class SequentialProposer:
             finally:
                 tracer.restore(token)
         round_.vote_self()
+
+    def _release(self) -> None:
+        """The hold's timer fired: check the rule again (more may have
+        arrived meanwhile)."""
+        self._hold = None
+        self._pump()
 
     def _on_majority(
         self,

@@ -67,6 +67,9 @@ class GroupEnv(Env):
     def rng(self) -> random.Random:
         return self.env.rng
 
+    def idle_at(self) -> float:
+        return self.env.idle_at()
+
     def _wrap(self, msg: Any, copies: int) -> GroupEnvelope:
         """Envelope ``msg`` and count it under the group's own scope
         (``proc.<pid>.g<N>.send.<Type>``): the world counts per process

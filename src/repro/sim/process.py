@@ -90,6 +90,13 @@ class Env(abc.ABC):
         so replicas genuinely disagree unless the protocol synchronizes them.
         """
 
+    def idle_at(self) -> float:
+        """The time by which this process will have handled every message
+        it has already received: ``now`` when nothing waits. Only the
+        simulation models a receive queue; a real runtime has read what
+        its sockets held before it runs a handler."""
+        return self.now
+
     def broadcast(self, dsts: Iterable[ProcessId], msg: Any) -> None:
         """Send ``msg`` to every destination (skipping self is the caller's
         choice — pass the peer list you mean)."""

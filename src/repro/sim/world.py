@@ -66,13 +66,14 @@ TimerHandle.register(EventHandle)
 class _SimEnv(Env):
     """Per-process facade over the world."""
 
-    __slots__ = ("_world", "_kernel", "_pid", "_rng")
+    __slots__ = ("_world", "_kernel", "_pid", "_rng", "_cpu")
 
     def __init__(self, world: "World", pid: ProcessId) -> None:
         self._world = world
         self._kernel = world.kernel
         self._pid = pid
         self._rng = world.kernel.rng(f"proc/{pid}")
+        self._cpu = world.cpu(pid)
 
     @property
     def pid(self) -> ProcessId:
@@ -85,6 +86,13 @@ class _SimEnv(Env):
     @property
     def rng(self) -> random.Random:
         return self._rng
+
+    def idle_at(self) -> float:
+        # The CPU is a FIFO: a delivered message is handled by the time its
+        # booked work ends, and nothing booked later runs before it.
+        busy = self._cpu.busy_until
+        now = self._kernel._now
+        return busy if busy > now else now
 
     def send(self, dst: ProcessId, msg: Any) -> None:
         self._world._send(self._pid, dst, msg)

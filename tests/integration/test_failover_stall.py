@@ -10,10 +10,11 @@ and the run still spans the rejoin at 2 s.
 A write still unanswered when Ω suspects the leader (``detection_window``,
 one missed heartbeat after the leader's last) is a stall, whatever its RRT:
 the outage is now about one client timeout long, so a write sent just
-after the crash stalls for less than one. Each stall must complete inside
-the ready window — the new leader serves the write it holds — which is at
-most two quorum rounds wide, and its retransmit count must be the one the
-client's backoff fits before that reply.
+after the crash stalls for less than one. Each stall must fit the window
+``stall_windows`` names for it: an RRT that ends inside the ready window —
+the new leader serves the write it holds — which is at most two quorum
+rounds wide, and a retransmit count inside the predicted range. The count
+must also be the one the client's backoff fits before the actual reply.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.analysis.model import (
     detection_window,
     ready_window,
     retransmit_window,
+    stall_windows,
 )
 from repro.client.workload import Step
 from repro.cluster.faults import FaultSchedule
@@ -90,6 +92,12 @@ def test_every_crash_stall_fits_its_path(seed):
             assert ready_lo < record.completed_at <= ready_hi, (
                 f"trial {trial_seed}: {record.rid} completed at "
                 f"{record.completed_at:.6f} s, outside ({ready_lo:.6f}, {ready_hi:.6f}] s"
+            )
+            k_lo, k_hi, lo, hi = stall_windows(inputs, record.sent_at, CRASH_AT)["held"]
+            assert lo - 1e-12 < record.rrt <= hi + 1e-12
+            assert k_lo <= record.retransmits <= k_hi, (
+                f"trial {trial_seed}: {record.rid} retransmitted "
+                f"{record.retransmits} times, predicted {k_lo}..{k_hi}"
             )
             # Its last retransmit may have fallen before the reply, and the
             # next one may not have.

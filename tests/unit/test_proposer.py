@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.client.client import Client
+from repro.client.openloop import OpenLoopClient
+from repro.client.workload import single_kind_steps
 from repro.core.config import ReplicaConfig
-from repro.core.messages import AcceptBatch, Proposal
+from repro.core.messages import AcceptBatch, Proposal, Reply
 from repro.core.proposer import DEFER, SKIP, ProposalItem
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
@@ -18,21 +21,23 @@ from repro.election.static import StaticElector
 from repro.obs.handle import NULL_OBS, Obs
 from repro.obs.registry import MetricsRegistry
 from repro.services.noop import NoopService
+from repro.sim.cpu import CpuProfile
 from repro.sim.kernel import Kernel
+from repro.sim.process import Process
 from repro.sim.world import World
 from repro.types import RequestKind, StateTransferMode
 
 PEERS = ("r0", "r1", "r2")
 
 
-def make_cluster(seed=0, obs=NULL_OBS, **config_overrides):
+def make_cluster(seed=0, obs=NULL_OBS, cpu=None, **config_overrides):
     kernel = Kernel(seed=seed)
     world = World(kernel, obs=obs)
     config = ReplicaConfig(peers=PEERS, **config_overrides)
     replicas = {}
     for pid in PEERS:
         replica = Replica(pid, config, NoopService, StaticElector("r0"), obs=obs.scoped(pid))
-        world.add(replica)
+        world.add(replica, cpu=cpu)
         replicas[pid] = replica
     world.start()
     kernel.run(until=0.5)  # let the initial (empty) recovery finish
@@ -186,8 +191,6 @@ class TestPipeline:
 
 class TestExecuteTime:
     def test_execute_time_stalls_pipeline(self):
-        from repro.sim.process import Process
-
         kernel, world, replicas = make_cluster(execute_time=0.05)
         world.add(Process("c0"))  # reply sink
         leader = replicas["r0"]
@@ -198,3 +201,123 @@ class TestExecuteTime:
         assert leader.log.frontier == 0
         kernel.run(until=kernel.now + 0.2)
         assert leader.log.frontier == 1
+
+
+#: Every message costs each process 10 us of CPU to send and to receive.
+BUSY_CPU = CpuProfile(send_cost=10e-6, recv_cost=10e-6)
+
+
+def write(client: str, seq: int = 0) -> ClientRequest:
+    return ClientRequest(RequestId(client, seq), RequestKind.WRITE, op=("write",))
+
+
+def accept_batches(sent, dst="r1"):
+    return [e for e in sent if isinstance(e.msg, AcceptBatch) and e.src == "r0" and e.dst == dst]
+
+
+class TestRoundStartsOnceTheLeaderIsIdle:
+    """A round starts once the leader has handled every message already
+    delivered to it, or at once with ``max_batch`` items queued."""
+
+    def test_idle_leader_proposes_in_the_same_event(self, sent):
+        metrics = MetricsRegistry()
+        kernel, world, replicas = make_cluster(obs=Obs(metrics=metrics), cpu=BUSY_CPU)
+        leader = replicas["r0"]
+        assert leader.env.idle_at() == kernel.now  # nothing left to handle
+        item, committed = make_item("a", ["proposal"])
+        leader.proposer.submit(item)
+        assert leader.proposer.inflight is not None
+        assert leader.proposer._hold is None
+        assert [e.time for e in accept_batches(sent)] == [kernel.now]
+        kernel.run(until=kernel.now + 1.0)
+        assert committed == [1]
+        assert metrics.counter_value("proc.r0.proposer.held_rounds") == 0
+
+    def test_request_in_the_receive_queue_rides_the_next_round(self, sent):
+        metrics = MetricsRegistry()
+        kernel, world, replicas = make_cluster(obs=Obs(metrics=metrics), cpu=BUSY_CPU)
+        clients = {pid: world.add(Process(pid)) for pid in ("c0", "c1", "c2")}
+        t0 = kernel.now
+        # c0's write opens round 1 at t0 + 10 us; c1's is handled while
+        # that round is in flight and queues; c2's reaches the leader
+        # just before round 1 commits and waits in its receive queue.
+        kernel.schedule_at(t0, clients["c0"].send, "r0", write("c0"))
+        kernel.schedule_at(t0 + 12e-6, clients["c1"].send, "r0", write("c1"))
+        kernel.schedule_at(t0 + 45e-6, clients["c2"].send, "r0", write("c2"))
+        kernel.run(until=t0 + 0.01)
+        c2_sent = next(e.time for e in sent if e.src == "c2")
+        committed_at = next(
+            e.time for e in sent if isinstance(e.msg, Reply) and e.dst == "c0"
+        )
+        assert c2_sent < committed_at  # delivered before round 1 committed
+        rounds = [[p.requests[0].rid.client for _i, p in e.msg.entries]
+                  for e in accept_batches(sent)]
+        assert rounds == [["c0"], ["c1", "c2"]]
+        assert metrics.counter_value("proc.r0.proposer.held_rounds") == 1
+        assert metrics.counter_value("proc.r0.commits") == 3
+
+    def test_a_full_batch_does_not_wait(self, sent):
+        kernel, world, replicas = make_cluster(cpu=BUSY_CPU, max_batch=2)
+        leader = replicas["r0"]
+        leader.env._cpu.acquire(kernel.now, 1e-3)  # busy with other work
+        first, _ = make_item("a", ["proposal"])
+        leader.proposer.submit(first)
+        assert leader.proposer._hold is not None and not accept_batches(sent)
+        second, _ = make_item("b", ["proposal"])
+        leader.proposer.submit(second)
+        assert leader.proposer._hold is None
+        assert [len(e.msg.entries) for e in accept_batches(sent)] == [2]
+
+    def test_stop_during_a_hold_sends_no_accept(self, sent):
+        kernel, world, replicas = make_cluster(cpu=BUSY_CPU)
+        leader = replicas["r0"]
+        leader.env._cpu.acquire(kernel.now, 1e-3)
+        item, committed = make_item("a", ["proposal"])
+        leader.proposer.submit(item)
+        hold = leader.proposer._hold
+        assert hold is not None and hold.active
+        leader.proposer.stop()  # deposed while holding
+        assert not hold.active
+        kernel.run(until=kernel.now + 1.0)
+        assert accept_batches(sent) == [] and committed == []
+
+    @pytest.mark.parametrize(("more", "starts_after"), [(0.5e-3, 1.5e-3), (5e-3, 1e-3)])
+    def test_a_hold_ends_by_twice_the_first_wait(self, sent, more, starts_after):
+        """Work that lands during a hold extends it only while the leader
+        will be idle by twice the first wait (here 2 ms): 0.5 ms more is
+        waited for, 5 ms more is not."""
+        kernel, world, replicas = make_cluster(cpu=BUSY_CPU)
+        cpu = replicas["r0"].env._cpu
+        t0 = kernel.now
+        cpu.acquire(t0, 1e-3)
+        item, committed = make_item("a", ["proposal"])
+        replicas["r0"].proposer.submit(item)
+        kernel.schedule_at(t0 + 0.5e-3, lambda: cpu.acquire(kernel.now, more))
+        kernel.run(until=t0 + 0.1)
+        (accept,) = accept_batches(sent)
+        # Give or take the leader's periodic FrontierProbe exchange.
+        assert accept.time == pytest.approx(t0 + starts_after, abs=50e-6)
+        assert committed == [1]
+
+    def test_a_lone_writer_commits_under_a_read_flood(self):
+        """At the default ``max_batch`` one closed-loop writer never fills a
+        batch, and the flood keeps the leader's CPU busy for good: the hold
+        still ends, so its writes commit while the flood lasts."""
+        kernel, world, replicas = make_cluster(cpu=BUSY_CPU)
+        assert replicas["r0"].proposer.max_batch == 8
+        # A read costs the leader 40 us (request, two Confirms, reply), so
+        # 50 000 reads/s is twice what it can handle.
+        flood = world.add(OpenLoopClient(
+            "reads", PEERS, RequestKind.READ, op=("read",), rate=50_000.0,
+            total=1_500, wait_for_start=False,
+        ))
+        writer = world.add(Client(
+            "writer", PEERS, single_kind_steps(RequestKind.WRITE, 5),
+            wait_for_start=False,
+        ))
+        while flood.stats.fired < flood.total:
+            kernel.run(until=kernel.now + 1e-3)
+        assert world.cpu("r0").busy_until - kernel.now > 0.01  # far behind
+        assert writer.completed_requests >= 2
+        kernel.run(until=kernel.now + 1.0)
+        assert flood.done and writer.done

@@ -199,6 +199,13 @@ class TestGroupHost:
         assert env.sends == [("r2", GroupEnvelope(1, prepare)), ("c0", prepare)]
         assert registry.counter_value("proc.r0.g1.send.Prepare") == 3
 
+    def test_group_env_idle_at_is_the_hosts(self):
+        host = self._host()
+        env = _RecordingEnv()
+        env.idle_at = lambda: 0.5  # the host's CPU is busy until then
+        host.bind(env)
+        assert [g.env.idle_at() for g in host.groups.values()] == [0.5, 0.5]
+
 
 class _RecordingEnv(Env):
     pid = "r0"
