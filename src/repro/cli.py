@@ -229,6 +229,7 @@ def chaos_command(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         storage_faults=args.storage_faults,
         groups=args.groups,
+        profile=args.profile,
     )
     workers = args.workers
     if workers > 1 and args.tracing:
@@ -509,6 +510,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="fault event rate multiplier (default: 1.0)")
     chaos.add_argument("--allow-majority-loss", action="store_true",
                        help="let crash bursts take down a majority")
+    chaos.add_argument("--profile", default="flat", choices=("flat", "sysnet"),
+                       help="network and CPU profile (default: flat, whose "
+                            "CPUs cost nothing; sysnet models receive queues)")
     chaos.add_argument("--fsync", default="async", choices=FSYNC_MODES,
                        help="replica durability mode (default: async; "
                             "storage faults need sync)")

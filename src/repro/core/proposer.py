@@ -25,6 +25,17 @@ land during it may extend the wait, but only to twice the first, so a
 leader whose CPU never drains still starts its rounds. On a real runtime
 ``idle_at`` is ``now``.
 
+With ``fsync="sync"`` a round may also wait out the fsync its host's
+:class:`~repro.storage.store.StoragePump` has in flight, while a client
+the previous round answered has no request queued: that client's next
+write then joins the round. The wait costs the leader's own vote nothing
+— its barrier cannot be durable before that fsync ends plus one more —
+and it ends with that fsync, before the follow-up fsync starts, so the
+round's own append still rides the follow-up (or earlier, when the
+client's write arrives; the same bound as above holds). A lone client
+never waits: it is the one queued. An ``async`` store never has an fsync
+in flight.
+
 Queue items produce their proposal lazily (``prepare``): the leader
 executes a request only when its turn comes, so the state attached to
 instance *i* really is the state after executing requests 1..i.
@@ -73,9 +84,9 @@ class ProposalItem:
       chosen; replies to the client and releases resources.
 
     The pipeline asks nothing else of an item, so any object with these two
-    callables and ``ctx`` will do: a transaction commit is this record of
-    two closures, a plain write is one slotted object with two methods
-    (``repro.core.group``).
+    callables, ``ctx`` and ``src`` will do: a transaction commit is this
+    record of two closures, a plain write is one slotted object with two
+    methods (``repro.core.group``).
     """
 
     prepare: Callable[[], Any]
@@ -85,6 +96,9 @@ class ProposalItem:
     #: modeled). Committed replies re-enter this context so a batched
     #: request's reply joins *its own* trace, not its batch-mates'.
     ctx: Any = None
+    #: The client the item answers: a round may wait for a client the
+    #: previous one answered to write again (``SequentialProposer._pump``).
+    src: Any = None
 
 
 class SequentialProposer:
@@ -102,12 +116,19 @@ class SequentialProposer:
         self.next_instance: InstanceId = 1
         self.active = False
         self._paused = False
-        #: Timer that starts the next round once the leader has handled
-        #: what it already received (see ``_pump``), and the time by which
+        #: Timer (or fsync-end hook) that starts the next round once the
+        #: leader has handled what it already received or its host's fsync
+        #: has ended (see ``_pump``), when it fires, and the time by which
         #: that round starts however busy the leader stays (``None``: the
         #: next round has not waited).
         self._hold: TimerHandle | None = None
+        self._hold_at = 0.0
         self._deadline: float | None = None
+        #: The clients the latest committed round answered, and the host's
+        #: durable substrate, whose in-flight fsync a round may wait out
+        #: for them.
+        self._answered: tuple[Any, ...] = ()
+        self._storage = replica.store.pump
 
     # ------------------------------------------------------------- lifecycle
     def begin(self, next_instance: InstanceId) -> None:
@@ -126,6 +147,7 @@ class SequentialProposer:
             self._hold.cancel()
             self._hold = None
         self._deadline = None
+        self._answered = ()
         if self.inflight is not None:
             self.inflight.close()
             self.inflight = None
@@ -171,17 +193,37 @@ class SequentialProposer:
         # of waiting a whole round for the next (module docstring). The
         # first wait is free, since the round's AcceptBatch could not leave
         # before it ends; later ones must end by twice the first, so a CPU
-        # that never drains (overload) cannot hold a round for good.
+        # that never drains (overload) cannot hold a round for good. A
+        # busy device may stretch the wait to its fsync's end (below).
         if len(queue) < self.max_batch:
-            idle_at = replica.env.idle_at()
+            until = replica.env.idle_at()
             now = replica.now
-            if idle_at > now:
-                if self._hold is not None:
-                    return
+            storage = self._storage
+            ends_at = storage.fsync_ends_at
+            at_fsync_end = False
+            if ends_at is not None and ends_at > until and self._answered:
+                # The host's device is busy: this round's own barrier cannot
+                # be durable before ``ends_at`` plus one more fsync, so it
+                # may wait until then for a client the last round answered.
+                queued = {item.src for item in queue}
+                if any(src not in queued for src in self._answered):
+                    until = ends_at
+                    at_fsync_end = True
+            if until > now:
+                hold = self._hold
+                if hold is not None:
+                    if self._hold_at <= until:
+                        return
+                    hold.cancel()  # the client came back: hold less
+                    self._hold = None
                 if self._deadline is None:
-                    self._deadline = idle_at + (idle_at - now)
-                if idle_at <= self._deadline:
-                    self._hold = replica.set_timer(idle_at - now, self._release)
+                    self._deadline = until + (until - now)
+                if until <= self._deadline:
+                    self._hold_at = until
+                    self._hold = (
+                        storage.at_fsync_end(self._release) if at_fsync_end
+                        else replica.set_timer(until - now, self._release)
+                    )
                     return
         if self._hold is not None:
             self._hold.cancel()
@@ -261,6 +303,7 @@ class SequentialProposer:
             metrics.histogram("phase.propose_accepted").observe(
                 self.replica.now - proposed_at
             )
+        self._answered = tuple(item.src for _pn, _p, item in batch)
         self.replica.commit_batch_as_leader(round_.ballot, batch)
         # Reads that came due during the round see exactly its writes: the
         # next round has not executed anything yet.

@@ -193,7 +193,7 @@ class TxnManager:
 
         replica.proposer.submit(
             ProposalItem(prepare=partial(self._prepare_commit, txn, request),
-                         on_committed=on_committed, ctx=replica.tracer.current)
+                         on_committed=on_committed, ctx=replica.tracer.current, src=src)
         )
 
     def _prepare_commit(self, txn: ActiveTxn, request: ClientRequest) -> Proposal:

@@ -99,8 +99,8 @@ class CoreLayering(Rule):
     rule_id = "PROTO001"
     summary = "transport import or direct I/O in a pure protocol layer"
     rationale = (
-        "core/ and election/ run under three interchangeable runtimes "
-        "(sim kernel, local threads, TCP). Importing repro.transport, "
+        "core/ and election/ run unchanged under two runtimes (the "
+        "simulation kernel and the TCP runtime). Importing repro.transport, "
         "socket-level modules, or calling open()/print() ties the protocol "
         "to one runtime and punches a hole in the determinism contract — "
         "and an import alone fails no test."

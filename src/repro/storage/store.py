@@ -55,7 +55,7 @@ Because the device is shared, refusal halts every group on the process.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
@@ -64,6 +64,7 @@ from repro.core.ballot import Ballot, ProposalNumber
 from repro.core.log import ReplicaLog
 from repro.core.messages import Proposal
 from repro.core.requests import RequestId
+from repro.sim.process import TimerHandle
 from repro.storage.device import CheckpointBlob, ReplayResult, SimDisk
 from repro.storage.wal import WalRecord
 from repro.types import GroupId, InstanceId, ProcessId
@@ -145,6 +146,29 @@ class RecoveredState:
     truncated_tail: int
 
 
+class _AtFsyncEnd(TimerHandle):
+    """A callback :meth:`StoragePump.at_fsync_end` runs once, when the
+    fsync in flight at registration ends; cancellable like a timer."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fn: Callable[[], None] | None = fn
+
+    def __call__(self) -> None:
+        fn = self.fn
+        if fn is not None:
+            self.fn = None
+            fn()
+
+    def cancel(self) -> None:
+        self.fn = None
+
+    @property
+    def active(self) -> bool:
+        return self.fn is not None
+
+
 class StoragePump:
     """Per-process durable substrate: one device, one fsync pump.
 
@@ -169,6 +193,9 @@ class StoragePump:
         self._waiters: list[tuple[int, Any, Any]] = []
         #: Append seq covered by the in-flight fsync (None = none running).
         self._fsync_covered: int | None = None
+        #: When the in-flight fsync ends (None = none running; always None
+        #: in ``async`` mode).
+        self.fsync_ends_at: float | None = None
         self._fsync_lie = False
         self._drain_timer: Any = None
         #: Storage-nemesis windows (virtual-time horizons).
@@ -202,6 +229,15 @@ class StoragePump:
         self._waiters.append((device.last_seq, callback, self.host.tracer.current))
         self._start_fsync()
 
+    def at_fsync_end(self, fn: Callable[[], None]) -> TimerHandle:
+        """Run ``fn`` once the in-flight fsync ends (``fsync_ends_at`` is
+        not None): with that fsync's barriers and before the follow-up
+        fsync starts, so whatever ``fn`` appends rides the follow-up."""
+        assert self._fsync_covered is not None
+        hook = _AtFsyncEnd(fn)
+        self._waiters.append((self._fsync_covered, hook, self.host.tracer.current))
+        return hook
+
     def ensure_drain(self) -> None:
         """Arm the drain timer unless a drain is already underway."""
         if self._fsync_covered is not None or self._drain_timer is not None:
@@ -229,6 +265,7 @@ class StoragePump:
         latency = host.config.fsync_latency
         if now < self._stall_until:
             latency += self._stall_extra
+        self.fsync_ends_at = now + latency
         self._background_timer(latency, self._fsync_done)
 
     def _background_timer(self, delay: float, fn: Any) -> Any:
@@ -250,6 +287,7 @@ class StoragePump:
             return
         lie = self._fsync_lie
         self._fsync_covered = None
+        self.fsync_ends_at = None
         self._fsync_lie = False
         device = self.device
         device.complete_fsync(covered, lie=lie)
@@ -296,6 +334,7 @@ class StoragePump:
         self.device.crash()
         self._waiters = []
         self._fsync_covered = None
+        self.fsync_ends_at = None
         self._fsync_lie = False
         self._drain_timer = None  # the epoch bump killed the real timer
 

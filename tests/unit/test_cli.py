@@ -319,6 +319,24 @@ class TestChaosCommand:
         summary = json.loads(summary_path.read_text())
         assert summary["seeds"] == 3 and summary["violating"] == 0
 
+    def test_profile_flag_reaches_the_trials(self, tmp_path):
+        import json
+
+        summaries = {}
+        for profile in ("flat", "sysnet"):
+            path = tmp_path / f"{profile}.json"
+            assert main([
+                "chaos", "--seeds", "2", "--requests", "4", "--horizon", "0.5",
+                "--profile", profile, "--quiet", "--summary", str(path),
+            ]) == 0
+            summaries[profile] = json.loads(path.read_text())["results"]
+        # sysnet's CPUs and links cost time, so the trials end elsewhere.
+        assert [r["sim_time"] for r in summaries["flat"]] != [
+            r["sim_time"] for r in summaries["sysnet"]
+        ]
+        with pytest.raises(SystemExit):
+            main(["chaos", "--profile", "wan"])
+
     def test_mutation_sweep_exits_nonzero_with_dossier(self, capsys):
         code = main([
             "chaos", "--seeds", "1", "--seed", "3",

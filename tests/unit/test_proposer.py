@@ -13,7 +13,7 @@ from repro.client.openloop import OpenLoopClient
 from repro.client.workload import single_kind_steps
 from repro.core.config import ReplicaConfig
 from repro.core.messages import AcceptBatch, Proposal, Reply
-from repro.core.proposer import DEFER, SKIP, ProposalItem
+from repro.core.proposer import DEFER, SKIP, ProposalItem, SequentialProposer
 from repro.core.replica import Replica
 from repro.core.requests import ClientRequest, RequestId
 from repro.core.state import StatePayload
@@ -321,3 +321,97 @@ class TestRoundStartsOnceTheLeaderIsIdle:
         assert writer.completed_requests >= 2
         kernel.run(until=kernel.now + 1.0)
         assert flood.done and writer.done
+
+
+class Writer(Process):
+    """A closed-loop client: sends its next write ``think`` seconds after
+    the reply to its last one, up to write ``last``."""
+
+    def __init__(self, pid: str, think: float, last: int = 1) -> None:
+        super().__init__(pid)
+        self.think = think
+        self.last = last
+
+    def on_message(self, src, msg):
+        if isinstance(msg, Reply) and msg.rid.seq < self.last:
+            next_write = write(self.pid, msg.rid.seq + 1)
+            self.env.set_timer(self.think, self.env.send, "r0", next_write)
+
+
+def rounds_of(sent):
+    return [[f"{p.requests[0].rid.client}{p.requests[0].rid.seq}" for _i, p in e.msg.entries]
+            for e in accept_batches(sent)]
+
+
+class TestRoundWaitsOutTheFsyncForAnAnsweredClient:
+    """With its host's fsync in flight, a round waits for a client the
+    last round answered to write again, until that fsync ends."""
+
+    def start(self, think: float, fsync_mode: str = "sync", clients=("a", "b")):
+        """Round 1 carries a0; b0 queues behind it. The leader's device is
+        slowed to 1.5 ms an fsync, so round 1 commits (on the backups'
+        votes, at +0.5 ms) with the leader's own fsync still in flight."""
+        kernel, world, replicas = make_cluster(fsync_mode=fsync_mode)
+        leader = replicas["r0"]
+        leader.store.pump.inject_disk_stall(duration=1.0, extra=1e-3)
+        writers = {pid: world.add(Writer(pid, think)) for pid in clients}
+        t0 = kernel.now
+        for pid in clients:
+            kernel.schedule_at(t0, writers[pid].send, "r0", write(pid))
+        return kernel, leader, t0
+
+    def test_the_round_waits_and_carries_the_answered_clients_next_write(self, sent):
+        kernel, leader, t0 = self.start(think=0.2e-3)
+        kernel.run(until=t0 + 0.5e-3)
+        assert rounds_of(sent) == [["a0"]]
+        kernel.run(until=t0 + 0.6e-3)  # committed: a answered, b queued
+        assert leader.proposer._hold is not None
+        assert leader.store.pump.fsync_ends_at == pytest.approx(t0 + 1.5e-3)
+        assert rounds_of(sent) == [["a0"]]
+        kernel.run(until=t0 + 0.1)
+        assert rounds_of(sent) == [["a0"], ["b0", "a1"], ["b1"]]
+        # a1 ended the hold in the event that delivered it: 0.2 ms after
+        # a's reply.
+        assert accept_batches(sent)[1].time == pytest.approx(t0 + 0.7e-3)
+
+    def test_the_hold_ends_with_the_fsync_and_the_round_rides_the_next(self, sent):
+        kernel, leader, t0 = self.start(think=5e-3)
+        pump = leader.store.pump
+        kernel.run(until=t0 + 1.5e-3)
+        assert rounds_of(sent) == [["a0"], ["b0"]]  # a did not come back
+        assert accept_batches(sent)[1].time == pytest.approx(t0 + 1.5e-3)
+        # Released before the follow-up fsync started: that fsync covers
+        # the leader's accept of b0.
+        assert pump._fsync_covered == pump.device.last_seq
+
+    def test_a_lone_client_proposes_in_the_same_event(self, sent):
+        kernel, leader, t0 = self.start(think=0.2e-3, clients=("a",))
+        kernel.run(until=t0 + 0.7e-3)
+        assert leader.store.pump.fsync_ends_at is not None  # device busy
+        assert leader.proposer._hold is None
+        assert rounds_of(sent) == [["a0"], ["a1"]]
+        assert accept_batches(sent)[1].time == pytest.approx(t0 + 0.7e-3)
+
+    def test_an_async_store_never_holds(self, sent, monkeypatch):
+        holds = []
+        pump = SequentialProposer._pump
+
+        def recording(self):
+            pump(self)
+            holds.append(self._hold)
+
+        monkeypatch.setattr(SequentialProposer, "_pump", recording)
+        kernel, leader, t0 = self.start(think=0.2e-3, fsync_mode="async")
+        kernel.run(until=t0 + 0.1)
+        assert rounds_of(sent) == [["a0"], ["b0"], ["a1"], ["b1"]]
+        assert holds and not any(holds)
+
+    def test_stop_during_the_hold_cancels_it(self, sent):
+        kernel, leader, t0 = self.start(think=5e-3)
+        kernel.run(until=t0 + 0.6e-3)
+        hold = leader.proposer._hold
+        assert hold is not None and hold.active
+        leader.proposer.stop()  # deposed while holding
+        assert not hold.active
+        kernel.run(until=t0 + 0.1)
+        assert rounds_of(sent) == [["a0"]]

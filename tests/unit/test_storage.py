@@ -283,6 +283,22 @@ class TestStableStore:
         host.advance(DRAIN_DELAY + 2e-3)  # no second drain delay
         assert (store.device.unsynced, store.device.fsyncs) == (0, 2)
 
+    def test_at_fsync_end_runs_before_the_follow_up_starts(self):
+        host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
+        store = StableStore(host)
+        pump = store.pump
+        assert pump.fsync_ends_at is None
+        store.record_round(1)
+        store.flush(lambda: None)
+        assert pump.fsync_ends_at == 1e-3
+        store.record_round(2)  # would ride the follow-up on its own
+        seen = []
+        pump.at_fsync_end(lambda: seen.append((host.now, pump.fsync_ends_at)))
+        pump.at_fsync_end(lambda: seen.append("cancelled")).cancel()
+        host.advance(1e-3)
+        assert seen == [(1e-3, None)]  # between the fsync and its follow-up
+        assert pump.fsync_ends_at == 2e-3
+
     def test_sync_mode_barrier_cancels_the_drain_and_one_fsync_covers_both(self):
         host = _FakeHost(fsync_mode="sync", fsync_latency=1e-3)
         store = StableStore(host)
